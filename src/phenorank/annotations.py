@@ -2,7 +2,8 @@
 
 Disease annotations come from two closed sources (omim, orphanet). IDF-style
 features are per-source; count and fraction features pool the sources, matching
-how information content is computed.
+how information content is computed. Counts reach ancestors through
+``ontology.propagate_counts``, the same pass ``compute_stats`` uses.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DataError, IngestError, ParseError
-from .ontology import Ontology, OntologyStats
+from .ontology import Ontology, OntologyStats, propagate_counts
 
 DISEASE_SOURCES = ("omim", "orphanet")
 
@@ -31,22 +32,6 @@ class AnnotationKB:
     total_genes: int
     propagated_disease_counts: dict[str, dict[str, int]] = field(repr=False)
     propagated_gene_counts: dict[str, int] = field(repr=False)
-
-
-def _propagate(o: Ontology, direct: dict[str, set[str]]) -> dict[str, int]:
-    # Invert to document -> terms, then count each document once per ancestor.
-    by_doc: dict[str, set[str]] = {}
-    for tid, docs in direct.items():
-        for d in docs:
-            by_doc.setdefault(d, set()).add(tid)
-    counts: dict[str, int] = {}
-    for terms in by_doc.values():
-        reached: set[str] = set()
-        for tid in terms:
-            reached |= o.ancestors(tid)
-        for t in reached:
-            counts[t] = counts.get(t, 0) + 1
-    return counts
 
 
 def load_annotations(disease_text: str, gene_text: str, o: Ontology) -> AnnotationKB:
@@ -105,7 +90,7 @@ def load_annotations(disease_text: str, gene_text: str, o: Ontology) -> Annotati
         for s, per_term in disease_direct.items()
     }
     total_genes = len({g for gs in gene_direct.values() for g in gs})
-    propagated = {s: _propagate(o, disease_direct[s]) for s in DISEASE_SOURCES}
+    propagated = {s: propagate_counts(o, disease_direct[s]) for s in DISEASE_SOURCES}
     return AnnotationKB(
         disease_annots={
             s: {t: frozenset(d) for t, d in per_term.items()}
@@ -115,7 +100,7 @@ def load_annotations(disease_text: str, gene_text: str, o: Ontology) -> Annotati
         disease_totals=disease_totals,
         total_genes=total_genes,
         propagated_disease_counts=propagated,
-        propagated_gene_counts=_propagate(o, gene_direct),
+        propagated_gene_counts=propagate_counts(o, gene_direct),
     )
 
 

@@ -16,11 +16,8 @@ from pathlib import Path
 import click
 
 from . import evaluation, pipeline
-from .config import PipelineConfig, config_hash, load_config
-from .ontology import compute_stats
+from .config import PipelineConfig, load_config
 from .errors import BackendError, ConfigError, DataError, PhenorankError
-
-logger = logging.getLogger(__name__)
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -172,7 +169,7 @@ def rank(ctx: click.Context, out: str | None) -> None:
     def step():
         summary = pipeline.step_rank(cfg)
         if out is not None:
-            _, rankings = pipeline._load_rankings(cfg)
+            rankings = pipeline._load_term_lists(cfg, pipeline.RANKINGS_FILE)
             Path(out).write_text(
                 evaluation.export_ranking(rankings), encoding="utf-8"
             )
@@ -198,42 +195,7 @@ def rank(ctx: click.Context, out: str | None) -> None:
 def evaluate(ctx: click.Context, force: bool, external: str | None) -> None:
     """Score rankings against the cohort gold standard."""
     cfg = _load(ctx)
-
-    def step():
-        if external is None:
-            return pipeline.step_evaluate(cfg, force=force)
-        o = pipeline.load_ontology(cfg)
-        kb = pipeline.load_kb(cfg, o)
-        s = compute_stats(o, kb)
-        try:
-            text = Path(external).read_text(encoding="utf-8")
-        except OSError as e:
-            raise DataError(f"cannot read external rankings {external}: {e}") from e
-        imported = evaluation.import_external_ranking(text, o)
-        for problem in imported.errors:
-            logger.warning("external rankings: %s", problem)
-        gold = {
-            p.patient_id: set(p.curated_terms) for p in pipeline._load_cohort(cfg)
-        }
-        report = evaluation.evaluate_cohort(
-            imported.rankings,
-            gold,
-            o,
-            s,
-            pipeline._eval_config(cfg),
-            configuration="external",
-            provenance={"configHash": config_hash(cfg), "source": external},
-        )
-        wd = pipeline.workdir(cfg)
-        pipeline._atomic_write(wd / pipeline.EVAL_REPORT, report.to_json())
-        pipeline._atomic_write(wd / pipeline.EVAL_CSV, evaluation.report_csv([report]))
-        return {
-            "patients": report.cohort_size,
-            "skippedRows": len(imported.errors),
-            "report": str(wd / pipeline.EVAL_REPORT),
-        }
-
-    _run(step)
+    _run(lambda: pipeline.step_evaluate(cfg, force=force, external=external))
 
 
 @main.command()

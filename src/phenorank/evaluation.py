@@ -11,10 +11,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import EvaluationConfig
 from .errors import ConfigError, DataError
 from .ontology import Ontology, OntologyStats, lin_similarity
-
-DEFAULT_CUTOFFS = (10, 20, 30, 40, 50)
 
 # Stream tags keep bootstrap and permutation draws on disjoint substreams of
 # the master seed, independent of worker count or evaluation order.
@@ -28,24 +27,6 @@ DELTA_METRIC_NAMES = (
     "delta_f1",
     "delta_lin_similarity",
 )
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    cutoffs: tuple[int, ...] = DEFAULT_CUTOFFS
-    bootstrap_iterations: int = 1000
-    permutations: int = 200
-    seed: int = 0
-
-    def __post_init__(self):
-        if not self.cutoffs or any(k < 1 for k in self.cutoffs):
-            raise ConfigError("cutoffs must be positive")
-        if list(self.cutoffs) != sorted(set(self.cutoffs)):
-            raise ConfigError("cutoffs must be strictly increasing")
-        if self.bootstrap_iterations < 1:
-            raise ConfigError("bootstrap_iterations must be >= 1")
-        if self.permutations < 1:
-            raise ConfigError("permutations must be >= 1")
 
 
 def topk_prf(
@@ -199,7 +180,8 @@ def evaluate_cohort(
     gold_by_patient: dict[str, set[str]],
     o: Ontology,
     s: OntologyStats,
-    cfg: EvalConfig,
+    cfg: EvaluationConfig,
+    seed: int = 0,
     configuration: str = "prioritized",
     provenance: dict | None = None,
 ) -> MetricsReport:
@@ -208,6 +190,7 @@ def evaluate_cohort(
     Patients without gold are excluded and counted in the warnings; empty
     ranked lists contribute zero precision/recall/similarity and are flagged.
     """
+    cfg.validate()
     cache = LinCache(o, s)
     missing_gold = 0
     empty_ranked = 0
@@ -237,7 +220,7 @@ def evaluate_cohort(
             fp = len(top - gold)
             per_patient[i, ki] = (p, r, f1, sim, fn, fp)
     point = per_patient.mean(axis=0)
-    lo, hi = _bootstrap_ci(per_patient, cfg.bootstrap_iterations, cfg.seed)
+    lo, hi = _bootstrap_ci(per_patient, cfg.bootstrap_iterations, seed)
     return MetricsReport(
         configuration=configuration,
         rows=_assemble_rows(cfg.cutoffs, METRIC_NAMES, point, lo, hi),
@@ -252,7 +235,8 @@ def permutation_delta(
     gold_by_patient: dict[str, set[str]],
     o: Ontology,
     s: OntologyStats,
-    cfg: EvalConfig,
+    cfg: EvaluationConfig,
+    seed: int = 0,
     configuration: str = "prioritized-vs-permuted",
     provenance: dict | None = None,
 ) -> MetricsReport:
@@ -261,6 +245,7 @@ def permutation_delta(
     Permutations reshuffle each patient's own term list; the same cutoffs and
     bootstrap machinery yield CIs for the per-patient deltas.
     """
+    cfg.validate()
     cache = LinCache(o, s)
     missing_gold = 0
     pids = []
@@ -296,7 +281,7 @@ def permutation_delta(
             r = hits / R
             f1 = 0.0 if p + r == 0.0 else 2.0 * p * r / (p + r)
             prior[ki] = (p, r, f1, _bma(M[:kk]))
-        rng = np.random.default_rng([cfg.seed, _PERMUTE_STREAM, i])
+        rng = np.random.default_rng([seed, _PERMUTE_STREAM, i])
         acc = np.zeros((K, 4))
         for _ in range(cfg.permutations):
             perm = rng.permutation(n)
@@ -311,7 +296,7 @@ def permutation_delta(
                 acc[ki] += (p, r, f1, _bma(M[perm[:kk]]))
         deltas[i] = prior - acc / cfg.permutations
     point = deltas.mean(axis=0)
-    lo, hi = _bootstrap_ci(deltas, cfg.bootstrap_iterations, cfg.seed)
+    lo, hi = _bootstrap_ci(deltas, cfg.bootstrap_iterations, seed)
     return MetricsReport(
         configuration=configuration,
         rows=_assemble_rows(cfg.cutoffs, DELTA_METRIC_NAMES, point, lo, hi),
@@ -361,7 +346,8 @@ def ablation_run(
     gold_by_patient: dict[str, set[str]],
     o: Ontology,
     s: OntologyStats,
-    cfg: EvalConfig,
+    cfg: EvaluationConfig,
+    seed: int = 0,
     provenance: dict | None = None,
 ) -> list[MetricsReport]:
     """Evaluate the pipeline cut after each module on the same cohort.
@@ -371,6 +357,7 @@ def ablation_run(
     every stage (absent entries evaluate as empty lists) so the stages stay
     comparable.
     """
+    cfg.validate()
     if mentions_by_patient is None or standardized_by_patient is None:
         raise ConfigError("ablation needs the mention and standardized artifacts")
     if ranked_by_patient is None:
@@ -393,6 +380,7 @@ def ablation_run(
                 o,
                 s,
                 cfg,
+                seed,
                 configuration=stage,
                 provenance=provenance,
             )

@@ -39,9 +39,6 @@ _TAG_RE = re.compile(r"</?span>")
 
 _ESCAPES = ((SPAN_OPEN, "&lt;span&gt;"), (SPAN_CLOSE, "&lt;/span&gt;"))
 
-EXTRACTORS = ("gazetteer", "remote", "external-import")
-
-
 @dataclass(frozen=True)
 class Mention:
     """One extracted surface string located inside a chunk."""
@@ -220,19 +217,6 @@ class Gazetteer:
             )
             for m in self._pattern.finditer(chunk.text)
         ]
-
-
-_GAZETTEER_CACHE: dict[int, tuple[Ontology, Gazetteer]] = {}
-
-
-def gazetteer_extract(chunk: "NoteChunk", o: Ontology) -> list[Mention]:
-    """Extract mentions of ontology names/synonyms from one chunk."""
-    cached = _GAZETTEER_CACHE.get(id(o))
-    if cached is None or cached[0] is not o:
-        cached = (o, Gazetteer(o))
-        _GAZETTEER_CACHE.clear()
-        _GAZETTEER_CACHE[id(o)] = cached
-    return cached[1].extract(chunk)
 
 
 # -- prompting ---------------------------------------------------------------------

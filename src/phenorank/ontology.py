@@ -432,28 +432,45 @@ class OntologyStats:
     ic: dict[str, float]
 
 
+def propagate_counts(
+    o: Ontology, direct: Mapping[str, Iterable[str]]
+) -> dict[str, int]:
+    """Count, per term, the distinct documents annotated to it or a descendant.
+
+    ``direct`` maps term id -> documents annotated directly to that term. Terms
+    no document reaches are absent from the result.
+    """
+    # Invert to document -> terms, then count each document once per ancestor.
+    by_doc: dict[str, set[str]] = {}
+    for tid, docs in direct.items():
+        for d in docs:
+            by_doc.setdefault(d, set()).add(tid)
+    counts: dict[str, int] = {}
+    for terms in by_doc.values():
+        reached: set[str] = set()
+        for tid in terms:
+            reached |= o.ancestors(tid)
+        for t in reached:
+            counts[t] = counts.get(t, 0) + 1
+    return counts
+
+
 def compute_stats(o: Ontology, kb) -> OntologyStats:
     """Propagate the KB's disease annotations to ancestors and derive IC.
 
     ``kb`` supplies ``disease_annots``: source -> term -> set of disease ids.
     Sources are pooled (a disease id names one document regardless of source).
     """
-    disease_terms: dict[str, set[str]] = {}
+    pooled: dict[str, set[str]] = {}
     for per_term in kb.disease_annots.values():
         for tid, diseases in per_term.items():
             o.require(tid)
-            for d in diseases:
-                disease_terms.setdefault(d, set()).add(tid)
-    total = len(disease_terms)
+            pooled.setdefault(tid, set()).update(diseases)
+    total = len(set().union(*pooled.values()))
     if total == 0:
         raise DataError("annotation KB holds no diseases; IC is undefined")
-    count: dict[str, int] = {t: 0 for t in o.non_obsolete_ids()}
-    for diseases in disease_terms.values():
-        reached: set[str] = set()
-        for tid in diseases:
-            reached |= o.ancestors(tid)
-        for t in reached:
-            count[t] += 1
+    reached = propagate_counts(o, pooled)
+    count = {t: reached.get(t, 0) for t in o.non_obsolete_ids()}
     floor_p = 1.0 / (total + 1)
     ic = {
         t: -math.log(c / total) if c > 0 else -math.log(floor_p)

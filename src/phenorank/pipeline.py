@@ -155,13 +155,36 @@ def load_kb(cfg: PipelineConfig, o: ontology.Ontology) -> annotations.Annotation
     return annotations.load_annotations(disease_text, gene_text, o)
 
 
-def _load_cohort(cfg: PipelineConfig) -> list[corpus.Patient]:
-    _, rows = read_jsonl(workdir(cfg) / COHORT_FILE)
+def load_inputs(
+    cfg: PipelineConfig,
+) -> tuple[ontology.Ontology, annotations.AnnotationKB, ontology.OntologyStats]:
+    """Parse the ontology and annotations and derive the IC statistics."""
+    o = load_ontology(cfg)
+    kb = load_kb(cfg, o)
+    return o, kb, ontology.compute_stats(o, kb)
+
+
+def _read_artifact(cfg: PipelineConfig, name: str, force: bool | None) -> list[dict]:
+    """Rows of one work-directory artifact.
+
+    Unless force is None, the artifact's configHash is checked first (see
+    check_artifact); steps that only consume an artifact pass None.
+    """
+    meta, rows = read_jsonl(workdir(cfg) / name)
+    if force is not None:
+        check_artifact(meta, cfg, name, force)
+    return rows
+
+
+def _load_cohort(
+    cfg: PipelineConfig, force: bool | None = None
+) -> list[corpus.Patient]:
+    rows = _read_artifact(cfg, COHORT_FILE, force)
     return [corpus.Patient.from_dict(r) for r in rows]
 
 
-def _gold_by_patient(cohort: list[corpus.Patient]) -> dict[str, set[str]]:
-    return {p.patient_id: set(p.curated_terms) for p in cohort}
+def _load_gold(cfg: PipelineConfig, force: bool | None = None) -> dict[str, set[str]]:
+    return {p.patient_id: set(p.curated_terms) for p in _load_cohort(cfg, force)}
 
 
 def _remote_backend_config(cfg: PipelineConfig) -> extraction.RemoteBackendConfig:
@@ -176,16 +199,6 @@ def _remote_backend_config(cfg: PipelineConfig) -> extraction.RemoteBackendConfi
     )
 
 
-def _eval_config(cfg: PipelineConfig) -> evaluation.EvalConfig:
-    ev = cfg.evaluation
-    return evaluation.EvalConfig(
-        cutoffs=ev.cutoffs,
-        bootstrap_iterations=ev.bootstrap_iterations,
-        permutations=ev.permutations,
-        seed=cfg.seed,
-    )
-
-
 def _provenance(cfg: PipelineConfig, **extra) -> dict:
     prov = {"configHash": config_hash(cfg), "seed": cfg.seed}
     prov.update(extra)
@@ -197,9 +210,7 @@ def _provenance(cfg: PipelineConfig, **extra) -> dict:
 
 def step_ingest(cfg: PipelineConfig) -> dict:
     """Parse ontology and annotations, write the per-term feature table."""
-    o = load_ontology(cfg)
-    kb = load_kb(cfg, o)
-    s = ontology.compute_stats(o, kb)
+    o, kb, s = load_inputs(cfg)
     rows = annotations.feature_table(o, s, kb)
     wd = workdir(cfg)
     _atomic_write(wd / FEATURES_CSV, annotations.feature_table_csv(rows))
@@ -226,9 +237,7 @@ def _distractor_pool(
 
 def step_synth(cfg: PipelineConfig) -> dict:
     """Generate the synthetic cohort and one narrative note per patient."""
-    o = load_ontology(cfg)
-    kb = load_kb(cfg, o)
-    s = ontology.compute_stats(o, kb)
+    o, _, s = load_inputs(cfg)
     cohort = corpus.synth_cohort(
         o, cfg.cohort.size, cfg.seed, max_terms=cfg.cohort.max_terms
     )
@@ -273,10 +282,7 @@ def step_extract(cfg: PipelineConfig) -> dict:
             return extraction.remote_extract(backend_cfg, template, chunk)
 
     else:
-        o = load_ontology(cfg)
-
-        def backend(chunk):
-            return extraction.gazetteer_extract(chunk, o)
+        backend = extraction.Gazetteer(load_ontology(cfg)).extract
 
     result = extraction.extract_corpus(
         chunks, backend, concurrency_limit=cfg.extraction.concurrency
@@ -303,14 +309,13 @@ def step_extract(cfg: PipelineConfig) -> dict:
     }
 
 
-def _load_mentions(cfg: PipelineConfig) -> dict[str, list[extraction.Mention]]:
-    _, rows = read_jsonl(workdir(cfg) / MENTIONS_FILE)
-    out: dict[str, list[extraction.Mention]] = {}
-    for row in rows:
-        out[row["patientId"]] = [
-            extraction.Mention.from_dict(m) for m in row["mentions"]
-        ]
-    return out
+def _load_mentions(
+    cfg: PipelineConfig, force: bool | None = None
+) -> dict[str, list[extraction.Mention]]:
+    return {
+        row["patientId"]: [extraction.Mention.from_dict(m) for m in row["mentions"]]
+        for row in _read_artifact(cfg, MENTIONS_FILE, force)
+    }
 
 
 def step_standardize(cfg: PipelineConfig) -> dict:
@@ -347,16 +352,17 @@ def step_standardize(cfg: PipelineConfig) -> dict:
     }
 
 
-def _load_standardized(cfg: PipelineConfig) -> dict[str, list[str]]:
-    _, rows = read_jsonl(workdir(cfg) / STANDARDIZED_FILE)
+def _load_term_lists(
+    cfg: PipelineConfig, name: str, force: bool | None = None
+) -> dict[str, list[str]]:
+    """Per-patient term lists of the standardized or the rankings artifact."""
+    rows = _read_artifact(cfg, name, force)
     return {row["patientId"]: list(row["terms"]) for row in rows}
 
 
 def step_train(cfg: PipelineConfig) -> dict:
     """Fit the configured ranking model on the synthetic cohort."""
-    o = load_ontology(cfg)
-    kb = load_kb(cfg, o)
-    s = ontology.compute_stats(o, kb)
+    o, kb, s = load_inputs(cfg)
     cohort = _load_cohort(cfg)
     train_patients, val_patients = split_cohort(
         cohort, ratio=cfg.training.split_ratio, seed=cfg.seed
@@ -425,11 +431,9 @@ def load_model(cfg: PipelineConfig) -> RankModel:
 
 def step_rank(cfg: PipelineConfig) -> dict:
     """Order each patient's standardized terms by model score."""
-    o = load_ontology(cfg)
-    kb = load_kb(cfg, o)
-    s = ontology.compute_stats(o, kb)
+    o, kb, s = load_inputs(cfg)
     cohort = {p.patient_id: p for p in _load_cohort(cfg)}
-    standardized = _load_standardized(cfg)
+    standardized = _load_term_lists(cfg, STANDARDIZED_FILE)
     model = load_model(cfg)
     features = term_feature_map(o, s, kb)
     rows = []
@@ -451,59 +455,66 @@ def step_rank(cfg: PipelineConfig) -> dict:
     return {"patients": len(rows)}
 
 
-def _load_rankings(cfg: PipelineConfig) -> tuple[dict, dict[str, list[str]]]:
-    meta, rows = read_jsonl(workdir(cfg) / RANKINGS_FILE)
-    return meta, {row["patientId"]: list(row["terms"]) for row in rows}
+def step_evaluate(
+    cfg: PipelineConfig, force: bool = False, external: str | None = None
+) -> dict:
+    """Score rankings against the cohort gold standard.
 
-
-def step_evaluate(cfg: PipelineConfig, force: bool = False) -> dict:
-    """Score the prioritized rankings against the cohort gold standard."""
-    o = load_ontology(cfg)
-    kb = load_kb(cfg, o)
-    s = ontology.compute_stats(o, kb)
-    meta, rankings = _load_rankings(cfg)
-    check_artifact(meta, cfg, RANKINGS_FILE, force)
-    cohort_meta, _ = read_jsonl(workdir(cfg) / COHORT_FILE)
-    check_artifact(cohort_meta, cfg, COHORT_FILE, force)
-    gold = _gold_by_patient(_load_cohort(cfg))
+    The rankings are the pipeline's own artifact, or with ``external`` a
+    rankings JSONL from elsewhere, whose invalid rows are skipped and counted.
+    """
+    o, _, s = load_inputs(cfg)
+    if external is None:
+        rankings = _load_term_lists(cfg, RANKINGS_FILE, force)
+        gold = _load_gold(cfg, force)
+        configuration = "prioritized"
+        provenance = _provenance(cfg, artifact=RANKINGS_FILE)
+    else:
+        try:
+            text = Path(external).read_text(encoding="utf-8")
+        except OSError as e:
+            raise DataError(f"cannot read external rankings {external}: {e}") from e
+        imported = evaluation.import_external_ranking(text, o)
+        for problem in imported.errors:
+            logger.warning("external rankings: %s", problem)
+        rankings = imported.rankings
+        gold = _load_gold(cfg)
+        configuration = "external"
+        provenance = {"configHash": config_hash(cfg), "source": external}
     report = evaluation.evaluate_cohort(
         rankings,
         gold,
         o,
         s,
-        _eval_config(cfg),
-        configuration="prioritized",
-        provenance=_provenance(cfg, artifact=RANKINGS_FILE),
+        cfg.evaluation,
+        cfg.seed,
+        configuration=configuration,
+        provenance=provenance,
     )
     wd = workdir(cfg)
     _atomic_write(wd / EVAL_REPORT, report.to_json())
     _atomic_write(wd / EVAL_CSV, evaluation.report_csv([report]))
-    return {"patients": report.cohort_size, "report": str(wd / EVAL_REPORT)}
+    summary = {"patients": report.cohort_size, "report": str(wd / EVAL_REPORT)}
+    if external is not None:
+        summary["skippedRows"] = len(imported.errors)
+    return summary
 
 
 def step_ablate(cfg: PipelineConfig, force: bool = False) -> dict:
     """Evaluate the pipeline cut after extraction, standardization, ranking."""
-    o = load_ontology(cfg)
-    kb = load_kb(cfg, o)
-    s = ontology.compute_stats(o, kb)
-    wd = workdir(cfg)
-    mention_meta, _ = read_jsonl(wd / MENTIONS_FILE)
-    check_artifact(mention_meta, cfg, MENTIONS_FILE, force)
-    std_meta, _ = read_jsonl(wd / STANDARDIZED_FILE)
-    check_artifact(std_meta, cfg, STANDARDIZED_FILE, force)
-    rank_meta, rankings = _load_rankings(cfg)
-    check_artifact(rank_meta, cfg, RANKINGS_FILE, force)
-    gold = _gold_by_patient(_load_cohort(cfg))
+    o, _, s = load_inputs(cfg)
     reports = evaluation.ablation_run(
-        _load_mentions(cfg),
-        _load_standardized(cfg),
-        rankings,
-        gold,
+        _load_mentions(cfg, force),
+        _load_term_lists(cfg, STANDARDIZED_FILE, force),
+        _load_term_lists(cfg, RANKINGS_FILE, force),
+        _load_gold(cfg),
         o,
         s,
-        _eval_config(cfg),
+        cfg.evaluation,
+        cfg.seed,
         provenance=_provenance(cfg),
     )
+    wd = workdir(cfg)
     doc = {"reports": [r.to_dict() for r in reports]}
     _atomic_write(wd / ABLATION_REPORT, json.dumps(doc, sort_keys=True, indent=2) + "\n")
     _atomic_write(wd / ABLATION_CSV, evaluation.report_csv(reports))
@@ -515,18 +526,14 @@ def step_ablate(cfg: PipelineConfig, force: bool = False) -> dict:
 
 def step_permtest(cfg: PipelineConfig, force: bool = False) -> dict:
     """Compare prioritized rankings against random permutations of themselves."""
-    o = load_ontology(cfg)
-    kb = load_kb(cfg, o)
-    s = ontology.compute_stats(o, kb)
-    meta, rankings = _load_rankings(cfg)
-    check_artifact(meta, cfg, RANKINGS_FILE, force)
-    gold = _gold_by_patient(_load_cohort(cfg))
+    o, _, s = load_inputs(cfg)
     report = evaluation.permutation_delta(
-        rankings,
-        gold,
+        _load_term_lists(cfg, RANKINGS_FILE, force),
+        _load_gold(cfg),
         o,
         s,
-        _eval_config(cfg),
+        cfg.evaluation,
+        cfg.seed,
         provenance=_provenance(cfg, artifact=RANKINGS_FILE),
     )
     wd = workdir(cfg)

@@ -289,8 +289,8 @@ def standardize_corpus(
 ) -> StandardizationResult:
     """Resolve every mention and collect per-patient term sets plus a trace.
 
-    Selector failures are captured per mention (resolved none, error noted);
-    the trace keeps one row per mention, resolved or not.
+    Retrieval and selector failures are captured per mention (resolved none,
+    error noted); the trace keeps one row per mention, resolved or not.
     """
     cache: dict[str, list[tuple[str, float]]] = {}
     terms_by_patient: dict[str, list[str]] = {}
@@ -299,26 +299,28 @@ def standardize_corpus(
         resolved_terms: list[str] = []
         for mention in mentions_by_patient[pid]:
             key = mention.surface.lower()
-            candidates = cache.get(key)
-            if candidates is None:
-                candidates = retrieve(index, mention.surface, k=k)
-                cache[key] = candidates
-            cand_objs = [
-                CandidateTerm(
-                    term_id=t,
-                    name=o.terms[t].name,
-                    definition=o.terms[t].definition,
-                    score=s,
-                )
-                for t, s in candidates
-            ]
             error: str | None = None
             try:
+                if key not in cache:
+                    cache[key] = retrieve(index, mention.surface, k=k)
+                candidates = cache[key]
+                cand_objs = [
+                    CandidateTerm(
+                        term_id=t,
+                        name=o.terms[t].name,
+                        definition=o.terms[t].definition,
+                        score=s,
+                    )
+                    for t, s in candidates
+                ]
                 resolved, score = selector.select(mention.surface, cand_objs)
             except Exception as e:  # noqa: BLE001 - per-mention isolation
+                # A failed retrieval (e.g. a surface that is empty after
+                # normalization) caches nothing and leaves no candidates.
+                candidates = cache.get(key, [])
                 resolved, score = None, 0.0
                 error = f"{type(e).__name__}: {e}"
-                logger.warning("selector failed on %r: %s", mention.surface, error)
+                logger.warning("mention %r unresolved: %s", mention.surface, error)
             if resolved is not None and resolved not in resolved_terms:
                 resolved_terms.append(resolved)
             trace.append(

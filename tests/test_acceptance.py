@@ -17,7 +17,8 @@ from phenorank import pipeline
 from phenorank.annotations import load_annotations
 from phenorank.config import config_from_dict
 from phenorank.corpus import ClinicalNote, chunk_note, split_sentences, synth_cohort
-from phenorank.evaluation import EvalConfig, evaluate_cohort
+from phenorank.config import EvaluationConfig
+from phenorank.evaluation import evaluate_cohort
 from phenorank.extraction import (
     annotate_mentions,
     parse_span_markup,
@@ -523,7 +524,7 @@ def test_09_determinism(e2e):
 
 def test_10_bootstrap_sanity(layered, layered_stats):
     problems = []
-    cfg = EvalConfig(cutoffs=(10,), bootstrap_iterations=1000, permutations=1, seed=0)
+    cfg = EvaluationConfig(cutoffs=(10,), bootstrap_iterations=1000, permutations=1)
 
     # every curated set fits inside the cutoff, so each patient scores the
     # same perfect value on every metric

@@ -155,6 +155,16 @@ class TestErrorReporting:
         err = stderr_error(result)
         assert err["type"] == "DataError"
 
+    def test_missing_external_rankings_exits_3(self, tmp_path):
+        cfg_path = write_cli_workspace(tmp_path)
+        result = invoke(
+            str(cfg_path), "evaluate", "--external", str(tmp_path / "absent.jsonl")
+        )
+        assert result.exit_code == 3
+        err = stderr_error(result)
+        assert err["type"] == "DataError"
+        assert "cannot read external rankings" in err["message"]
+
     def test_unreadable_ontology_exits_3(self, tmp_path):
         cfg_path = write_cli_workspace(tmp_path)
         (tmp_path / "ontology.json").unlink()

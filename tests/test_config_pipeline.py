@@ -110,6 +110,11 @@ class TestConfigLoading:
             {"extraction": {"backend": "remote"}},
             {"training": {"split_ratio": 1.0}},
             {"training": {"model": "other"}},
+            {"evaluation": {"cutoffs": []}},
+            {"evaluation": {"cutoffs": [0, 5]}},
+            {"evaluation": {"cutoffs": [5, 5]}},
+            {"evaluation": {"bootstrap_iterations": 0}},
+            {"evaluation": {"permutations": 0}},
         ],
     )
     def test_section_validation(self, data):
@@ -374,6 +379,32 @@ class TestPipelineChain:
         assert summary["patients"] == 12
         (wd / pipeline.EVAL_REPORT).write_bytes(before)
         pipeline.step_evaluate(cfg)
+
+    def test_evaluate_external_rankings(self, chain, tmp_path):
+        cfg, _ = chain
+        wd = pipeline.workdir(cfg)
+        _, rows = pipeline.read_jsonl(wd / pipeline.RANKINGS_FILE)
+        lines = [
+            json.dumps({"patientId": r["patientId"], "terms": r["terms"]})
+            for r in rows
+        ]
+        external = tmp_path / "external.jsonl"
+        external.write_text("\n".join(lines + ["{broken"]) + "\n", encoding="utf-8")
+        summary = pipeline.step_evaluate(cfg, external=str(external))
+        doc = json.loads((wd / pipeline.EVAL_REPORT).read_text())
+        pipeline.step_evaluate(cfg)
+        assert summary["patients"] == 12
+        assert summary["skippedRows"] == 1
+        assert doc["configuration"] == "external"
+        assert doc["provenance"] == {
+            "configHash": config_hash(cfg),
+            "source": str(external),
+        }
+
+    def test_evaluate_external_missing_file(self, chain, tmp_path):
+        cfg, _ = chain
+        with pytest.raises(DataError, match="cannot read external rankings"):
+            pipeline.step_evaluate(cfg, external=str(tmp_path / "absent.jsonl"))
 
     def test_rerun_is_byte_identical(self, chain):
         cfg, _ = chain

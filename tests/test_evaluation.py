@@ -5,12 +5,12 @@ import pytest
 
 import helpers
 from phenorank import evaluation
+from phenorank.config import EvaluationConfig
 from phenorank.errors import ConfigError, DataError
 from phenorank.evaluation import (
     ABLATION_STAGES,
     DELTA_METRIC_NAMES,
     METRIC_NAMES,
-    EvalConfig,
     LinCache,
     ablation_run,
     evaluate_cohort,
@@ -37,35 +37,32 @@ def mention(surface, chunk="N1#c000"):
     )
 
 
-def quick_cfg(cutoffs=(1, 2), iterations=50, permutations=20, seed=0):
-    return EvalConfig(
+def quick_cfg(cutoffs=(1, 2), iterations=50, permutations=20):
+    return EvaluationConfig(
         cutoffs=cutoffs,
         bootstrap_iterations=iterations,
         permutations=permutations,
-        seed=seed,
     )
 
 
-class TestEvalConfig:
-    def test_defaults_valid(self):
-        cfg = EvalConfig()
-        assert cfg.cutoffs == (10, 20, 30, 40, 50)
+class TestConfigValidation:
+    # EvaluationConfig is a plain dataclass; the evaluators validate it.
+    BAD = EvaluationConfig(cutoffs=(2, 1))
 
-    def test_bad_cutoffs(self):
-        with pytest.raises(ConfigError):
-            EvalConfig(cutoffs=())
-        with pytest.raises(ConfigError):
-            EvalConfig(cutoffs=(0, 5))
-        with pytest.raises(ConfigError):
-            EvalConfig(cutoffs=(5, 5))
-        with pytest.raises(ConfigError):
-            EvalConfig(cutoffs=(10, 5))
+    def test_evaluate_cohort(self, small, small_stats):
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            evaluate_cohort(
+                {"P1": [A_ONE]}, {"P1": {A_ONE}}, small, small_stats, self.BAD
+            )
 
-    def test_bad_iterations(self):
-        with pytest.raises(ConfigError):
-            EvalConfig(bootstrap_iterations=0)
-        with pytest.raises(ConfigError):
-            EvalConfig(permutations=0)
+    def test_permutation_delta(self, small, small_stats):
+        ranked = {"P1": [A_ONE, A_TWO]}
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            permutation_delta(ranked, {"P1": {A_ONE}}, small, small_stats, self.BAD)
+
+    def test_ablation_run(self, small, small_stats):
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            ablation_run({}, {}, {}, {"P1": {A_ONE}}, small, small_stats, self.BAD)
 
 
 class TestTopkPrf:

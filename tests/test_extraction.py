@@ -16,13 +16,13 @@ from phenorank.extraction import (
     DEFAULT_PROMPT_TEMPLATE,
     SPAN_CLOSE,
     SPAN_OPEN,
+    Gazetteer,
     Mention,
     PromptTemplate,
     RemoteBackendConfig,
     annotate_mentions,
     escape_span_literals,
     extract_corpus,
-    gazetteer_extract,
     parse_span_markup,
     remote_complete,
     remote_extract,
@@ -116,7 +116,7 @@ class TestMarkup:
 class TestGazetteer:
     def test_matches_names_and_synonyms(self, clinical):
         chunk = make_chunk("Exam shows myopia; seizures and low muscle tone noted.")
-        got = gazetteer_extract(chunk, clinical)
+        got = Gazetteer(clinical).extract(chunk)
         surfaces = [m.surface for m in got]
         assert surfaces == ["myopia", "seizures", "low muscle tone"]
         for m in got:
@@ -125,18 +125,18 @@ class TestGazetteer:
 
     def test_longest_match_wins(self, clinical):
         chunk = make_chunk("Notable global developmental delay at visit.")
-        got = gazetteer_extract(chunk, clinical)
+        got = Gazetteer(clinical).extract(chunk)
         assert [m.surface for m in got] == ["global developmental delay"]
 
     def test_word_boundaries(self, clinical):
         chunk = make_chunk("Polymyopia is not myopia-like.")
-        got = gazetteer_extract(chunk, clinical)
+        got = Gazetteer(clinical).extract(chunk)
         # "Polymyopia" must not match; "myopia-like" has a non-word boundary.
         assert [(m.surface, m.start) for m in got] == [("myopia", 18)]
 
     def test_obsolete_terms_excluded(self, clinical):
         chunk = make_chunk("Longstanding ataxic gait observed.")
-        assert gazetteer_extract(chunk, clinical) == []
+        assert Gazetteer(clinical).extract(chunk) == []
 
 
 class TestPrompt:
@@ -323,7 +323,7 @@ class TestExtractCorpus:
 
     def test_groups_by_patient_sorted(self, clinical):
         result = extract_corpus(
-            self._chunks(), lambda c: gazetteer_extract(c, clinical)
+            self._chunks(), Gazetteer(clinical).extract
         )
         assert list(result.mentions_by_patient) == ["P0001", "P0002"]
         assert [m.surface for m in result.mentions_by_patient["P0002"]] == [
@@ -334,18 +334,20 @@ class TestExtractCorpus:
 
     def test_concurrency_does_not_change_output(self, clinical):
         serial = extract_corpus(
-            self._chunks(), lambda c: gazetteer_extract(c, clinical), 1
+            self._chunks(), Gazetteer(clinical).extract, 1
         )
         parallel = extract_corpus(
-            self._chunks(), lambda c: gazetteer_extract(c, clinical), 4
+            self._chunks(), Gazetteer(clinical).extract, 4
         )
         assert serial == parallel
 
     def test_failures_recorded_not_fatal(self, clinical):
+        gazetteer = Gazetteer(clinical)
+
         def backend(chunk):
             if chunk.chunk_id == "N1#c001":
                 raise RuntimeError("boom")
-            return gazetteer_extract(chunk, clinical)
+            return gazetteer.extract(chunk)
 
         result = extract_corpus(self._chunks(), backend, 2)
         assert [f.chunk_id for f in result.failures] == ["N1#c001"]

@@ -250,6 +250,27 @@ class TestStandardizeCorpus:
         assert "RuntimeError" in row.error
         assert result.terms_by_patient == {"P0001": []}
 
+    def test_empty_surface_costs_one_row(self, clinical):
+        # "--" is empty after normalization, so retrieval cannot embed it.
+        index = build_index(clinical)
+        mentions = {
+            "P0001": [mention("myopia"), mention("--", 10)],
+            "P0002": [mention("seizures")],
+        }
+        result = standardize_corpus(
+            mentions, clinical, index, ThresholdSelector(0.35)
+        )
+        assert result.terms_by_patient == {
+            "P0001": [MYOPIA],
+            "P0002": ["HP:0001250"],
+        }
+        failed = [t for t in result.trace if t.error is not None]
+        assert len(failed) == 1
+        assert failed[0].mention.surface == "--"
+        assert failed[0].resolved is None
+        assert failed[0].candidates == []
+        assert "EmbeddingError" in failed[0].error
+
     def test_patients_sorted(self, clinical):
         index = build_index(clinical)
         mentions = {

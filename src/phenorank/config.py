@@ -71,8 +71,6 @@ class ExtractionConfig:
             )
         if self.concurrency < 1:
             raise ConfigError("extraction.concurrency must be >= 1")
-        if self.backend == "remote" and not self.endpoint_url:
-            raise ConfigError("extraction.endpoint_url required for remote backend")
 
 
 @dataclass(frozen=True)
@@ -118,6 +116,12 @@ class TrainingConfig:
             raise ConfigError("training.split_ratio must be in (0, 1)")
         if self.per_class_per_positive < 1:
             raise ConfigError("training.per_class_per_positive must be >= 1")
+        if self.linear_epochs < 0:
+            raise ConfigError("training.linear_epochs must be >= 0")
+        if self.boosted_rounds < 1:
+            raise ConfigError("training.boosted_rounds must be >= 1")
+        if self.boosted_max_depth < 1:
+            raise ConfigError("training.boosted_max_depth must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -164,6 +168,11 @@ class PipelineConfig:
             section = getattr(self, name)
             if hasattr(section, "validate"):
                 section.validate()
+        remote = "remote" in (self.extraction.backend, self.standardization.selector)
+        if remote and not self.extraction.endpoint_url:
+            raise ConfigError(
+                "extraction.endpoint_url required for a remote backend or selector"
+            )
 
     def to_dict(self) -> dict:
         out: dict = {"seed": self.seed}

@@ -175,6 +175,16 @@ def _assemble_rows(
     return rows
 
 
+def _scored_patients(
+    ranked_by_patient: dict[str, list[str]], gold_by_patient: dict[str, set[str]]
+) -> tuple[list[str], int]:
+    """Sorted ids of ranked patients with gold terms, and how many lack gold."""
+    pids = [pid for pid in sorted(ranked_by_patient) if gold_by_patient.get(pid)]
+    if not pids:
+        raise DataError("no patient has both a ranking and gold terms")
+    return pids, len(ranked_by_patient) - len(pids)
+
+
 def evaluate_cohort(
     ranked_by_patient: dict[str, list[str]],
     gold_by_patient: dict[str, set[str]],
@@ -192,16 +202,8 @@ def evaluate_cohort(
     """
     cfg.validate()
     cache = LinCache(o, s)
-    missing_gold = 0
+    pids, missing_gold = _scored_patients(ranked_by_patient, gold_by_patient)
     empty_ranked = 0
-    pids = []
-    for pid in sorted(ranked_by_patient):
-        if not gold_by_patient.get(pid):
-            missing_gold += 1
-            continue
-        pids.append(pid)
-    if not pids:
-        raise DataError("no patient has both a ranking and gold terms")
     K = len(cfg.cutoffs)
     per_patient = np.zeros((len(pids), K, len(METRIC_NAMES)), dtype=np.float64)
     for i, pid in enumerate(pids):
@@ -247,15 +249,7 @@ def permutation_delta(
     """
     cfg.validate()
     cache = LinCache(o, s)
-    missing_gold = 0
-    pids = []
-    for pid in sorted(ranked_by_patient):
-        if not gold_by_patient.get(pid):
-            missing_gold += 1
-            continue
-        pids.append(pid)
-    if not pids:
-        raise DataError("no patient has both a ranking and gold terms")
+    pids, missing_gold = _scored_patients(ranked_by_patient, gold_by_patient)
     for pid in pids:
         if len(ranked_by_patient[pid]) < 2:
             raise DataError(

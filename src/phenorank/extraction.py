@@ -14,11 +14,12 @@ import os
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import requests
 
+from .config import ExtractionConfig
 from .errors import (
     BackendUnavailableError,
     CredentialError,
@@ -282,27 +283,16 @@ def render_prompt(template: PromptTemplate, text: str) -> str:
 
 
 # -- remote backend ----------------------------------------------------------------
+#
+# The remote calls take the ``extraction`` config section. The credential is
+# read from the environment variable named by ``api_key_env_var`` at call time
+# and is never logged or echoed in errors.
+
+RETRY_BASE_DELAY = 0.1  # seconds before the first retry; doubles per attempt
+RESPONSE_TEXT_PATH = ("choices", 0, "message", "content")
 
 
-@dataclass(frozen=True)
-class RemoteBackendConfig:
-    """Connection settings for a chat-completion style HTTP backend.
-
-    The credential is read from the environment variable named by
-    ``api_key_env_var`` at call time and is never logged or echoed in errors.
-    """
-
-    endpoint_url: str
-    model_name: str
-    api_key_env_var: str = ""
-    temperature: float = 0.0
-    timeout: float = 30.0
-    max_retries: int = 2
-    retry_base_delay: float = 0.1
-    response_text_path: tuple = ("choices", 0, "message", "content")
-
-
-def _auth_headers(cfg: RemoteBackendConfig) -> dict[str, str]:
+def _auth_headers(cfg: ExtractionConfig) -> dict[str, str]:
     headers = {"Content-Type": "application/json"}
     if cfg.api_key_env_var:
         key = os.environ.get(cfg.api_key_env_var)
@@ -314,7 +304,7 @@ def _auth_headers(cfg: RemoteBackendConfig) -> dict[str, str]:
     return headers
 
 
-def verify_credentials(cfg: RemoteBackendConfig) -> None:
+def verify_credentials(cfg: ExtractionConfig) -> None:
     """Fail fast when the configured credential is absent.
 
     Batch drivers call this once up front so a missing key aborts the run
@@ -323,7 +313,7 @@ def verify_credentials(cfg: RemoteBackendConfig) -> None:
     _auth_headers(cfg)
 
 
-def remote_complete(cfg: RemoteBackendConfig, prompt: str) -> str:
+def remote_complete(cfg: ExtractionConfig, prompt: str) -> str:
     """POST one prompt and return the model's text completion.
 
     Transport failures and 5xx responses retry with exponential backoff until
@@ -338,7 +328,7 @@ def remote_complete(cfg: RemoteBackendConfig, prompt: str) -> str:
     last_failure = "no attempt made"
     for attempt in range(cfg.max_retries + 1):
         if attempt:
-            time.sleep(cfg.retry_base_delay * (2.0 ** (attempt - 1)))
+            time.sleep(RETRY_BASE_DELAY * (2.0 ** (attempt - 1)))
         try:
             resp = requests.post(
                 cfg.endpoint_url, json=payload, headers=headers, timeout=cfg.timeout
@@ -360,12 +350,12 @@ def remote_complete(cfg: RemoteBackendConfig, prompt: str) -> str:
         except ValueError as e:
             raise ProtocolError(f"response is not JSON: {e}") from e
         node = doc
-        for step in cfg.response_text_path:
+        for step in RESPONSE_TEXT_PATH:
             try:
                 node = node[step]
             except (KeyError, IndexError, TypeError) as e:
                 raise ProtocolError(
-                    f"response lacks text at path {cfg.response_text_path!r}"
+                    f"response lacks text at path {RESPONSE_TEXT_PATH!r}"
                 ) from e
         if not isinstance(node, str):
             raise ProtocolError("response text field is not a string")
@@ -376,7 +366,7 @@ def remote_complete(cfg: RemoteBackendConfig, prompt: str) -> str:
 
 
 def remote_extract(
-    cfg: RemoteBackendConfig,
+    cfg: ExtractionConfig,
     template: PromptTemplate,
     chunk: "NoteChunk",
 ) -> list[Mention]:

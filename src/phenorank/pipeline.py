@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import uuid
 from pathlib import Path
 from typing import Iterable
 
@@ -19,9 +20,7 @@ from . import annotations, corpus, evaluation, extraction, ontology, standardiza
 from .config import PipelineConfig, config_hash
 from .errors import ConfigError, DataError, StructuralError
 from .ranking import (
-    BoostedHyper,
     FeatureSchema,
-    LinearHyper,
     RankModel,
     build_instances,
     rank_terms,
@@ -61,9 +60,17 @@ def workdir(cfg: PipelineConfig) -> Path:
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    # A unique temp name per call, so concurrent writers never share one;
+    # open(..., "x") creates it with the mode a plain write gives.
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    f = open(tmp, "x", encoding="utf-8")
+    try:
+        with f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink()
+        raise
 
 
 def _meta(cfg: PipelineConfig, step: str, **extra) -> dict:
@@ -183,20 +190,8 @@ def _load_cohort(
     return [corpus.Patient.from_dict(r) for r in rows]
 
 
-def _load_gold(cfg: PipelineConfig, force: bool | None = None) -> dict[str, set[str]]:
+def _load_gold(cfg: PipelineConfig, force: bool) -> dict[str, set[str]]:
     return {p.patient_id: set(p.curated_terms) for p in _load_cohort(cfg, force)}
-
-
-def _remote_backend_config(cfg: PipelineConfig) -> extraction.RemoteBackendConfig:
-    ex = cfg.extraction
-    return extraction.RemoteBackendConfig(
-        endpoint_url=ex.endpoint_url,
-        model_name=ex.model_name,
-        api_key_env_var=ex.api_key_env_var,
-        temperature=ex.temperature,
-        timeout=ex.timeout,
-        max_retries=ex.max_retries,
-    )
 
 
 def _provenance(cfg: PipelineConfig, **extra) -> dict:
@@ -274,12 +269,11 @@ def step_extract(cfg: PipelineConfig) -> dict:
     _, chunk_rows = read_jsonl(wd / CHUNKS_FILE)
     chunks = [corpus.NoteChunk.from_dict(r) for r in chunk_rows]
     if cfg.extraction.backend == "remote":
-        backend_cfg = _remote_backend_config(cfg)
-        extraction.verify_credentials(backend_cfg)
+        extraction.verify_credentials(cfg.extraction)
         template = extraction.DEFAULT_PROMPT_TEMPLATE
 
         def backend(chunk):
-            return extraction.remote_extract(backend_cfg, template, chunk)
+            return extraction.remote_extract(cfg.extraction, template, chunk)
 
     else:
         backend = extraction.Gazetteer(load_ontology(cfg)).extract
@@ -320,13 +314,14 @@ def _load_mentions(
 
 def step_standardize(cfg: PipelineConfig) -> dict:
     """Resolve extracted mentions to ontology terms."""
+    if cfg.standardization.selector == "remote":
+        extraction.verify_credentials(cfg.extraction)
+        selector = standardization.RemoteSelector(cfg.extraction)
+    else:
+        selector = standardization.ThresholdSelector(cfg.standardization.tau)
     o = load_ontology(cfg)
     mentions = _load_mentions(cfg)
     index = standardization.build_index(o)
-    if cfg.standardization.selector == "remote":
-        selector = standardization.RemoteSelector(_remote_backend_config(cfg))
-    else:
-        selector = standardization.ThresholdSelector(cfg.standardization.tau)
     result = standardization.standardize_corpus(
         mentions, o, index, selector, k=cfg.standardization.top_k
     )
@@ -377,34 +372,16 @@ def step_train(cfg: PipelineConfig) -> dict:
     )
     train_inst = build_instances(train_patients, o, s, kb, cfg.seed, **common)
     val_inst = build_instances(val_patients, o, s, kb, cfg.seed, **common)
-    linear_hyper = LinearHyper(
-        learning_rate=tr.linear_learning_rate,
-        epochs=tr.linear_epochs,
-        l2=tr.linear_l2,
-    )
-    boosted_hyper = BoostedHyper(
-        learning_rate=tr.boosted_learning_rate,
-        rounds=tr.boosted_rounds,
-        max_depth=tr.boosted_max_depth,
-        min_leaf=tr.boosted_min_leaf,
-        l1=tr.boosted_l1,
-        l2=tr.boosted_l2,
-        early_stop_patience=tr.boosted_patience,
-    )
     if tr.model == "linear":
-        model = train_pairwise_linear(
-            train_inst, linear_hyper, schema=schema, seed=cfg.seed
-        )
+        model = train_pairwise_linear(train_inst, tr, schema=schema, seed=cfg.seed)
     elif tr.model == "boosted":
         model = train_boosted(
-            train_inst, boosted_hyper, validation=val_inst, schema=schema, seed=cfg.seed
+            train_inst, tr, validation=val_inst, schema=schema, seed=cfg.seed
         )
     else:
-        linear = train_pairwise_linear(
-            train_inst, linear_hyper, schema=schema, seed=cfg.seed
-        )
+        linear = train_pairwise_linear(train_inst, tr, schema=schema, seed=cfg.seed)
         boosted = train_boosted(
-            train_inst, boosted_hyper, validation=val_inst, schema=schema, seed=cfg.seed
+            train_inst, tr, validation=val_inst, schema=schema, seed=cfg.seed
         )
         model = select_model([linear, boosted], val_inst)
     doc = json.loads(model.to_json())
@@ -466,7 +443,6 @@ def step_evaluate(
     o, _, s = load_inputs(cfg)
     if external is None:
         rankings = _load_term_lists(cfg, RANKINGS_FILE, force)
-        gold = _load_gold(cfg, force)
         configuration = "prioritized"
         provenance = _provenance(cfg, artifact=RANKINGS_FILE)
     else:
@@ -478,12 +454,11 @@ def step_evaluate(
         for problem in imported.errors:
             logger.warning("external rankings: %s", problem)
         rankings = imported.rankings
-        gold = _load_gold(cfg)
         configuration = "external"
         provenance = {"configHash": config_hash(cfg), "source": external}
     report = evaluation.evaluate_cohort(
         rankings,
-        gold,
+        _load_gold(cfg, force),
         o,
         s,
         cfg.evaluation,
@@ -507,7 +482,7 @@ def step_ablate(cfg: PipelineConfig, force: bool = False) -> dict:
         _load_mentions(cfg, force),
         _load_term_lists(cfg, STANDARDIZED_FILE, force),
         _load_term_lists(cfg, RANKINGS_FILE, force),
-        _load_gold(cfg),
+        _load_gold(cfg, force),
         o,
         s,
         cfg.evaluation,
@@ -529,7 +504,7 @@ def step_permtest(cfg: PipelineConfig, force: bool = False) -> dict:
     o, _, s = load_inputs(cfg)
     report = evaluation.permutation_delta(
         _load_term_lists(cfg, RANKINGS_FILE, force),
-        _load_gold(cfg),
+        _load_gold(cfg, force),
         o,
         s,
         cfg.evaluation,

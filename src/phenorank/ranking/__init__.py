@@ -8,8 +8,6 @@ from .features import (
 )
 from .metrics import ap_at_k, map_at_k
 from .models import (
-    BoostedHyper,
-    LinearHyper,
     RankModel,
     TrainingMeta,
     rank_terms,
@@ -20,9 +18,7 @@ from .models import (
 from .sampling import NegativePools, negative_pools, sample_negatives
 
 __all__ = [
-    "BoostedHyper",
     "FeatureSchema",
-    "LinearHyper",
     "NegativePools",
     "RankModel",
     "RankingInstance",

@@ -127,9 +127,6 @@ def build_instances(
     schema: FeatureSchema | None = None,
     per_class_per_positive: int = 1,
     term_features: dict[str, TermFeatureRow] | None = None,
-    medium_range: tuple[int, int] = (3, 5),
-    easy_min_lineage: int = 3,
-    implausible_radius: int = 2,
 ) -> list[RankingInstance]:
     """Positives plus per-pool sampled negatives for every patient.
 
@@ -145,13 +142,7 @@ def build_instances(
             raise DataError(f"patient {patient.patient_id} has no curated terms")
         for tid in positives:
             o.require(tid)
-        pools = negative_pools(
-            o,
-            positives,
-            medium_range=medium_range,
-            easy_min_lineage=easy_min_lineage,
-            implausible_radius=implausible_radius,
-        )
+        pools = negative_pools(o, positives)
         negatives = sample_negatives(
             pools,
             positives,

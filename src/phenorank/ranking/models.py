@@ -19,8 +19,9 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit
 
+from ..config import TrainingConfig
 from ..corpus import Patient
-from ..errors import ConfigError, DataError, TrainingError
+from ..errors import DataError, TrainingError
 from .features import FeatureSchema, RankingInstance
 from .metrics import map_at_k
 
@@ -108,24 +109,6 @@ class RankModel:
         )
 
 
-@dataclass(frozen=True)
-class LinearHyper:
-    learning_rate: float = 0.05
-    epochs: int = 200
-    l2: float = 1e-4
-
-
-@dataclass(frozen=True)
-class BoostedHyper:
-    learning_rate: float = 0.1
-    rounds: int = 100
-    max_depth: int = 3
-    min_leaf: int = 1
-    l1: float = 0.0
-    l2: float = 1.0
-    early_stop_patience: int = 10
-
-
 def _group_pairs(
     instances: Sequence[RankingInstance],
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -169,7 +152,7 @@ def _pairwise_grad_hess(
 
 def train_pairwise_linear(
     instances: Sequence[RankingInstance],
-    hyper: LinearHyper = LinearHyper(),
+    cfg: TrainingConfig = TrainingConfig(),
     schema: FeatureSchema | None = None,
     seed: int | str | None = None,
 ) -> RankModel:
@@ -179,8 +162,7 @@ def train_pairwise_linear(
     set; the transform is stored in the model so scoring stays consistent.
     Zero epochs return the zero-weight model.
     """
-    if hyper.epochs < 0:
-        raise ConfigError("epochs must be >= 0")
+    cfg.validate()
     if not instances:
         raise TrainingError("no training instances")
     X = np.vstack([inst.features for inst in instances])
@@ -193,16 +175,16 @@ def train_pairwise_linear(
     Xs = (X - mean) / scale
     w = np.zeros(X.shape[1], dtype=np.float64)
     loss_history: list[float] = []
-    for _ in range(hyper.epochs):
+    for _ in range(cfg.linear_epochs):
         scores = Xs @ w
         loss_history.append(
-            pairwise_loss(scores, groups) + hyper.l2 * float(w @ w)
+            pairwise_loss(scores, groups) + cfg.linear_l2 * float(w @ w)
         )
         g_s, _ = _pairwise_grad_hess(scores, groups)
-        grad = Xs.T @ g_s + 2.0 * hyper.l2 * w
-        w -= hyper.learning_rate * grad
+        grad = Xs.T @ g_s + 2.0 * cfg.linear_l2 * w
+        w -= cfg.linear_learning_rate * grad
     meta = TrainingMeta(
-        seed=seed, rounds=hyper.epochs, train_loss_history=loss_history
+        seed=seed, rounds=cfg.linear_epochs, train_loss_history=loss_history
     )
     return RankModel(
         kind=KIND_LINEAR,
@@ -211,8 +193,8 @@ def train_pairwise_linear(
             "weights": w.tolist(),
             "mean": mean.tolist(),
             "scale": scale.tolist(),
-            "learning_rate": hyper.learning_rate,
-            "l2": hyper.l2,
+            "learning_rate": cfg.linear_learning_rate,
+            "l2": cfg.linear_l2,
         },
         meta=meta,
     )
@@ -269,13 +251,14 @@ def _build_tree(
     h: np.ndarray,
     idx: np.ndarray,
     depth: int,
-    hyper: BoostedHyper,
+    cfg: TrainingConfig,
 ) -> dict:
     g_sum = float(g[idx].sum())
     h_sum = float(h[idx].sum())
-    if depth >= hyper.max_depth or len(idx) < 2 * hyper.min_leaf:
-        return {"leaf": _leaf_value(g_sum, h_sum, hyper.l1, hyper.l2)}
-    parent_gain = g_sum * g_sum / (h_sum + hyper.l2)
+    min_leaf, l2 = cfg.boosted_min_leaf, cfg.boosted_l2
+    if depth >= cfg.boosted_max_depth or len(idx) < 2 * min_leaf:
+        return {"leaf": _leaf_value(g_sum, h_sum, cfg.boosted_l1, l2)}
+    parent_gain = g_sum * g_sum / (h_sum + l2)
     best = None  # (gain, feature, threshold, left_idx, right_idx)
     for f in range(X.shape[1]):
         vals = X[idx, f]
@@ -283,27 +266,23 @@ def _build_tree(
         sv = vals[order]
         sg = np.cumsum(g[idx][order])
         sh = np.cumsum(h[idx][order])
-        for cut in range(hyper.min_leaf - 1, len(idx) - hyper.min_leaf):
+        for cut in range(min_leaf - 1, len(idx) - min_leaf):
             if sv[cut] == sv[cut + 1]:
                 continue
             gl, hl = sg[cut], sh[cut]
             gr, hr = g_sum - gl, h_sum - hl
-            gain = (
-                gl * gl / (hl + hyper.l2)
-                + gr * gr / (hr + hyper.l2)
-                - parent_gain
-            )
+            gain = gl * gl / (hl + l2) + gr * gr / (hr + l2) - parent_gain
             if gain > 1e-12 and (best is None or gain > best[0]):
                 threshold = (sv[cut] + sv[cut + 1]) / 2.0
                 best = (gain, f, threshold, order[: cut + 1], order[cut + 1 :])
     if best is None:
-        return {"leaf": _leaf_value(g_sum, h_sum, hyper.l1, hyper.l2)}
+        return {"leaf": _leaf_value(g_sum, h_sum, cfg.boosted_l1, l2)}
     _, f, threshold, left_local, right_local = best
     return {
         "feature": f,
         "threshold": float(threshold),
-        "left": _build_tree(X, g, h, idx[left_local], depth + 1, hyper),
-        "right": _build_tree(X, g, h, idx[right_local], depth + 1, hyper),
+        "left": _build_tree(X, g, h, idx[left_local], depth + 1, cfg),
+        "right": _build_tree(X, g, h, idx[right_local], depth + 1, cfg),
     }
 
 
@@ -323,7 +302,7 @@ def _tree_predict(tree: dict, X: np.ndarray) -> np.ndarray:
 
 def train_boosted(
     instances: Sequence[RankingInstance],
-    hyper: BoostedHyper = BoostedHyper(),
+    cfg: TrainingConfig = TrainingConfig(),
     validation: Sequence[RankingInstance] = (),
     schema: FeatureSchema | None = None,
     seed: int | str | None = None,
@@ -332,13 +311,10 @@ def train_boosted(
 
     Each round fits a depth-limited regression tree to the pairwise
     gradient/hessian pairs, scores the validation cohort, and stops once MAP@30
-    has not improved for ``early_stop_patience`` rounds. The returned ensemble
-    is trimmed to the best round seen.
+    has not improved for ``boosted_patience`` rounds. The returned ensemble is
+    trimmed to the best round seen.
     """
-    if hyper.max_depth < 1:
-        raise ConfigError("max_depth must be >= 1")
-    if hyper.rounds < 1:
-        raise ConfigError("rounds must be >= 1")
+    cfg.validate()
     if not instances:
         raise TrainingError("no training instances")
     if not validation:
@@ -357,13 +333,14 @@ def train_boosted(
     best_round = -1
     stale = 0
     all_idx = np.arange(X.shape[0])
-    for _ in range(hyper.rounds):
+    lr = cfg.boosted_learning_rate
+    for _ in range(cfg.boosted_rounds):
         loss_history.append(pairwise_loss(scores, groups))
         g, h = _pairwise_grad_hess(scores, groups)
-        tree = _build_tree(X, g, h, all_idx, 0, hyper)
+        tree = _build_tree(X, g, h, all_idx, 0, cfg)
         trees.append(tree)
-        scores += hyper.learning_rate * _tree_predict(tree, X)
-        val_scores += hyper.learning_rate * _tree_predict(tree, Xv)
+        scores += lr * _tree_predict(tree, X)
+        val_scores += lr * _tree_predict(tree, Xv)
         val_map = map_at_k(val_scores, validation, k=30)
         map_history.append(val_map)
         if val_map > best_map:
@@ -372,7 +349,7 @@ def train_boosted(
             stale = 0
         else:
             stale += 1
-            if stale >= hyper.early_stop_patience:
+            if stale >= cfg.boosted_patience:
                 break
     kept = trees[: best_round + 1]
     meta = TrainingMeta(
@@ -388,10 +365,10 @@ def train_boosted(
         schema=schema if schema is not None else _schema_stub(X.shape[1]),
         params={
             "trees": kept,
-            "learning_rate": hyper.learning_rate,
-            "max_depth": hyper.max_depth,
-            "l1": hyper.l1,
-            "l2": hyper.l2,
+            "learning_rate": lr,
+            "max_depth": cfg.boosted_max_depth,
+            "l1": cfg.boosted_l1,
+            "l2": cfg.boosted_l2,
         },
         meta=meta,
     )

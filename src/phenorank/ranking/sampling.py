@@ -4,12 +4,12 @@ Four pools, ordered hardest to easiest to tell apart from a true term:
 
 * difficult: siblings (a shared parent) and cousins (a shared grandparent but
   no shared parent) of some positive;
-* medium: terms three to five undirected edges from some positive, excluding
-  that positive's ancestors and descendants;
-* easy: lineal ancestors or descendants of some positive at three or more
-  hops;
-* implausible: terms sharing no ancestry within two hops with any positive
-  (both near-ancestor sets include the term itself).
+* medium: terms ``MEDIUM_RANGE`` (three to five) undirected edges from some
+  positive, excluding that positive's ancestors and descendants;
+* easy: lineal ancestors or descendants of some positive at
+  ``EASY_MIN_LINEAGE`` (three) or more hops;
+* implausible: terms sharing no ancestry within ``IMPLAUSIBLE_RADIUS`` (two)
+  hops with any positive (both near-ancestor sets include the term itself).
 
 A term eligible for several pools lands in the strongest one. Pools never
 contain positives or obsolete terms.
@@ -25,6 +25,10 @@ from ..errors import DataError, SamplingError
 from ..ontology import Ontology, terms_within_distance
 
 NEGATIVE_CLASSES = ("difficult", "medium", "easy", "implausible")
+
+MEDIUM_RANGE = (3, 5)
+EASY_MIN_LINEAGE = 3
+IMPLAUSIBLE_RADIUS = 2
 
 
 @dataclass(frozen=True)
@@ -43,13 +47,7 @@ class NegativePools:
         }
 
 
-def negative_pools(
-    o: Ontology,
-    positives: Iterable[str],
-    medium_range: tuple[int, int] = (3, 5),
-    easy_min_lineage: int = 3,
-    implausible_radius: int = 2,
-) -> NegativePools:
+def negative_pools(o: Ontology, positives: Iterable[str]) -> NegativePools:
     pos = sorted(set(positives))
     if not pos:
         raise DataError("negative pools need at least one positive term")
@@ -60,7 +58,7 @@ def negative_pools(
     difficult: set[str] = set()
     medium: set[str] = set()
     easy: set[str] = set()
-    lo, hi = medium_range
+    lo, hi = MEDIUM_RANGE
 
     for p in pos:
         parents = set(o.parents(p))
@@ -79,17 +77,17 @@ def negative_pools(
 
         up = o.lineage_hops_up(p)
         down = o.lineage_hops_down(p)
-        easy |= {t for t, d in up.items() if d >= easy_min_lineage}
-        easy |= {t for t, d in down.items() if d >= easy_min_lineage}
+        easy |= {t for t, d in up.items() if d >= EASY_MIN_LINEAGE}
+        easy |= {t for t, d in down.items() if d >= EASY_MIN_LINEAGE}
 
     near_positives: set[str] = set()
     for p in pos:
-        near_positives |= o.ancestors_within(p, implausible_radius)
+        near_positives |= o.ancestors_within(p, IMPLAUSIBLE_RADIUS)
     implausible = {
         t
         for t in o.non_obsolete_ids()
         if t not in pos_set
-        and not (o.ancestors_within(t, implausible_radius) & near_positives)
+        and not (o.ancestors_within(t, IMPLAUSIBLE_RADIUS) & near_positives)
     }
 
     difficult -= pos_set

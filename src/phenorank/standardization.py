@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
@@ -21,7 +21,8 @@ from .errors import (
     IndexBuildError,
     RetrievalError,
 )
-from .extraction import Mention, PromptTemplate, RemoteBackendConfig, remote_complete
+from .config import ExtractionConfig
+from .extraction import Mention, PromptTemplate, remote_complete
 from .ontology import Ontology
 
 logger = logging.getLogger(__name__)
@@ -62,19 +63,6 @@ def default_embed(text: str, dimension: int = DEFAULT_DIMENSION) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-@dataclass(frozen=True)
-class EmbeddingProvider:
-    name: str
-    dimension: int
-    embed: Callable[[str], np.ndarray]
-
-
-def default_provider() -> EmbeddingProvider:
-    return EmbeddingProvider(
-        name="char-ngram-v1", dimension=DEFAULT_DIMENSION, embed=default_embed
-    )
-
-
 @dataclass
 class IndexEntry:
     term_id: str
@@ -90,13 +78,11 @@ class VectorIndex:
 
     def __init__(
         self,
-        provider: EmbeddingProvider,
         entries: list[IndexEntry],
         matrix: sparse.csr_matrix,
         term_ids: list[str],
         term_starts: np.ndarray,
     ):
-        self.provider = provider
         self.entries = entries
         self.matrix = matrix
         self.term_ids = term_ids  # sorted, aligned with term_starts
@@ -106,9 +92,8 @@ class VectorIndex:
         return len(self.entries)
 
 
-def build_index(o: Ontology, provider: EmbeddingProvider | None = None) -> VectorIndex:
+def build_index(o: Ontology) -> VectorIndex:
     """Embed every term name and synonym into a retrieval index."""
-    provider = provider or default_provider()
     entries: list[IndexEntry] = []
     term_ids: list[str] = []
     term_starts: list[int] = []
@@ -121,7 +106,7 @@ def build_index(o: Ontology, provider: EmbeddingProvider | None = None) -> Vecto
         term_starts.append(len(entries))
         for text in [rec.name, *rec.synonyms]:
             try:
-                vec = provider.embed(text)
+                vec = default_embed(text)
             except Exception as e:
                 raise IndexBuildError(
                     f"cannot embed {text!r} for term {tid}: {e}"
@@ -133,10 +118,9 @@ def build_index(o: Ontology, provider: EmbeddingProvider | None = None) -> Vecto
             vals.extend(vec[nz].tolist())
             entries.append(IndexEntry(term_id=tid, text=text))
     matrix = sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(len(entries), provider.dimension)
+        (vals, (rows, cols)), shape=(len(entries), DEFAULT_DIMENSION)
     )
     return VectorIndex(
-        provider=provider,
         entries=entries,
         matrix=matrix,
         term_ids=term_ids,
@@ -156,7 +140,7 @@ def retrieve(
         raise DataError(f"k must be >= 1, got {k}")
     if not index.entries:
         raise RetrievalError("vector index is empty")
-    qv = index.provider.embed(query)
+    qv = default_embed(query)
     scores = index.matrix.dot(qv)
     per_term = np.maximum.reduceat(scores, index.term_starts)
     per_term = np.clip(per_term, -1.0, 1.0)
@@ -234,7 +218,7 @@ class RemoteSelector:
     Ids outside the candidate list are treated as none (hallucination guard).
     """
 
-    def __init__(self, cfg: RemoteBackendConfig):
+    def __init__(self, cfg: ExtractionConfig):
         self.cfg = cfg
         self.name = f"remote({cfg.model_name})"
 

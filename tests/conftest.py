@@ -1,8 +1,15 @@
 import pytest
 
 import helpers
+from phenorank import extraction
 from phenorank.annotations import load_annotations
 from phenorank.ontology import compute_stats
+
+
+@pytest.fixture(autouse=True)
+def fast_retries(monkeypatch):
+    """Remote-call retries back off for a millisecond, not a tenth of a second."""
+    monkeypatch.setattr(extraction, "RETRY_BASE_DELAY", 0.001)
 
 
 @pytest.fixture(scope="session")

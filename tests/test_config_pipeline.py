@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import logging
+import threading
 
 import pytest
 import yaml
@@ -13,7 +14,12 @@ from phenorank.config import (
     config_hash,
     load_config,
 )
-from phenorank.errors import ConfigError, DataError, StructuralError
+from phenorank.errors import (
+    ConfigError,
+    CredentialError,
+    DataError,
+    StructuralError,
+)
 
 
 def write_workspace(root, seed=11, **section_overrides):
@@ -115,6 +121,10 @@ class TestConfigLoading:
             {"evaluation": {"cutoffs": [5, 5]}},
             {"evaluation": {"bootstrap_iterations": 0}},
             {"evaluation": {"permutations": 0}},
+            {"training": {"linear_epochs": -1}},
+            {"training": {"boosted_rounds": 0}},
+            {"training": {"boosted_max_depth": 0}},
+            {"standardization": {"selector": "remote"}},
         ],
     )
     def test_section_validation(self, data):
@@ -174,6 +184,40 @@ class TestArtifactIO:
         first = path.read_text(encoding="utf-8").splitlines()[0]
         assert json.loads(first)["__meta__"]["step"] == "demo"
         assert not list(tmp_path.glob("*.tmp"))
+
+    def test_atomic_write_concurrent_writers(self, tmp_path):
+        path = tmp_path / "artifact.json"
+        texts = [f"writer {i}\n" * 50 for i in range(4)]
+        errors = []
+
+        def writer(text):
+            for _ in range(200):
+                try:
+                    pipeline._atomic_write(path, text)
+                except OSError as e:
+                    errors.append(e)
+
+        threads = [threading.Thread(target=writer, args=(t,)) for t in texts]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == []
+        assert path.read_text(encoding="utf-8") in texts
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_atomic_write_keeps_default_file_mode(self, tmp_path):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("x", encoding="utf-8")
+        path = tmp_path / "artifact.json"
+        pipeline._atomic_write(path, "x")
+        assert path.stat().st_mode == plain.stat().st_mode
+
+    def test_atomic_write_failure_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "artifact.json"
+        with pytest.raises(UnicodeEncodeError):
+            pipeline._atomic_write(path, "lone surrogate \ud800")
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_meta_line(self, tmp_path):
         path = tmp_path / "rows.jsonl"
@@ -401,6 +445,34 @@ class TestPipelineChain:
             "source": str(external),
         }
 
+    @pytest.mark.parametrize("step", ["ablate", "permtest", "external"])
+    def test_report_steps_refuse_stale_cohort(self, chain, tmp_path, step):
+        cfg, _ = chain
+        wd = pipeline.workdir(cfg)
+        _, rows = pipeline.read_jsonl(wd / pipeline.RANKINGS_FILE)
+        external = tmp_path / "external.jsonl"
+        external.write_text(
+            "".join(
+                json.dumps({"patientId": r["patientId"], "terms": r["terms"]}) + "\n"
+                for r in rows
+            ),
+            encoding="utf-8",
+        )
+        run = {
+            "ablate": lambda: pipeline.step_ablate(cfg),
+            "permtest": lambda: pipeline.step_permtest(cfg),
+            "external": lambda: pipeline.step_evaluate(cfg, external=str(external)),
+        }[step]
+        cohort = wd / pipeline.COHORT_FILE
+        original = cohort.read_bytes()
+        meta, cohort_rows = pipeline.read_jsonl(cohort)
+        pipeline.write_jsonl(cohort, {**meta, "configHash": "0" * 64}, cohort_rows)
+        try:
+            with pytest.raises(ConfigError, match="cohort.jsonl"):
+                run()
+        finally:
+            cohort.write_bytes(original)
+
     def test_evaluate_external_missing_file(self, chain, tmp_path):
         cfg, _ = chain
         with pytest.raises(DataError, match="cannot read external rankings"):
@@ -450,6 +522,25 @@ class TestPipelineGuards:
             pipeline.step_chunk(cfg)
         with pytest.raises(DataError, match="cannot read"):
             pipeline.step_evaluate(cfg)
+
+    def test_remote_selector_missing_credential_aborts_standardize(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv("PHENORANK_MISSING_KEY", raising=False)
+        cfg = write_workspace(
+            tmp_path,
+            extraction={
+                "endpoint_url": "http://127.0.0.1:9/unused",
+                "api_key_env_var": "PHENORANK_MISSING_KEY",
+            },
+            standardization={"selector": "remote"},
+        )
+        pipeline.step_synth(cfg)
+        pipeline.step_chunk(cfg)
+        pipeline.step_extract(cfg)
+        with pytest.raises(CredentialError, match="PHENORANK_MISSING_KEY"):
+            pipeline.step_standardize(cfg)
+        assert not (pipeline.workdir(cfg) / pipeline.STANDARDIZED_FILE).exists()
 
     def test_load_ontology_requires_path(self):
         cfg = PipelineConfig()

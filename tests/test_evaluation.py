@@ -217,6 +217,14 @@ class TestEvaluateCohort:
             report.value(99, "precision")
 
 
+@pytest.mark.parametrize("evaluator", [evaluate_cohort, permutation_delta])
+def test_no_patient_with_ranking_and_gold_rejected(evaluator, small, small_stats):
+    ranked = {"P1": [A_ONE, A_TWO], "P2": [A_TWO, B_ONE]}
+    gold = {"P1": set(), "P9": {A_ONE}}
+    with pytest.raises(DataError, match="no patient has both"):
+        evaluator(ranked, gold, small, small_stats, quick_cfg())
+
+
 class TestBootstrap:
     def test_constant_cohort_gives_degenerate_interval(self, small, small_stats):
         ranked = {f"P{i}": [A_ONE, B_ONE] for i in range(5)}

@@ -6,6 +6,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from helpers import make_chunk
+from phenorank.config import ExtractionConfig
 from phenorank.errors import (
     BackendUnavailableError,
     CredentialError,
@@ -19,7 +20,6 @@ from phenorank.extraction import (
     Gazetteer,
     Mention,
     PromptTemplate,
-    RemoteBackendConfig,
     annotate_mentions,
     escape_span_literals,
     extract_corpus,
@@ -214,10 +214,9 @@ def _cfg(server, **overrides):
     defaults = dict(
         endpoint_url=f"http://127.0.0.1:{server.server_address[1]}/v1/chat",
         model_name="test-model",
-        retry_base_delay=0.001,
     )
     defaults.update(overrides)
-    return RemoteBackendConfig(**defaults)
+    return ExtractionConfig(**defaults)
 
 
 class TestRemoteBackend:
@@ -287,11 +286,10 @@ class TestRemoteBackend:
             remote_complete(_cfg(backend_server), "p")
 
     def test_connection_refused_retries_then_unavailable(self):
-        cfg = RemoteBackendConfig(
+        cfg = ExtractionConfig(
             endpoint_url="http://127.0.0.1:9/unreachable",
             model_name="m",
             max_retries=1,
-            retry_base_delay=0.001,
             timeout=0.2,
         )
         with pytest.raises(BackendUnavailableError):

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 import helpers
+from phenorank.config import TrainingConfig
 from phenorank.corpus import Patient, synth_cohort
 from phenorank.errors import ConfigError, DataError, TrainingError
 from phenorank.ranking import (
-    BoostedHyper,
     FeatureSchema,
-    LinearHyper,
     RankModel,
     ap_at_k,
     build_instances,
@@ -195,7 +194,7 @@ class TestMapAtK:
     def test_model_path_matches_score_path(self):
         instances = helpers.separable_instances(4, seed=2)
         model = train_pairwise_linear(
-            instances, LinearHyper(epochs=50), schema=_schema_stub(6)
+            instances, TrainingConfig(linear_epochs=50), schema=_schema_stub(6)
         )
         X = np.vstack([inst.features for inst in instances])
         direct = map_at_k(model.score(X), instances, k=30)
@@ -230,7 +229,7 @@ class TestLinearRanker:
     def test_loss_decreases(self):
         instances = helpers.separable_instances(10, seed=5)
         model = train_pairwise_linear(
-            instances, LinearHyper(epochs=80), schema=_schema_stub(6)
+            instances, TrainingConfig(linear_epochs=80), schema=_schema_stub(6)
         )
         hist = model.meta.train_loss_history
         assert hist[-1] < hist[0]
@@ -238,7 +237,7 @@ class TestLinearRanker:
     def test_zero_epochs_zero_weights(self):
         instances = helpers.separable_instances(3, seed=6)
         model = train_pairwise_linear(
-            instances, LinearHyper(epochs=0), schema=_schema_stub(6)
+            instances, TrainingConfig(linear_epochs=0), schema=_schema_stub(6)
         )
         assert np.allclose(model.params["weights"], 0.0)
 
@@ -257,7 +256,7 @@ class TestLinearRanker:
         for inst in instances:
             inst.features[3] = 1.0
         model = train_pairwise_linear(
-            instances, LinearHyper(epochs=20), schema=_schema_stub(6)
+            instances, TrainingConfig(linear_epochs=20), schema=_schema_stub(6)
         )
         assert np.isfinite(model.params["weights"]).all()
         assert np.isfinite(model.score(np.vstack([i.features for i in instances]))).all()
@@ -274,7 +273,7 @@ class TestBoostedRanker:
     def test_early_stopping_trims_to_best_round(self):
         train = helpers.separable_instances(30, seed=12)
         val = helpers.separable_instances(8, seed=13)
-        hyper = BoostedHyper(rounds=60, early_stop_patience=5)
+        hyper = TrainingConfig(boosted_rounds=60, boosted_patience=5)
         model = train_boosted(train, hyper, validation=val, schema=_schema_stub(6))
         assert len(model.params["trees"]) == model.meta.best_round + 1
         assert len(model.params["trees"]) < 60
@@ -292,11 +291,17 @@ class TestBoostedRanker:
         val = helpers.separable_instances(2, seed=16)
         with pytest.raises(ConfigError):
             train_boosted(
-                train, BoostedHyper(max_depth=0), validation=val, schema=_schema_stub(6)
+                train,
+                TrainingConfig(boosted_max_depth=0),
+                validation=val,
+                schema=_schema_stub(6),
             )
         with pytest.raises(ConfigError):
             train_boosted(
-                train, BoostedHyper(rounds=0), validation=val, schema=_schema_stub(6)
+                train,
+                TrainingConfig(boosted_rounds=0),
+                validation=val,
+                schema=_schema_stub(6),
             )
 
     def test_deterministic(self):

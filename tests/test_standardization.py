@@ -7,7 +7,8 @@ import pytest
 
 from helpers import MYOPIA, make_chunk
 from phenorank.errors import DataError, EmbeddingError, IndexBuildError
-from phenorank.extraction import Mention, RemoteBackendConfig
+from phenorank.config import ExtractionConfig
+from phenorank.extraction import Mention
 from phenorank.ontology import Ontology, TermRecord
 from phenorank.standardization import (
     CandidateTerm,
@@ -15,7 +16,6 @@ from phenorank.standardization import (
     ThresholdSelector,
     build_index,
     default_embed,
-    default_provider,
     retrieve,
     standardize_corpus,
 )
@@ -169,10 +169,9 @@ def selector_server():
 
 def _remote_selector(server):
     return RemoteSelector(
-        RemoteBackendConfig(
+        ExtractionConfig(
             endpoint_url=f"http://127.0.0.1:{server.server_address[1]}/v1/chat",
             model_name="selector-model",
-            retry_base_delay=0.001,
         )
     )
 

@@ -122,6 +122,14 @@ class TrainingConfig:
             raise ConfigError("training.boosted_rounds must be >= 1")
         if self.boosted_max_depth < 1:
             raise ConfigError("training.boosted_max_depth must be >= 1")
+        if self.boosted_min_leaf < 1:
+            raise ConfigError("training.boosted_min_leaf must be >= 1")
+        for name in ("linear_learning_rate", "boosted_learning_rate"):
+            if not getattr(self, name) > 0.0:
+                raise ConfigError(f"training.{name} must be > 0")
+        for name in ("linear_l2", "boosted_l1", "boosted_l2"):
+            if not getattr(self, name) >= 0.0:
+                raise ConfigError(f"training.{name} must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Clinical note corpus: filtering, sentence-aware chunking, and synthesis.
+"""Clinical note corpus: sentence-aware chunking and synthesis.
 
 Chunking never splits a sentence unless the sentence alone exceeds the chunk
 limit, and chunks always concatenate back to the exact note text. Synthetic
@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-import re
 from dataclasses import dataclass, field
-from datetime import date, datetime
 
 from .errors import ConfigError, DataError, GenerationError
 from .extraction import SPAN_CLOSE, SPAN_OPEN, strip_span_markup
@@ -129,45 +127,6 @@ class NoteChunk:
             start_offset=int(d["startOffset"]),
             end_offset=int(d["endOffset"]),
         )
-
-
-# -- filtering -------------------------------------------------------------------
-
-
-def _parse_note_date(value: str) -> date:
-    try:
-        return date.fromisoformat(value)
-    except ValueError:
-        pass
-    try:
-        return datetime.fromisoformat(value).date()
-    except ValueError as e:
-        raise DataError(f"bad note timestamp {value!r}") from e
-
-
-def filter_notes(
-    notes: list[ClinicalNote],
-    exclude_patterns: list[str],
-    cutoffs: dict[str, str],
-) -> list[ClinicalNote]:
-    """Drop notes at/after their patient's diagnosis cutoff and notes whose
-    type or text matches any exclude pattern. Order is otherwise preserved."""
-    compiled = []
-    for pat in exclude_patterns:
-        try:
-            compiled.append(re.compile(pat))
-        except re.error as e:
-            raise ConfigError(f"bad exclude pattern {pat!r}: {e}") from e
-    cutoff_dates = {pid: _parse_note_date(v) for pid, v in cutoffs.items()}
-    kept = []
-    for note in notes:
-        limit = cutoff_dates.get(note.patient_id)
-        if limit is not None and _parse_note_date(note.timestamp) >= limit:
-            continue
-        if any(p.search(note.note_type) or p.search(note.text) for p in compiled):
-            continue
-        kept.append(note)
-    return kept
 
 
 # -- sentence splitting ------------------------------------------------------------

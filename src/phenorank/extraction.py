@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import os
 import re
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -179,11 +180,30 @@ def parse_span_markup(
 # -- gazetteer ---------------------------------------------------------------------
 
 
+# Positions a lexeme may start at: the start of the text or after a non-word
+# character. ``\w`` is judged by ``re`` itself, so it is the same class the
+# lookarounds of an equivalent regex would use.
+_NOT_AFTER_WORD_RE = re.compile(r"(?<!\w)")
+_WORD_RE = re.compile(r"\w")
+_END = ""  # trie key marking a complete lexeme; never a character
+
+
 class Gazetteer:
     """Case-insensitive longest-match lexicon scanner over ontology names.
 
-    The alternation lists longer lexemes first, so at any position the longest
-    matching name wins and shorter overlapping matches are suppressed.
+    A character trie holds every lowercased name and synonym. A match starts
+    only at a position not preceded by a word character (``\\w``); there the
+    longest lexeme that is followed by a non-word character or the end of the
+    text wins, and the scan resumes after it. That is exactly what
+    ``finditer`` returns for ``(?<!\\w)(?:lexeme|...)(?!\\w)`` under
+    ``re.IGNORECASE`` with longer lexemes listed first.
+
+    Characters compare under the case folding of ``re.IGNORECASE`` itself,
+    which is not ``str.lower``: ``ſ`` matches ``s`` and ``İ`` matches ``i``.
+    Lexeme characters fall into classes of characters that match each other
+    under ``re.IGNORECASE``, and the trie is keyed by the first character of
+    each class. Each distinct character is classified once, on first sight,
+    by searching the class keys with its own case-insensitive pattern.
     """
 
     def __init__(self, o: Ontology):
@@ -195,29 +215,69 @@ class Gazetteer:
             for syn in rec.synonyms:
                 if syn.strip():
                     entries.add(syn.lower())
-        ordered = sorted(entries, key=lambda s: (-len(s), s))
-        self._pattern = (
-            re.compile(
-                r"(?<!\w)(?:" + "|".join(re.escape(e) for e in ordered) + r")(?!\w)",
-                re.IGNORECASE,
-            )
-            if ordered
-            else None
-        )
+        self._keys = ""  # the first lexeme character of each class
+        self._fold: dict[int, str] = {}  # code point -> class key, where it differs
+        self._is_word: dict[str, bool] = {}  # every character classified so far
+        self._lock = threading.Lock()
+        chars = set("".join(entries))
+        for c in sorted(chars):
+            if self._class_of(c) is None:
+                self._keys += c
+        self._learn(chars)
+        self._root: dict = {}
+        for entry in entries:
+            node = self._root
+            for c in entry.translate(self._fold):
+                node = node.setdefault(c, {})
+            node[_END] = True
+
+    def _class_of(self, c: str) -> str | None:
+        match = re.compile(re.escape(c), re.IGNORECASE).search(self._keys)
+        return None if match is None else match.group()
+
+    def _learn(self, chars: Iterable[str]) -> None:
+        """Classify characters not seen before: fold class and word-ness.
+
+        Threads extracting concurrently share the tables; entries are only
+        added, and a character's entries are complete before it counts as seen.
+        """
+        new = set(chars).difference(self._is_word)
+        if not new:
+            return
+        with self._lock:
+            for c in new:
+                key = self._class_of(c)
+                if key is not None and key != c:
+                    self._fold[ord(c)] = key
+                self._is_word[c] = _WORD_RE.match(c) is not None
 
     def extract(self, chunk: "NoteChunk") -> list[Mention]:
-        if self._pattern is None:
+        if not self._root:
             return []
-        return [
-            Mention(
-                surface=m.group(),
-                chunk_id=chunk.chunk_id,
-                start=m.start(),
-                end=m.end(),
-                extractor="gazetteer",
-            )
-            for m in self._pattern.finditer(chunk.text)
-        ]
+        text = chunk.text
+        self._learn(text)
+        folded = text.translate(self._fold)
+        is_word = self._is_word
+        n = len(text)
+        out: list[Mention] = []
+        resume = 0
+        for start in _NOT_AFTER_WORD_RE.finditer(text):
+            i = start.start()
+            if i < resume:
+                continue
+            node = self._root
+            end = j = i
+            while j < n:
+                node = node.get(folded[j])
+                if node is None:
+                    break
+                j += 1
+                if _END in node and (j == n or not is_word[text[j]]):
+                    end = j
+            if end > i:
+                out.append(Mention(text[i:end], chunk.chunk_id, i, end, "gazetteer"))
+                resume = end
+        return out
 
 
 # -- prompting ---------------------------------------------------------------------
@@ -316,8 +376,10 @@ def verify_credentials(cfg: ExtractionConfig) -> None:
 def remote_complete(cfg: ExtractionConfig, prompt: str) -> str:
     """POST one prompt and return the model's text completion.
 
-    Transport failures and 5xx responses retry with exponential backoff until
-    ``max_retries`` is exhausted; auth rejections raise immediately.
+    Transport failures, 429 and 5xx responses retry with exponential backoff
+    until ``max_retries`` is exhausted; a ``Retry-After`` header in integer
+    seconds lengthens the wait to at least that. Auth rejections raise
+    immediately.
     """
     payload = {
         "model": cfg.model_name,
@@ -326,9 +388,11 @@ def remote_complete(cfg: ExtractionConfig, prompt: str) -> str:
     }
     headers = _auth_headers(cfg)
     last_failure = "no attempt made"
+    retry_after = 0.0
     for attempt in range(cfg.max_retries + 1):
         if attempt:
-            time.sleep(RETRY_BASE_DELAY * (2.0 ** (attempt - 1)))
+            time.sleep(max(RETRY_BASE_DELAY * (2.0 ** (attempt - 1)), retry_after))
+        retry_after = 0.0
         try:
             resp = requests.post(
                 cfg.endpoint_url, json=payload, headers=headers, timeout=cfg.timeout
@@ -339,8 +403,10 @@ def remote_complete(cfg: ExtractionConfig, prompt: str) -> str:
             continue
         if resp.status_code in (401, 403):
             raise CredentialError(f"backend rejected credential ({resp.status_code})")
-        if resp.status_code >= 500:
+        if resp.status_code == 429 or resp.status_code >= 500:
             last_failure = f"HTTP {resp.status_code}"
+            header = resp.headers.get("Retry-After", "").strip()
+            retry_after = float(header) if header.isdecimal() else 0.0
             logger.warning("backend attempt %d failed: %s", attempt + 1, last_failure)
             continue
         if resp.status_code != 200:

@@ -252,26 +252,6 @@ class Ontology:
         return self._depth[tid]
 
 
-def undirected_distance(o: Ontology, a: str, b: str) -> int:
-    """Shortest path length between two non-obsolete terms, edges undirected."""
-    o.require(a)
-    o.require(b)
-    if a == b:
-        return 0
-    dist = {a: 0}
-    queue = deque([a])
-    while queue:
-        t = queue.popleft()
-        d = dist[t] + 1
-        for nxt in o.terms[t].parents + o.children(t):
-            if nxt == b:
-                return d
-            if nxt not in dist:
-                dist[nxt] = d
-                queue.append(nxt)
-    raise StructuralError(f"no path between {a} and {b}")
-
-
 def terms_within_distance(o: Ontology, src: str, max_dist: int) -> dict[str, int]:
     """Undirected BFS from ``src`` truncated at ``max_dist`` hops (src included)."""
     o.require(src)
@@ -504,15 +484,3 @@ def lin_similarity(o: Ontology, s: OntologyStats, a: str, b: str) -> float:
         return 1.0 if a == b else 0.0
     return abs(2.0 * s.ic[mica(o, s, a, b)] / denom)
 
-
-def set_similarity(
-    o: Ontology, s: OntologyStats, predicted: Iterable[str], gold: Iterable[str]
-) -> float:
-    """Symmetric best-match average of Lin similarity between two term sets."""
-    pred = sorted(set(predicted))
-    gd = sorted(set(gold))
-    if not pred or not gd:
-        raise DataError("set similarity needs two non-empty term sets")
-    row = sum(max(lin_similarity(o, s, p, g) for g in gd) for p in pred) / len(pred)
-    col = sum(max(lin_similarity(o, s, p, g) for p in pred) for g in gd) / len(gd)
-    return (row + col) / 2.0

@@ -200,29 +200,6 @@ def train_pairwise_linear(
     )
 
 
-def pairwise_linear_gradient(
-    instances: Sequence[RankingInstance], weights: np.ndarray, l2: float = 0.0
-) -> np.ndarray:
-    """Analytic gradient of the pairwise loss at ``weights`` (raw features).
-
-    Exposed so the finite-difference check in the test suite exercises exactly
-    the expression the trainer uses.
-    """
-    X = np.vstack([inst.features for inst in instances])
-    groups = _group_pairs(instances)
-    scores = X @ np.asarray(weights, dtype=np.float64)
-    g_s, _ = _pairwise_grad_hess(scores, groups)
-    return X.T @ g_s + 2.0 * l2 * np.asarray(weights, dtype=np.float64)
-
-
-def pairwise_loss_at(
-    instances: Sequence[RankingInstance], weights: np.ndarray, l2: float = 0.0
-) -> float:
-    X = np.vstack([inst.features for inst in instances])
-    w = np.asarray(weights, dtype=np.float64)
-    return pairwise_loss(X @ w, _group_pairs(instances)) + l2 * float(w @ w)
-
-
 def _schema_stub(dim: int) -> FeatureSchema:
     return FeatureSchema(
         symptom_categories=(),

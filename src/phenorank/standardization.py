@@ -1,7 +1,8 @@
 """Mention standardization: map surface strings onto ontology terms.
 
 A deterministic character n-gram embedding indexes every term name and synonym;
-retrieval is an exhaustive cosine scan (exact by construction), and a selector
+one vectorized hasher embeds the whole index at once and each query alone.
+Retrieval is an exhaustive cosine scan (exact by construction), and a selector
 turns the candidate list into a final term id or none.
 """
 
@@ -30,19 +31,53 @@ logger = logging.getLogger(__name__)
 DEFAULT_DIMENSION = 4096
 DEFAULT_TAU = 0.35
 DEFAULT_TOP_K = 10
+NGRAM_SIZES = (3, 4, 5)
 
 _NON_ALNUM_RE = re.compile(r"[^a-z0-9]+")
 
 # FNV-1a, 32 bit: fixed so embeddings are identical across platforms and runs.
-_FNV_OFFSET = 0x811C9DC5
-_FNV_PRIME = 0x01000193
+_FNV_OFFSET = np.uint32(0x811C9DC5)
+_FNV_PRIME = np.uint32(0x01000193)
 
 
-def _fnv1a(data: bytes) -> int:
-    h = _FNV_OFFSET
-    for b in data:
-        h = ((h ^ b) * _FNV_PRIME) & 0xFFFFFFFF
-    return h
+def _normalize(text: str) -> str:
+    """Lowercase, then collapse each run outside a-z0-9 to one space."""
+    return _NON_ALNUM_RE.sub(" ", text.lower()).strip()
+
+
+def _fnv1a_ngrams(data: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """``(n, hashes)`` for each n in NGRAM_SIZES over a uint8 array.
+
+    ``hashes[i]`` is the 32-bit FNV-1a hash of ``data[i:i + n]``; uint32
+    arithmetic wraps exactly like the hash's ``& 0xFFFFFFFF``.
+    """
+    data = data.astype(np.uint32)
+    h = np.full(len(data), _FNV_OFFSET, dtype=np.uint32)
+    out = []
+    for n in range(1, NGRAM_SIZES[-1] + 1):
+        h = (h[: len(data) - n + 1] ^ data[n - 1 :]) * _FNV_PRIME
+        if n in NGRAM_SIZES:
+            out.append((n, h))
+    return out
+
+
+def _ngram_counts(texts: Sequence[str], dimension: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hashed n-gram counts of normalized texts as sorted ``row * dimension +
+    bucket`` keys and their counts.
+
+    Each text is padded with one space on each side so word edges contribute;
+    no n-gram crosses from one text into the next.
+    """
+    padded = [f" {t} ".encode("ascii") for t in texts]
+    lengths = np.fromiter(map(len, padded), dtype=np.int64, count=len(padded))
+    data = np.frombuffer(b"".join(padded), dtype=np.uint8)
+    row_of = np.repeat(np.arange(len(texts), dtype=np.int64), lengths)
+    end_of = np.repeat(np.cumsum(lengths), lengths)
+    keys = [np.zeros(0, dtype=np.int64)]
+    for n, h in _fnv1a_ngrams(data):
+        inside = np.arange(len(h)) + n <= end_of[: len(h)]
+        keys.append(row_of[: len(h)][inside] * dimension + h[inside] % dimension)
+    return np.unique(np.concatenate(keys), return_counts=True)
 
 
 def default_embed(text: str, dimension: int = DEFAULT_DIMENSION) -> np.ndarray:
@@ -51,15 +86,12 @@ def default_embed(text: str, dimension: int = DEFAULT_DIMENSION) -> np.ndarray:
     Text is lowercased and punctuation runs collapse to single spaces before
     n-grams are taken; a single space pads each side so word edges contribute.
     """
-    collapsed = _NON_ALNUM_RE.sub(" ", text.lower()).strip()
-    if not collapsed:
+    normalized = _normalize(text)
+    if not normalized:
         raise EmbeddingError(f"text {text!r} is empty after normalization")
-    padded = f" {collapsed} "
+    buckets, counts = _ngram_counts([normalized], dimension)
     vec = np.zeros(dimension, dtype=np.float64)
-    raw = padded.encode("utf-8")
-    for n in (3, 4, 5):
-        for i in range(len(raw) - n + 1):
-            vec[_fnv1a(raw[i : i + n]) % dimension] += 1.0
+    vec[buckets] = counts
     return vec / np.linalg.norm(vec)
 
 
@@ -73,7 +105,8 @@ class VectorIndex:
     """Embedded name/synonym entries for every non-obsolete term.
 
     Entry vectors live in one sparse row matrix; rows for a term are
-    contiguous, ordered by term id then name before synonyms.
+    contiguous, ordered by term id then name before synonyms. ``columns``
+    holds the same matrix by column, so a query reads only its own buckets.
     """
 
     def __init__(
@@ -85,6 +118,7 @@ class VectorIndex:
     ):
         self.entries = entries
         self.matrix = matrix
+        self.columns = matrix.tocsc()
         self.term_ids = term_ids  # sorted, aligned with term_starts
         self.term_starts = term_starts  # row offset where each term's entries begin
 
@@ -93,32 +127,38 @@ class VectorIndex:
 
 
 def build_index(o: Ontology) -> VectorIndex:
-    """Embed every term name and synonym into a retrieval index."""
+    """Embed every term name and synonym into a retrieval index.
+
+    All entries are hashed in one pass; the rows equal ``default_embed`` of
+    each entry bit for bit, because counts are integers and so are the sums
+    of their squares.
+    """
     entries: list[IndexEntry] = []
     term_ids: list[str] = []
     term_starts: list[int] = []
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
     for tid in o.non_obsolete_ids():
         rec = o.terms[tid]
         term_ids.append(tid)
         term_starts.append(len(entries))
-        for text in [rec.name, *rec.synonyms]:
-            try:
-                vec = default_embed(text)
-            except Exception as e:
-                raise IndexBuildError(
-                    f"cannot embed {text!r} for term {tid}: {e}"
-                ) from e
-            nz = np.nonzero(vec)[0]
-            row = len(entries)
-            rows.extend([row] * len(nz))
-            cols.extend(nz.tolist())
-            vals.extend(vec[nz].tolist())
-            entries.append(IndexEntry(term_id=tid, text=text))
+        entries.extend(IndexEntry(tid, text) for text in [rec.name, *rec.synonyms])
+    texts = [_normalize(e.text) for e in entries]
+    for entry, text in zip(entries, texts):
+        if not text:
+            raise IndexBuildError(
+                f"cannot embed {entry.text!r} for term {entry.term_id}: "
+                f"text {entry.text!r} is empty after normalization"
+            )
+    keys, counts = _ngram_counts(texts, DEFAULT_DIMENSION)
+    rows = keys // DEFAULT_DIMENSION
+    values = counts.astype(np.float64)
+    norms = np.sqrt(np.bincount(rows, weights=values * values, minlength=len(texts)))
     matrix = sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(len(entries), DEFAULT_DIMENSION)
+        (
+            values / norms[rows],
+            (keys % DEFAULT_DIMENSION).astype(np.int32),
+            np.searchsorted(rows, np.arange(len(texts) + 1)).astype(np.int32),
+        ),
+        shape=(len(entries), DEFAULT_DIMENSION),
     )
     return VectorIndex(
         entries=entries,
@@ -128,26 +168,42 @@ def build_index(o: Ontology) -> VectorIndex:
     )
 
 
+def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k highest scores, ties to the smaller index.
+
+    Equal to ``np.argsort(-scores, kind="stable")[:k]``: a partition finds
+    the k-th best score, and only the scores at least that good are sorted.
+    """
+    neg = -scores
+    if k < len(neg):
+        kth = np.partition(neg, k - 1)[k - 1]
+        kept = np.flatnonzero(neg <= kth)
+    else:
+        kept = np.arange(len(neg))
+    return kept[np.argsort(neg[kept], kind="stable")[:k]]
+
+
 def retrieve(
     index: VectorIndex, query: str, k: int = DEFAULT_TOP_K
 ) -> list[tuple[str, float]]:
     """Exhaustive cosine scan: top-k terms, each scored by its best entry.
 
     Ties in score resolve to the smaller term id. Scores are clipped into
-    [-1, 1] to absorb floating-point overshoot.
+    [-1, 1] to absorb floating-point overshoot. Only the index columns of the
+    query's buckets are read, in ascending bucket order: each score sums the
+    same nonzero products in the same order as a full matrix-vector product.
     """
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
     if not index.entries:
         raise RetrievalError("vector index is empty")
     qv = default_embed(query)
-    scores = index.matrix.dot(qv)
+    buckets = np.flatnonzero(qv)
+    scores = index.columns[:, buckets] @ qv[buckets]
     per_term = np.maximum.reduceat(scores, index.term_starts)
     per_term = np.clip(per_term, -1.0, 1.0)
-    # term_ids are pre-sorted ascending; a stable sort on -score keeps id order
-    # within ties.
-    order = np.argsort(-per_term, kind="stable")[:k]
-    return [(index.term_ids[i], float(per_term[i])) for i in order]
+    # term_ids are sorted ascending, so the smaller index is the smaller id.
+    return [(index.term_ids[i], float(per_term[i])) for i in _top_k(per_term, k)]
 
 
 # -- selection ---------------------------------------------------------------------
@@ -276,13 +332,15 @@ def standardize_corpus(
     Retrieval and selector failures are captured per mention (resolved none,
     error noted); the trace keeps one row per mention, resolved or not.
     """
+    # Candidates depend only on the normalized text, so surfaces that differ
+    # in case or punctuation share one retrieval.
     cache: dict[str, list[tuple[str, float]]] = {}
     terms_by_patient: dict[str, list[str]] = {}
     trace: list[StandardizedMention] = []
     for pid in sorted(mentions_by_patient):
         resolved_terms: list[str] = []
         for mention in mentions_by_patient[pid]:
-            key = mention.surface.lower()
+            key = _normalize(mention.surface)
             error: str | None = None
             try:
                 if key not in cache:

@@ -2,17 +2,31 @@
 
 The oracles deliberately reimplement graph and metric logic with naive loops
 so the package implementations are checked against something that cannot share
-their bugs.
+their bugs. The text-layer oracles are the package's earlier implementations:
+the regex gazetteer, the per-byte FNV-1a embedding, the entry-by-entry index
+builder and the dense one-query scan. The reference functions below them
+(set similarity, undirected distance, the pairwise gradient and loss, note
+filtering) are used only by tests, so they live here rather than in the package.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import re
 from collections import deque
+from datetime import date, datetime
+from typing import Iterable
 
-from phenorank.corpus import NoteChunk
-from phenorank.ontology import Ontology, TermRecord
+import numpy as np
+from scipy import sparse
+
+from phenorank.corpus import ClinicalNote, NoteChunk
+from phenorank.errors import ConfigError, DataError, EmbeddingError, StructuralError
+from phenorank.extraction import Mention
+from phenorank.ontology import Ontology, OntologyStats, TermRecord, lin_similarity
+from phenorank.ranking.models import _group_pairs, _pairwise_grad_hess, pairwise_loss
+from phenorank.standardization import DEFAULT_DIMENSION, IndexEntry, VectorIndex
 
 # -- small seven-term ontology -------------------------------------------------------
 #
@@ -458,3 +472,176 @@ def ontology_to_json(o: Ontology) -> str:
             }
         )
     return json.dumps(rows, indent=1)
+
+
+# -- reference functions that no pipeline step calls ----------------------------------
+
+
+def set_similarity(
+    o: Ontology, s: OntologyStats, predicted: Iterable[str], gold: Iterable[str]
+) -> float:
+    """Symmetric best-match average of Lin similarity between two term sets."""
+    pred = sorted(set(predicted))
+    gd = sorted(set(gold))
+    if not pred or not gd:
+        raise DataError("set similarity needs two non-empty term sets")
+    row = sum(max(lin_similarity(o, s, p, g) for g in gd) for p in pred) / len(pred)
+    col = sum(max(lin_similarity(o, s, p, g) for p in pred) for g in gd) / len(gd)
+    return (row + col) / 2.0
+
+
+def undirected_distance(o: Ontology, a: str, b: str) -> int:
+    """Shortest path length between two non-obsolete terms, edges undirected."""
+    o.require(a)
+    o.require(b)
+    if a == b:
+        return 0
+    dist = {a: 0}
+    queue = deque([a])
+    while queue:
+        t = queue.popleft()
+        d = dist[t] + 1
+        for nxt in o.terms[t].parents + o.children(t):
+            if nxt == b:
+                return d
+            if nxt not in dist:
+                dist[nxt] = d
+                queue.append(nxt)
+    raise StructuralError(f"no path between {a} and {b}")
+
+
+def pairwise_linear_gradient(instances, weights, l2: float = 0.0) -> np.ndarray:
+    """Analytic gradient of the pairwise loss at ``weights`` (raw features).
+
+    Built from the trainer's own pair grouping and gradient expression, so the
+    finite-difference checks exercise exactly what the trainer uses.
+    """
+    X = np.vstack([inst.features for inst in instances])
+    groups = _group_pairs(instances)
+    scores = X @ np.asarray(weights, dtype=np.float64)
+    g_s, _ = _pairwise_grad_hess(scores, groups)
+    return X.T @ g_s + 2.0 * l2 * np.asarray(weights, dtype=np.float64)
+
+
+def pairwise_loss_at(instances, weights, l2: float = 0.0) -> float:
+    X = np.vstack([inst.features for inst in instances])
+    w = np.asarray(weights, dtype=np.float64)
+    return pairwise_loss(X @ w, _group_pairs(instances)) + l2 * float(w @ w)
+
+
+def _parse_note_date(value: str) -> date:
+    try:
+        return date.fromisoformat(value)
+    except ValueError:
+        pass
+    try:
+        return datetime.fromisoformat(value).date()
+    except ValueError as e:
+        raise DataError(f"bad note timestamp {value!r}") from e
+
+
+def filter_notes(
+    notes: list[ClinicalNote],
+    exclude_patterns: list[str],
+    cutoffs: dict[str, str],
+) -> list[ClinicalNote]:
+    """Drop notes at/after their patient's diagnosis cutoff and notes whose
+    type or text matches any exclude pattern. Order is otherwise preserved."""
+    compiled = []
+    for pat in exclude_patterns:
+        try:
+            compiled.append(re.compile(pat))
+        except re.error as e:
+            raise ConfigError(f"bad exclude pattern {pat!r}: {e}") from e
+    cutoff_dates = {pid: _parse_note_date(v) for pid, v in cutoffs.items()}
+    kept = []
+    for note in notes:
+        limit = cutoff_dates.get(note.patient_id)
+        if limit is not None and _parse_note_date(note.timestamp) >= limit:
+            continue
+        if any(p.search(note.note_type) or p.search(note.text) for p in compiled):
+            continue
+        kept.append(note)
+    return kept
+
+
+# -- text-layer oracles: the regex, scalar-hash and one-query implementations ----------
+
+
+def gazetteer_lexemes(o: Ontology) -> set[str]:
+    entries: set[str] = set()
+    for tid in o.non_obsolete_ids():
+        rec = o.terms[tid]
+        entries.update(x.lower() for x in [rec.name, *rec.synonyms] if x.strip())
+    return entries
+
+
+class RegexGazetteer:
+    """One alternation of every lexeme, longest first, under re.IGNORECASE."""
+
+    def __init__(self, o: Ontology):
+        ordered = sorted(gazetteer_lexemes(o), key=lambda s: (-len(s), s))
+        self._pattern = (
+            re.compile(
+                r"(?<!\w)(?:" + "|".join(re.escape(e) for e in ordered) + r")(?!\w)",
+                re.IGNORECASE,
+            )
+            if ordered
+            else None
+        )
+
+    def extract(self, chunk: NoteChunk) -> list[Mention]:
+        if self._pattern is None:
+            return []
+        return [
+            Mention(m.group(), chunk.chunk_id, m.start(), m.end(), "gazetteer")
+            for m in self._pattern.finditer(chunk.text)
+        ]
+
+
+def fnv1a(data: bytes) -> int:
+    h = 0x811C9DC5
+    for b in data:
+        h = ((h ^ b) * 0x01000193) & 0xFFFFFFFF
+    return h
+
+
+def scalar_embed(text: str, dimension: int = DEFAULT_DIMENSION) -> np.ndarray:
+    collapsed = re.sub(r"[^a-z0-9]+", " ", text.lower()).strip()
+    if not collapsed:
+        raise EmbeddingError(f"text {text!r} is empty after normalization")
+    raw = f" {collapsed} ".encode("utf-8")
+    vec = np.zeros(dimension, dtype=np.float64)
+    for n in (3, 4, 5):
+        for i in range(len(raw) - n + 1):
+            vec[fnv1a(raw[i : i + n]) % dimension] += 1.0
+    return vec / np.linalg.norm(vec)
+
+
+def entrywise_index(o: Ontology) -> VectorIndex:
+    """The index built entry by entry from ``scalar_embed`` through COO lists."""
+    entries, term_ids, term_starts = [], [], []
+    rows, cols, vals = [], [], []
+    for tid in o.non_obsolete_ids():
+        rec = o.terms[tid]
+        term_ids.append(tid)
+        term_starts.append(len(entries))
+        for text in [rec.name, *rec.synonyms]:
+            vec = scalar_embed(text)
+            nz = np.nonzero(vec)[0]
+            rows.extend([len(entries)] * len(nz))
+            cols.extend(nz.tolist())
+            vals.extend(vec[nz].tolist())
+            entries.append(IndexEntry(term_id=tid, text=text))
+    matrix = sparse.csr_matrix(
+        (vals, (rows, cols)), shape=(len(entries), DEFAULT_DIMENSION)
+    )
+    return VectorIndex(entries, matrix, term_ids, np.asarray(term_starts, dtype=np.int64))
+
+
+def dense_retrieve(index: VectorIndex, query: str, k: int) -> list[tuple[str, float]]:
+    """One query: a dense matrix-vector product and a full stable argsort."""
+    scores = index.matrix.dot(scalar_embed(query))
+    per_term = np.clip(np.maximum.reduceat(scores, index.term_starts), -1.0, 1.0)
+    order = np.argsort(-per_term, kind="stable")[:k]
+    return [(index.term_ids[i], float(per_term[i])) for i in order]

@@ -13,6 +13,12 @@ import numpy as np
 import pytest
 
 import helpers
+from helpers import (
+    pairwise_linear_gradient,
+    pairwise_loss_at,
+    set_similarity,
+    undirected_distance,
+)
 from phenorank import pipeline
 from phenorank.annotations import load_annotations
 from phenorank.config import config_from_dict
@@ -28,8 +34,6 @@ from phenorank.ontology import (
     compute_stats,
     lin_similarity,
     mica,
-    set_similarity,
-    undirected_distance,
 )
 from phenorank.ranking import (
     ap_at_k,
@@ -39,11 +43,7 @@ from phenorank.ranking import (
     train_boosted,
     train_pairwise_linear,
 )
-from phenorank.ranking.models import (
-    _schema_stub,
-    pairwise_linear_gradient,
-    pairwise_loss_at,
-)
+from phenorank.ranking.models import _schema_stub
 from phenorank.standardization import build_index, retrieve
 
 

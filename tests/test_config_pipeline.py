@@ -125,6 +125,12 @@ class TestConfigLoading:
             {"training": {"boosted_rounds": 0}},
             {"training": {"boosted_max_depth": 0}},
             {"standardization": {"selector": "remote"}},
+            {"training": {"boosted_min_leaf": 0}},
+            {"training": {"boosted_l1": -0.1}},
+            {"training": {"boosted_l2": -1.0}},
+            {"training": {"linear_l2": -1e-4}},
+            {"training": {"linear_learning_rate": 0.0}},
+            {"training": {"boosted_learning_rate": -0.1}},
         ],
     )
     def test_section_validation(self, data):

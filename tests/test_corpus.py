@@ -5,13 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from helpers import A_ONE, A_TWO, ROOT
+from helpers import A_ONE, A_TWO, ROOT, filter_notes
 from phenorank.corpus import (
     ClinicalNote,
     NoteChunk,
     Patient,
     chunk_note,
-    filter_notes,
     split_sentences,
     synth_cohort,
     synth_narrative,

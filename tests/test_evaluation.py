@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
+from helpers import set_similarity
 from phenorank import evaluation
 from phenorank.config import EvaluationConfig
 from phenorank.errors import ConfigError, DataError
@@ -22,7 +23,7 @@ from phenorank.evaluation import (
     topk_prf,
 )
 from phenorank.extraction import Mention
-from phenorank.ontology import Ontology, compute_stats, lin_similarity, set_similarity
+from phenorank.ontology import Ontology, compute_stats, lin_similarity
 
 A_ONE = helpers.A_ONE
 A_TWO = helpers.A_TWO

@@ -4,8 +4,12 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import helpers
 from helpers import make_chunk
+from phenorank import extraction
 from phenorank.config import ExtractionConfig
 from phenorank.errors import (
     BackendUnavailableError,
@@ -30,6 +34,7 @@ from phenorank.extraction import (
     strip_span_markup,
     unescape_span_literals,
 )
+from phenorank.ontology import Ontology, TermRecord
 
 
 class TestMarkup:
@@ -113,6 +118,47 @@ class TestMarkup:
         assert Mention.from_dict(m.to_dict()) == m
 
 
+def _folding_ontology() -> Ontology:
+    """The clinical vocabulary plus names whose characters fold unlike str.lower."""
+    terms = dict(helpers.clinical_ontology().terms)
+    extra = [
+        "ſhort ſtature",
+        "µ wave",
+        "İris coloboma",
+        "Kelvin lesion",
+        "Straße sign",
+        "Final ς sign",
+        "ϑ rhythm",
+        "Pain (severe)",
+        "-itis like",
+        "Type_2 finding",
+        "Short",
+    ]
+    for i, name in enumerate(extra):
+        tid = f"HP:{7000000 + i:07d}"
+        terms[tid] = TermRecord(id=tid, name=name, parents=["HP:0000118"])
+    return Ontology(terms)
+
+
+_FOLD_LEXEMES = sorted(helpers.gazetteer_lexemes(_folding_ontology()))
+_FRAGMENT = st.one_of(
+    st.sampled_from(_FOLD_LEXEMES).flatmap(
+        lambda s: st.sampled_from([s, s.upper(), s.title(), s.swapcase()])
+    ),
+    st.sampled_from(_FOLD_LEXEMES).flatmap(
+        lambda s: st.integers(1, len(s)).map(lambda n: s[:n])
+    ),
+    st.text(alphabet=" ,.;:-()/_0123456789\nſİµςϑKßẞΣΜıI", max_size=3),
+)
+NOTES = st.lists(_FRAGMENT, max_size=12).map("".join)
+
+
+@pytest.fixture(scope="module")
+def gazetteers():
+    o = _folding_ontology()
+    return Gazetteer(o), helpers.RegexGazetteer(o)
+
+
 class TestGazetteer:
     def test_matches_names_and_synonyms(self, clinical):
         chunk = make_chunk("Exam shows myopia; seizures and low muscle tone noted.")
@@ -137,6 +183,34 @@ class TestGazetteer:
     def test_obsolete_terms_excluded(self, clinical):
         chunk = make_chunk("Longstanding ataxic gait observed.")
         assert Gazetteer(clinical).extract(chunk) == []
+
+    def test_case_folding_follows_re(self, gazetteers):
+        trie, regex = gazetteers
+        chunk = make_chunk(
+            "ſHORT ſtature; Μ WAVE and µ wave, İRIS COLOBOMA, KELVIN lesion, "
+            "STRAẞE sign, final ς sign, ϑ rhythm, pain (severe)x, pain (severe). "
+            "-itis like."
+        )
+        got = trie.extract(chunk)
+        assert got == regex.extract(chunk)
+        assert [m.surface for m in got] == [
+            "ſHORT ſtature",
+            "Μ WAVE",
+            "µ wave",
+            "KELVIN lesion",
+            "STRAẞE sign",
+            "final ς sign",
+            "ϑ rhythm",
+            "pain (severe)",
+            "-itis like",
+        ]
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(NOTES)
+    def test_trie_matches_regex_oracle(self, gazetteers, text):
+        trie, regex = gazetteers
+        chunk = make_chunk(text)
+        assert trie.extract(chunk) == regex.extract(chunk)
 
 
 class TestPrompt:
@@ -178,7 +252,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.server.seen.append(
             {"auth": self.headers.get("Authorization"), "body": body}
         )
-        status, payload = (
+        # A script entry is (status, payload) or (status, payload, headers).
+        status, payload, *headers = (
             self.server.script.pop(0) if self.server.script else (200, None)
         )
         if payload is None:
@@ -187,6 +262,8 @@ class _Handler(BaseHTTPRequestHandler):
             )
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
+        for name, value in (headers[0] if headers else {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(payload.encode("utf-8"))
 
@@ -239,6 +316,23 @@ class TestRemoteBackend:
         backend_server.script = [(500, None)] * 3
         with pytest.raises(BackendUnavailableError, match="3 attempts"):
             remote_complete(_cfg(backend_server, max_retries=2), "p")
+
+    def test_rate_limit_429_waits_retry_after_then_succeeds(
+        self, backend_server, monkeypatch
+    ):
+        waits = []
+        monkeypatch.setattr(extraction.time, "sleep", waits.append)
+        backend_server.script = [(429, "{}", {"Retry-After": "2"}), (200, None)]
+        backend_server.reply = "ok"
+        assert remote_complete(_cfg(backend_server), "p") == "ok"
+        assert len(backend_server.seen) == 2
+        assert waits == [2.0]
+
+    def test_rate_limit_429_exhausted_raises_unavailable(self, backend_server):
+        backend_server.script = [(429, "{}")] * 3
+        with pytest.raises(BackendUnavailableError, match="HTTP 429"):
+            remote_complete(_cfg(backend_server, max_retries=2), "p")
+        assert len(backend_server.seen) == 3
 
     def test_auth_rejection_raises_immediately(self, backend_server, monkeypatch):
         monkeypatch.setenv("PHENORANK_TEST_KEY", "sk-very-secret-value")

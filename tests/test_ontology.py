@@ -13,6 +13,8 @@ from helpers import (
     OBSOLETE,
     ORPHAN,
     ROOT,
+    set_similarity,
+    undirected_distance,
 )
 from phenorank.errors import ParseError, StructuralError, UnknownTermError
 from phenorank.ontology import (
@@ -23,9 +25,7 @@ from phenorank.ontology import (
     mica,
     parse_obo,
     parse_ontology_json,
-    set_similarity,
     terms_within_distance,
-    undirected_distance,
 )
 
 SMALL_OBO = """

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import helpers
+from helpers import pairwise_linear_gradient, pairwise_loss_at
 from phenorank.config import TrainingConfig
 from phenorank.corpus import Patient, synth_cohort
 from phenorank.errors import ConfigError, DataError, TrainingError
@@ -25,8 +26,6 @@ from phenorank.ranking.models import (
     KIND_BOOSTED,
     KIND_LINEAR,
     _schema_stub,
-    pairwise_linear_gradient,
-    pairwise_loss_at,
 )
 
 
@@ -289,20 +288,13 @@ class TestBoostedRanker:
     def test_bad_hypers_rejected(self):
         train = helpers.separable_instances(5, seed=15)
         val = helpers.separable_instances(2, seed=16)
-        with pytest.raises(ConfigError):
-            train_boosted(
-                train,
-                TrainingConfig(boosted_max_depth=0),
-                validation=val,
-                schema=_schema_stub(6),
-            )
-        with pytest.raises(ConfigError):
-            train_boosted(
-                train,
-                TrainingConfig(boosted_rounds=0),
-                validation=val,
-                schema=_schema_stub(6),
-            )
+        for cfg in (
+            TrainingConfig(boosted_max_depth=0),
+            TrainingConfig(boosted_rounds=0),
+            TrainingConfig(boosted_min_leaf=0),
+        ):
+            with pytest.raises(ConfigError):
+                train_boosted(train, cfg, validation=val, schema=_schema_stub(6))
 
     def test_deterministic(self):
         train = helpers.separable_instances(20, seed=17)

@@ -4,8 +4,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import helpers
 from helpers import MYOPIA, make_chunk
+from phenorank import standardization
 from phenorank.errors import DataError, EmbeddingError, IndexBuildError
 from phenorank.config import ExtractionConfig
 from phenorank.extraction import Mention
@@ -108,6 +112,99 @@ class TestIndex:
         index = build_index(clinical)
         with pytest.raises(DataError):
             retrieve(index, "fever", k=0)
+
+
+def _tie_ontology() -> Ontology:
+    """The clinical vocabulary plus repeated names, so scores tie across terms."""
+    terms = dict(helpers.clinical_ontology().terms)
+    for i, name in enumerate(["Shared label", "Shared label", "Myopia", "Low vision"]):
+        tid = f"HP:{8000000 - i:07d}"
+        terms[tid] = TermRecord(
+            id=tid, name=name, parents=["HP:0000118"], synonyms=["shared label"]
+        )
+    # Repeated n-grams give unequal counts, so a score's value depends on the
+    # order its products are summed in.
+    for i, name in enumerate(["Abab abab", "Baba ab aab", "aaa bbb aaa", "ab ab ab ab"]):
+        tid = f"HP:{8100000 + i:07d}"
+        terms[tid] = TermRecord(id=tid, name=name, parents=["HP:0000118"])
+    return Ontology(terms)
+
+
+@pytest.fixture(scope="module")
+def tie_index():
+    return build_index(_tie_ontology())
+
+
+_QUERY = st.one_of(
+    st.text(alphabet="abcdefghilmnoprstuvy -,.0éSHL", min_size=1, max_size=30),
+    st.text(alphabet="ab -", min_size=3, max_size=40),
+).filter(lambda q: standardization._normalize(q))
+
+
+def _bits(rows):
+    return [[(t, s.hex()) for t, s in row] for row in rows]
+
+
+class TestExactness:
+    """The vectorized hasher, index and retrieval against the per-byte hash,
+    the entry-by-entry builder and the full dense scan in ``helpers``."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.binary(max_size=64))
+    def test_vectorized_hash_matches_fnv1a(self, raw):
+        hashes = dict(standardization._fnv1a_ngrams(np.frombuffer(raw, dtype=np.uint8)))
+        assert sorted(hashes) == list(standardization.NGRAM_SIZES)
+        for n, got in hashes.items():
+            assert got.dtype == np.uint32
+            want = [helpers.fnv1a(raw[i : i + n]) for i in range(len(raw) - n + 1)]
+            assert got.tolist() == want
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.text(max_size=40))
+    def test_default_embed_matches_scalar_oracle(self, text):
+        try:
+            want = helpers.scalar_embed(text)
+        except EmbeddingError as e:
+            with pytest.raises(EmbeddingError) as got:
+                default_embed(text)
+            assert str(got.value) == str(e)
+            return
+        assert default_embed(text).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "make",
+        [helpers.clinical_ontology, helpers.layered_ontology, _tie_ontology],
+        ids=["clinical", "layered", "ties"],
+    )
+    def test_index_csr_bitwise_equals_entrywise_builder(self, make):
+        o = make()
+        got, want = build_index(o), helpers.entrywise_index(o)
+        assert got.matrix.shape == want.matrix.shape
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got.matrix, name), getattr(want.matrix, name)
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+        assert [(e.term_id, e.text) for e in got.entries] == [
+            (e.term_id, e.text) for e in want.entries
+        ]
+        assert got.term_ids == want.term_ids
+        assert got.term_starts.tolist() == want.term_starts.tolist()
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(_QUERY, st.integers(1, 30))
+    def test_retrieve_matches_dense_oracle(self, tie_index, query, k):
+        # 21 terms, so k above 21 asks for more terms than exist.
+        want = helpers.dense_retrieve(tie_index, query, k)
+        assert _bits([retrieve(tie_index, query, k)]) == _bits([want])
+
+    def test_ties_and_k_beyond_term_count(self, tie_index):
+        for query in ("shared label", "zzz"):
+            got = retrieve(tie_index, query, k=100)
+            assert len(got) == len(tie_index.term_ids)
+            assert _bits([got]) == _bits([helpers.dense_retrieve(tie_index, query, 100)])
+        got = retrieve(tie_index, "shared label", k=100)
+        top = [t for t, s in got if s == got[0][1]]
+        assert top == sorted(top) and len(top) == 4
 
 
 class TestThresholdSelector:
@@ -269,6 +366,22 @@ class TestStandardizeCorpus:
         assert failed[0].resolved is None
         assert failed[0].candidates == []
         assert "EmbeddingError" in failed[0].error
+
+    def test_candidates_match_one_query_oracle(self, clinical):
+        index = build_index(clinical)
+        surfaces = ["Seizures", "seizures!", "near sighted", "--", "Low  muscle-tone"]
+        mentions = {
+            "P0001": [mention(s, 20 * i) for i, s in enumerate(surfaces)],
+            "P0002": [mention("SEIZURES"), mention("myopia", 20)],
+        }
+        result = standardize_corpus(mentions, clinical, index, ThresholdSelector(0.35))
+        for row in result.trace:
+            if row.mention.surface == "--":
+                assert row.error == "EmbeddingError: text '--' is empty after normalization"
+                assert row.candidates == []
+            else:
+                want = helpers.dense_retrieve(index, row.mention.surface, 10)
+                assert _bits([row.candidates]) == _bits([want])
 
     def test_patients_sorted(self, clinical):
         index = build_index(clinical)

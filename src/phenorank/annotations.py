@@ -104,21 +104,19 @@ def load_annotations(disease_text: str, gene_text: str, o: Ontology) -> Annotati
     )
 
 
-def idf(kb: AnnotationKB, source: str, term_id: str, propagate: bool = True) -> float:
+def idf(kb: AnnotationKB, source: str, term_id: str) -> float:
     """Inverse document frequency of a term within one disease source.
 
-    idf = -ln(d / D) for d annotated diseases out of D in the source; terms no
-    disease reaches use add-one smoothing, -ln(1 / (D + 1)).
+    idf = -ln(d / D) for d diseases of the source annotated to the term or a
+    descendant, out of D; terms no disease reaches use add-one smoothing,
+    -ln(1 / (D + 1)).
     """
     if source not in DISEASE_SOURCES:
         raise DataError(f"unknown disease source {source!r}")
     total = kb.disease_totals[source]
     if total == 0:
         raise DataError(f"disease source {source!r} is empty; idf undefined")
-    if propagate:
-        d = kb.propagated_disease_counts[source].get(term_id, 0)
-    else:
-        d = len(kb.disease_annots[source].get(term_id, ()))
+    d = kb.propagated_disease_counts[source].get(term_id, 0)
     if d == 0:
         return -math.log(1.0 / (total + 1.0))
     return -math.log(d / total)

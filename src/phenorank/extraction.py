@@ -191,7 +191,7 @@ _END = ""  # trie key marking a complete lexeme; never a character
 class Gazetteer:
     """Case-insensitive longest-match lexicon scanner over ontology names.
 
-    A character trie holds every lowercased name and synonym. A match starts
+    A character trie holds every name and synonym as written. A match starts
     only at a position not preceded by a word character (``\\w``); there the
     longest lexeme that is followed by a non-word character or the end of the
     text wins, and the scan resumes after it. That is exactly what
@@ -200,6 +200,8 @@ class Gazetteer:
 
     Characters compare under the case folding of ``re.IGNORECASE`` itself,
     which is not ``str.lower``: ``ſ`` matches ``s`` and ``İ`` matches ``i``.
+    Lexemes are not lowercased first, since ``str.lower`` turns ``İ`` into
+    ``i`` plus a combining dot that no note spelling ``İ`` contains.
     Lexeme characters fall into classes of characters that match each other
     under ``re.IGNORECASE``, and the trie is keyed by the first character of
     each class. Each distinct character is classified once, on first sight,
@@ -210,11 +212,7 @@ class Gazetteer:
         entries: set[str] = set()
         for tid in o.non_obsolete_ids():
             rec = o.terms[tid]
-            if rec.name.strip():
-                entries.add(rec.name.lower())
-            for syn in rec.synonyms:
-                if syn.strip():
-                    entries.add(syn.lower())
+            entries.update(x for x in [rec.name, *rec.synonyms] if x.strip())
         self._keys = ""  # the first lexeme character of each class
         self._fold: dict[int, str] = {}  # code point -> class key, where it differs
         self._is_word: dict[str, bool] = {}  # every character classified so far

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -47,20 +46,19 @@ class Ontology:
         self.terms: dict[str, TermRecord] = dict(terms)
         self._validate_records()
         self._validate_edges()
-        self._assert_acyclic()
-        self._children: dict[str, list[str]] = {
-            t: [] for t in self.terms if not self.terms[t].obsolete
-        }
-        for rec in self.terms.values():
-            if rec.obsolete:
-                continue
-            for p in rec.parents:
-                self._children[p].append(rec.id)
-        for kids in self._children.values():
-            kids.sort()
-        roots = sorted(
-            t for t, rec in self.terms.items() if not rec.obsolete and not rec.parents
+        order = self._topological_order()
+        self._non_obsolete: list[str] = sorted(
+            t for t, rec in self.terms.items() if not rec.obsolete
         )
+        self._parents: dict[str, list[str]] = {
+            t: self.terms[t].parents for t in self._non_obsolete
+        }
+        # Filled in sorted id order, so every child list comes out sorted.
+        self._children: dict[str, list[str]] = {t: [] for t in self._non_obsolete}
+        for t, parents in self._parents.items():
+            for p in parents:
+                self._children[p].append(t)
+        roots = [t for t, parents in self._parents.items() if not parents]
         if not roots:
             raise StructuralError("ontology has no non-obsolete root term")
         if len(roots) > 1:
@@ -68,11 +66,15 @@ class Ontology:
                 "ontology has multiple root candidates: " + ", ".join(roots)
             )
         self.root: str = roots[0]
-        self._non_obsolete: list[str] = sorted(
-            t for t, rec in self.terms.items() if not rec.obsolete
-        )
-        self._ancestors: dict[str, frozenset[str]] = self._close_ancestors()
-        self._depth: dict[str, int] = self._bfs_depths()
+        # Parents precede children in ``order``, so each closure is complete
+        # before any child reads it.
+        self._ancestors: dict[str, frozenset[str]] = {}
+        for t in order:
+            if t in self._parents:
+                self._ancestors[t] = frozenset(
+                    {t}.union(*(self._ancestors[p] for p in self._parents[t]))
+                )
+        self._depth: dict[str, int] = self.hops([self.root], "down")
 
     # -- construction helpers -------------------------------------------------
 
@@ -98,69 +100,33 @@ class Ontology:
                         f"term {rec.id} lists obsolete parent {p}"
                     )
 
-    def _assert_acyclic(self) -> None:
-        # Colors: 0 unvisited, 1 on stack, 2 done. Iterative to survive deep chains.
-        color: dict[str, int] = {}
-        for start in self.terms:
-            if color.get(start):
-                continue
-            stack: list[tuple[str, int]] = [(start, 0)]
-            while stack:
-                node, i = stack.pop()
-                if i == 0:
-                    color[node] = 1
-                parents = self.terms[node].parents
-                if i < len(parents):
-                    stack.append((node, i + 1))
-                    nxt = parents[i]
-                    c = color.get(nxt, 0)
-                    if c == 1:
-                        raise StructuralError(f"is_a cycle involving {nxt}")
-                    if c == 0:
-                        stack.append((nxt, 0))
-                else:
-                    color[node] = 2
+    def _topological_order(self) -> list[str]:
+        """Kahn's order of every term, obsolete ones included: parents first.
 
-    def _close_ancestors(self) -> dict[str, frozenset[str]]:
-        closed: dict[str, frozenset[str]] = {}
-
-        def close(tid: str) -> frozenset[str]:
-            done = closed.get(tid)
-            if done is not None:
-                return done
-            acc: set[str] = {tid}
-            for p in self.terms[tid].parents:
-                acc |= close(p)
-            result = frozenset(acc)
-            closed[tid] = result
-            return result
-
-        # Resolve in a parent-first order so the recursion stays shallow.
-        pending = list(self._non_obsolete)
-        order: list[str] = []
-        indeg = {t: len(self.terms[t].parents) for t in pending}
-        queue = deque(t for t in pending if indeg[t] == 0)
-        while queue:
-            t = queue.popleft()
-            order.append(t)
-            for c in self._children[t]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    queue.append(c)
-        for tid in order:
-            close(tid)
-        return closed
-
-    def _bfs_depths(self) -> dict[str, int]:
-        depth = {self.root: 0}
-        queue = deque([self.root])
-        while queue:
-            t = queue.popleft()
-            for c in self._children[t]:
-                if c not in depth:
-                    depth[c] = depth[t] + 1
-                    queue.append(c)
-        return depth
+        Raises StructuralError naming a term on a cycle when one exists.
+        """
+        children: dict[str, list[str]] = {t: [] for t in self.terms}
+        pending: dict[str, int] = {}
+        for rec in self.terms.values():
+            pending[rec.id] = len(rec.parents)
+            for p in rec.parents:
+                children[p].append(rec.id)
+        order = [t for t, n in pending.items() if n == 0]
+        for t in order:  # the loop also visits terms appended during it
+            for c in children[t]:
+                pending[c] -= 1
+                if pending[c] == 0:
+                    order.append(c)
+        if len(order) < len(self.terms):
+            # Every unordered term has an unordered parent; following them
+            # must revisit a term, and that term lies on a cycle.
+            t = min(t for t, n in pending.items() if n > 0)
+            seen: set[str] = set()
+            while t not in seen:
+                seen.add(t)
+                t = next(p for p in self.terms[t].parents if pending[p] > 0)
+            raise StructuralError(f"is_a cycle involving {t}")
+        return order
 
     # -- queries ---------------------------------------------------------------
 
@@ -192,81 +158,40 @@ class Ontology:
         anc = self._ancestors[tid]
         return anc if include_self else anc - {tid}
 
-    def descendants(self, tid: str, include_self: bool = False) -> set[str]:
-        self.require(tid)
-        seen: set[str] = {tid}
-        queue = deque([tid])
-        while queue:
-            t = queue.popleft()
-            for c in self._children[t]:
-                if c not in seen:
-                    seen.add(c)
-                    queue.append(c)
-        if not include_self:
-            seen.discard(tid)
-        return seen
+    def hops(
+        self, sources: Iterable[str], direction: str, limit: int | None = None
+    ) -> dict[str, int]:
+        """Fewest is_a hops from any of ``sources`` to each term it reaches.
 
-    def ancestors_within(self, tid: str, radius: int) -> set[str]:
-        """Ancestors reachable in at most ``radius`` upward hops, self included."""
-        self.require(tid)
-        seen = {tid}
-        frontier = {tid}
-        for _ in range(radius):
-            nxt: set[str] = set()
+        ``direction`` is ``"up"`` (to parents), ``"down"`` (to children) or
+        ``"both"``. Sources map to 0; ``limit`` caps the hop count (None walks
+        the whole reachable subgraph).
+        """
+        graphs = {
+            "up": (self._parents,),
+            "down": (self._children,),
+            "both": (self._parents, self._children),
+        }.get(direction)
+        if graphs is None:
+            raise ValueError(f"direction must be up, down or both, not {direction!r}")
+        dist = {self.require(s).id: 0 for s in sources}
+        frontier = list(dist)
+        d = 0
+        while frontier and (limit is None or d < limit):
+            d += 1
+            reached: list[str] = []
             for t in frontier:
-                for p in self.terms[t].parents:
-                    if p not in seen:
-                        seen.add(p)
-                        nxt.add(p)
-            frontier = nxt
-        return seen
-
-    def lineage_hops_up(self, tid: str) -> dict[str, int]:
-        """Minimum upward hop count from ``tid`` to each of its ancestors."""
-        self.require(tid)
-        hops = {tid: 0}
-        queue = deque([tid])
-        while queue:
-            t = queue.popleft()
-            for p in self.terms[t].parents:
-                if p not in hops:
-                    hops[p] = hops[t] + 1
-                    queue.append(p)
-        return hops
-
-    def lineage_hops_down(self, tid: str) -> dict[str, int]:
-        """Minimum downward hop count from ``tid`` to each of its descendants."""
-        self.require(tid)
-        hops = {tid: 0}
-        queue = deque([tid])
-        while queue:
-            t = queue.popleft()
-            for c in self._children[t]:
-                if c not in hops:
-                    hops[c] = hops[t] + 1
-                    queue.append(c)
-        return hops
+                for graph in graphs:
+                    for n in graph[t]:
+                        if n not in dist:
+                            dist[n] = d
+                            reached.append(n)
+            frontier = reached
+        return dist
 
     def depth(self, tid: str) -> int:
         self.require(tid)
         return self._depth[tid]
-
-
-def terms_within_distance(o: Ontology, src: str, max_dist: int) -> dict[str, int]:
-    """Undirected BFS from ``src`` truncated at ``max_dist`` hops (src included)."""
-    o.require(src)
-    dist = {src: 0}
-    queue = deque([src])
-    while queue:
-        t = queue.popleft()
-        d = dist[t] + 1
-        if d > max_dist:
-            continue
-        for nxt in o.terms[t].parents + o.children(t):
-            if nxt not in dist:
-                dist[nxt] = d
-                queue.append(nxt)
-    return dist
 
 
 # -- parsing -------------------------------------------------------------------

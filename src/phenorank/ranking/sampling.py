@@ -10,6 +10,10 @@ Four pools, ordered hardest to easiest to tell apart from a true term:
   ``EASY_MIN_LINEAGE`` (three) or more hops;
 * implausible: terms sharing no ancestry within ``IMPLAUSIBLE_RADIUS`` (two)
   hops with any positive (both near-ancestor sets include the term itself).
+  A term shares such an ancestor exactly when it lies at most two hops below
+  some term at most two hops above a positive, so the pool is every term
+  minus the two-hop descendants of the positives' two-hop ancestors: its
+  cost grows with the neighbourhood of the positives, not with the ontology.
 
 A term eligible for several pools lands in the strongest one. Pools never
 contain positives or obsolete terms.
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from ..errors import DataError, SamplingError
-from ..ontology import Ontology, terms_within_distance
+from ..ontology import Ontology
 
 NEGATIVE_CLASSES = ("difficult", "medium", "easy", "implausible")
 
@@ -70,25 +74,18 @@ def negative_pools(o: Ontology, positives: Iterable[str]) -> NegativePools:
         cousins = {c for c in cousin_cands if not (set(o.parents(c)) & parents)}
         difficult |= siblings | cousins
 
-        lineal = o.ancestors(p) | o.descendants(p, include_self=True)
-        for t, d in terms_within_distance(o, p, hi).items():
-            if lo <= d <= hi and t not in lineal:
+        up = o.hops([p], "up")
+        down = o.hops([p], "down")
+        lineal = up.keys() | down.keys()
+        for t, d in o.hops([p], "both", hi).items():
+            if d >= lo and t not in lineal:
                 medium.add(t)
-
-        up = o.lineage_hops_up(p)
-        down = o.lineage_hops_down(p)
         easy |= {t for t, d in up.items() if d >= EASY_MIN_LINEAGE}
         easy |= {t for t, d in down.items() if d >= EASY_MIN_LINEAGE}
 
-    near_positives: set[str] = set()
-    for p in pos:
-        near_positives |= o.ancestors_within(p, IMPLAUSIBLE_RADIUS)
-    implausible = {
-        t
-        for t in o.non_obsolete_ids()
-        if t not in pos_set
-        and not (o.ancestors_within(t, IMPLAUSIBLE_RADIUS) & near_positives)
-    }
+    near_positives = o.hops(pos, "up", IMPLAUSIBLE_RADIUS)
+    related = o.hops(near_positives, "down", IMPLAUSIBLE_RADIUS)
+    implausible = set(o.non_obsolete_ids()).difference(related)
 
     difficult -= pos_set
     medium = medium - pos_set - difficult

@@ -237,8 +237,12 @@ CLINICAL_GENE_TSV = "\n".join(
 # -- random rooted DAGs ---------------------------------------------------------------
 
 
-def random_ontology(seed: int, max_terms: int = 50) -> Ontology:
-    """Random single-root DAG; term i>0 parents into earlier terms only."""
+def random_ontology(seed: int, max_terms: int = 50, obsolete: int = 0) -> Ontology:
+    """Random single-root DAG; term i>0 parents into earlier terms only.
+
+    ``obsolete`` more terms, marked obsolete, hang below one or two earlier
+    terms each, live or obsolete, so no live term ever has an obsolete parent.
+    """
     rng = random.Random(f"dag:{seed}")
     n = rng.randint(8, max_terms)
     ids = [f"HP:{5000000 + i:07d}" for i in range(n)]
@@ -247,6 +251,10 @@ def random_ontology(seed: int, max_terms: int = 50) -> Ontology:
         k = 1 + (1 if rng.random() < 0.3 and i > 1 else 0)
         parents = rng.sample(ids[:i], k)
         terms[ids[i]] = _term(ids[i], f"Synthetic term {i}", parents)
+    for i in range(n, n + obsolete):
+        tid = f"HP:{5000000 + i:07d}"
+        parents = rng.sample(list(terms), rng.randint(1, 2))
+        terms[tid] = _term(tid, f"Retired term {i}", parents, obsolete=True)
     return Ontology(terms)
 
 
@@ -263,6 +271,34 @@ def bf_ancestors(o: Ontology, tid: str) -> set[str]:
                 out.add(p)
                 stack.append(p)
     return out
+
+
+def bf_hops(
+    o: Ontology, sources: Iterable[str], direction: str, limit: int | None = None
+) -> dict[str, int]:
+    """One plain BFS per source over the live is_a edges, then the minimum."""
+    ids = set(o.non_obsolete_ids())
+    adj: dict[str, set[str]] = {t: set() for t in ids}
+    for t in ids:
+        for p in o.terms[t].parents:
+            if direction in ("up", "both"):
+                adj[t].add(p)
+            if direction in ("down", "both"):
+                adj[p].add(t)
+    best: dict[str, int] = {}
+    for src in sources:
+        dist = {src: 0}
+        queue = deque([src])
+        while queue:
+            t = queue.popleft()
+            for nxt in adj[t]:
+                if nxt not in dist:
+                    dist[nxt] = dist[t] + 1
+                    queue.append(nxt)
+        for t, d in dist.items():
+            if (limit is None or d <= limit) and d < best.get(t, d + 1):
+                best[t] = d
+    return best
 
 
 def bf_undirected_distance(o: Ontology, a: str, b: str) -> int | None:
@@ -572,7 +608,7 @@ def gazetteer_lexemes(o: Ontology) -> set[str]:
     entries: set[str] = set()
     for tid in o.non_obsolete_ids():
         rec = o.terms[tid]
-        entries.update(x.lower() for x in [rec.name, *rec.synonyms] if x.strip())
+        entries.update(x for x in [rec.name, *rec.synonyms] if x.strip())
     return entries
 
 

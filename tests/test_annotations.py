@@ -102,11 +102,6 @@ class TestIdf:
         got = idf(small_kb, "orphanet", B_ONE)
         assert got == pytest.approx(math.log(2.0), abs=1e-12)
 
-    def test_unpropagated_counts(self, small_kb):
-        # BRANCH_A has no direct annotation, only inherited ones.
-        direct = idf(small_kb, "omim", BRANCH_A, propagate=False)
-        assert direct == pytest.approx(1.6094379124341003, abs=1e-12)
-
     def test_unknown_source_rejected(self, small_kb):
         with pytest.raises(DataError, match="unknown disease source"):
             idf(small_kb, "decipher", A_LEAF)

@@ -189,7 +189,7 @@ class TestGazetteer:
         chunk = make_chunk(
             "ſHORT ſtature; Μ WAVE and µ wave, İRIS COLOBOMA, KELVIN lesion, "
             "STRAẞE sign, final ς sign, ϑ rhythm, pain (severe)x, pain (severe). "
-            "-itis like."
+            "-itis like; İris coloboma."
         )
         got = trie.extract(chunk)
         assert got == regex.extract(chunk)
@@ -197,12 +197,14 @@ class TestGazetteer:
             "ſHORT ſtature",
             "Μ WAVE",
             "µ wave",
+            "İRIS COLOBOMA",
             "KELVIN lesion",
             "STRAẞE sign",
             "final ς sign",
             "ϑ rhythm",
             "pain (severe)",
             "-itis like",
+            "İris coloboma",
         ]
 
     @settings(derandomize=True, deadline=None, max_examples=400)

@@ -25,7 +25,6 @@ from phenorank.ontology import (
     mica,
     parse_obo,
     parse_ontology_json,
-    terms_within_distance,
 )
 
 SMALL_OBO = """
@@ -155,6 +154,33 @@ class TestStructure:
         with pytest.raises(StructuralError, match="cycle"):
             Ontology(terms)
 
+    def test_obsolete_only_cycle_rejected(self):
+        terms = helpers.small_terms()
+        terms[OBSOLETE].parents = ["HP:0000998"]
+        terms["HP:0000998"] = TermRecord(
+            id="HP:0000998", name="gone", parents=[OBSOLETE], obsolete=True
+        )
+        # Below the cycle and first in id order, but not on the cycle itself.
+        terms["HP:0000997"] = TermRecord(
+            id="HP:0000997", name="gone", parents=["HP:0000998"], obsolete=True
+        )
+        on_cycle = r"is_a cycle involving HP:000099[89]"
+        with pytest.raises(StructuralError, match=on_cycle):
+            Ontology(terms)
+
+    def test_deep_chain_parses(self):
+        # Twice Python's default recursion limit: no step may recurse per level.
+        ids = [f"HP:{i:07d}" for i in range(1, 2001)]
+        terms = {
+            t: TermRecord(id=t, name=f"Level {i}", parents=ids[i - 1 : i])
+            for i, t in enumerate(ids)
+        }
+        o = Ontology(terms)
+        assert o.root == ids[0]
+        assert o.depth(ids[-1]) == len(ids) - 1
+        assert o.ancestors(ids[-1]) == set(ids)
+        assert o.hops([ids[-1]], "up")[ids[0]] == len(ids) - 1
+
     def test_multiple_roots_rejected(self):
         terms = helpers.small_terms()
         terms["HP:0000005"] = TermRecord(id="HP:0000005", name="Second root")
@@ -210,8 +236,9 @@ class TestQueries:
         }
 
     def test_descendants(self, small):
-        assert small.descendants(BRANCH_A) == {A_ONE, A_TWO, A_LEAF}
-        assert small.descendants(BRANCH_A, include_self=True) >= {BRANCH_A}
+        below = small.hops([BRANCH_A], "down")
+        assert below.keys() - {BRANCH_A} == {A_ONE, A_TWO, A_LEAF}
+        assert below.keys() >= {BRANCH_A}
 
     def test_depths(self, small):
         assert small.depth(ROOT) == 0
@@ -219,17 +246,17 @@ class TestQueries:
         assert small.depth(A_LEAF) == 3
 
     def test_ancestors_within_radius(self, small):
-        assert small.ancestors_within(A_LEAF, 0) == {A_LEAF}
-        assert small.ancestors_within(A_LEAF, 2) == {A_LEAF, A_ONE, BRANCH_A}
+        assert small.hops([A_LEAF], "up", 0).keys() == {A_LEAF}
+        assert small.hops([A_LEAF], "up", 2).keys() == {A_LEAF, A_ONE, BRANCH_A}
 
     def test_lineage_hops(self, small):
-        assert small.lineage_hops_up(A_LEAF) == {
+        assert small.hops([A_LEAF], "up") == {
             A_LEAF: 0,
             A_ONE: 1,
             BRANCH_A: 2,
             ROOT: 3,
         }
-        assert small.lineage_hops_down(BRANCH_A) == {
+        assert small.hops([BRANCH_A], "down") == {
             BRANCH_A: 0,
             A_ONE: 1,
             A_TWO: 1,
@@ -246,8 +273,39 @@ class TestQueries:
             undirected_distance(small, A_LEAF, OBSOLETE)
 
     def test_terms_within_distance(self, small):
-        near = terms_within_distance(small, A_ONE, 2)
+        near = small.hops([A_ONE], "both", 2)
         assert near == {A_ONE: 0, BRANCH_A: 1, A_LEAF: 1, ROOT: 2, A_TWO: 2}
+
+    def test_hops_from_several_sources_take_the_nearest(self, small):
+        assert small.hops([A_LEAF, B_ONE], "up", 1) == {
+            A_LEAF: 0,
+            B_ONE: 0,
+            A_ONE: 1,
+            BRANCH_B: 1,
+        }
+        assert small.hops([A_LEAF, BRANCH_B], "both")[ROOT] == 1
+
+    def test_hops_rejects_bad_sources_and_direction(self, small):
+        with pytest.raises(UnknownTermError, match="obsolete"):
+            small.hops([A_ONE, OBSOLETE], "down")
+        with pytest.raises(UnknownTermError, match="unknown"):
+            small.hops(["HP:0009997"], "up")
+        with pytest.raises(ValueError, match="direction"):
+            small.hops([A_ONE], "sideways")
+
+    def test_hops_match_brute_force_on_random_dags(self):
+        import random
+
+        for seed in range(30):
+            o = helpers.random_ontology(seed, obsolete=seed % 4)
+            ids = o.non_obsolete_ids()
+            rng = random.Random(f"hops:{seed}")
+            sources = rng.sample(ids, rng.randint(1, min(4, len(ids))))
+            for direction in ("up", "down", "both"):
+                for limit in (0, 1, 2, 3, None):
+                    got = o.hops(sources, direction, limit)
+                    want = helpers.bf_hops(o, sources, direction, limit)
+                    assert got == want, f"seed {seed} {direction} {limit}"
 
 
 class TestInformationContent:

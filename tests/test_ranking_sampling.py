@@ -64,15 +64,19 @@ class TestPoolDefinitions:
     def test_matches_brute_force_on_random_dags(self):
         import random
 
-        for seed in range(5):
-            o = helpers.random_ontology(seed)
+        with_implausible = 0
+        for seed in range(40):
+            o = helpers.random_ontology(seed, max_terms=80, obsolete=seed % 3)
             ids = o.non_obsolete_ids()
             rng = random.Random(f"pos:{seed}")
-            positives = set(rng.sample(ids, min(3, len(ids))))
+            positives = set(rng.sample(ids, rng.randint(1, min(10, len(ids)))))
             got = negative_pools(o, positives).as_dict()
             want = helpers.bf_negative_pools(o, positives)
             for cls in NEGATIVE_CLASSES:
                 assert set(got[cls]) == want[cls], f"seed {seed} pool {cls}"
+            with_implausible += bool(got["implausible"])
+        # The implausible pool is built by inversion; make sure it was exercised.
+        assert with_implausible >= 10
 
     def test_unknown_positive_rejected(self, small):
         with pytest.raises(UnknownTermError):

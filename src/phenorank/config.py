@@ -124,6 +124,8 @@ class TrainingConfig:
             raise ConfigError("training.boosted_max_depth must be >= 1")
         if self.boosted_min_leaf < 1:
             raise ConfigError("training.boosted_min_leaf must be >= 1")
+        if self.boosted_patience < 1:
+            raise ConfigError("training.boosted_patience must be >= 1")
         for name in ("linear_learning_rate", "boosted_learning_rate"):
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"training.{name} must be > 0")

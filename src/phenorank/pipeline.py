@@ -30,6 +30,7 @@ from .ranking import (
     train_pairwise_linear,
 )
 from .ranking.features import term_feature_map
+from .ranking.models import pair_index
 
 logger = logging.getLogger(__name__)
 
@@ -389,10 +390,13 @@ def step_train(cfg: PipelineConfig) -> dict:
     _atomic_write(
         workdir(cfg) / MODEL_FILE, json.dumps(doc, sort_keys=True, indent=2) + "\n"
     )
+    pairs = pair_index(train_inst)
     return {
         "kind": model.kind,
         "trainInstances": len(train_inst),
         "valInstances": len(val_inst),
+        "trainPairs": pairs.pairs,
+        "droppedPatients": pairs.dropped,
         "validationMap30": model.meta.validation_map30,
     }
 

@@ -41,18 +41,36 @@ def map_at_k(model_or_scores, instances, k: int = 30) -> float:
         scores = np.asarray(model_or_scores, dtype=np.float64)
         if scores.shape[0] != len(instances):
             raise DataError("score array does not align with instances")
+    return map_scorer(instances, k)(scores)
+
+
+def map_scorer(instances, k: int = 30):
+    """``scores -> map_at_k(scores, instances, k)``, with patients grouped once.
+
+    For callers that score the same instances many times, such as a boosting
+    run scoring its validation cohort every round.
+    """
     groups: dict[str, list[int]] = {}
     for i, inst in enumerate(instances):
         groups.setdefault(inst.patient_id, []).append(i)
     if not groups:
         raise DataError("map_at_k needs at least one patient")
-    total = 0.0
+    patients = []
     for pid in sorted(groups):
         idxs = groups[pid]
-        order = sorted(idxs, key=lambda i: (-scores[i], instances[i].term_id))
-        rels = [instances[i].label for i in order]
-        r = sum(instances[i].label for i in idxs)
+        labels = [instances[i].label for i in idxs]
+        r = sum(labels)
         if r == 0:
             raise DataError(f"patient {pid} has no positive instance")
-        total += ap_at_k(rels, r, k)
-    return total / len(groups)
+        term_ids = [instances[i].term_id for i in idxs]
+        patients.append((idxs, term_ids, labels, r))
+
+    def score(scores) -> float:
+        total = 0.0
+        for idxs, term_ids, labels, r in patients:
+            neg = (-scores[idxs]).tolist()
+            order = sorted(range(len(idxs)), key=lambda j: (neg[j], term_ids[j]))
+            total += ap_at_k([labels[j] for j in order], r, k)
+        return total / len(patients)
+
+    return score

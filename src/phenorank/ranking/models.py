@@ -8,6 +8,31 @@ the linear ranker by full-batch gradient descent on standardized features with
 an L2 penalty, the boosted ranker by gradient boosting with depth-limited
 regression trees on the pairwise gradients, early-stopped on validation MAP@30.
 Models serialize to versioned JSON and round-trip exactly.
+
+Training runs in whole-array passes:
+
+- ``pair_index`` groups the training patients once per run by their
+  (positives, negatives) shape and stacks each group's index arrays.
+- ``pairwise_pass`` then computes the loss, gradient and hessian of every
+  patient of a shape with one expression over a ``(G, P, N)`` margin block.
+  The linear ranker skips the hessian.
+- ``_build_tree`` scores every cut of a feature at once from the cumulative
+  gradient and hessian sums of the node's stable sort.
+- Validation patients are grouped once per boosting run.
+
+The models are byte-identical to the earlier per-patient, per-cut loops
+(``tests/helpers.py`` keeps those as oracles). The reasons:
+
+- Each patient's loss is still the pairwise sum of its own contiguous
+  ``P*N`` block.
+- The per-patient losses are added one by one in patient id order.
+- Row sums run along the fast axis and column sums along the slow one, as
+  they did per patient.
+- No instance index repeats within a scatter.
+- The split gains are the same IEEE operations, in the same order.
+- Cuts between equal values and NaN gains are masked before ``argmax``, which
+  takes the first maximum. A feature replaces the best split only when its
+  gain is strictly greater.
 """
 
 from __future__ import annotations
@@ -23,7 +48,7 @@ from ..config import TrainingConfig
 from ..corpus import Patient
 from ..errors import DataError, TrainingError
 from .features import FeatureSchema, RankingInstance
-from .metrics import map_at_k
+from .metrics import map_at_k, map_scorer
 
 MODEL_FORMAT_VERSION = 1
 
@@ -109,45 +134,91 @@ class RankModel:
         )
 
 
-def _group_pairs(
-    instances: Sequence[RankingInstance],
-) -> list[tuple[np.ndarray, np.ndarray]]:
+@dataclass(frozen=True)
+class PairIndex:
+    """The (positive, negative) pairs of one training set, built once per run.
+
+    Patients are numbered in sorted id order and grouped by their
+    (positives, negatives) shape. Each bucket holds the patient numbers
+    (``slots``, shape ``(G,)``) and their stacked instance indices (``pos``,
+    ``(G, P)``; ``neg``, ``(G, N)``), so one numpy expression covers every
+    patient of that shape. ``dropped`` counts patients without both labels;
+    they contribute no pair.
+    """
+
+    buckets: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    patients: int
+    pairs: int
+    dropped: int
+
+
+def pair_index(instances: Sequence[RankingInstance]) -> PairIndex:
+    """Group the training pairs of ``instances`` by patient, once per run."""
     by_patient: dict[str, tuple[list[int], list[int]]] = {}
     for i, inst in enumerate(instances):
         pos, neg = by_patient.setdefault(inst.patient_id, ([], []))
         (pos if inst.label else neg).append(i)
-    groups = [
-        (np.asarray(pos, dtype=np.int64), np.asarray(neg, dtype=np.int64))
+    kept = [
+        (pos, neg)
         for pos, neg in (by_patient[p] for p in sorted(by_patient))
         if pos and neg
     ]
-    return groups
+    shapes: dict[tuple[int, int], list[int]] = {}
+    for slot, (pos, neg) in enumerate(kept):
+        shapes.setdefault((len(pos), len(neg)), []).append(slot)
+    buckets = tuple(
+        (
+            np.asarray(slots, dtype=np.int64),
+            np.asarray([kept[s][0] for s in slots], dtype=np.int64),
+            np.asarray([kept[s][1] for s in slots], dtype=np.int64),
+        )
+        for slots in shapes.values()
+    )
+    return PairIndex(
+        buckets=buckets,
+        patients=len(kept),
+        pairs=sum(len(pos) * len(neg) for pos, neg in kept),
+        dropped=len(by_patient) - len(kept),
+    )
 
 
-def pairwise_loss(
-    scores: np.ndarray, groups: list[tuple[np.ndarray, np.ndarray]]
-) -> float:
-    loss = 0.0
-    for pos, neg in groups:
-        margins = scores[pos][:, None] - scores[neg][None, :]
-        loss += float(np.logaddexp(0.0, -margins).sum())
-    return loss
+def pairwise_pass(
+    scores: np.ndarray, pairs: PairIndex, hessian: bool = True
+) -> tuple[float, np.ndarray, np.ndarray | None]:
+    """Pairwise loss, gradient and (optionally) hessian at ``scores``.
 
-
-def _pairwise_grad_hess(
-    scores: np.ndarray, groups: list[tuple[np.ndarray, np.ndarray]]
-) -> tuple[np.ndarray, np.ndarray]:
+    Bitwise equal to one patient at a time: each patient's loss is the
+    pairwise sum of its contiguous ``(P, N)`` block, summed over patients in
+    id order; each instance gets exactly one row or column sum, and no index
+    repeats, so the scatter adds nothing twice.
+    """
+    per_patient = np.empty(pairs.patients, dtype=np.float64)
     g = np.zeros_like(scores)
-    h = np.zeros_like(scores)
-    for pos, neg in groups:
-        margins = scores[pos][:, None] - scores[neg][None, :]
-        sig = expit(-margins)  # d loss / d margin, negated
-        g[pos] -= sig.sum(axis=1)
-        g[neg] += sig.sum(axis=0)
-        curv = sig * (1.0 - sig)
-        h[pos] += curv.sum(axis=1)
-        h[neg] += curv.sum(axis=0)
-    return g, h
+    h = np.zeros_like(scores) if hessian else None
+    for slots, pos, neg in pairs.buckets:
+        neg_margins = scores[pos][:, :, None] - scores[neg][:, None, :]
+        np.negative(neg_margins, out=neg_margins)
+        per_patient[slots] = (
+            np.logaddexp(0.0, neg_margins).reshape(len(slots), -1).sum(axis=1)
+        )
+        sig = expit(neg_margins, out=neg_margins)  # d loss / d margin, negated
+        g[pos] -= sig.sum(axis=2)
+        g[neg] += sig.sum(axis=1)
+        if h is not None:
+            curv = sig * (1.0 - sig)
+            h[pos] += curv.sum(axis=2)
+            h[neg] += curv.sum(axis=1)
+    loss = 0.0
+    for value in per_patient.tolist():  # in order; np.sum would pair them up
+        loss += value
+    return loss, g, h
+
+
+def _training_pairs(instances: Sequence[RankingInstance]) -> PairIndex:
+    pairs = pair_index(instances)
+    if not pairs.patients:
+        raise TrainingError("no patient contributes both a positive and a negative")
+    return pairs
 
 
 def train_pairwise_linear(
@@ -166,9 +237,7 @@ def train_pairwise_linear(
     if not instances:
         raise TrainingError("no training instances")
     X = np.vstack([inst.features for inst in instances])
-    groups = _group_pairs(instances)
-    if not groups:
-        raise TrainingError("no patient contributes both a positive and a negative")
+    pairs = _training_pairs(instances)
     mean = X.mean(axis=0)
     scale = X.std(axis=0)
     scale[scale == 0.0] = 1.0
@@ -176,11 +245,8 @@ def train_pairwise_linear(
     w = np.zeros(X.shape[1], dtype=np.float64)
     loss_history: list[float] = []
     for _ in range(cfg.linear_epochs):
-        scores = Xs @ w
-        loss_history.append(
-            pairwise_loss(scores, groups) + cfg.linear_l2 * float(w @ w)
-        )
-        g_s, _ = _pairwise_grad_hess(scores, groups)
+        loss, g_s, _ = pairwise_pass(Xs @ w, pairs, hessian=False)
+        loss_history.append(loss + cfg.linear_l2 * float(w @ w))
         grad = Xs.T @ g_s + 2.0 * cfg.linear_l2 * w
         w -= cfg.linear_learning_rate * grad
     meta = TrainingMeta(
@@ -236,30 +302,30 @@ def _build_tree(
     if depth >= cfg.boosted_max_depth or len(idx) < 2 * min_leaf:
         return {"leaf": _leaf_value(g_sum, h_sum, cfg.boosted_l1, l2)}
     parent_gain = g_sum * g_sum / (h_sum + l2)
-    best = None  # (gain, feature, threshold, left_idx, right_idx)
+    # Cut c puts sorted rows 0..c on the left; min_leaf rows stay on each side.
+    lo, hi = min_leaf - 1, len(idx) - min_leaf
+    X_node, g_node, h_node = X[idx], g[idx], h[idx]
+    best = None  # (gain, feature, cut, order, sorted values)
     for f in range(X.shape[1]):
-        vals = X[idx, f]
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        sg = np.cumsum(g[idx][order])
-        sh = np.cumsum(h[idx][order])
-        for cut in range(min_leaf - 1, len(idx) - min_leaf):
-            if sv[cut] == sv[cut + 1]:
-                continue
-            gl, hl = sg[cut], sh[cut]
-            gr, hr = g_sum - gl, h_sum - hl
-            gain = gl * gl / (hl + l2) + gr * gr / (hr + l2) - parent_gain
-            if gain > 1e-12 and (best is None or gain > best[0]):
-                threshold = (sv[cut] + sv[cut + 1]) / 2.0
-                best = (gain, f, threshold, order[: cut + 1], order[cut + 1 :])
+        order = np.argsort(X_node[:, f], kind="stable")
+        sv = X_node[order, f]
+        gl = np.cumsum(g_node[order])[lo:hi]
+        hl = np.cumsum(h_node[order])[lo:hi]
+        gr, hr = g_sum - gl, h_sum - hl
+        gain = gl * gl / (hl + l2) + gr * gr / (hr + l2) - parent_gain
+        # A NaN gain fails `> 1e-12`, so argmax never sees it.
+        ok = (sv[lo:hi] != sv[lo + 1 : hi + 1]) & (gain > 1e-12)
+        cut = int(np.argmax(np.where(ok, gain, -np.inf)))
+        if ok[cut] and (best is None or gain[cut] > best[0]):
+            best = (gain[cut], f, lo + cut, order, sv)
     if best is None:
         return {"leaf": _leaf_value(g_sum, h_sum, cfg.boosted_l1, l2)}
-    _, f, threshold, left_local, right_local = best
+    _, f, cut, order, sv = best
     return {
         "feature": f,
-        "threshold": float(threshold),
-        "left": _build_tree(X, g, h, idx[left_local], depth + 1, cfg),
-        "right": _build_tree(X, g, h, idx[right_local], depth + 1, cfg),
+        "threshold": float((sv[cut] + sv[cut + 1]) / 2.0),
+        "left": _build_tree(X, g, h, idx[order[: cut + 1]], depth + 1, cfg),
+        "right": _build_tree(X, g, h, idx[order[cut + 1 :]], depth + 1, cfg),
     }
 
 
@@ -297,10 +363,9 @@ def train_boosted(
     if not validation:
         raise TrainingError("boosted training needs a validation cohort")
     X = np.vstack([inst.features for inst in instances])
-    groups = _group_pairs(instances)
-    if not groups:
-        raise TrainingError("no patient contributes both a positive and a negative")
+    pairs = _training_pairs(instances)
     Xv = np.vstack([inst.features for inst in validation])
+    val_map30 = map_scorer(validation, k=30)
     scores = np.zeros(X.shape[0], dtype=np.float64)
     val_scores = np.zeros(Xv.shape[0], dtype=np.float64)
     trees: list[dict] = []
@@ -312,13 +377,13 @@ def train_boosted(
     all_idx = np.arange(X.shape[0])
     lr = cfg.boosted_learning_rate
     for _ in range(cfg.boosted_rounds):
-        loss_history.append(pairwise_loss(scores, groups))
-        g, h = _pairwise_grad_hess(scores, groups)
+        loss, g, h = pairwise_pass(scores, pairs)
+        loss_history.append(loss)
         tree = _build_tree(X, g, h, all_idx, 0, cfg)
         trees.append(tree)
         scores += lr * _tree_predict(tree, X)
         val_scores += lr * _tree_predict(tree, Xv)
-        val_map = map_at_k(val_scores, validation, k=30)
+        val_map = val_map30(val_scores)
         map_history.append(val_map)
         if val_map > best_map:
             best_map = val_map

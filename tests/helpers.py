@@ -4,9 +4,11 @@ The oracles deliberately reimplement graph and metric logic with naive loops
 so the package implementations are checked against something that cannot share
 their bugs. The text-layer oracles are the package's earlier implementations:
 the regex gazetteer, the per-byte FNV-1a embedding, the entry-by-entry index
-builder and the dense one-query scan. The reference functions below them
-(set similarity, undirected distance, the pairwise gradient and loss, note
-filtering) are used only by tests, so they live here rather than in the package.
+builder and the dense one-query scan. The trainer oracles are the package's
+per-patient pairwise loop and per-cut tree builder. The reference functions
+(set similarity, undirected distance, the pairwise gradient and loss at raw
+weights, note filtering) are used only by tests, so they live here rather than
+in the package.
 """
 
 from __future__ import annotations
@@ -20,12 +22,25 @@ from typing import Iterable
 
 import numpy as np
 from scipy import sparse
+from scipy.special import expit
 
+from phenorank.config import TrainingConfig
 from phenorank.corpus import ClinicalNote, NoteChunk
 from phenorank.errors import ConfigError, DataError, EmbeddingError, StructuralError
 from phenorank.extraction import Mention
 from phenorank.ontology import Ontology, OntologyStats, TermRecord, lin_similarity
-from phenorank.ranking.models import _group_pairs, _pairwise_grad_hess, pairwise_loss
+from phenorank.ranking.metrics import ap_at_k
+from phenorank.ranking.models import (
+    KIND_BOOSTED,
+    KIND_LINEAR,
+    RankModel,
+    TrainingMeta,
+    _leaf_value,
+    _schema_stub,
+    _tree_predict,
+    pair_index,
+    pairwise_pass,
+)
 from phenorank.standardization import DEFAULT_DIMENSION, IndexEntry, VectorIndex
 
 # -- small seven-term ontology -------------------------------------------------------
@@ -549,20 +564,20 @@ def undirected_distance(o: Ontology, a: str, b: str) -> int:
 def pairwise_linear_gradient(instances, weights, l2: float = 0.0) -> np.ndarray:
     """Analytic gradient of the pairwise loss at ``weights`` (raw features).
 
-    Built from the trainer's own pair grouping and gradient expression, so the
-    finite-difference checks exercise exactly what the trainer uses.
+    Built from the trainer's own pair index and pass, so the finite-difference
+    checks exercise exactly what the trainer uses.
     """
     X = np.vstack([inst.features for inst in instances])
-    groups = _group_pairs(instances)
     scores = X @ np.asarray(weights, dtype=np.float64)
-    g_s, _ = _pairwise_grad_hess(scores, groups)
+    _, g_s, _ = pairwise_pass(scores, pair_index(instances), hessian=False)
     return X.T @ g_s + 2.0 * l2 * np.asarray(weights, dtype=np.float64)
 
 
 def pairwise_loss_at(instances, weights, l2: float = 0.0) -> float:
     X = np.vstack([inst.features for inst in instances])
     w = np.asarray(weights, dtype=np.float64)
-    return pairwise_loss(X @ w, _group_pairs(instances)) + l2 * float(w @ w)
+    loss, _, _ = pairwise_pass(X @ w, pair_index(instances), hessian=False)
+    return loss + l2 * float(w @ w)
 
 
 def _parse_note_date(value: str) -> date:
@@ -681,3 +696,210 @@ def dense_retrieve(index: VectorIndex, query: str, k: int) -> list[tuple[str, fl
     per_term = np.clip(np.maximum.reduceat(scores, index.term_starts), -1.0, 1.0)
     order = np.argsort(-per_term, kind="stable")[:k]
     return [(index.term_ids[i], float(per_term[i])) for i in order]
+
+
+# -- trainer oracles: one patient and one cut at a time ------------------------------
+#
+# The package's earlier trainers: the pairwise loss, gradient and hessian loop
+# over patients, the tree builder tries every cut in a Python loop, and MAP@k
+# regroups the patients on every call. The package's
+# whole-array trainers must produce byte-identical models.
+
+
+def loop_group_pairs(instances) -> list[tuple[np.ndarray, np.ndarray]]:
+    by_patient: dict[str, tuple[list[int], list[int]]] = {}
+    for i, inst in enumerate(instances):
+        pos, neg = by_patient.setdefault(inst.patient_id, ([], []))
+        (pos if inst.label else neg).append(i)
+    return [
+        (np.asarray(pos, dtype=np.int64), np.asarray(neg, dtype=np.int64))
+        for pos, neg in (by_patient[p] for p in sorted(by_patient))
+        if pos and neg
+    ]
+
+
+def loop_pairwise_loss(scores: np.ndarray, groups) -> float:
+    loss = 0.0
+    for pos, neg in groups:
+        margins = scores[pos][:, None] - scores[neg][None, :]
+        loss += float(np.logaddexp(0.0, -margins).sum())
+    return loss
+
+
+def loop_pairwise_grad_hess(scores: np.ndarray, groups) -> tuple[np.ndarray, np.ndarray]:
+    g = np.zeros_like(scores)
+    h = np.zeros_like(scores)
+    for pos, neg in groups:
+        margins = scores[pos][:, None] - scores[neg][None, :]
+        sig = expit(-margins)
+        g[pos] -= sig.sum(axis=1)
+        g[neg] += sig.sum(axis=0)
+        curv = sig * (1.0 - sig)
+        h[pos] += curv.sum(axis=1)
+        h[neg] += curv.sum(axis=0)
+    return g, h
+
+
+def scalar_cut_tree(X, g, h, idx, depth: int, cfg: TrainingConfig) -> dict:
+    g_sum = float(g[idx].sum())
+    h_sum = float(h[idx].sum())
+    min_leaf, l2 = cfg.boosted_min_leaf, cfg.boosted_l2
+    if depth >= cfg.boosted_max_depth or len(idx) < 2 * min_leaf:
+        return {"leaf": _leaf_value(g_sum, h_sum, cfg.boosted_l1, l2)}
+    parent_gain = g_sum * g_sum / (h_sum + l2)
+    best = None  # (gain, feature, threshold, left_idx, right_idx)
+    for f in range(X.shape[1]):
+        vals = X[idx, f]
+        order = np.argsort(vals, kind="stable")
+        sv = vals[order]
+        sg = np.cumsum(g[idx][order])
+        sh = np.cumsum(h[idx][order])
+        for cut in range(min_leaf - 1, len(idx) - min_leaf):
+            if sv[cut] == sv[cut + 1]:
+                continue
+            gl, hl = sg[cut], sh[cut]
+            gr, hr = g_sum - gl, h_sum - hl
+            gain = gl * gl / (hl + l2) + gr * gr / (hr + l2) - parent_gain
+            if gain > 1e-12 and (best is None or gain > best[0]):
+                threshold = (sv[cut] + sv[cut + 1]) / 2.0
+                best = (gain, f, threshold, order[: cut + 1], order[cut + 1 :])
+    if best is None:
+        return {"leaf": _leaf_value(g_sum, h_sum, cfg.boosted_l1, l2)}
+    _, f, threshold, left_local, right_local = best
+    return {
+        "feature": f,
+        "threshold": float(threshold),
+        "left": scalar_cut_tree(X, g, h, idx[left_local], depth + 1, cfg),
+        "right": scalar_cut_tree(X, g, h, idx[right_local], depth + 1, cfg),
+    }
+
+
+def loop_map_at_k(scores: np.ndarray, instances, k: int = 30) -> float:
+    groups: dict[str, list[int]] = {}
+    for i, inst in enumerate(instances):
+        groups.setdefault(inst.patient_id, []).append(i)
+    total = 0.0
+    for pid in sorted(groups):
+        idxs = groups[pid]
+        order = sorted(idxs, key=lambda i: (-scores[i], instances[i].term_id))
+        rels = [instances[i].label for i in order]
+        r = sum(instances[i].label for i in idxs)
+        total += ap_at_k(rels, r, k)
+    return total / len(groups)
+
+
+def loop_train_linear(instances, cfg: TrainingConfig = TrainingConfig()) -> RankModel:
+    X = np.vstack([inst.features for inst in instances])
+    groups = loop_group_pairs(instances)
+    mean = X.mean(axis=0)
+    scale = X.std(axis=0)
+    scale[scale == 0.0] = 1.0
+    Xs = (X - mean) / scale
+    w = np.zeros(X.shape[1], dtype=np.float64)
+    loss_history: list[float] = []
+    for _ in range(cfg.linear_epochs):
+        scores = Xs @ w
+        loss_history.append(
+            loop_pairwise_loss(scores, groups) + cfg.linear_l2 * float(w @ w)
+        )
+        g_s, _ = loop_pairwise_grad_hess(scores, groups)
+        grad = Xs.T @ g_s + 2.0 * cfg.linear_l2 * w
+        w -= cfg.linear_learning_rate * grad
+    return RankModel(
+        kind=KIND_LINEAR,
+        schema=_schema_stub(X.shape[1]),
+        params={
+            "weights": w.tolist(),
+            "mean": mean.tolist(),
+            "scale": scale.tolist(),
+            "learning_rate": cfg.linear_learning_rate,
+            "l2": cfg.linear_l2,
+        },
+        meta=TrainingMeta(rounds=cfg.linear_epochs, train_loss_history=loss_history),
+    )
+
+
+def loop_train_boosted(
+    instances, cfg: TrainingConfig = TrainingConfig(), validation=()
+) -> RankModel:
+    X = np.vstack([inst.features for inst in instances])
+    groups = loop_group_pairs(instances)
+    Xv = np.vstack([inst.features for inst in validation])
+    scores = np.zeros(X.shape[0], dtype=np.float64)
+    val_scores = np.zeros(Xv.shape[0], dtype=np.float64)
+    trees: list[dict] = []
+    map_history: list[float] = []
+    loss_history: list[float] = []
+    best_map, best_round, stale = -np.inf, -1, 0
+    lr = cfg.boosted_learning_rate
+    for _ in range(cfg.boosted_rounds):
+        loss_history.append(loop_pairwise_loss(scores, groups))
+        g, h = loop_pairwise_grad_hess(scores, groups)
+        tree = scalar_cut_tree(X, g, h, np.arange(X.shape[0]), 0, cfg)
+        trees.append(tree)
+        scores += lr * _tree_predict(tree, X)
+        val_scores += lr * _tree_predict(tree, Xv)
+        val_map = loop_map_at_k(val_scores, validation, k=30)
+        map_history.append(val_map)
+        if val_map > best_map:
+            best_map, best_round, stale = val_map, len(trees) - 1, 0
+        else:
+            stale += 1
+            if stale >= cfg.boosted_patience:
+                break
+    return RankModel(
+        kind=KIND_BOOSTED,
+        schema=_schema_stub(X.shape[1]),
+        params={
+            "trees": trees[: best_round + 1],
+            "learning_rate": lr,
+            "max_depth": cfg.boosted_max_depth,
+            "l1": cfg.boosted_l1,
+            "l2": cfg.boosted_l2,
+        },
+        meta=TrainingMeta(
+            rounds=len(trees),
+            best_round=best_round,
+            validation_map30=float(best_map),
+            map_history=map_history,
+            train_loss_history=loss_history,
+        ),
+    )
+
+
+def random_instances(
+    rng: np.random.Generator,
+    shapes: list[tuple[int, int]],
+    dim: int = 5,
+    levels: int | None = None,
+):
+    """One patient per (positives, negatives) shape, in shuffled row order.
+
+    With ``levels`` every feature takes one of that many values, so most
+    cuts fall between tied values.
+    """
+    from phenorank.ranking import RankingInstance
+
+    rows = []
+    for p, (n_pos, n_neg) in enumerate(shapes):
+        pid = f"P{p + 1:04d}"
+        for j in range(n_pos + n_neg):
+            label = int(j < n_pos)
+            if levels is None:
+                x = rng.normal(0.6 * label, 1.0, dim)
+            else:
+                x = rng.integers(0, levels, dim).astype(np.float64) + 0.5 * label
+            rows.append((pid, label, x))
+    out = []
+    for k in rng.permutation(len(rows)):
+        pid, label, x = rows[k]
+        out.append(
+            RankingInstance(
+                patient_id=pid,
+                term_id=f"HP:{int(rng.integers(0, 10**7)):07d}",
+                label=label,
+                negative_class="none" if label else "difficult",
+                features=x,
+            )
+        )
+    return out

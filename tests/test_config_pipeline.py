@@ -20,6 +20,8 @@ from phenorank.errors import (
     DataError,
     StructuralError,
 )
+from phenorank.ranking import FeatureSchema, build_instances, split_cohort
+from phenorank.ranking.features import term_feature_map
 
 
 def write_workspace(root, seed=11, **section_overrides):
@@ -131,6 +133,8 @@ class TestConfigLoading:
             {"training": {"linear_l2": -1e-4}},
             {"training": {"linear_learning_rate": 0.0}},
             {"training": {"boosted_learning_rate": -0.1}},
+            {"training": {"boosted_patience": 0}},
+            {"training": {"boosted_patience": -3}},
         ],
     )
     def test_section_validation(self, data):
@@ -368,6 +372,34 @@ class TestPipelineChain:
         assert doc["configHash"] == config_hash(cfg)
         model = pipeline.load_model(cfg)
         assert model.kind == "pairwiseLinear"
+
+    def test_train_counts_pairs_and_dropped_patients(self, chain):
+        cfg, summaries = chain
+        o, kb, s = pipeline.load_inputs(cfg)
+        cohort = pipeline._load_cohort(cfg)
+        train_patients, _ = split_cohort(
+            cohort, ratio=cfg.training.split_ratio, seed=cfg.seed
+        )
+        instances = build_instances(
+            train_patients,
+            o,
+            s,
+            kb,
+            cfg.seed,
+            schema=FeatureSchema.for_cohort(cohort),
+            per_class_per_positive=cfg.training.per_class_per_positive,
+            term_features=term_feature_map(o, s, kb),
+        )
+        counts: dict[str, list[int]] = {}
+        for inst in instances:
+            counts.setdefault(inst.patient_id, [0, 0])[inst.label] += 1
+        pairs = sum(neg * pos for neg, pos in counts.values())
+        dropped = sum(1 for neg, pos in counts.values() if not (neg and pos))
+        assert summaries["train"]["trainPairs"] == pairs > 0
+        assert summaries["train"]["droppedPatients"] == dropped
+        text = (pipeline.workdir(cfg) / pipeline.MODEL_FILE).read_text()
+        assert "trainPairs" not in text
+        assert "droppedPatients" not in text
 
     def test_rank_orders_standardized_terms(self, chain):
         cfg, summaries = chain

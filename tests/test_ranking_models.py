@@ -22,10 +22,13 @@ from phenorank.ranking import (
     train_pairwise_linear,
 )
 from phenorank.ranking.features import UNKNOWN_CATEGORY, term_feature_map
+from phenorank.ranking.metrics import map_scorer
 from phenorank.ranking.models import (
     KIND_BOOSTED,
     KIND_LINEAR,
     _schema_stub,
+    pair_index,
+    pairwise_pass,
 )
 
 
@@ -200,6 +203,20 @@ class TestMapAtK:
         keyed = map_at_k(model, instances, k=30)
         assert direct == pytest.approx(keyed)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_loop_oracle_bitwise(self, seed):
+        rng = np.random.default_rng([seed, 808])
+        shapes = [(int(rng.integers(1, 6)), int(rng.integers(0, 40))) for _ in range(9)]
+        instances = helpers.random_instances(rng, shapes)
+        scorer = map_scorer(instances, k=10)
+        for scores in (
+            rng.normal(0.0, 1.0, len(instances)),
+            rng.integers(0, 3, len(instances)).astype(np.float64),  # ties by term id
+        ):
+            want = helpers.loop_map_at_k(scores, instances, k=10)
+            assert _bytes(map_at_k(scores, instances, k=10)) == _bytes(want)
+            assert _bytes(scorer(scores)) == _bytes(want)
+
     def test_patient_without_positive_rejected(self):
         instances = [h for h in helpers.separable_instances(2, seed=3) if h.label == 0]
         with pytest.raises(DataError):
@@ -302,6 +319,134 @@ class TestBoostedRanker:
         a = train_boosted(train, validation=val, schema=_schema_stub(6))
         b = train_boosted(train, validation=val, schema=_schema_stub(6))
         assert a.to_json() == b.to_json()
+
+
+# Uneven shapes, repeated shapes (buckets of several patients), a row or column
+# of one, blocks past numpy's 8192-element buffer, and one patient with only
+# positives and one with only negatives.
+UNEVEN_SHAPES = [
+    (1, 1), (1, 7), (9, 1), (3, 5), (3, 5), (3, 5), (2, 9), (8, 8), (8, 8),
+    (13, 21), (40, 49), (4, 0), (0, 6), (17, 3), (1, 130), (95, 100),
+]
+
+
+def _bytes(a) -> bytes:
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+class TestWholeArrayPass:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_patient_loop_bitwise(self, seed):
+        rng = np.random.default_rng([seed, 606])
+        shapes = list(UNEVEN_SHAPES)
+        rng.shuffle(shapes)
+        instances = helpers.random_instances(rng, shapes)
+        groups = helpers.loop_group_pairs(instances)
+        pairs = pair_index(instances)
+        for spread in (0.1, 3.0, 40.0):
+            scores = rng.normal(0.0, spread, len(instances))
+            scores[rng.integers(0, len(scores), 20)] = 0.0
+            loss, g, h = pairwise_pass(scores, pairs)
+            want_g, want_h = helpers.loop_pairwise_grad_hess(scores, groups)
+            assert _bytes(loss) == _bytes(helpers.loop_pairwise_loss(scores, groups))
+            assert _bytes(g) == _bytes(want_g)
+            assert _bytes(h) == _bytes(want_h)
+            loss_only, g_only, none = pairwise_pass(scores, pairs, hessian=False)
+            assert none is None
+            assert _bytes(loss_only) == _bytes(loss)
+            assert _bytes(g_only) == _bytes(g)
+
+    def test_pair_index_counts(self):
+        rng = np.random.default_rng(7)
+        instances = helpers.random_instances(rng, [(2, 3), (4, 0), (2, 3), (0, 5), (1, 6)])
+        pairs = pair_index(instances)
+        assert pairs.pairs == 6 + 6 + 6
+        assert pairs.patients == 3
+        assert pairs.dropped == 2
+        assert sorted(len(slots) for slots, _, _ in pairs.buckets) == [1, 2]
+        slots = np.concatenate([slots for slots, _, _ in pairs.buckets])
+        assert sorted(slots.tolist()) == [0, 1, 2]
+
+    def test_patients_without_both_labels_rejected(self):
+        rng = np.random.default_rng(8)
+        instances = helpers.random_instances(rng, [(3, 0), (0, 4)])
+        with pytest.raises(TrainingError, match="both a positive and a negative"):
+            train_pairwise_linear(instances, schema=_schema_stub(5))
+
+
+def _random_training_set(seed: int, tied: bool):
+    rng = np.random.default_rng([seed, 707])
+    n = int(rng.integers(8, 14))
+    shapes = [(int(rng.integers(1, 9)), int(rng.integers(1, 14))) for _ in range(n)]
+    shapes += [(3, 0), (0, 4), shapes[0]]
+    levels = 3 if tied else None
+    train = helpers.random_instances(rng, shapes, levels=levels)
+    val_shapes = [(int(rng.integers(1, 6)), int(rng.integers(0, 20))) for _ in range(5)]
+    val = helpers.random_instances(rng, val_shapes, levels=levels)
+    return train, val
+
+
+class TestTrainersMatchLoopOracles:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_linear_model_bytes(self, seed):
+        train, _ = _random_training_set(seed, tied=seed % 2 == 1)
+        cfg = TrainingConfig(linear_epochs=40, linear_l2=0.01 * seed)
+        got = train_pairwise_linear(train, cfg).to_json()
+        assert got == helpers.loop_train_linear(train, cfg).to_json()
+
+    @pytest.mark.parametrize(
+        "seed, min_leaf, depth, l1",
+        [
+            (0, 1, 3, 0.0),
+            (1, 2, 1, 0.05),
+            (2, 3, 4, 0.1),
+            (3, 4, 2, 0.0),
+            (4, 1, 4, 0.1),
+            (5, 2, 3, 0.02),
+            (6, 4, 4, 0.0),
+            (7, 3, 2, 0.05),
+        ],
+    )
+    def test_boosted_model_bytes(self, seed, min_leaf, depth, l1):
+        train, val = _random_training_set(seed, tied=seed % 2 == 0)
+        cfg = TrainingConfig(
+            boosted_rounds=8,
+            boosted_patience=3,
+            boosted_min_leaf=min_leaf,
+            boosted_max_depth=depth,
+            boosted_l1=l1,
+        )
+        got = train_boosted(train, cfg, validation=val).to_json()
+        assert got == helpers.loop_train_boosted(train, cfg, validation=val).to_json()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_boosted_nan_gains_are_skipped(self, seed):
+        # With boosted_l2 = 0, a cut whose left side holds only rows of
+        # patients without both labels (gradient and hessian 0) has gain
+        # 0/0 = NaN. Those rows sort first on every feature here.
+        train, val = _random_training_set(seed, tied=False)
+        labels: dict[str, set[int]] = {}
+        for inst in train:
+            labels.setdefault(inst.patient_id, set()).add(inst.label)
+        dropped = {pid for pid, seen in labels.items() if len(seen) == 1}
+        assert len(dropped) == 2
+        low = -10.0
+        for inst in train:
+            if inst.patient_id in dropped:
+                inst.features[:] = low
+                low -= 1.0
+        cfg = TrainingConfig(boosted_rounds=4, boosted_l2=0.0, boosted_max_depth=2)
+        with np.errstate(invalid="ignore"):
+            got = train_boosted(train, cfg, validation=val).to_json()
+            want = helpers.loop_train_boosted(train, cfg, validation=val).to_json()
+        assert got == want
+        assert '"feature"' in got
+
+    def test_boosted_tied_splits_are_exercised(self):
+        # Guard that the tied-feature sets really produce split trees.
+        train, val = _random_training_set(0, tied=True)
+        model = train_boosted(train, TrainingConfig(boosted_rounds=3), validation=val)
+        assert any("feature" in tree for tree in model.params["trees"])
 
 
 class TestModelSerialization:

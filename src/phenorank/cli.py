@@ -83,6 +83,13 @@ def _load(ctx: click.Context) -> PipelineConfig:
         sys.exit(_exit_code(e))
 
 
+_force_option = click.option(
+    "--force",
+    is_flag=True,
+    help="Use artifacts even if their configuration hash mismatches.",
+)
+
+
 @main.command()
 @click.pass_context
 def ingest(ctx: click.Context) -> None:
@@ -180,11 +187,7 @@ def rank(ctx: click.Context, out: str | None) -> None:
 
 
 @main.command()
-@click.option(
-    "--force",
-    is_flag=True,
-    help="Use artifacts even if their configuration hash mismatches.",
-)
+@_force_option
 @click.option(
     "--external",
     type=click.Path(exists=False, dir_okay=False),
@@ -199,11 +202,7 @@ def evaluate(ctx: click.Context, force: bool, external: str | None) -> None:
 
 
 @main.command()
-@click.option(
-    "--force",
-    is_flag=True,
-    help="Use artifacts even if their configuration hash mismatches.",
-)
+@_force_option
 @click.pass_context
 def ablate(ctx: click.Context, force: bool) -> None:
     """Evaluate the pipeline cut after each module."""
@@ -212,11 +211,7 @@ def ablate(ctx: click.Context, force: bool) -> None:
 
 
 @main.command()
-@click.option(
-    "--force",
-    is_flag=True,
-    help="Use artifacts even if their configuration hash mismatches.",
-)
+@_force_option
 @click.pass_context
 def permtest(ctx: click.Context, force: bool) -> None:
     """Compare rankings against random permutations of themselves."""

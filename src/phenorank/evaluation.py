@@ -1,6 +1,15 @@
 """Cohort evaluation: top-k precision/recall/F1, ontology similarity, error
 counts, percentile-bootstrap confidence intervals, and a random-permutation
 baseline quantifying what prioritization adds over unordered extraction.
+
+All three evaluations (end to end, per ablation stage, against permutations)
+score a patient through one kernel, ``_cutoff_metrics``, which takes a stack of
+orders of the patient's ranked terms and scores every order at every cutoff at
+once. Its results are bitwise equal to scoring each order's top ``k`` on its
+own: hits are exact integer prefix sums, maxima are exact, and every mean runs
+over the same values, in the same order and length, as a mean over the top-k
+submatrix would, so numpy's pairwise summation adds them the same way.
+Permutation totals are added one draw at a time, in draw order.
 """
 
 from __future__ import annotations
@@ -29,28 +38,6 @@ DELTA_METRIC_NAMES = (
 )
 
 
-def topk_prf(
-    ranked: Sequence[str], gold: set[str], k: int
-) -> tuple[float, float, float]:
-    """Precision, recall, F1 over the first min(k, len) ranked terms.
-
-    An empty ranked list reports zeros; callers flag it. F1 is 0 when both
-    precision and recall are 0.
-    """
-    if k < 1:
-        raise DataError(f"k must be >= 1, got {k}")
-    if not gold:
-        raise DataError("gold set must be non-empty")
-    if not ranked:
-        return 0.0, 0.0, 0.0
-    top = ranked[: min(k, len(ranked))]
-    hits = len(set(top) & gold)
-    p = hits / len(top)
-    r = hits / len(gold)
-    f1 = 0.0 if p + r == 0.0 else 2.0 * p * r / (p + r)
-    return p, r, f1
-
-
 class LinCache:
     """Memoized pairwise Lin similarity; one instance per (ontology, stats)."""
 
@@ -73,13 +60,6 @@ class LinCache:
             for j, b in enumerate(cols):
                 out[i, j] = self.lin(a, b)
         return out
-
-
-def _bma(sub: np.ndarray) -> float:
-    # Symmetric best-match average over a (selected x gold) Lin matrix.
-    if sub.size == 0:
-        return 0.0
-    return (sub.max(axis=1).mean() + sub.max(axis=0).mean()) / 2.0
 
 
 @dataclass
@@ -155,34 +135,72 @@ def _bootstrap_ci(
     return lo, hi
 
 
-def _assemble_rows(
-    cutoffs: Sequence[int],
+def _report(
+    configuration: str,
     names: Sequence[str],
-    point: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-) -> list[dict]:
-    rows = []
-    for ki, k in enumerate(cutoffs):
-        metrics = {}
-        for mi, name in enumerate(names):
-            metrics[name] = {
-                "point": float(point[ki, mi]),
-                "lo": float(lo[ki, mi]),
-                "hi": float(hi[ki, mi]),
-            }
-        rows.append({"k": int(k), "metrics": metrics})
-    return rows
+    per_patient: np.ndarray,
+    cfg: EvaluationConfig,
+    seed: int,
+    provenance: dict | None,
+    warnings: dict,
+) -> MetricsReport:
+    """Mean over patients with bootstrap CIs, one row per cutoff."""
+    point = per_patient.mean(axis=0)
+    lo, hi = _bootstrap_ci(per_patient, cfg.bootstrap_iterations, seed)
+    rows = [
+        {
+            "k": int(k),
+            "metrics": {
+                name: {"point": float(mid), "lo": float(low), "hi": float(high)}
+                for name, mid, low, high in zip(names, point[ki], lo[ki], hi[ki])
+            },
+        }
+        for ki, k in enumerate(cfg.cutoffs)
+    ]
+    return MetricsReport(
+        configuration, rows, per_patient.shape[0], provenance or {}, warnings
+    )
 
 
 def _scored_patients(
     ranked_by_patient: dict[str, list[str]], gold_by_patient: dict[str, set[str]]
 ) -> tuple[list[str], int]:
-    """Sorted ids of ranked patients with gold terms, and how many lack gold."""
+    """Sorted ids of ranked patients with gold terms, and how many lack gold.
+
+    A scored ranking that repeats a term is rejected: top-k counts assume
+    each of the k positions holds a distinct term.
+    """
     pids = [pid for pid in sorted(ranked_by_patient) if gold_by_patient.get(pid)]
     if not pids:
         raise DataError("no patient has both a ranking and gold terms")
+    for pid in pids:
+        if len(set(ranked_by_patient[pid])) != len(ranked_by_patient[pid]):
+            raise DataError(f"patient {pid} ranks a term more than once")
     return pids, len(ranked_by_patient) - len(pids)
+
+
+def _cutoff_metrics(
+    orders: np.ndarray, rel: np.ndarray, M: np.ndarray, cutoffs: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Score a (P, n) stack of orders of one patient's n ranked terms.
+
+    ``rel`` is the terms' 0/1 gold mask and ``M`` their (n x gold) Lin matrix.
+    Each order's top min(k, n) terms are scored at every cutoff k. Returns a
+    (P, K, 4) array of precision, recall, F1 and best-match average, and the
+    (P, K) hits.
+    """
+    kk = np.minimum(cutoffs, orders.shape[1])
+    hits = np.cumsum(rel[orders], axis=1)[:, kk - 1]
+    p = hits / kk
+    r = hits / M.shape[1]
+    with np.errstate(invalid="ignore"):
+        f1 = np.where(p + r == 0.0, 0.0, 2.0 * p * r / (p + r))
+    # Best row match of each selected term, and best selected match of each
+    # gold term; each mean runs over a contiguous run of the top k.
+    row_best = M.max(axis=1)[orders]
+    rows = np.stack([row_best[:, :k].mean(axis=1) for k in kk], axis=1)
+    cols = np.maximum.accumulate(M[orders], axis=1)[:, kk - 1].mean(axis=2)
+    return np.stack([p, r, f1, (rows + cols) / 2.0], axis=2), hits
 
 
 def evaluate_cohort(
@@ -204,32 +222,30 @@ def evaluate_cohort(
     cache = LinCache(o, s)
     pids, missing_gold = _scored_patients(ranked_by_patient, gold_by_patient)
     empty_ranked = 0
-    K = len(cfg.cutoffs)
-    per_patient = np.zeros((len(pids), K, len(METRIC_NAMES)), dtype=np.float64)
+    per_patient = np.zeros((len(pids), len(cfg.cutoffs), len(METRIC_NAMES)))
     for i, pid in enumerate(pids):
         ranked = ranked_by_patient[pid]
         gold = set(gold_by_patient[pid])
-        if not ranked:
+        n = len(ranked)
+        if not n:
             empty_ranked += 1
-        gold_list = sorted(gold)
-        M = cache.matrix(ranked, gold_list) if ranked else np.empty((0, len(gold)))
-        for ki, k in enumerate(cfg.cutoffs):
-            p, r, f1 = topk_prf(ranked, gold, k)
-            kk = min(k, len(ranked))
-            top = set(ranked[:kk])
-            sim = _bma(M[:kk]) if kk else 0.0
-            fn = len(gold - top)
-            fp = len(top - gold)
-            per_patient[i, ki] = (p, r, f1, sim, fn, fp)
-    point = per_patient.mean(axis=0)
-    lo, hi = _bootstrap_ci(per_patient, cfg.bootstrap_iterations, seed)
-    return MetricsReport(
-        configuration=configuration,
-        rows=_assemble_rows(cfg.cutoffs, METRIC_NAMES, point, lo, hi),
-        cohort_size=len(pids),
-        provenance=provenance or {},
-        warnings={"missingGold": missing_gold, "emptyRanked": empty_ranked},
+            per_patient[i, :, 4] = len(gold)
+            continue
+        rel = np.array([1.0 if t in gold else 0.0 for t in ranked])
+        M = cache.matrix(ranked, sorted(gold))
+        scores, hits = _cutoff_metrics(np.arange(n)[None], rel, M, cfg.cutoffs)
+        per_patient[i, :, :4] = scores[0]
+        per_patient[i, :, 4] = len(gold) - hits[0]
+        per_patient[i, :, 5] = np.minimum(cfg.cutoffs, n) - hits[0]
+    warnings = {"missingGold": missing_gold, "emptyRanked": empty_ranked}
+    return _report(
+        configuration, METRIC_NAMES, per_patient, cfg, seed, provenance, warnings
     )
+
+
+# Permutations are scored this many draws at a time, so memory stays flat in
+# ``evaluation.permutations``.
+_PERMUTATION_BLOCK = 64
 
 
 def permutation_delta(
@@ -250,53 +266,31 @@ def permutation_delta(
     cfg.validate()
     cache = LinCache(o, s)
     pids, missing_gold = _scored_patients(ranked_by_patient, gold_by_patient)
-    for pid in pids:
-        if len(ranked_by_patient[pid]) < 2:
+    deltas = np.zeros((len(pids), len(cfg.cutoffs), len(DELTA_METRIC_NAMES)))
+    for i, pid in enumerate(pids):
+        ranked = ranked_by_patient[pid]
+        gold = set(gold_by_patient[pid])
+        n = len(ranked)
+        if n < 2:
             raise DataError(
                 f"patient {pid} has fewer than 2 ranked terms; permutation "
                 "baseline is undefined"
             )
-    K = len(cfg.cutoffs)
-    deltas = np.zeros((len(pids), K, len(DELTA_METRIC_NAMES)), dtype=np.float64)
-    for i, pid in enumerate(pids):
-        ranked = ranked_by_patient[pid]
-        gold = set(gold_by_patient[pid])
-        gold_list = sorted(gold)
-        n = len(ranked)
         rel = np.array([1.0 if t in gold else 0.0 for t in ranked])
-        M = cache.matrix(ranked, gold_list)
-        R = len(gold)
-        prior = np.zeros((K, 4))
-        cum = np.cumsum(rel)
-        for ki, k in enumerate(cfg.cutoffs):
-            kk = min(k, n)
-            hits = cum[kk - 1]
-            p = hits / kk
-            r = hits / R
-            f1 = 0.0 if p + r == 0.0 else 2.0 * p * r / (p + r)
-            prior[ki] = (p, r, f1, _bma(M[:kk]))
+        M = cache.matrix(ranked, sorted(gold))
+        prior = _cutoff_metrics(np.arange(n)[None], rel, M, cfg.cutoffs)[0][0]
         rng = np.random.default_rng([seed, _PERMUTE_STREAM, i])
-        acc = np.zeros((K, 4))
-        for _ in range(cfg.permutations):
-            perm = rng.permutation(n)
-            rel_p = rel[perm]
-            cum_p = np.cumsum(rel_p)
-            for ki, k in enumerate(cfg.cutoffs):
-                kk = min(k, n)
-                hits = cum_p[kk - 1]
-                p = hits / kk
-                r = hits / R
-                f1 = 0.0 if p + r == 0.0 else 2.0 * p * r / (p + r)
-                acc[ki] += (p, r, f1, _bma(M[perm[:kk]]))
-        deltas[i] = prior - acc / cfg.permutations
-    point = deltas.mean(axis=0)
-    lo, hi = _bootstrap_ci(deltas, cfg.bootstrap_iterations, seed)
-    return MetricsReport(
-        configuration=configuration,
-        rows=_assemble_rows(cfg.cutoffs, DELTA_METRIC_NAMES, point, lo, hi),
-        cohort_size=len(pids),
-        provenance=provenance or {},
-        warnings={"missingGold": missing_gold, "emptyRanked": 0},
+        total = np.zeros_like(prior)
+        for start in range(0, cfg.permutations, _PERMUTATION_BLOCK):
+            size = min(_PERMUTATION_BLOCK, cfg.permutations - start)
+            perms = np.stack([rng.permutation(n) for _ in range(size)])
+            # A running sum in draw order; a pairwise sum would change bits.
+            for scores in _cutoff_metrics(perms, rel, M, cfg.cutoffs)[0]:
+                total += scores
+        deltas[i] = prior - total / cfg.permutations
+    warnings = {"missingGold": missing_gold, "emptyRanked": 0}
+    return _report(
+        configuration, DELTA_METRIC_NAMES, deltas, cfg, seed, provenance, warnings
     )
 
 
@@ -394,8 +388,9 @@ class ImportResult:
 def import_external_ranking(text: str, o: Ontology) -> ImportResult:
     """Read JSONL rows {"patientId": ..., "terms": [...]}.
 
-    Rows that fail validation (bad JSON, missing fields, unknown or obsolete
-    term ids, duplicate patient) are flagged and skipped; valid rows load.
+    Rows that fail validation (bad JSON, a non-object row, missing fields,
+    unknown or obsolete term ids, duplicate patient) are flagged and skipped;
+    valid rows load.
     """
     rankings: dict[str, list[str]] = {}
     errors: list[str] = []
@@ -407,6 +402,9 @@ def import_external_ranking(text: str, o: Ontology) -> ImportResult:
             row = json.loads(line)
         except json.JSONDecodeError as e:
             errors.append(f"line {lineno}: invalid JSON ({e.msg})")
+            continue
+        if not isinstance(row, dict):
+            errors.append(f"line {lineno}: not an object")
             continue
         pid = row.get("patientId")
         terms = row.get("terms")

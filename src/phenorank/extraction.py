@@ -76,22 +76,6 @@ def strip_span_markup(text: str) -> str:
     return _TAG_RE.sub("", text)
 
 
-def annotate_mentions(text: str, spans: Iterable[tuple[int, int]]) -> str:
-    """Insert span tags around non-overlapping (start, end) intervals."""
-    out = []
-    last = 0
-    for start, end in sorted(spans):
-        if start < last or end > len(text) or start >= end:
-            raise ValueError(f"bad span ({start}, {end})")
-        out.append(text[last:start])
-        out.append(SPAN_OPEN)
-        out.append(text[start:end])
-        out.append(SPAN_CLOSE)
-        last = end
-    out.append(text[last:])
-    return "".join(out)
-
-
 @dataclass
 class MarkupParse:
     """Result of aligning annotated model output against the original text."""
@@ -284,12 +268,6 @@ class Gazetteer:
 def escape_span_literals(text: str) -> str:
     for raw, escaped in _ESCAPES:
         text = text.replace(raw, escaped)
-    return text
-
-
-def unescape_span_literals(text: str) -> str:
-    for raw, escaped in _ESCAPES:
-        text = text.replace(escaped, raw)
     return text
 
 

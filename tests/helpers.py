@@ -5,10 +5,11 @@ so the package implementations are checked against something that cannot share
 their bugs. The text-layer oracles are the package's earlier implementations:
 the regex gazetteer, the per-byte FNV-1a embedding, the entry-by-entry index
 builder and the dense one-query scan. The trainer oracles are the package's
-per-patient pairwise loop and per-cut tree builder. The reference functions
-(set similarity, undirected distance, the pairwise gradient and loss at raw
-weights, note filtering) are used only by tests, so they live here rather than
-in the package.
+per-patient pairwise loop and per-cut tree builder. The evaluation oracles
+are the package's cutoff-by-cutoff, draw-by-draw evaluators. The reference
+functions (set similarity, undirected distance, top-k precision/recall/F1, the
+pairwise gradient and loss at raw weights, note filtering, span markup) are
+used only by tests, so they live here rather than in the package.
 """
 
 from __future__ import annotations
@@ -18,16 +19,24 @@ import random
 import re
 from collections import deque
 from datetime import date, datetime
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
 from scipy.special import expit
 
-from phenorank.config import TrainingConfig
+from phenorank.config import EvaluationConfig, TrainingConfig
 from phenorank.corpus import ClinicalNote, NoteChunk
 from phenorank.errors import ConfigError, DataError, EmbeddingError, StructuralError
-from phenorank.extraction import Mention
+from phenorank.evaluation import (
+    DELTA_METRIC_NAMES,
+    METRIC_NAMES,
+    LinCache,
+    MetricsReport,
+    _PERMUTE_STREAM,
+    _report,
+)
+from phenorank.extraction import _ESCAPES, SPAN_CLOSE, SPAN_OPEN, Mention
 from phenorank.ontology import Ontology, OntologyStats, TermRecord, lin_similarity
 from phenorank.ranking.metrics import ap_at_k
 from phenorank.ranking.models import (
@@ -528,6 +537,51 @@ def ontology_to_json(o: Ontology) -> str:
 # -- reference functions that no pipeline step calls ----------------------------------
 
 
+def topk_prf(
+    ranked: Sequence[str], gold: set[str], k: int
+) -> tuple[float, float, float]:
+    """Precision, recall, F1 over the first min(k, len) ranked terms.
+
+    An empty ranked list reports zeros. F1 is 0 when both precision and
+    recall are 0.
+    """
+    if k < 1:
+        raise DataError(f"k must be >= 1, got {k}")
+    if not gold:
+        raise DataError("gold set must be non-empty")
+    if not ranked:
+        return 0.0, 0.0, 0.0
+    top = ranked[: min(k, len(ranked))]
+    hits = len(set(top) & gold)
+    p = hits / len(top)
+    r = hits / len(gold)
+    f1 = 0.0 if p + r == 0.0 else 2.0 * p * r / (p + r)
+    return p, r, f1
+
+
+def annotate_mentions(text: str, spans: Iterable[tuple[int, int]]) -> str:
+    """Insert span tags around non-overlapping (start, end) intervals."""
+    out = []
+    last = 0
+    for start, end in sorted(spans):
+        if start < last or end > len(text) or start >= end:
+            raise ValueError(f"bad span ({start}, {end})")
+        out.append(text[last:start])
+        out.append(SPAN_OPEN)
+        out.append(text[start:end])
+        out.append(SPAN_CLOSE)
+        last = end
+    out.append(text[last:])
+    return "".join(out)
+
+
+def unescape_span_literals(text: str) -> str:
+    """Inverse of ``extraction.escape_span_literals``."""
+    for raw, escaped in _ESCAPES:
+        text = text.replace(escaped, raw)
+    return text
+
+
 def set_similarity(
     o: Ontology, s: OntologyStats, predicted: Iterable[str], gold: Iterable[str]
 ) -> float:
@@ -903,3 +957,106 @@ def random_instances(
             )
         )
     return out
+
+
+# -- evaluation oracles: one patient, one cutoff, one permutation at a time ----------
+#
+# The package's earlier evaluators: set arithmetic and a best-match average
+# over each top-k submatrix, cutoff by cutoff, and the permutation baseline
+# summed one draw at a time. The package's one-kernel evaluators must produce
+# byte-identical reports.
+
+
+def loop_bma(sub: np.ndarray) -> float:
+    """Symmetric best-match average over a (selected x gold) Lin matrix."""
+    if sub.size == 0:
+        return 0.0
+    return (sub.max(axis=1).mean() + sub.max(axis=0).mean()) / 2.0
+
+
+def _loop_scored(ranked_by_patient, gold_by_patient) -> tuple[list[str], int]:
+    pids = [pid for pid in sorted(ranked_by_patient) if gold_by_patient.get(pid)]
+    return pids, len(ranked_by_patient) - len(pids)
+
+
+def loop_evaluate_cohort(
+    ranked_by_patient: dict[str, list[str]],
+    gold_by_patient: dict[str, set[str]],
+    o: Ontology,
+    s: OntologyStats,
+    cfg: EvaluationConfig,
+    seed: int = 0,
+    configuration: str = "prioritized",
+    provenance: dict | None = None,
+) -> MetricsReport:
+    cache = LinCache(o, s)
+    pids, missing_gold = _loop_scored(ranked_by_patient, gold_by_patient)
+    empty_ranked = 0
+    K = len(cfg.cutoffs)
+    per_patient = np.zeros((len(pids), K, len(METRIC_NAMES)), dtype=np.float64)
+    for i, pid in enumerate(pids):
+        ranked = ranked_by_patient[pid]
+        gold = set(gold_by_patient[pid])
+        if not ranked:
+            empty_ranked += 1
+        gold_list = sorted(gold)
+        M = cache.matrix(ranked, gold_list) if ranked else np.empty((0, len(gold)))
+        for ki, k in enumerate(cfg.cutoffs):
+            p, r, f1 = topk_prf(ranked, gold, k)
+            kk = min(k, len(ranked))
+            top = set(ranked[:kk])
+            sim = loop_bma(M[:kk]) if kk else 0.0
+            per_patient[i, ki] = (p, r, f1, sim, len(gold - top), len(top - gold))
+    warnings = {"missingGold": missing_gold, "emptyRanked": empty_ranked}
+    return _report(
+        configuration, METRIC_NAMES, per_patient, cfg, seed, provenance, warnings
+    )
+
+
+def loop_permutation_delta(
+    ranked_by_patient: dict[str, list[str]],
+    gold_by_patient: dict[str, set[str]],
+    o: Ontology,
+    s: OntologyStats,
+    cfg: EvaluationConfig,
+    seed: int = 0,
+    configuration: str = "prioritized-vs-permuted",
+    provenance: dict | None = None,
+) -> MetricsReport:
+    cache = LinCache(o, s)
+    pids, missing_gold = _loop_scored(ranked_by_patient, gold_by_patient)
+    K = len(cfg.cutoffs)
+    deltas = np.zeros((len(pids), K, len(DELTA_METRIC_NAMES)), dtype=np.float64)
+    for i, pid in enumerate(pids):
+        ranked = ranked_by_patient[pid]
+        gold = set(gold_by_patient[pid])
+        n = len(ranked)
+        rel = np.array([1.0 if t in gold else 0.0 for t in ranked])
+        M = cache.matrix(ranked, sorted(gold))
+        R = len(gold)
+        prior = np.zeros((K, 4))
+        cum = np.cumsum(rel)
+        for ki, k in enumerate(cfg.cutoffs):
+            kk = min(k, n)
+            hits = cum[kk - 1]
+            p = hits / kk
+            r = hits / R
+            f1 = 0.0 if p + r == 0.0 else 2.0 * p * r / (p + r)
+            prior[ki] = (p, r, f1, loop_bma(M[:kk]))
+        rng = np.random.default_rng([seed, _PERMUTE_STREAM, i])
+        acc = np.zeros((K, 4))
+        for _ in range(cfg.permutations):
+            perm = rng.permutation(n)
+            cum_p = np.cumsum(rel[perm])
+            for ki, k in enumerate(cfg.cutoffs):
+                kk = min(k, n)
+                hits = cum_p[kk - 1]
+                p = hits / kk
+                r = hits / R
+                f1 = 0.0 if p + r == 0.0 else 2.0 * p * r / (p + r)
+                acc[ki] += (p, r, f1, loop_bma(M[perm[:kk]]))
+        deltas[i] = prior - acc / cfg.permutations
+    warnings = {"missingGold": missing_gold, "emptyRanked": 0}
+    return _report(
+        configuration, DELTA_METRIC_NAMES, deltas, cfg, seed, provenance, warnings
+    )

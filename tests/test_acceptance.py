@@ -14,6 +14,7 @@ import pytest
 
 import helpers
 from helpers import (
+    annotate_mentions,
     pairwise_linear_gradient,
     pairwise_loss_at,
     set_similarity,
@@ -26,7 +27,6 @@ from phenorank.corpus import ClinicalNote, chunk_note, split_sentences, synth_co
 from phenorank.config import EvaluationConfig
 from phenorank.evaluation import evaluate_cohort
 from phenorank.extraction import (
-    annotate_mentions,
     parse_span_markup,
     strip_span_markup,
 )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
-from helpers import set_similarity
+from helpers import set_similarity, topk_prf
 from phenorank import evaluation
 from phenorank.config import EvaluationConfig
 from phenorank.errors import ConfigError, DataError
@@ -20,7 +20,6 @@ from phenorank.evaluation import (
     import_external_ranking,
     permutation_delta,
     report_csv,
-    topk_prf,
 )
 from phenorank.extraction import Mention
 from phenorank.ontology import Ontology, compute_stats, lin_similarity
@@ -226,6 +225,14 @@ def test_no_patient_with_ranking_and_gold_rejected(evaluator, small, small_stats
         evaluator(ranked, gold, small, small_stats, quick_cfg())
 
 
+@pytest.mark.parametrize("evaluator", [evaluate_cohort, permutation_delta])
+def test_repeated_ranked_term_rejected(evaluator, small, small_stats):
+    # Top-k counts assume k distinct terms; both evaluators refuse a repeat.
+    ranked = {"P1": [A_ONE, A_ONE, B_ONE]}
+    with pytest.raises(DataError, match="P1 ranks a term more than once"):
+        evaluator(ranked, {"P1": {A_ONE}}, small, small_stats, quick_cfg())
+
+
 class TestBootstrap:
     def test_constant_cohort_gives_degenerate_interval(self, small, small_stats):
         ranked = {f"P{i}": [A_ONE, B_ONE] for i in range(5)}
@@ -311,6 +318,59 @@ class TestPermutationDelta:
         )
         assert report.warnings["missingGold"] == 1
         assert report.cohort_size == 1
+
+
+def random_cohort(o, seed, sizes):
+    """One patient per list size; every second patient's gold avoids its list."""
+    rng = np.random.default_rng(seed)
+    ids = sorted(o.non_obsolete_ids())
+    ranked, gold = {}, {}
+    for i, n in enumerate(sizes):
+        order = [ids[j] for j in rng.permutation(len(ids))]
+        pool = order[n:] if i % 2 and n < len(ids) else order
+        pid = f"P{i:03d}"
+        ranked[pid] = order[:n]
+        gold[pid] = set(rng.choice(pool, size=min(4, len(pool)), replace=False))
+    return ranked, gold
+
+
+class TestOneKernelMatchesLoops:
+    """The one-kernel evaluators against the cutoff-by-cutoff, draw-by-draw loops.
+
+    Sizes cover empty lists, lists shorter than a cutoff, two terms, and lists
+    longer than numpy's 128-element pairwise-summation block.
+    """
+
+    CUTOFFS = (1, 2, 5, 10, 30, 140, 160)
+    SIZES = {"small": (0, 1, 2, 3, 5, 7), "layered": (0, 2, 9, 40, 130, 169)}
+
+    def inputs(self, request, name, seed, min_size=0):
+        o = request.getfixturevalue(name)
+        s = request.getfixturevalue(f"{name}_stats")
+        sizes = [n for n in self.SIZES[name] if n >= min_size]
+        return (*random_cohort(o, seed, sizes), o, s)
+
+    @pytest.mark.parametrize("name", ["small", "layered"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_evaluate_cohort(self, request, name, seed):
+        ranked, gold, o, s = self.inputs(request, name, seed)
+        cfg = quick_cfg(cutoffs=self.CUTOFFS, iterations=20)
+        got = evaluate_cohort(ranked, gold, o, s, cfg, seed)
+        want = helpers.loop_evaluate_cohort(ranked, gold, o, s, cfg, seed)
+        assert got.warnings["emptyRanked"] == 1
+        assert got.to_json() == want.to_json()
+
+    @pytest.mark.parametrize("name", ["small", "layered"])
+    @pytest.mark.parametrize("permutations", [1, 200])
+    @pytest.mark.parametrize("block", [None, 1, 3])
+    def test_permutation_delta(self, request, monkeypatch, name, permutations, block):
+        if block is not None:
+            monkeypatch.setattr(evaluation, "_PERMUTATION_BLOCK", block)
+        ranked, gold, o, s = self.inputs(request, name, 3, min_size=2)
+        cfg = quick_cfg(cutoffs=self.CUTOFFS, iterations=20, permutations=permutations)
+        got = permutation_delta(ranked, gold, o, s, cfg, 3)
+        want = helpers.loop_permutation_delta(ranked, gold, o, s, cfg, 3)
+        assert got.to_json() == want.to_json()
 
 
 class TestExactNameTerms:
@@ -424,15 +484,22 @@ class TestExternalRankings:
             json.dumps({"patientId": "P4", "terms": ["HP:7777777"]}),
             "",
             json.dumps({"patientId": "P5", "terms": [A_TWO]}),
+            "[1, 2]",
+            "42",
+            '"P1"',
+            "null",
         ]
         result = import_external_ranking("\n".join(lines), small)
         assert result.rankings == {"P1": [A_ONE, B_ONE], "P5": [A_TWO]}
-        assert len(result.errors) == 5
+        assert len(result.errors) == 9
         assert "line 2" in result.errors[0]
         assert "line 3" in result.errors[1]
         assert "duplicate" in result.errors[2]
         assert "line 5" in result.errors[3]
         assert "line 6" in result.errors[4]
+        assert result.errors[5:] == [
+            f"line {n}: not an object" for n in (9, 10, 11, 12)
+        ]
 
     def test_terms_must_be_strings(self, small):
         row = json.dumps({"patientId": "P1", "terms": [17]})

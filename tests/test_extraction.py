@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from helpers import make_chunk
+from helpers import annotate_mentions, make_chunk, unescape_span_literals
 from phenorank import extraction
 from phenorank.config import ExtractionConfig
 from phenorank.errors import (
@@ -24,7 +24,6 @@ from phenorank.extraction import (
     Gazetteer,
     Mention,
     PromptTemplate,
-    annotate_mentions,
     escape_span_literals,
     extract_corpus,
     parse_span_markup,
@@ -32,7 +31,6 @@ from phenorank.extraction import (
     remote_extract,
     render_prompt,
     strip_span_markup,
-    unescape_span_literals,
 )
 from phenorank.ontology import Ontology, TermRecord
 

@@ -261,21 +261,22 @@ def permutation_delta(
     """Prioritized metrics minus the mean over uniform random permutations.
 
     Permutations reshuffle each patient's own term list; the same cutoffs and
-    bootstrap machinery yield CIs for the per-patient deltas.
+    bootstrap machinery yield CIs for the per-patient deltas. A list of 0 or
+    1 terms has only the identity permutation, so its delta is 0 at every
+    cutoff; empty lists are counted as in ``evaluate_cohort``.
     """
     cfg.validate()
     cache = LinCache(o, s)
     pids, missing_gold = _scored_patients(ranked_by_patient, gold_by_patient)
+    empty_ranked = 0
     deltas = np.zeros((len(pids), len(cfg.cutoffs), len(DELTA_METRIC_NAMES)))
     for i, pid in enumerate(pids):
         ranked = ranked_by_patient[pid]
         gold = set(gold_by_patient[pid])
         n = len(ranked)
         if n < 2:
-            raise DataError(
-                f"patient {pid} has fewer than 2 ranked terms; permutation "
-                "baseline is undefined"
-            )
+            empty_ranked += n == 0
+            continue
         rel = np.array([1.0 if t in gold else 0.0 for t in ranked])
         M = cache.matrix(ranked, sorted(gold))
         prior = _cutoff_metrics(np.arange(n)[None], rel, M, cfg.cutoffs)[0][0]
@@ -288,7 +289,7 @@ def permutation_delta(
             for scores in _cutoff_metrics(perms, rel, M, cfg.cutoffs)[0]:
                 total += scores
         deltas[i] = prior - total / cfg.permutations
-    warnings = {"missingGold": missing_gold, "emptyRanked": 0}
+    warnings = {"missingGold": missing_gold, "emptyRanked": empty_ranked}
     return _report(
         configuration, DELTA_METRIC_NAMES, deltas, cfg, seed, provenance, warnings
     )

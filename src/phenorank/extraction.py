@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import logging
 import os
+import random
 import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
-
-import requests
 
 from .config import ExtractionConfig
 from .errors import (
@@ -324,7 +323,7 @@ def render_prompt(template: PromptTemplate, text: str) -> str:
 # read from the environment variable named by ``api_key_env_var`` at call time
 # and is never logged or echoed in errors.
 
-RETRY_BASE_DELAY = 0.1  # seconds before the first retry; doubles per attempt
+RETRY_BASE_DELAY = 0.1  # seconds; the backoff ceiling, doubling per attempt
 RESPONSE_TEXT_PATH = ("choices", 0, "message", "content")
 
 
@@ -352,11 +351,14 @@ def verify_credentials(cfg: ExtractionConfig) -> None:
 def remote_complete(cfg: ExtractionConfig, prompt: str) -> str:
     """POST one prompt and return the model's text completion.
 
-    Transport failures, 429 and 5xx responses retry with exponential backoff
-    until ``max_retries`` is exhausted; a ``Retry-After`` header in integer
-    seconds lengthens the wait to at least that. Auth rejections raise
-    immediately.
+    Transport failures, 429 and 5xx responses retry with full-jitter
+    exponential backoff (a uniform wait below a doubling ceiling, so parallel
+    workers spread out) until ``max_retries`` is exhausted; a ``Retry-After``
+    header in integer seconds lengthens the wait to at least that. Auth
+    rejections raise immediately.
     """
+    import requests  # only the remote backend needs it; keeps step start light
+
     payload = {
         "model": cfg.model_name,
         "messages": [{"role": "user", "content": prompt}],
@@ -367,7 +369,8 @@ def remote_complete(cfg: ExtractionConfig, prompt: str) -> str:
     retry_after = 0.0
     for attempt in range(cfg.max_retries + 1):
         if attempt:
-            time.sleep(max(RETRY_BASE_DELAY * (2.0 ** (attempt - 1)), retry_after))
+            ceiling = RETRY_BASE_DELAY * (2.0 ** (attempt - 1))
+            time.sleep(max(random.uniform(0.0, ceiling), retry_after))
         retry_after = 0.0
         try:
             resp = requests.post(

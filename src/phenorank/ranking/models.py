@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from ..config import TrainingConfig
 from ..corpus import Patient
@@ -192,6 +191,10 @@ def pairwise_pass(
     id order; each instance gets exactly one row or column sum, and no index
     repeats, so the scatter adds nothing twice.
     """
+    # Imported here so only ``train`` pays for scipy; ``1 / (1 + exp(-x))``
+    # differs from ``expit`` in the last bit and would change model bytes.
+    from scipy.special import expit
+
     per_patient = np.empty(pairs.patients, dtype=np.float64)
     g = np.zeros_like(scores)
     h = np.zeros_like(scores) if hessian else None

@@ -4,6 +4,12 @@ A deterministic character n-gram embedding indexes every term name and synonym;
 one vectorized hasher embeds the whole index at once and each query alone.
 Retrieval is an exhaustive cosine scan (exact by construction), and a selector
 turns the candidate list into a final term id or none.
+
+The index is held as three numpy arrays in compressed sparse column (CSC)
+layout, so this module needs numpy alone. A query reads only the columns of
+its own buckets, in ascending bucket order, and ``np.bincount`` adds each
+entry's products in that array order starting from 0.0: the same additions,
+in the same order, as a sparse column-major matrix-vector product.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .errors import (
     DataError,
@@ -104,21 +109,25 @@ class IndexEntry:
 class VectorIndex:
     """Embedded name/synonym entries for every non-obsolete term.
 
-    Entry vectors live in one sparse row matrix; rows for a term are
-    contiguous, ordered by term id then name before synonyms. ``columns``
-    holds the same matrix by column, so a query reads only its own buckets.
+    Entry vectors are the rows of one sparse matrix stored by column: the
+    nonzeros of bucket ``b`` are ``data[colptr[b]:colptr[b + 1]]``, in the
+    entry rows ``rows[colptr[b]:colptr[b + 1]]``, which ascend. Rows for a
+    term are contiguous, ordered by term id then name before synonyms.
     """
 
     def __init__(
         self,
         entries: list[IndexEntry],
-        matrix: sparse.csr_matrix,
+        data: np.ndarray,
+        rows: np.ndarray,
+        colptr: np.ndarray,
         term_ids: list[str],
         term_starts: np.ndarray,
     ):
         self.entries = entries
-        self.matrix = matrix
-        self.columns = matrix.tocsc()
+        self.data = data  # float64 entry-vector values, column by column
+        self.rows = rows  # int32 entry row of each value
+        self.colptr = colptr  # int64, DEFAULT_DIMENSION + 1 column offsets
         self.term_ids = term_ids  # sorted, aligned with term_starts
         self.term_starts = term_starts  # row offset where each term's entries begin
 
@@ -131,7 +140,8 @@ def build_index(o: Ontology) -> VectorIndex:
 
     All entries are hashed in one pass; the rows equal ``default_embed`` of
     each entry bit for bit, because counts are integers and so are the sums
-    of their squares.
+    of their squares. One stable sort by bucket turns the row-major keys
+    into columns whose rows stay ascending.
     """
     entries: list[IndexEntry] = []
     term_ids: list[str] = []
@@ -150,19 +160,17 @@ def build_index(o: Ontology) -> VectorIndex:
             )
     keys, counts = _ngram_counts(texts, DEFAULT_DIMENSION)
     rows = keys // DEFAULT_DIMENSION
+    buckets = keys % DEFAULT_DIMENSION
     values = counts.astype(np.float64)
     norms = np.sqrt(np.bincount(rows, weights=values * values, minlength=len(texts)))
-    matrix = sparse.csr_matrix(
-        (
-            values / norms[rows],
-            (keys % DEFAULT_DIMENSION).astype(np.int32),
-            np.searchsorted(rows, np.arange(len(texts) + 1)).astype(np.int32),
-        ),
-        shape=(len(entries), DEFAULT_DIMENSION),
-    )
+    by_column = np.argsort(buckets, kind="stable")
+    colptr = np.zeros(DEFAULT_DIMENSION + 1, dtype=np.int64)
+    np.cumsum(np.bincount(buckets, minlength=DEFAULT_DIMENSION), out=colptr[1:])
     return VectorIndex(
         entries=entries,
-        matrix=matrix,
+        data=(values / norms[rows])[by_column],
+        rows=rows[by_column].astype(np.int32),
+        colptr=colptr,
         term_ids=term_ids,
         term_starts=np.asarray(term_starts, dtype=np.int64),
     )
@@ -190,8 +198,9 @@ def retrieve(
 
     Ties in score resolve to the smaller term id. Scores are clipped into
     [-1, 1] to absorb floating-point overshoot. Only the index columns of the
-    query's buckets are read, in ascending bucket order: each score sums the
-    same nonzero products in the same order as a full matrix-vector product.
+    query's buckets are read, in ascending bucket order, and ``bincount`` adds
+    each entry's products in that order from 0.0: each score sums the same
+    nonzero products in the same order as a full matrix-vector product.
     """
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
@@ -199,7 +208,16 @@ def retrieve(
         raise RetrievalError("vector index is empty")
     qv = default_embed(query)
     buckets = np.flatnonzero(qv)
-    scores = index.columns[:, buckets] @ qv[buckets]
+    starts = index.colptr[buckets]
+    lengths = index.colptr[buckets + 1] - starts
+    # Position of every stored value in the query's columns, column by column.
+    shift = starts - (np.cumsum(lengths) - lengths)
+    pos = np.arange(lengths.sum()) + np.repeat(shift, lengths)
+    scores = np.bincount(
+        index.rows[pos],
+        weights=index.data[pos] * np.repeat(qv[buckets], lengths),
+        minlength=len(index.entries),
+    )
     per_term = np.maximum.reduceat(scores, index.term_starts)
     per_term = np.clip(per_term, -1.0, 1.0)
     # term_ids are sorted ascending, so the smaller index is the smaller id.

@@ -18,6 +18,7 @@ import math
 import random
 import re
 from collections import deque
+from dataclasses import dataclass
 from datetime import date, datetime
 from typing import Iterable, Sequence
 
@@ -50,7 +51,7 @@ from phenorank.ranking.models import (
     pair_index,
     pairwise_pass,
 )
-from phenorank.standardization import DEFAULT_DIMENSION, IndexEntry, VectorIndex
+from phenorank.standardization import DEFAULT_DIMENSION, IndexEntry
 
 # -- small seven-term ontology -------------------------------------------------------
 #
@@ -723,7 +724,17 @@ def scalar_embed(text: str, dimension: int = DEFAULT_DIMENSION) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def entrywise_index(o: Ontology) -> VectorIndex:
+@dataclass
+class EntrywiseIndex:
+    """The oracle index: scipy's CSR of the entry vectors, and their layout."""
+
+    entries: list[IndexEntry]
+    matrix: sparse.csr_matrix
+    term_ids: list[str]
+    term_starts: np.ndarray
+
+
+def entrywise_index(o: Ontology) -> EntrywiseIndex:
     """The index built entry by entry from ``scalar_embed`` through COO lists."""
     entries, term_ids, term_starts = [], [], []
     rows, cols, vals = [], [], []
@@ -741,15 +752,17 @@ def entrywise_index(o: Ontology) -> VectorIndex:
     matrix = sparse.csr_matrix(
         (vals, (rows, cols)), shape=(len(entries), DEFAULT_DIMENSION)
     )
-    return VectorIndex(entries, matrix, term_ids, np.asarray(term_starts, dtype=np.int64))
+    return EntrywiseIndex(
+        entries, matrix, term_ids, np.asarray(term_starts, dtype=np.int64)
+    )
 
 
-def dense_retrieve(index: VectorIndex, query: str, k: int) -> list[tuple[str, float]]:
+def dense_retrieve(oracle: EntrywiseIndex, query: str, k: int) -> list[tuple[str, float]]:
     """One query: a dense matrix-vector product and a full stable argsort."""
-    scores = index.matrix.dot(scalar_embed(query))
-    per_term = np.clip(np.maximum.reduceat(scores, index.term_starts), -1.0, 1.0)
+    scores = oracle.matrix.dot(scalar_embed(query))
+    per_term = np.clip(np.maximum.reduceat(scores, oracle.term_starts), -1.0, 1.0)
     order = np.argsort(-per_term, kind="stable")[:k]
-    return [(index.term_ids[i], float(per_term[i])) for i in order]
+    return [(oracle.term_ids[i], float(per_term[i])) for i in order]
 
 
 # -- trainer oracles: one patient and one cut at a time ------------------------------
@@ -1026,11 +1039,15 @@ def loop_permutation_delta(
     cache = LinCache(o, s)
     pids, missing_gold = _loop_scored(ranked_by_patient, gold_by_patient)
     K = len(cfg.cutoffs)
+    empty_ranked = 0
     deltas = np.zeros((len(pids), K, len(DELTA_METRIC_NAMES)), dtype=np.float64)
     for i, pid in enumerate(pids):
         ranked = ranked_by_patient[pid]
         gold = set(gold_by_patient[pid])
         n = len(ranked)
+        if n < 2:  # the identity is the only permutation: delta 0
+            empty_ranked += n == 0
+            continue
         rel = np.array([1.0 if t in gold else 0.0 for t in ranked])
         M = cache.matrix(ranked, sorted(gold))
         R = len(gold)
@@ -1056,7 +1073,7 @@ def loop_permutation_delta(
                 f1 = 0.0 if p + r == 0.0 else 2.0 * p * r / (p + r)
                 acc[ki] += (p, r, f1, loop_bma(M[perm[:kk]]))
         deltas[i] = prior - acc / cfg.permutations
-    warnings = {"missingGold": missing_gold, "emptyRanked": 0}
+    warnings = {"missingGold": missing_gold, "emptyRanked": empty_ranked}
     return _report(
         configuration, DELTA_METRIC_NAMES, deltas, cfg, seed, provenance, warnings
     )

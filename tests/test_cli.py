@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 from click.testing import CliRunner
 
 import helpers
+import phenorank
 from phenorank import pipeline
 from phenorank.cli import main
 
@@ -55,6 +60,21 @@ def stdout_json(result):
 
 def stderr_error(result):
     return json.loads(result.stderr.strip().splitlines()[-1])["error"]
+
+
+def test_cli_import_loads_neither_scipy_nor_requests():
+    # A fresh interpreter: this one already holds scipy through the test oracles.
+    src = str(Path(phenorank.__file__).resolve().parents[1])
+    path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    probe = (
+        "import sys, phenorank.cli; "
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'requests'}))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestWalkthrough:

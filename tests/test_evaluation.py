@@ -302,11 +302,28 @@ class TestPermutationDelta:
         b = permutation_delta(ranked, gold, small, small_stats, quick_cfg())
         assert a.to_json() == b.to_json()
 
-    def test_short_ranking_rejected(self, small, small_stats):
-        with pytest.raises(DataError, match="fewer than 2"):
-            permutation_delta(
-                {"P1": [A_ONE]}, {"P1": {A_ONE}}, small, small_stats, quick_cfg()
-            )
+    def test_short_ranking_scores_zero_delta(self, small, small_stats):
+        report = permutation_delta(
+            {"P1": [A_ONE, B_ONE], "P2": [A_ONE], "P3": []},
+            {"P1": {A_ONE}, "P2": {A_ONE}, "P3": {A_ONE}},
+            small,
+            small_stats,
+            quick_cfg(permutations=50),
+        )
+        assert report.cohort_size == 3
+        assert report.warnings == {"missingGold": 0, "emptyRanked": 1}
+        alone = permutation_delta(
+            {"P1": [A_ONE, B_ONE]},
+            {"P1": {A_ONE}},
+            small,
+            small_stats,
+            quick_cfg(permutations=50),
+        )
+        for name in DELTA_METRIC_NAMES:
+            # P2 and P3 add zero rows, so the mean is a third of P1's delta.
+            point = report.value(1, name)[0]
+            assert alone.value(1, name)[0] != 0.0
+            assert point == pytest.approx(alone.value(1, name)[0] / 3, abs=1e-15)
 
     def test_missing_gold_counted(self, small, small_stats):
         report = permutation_delta(
@@ -344,11 +361,10 @@ class TestOneKernelMatchesLoops:
     CUTOFFS = (1, 2, 5, 10, 30, 140, 160)
     SIZES = {"small": (0, 1, 2, 3, 5, 7), "layered": (0, 2, 9, 40, 130, 169)}
 
-    def inputs(self, request, name, seed, min_size=0):
+    def inputs(self, request, name, seed):
         o = request.getfixturevalue(name)
         s = request.getfixturevalue(f"{name}_stats")
-        sizes = [n for n in self.SIZES[name] if n >= min_size]
-        return (*random_cohort(o, seed, sizes), o, s)
+        return (*random_cohort(o, seed, self.SIZES[name]), o, s)
 
     @pytest.mark.parametrize("name", ["small", "layered"])
     @pytest.mark.parametrize("seed", [1, 2])
@@ -366,10 +382,11 @@ class TestOneKernelMatchesLoops:
     def test_permutation_delta(self, request, monkeypatch, name, permutations, block):
         if block is not None:
             monkeypatch.setattr(evaluation, "_PERMUTATION_BLOCK", block)
-        ranked, gold, o, s = self.inputs(request, name, 3, min_size=2)
+        ranked, gold, o, s = self.inputs(request, name, 3)
         cfg = quick_cfg(cutoffs=self.CUTOFFS, iterations=20, permutations=permutations)
         got = permutation_delta(ranked, gold, o, s, cfg, 3)
         want = helpers.loop_permutation_delta(ranked, gold, o, s, cfg, 3)
+        assert got.warnings["emptyRanked"] == 1
         assert got.to_json() == want.to_json()
 
 

@@ -328,6 +328,30 @@ class TestRemoteBackend:
         assert len(backend_server.seen) == 2
         assert waits == [2.0]
 
+    def test_backoff_is_full_jitter_below_doubling_ceiling(
+        self, backend_server, monkeypatch
+    ):
+        waits, ceilings = [], []
+
+        def three_quarters(low, high):
+            ceilings.append((low, high))
+            return 0.75 * high
+
+        monkeypatch.setattr(extraction, "RETRY_BASE_DELAY", 1.0)
+        monkeypatch.setattr(extraction.random, "uniform", three_quarters)
+        monkeypatch.setattr(extraction.time, "sleep", waits.append)
+        backend_server.script = [
+            (503, None),
+            (429, "{}", {"Retry-After": "3"}),
+            (503, None),
+            (200, None),
+        ]
+        backend_server.reply = "ok"
+        assert remote_complete(_cfg(backend_server, max_retries=3), "p") == "ok"
+        assert ceilings == [(0.0, 1.0), (0.0, 2.0), (0.0, 4.0)]
+        # The second wait is Retry-After, longer than its jittered 1.5 s.
+        assert waits == [0.75, 3.0, 3.0]
+
     def test_rate_limit_429_exhausted_raises_unavailable(self, backend_server):
         backend_server.script = [(429, "{}")] * 3
         with pytest.raises(BackendUnavailableError, match="HTTP 429"):

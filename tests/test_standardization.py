@@ -135,6 +135,11 @@ def tie_index():
     return build_index(_tie_ontology())
 
 
+@pytest.fixture(scope="module")
+def tie_oracle():
+    return helpers.entrywise_index(_tie_ontology())
+
+
 _QUERY = st.one_of(
     st.text(alphabet="abcdefghilmnoprstuvy -,.0éSHL", min_size=1, max_size=30),
     st.text(alphabet="ab -", min_size=3, max_size=40),
@@ -179,11 +184,16 @@ class TestExactness:
     def test_index_csr_bitwise_equals_entrywise_builder(self, make):
         o = make()
         got, want = build_index(o), helpers.entrywise_index(o)
-        assert got.matrix.shape == want.matrix.shape
-        for name in ("data", "indices", "indptr"):
-            a, b = getattr(got.matrix, name), getattr(want.matrix, name)
-            assert a.dtype == b.dtype
-            assert a.tobytes() == b.tobytes()
+        csc = want.matrix.tocsc()
+        assert csc.has_sorted_indices
+        assert got.data.dtype == csc.data.dtype == np.float64
+        assert got.data.tobytes() == csc.data.tobytes()
+        assert got.rows.dtype == csc.indices.dtype == np.int32
+        assert got.rows.tobytes() == csc.indices.tobytes()
+        # scipy picks the narrowest index type that fits; the column pointer
+        # is int64 so it never overflows, and compared after a cast.
+        assert got.colptr.dtype == np.int64
+        assert got.colptr.tobytes() == csc.indptr.astype(np.int64).tobytes()
         assert [(e.term_id, e.text) for e in got.entries] == [
             (e.term_id, e.text) for e in want.entries
         ]
@@ -192,16 +202,16 @@ class TestExactness:
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(_QUERY, st.integers(1, 30))
-    def test_retrieve_matches_dense_oracle(self, tie_index, query, k):
+    def test_retrieve_matches_dense_oracle(self, tie_index, tie_oracle, query, k):
         # 21 terms, so k above 21 asks for more terms than exist.
-        want = helpers.dense_retrieve(tie_index, query, k)
+        want = helpers.dense_retrieve(tie_oracle, query, k)
         assert _bits([retrieve(tie_index, query, k)]) == _bits([want])
 
-    def test_ties_and_k_beyond_term_count(self, tie_index):
+    def test_ties_and_k_beyond_term_count(self, tie_index, tie_oracle):
         for query in ("shared label", "zzz"):
             got = retrieve(tie_index, query, k=100)
             assert len(got) == len(tie_index.term_ids)
-            assert _bits([got]) == _bits([helpers.dense_retrieve(tie_index, query, 100)])
+            assert _bits([got]) == _bits([helpers.dense_retrieve(tie_oracle, query, 100)])
         got = retrieve(tie_index, "shared label", k=100)
         top = [t for t, s in got if s == got[0][1]]
         assert top == sorted(top) and len(top) == 4
@@ -368,7 +378,7 @@ class TestStandardizeCorpus:
         assert "EmbeddingError" in failed[0].error
 
     def test_candidates_match_one_query_oracle(self, clinical):
-        index = build_index(clinical)
+        index, oracle = build_index(clinical), helpers.entrywise_index(clinical)
         surfaces = ["Seizures", "seizures!", "near sighted", "--", "Low  muscle-tone"]
         mentions = {
             "P0001": [mention(s, 20 * i) for i, s in enumerate(surfaces)],
@@ -380,7 +390,7 @@ class TestStandardizeCorpus:
                 assert row.error == "EmbeddingError: text '--' is empty after normalization"
                 assert row.candidates == []
             else:
-                want = helpers.dense_retrieve(index, row.mention.surface, 10)
+                want = helpers.dense_retrieve(oracle, row.mention.surface, 10)
                 assert _bits([row.candidates]) == _bits([want])
 
     def test_patients_sorted(self, clinical):

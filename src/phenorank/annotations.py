@@ -1,15 +1,18 @@
 """Disease and gene annotation knowledge base and per-term feature rows.
 
-Disease annotations come from two closed sources (omim, orphanet). IDF-style
-features are per-source; count and fraction features pool the sources, matching
-how information content is computed. Counts reach ancestors through
-``ontology.propagate_counts``, the same pass ``compute_stats`` uses.
+Disease annotations come from two closed sources (omim, orphanet). The KB holds
+only the direct annotations and their totals; it keeps no derived counts.
+``feature_table``, their one reader, propagates the per-source and gene counts
+to ancestors through ``ontology.propagate_counts``, the pass ``compute_stats``
+uses for the pooled counts. IDF-style features are per-source; count and
+fraction features pool the sources, matching how information content is
+computed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DataError, IngestError, ParseError
 from .ontology import Ontology, OntologyStats, propagate_counts
@@ -24,14 +27,17 @@ CSV_HEADER = (
 
 @dataclass
 class AnnotationKB:
-    """Immutable annotation store with descendant-propagated count caches."""
+    """Direct annotations per term and the distinct-document totals; no caches.
+
+    Counts propagated to ancestors are derived where they are read:
+    ``feature_table`` for the per-source and gene counts, ``compute_stats``
+    for the pooled disease counts.
+    """
 
     disease_annots: dict[str, dict[str, frozenset[str]]]
     gene_annots: dict[str, frozenset[str]]
     disease_totals: dict[str, int]
     total_genes: int
-    propagated_disease_counts: dict[str, dict[str, int]] = field(repr=False)
-    propagated_gene_counts: dict[str, int] = field(repr=False)
 
 
 def load_annotations(disease_text: str, gene_text: str, o: Ontology) -> AnnotationKB:
@@ -90,7 +96,6 @@ def load_annotations(disease_text: str, gene_text: str, o: Ontology) -> Annotati
         for s, per_term in disease_direct.items()
     }
     total_genes = len({g for gs in gene_direct.values() for g in gs})
-    propagated = {s: propagate_counts(o, disease_direct[s]) for s in DISEASE_SOURCES}
     return AnnotationKB(
         disease_annots={
             s: {t: frozenset(d) for t, d in per_term.items()}
@@ -99,27 +104,7 @@ def load_annotations(disease_text: str, gene_text: str, o: Ontology) -> Annotati
         gene_annots={t: frozenset(g) for t, g in gene_direct.items()},
         disease_totals=disease_totals,
         total_genes=total_genes,
-        propagated_disease_counts=propagated,
-        propagated_gene_counts=propagate_counts(o, gene_direct),
     )
-
-
-def idf(kb: AnnotationKB, source: str, term_id: str) -> float:
-    """Inverse document frequency of a term within one disease source.
-
-    idf = -ln(d / D) for d diseases of the source annotated to the term or a
-    descendant, out of D; terms no disease reaches use add-one smoothing,
-    -ln(1 / (D + 1)).
-    """
-    if source not in DISEASE_SOURCES:
-        raise DataError(f"unknown disease source {source!r}")
-    total = kb.disease_totals[source]
-    if total == 0:
-        raise DataError(f"disease source {source!r} is empty; idf undefined")
-    d = kb.propagated_disease_counts[source].get(term_id, 0)
-    if d == 0:
-        return -math.log(1.0 / (total + 1.0))
-    return -math.log(d / total)
 
 
 @dataclass(frozen=True)
@@ -136,29 +121,50 @@ class TermFeatureRow:
     idf_orphanet: float
 
 
-def featurize_term(
-    o: Ontology, s: OntologyStats, kb: AnnotationKB, term_id: str
-) -> TermFeatureRow:
-    o.require(term_id)
-    gene_count = kb.propagated_gene_counts.get(term_id, 0)
-    disease_count = s.annot_count.get(term_id, 0)
-    return TermFeatureRow(
-        term_id=term_id,
-        ic=s.ic[term_id],
-        gene_count=gene_count,
-        gene_fraction=gene_count / kb.total_genes if kb.total_genes else 0.0,
-        disease_count=disease_count,
-        disease_fraction=disease_count / s.total_diseases,
-        idf_omim=idf(kb, "omim", term_id),
-        idf_orphanet=idf(kb, "orphanet", term_id),
-    )
+def _idf(count: int, total: int) -> float:
+    """Inverse document frequency of a term within one disease source.
+
+    idf = -ln(d / D) for d diseases of the source annotated to the term or a
+    descendant, out of D; terms no disease reaches use add-one smoothing,
+    -ln(1 / (D + 1)).
+    """
+    if count == 0:
+        return -math.log(1.0 / (total + 1.0))
+    return -math.log(count / total)
 
 
 def feature_table(
     o: Ontology, s: OntologyStats, kb: AnnotationKB
 ) -> list[TermFeatureRow]:
-    """One row per non-obsolete term, ordered by term id."""
-    return [featurize_term(o, s, kb, tid) for tid in o.non_obsolete_ids()]
+    """One row per non-obsolete term, ordered by term id.
+
+    Disease count and fraction pool the sources (``s``); gene count and the
+    per-source IDFs propagate the KB's direct annotations here.
+    """
+    for source in DISEASE_SOURCES:
+        if kb.disease_totals[source] == 0:
+            raise DataError(f"disease source {source!r} is empty; idf undefined")
+    omim, orphanet = (
+        propagate_counts(o, kb.disease_annots[source]) for source in DISEASE_SOURCES
+    )
+    genes = propagate_counts(o, kb.gene_annots)
+    rows = []
+    for tid in o.non_obsolete_ids():
+        gene_count = genes.get(tid, 0)
+        disease_count = s.annot_count.get(tid, 0)
+        rows.append(
+            TermFeatureRow(
+                term_id=tid,
+                ic=s.ic[tid],
+                gene_count=gene_count,
+                gene_fraction=gene_count / kb.total_genes if kb.total_genes else 0.0,
+                disease_count=disease_count,
+                disease_fraction=disease_count / s.total_diseases,
+                idf_omim=_idf(omim.get(tid, 0), kb.disease_totals["omim"]),
+                idf_orphanet=_idf(orphanet.get(tid, 0), kb.disease_totals["orphanet"]),
+            )
+        )
+    return rows
 
 
 def feature_table_csv(rows: list[TermFeatureRow]) -> str:

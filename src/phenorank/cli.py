@@ -116,40 +116,27 @@ def chunk(ctx: click.Context) -> None:
 
 @main.command()
 @click.option(
-    "--backend",
-    type=click.Choice(["gazetteer", "remote"]),
+    "--concurrency",
+    type=int,
     default=None,
-    help="Override the configured extraction backend.",
-)
-@click.option(
-    "--concurrency", type=int, default=None, help="Parallel chunk requests."
+    help="Parallel chunk requests (not part of the configuration hash).",
 )
 @click.pass_context
-def extract(ctx: click.Context, backend: str | None, concurrency: int | None) -> None:
+def extract(ctx: click.Context, concurrency: int | None) -> None:
     """Extract phenotype mentions from every chunk."""
     cfg = _load(ctx)
-    updates = {}
-    if backend is not None:
-        updates["backend"] = backend
     if concurrency is not None:
-        updates["concurrency"] = concurrency
-    if updates:
         cfg = dataclasses.replace(
-            cfg, extraction=dataclasses.replace(cfg.extraction, **updates)
+            cfg, extraction=dataclasses.replace(cfg.extraction, concurrency=concurrency)
         )
     _run(lambda: pipeline.step_extract(cfg))
 
 
 @main.command()
-@click.option("--k", type=int, default=None, help="Candidates retrieved per mention.")
 @click.pass_context
-def standardize(ctx: click.Context, k: int | None) -> None:
+def standardize(ctx: click.Context) -> None:
     """Resolve mentions to ontology terms."""
     cfg = _load(ctx)
-    if k is not None:
-        cfg = dataclasses.replace(
-            cfg, standardization=dataclasses.replace(cfg.standardization, top_k=k)
-        )
     _run(lambda: pipeline.step_standardize(cfg))
 
 

@@ -165,18 +165,21 @@ def _report(
 def _scored_patients(
     ranked_by_patient: dict[str, list[str]], gold_by_patient: dict[str, set[str]]
 ) -> tuple[list[str], int]:
-    """Sorted ids of ranked patients with gold terms, and how many lack gold.
+    """Sorted ids of patients with gold terms, and how many ranked ones lack gold.
 
-    A scored ranking that repeats a term is rejected: top-k counts assume
-    each of the k positions holds a distinct term.
+    A gold patient with no ranking row is scored as an empty ranking. If no
+    gold patient has a row at all, the ids most likely do not match. A scored
+    ranking that repeats a term is rejected: top-k counts assume each of the k
+    positions holds a distinct term.
     """
-    pids = [pid for pid in sorted(ranked_by_patient) if gold_by_patient.get(pid)]
-    if not pids:
+    pids = sorted(pid for pid, gold in gold_by_patient.items() if gold)
+    if not any(pid in ranked_by_patient for pid in pids):
         raise DataError("no patient has both a ranking and gold terms")
     for pid in pids:
-        if len(set(ranked_by_patient[pid])) != len(ranked_by_patient[pid]):
+        ranked = ranked_by_patient.get(pid, [])
+        if len(set(ranked)) != len(ranked):
             raise DataError(f"patient {pid} ranks a term more than once")
-    return pids, len(ranked_by_patient) - len(pids)
+    return pids, len(ranked_by_patient.keys() - set(pids))
 
 
 def _cutoff_metrics(
@@ -215,8 +218,9 @@ def evaluate_cohort(
 ) -> MetricsReport:
     """Average per-patient metrics at each cutoff with bootstrap CIs.
 
-    Patients without gold are excluded and counted in the warnings; empty
-    ranked lists contribute zero precision/recall/similarity and are flagged.
+    Every patient with gold terms is scored. Ranked patients without gold are
+    excluded and counted in the warnings; empty or absent ranked lists
+    contribute zero precision/recall/similarity and are flagged.
     """
     cfg.validate()
     cache = LinCache(o, s)
@@ -224,7 +228,7 @@ def evaluate_cohort(
     empty_ranked = 0
     per_patient = np.zeros((len(pids), len(cfg.cutoffs), len(METRIC_NAMES)))
     for i, pid in enumerate(pids):
-        ranked = ranked_by_patient[pid]
+        ranked = ranked_by_patient.get(pid, [])
         gold = set(gold_by_patient[pid])
         n = len(ranked)
         if not n:
@@ -271,7 +275,7 @@ def permutation_delta(
     empty_ranked = 0
     deltas = np.zeros((len(pids), len(cfg.cutoffs), len(DELTA_METRIC_NAMES)))
     for i, pid in enumerate(pids):
-        ranked = ranked_by_patient[pid]
+        ranked = ranked_by_patient.get(pid, [])
         gold = set(gold_by_patient[pid])
         n = len(ranked)
         if n < 2:

@@ -28,7 +28,7 @@ from .errors import (
     RetrievalError,
 )
 from .config import ExtractionConfig
-from .extraction import Mention, PromptTemplate, remote_complete
+from .extraction import Mention, PromptTemplate, remote_complete, render_prompt
 from .ontology import Ontology
 
 logger = logging.getLogger(__name__)
@@ -280,7 +280,7 @@ _SELECTOR_TEMPLATE = PromptTemplate(
     ),
     markup_guide="Answer with exactly one candidate id, or the word none.",
     phenotype_definition="",
-    input_slot="{input}",
+    input_slot="{input}\nAnswer:",
 )
 
 _TERM_ID_TOKEN_RE = re.compile(r"HP:\d{7}")
@@ -307,14 +307,7 @@ class RemoteSelector:
             if c.definition:
                 entry += f" ({c.definition})"
             lines.append(entry)
-        prompt = (
-            _SELECTOR_TEMPLATE.task_statement
-            + "\n\n"
-            + _SELECTOR_TEMPLATE.markup_guide
-            + "\n\n"
-            + "\n".join(lines)
-            + "\nAnswer:"
-        )
+        prompt = render_prompt(_SELECTOR_TEMPLATE, "\n".join(lines))
         answer = remote_complete(self.cfg, prompt)
         by_id = {c.term_id: c for c in candidates}
         m = _TERM_ID_TOKEN_RE.search(answer)

@@ -6,7 +6,9 @@ their bugs. The text-layer oracles are the package's earlier implementations:
 the regex gazetteer, the per-byte FNV-1a embedding, the entry-by-entry index
 builder and the dense one-query scan. The trainer oracles are the package's
 per-patient pairwise loop and per-cut tree builder. The evaluation oracles
-are the package's cutoff-by-cutoff, draw-by-draw evaluators. The reference
+are the package's cutoff-by-cutoff, draw-by-draw evaluators. The feature-row
+oracle is the package's earlier per-term path: per-source counts propagated
+eagerly, then one IDF lookup per term and source. The reference
 functions (set similarity, undirected distance, top-k precision/recall/F1, the
 pairwise gradient and loss at raw weights, note filtering, span markup) are
 used only by tests, so they live here rather than in the package.
@@ -26,6 +28,7 @@ import numpy as np
 from scipy import sparse
 from scipy.special import expit
 
+from phenorank.annotations import DISEASE_SOURCES, AnnotationKB, TermFeatureRow
 from phenorank.config import EvaluationConfig, TrainingConfig
 from phenorank.corpus import ClinicalNote, NoteChunk
 from phenorank.errors import ConfigError, DataError, EmbeddingError, StructuralError
@@ -368,6 +371,53 @@ def bf_bma(o: Ontology, ic: dict[str, float], left: set[str], right: set[str]) -
     fwd = sum(max(bf_lin(o, ic, a, b) for b in right) for a in left) / len(left)
     bwd = sum(max(bf_lin(o, ic, a, b) for a in left) for b in right) / len(right)
     return (fwd + bwd) / 2.0
+
+
+def bf_propagated_counts(o: Ontology, direct) -> dict[str, int]:
+    """Distinct documents annotated to each term or a descendant (reached only)."""
+    reached: dict[str, set[str]] = {}
+    for tid, docs in direct.items():
+        for a in bf_ancestors(o, tid):
+            reached.setdefault(a, set()).update(docs)
+    return {t: len(docs) for t, docs in reached.items()}
+
+
+def oracle_idf(kb: AnnotationKB, propagated: dict, source: str, term_id: str) -> float:
+    """Per-source IDF of one term, with add-one smoothing for unreached terms."""
+    total = kb.disease_totals[source]
+    if total == 0:
+        raise DataError(f"disease source {source!r} is empty; idf undefined")
+    d = propagated[source].get(term_id, 0)
+    if d == 0:
+        return -math.log(1.0 / (total + 1.0))
+    return -math.log(d / total)
+
+
+def oracle_feature_table(
+    o: Ontology, s: OntologyStats, kb: AnnotationKB
+) -> list[TermFeatureRow]:
+    """Feature rows built one term at a time from eagerly propagated counts."""
+    propagated = {
+        src: bf_propagated_counts(o, kb.disease_annots[src]) for src in DISEASE_SOURCES
+    }
+    genes = bf_propagated_counts(o, kb.gene_annots)
+    rows = []
+    for tid in o.non_obsolete_ids():
+        gene_count = genes.get(tid, 0)
+        disease_count = s.annot_count.get(tid, 0)
+        rows.append(
+            TermFeatureRow(
+                term_id=tid,
+                ic=s.ic[tid],
+                gene_count=gene_count,
+                gene_fraction=gene_count / kb.total_genes if kb.total_genes else 0.0,
+                disease_count=disease_count,
+                disease_fraction=disease_count / s.total_diseases,
+                idf_omim=oracle_idf(kb, propagated, "omim", tid),
+                idf_orphanet=oracle_idf(kb, propagated, "orphanet", tid),
+            )
+        )
+    return rows
 
 
 def bf_negative_pools(

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import helpers
 from helpers import (
     A_LEAF,
     A_ONE,
@@ -18,11 +19,14 @@ from phenorank.annotations import (
     CSV_HEADER,
     feature_table,
     feature_table_csv,
-    featurize_term,
-    idf,
     load_annotations,
 )
 from phenorank.errors import DataError, IngestError, ParseError
+from phenorank.ontology import compute_stats, propagate_counts
+
+
+def feature_row(o, s, kb, term_id):
+    return next(r for r in feature_table(o, s, kb) if r.term_id == term_id)
 
 
 class TestLoading:
@@ -71,50 +75,48 @@ class TestLoading:
 
 
 class TestPropagation:
-    def test_disease_counts_reach_ancestors(self, small_kb):
-        omim = small_kb.propagated_disease_counts["omim"]
+    def test_disease_counts_reach_ancestors(self, small, small_kb):
+        omim = propagate_counts(small, small_kb.disease_annots["omim"])
         assert omim[ROOT] == 4
         assert omim[BRANCH_A] == 3
         assert omim[A_ONE] == 2
         assert omim[A_LEAF] == 1
 
-    def test_gene_counts_reach_ancestors(self, small_kb):
-        genes = small_kb.propagated_gene_counts
+    def test_gene_counts_reach_ancestors(self, small, small_stats, small_kb):
+        genes = propagate_counts(small, small_kb.gene_annots)
         assert genes[ROOT] == 3
         assert genes[BRANCH_A] == 2
         assert genes[A_ONE] == 1
+        rows = {r.term_id: r for r in feature_table(small, small_stats, small_kb)}
+        assert [rows[t].gene_count for t in (ROOT, BRANCH_A, A_ONE)] == [3, 2, 1]
 
 
 class TestIdf:
-    def test_one_of_four(self, small_kb):
-        got = idf(small_kb, "omim", A_LEAF)
+    def test_one_of_four(self, small, small_stats, small_kb):
+        got = feature_row(small, small_stats, small_kb, A_LEAF).idf_omim
         assert got == pytest.approx(1.3862943611198906, abs=1e-12)
 
-    def test_zero_count_smoothing(self, orphaned_kb):
-        got = idf(orphaned_kb, "omim", ORPHAN)
+    def test_zero_count_smoothing(self, orphaned, orphaned_stats, orphaned_kb):
+        got = feature_row(orphaned, orphaned_stats, orphaned_kb, ORPHAN).idf_omim
         assert got == pytest.approx(1.6094379124341003, abs=1e-12)
 
-    def test_full_coverage_gives_zero(self, small_kb):
-        assert idf(small_kb, "orphanet", A_ONE) == 0.0
-        assert idf(small_kb, "omim", ROOT) == 0.0
+    def test_full_coverage_gives_zero(self, small, small_stats, small_kb):
+        assert feature_row(small, small_stats, small_kb, A_ONE).idf_orphanet == 0.0
+        assert feature_row(small, small_stats, small_kb, ROOT).idf_omim == 0.0
 
-    def test_smoothing_scales_with_source_size(self, small_kb):
-        got = idf(small_kb, "orphanet", B_ONE)
+    def test_smoothing_scales_with_source_size(self, small, small_stats, small_kb):
+        got = feature_row(small, small_stats, small_kb, B_ONE).idf_orphanet
         assert got == pytest.approx(math.log(2.0), abs=1e-12)
-
-    def test_unknown_source_rejected(self, small_kb):
-        with pytest.raises(DataError, match="unknown disease source"):
-            idf(small_kb, "decipher", A_LEAF)
 
     def test_empty_source_rejected(self, small):
         kb = load_annotations(f"{A_LEAF}\td1\tomim\n", "", small)
-        with pytest.raises(DataError, match="empty"):
-            idf(kb, "orphanet", A_LEAF)
+        with pytest.raises(DataError, match="'orphanet' is empty"):
+            feature_table(small, compute_stats(small, kb), kb)
 
 
 class TestFeatures:
     def test_row_values(self, small, small_stats, small_kb):
-        row = featurize_term(small, small_stats, small_kb, A_ONE)
+        row = feature_row(small, small_stats, small_kb, A_ONE)
         assert row.term_id == A_ONE
         assert row.ic == pytest.approx(0.6931471805599453, abs=1e-12)
         assert row.gene_count == 1
@@ -126,9 +128,17 @@ class TestFeatures:
 
     def test_gene_fraction_zero_without_genes(self, small, small_stats):
         kb = load_annotations(SMALL_DISEASE_TSV, "", small)
-        row = featurize_term(small, small_stats, kb, A_ONE)
+        row = feature_row(small, small_stats, kb, A_ONE)
         assert row.gene_count == 0
         assert row.gene_fraction == 0.0
+
+    @pytest.mark.parametrize("name", ["small", "orphaned", "layered", "clinical"])
+    def test_table_equals_per_term_oracle(self, request, name):
+        o = request.getfixturevalue(name)
+        kb = request.getfixturevalue(f"{name}_kb")
+        s = request.getfixturevalue(f"{name}_stats")
+        # Dataclass equality: every float bit-equal to the per-term path.
+        assert feature_table(o, s, kb) == helpers.oracle_feature_table(o, s, kb)
 
     def test_table_sorted_and_complete(self, small, small_stats, small_kb):
         rows = feature_table(small, small_stats, small_kb)

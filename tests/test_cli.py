@@ -233,13 +233,12 @@ class TestRemoteBackendErrors:
         assert err["type"] == "CredentialError"
         assert "PHENORANK_TEST_KEY" in err["message"]
 
-    def test_backend_flag_overrides_config(self, remote_ws):
-        result = invoke(
-            remote_ws,
-            "extract",
-            "--backend",
-            "gazetteer",
-            env={"PHENORANK_TEST_KEY": "sk-cli-test"},
-        )
-        assert result.exit_code == 0
-        assert stdout_json(result)["failures"] == 0
+    @pytest.mark.parametrize(
+        "args", [("extract", "--backend", "gazetteer"), ("standardize", "--k", "5")]
+    )
+    def test_config_only_settings_have_no_flag(self, remote_ws, args):
+        # Backend and top_k enter the configuration hash, so only the config
+        # file sets them; a flag would write artifacts the hash disowns.
+        result = invoke(remote_ws, *args, env={"PHENORANK_TEST_KEY": "sk-cli-test"})
+        assert result.exit_code == 2
+        assert "No such option" in result.stderr

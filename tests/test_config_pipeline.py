@@ -1,13 +1,14 @@
 import dataclasses
 import json
 import logging
+import sys
 import threading
 
 import pytest
 import yaml
 
 import helpers
-from phenorank import pipeline
+from phenorank import ontology, pipeline
 from phenorank.config import (
     PipelineConfig,
     config_from_dict,
@@ -551,6 +552,39 @@ class TestPipelineChain:
         pipeline.step_evaluate(wide)
         after = {name: (wd / name).read_bytes() for name in watched}
         assert before == after
+
+
+STEPS = (
+    "ingest", "synth", "chunk", "extract", "standardize",
+    "train", "rank", "evaluate", "ablate", "permtest",
+)
+
+
+def test_propagation_runs_only_where_its_counts_are_read(tmp_path, monkeypatch):
+    # One pooled pass for IC in every step that loads the KB, plus the two
+    # per-source and one gene pass in the steps that build feature rows.
+    calls = []
+    original = ontology.propagate_counts
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    # ``from .ontology import propagate_counts`` copies the reference.
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("phenorank"):
+            if getattr(mod, "propagate_counts", None) is original:
+                monkeypatch.setattr(mod, "propagate_counts", counted)
+    cfg = write_workspace(tmp_path)
+    per_step = {}
+    for step in STEPS:
+        calls.clear()
+        getattr(pipeline, f"step_{step}")(cfg)
+        per_step[step] = len(calls)
+    assert per_step == {
+        "ingest": 4, "synth": 1, "chunk": 0, "extract": 0, "standardize": 0,
+        "train": 4, "rank": 4, "evaluate": 1, "ablate": 1, "permtest": 1,
+    }
 
 
 class TestPipelineGuards:

@@ -226,6 +226,24 @@ def test_no_patient_with_ranking_and_gold_rejected(evaluator, small, small_stats
 
 
 @pytest.mark.parametrize("evaluator", [evaluate_cohort, permutation_delta])
+def test_gold_patient_without_ranking_row_scores_as_empty(
+    evaluator, small, small_stats
+):
+    ranked = {"P1": [A_ONE], "P3": [B_ONE]}
+    gold = {"P1": {A_ONE}, "P2": {B_ONE}}
+    report = evaluator(ranked, gold, small, small_stats, quick_cfg(cutoffs=(1,)))
+    assert report.cohort_size == 2
+    assert report.warnings == {"missingGold": 1, "emptyRanked": 1}
+    # An absent row reads exactly as an empty one.
+    filled = evaluator(
+        {**ranked, "P2": []}, gold, small, small_stats, quick_cfg(cutoffs=(1,))
+    )
+    assert report.to_json() == filled.to_json()
+    if evaluator is evaluate_cohort:
+        assert report.value(1, "precision")[0] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("evaluator", [evaluate_cohort, permutation_delta])
 def test_repeated_ranked_term_rejected(evaluator, small, small_stats):
     # Top-k counts assume k distinct terms; both evaluators refuse a repeat.
     ranked = {"P1": [A_ONE, A_ONE, B_ONE]}

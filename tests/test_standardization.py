@@ -297,6 +297,30 @@ class TestRemoteSelector:
         assert "near sighted" in prompt
         assert MYOPIA in prompt and "Strabismus" in prompt
 
+    TASK = (
+        "You map a clinical mention onto one ontology term. Choose the single "
+        "best-matching candidate, or answer none if no candidate matches.\n\n"
+        "Answer with exactly one candidate id, or the word none.\n\n"
+    )
+
+    @pytest.mark.parametrize(
+        "surface, shown",
+        [
+            ("near sighted", "near sighted"),
+            ("a <span>b</span> c", "a &lt;span&gt;b&lt;/span&gt; c"),
+        ],
+    )
+    def test_full_prompt(self, selector_server, surface, shown):
+        _remote_selector(selector_server).select(surface, self.CANDS)
+        assert selector_server.prompts == [
+            self.TASK
+            + f"Mention: {shown}\n"
+            "Candidates:\n"
+            f"- {MYOPIA}: Myopia (Refractive error.)\n"
+            "- HP:0000486: Strabismus\n"
+            "Answer:"
+        ]
+
     def test_hallucinated_id_treated_as_none(self, selector_server):
         selector_server.answer = "HP:0099999"
         sel = _remote_selector(selector_server)

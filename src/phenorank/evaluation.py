@@ -223,7 +223,28 @@ def evaluate_cohort(
     contribute zero precision/recall/similarity and are flagged.
     """
     cfg.validate()
-    cache = LinCache(o, s)
+    return _evaluate(
+        ranked_by_patient,
+        gold_by_patient,
+        LinCache(o, s),
+        cfg,
+        seed,
+        configuration,
+        provenance,
+    )
+
+
+def _evaluate(
+    ranked_by_patient: dict[str, list[str]],
+    gold_by_patient: dict[str, set[str]],
+    cache: LinCache,
+    cfg: EvaluationConfig,
+    seed: int,
+    configuration: str,
+    provenance: dict | None,
+) -> MetricsReport:
+    """``evaluate_cohort`` with the Lin cache supplied, so the ablation
+    stages share one and score each (ranked, gold) pair once."""
     pids, missing_gold = _scored_patients(ranked_by_patient, gold_by_patient)
     empty_ranked = 0
     per_patient = np.zeros((len(pids), len(cfg.cutoffs), len(METRIC_NAMES)))
@@ -360,6 +381,7 @@ def ablation_run(
         ABLATION_STAGES[1]: standardized_by_patient,
         ABLATION_STAGES[2]: ranked_by_patient,
     }
+    cache = LinCache(o, s)
     reports = []
     for stage in ABLATION_STAGES:
         lists = stage_lists[stage]
@@ -367,15 +389,8 @@ def ablation_run(
             pid: list(lists.get(pid, [])) for pid in sorted(gold_by_patient)
         }
         reports.append(
-            evaluate_cohort(
-                normalized,
-                gold_by_patient,
-                o,
-                s,
-                cfg,
-                seed,
-                configuration=stage,
-                provenance=provenance,
+            _evaluate(
+                normalized, gold_by_patient, cache, cfg, seed, stage, provenance
             )
         )
     return reports

@@ -325,6 +325,9 @@ def render_prompt(template: PromptTemplate, text: str) -> str:
 
 RETRY_BASE_DELAY = 0.1  # seconds; the backoff ceiling, doubling per attempt
 RESPONSE_TEXT_PATH = ("choices", 0, "message", "content")
+# One ``requests.Session`` per thread: a Session is not thread-safe, and each
+# keeps its connections open, so a worker's later calls skip the handshake.
+_thread_state = threading.local()
 
 
 def _auth_headers(cfg: ExtractionConfig) -> dict[str, str]:
@@ -355,9 +358,14 @@ def remote_complete(cfg: ExtractionConfig, prompt: str) -> str:
     exponential backoff (a uniform wait below a doubling ceiling, so parallel
     workers spread out) until ``max_retries`` is exhausted; a ``Retry-After``
     header in integer seconds lengthens the wait to at least that. Auth
-    rejections raise immediately.
+    rejections raise immediately. Calls from one thread share that thread's
+    session, and so its open connections.
     """
     import requests  # only the remote backend needs it; keeps step start light
+
+    session = getattr(_thread_state, "session", None)
+    if session is None:
+        session = _thread_state.session = requests.Session()
 
     payload = {
         "model": cfg.model_name,
@@ -373,7 +381,7 @@ def remote_complete(cfg: ExtractionConfig, prompt: str) -> str:
             time.sleep(max(random.uniform(0.0, ceiling), retry_after))
         retry_after = 0.0
         try:
-            resp = requests.post(
+            resp = session.post(
                 cfg.endpoint_url, json=payload, headers=headers, timeout=cfg.timeout
             )
         except requests.RequestException as e:

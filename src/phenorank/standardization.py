@@ -6,10 +6,14 @@ Retrieval is an exhaustive cosine scan (exact by construction), and a selector
 turns the candidate list into a final term id or none.
 
 The index is held as three numpy arrays in compressed sparse column (CSC)
-layout, so this module needs numpy alone. A query reads only the columns of
-its own buckets, in ascending bucket order, and ``np.bincount`` adds each
-entry's products in that array order starting from 0.0: the same additions,
-in the same order, as a sparse column-major matrix-vector product.
+layout, so this module needs numpy alone; one ``np.unique`` over bucket-major
+keys yields that layout directly. A query concatenates the columns of its own
+buckets as contiguous slices, in ascending bucket order, each scaled by its
+query weight, and ``np.bincount`` adds each entry's products in that array
+order starting from 0.0: the same additions, in the same order, as a sparse
+column-major matrix-vector product. A term scores its best entry, taken with
+one ``np.maximum`` pass per entry rank, in the order ``np.maximum.reduceat``
+would compare them.
 """
 
 from __future__ import annotations
@@ -67,9 +71,11 @@ def _fnv1a_ngrams(data: np.ndarray) -> list[tuple[int, np.ndarray]]:
 
 
 def _ngram_counts(texts: Sequence[str], dimension: int) -> tuple[np.ndarray, np.ndarray]:
-    """Hashed n-gram counts of normalized texts as sorted ``row * dimension +
-    bucket`` keys and their counts.
+    """Hashed n-gram counts of normalized texts as sorted ``bucket * len(texts)
+    + row`` keys and their counts.
 
+    Keys are bucket-major, so sorted keys list each bucket's rows in ascending
+    order: column-major order. For a single text the key is the bucket.
     Each text is padded with one space on each side so word edges contribute;
     no n-gram crosses from one text into the next.
     """
@@ -77,12 +83,17 @@ def _ngram_counts(texts: Sequence[str], dimension: int) -> tuple[np.ndarray, np.
     lengths = np.fromiter(map(len, padded), dtype=np.int64, count=len(padded))
     data = np.frombuffer(b"".join(padded), dtype=np.uint8)
     row_of = np.repeat(np.arange(len(texts), dtype=np.int64), lengths)
-    end_of = np.repeat(np.cumsum(lengths), lengths)
+    # Bytes from each position to the end of its text: an n-gram starting
+    # there stays inside its text when n <= room.
+    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(data))
     keys = [np.zeros(0, dtype=np.int64)]
     for n, h in _fnv1a_ngrams(data):
-        inside = np.arange(len(h)) + n <= end_of[: len(h)]
-        keys.append(row_of[: len(h)][inside] * dimension + h[inside] % dimension)
-    return np.unique(np.concatenate(keys), return_counts=True)
+        inside = room[: len(h)] >= n
+        buckets = (h[inside] % dimension).astype(np.int64)
+        keys.append(buckets * len(texts) + row_of[: len(h)][inside])
+    # Drop the per-n parts before np.unique sorts its own copy.
+    keys = np.concatenate(keys)
+    return np.unique(keys, return_counts=True)
 
 
 def default_embed(text: str, dimension: int = DEFAULT_DIMENSION) -> np.ndarray:
@@ -113,6 +124,11 @@ class VectorIndex:
     nonzeros of bucket ``b`` are ``data[colptr[b]:colptr[b + 1]]``, in the
     entry rows ``rows[colptr[b]:colptr[b + 1]]``, which ascend. Rows for a
     term are contiguous, ordered by term id then name before synonyms.
+
+    ``rank_passes[r - 1]`` is ``(terms, rows)``: the terms that have an entry
+    of rank ``r`` (0 is the name), and that entry's row. Retrieval folds each
+    pass into the per-term maximum, so a term's entries are compared in row
+    order whatever their number.
     """
 
     def __init__(
@@ -130,6 +146,11 @@ class VectorIndex:
         self.colptr = colptr  # int64, DEFAULT_DIMENSION + 1 column offsets
         self.term_ids = term_ids  # sorted, aligned with term_starts
         self.term_starts = term_starts  # row offset where each term's entries begin
+        entry_counts = np.diff(term_starts, append=len(entries))
+        self.rank_passes: list[tuple[np.ndarray, np.ndarray]] = []
+        for rank in range(1, int(entry_counts.max(initial=1))):
+            terms = np.flatnonzero(entry_counts > rank)
+            self.rank_passes.append((terms, term_starts[terms] + rank))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -140,8 +161,8 @@ def build_index(o: Ontology) -> VectorIndex:
 
     All entries are hashed in one pass; the rows equal ``default_embed`` of
     each entry bit for bit, because counts are integers and so are the sums
-    of their squares. One stable sort by bucket turns the row-major keys
-    into columns whose rows stay ascending.
+    of their squares, whatever order they are added in. The sorted
+    bucket-major keys are already in column order, rows ascending.
     """
     entries: list[IndexEntry] = []
     term_ids: list[str] = []
@@ -159,17 +180,15 @@ def build_index(o: Ontology) -> VectorIndex:
                 f"text {entry.text!r} is empty after normalization"
             )
     keys, counts = _ngram_counts(texts, DEFAULT_DIMENSION)
-    rows = keys // DEFAULT_DIMENSION
-    buckets = keys % DEFAULT_DIMENSION
+    buckets, rows = np.divmod(keys, len(texts))
     values = counts.astype(np.float64)
     norms = np.sqrt(np.bincount(rows, weights=values * values, minlength=len(texts)))
-    by_column = np.argsort(buckets, kind="stable")
     colptr = np.zeros(DEFAULT_DIMENSION + 1, dtype=np.int64)
     np.cumsum(np.bincount(buckets, minlength=DEFAULT_DIMENSION), out=colptr[1:])
     return VectorIndex(
         entries=entries,
-        data=(values / norms[rows])[by_column],
-        rows=rows[by_column].astype(np.int32),
+        data=values / norms[rows],
+        rows=rows.astype(np.int32),
         colptr=colptr,
         term_ids=term_ids,
         term_starts=np.asarray(term_starts, dtype=np.int64),
@@ -198,9 +217,11 @@ def retrieve(
 
     Ties in score resolve to the smaller term id. Scores are clipped into
     [-1, 1] to absorb floating-point overshoot. Only the index columns of the
-    query's buckets are read, in ascending bucket order, and ``bincount`` adds
-    each entry's products in that order from 0.0: each score sums the same
-    nonzero products in the same order as a full matrix-vector product.
+    query's buckets are read, as slices in ascending bucket order, each scaled
+    by its query weight; ``bincount`` adds each entry's products in that order
+    from 0.0, so each score sums the same nonzero products in the same order
+    as a full matrix-vector product. A term's best entry is its name's score,
+    raised by one exact ``np.maximum`` pass per further entry rank.
     """
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
@@ -208,17 +229,24 @@ def retrieve(
         raise RetrievalError("vector index is empty")
     qv = default_embed(query)
     buckets = np.flatnonzero(qv)
-    starts = index.colptr[buckets]
-    lengths = index.colptr[buckets + 1] - starts
-    # Position of every stored value in the query's columns, column by column.
-    shift = starts - (np.cumsum(lengths) - lengths)
-    pos = np.arange(lengths.sum()) + np.repeat(shift, lengths)
-    scores = np.bincount(
-        index.rows[pos],
-        weights=index.data[pos] * np.repeat(qv[buckets], lengths),
-        minlength=len(index.entries),
+    columns = list(
+        zip(
+            index.colptr[buckets].tolist(),
+            index.colptr[buckets + 1].tolist(),
+            qv[buckets].tolist(),
+        )
     )
-    per_term = np.maximum.reduceat(scores, index.term_starts)
+    rows = np.concatenate([index.rows[a:b] for a, b, _ in columns])
+    # Each column's products, written straight into its span of the weights.
+    products = np.empty(len(rows), dtype=np.float64)
+    at = 0
+    for a, b, weight in columns:
+        np.multiply(index.data[a:b], weight, out=products[at : at + b - a])
+        at += b - a
+    scores = np.bincount(rows, weights=products, minlength=len(index.entries))
+    per_term = scores[index.term_starts]
+    for terms, entry_rows in index.rank_passes:
+        per_term[terms] = np.maximum(per_term[terms], scores[entry_rows])
     per_term = np.clip(per_term, -1.0, 1.0)
     # term_ids are sorted ascending, so the smaller index is the smaller id.
     return [(index.term_ids[i], float(per_term[i])) for i in _top_k(per_term, k)]

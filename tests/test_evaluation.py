@@ -493,6 +493,33 @@ class TestAblation:
             assert r.cohort_size == 2
             assert r.warnings["emptyRanked"] == 1
 
+    def test_ablation_scores_each_lin_pair_once(self, small, small_stats, monkeypatch):
+        calls = []
+
+        def counting(o, s, a, b):
+            calls.append((a, b))
+            return lin_similarity(o, s, a, b)
+
+        monkeypatch.setattr(evaluation, "lin_similarity", counting)
+        gold = {"P1": {A_ONE, A_LEAF}, "P2": {B_ONE}}
+        stages = (
+            {"P1": [mention("Alpha one")], "P2": [mention("Beta one")]},
+            {"P1": [A_ONE, A_TWO], "P2": [B_ONE, A_ONE]},
+            {"P1": [A_TWO, A_ONE, B_ONE], "P2": [A_ONE, B_ONE]},
+        )
+        ablation_run(*stages, gold, small, small_stats, quick_cfg())
+        ranked = [exact_name_terms(stages[0], small), stages[1], stages[2]]
+        pairs = {
+            frozenset((t, g))
+            for lists in ranked
+            for pid, terms in lists.items()
+            for t in terms
+            for g in gold[pid]
+        }
+        # The later stages repeat most of the earlier stages' pairs.
+        assert sum(len(ls[p]) * len(gold[p]) for ls in ranked for p in ls) > len(pairs)
+        assert len(calls) == len(pairs)
+
     def test_missing_artifacts_rejected(self, small, small_stats):
         with pytest.raises(ConfigError):
             ablation_run(

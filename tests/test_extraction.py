@@ -246,6 +246,13 @@ class TestPrompt:
 
 
 class _Handler(BaseHTTPRequestHandler):
+    # Keep-alive, as real endpoints do, so a client may reuse a connection.
+    protocol_version = "HTTP/1.1"
+
+    def setup(self):
+        super().setup()
+        self.server.connections.append(self.client_address)
+
     def do_POST(self):
         length = int(self.headers.get("Content-Length", "0"))
         body = json.loads(self.rfile.read(length) or b"{}")
@@ -260,12 +267,14 @@ class _Handler(BaseHTTPRequestHandler):
             payload = json.dumps(
                 {"choices": [{"message": {"content": self.server.reply}}]}
             )
+        body = payload.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
         for name, value in (headers[0] if headers else {}).items():
             self.send_header(name, value)
         self.end_headers()
-        self.wfile.write(payload.encode("utf-8"))
+        self.wfile.write(body)
 
     def log_message(self, *args):
         pass
@@ -275,6 +284,7 @@ class _Handler(BaseHTTPRequestHandler):
 def backend_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
     server.seen = []
+    server.connections = []
     server.script = []
     server.reply = "none"
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -305,6 +315,20 @@ class TestRemoteBackend:
         assert sent["model"] == "test-model"
         assert sent["messages"][0]["content"] == "prompt text"
         assert sent["temperature"] == 0.0
+
+    def test_one_connection_per_thread(self, backend_server):
+        backend_server.reply = "ok"
+        cfg = _cfg(backend_server)
+        for _ in range(5):
+            assert remote_complete(cfg, "p") == "ok"
+        assert len(backend_server.connections) == 1
+        # Another worker thread has its own session, so its own connection.
+        worker = threading.Thread(target=remote_complete, args=(cfg, "p"))
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert len(backend_server.seen) == 6
+        assert len(backend_server.connections) == 2
 
     def test_retries_transient_500_then_succeeds(self, backend_server):
         backend_server.script = [(500, None), (200, None)]

@@ -144,6 +144,11 @@ _QUERY = st.one_of(
     st.text(alphabet="abcdefghilmnoprstuvy -,.0éSHL", min_size=1, max_size=30),
     st.text(alphabet="ab -", min_size=3, max_size=40),
 ).filter(lambda q: standardization._normalize(q))
+# Index labels from few letters, so entries share n-grams and scores overlap.
+_LABEL = st.text(alphabet="abo -", min_size=1, max_size=14).filter(
+    lambda t: standardization._normalize(t)
+)
+ROOT = "HP:0000001"
 
 
 def _bits(rows):
@@ -206,6 +211,25 @@ class TestExactness:
         # 21 terms, so k above 21 asks for more terms than exist.
         want = helpers.dense_retrieve(tie_oracle, query, k)
         assert _bits([retrieve(tie_index, query, k)]) == _bits([want])
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(
+        st.lists(st.lists(_LABEL, min_size=1, max_size=7), min_size=1, max_size=8),
+        st.lists(_QUERY, min_size=1, max_size=4),
+        st.integers(1, 10),
+    )
+    def test_best_entry_among_many_synonyms(self, labels, queries, k):
+        # A term's best entry may be its name or any of up to six synonyms,
+        # so every entry rank reaches the per-term maximum.
+        terms = {ROOT: TermRecord(id=ROOT, name="Root")}
+        for i, (name, *synonyms) in enumerate(labels, start=2):
+            tid = f"HP:{i:07d}"
+            terms[tid] = TermRecord(id=tid, name=name, parents=[ROOT], synonyms=synonyms)
+        o = Ontology(terms)
+        index, oracle = build_index(o), helpers.entrywise_index(o)
+        for query in queries:
+            want = helpers.dense_retrieve(oracle, query, k)
+            assert _bits([retrieve(index, query, k)]) == _bits([want])
 
     def test_ties_and_k_beyond_term_count(self, tie_index, tie_oracle):
         for query in ("shared label", "zzz"):

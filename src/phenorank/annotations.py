@@ -7,6 +7,9 @@ to ancestors through ``ontology.propagate_counts``, the pass ``compute_stats``
 uses for the pooled counts. IDF-style features are per-source; count and
 fraction features pool the sources, matching how information content is
 computed.
+
+Only the steps that build feature rows (ingest, train, rank) read the gene
+file; the others load the KB from the disease file alone, without genes.
 """
 
 from __future__ import annotations
@@ -35,19 +38,22 @@ class AnnotationKB:
     """
 
     disease_annots: dict[str, dict[str, frozenset[str]]]
-    gene_annots: dict[str, frozenset[str]]
+    gene_annots: dict[str, frozenset[str]] | None  # None: loaded without genes
     disease_totals: dict[str, int]
     total_genes: int
 
 
-def load_annotations(disease_text: str, gene_text: str, o: Ontology) -> AnnotationKB:
+def load_annotations(
+    disease_text: str, gene_text: str | None, o: Ontology
+) -> AnnotationKB:
     """Load tab-separated disease and gene annotation rows.
 
     Disease rows are ``term<TAB>disease<TAB>source``; gene rows are
     ``term<TAB>gene``. Blank lines and ``#`` comments are skipped. Duplicate
     rows collapse. Structurally malformed rows raise ParseError with their line
     number; rows naming unknown/obsolete terms or an unknown source are
-    collected and raised together as IngestError.
+    collected and raised together as IngestError. With ``gene_text`` None no
+    gene rows are read: ``gene_annots`` is None and ``total_genes`` 0.
     """
     disease_direct: dict[str, dict[str, set[str]]] = {s: {} for s in DISEASE_SOURCES}
     gene_direct: dict[str, set[str]] = {}
@@ -60,7 +66,7 @@ def load_annotations(disease_text: str, gene_text: str, o: Ontology) -> Annotati
         parts = line.split("\t")
         if len(parts) != 3:
             raise ParseError(f"disease annotations line {lineno}: expected 3 columns")
-        tid, disease, source = (p.strip() for p in parts)
+        tid, disease, source = parts[0].strip(), parts[1].strip(), parts[2].strip()
         if not tid or not disease or not source:
             raise ParseError(f"disease annotations line {lineno}: empty column")
         if source not in DISEASE_SOURCES:
@@ -72,14 +78,14 @@ def load_annotations(disease_text: str, gene_text: str, o: Ontology) -> Annotati
             continue
         disease_direct[source].setdefault(tid, set()).add(disease)
 
-    for lineno, raw in enumerate(gene_text.splitlines(), start=1):
+    for lineno, raw in enumerate((gene_text or "").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) != 2:
             raise ParseError(f"gene annotations line {lineno}: expected 2 columns")
-        tid, gene = (p.strip() for p in parts)
+        tid, gene = parts[0].strip(), parts[1].strip()
         if not tid or not gene:
             raise ParseError(f"gene annotations line {lineno}: empty column")
         rec = o.terms.get(tid)
@@ -101,7 +107,11 @@ def load_annotations(disease_text: str, gene_text: str, o: Ontology) -> Annotati
             s: {t: frozenset(d) for t, d in per_term.items()}
             for s, per_term in disease_direct.items()
         },
-        gene_annots={t: frozenset(g) for t, g in gene_direct.items()},
+        gene_annots=(
+            None
+            if gene_text is None
+            else {t: frozenset(g) for t, g in gene_direct.items()}
+        ),
         disease_totals=disease_totals,
         total_genes=total_genes,
     )
@@ -139,18 +149,23 @@ def feature_table(
     """One row per non-obsolete term, ordered by term id.
 
     Disease count and fraction pool the sources (``s``); gene count and the
-    per-source IDFs propagate the KB's direct annotations here.
+    per-source IDFs propagate the KB's direct annotations here, so ``kb`` must
+    have been loaded with its genes.
     """
     for source in DISEASE_SOURCES:
         if kb.disease_totals[source] == 0:
             raise DataError(f"disease source {source!r} is empty; idf undefined")
+    if kb.gene_annots is None:
+        raise DataError(
+            "feature rows need gene annotations; the KB was loaded without them"
+        )
     omim, orphanet = (
-        propagate_counts(o, kb.disease_annots[source]) for source in DISEASE_SOURCES
+        propagate_counts(o, kb.disease_annots[source]).tolist()
+        for source in DISEASE_SOURCES
     )
-    genes = propagate_counts(o, kb.gene_annots)
+    genes = propagate_counts(o, kb.gene_annots).tolist()
     rows = []
-    for tid in o.non_obsolete_ids():
-        gene_count = genes.get(tid, 0)
+    for tid, gene_count, n_omim, n_orphanet in zip(o.ids, genes, omim, orphanet):
         disease_count = s.annot_count.get(tid, 0)
         rows.append(
             TermFeatureRow(
@@ -160,8 +175,8 @@ def feature_table(
                 gene_fraction=gene_count / kb.total_genes if kb.total_genes else 0.0,
                 disease_count=disease_count,
                 disease_fraction=disease_count / s.total_diseases,
-                idf_omim=_idf(omim.get(tid, 0), kb.disease_totals["omim"]),
-                idf_orphanet=_idf(orphanet.get(tid, 0), kb.disease_totals["orphanet"]),
+                idf_omim=_idf(n_omim, kb.disease_totals["omim"]),
+                idf_orphanet=_idf(n_orphanet, kb.disease_totals["orphanet"]),
             )
         )
     return rows

@@ -13,6 +13,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .errors import DataError, ParseError, StructuralError, UnknownTermError
 
 TERM_ID_RE = re.compile(r"^HP:\d{7}$")
@@ -38,23 +40,37 @@ class Ontology:
     Construction enforces the structural invariants: ids match ``HP:`` followed
     by seven digits, every is_a target resolves, the full is_a graph is acyclic,
     and the non-obsolete subgraph has exactly one root every term can reach.
-    Ancestor closures (self-inclusive) are precomputed for the non-obsolete
-    subgraph; instances are safe to share across threads.
+
+    Each non-obsolete term has a dense id: its position in ``ids``, the
+    non-obsolete term ids in sorted order. The self-inclusive ancestor closure
+    of every such term is one int32 array of dense ids in CSR form, with an
+    explicit start per row: the row of dense id ``i`` is ``closure[start[i] :
+    start[i] + size[i]]``, each ancestor once, in no particular order. Rows
+    are stored one longest-path level after another, because a level's rows
+    are built from those of the levels above it. ``closure_rows`` gathers
+    rows for the count kernels. ``ancestors()`` builds a frozenset view of
+    one row the first time a term is asked about and keeps it, and ``depth()``
+    builds the depth map on its first call. Those two caches are the only
+    state written after construction; each entry is computed from data that
+    never changes and stored with one dict assignment, so instances are safe
+    to share across threads.
     """
 
     def __init__(self, terms: Mapping[str, TermRecord]):
         self.terms: dict[str, TermRecord] = dict(terms)
         self._validate_records()
         self._validate_edges()
-        order = self._topological_order()
-        self._non_obsolete: list[str] = sorted(
-            t for t, rec in self.terms.items() if not rec.obsolete
+        levels = self._topological_levels()
+        # Dense id i names ids[i]; sorted, so dense order is term id order.
+        self.ids: tuple[str, ...] = tuple(
+            sorted(t for t, rec in self.terms.items() if not rec.obsolete)
         )
+        self._dense: dict[str, int] = {t: i for i, t in enumerate(self.ids)}
         self._parents: dict[str, list[str]] = {
-            t: self.terms[t].parents for t in self._non_obsolete
+            t: self.terms[t].parents for t in self.ids
         }
         # Filled in sorted id order, so every child list comes out sorted.
-        self._children: dict[str, list[str]] = {t: [] for t in self._non_obsolete}
+        self._children: dict[str, list[str]] = {t: [] for t in self.ids}
         for t, parents in self._parents.items():
             for p in parents:
                 self._children[p].append(t)
@@ -66,15 +82,9 @@ class Ontology:
                 "ontology has multiple root candidates: " + ", ".join(roots)
             )
         self.root: str = roots[0]
-        # Parents precede children in ``order``, so each closure is complete
-        # before any child reads it.
-        self._ancestors: dict[str, frozenset[str]] = {}
-        for t in order:
-            if t in self._parents:
-                self._ancestors[t] = frozenset(
-                    {t}.union(*(self._ancestors[p] for p in self._parents[t]))
-                )
-        self._depth: dict[str, int] = self.hops([self.root], "down")
+        self._closure, self._closure_start, self._closure_size = self._close(levels)
+        self._ancestor_sets: dict[str, frozenset[str]] = {}
+        self._depth: dict[str, int] | None = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -100,10 +110,12 @@ class Ontology:
                         f"term {rec.id} lists obsolete parent {p}"
                     )
 
-    def _topological_order(self) -> list[str]:
-        """Kahn's order of every term, obsolete ones included: parents first.
+    def _topological_levels(self) -> list[list[str]]:
+        """Kahn's order of every term, obsolete ones included, in batches.
 
-        Raises StructuralError naming a term on a cycle when one exists.
+        Batch k holds the terms whose longest is_a path up to a parentless
+        term has k edges, so every parent lies in an earlier batch. Raises
+        StructuralError naming a term on a cycle when one exists.
         """
         children: dict[str, list[str]] = {t: [] for t in self.terms}
         pending: dict[str, int] = {}
@@ -111,13 +123,18 @@ class Ontology:
             pending[rec.id] = len(rec.parents)
             for p in rec.parents:
                 children[p].append(rec.id)
-        order = [t for t, n in pending.items() if n == 0]
-        for t in order:  # the loop also visits terms appended during it
-            for c in children[t]:
-                pending[c] -= 1
-                if pending[c] == 0:
-                    order.append(c)
-        if len(order) < len(self.terms):
+        levels = [[t for t, n in pending.items() if n == 0]]
+        ordered = 0
+        while levels[-1]:
+            ordered += len(levels[-1])
+            ready: list[str] = []
+            for t in levels[-1]:
+                for c in children[t]:
+                    pending[c] -= 1
+                    if pending[c] == 0:
+                        ready.append(c)
+            levels.append(ready)
+        if ordered < len(self.terms):
             # Every unordered term has an unordered parent; following them
             # must revisit a term, and that term lies on a cycle.
             t = min(t for t, n in pending.items() if n > 0)
@@ -126,7 +143,77 @@ class Ontology:
                 seen.add(t)
                 t = next(p for p in self.terms[t].parents if pending[p] > 0)
             raise StructuralError(f"is_a cycle involving {t}")
-        return order
+        return levels[:-1]
+
+    def _close(
+        self, levels: list[list[str]]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Closure rows of every live term, one longest-path level at a time.
+
+        Returns (closure, start, size) as described on the class. A level's
+        rows are its terms plus the rows of their parents, which all lie in
+        earlier levels: one gather, int64 keys ``position * n + ancestor``,
+        one sort and a neighbour mask to drop repeats (rows come out
+        ascending). Consecutive levels of one term below at most one parent
+        form a chain, each term the parent of the next (the root starts one).
+        Their rows are prefixes of one array, the head's row followed by the
+        chain, so a whole chain takes one step instead of one per level.
+        """
+        n = len(self.ids)
+        dense = self._dense
+        parents = self._parents
+        order: list[int] = []  # live dense ids, level after level
+        # Per is_a edge: the child's position in its level times n, the parent.
+        owner: list[int] = []
+        parent: list[int] = []
+        steps: list[tuple[int, int, bool]] = []  # (order end, edge end, chain)
+        for batch in levels:
+            level = [t for t in batch if t in dense]
+            if not level:
+                continue
+            order += [dense[t] for t in level]
+            owner += [k * n for k, t in enumerate(level) for _ in parents[t]]
+            parent += [dense[p] for t in level for p in parents[t]]
+            chain = len(level) == 1 and len(parents[level[0]]) <= 1
+            if chain and steps and steps[-1][2]:
+                steps.pop()
+            steps.append((len(order), len(parent), chain))
+        order_a = np.array(order, dtype=np.int64)
+        owner_a = np.array(owner, dtype=np.int64)
+        parent_a = np.array(parent, dtype=np.int64)
+        closure = np.empty(2 * n, dtype=np.int32)
+        start = np.zeros(n, dtype=np.int64)
+        size = np.zeros(n, dtype=np.int64)
+        filled = t0 = e0 = 0
+        for t1, e1, chain in steps:
+            terms = order_a[t0:t1]
+            if chain:
+                head = int(parent_a[e0]) if e1 - e0 == t1 - t0 else None
+                first, count = (start[head], size[head]) if head is not None else (0, 0)
+                line = np.concatenate(
+                    (closure[first : first + count], terms), dtype=np.int32
+                )
+                sizes = np.arange(count + 1, count + len(terms) + 1)
+                prefix = np.arange(len(line)) < sizes[:, None]
+                rows = np.broadcast_to(line, prefix.shape)[prefix]
+            else:
+                ancestors, lens = _segments(closure, start, size, parent_a[e0:e1])
+                keys = np.repeat(owner_a[e0:e1], lens)
+                keys += ancestors
+                own = np.arange(len(terms), dtype=np.int64) * n + terms
+                keys = np.concatenate((keys, own))
+                keys.sort()
+                keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+                position = keys // n
+                sizes = np.bincount(position, minlength=len(terms))
+                rows = keys - position * n
+            closure = _reserve(closure, filled, len(rows))
+            closure[filled : filled + len(rows)] = rows
+            start[terms] = filled + np.cumsum(sizes) - sizes
+            size[terms] = sizes
+            filled += len(rows)
+            t0, e0 = t1, e1
+        return closure[:filled].copy(), start, size
 
     # -- queries ---------------------------------------------------------------
 
@@ -143,7 +230,7 @@ class Ontology:
         return rec
 
     def non_obsolete_ids(self) -> list[str]:
-        return list(self._non_obsolete)
+        return list(self.ids)
 
     def parents(self, tid: str) -> list[str]:
         return list(self.require(tid).parents)
@@ -152,10 +239,30 @@ class Ontology:
         self.require(tid)
         return list(self._children[tid])
 
+    def dense_ids(self, tids: Iterable[str]) -> np.ndarray:
+        """Dense ids (positions in ``ids``) of ``tids``, in order, as int64.
+
+        Raises UnknownTermError for an unknown or obsolete id.
+        """
+        try:
+            return np.array([self._dense[t] for t in tids], dtype=np.int64)
+        except KeyError as e:
+            self.require(e.args[0])
+            raise
+
+    def closure_rows(self, dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Self-inclusive ancestor rows of the ``dense`` ids, concatenated, as
+        int32 dense ids, and the length of each row."""
+        return _segments(self._closure, self._closure_start, self._closure_size, dense)
+
     def ancestors(self, tid: str, include_self: bool = True) -> frozenset[str]:
         """All terms reachable from ``tid`` along is_a edges (self included by default)."""
-        self.require(tid)
-        anc = self._ancestors[tid]
+        anc = self._ancestor_sets.get(tid)
+        if anc is None:
+            self.require(tid)
+            row, _ = self.closure_rows(self.dense_ids([tid]))
+            anc = frozenset([self.ids[j] for j in row.tolist()])
+            self._ancestor_sets[tid] = anc
         return anc if include_self else anc - {tid}
 
     def hops(
@@ -190,8 +297,32 @@ class Ontology:
         return dist
 
     def depth(self, tid: str) -> int:
+        """Fewest is_a hops from the root down to ``tid``."""
         self.require(tid)
+        if self._depth is None:
+            self._depth = self.hops([self.root], "down")
         return self._depth[tid]
+
+
+def _segments(
+    data: np.ndarray, start: np.ndarray, size: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``data[start[r] : start[r] + size[r]]`` for each r in ``rows``, concatenated,
+    and the length of each."""
+    lens = size[rows]
+    ends = np.cumsum(lens)
+    total = int(ends[-1]) if len(ends) else 0
+    return data[np.repeat(start[rows] - ends + lens, lens) + np.arange(total)], lens
+
+
+def _reserve(buf: np.ndarray, filled: int, more: int) -> np.ndarray:
+    """``buf``, or a larger copy of its first ``filled`` entries, with room for
+    ``more`` entries after them; capacity at least doubles on each copy."""
+    if filled + more <= len(buf):
+        return buf
+    grown = np.empty(max(2 * len(buf), filled + more), dtype=buf.dtype)
+    grown[:filled] = buf[:filled]
+    return grown
 
 
 # -- parsing -------------------------------------------------------------------
@@ -339,25 +470,26 @@ class OntologyStats:
 
 def propagate_counts(
     o: Ontology, direct: Mapping[str, Iterable[str]]
-) -> dict[str, int]:
+) -> np.ndarray:
     """Count, per term, the distinct documents annotated to it or a descendant.
 
-    ``direct`` maps term id -> documents annotated directly to that term. Terms
-    no document reaches are absent from the result.
+    ``direct`` maps term id -> documents annotated directly to that term.
+    Returns int64 counts indexed by dense id (``o.non_obsolete_ids()`` order).
+    Each (document, ancestor) pair is one int64 key; a sort and a neighbour
+    mask keep each pair once, and one bincount counts the ancestors.
     """
-    # Invert to document -> terms, then count each document once per ancestor.
-    by_doc: dict[str, set[str]] = {}
-    for tid, docs in direct.items():
-        for d in docs:
-            by_doc.setdefault(d, set()).add(tid)
-    counts: dict[str, int] = {}
-    for terms in by_doc.values():
-        reached: set[str] = set()
-        for tid in terms:
-            reached |= o.ancestors(tid)
-        for t in reached:
-            counts[t] = counts.get(t, 0) + 1
-    return counts
+    docs = [d for annotated in direct.values() for d in annotated]
+    doc_index = {d: i for i, d in enumerate(dict.fromkeys(docs))}
+    per_term = [len(annotated) for annotated in direct.values()]
+    terms = np.repeat(o.dense_ids(direct), per_term)
+    n = len(o.ids)
+    ancestors, lens = o.closure_rows(terms)
+    keys = np.repeat(np.array([doc_index[d] for d in docs], dtype=np.int64) * n, lens)
+    keys += ancestors
+    keys.sort()
+    keep = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return np.bincount(keys[keep] % n, minlength=n)
 
 
 def compute_stats(o: Ontology, kb) -> OntologyStats:
@@ -365,17 +497,16 @@ def compute_stats(o: Ontology, kb) -> OntologyStats:
 
     ``kb`` supplies ``disease_annots``: source -> term -> set of disease ids.
     Sources are pooled (a disease id names one document regardless of source).
+    IC is ``-math.log(c / total)`` per term, as in Resnik (1995).
     """
     pooled: dict[str, set[str]] = {}
     for per_term in kb.disease_annots.values():
         for tid, diseases in per_term.items():
-            o.require(tid)
             pooled.setdefault(tid, set()).update(diseases)
     total = len(set().union(*pooled.values()))
     if total == 0:
         raise DataError("annotation KB holds no diseases; IC is undefined")
-    reached = propagate_counts(o, pooled)
-    count = {t: reached.get(t, 0) for t in o.non_obsolete_ids()}
+    count = dict(zip(o.non_obsolete_ids(), propagate_counts(o, pooled).tolist()))
     floor_p = 1.0 / (total + 1)
     ic = {
         t: -math.log(c / total) if c > 0 else -math.log(floor_p)

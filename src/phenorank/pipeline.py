@@ -152,23 +152,31 @@ def load_ontology(cfg: PipelineConfig) -> ontology.Ontology:
     return ontology.parse_obo(text)
 
 
-def load_kb(cfg: PipelineConfig, o: ontology.Ontology) -> annotations.AnnotationKB:
-    if not cfg.paths.disease_annotations or not cfg.paths.gene_annotations:
+def load_kb(
+    cfg: PipelineConfig, o: ontology.Ontology, genes: bool = True
+) -> annotations.AnnotationKB:
+    """The annotation KB; without ``genes`` the gene file is not required or read."""
+    if not cfg.paths.disease_annotations or (genes and not cfg.paths.gene_annotations):
         raise ConfigError("paths.disease_annotations and paths.gene_annotations required")
     try:
         disease_text = Path(cfg.paths.disease_annotations).read_text(encoding="utf-8")
-        gene_text = Path(cfg.paths.gene_annotations).read_text(encoding="utf-8")
+        gene_text = None
+        if genes:
+            gene_text = Path(cfg.paths.gene_annotations).read_text(encoding="utf-8")
     except OSError as e:
         raise DataError(f"cannot read annotations: {e}") from e
     return annotations.load_annotations(disease_text, gene_text, o)
 
 
 def load_inputs(
-    cfg: PipelineConfig,
+    cfg: PipelineConfig, genes: bool = True
 ) -> tuple[ontology.Ontology, annotations.AnnotationKB, ontology.OntologyStats]:
-    """Parse the ontology and annotations and derive the IC statistics."""
+    """Parse the ontology and annotations and derive the IC statistics.
+
+    The steps that build no feature rows pass ``genes=False``.
+    """
     o = load_ontology(cfg)
-    kb = load_kb(cfg, o)
+    kb = load_kb(cfg, o, genes)
     return o, kb, ontology.compute_stats(o, kb)
 
 
@@ -233,7 +241,7 @@ def _distractor_pool(
 
 def step_synth(cfg: PipelineConfig) -> dict:
     """Generate the synthetic cohort and one narrative note per patient."""
-    o, _, s = load_inputs(cfg)
+    o, _, s = load_inputs(cfg, genes=False)
     cohort = corpus.synth_cohort(
         o, cfg.cohort.size, cfg.seed, max_terms=cfg.cohort.max_terms
     )
@@ -444,7 +452,7 @@ def step_evaluate(
     The rankings are the pipeline's own artifact, or with ``external`` a
     rankings JSONL from elsewhere, whose invalid rows are skipped and counted.
     """
-    o, _, s = load_inputs(cfg)
+    o, _, s = load_inputs(cfg, genes=False)
     if external is None:
         rankings = _load_term_lists(cfg, RANKINGS_FILE, force)
         configuration = "prioritized"
@@ -481,7 +489,7 @@ def step_evaluate(
 
 def step_ablate(cfg: PipelineConfig, force: bool = False) -> dict:
     """Evaluate the pipeline cut after extraction, standardization, ranking."""
-    o, _, s = load_inputs(cfg)
+    o, _, s = load_inputs(cfg, genes=False)
     reports = evaluation.ablation_run(
         _load_mentions(cfg, force),
         _load_term_lists(cfg, STANDARDIZED_FILE, force),
@@ -505,7 +513,7 @@ def step_ablate(cfg: PipelineConfig, force: bool = False) -> dict:
 
 def step_permtest(cfg: PipelineConfig, force: bool = False) -> dict:
     """Compare prioritized rankings against random permutations of themselves."""
-    o, _, s = load_inputs(cfg)
+    o, _, s = load_inputs(cfg, genes=False)
     report = evaluation.permutation_delta(
         _load_term_lists(cfg, RANKINGS_FILE, force),
         _load_gold(cfg, force),

@@ -12,11 +12,17 @@ Four pools, ordered hardest to easiest to tell apart from a true term:
   hops with any positive (both near-ancestor sets include the term itself).
   A term shares such an ancestor exactly when it lies at most two hops below
   some term at most two hops above a positive, so the pool is every term
-  minus the two-hop descendants of the positives' two-hop ancestors: its
-  cost grows with the neighbourhood of the positives, not with the ontology.
+  minus the two-hop descendants of the positives' two-hop ancestors: the
+  walks grow with the neighbourhood of the positives, not with the ontology.
 
 A term eligible for several pools lands in the strongest one. Pools never
 contain positives or obsolete terms.
+
+Each pool is an ascending array of dense term ids (``Ontology.ids``), so it
+lists its terms in id order without sorting strings. The implausible pool,
+most of the ontology, is a boolean mask over dense ids with the related terms
+and the other pools cleared; ``np.flatnonzero`` reads it off in order.
+``sample_negatives`` draws positions in a pool and names only the drawn terms.
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 from ..errors import DataError, SamplingError
 from ..ontology import Ontology
@@ -35,20 +43,22 @@ EASY_MIN_LINEAGE = 3
 IMPLAUSIBLE_RADIUS = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NegativePools:
-    difficult: frozenset[str]
-    medium: frozenset[str]
-    easy: frozenset[str]
-    implausible: frozenset[str]
+    """One patient's pools: class -> ascending dense ids, named by ``ids``.
+
+    ``ids`` is the ontology's ``Ontology.ids``. ``terms`` and ``as_dict``
+    build frozensets of term ids on request.
+    """
+
+    ids: tuple[str, ...]
+    dense: dict[str, np.ndarray]
+
+    def terms(self, cls: str) -> frozenset[str]:
+        return frozenset(self.ids[i] for i in self.dense[cls].tolist())
 
     def as_dict(self) -> dict[str, frozenset[str]]:
-        return {
-            "difficult": self.difficult,
-            "medium": self.medium,
-            "easy": self.easy,
-            "implausible": self.implausible,
-        }
+        return {cls: self.terms(cls) for cls in NEGATIVE_CLASSES}
 
 
 def negative_pools(o: Ontology, positives: Iterable[str]) -> NegativePools:
@@ -85,18 +95,18 @@ def negative_pools(o: Ontology, positives: Iterable[str]) -> NegativePools:
 
     near_positives = o.hops(pos, "up", IMPLAUSIBLE_RADIUS)
     related = o.hops(near_positives, "down", IMPLAUSIBLE_RADIUS)
-    implausible = set(o.non_obsolete_ids()).difference(related)
 
     difficult -= pos_set
     medium = medium - pos_set - difficult
     easy = easy - pos_set - difficult - medium
-    implausible = implausible - difficult - medium - easy
-    return NegativePools(
-        difficult=frozenset(difficult),
-        medium=frozenset(medium),
-        easy=frozenset(easy),
-        implausible=frozenset(implausible),
-    )
+    implausible = np.ones(len(o.ids), dtype=bool)
+    dense = {}
+    for cls, pool in (("difficult", difficult), ("medium", medium), ("easy", easy)):
+        dense[cls] = np.sort(o.dense_ids(pool))
+        implausible[dense[cls]] = False
+    implausible[o.dense_ids(related)] = False
+    dense["implausible"] = np.flatnonzero(implausible)
+    return NegativePools(ids=o.ids, dense=dense)
 
 
 def sample_negatives(
@@ -115,15 +125,19 @@ def sample_negatives(
         raise DataError("sampling needs at least one positive term")
     if per_class_per_positive < 1:
         raise DataError("per_class_per_positive must be >= 1")
-    by_class = pools.as_dict()
-    if all(not by_class[c] for c in NEGATIVE_CLASSES):
+    if all(len(pools.dense[c]) == 0 for c in NEGATIVE_CLASSES):
         raise SamplingError("all negative pools are empty")
     rng = random.Random(f"{seed}")
     want = per_class_per_positive * len(pos)
     drawn: list[tuple[str, str]] = []
     for cls in NEGATIVE_CLASSES:
-        pool = sorted(by_class[cls])
+        pool = pools.dense[cls]
         take = min(want, len(pool))
         if take:
-            drawn.extend((t, cls) for t in rng.sample(pool, take))
+            # random.sample reads only the population's length and the drawn
+            # positions, so drawing positions draws the terms sampling the
+            # sorted pool would.
+            drawn.extend(
+                (pools.ids[pool[j]], cls) for j in rng.sample(range(len(pool)), take)
+            )
     return drawn

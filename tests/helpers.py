@@ -8,7 +8,8 @@ builder and the dense one-query scan. The trainer oracles are the package's
 per-patient pairwise loop and per-cut tree builder. The evaluation oracles
 are the package's cutoff-by-cutoff, draw-by-draw evaluators. The feature-row
 oracle is the package's earlier per-term path: per-source counts propagated
-eagerly, then one IDF lookup per term and source. The reference
+eagerly, then one IDF lookup per term and source. The negative-pool oracles
+are the package's earlier string-set pools and sorted-string sampler. The reference
 functions (set similarity, undirected distance, top-k precision/recall/F1, the
 pairwise gradient and loss at raw weights, note filtering, span markup) are
 used only by tests, so they live here rather than in the package.
@@ -31,7 +32,13 @@ from scipy.special import expit
 from phenorank.annotations import DISEASE_SOURCES, AnnotationKB, TermFeatureRow
 from phenorank.config import EvaluationConfig, TrainingConfig
 from phenorank.corpus import ClinicalNote, NoteChunk
-from phenorank.errors import ConfigError, DataError, EmbeddingError, StructuralError
+from phenorank.errors import (
+    ConfigError,
+    DataError,
+    EmbeddingError,
+    SamplingError,
+    StructuralError,
+)
 from phenorank.evaluation import (
     DELTA_METRIC_NAMES,
     METRIC_NAMES,
@@ -43,6 +50,12 @@ from phenorank.evaluation import (
 from phenorank.extraction import _ESCAPES, SPAN_CLOSE, SPAN_OPEN, Mention
 from phenorank.ontology import Ontology, OntologyStats, TermRecord, lin_similarity
 from phenorank.ranking.metrics import ap_at_k
+from phenorank.ranking.sampling import (
+    EASY_MIN_LINEAGE,
+    IMPLAUSIBLE_RADIUS,
+    MEDIUM_RANGE,
+    NEGATIVE_CLASSES,
+)
 from phenorank.ranking.models import (
     KIND_BOOSTED,
     KIND_LINEAR,
@@ -418,6 +431,74 @@ def oracle_feature_table(
             )
         )
     return rows
+
+
+def setwise_negative_pools(
+    o: Ontology, positives: Iterable[str]
+) -> dict[str, frozenset[str]]:
+    """The package's earlier string-set pools: every pool a frozenset of ids,
+    the implausible one all live ids minus the related terms and other pools."""
+    pos = sorted(set(positives))
+    if not pos:
+        raise DataError("negative pools need at least one positive term")
+    for p in pos:
+        o.require(p)
+    pos_set = set(pos)
+    difficult: set[str] = set()
+    medium: set[str] = set()
+    easy: set[str] = set()
+    lo, hi = MEDIUM_RANGE
+    for p in pos:
+        parents = set(o.parents(p))
+        siblings = {c for par in parents for c in o.children(par)} - {p}
+        grandparents = {g for par in parents for g in o.parents(par)}
+        cousin_cands = {
+            c for g in grandparents for mid in o.children(g) for c in o.children(mid)
+        } - {p}
+        cousins = {c for c in cousin_cands if not (set(o.parents(c)) & parents)}
+        difficult |= siblings | cousins
+        up = o.hops([p], "up")
+        down = o.hops([p], "down")
+        lineal = up.keys() | down.keys()
+        for t, d in o.hops([p], "both", hi).items():
+            if d >= lo and t not in lineal:
+                medium.add(t)
+        easy |= {t for t, d in up.items() if d >= EASY_MIN_LINEAGE}
+        easy |= {t for t, d in down.items() if d >= EASY_MIN_LINEAGE}
+    near_positives = o.hops(pos, "up", IMPLAUSIBLE_RADIUS)
+    related = o.hops(near_positives, "down", IMPLAUSIBLE_RADIUS)
+    implausible = set(o.non_obsolete_ids()).difference(related)
+    difficult -= pos_set
+    medium = medium - pos_set - difficult
+    easy = easy - pos_set - difficult - medium
+    implausible = implausible - difficult - medium - easy
+    return {
+        "difficult": frozenset(difficult),
+        "medium": frozenset(medium),
+        "easy": frozenset(easy),
+        "implausible": frozenset(implausible),
+    }
+
+
+def setwise_sample_negatives(
+    pools: dict[str, frozenset[str]],
+    positives: Iterable[str],
+    per_class_per_positive: int = 1,
+    seed: int | str = 0,
+) -> list[tuple[str, str]]:
+    """The package's earlier sampler: each pool sorted as strings, then sampled."""
+    pos = sorted(set(positives))
+    if all(not pools[c] for c in NEGATIVE_CLASSES):
+        raise SamplingError("all negative pools are empty")
+    rng = random.Random(f"{seed}")
+    want = per_class_per_positive * len(pos)
+    drawn: list[tuple[str, str]] = []
+    for cls in NEGATIVE_CLASSES:
+        pool = sorted(pools[cls])
+        take = min(want, len(pool))
+        if take:
+            drawn.extend((t, cls) for t in rng.sample(pool, take))
+    return drawn
 
 
 def bf_negative_pools(

@@ -76,14 +76,16 @@ class TestLoading:
 
 class TestPropagation:
     def test_disease_counts_reach_ancestors(self, small, small_kb):
-        omim = propagate_counts(small, small_kb.disease_annots["omim"])
+        counts = propagate_counts(small, small_kb.disease_annots["omim"])
+        omim = dict(zip(small.ids, counts.tolist()))
         assert omim[ROOT] == 4
         assert omim[BRANCH_A] == 3
         assert omim[A_ONE] == 2
         assert omim[A_LEAF] == 1
 
     def test_gene_counts_reach_ancestors(self, small, small_stats, small_kb):
-        genes = propagate_counts(small, small_kb.gene_annots)
+        counts = propagate_counts(small, small_kb.gene_annots)
+        genes = dict(zip(small.ids, counts.tolist()))
         assert genes[ROOT] == 3
         assert genes[BRANCH_A] == 2
         assert genes[A_ONE] == 1
@@ -125,6 +127,15 @@ class TestFeatures:
         assert row.disease_fraction == pytest.approx(0.5)
         assert row.idf_omim == pytest.approx(math.log(2.0), abs=1e-12)
         assert row.idf_orphanet == 0.0
+
+    def test_kb_loaded_without_genes_has_no_feature_rows(self, small, small_stats):
+        kb = load_annotations(SMALL_DISEASE_TSV, None, small)
+        assert kb.gene_annots is None and kb.total_genes == 0
+        assert kb.disease_annots == load_annotations(
+            SMALL_DISEASE_TSV, SMALL_GENE_TSV, small
+        ).disease_annots
+        with pytest.raises(DataError, match="gene annotations"):
+            feature_table(small, small_stats, kb)
 
     def test_gene_fraction_zero_without_genes(self, small, small_stats):
         kb = load_annotations(SMALL_DISEASE_TSV, "", small)

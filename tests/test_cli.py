@@ -192,6 +192,36 @@ class TestErrorReporting:
         assert result.exit_code == 3
 
 
+def test_gene_file_is_read_only_by_the_feature_steps(tmp_path):
+    cfg_path = str(write_cli_workspace(tmp_path))
+    for step in (
+        "ingest", "synth", "chunk", "extract", "standardize",
+        "train", "rank", "evaluate", "ablate", "permtest",
+    ):
+        result = invoke(cfg_path, step)
+        assert result.exit_code == 0, f"{step}: {result.stderr}"
+    work = tmp_path / "work"
+    reports = [
+        pipeline.EVAL_REPORT, pipeline.EVAL_CSV,
+        pipeline.ABLATION_REPORT, pipeline.ABLATION_CSV,
+        pipeline.PERMTEST_REPORT, pipeline.PERMTEST_CSV,
+    ]
+    before = {name: (work / name).read_bytes() for name in reports}
+    (tmp_path / "gene.tsv").unlink()
+    for step in ("evaluate", "ablate", "permtest"):
+        result = invoke(cfg_path, step)
+        assert result.exit_code == 0, f"{step}: {result.stderr}"
+    assert {name: (work / name).read_bytes() for name in reports} == before
+    root = helpers.layered_ids()[0]
+    (tmp_path / "gene.tsv").write_text(f"{root}\tg1\tstray\n", encoding="utf-8")
+    for step in ("ingest", "train", "rank"):
+        result = invoke(cfg_path, step)
+        assert result.exit_code == 3, f"{step}: {result.stderr}"
+        err = stderr_error(result)
+        assert err["type"] == "ParseError"
+        assert "gene annotations line 1" in err["message"]
+
+
 @pytest.fixture(scope="module")
 def remote_ws(tmp_path_factory):
     root = tmp_path_factory.mktemp("cliremote")

@@ -1,6 +1,10 @@
 import math
+import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from helpers import (
@@ -16,6 +20,7 @@ from helpers import (
     set_similarity,
     undirected_distance,
 )
+from phenorank.annotations import DISEASE_SOURCES, AnnotationKB
 from phenorank.errors import ParseError, StructuralError, UnknownTermError
 from phenorank.ontology import (
     Ontology,
@@ -25,6 +30,7 @@ from phenorank.ontology import (
     mica,
     parse_obo,
     parse_ontology_json,
+    propagate_counts,
 )
 
 SMALL_OBO = """
@@ -175,7 +181,15 @@ class TestStructure:
             t: TermRecord(id=t, name=f"Level {i}", parents=ids[i - 1 : i])
             for i, t in enumerate(ids)
         }
-        o = Ontology(terms)
+        # The closure holds 2,001,000 int32 ids (8 MB); one frozenset per
+        # term would hold 83 MiB.
+        tracemalloc.start()
+        try:
+            o = Ontology(terms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
         assert o.root == ids[0]
         assert o.depth(ids[-1]) == len(ids) - 1
         assert o.ancestors(ids[-1]) == set(ids)
@@ -388,3 +402,100 @@ class TestSimilarity:
         for t in layered.non_obsolete_ids():
             for p in layered.parents(t):
                 assert layered_stats.ic[p] <= layered_stats.ic[t] + 1e-12
+
+
+def random_documents(
+    o: Ontology, rng: random.Random, n_docs: int
+) -> dict[str, set[str]]:
+    """term -> documents: multi-term documents, one of them annotated to a
+    term and to one of its proper ancestors as well."""
+    ids = o.non_obsolete_ids()
+    direct: dict[str, set[str]] = {}
+    for k in range(n_docs):
+        for t in rng.sample(ids, rng.randint(1, min(4, len(ids)))):
+            direct.setdefault(t, set()).add(f"D{k}")
+    t = rng.choice([t for t in ids if t != o.root])
+    for x in (t, rng.choice(sorted(helpers.bf_ancestors(o, t) - {t}))):
+        direct.setdefault(x, set()).add("DUP")
+    return direct
+
+
+dags = st.tuples(st.integers(0, 10_000), st.integers(0, 4), st.sampled_from([30, 120]))
+
+
+class TestArrayCoreOracles:
+    @settings(max_examples=40, deadline=None)
+    @given(dag=dags)
+    def test_ancestors_match_brute_force(self, dag):
+        seed, obsolete, max_terms = dag
+        o = helpers.random_ontology(seed, max_terms=max_terms, obsolete=obsolete)
+        for t in o.non_obsolete_ids():
+            want = helpers.bf_ancestors(o, t)
+            assert o.ancestors(t) == want
+            assert o.ancestors(t, include_self=False) == want - {t}
+        # Each ancestor stored once: every row is as long as its set.
+        _, lens = o.closure_rows(o.dense_ids(o.ids))
+        assert lens.tolist() == [len(helpers.bf_ancestors(o, t)) for t in o.ids]
+
+    @settings(max_examples=40, deadline=None)
+    @given(dag=dags, docs=st.integers(0, 10_000), n_docs=st.integers(0, 25))
+    def test_propagated_counts_match_brute_force(self, dag, docs, n_docs):
+        seed, obsolete, max_terms = dag
+        o = helpers.random_ontology(seed, max_terms=max_terms, obsolete=obsolete)
+        direct = random_documents(o, random.Random(docs), n_docs)
+        counts = propagate_counts(o, direct)
+        assert counts.dtype == "int64" and counts.shape == (len(o.ids),)
+        got = {t: c for t, c in zip(o.ids, counts.tolist()) if c}
+        assert got == helpers.bf_propagated_counts(o, direct)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dag=dags, docs=st.integers(0, 10_000), n_docs=st.integers(1, 25))
+    def test_ic_bit_equal_to_math_log(self, dag, docs, n_docs):
+        seed, obsolete, max_terms = dag
+        o = helpers.random_ontology(seed, max_terms=max_terms, obsolete=obsolete)
+        rng = random.Random(docs)
+        by_source: dict[str, dict[str, set[str]]] = {src: {} for src in DISEASE_SOURCES}
+        for t, diseases in random_documents(o, rng, n_docs).items():
+            for d in diseases:
+                by_source[rng.choice(DISEASE_SOURCES)].setdefault(t, set()).add(d)
+        # One disease id in both sources, at two different terms.
+        ids = o.non_obsolete_ids()
+        for src in DISEASE_SOURCES:
+            by_source[src].setdefault(rng.choice(ids), set()).add("SHARED")
+        kb = AnnotationKB(
+            disease_annots={
+                src: {t: frozenset(d) for t, d in per_term.items()}
+                for src, per_term in by_source.items()
+            },
+            gene_annots=None,
+            disease_totals={
+                src: len(set().union(*per_term.values()))
+                for src, per_term in by_source.items()
+            },
+            total_genes=0,
+        )
+        pooled: dict[str, set[str]] = {}
+        for per_term in by_source.values():
+            for t, diseases in per_term.items():
+                pooled.setdefault(t, set()).update(diseases)
+        total = len(set().union(*pooled.values()))
+        reached = helpers.bf_propagated_counts(o, pooled)
+        s = compute_stats(o, kb)
+        assert s.total_diseases == total
+        assert s.annot_count == {t: reached.get(t, 0) for t in ids}
+        want = {t: helpers.log_ic(reached.get(t, 0), total).hex() for t in ids}
+        assert {t: v.hex() for t, v in s.ic.items()} == want
+
+    @settings(max_examples=20, deadline=None)
+    @given(dag=dags)
+    def test_obsolete_and_unknown_terms_still_raise(self, dag):
+        seed, obsolete, max_terms = dag
+        o = helpers.random_ontology(seed, max_terms=max_terms, obsolete=obsolete)
+        gone = [t for t, rec in o.terms.items() if rec.obsolete]
+        for bad in [*gone, "HP:0009997"]:
+            with pytest.raises(UnknownTermError):
+                o.ancestors(bad)
+            with pytest.raises(UnknownTermError):
+                o.dense_ids([o.root, bad])
+            with pytest.raises(UnknownTermError):
+                propagate_counts(o, {o.root: {"d1"}, bad: {"d2"}})

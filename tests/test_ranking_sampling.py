@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from helpers import A_LEAF, A_ONE, A_TWO, B_ONE, BRANCH_A, BRANCH_B, ROOT
@@ -11,33 +15,33 @@ from phenorank.ranking.sampling import NEGATIVE_CLASSES
 class TestPoolDefinitions:
     def test_small_fixture_pools(self, small):
         pools = negative_pools(small, {A_ONE})
-        assert pools.difficult == {A_TWO, B_ONE}
-        assert pools.medium == {BRANCH_B}
-        assert pools.easy == frozenset()
-        assert pools.implausible == frozenset()
+        assert pools.terms("difficult") == {A_TWO, B_ONE}
+        assert pools.terms("medium") == {BRANCH_B}
+        assert pools.terms("easy") == frozenset()
+        assert pools.terms("implausible") == frozenset()
 
     def test_sibling_and_cousin_are_difficult(self, small):
         pools = negative_pools(small, {A_ONE})
-        assert A_TWO in pools.difficult  # sibling: shares parent BRANCH_A
-        assert B_ONE in pools.difficult  # cousin: shares grandparent ROOT only
+        assert A_TWO in pools.terms("difficult")  # sibling: shares parent BRANCH_A
+        assert B_ONE in pools.terms("difficult")  # cousin: shares grandparent ROOT only
 
     def test_close_relative_never_implausible(self, small):
         pools = negative_pools(small, {A_ONE})
-        assert B_ONE not in pools.implausible
+        assert B_ONE not in pools.terms("implausible")
 
     def test_easy_needs_three_lineal_hops(self, layered):
         leaf = helpers.layered_ids()[3][0]
         pools = negative_pools(layered, {leaf})
-        assert layered.root in pools.easy
+        assert layered.root in pools.terms("easy")
 
     def test_implausible_requires_no_shared_near_ancestry(self, layered):
         root, hubs, mids, leaves = helpers.layered_ids()
         pools = negative_pools(layered, {leaves[0]})
         # A leaf in a different hub subtree shares nothing within two hops.
-        assert leaves[-1] in pools.implausible
+        assert leaves[-1] in pools.terms("implausible")
         # Its own mid and hub stay out of the implausible pool.
-        assert mids[0] not in pools.implausible
-        assert hubs[0] not in pools.implausible
+        assert mids[0] not in pools.terms("implausible")
+        assert hubs[0] not in pools.terms("implausible")
 
     def test_pools_disjoint_and_exclude_positives(self, layered):
         positives = set(helpers.layered_ids()[3][:5])
@@ -135,3 +139,34 @@ class TestSampling:
         assert classes == {
             cls for cls in NEGATIVE_CLASSES if pools.as_dict()[cls]
         }
+
+
+class TestAgainstSetwiseOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dag=st.integers(0, 10_000),
+        obsolete=st.integers(0, 3),
+        max_terms=st.sampled_from([40, 300]),
+        pick=st.integers(0, 10_000),
+        per_class=st.integers(1, 3),
+    )
+    def test_same_pools_and_draws_in_the_same_order(
+        self, dag, obsolete, max_terms, pick, per_class
+    ):
+        o = helpers.random_ontology(dag, max_terms=max_terms, obsolete=obsolete)
+        ids = o.non_obsolete_ids()
+        rng = random.Random(pick)
+        positives = rng.sample(ids, rng.randint(1, min(4, len(ids))))
+        pools = negative_pools(o, positives)
+        oracle = helpers.setwise_negative_pools(o, positives)
+        assert pools.as_dict() == oracle
+        for cls in NEGATIVE_CLASSES:
+            assert [o.ids[i] for i in pools.dense[cls]] == sorted(oracle[cls])
+        seed = f"{pick}:negatives:P{dag}"
+        try:
+            want = helpers.setwise_sample_negatives(oracle, positives, per_class, seed)
+        except SamplingError:
+            with pytest.raises(SamplingError):
+                sample_negatives(pools, positives, per_class, seed)
+            return
+        assert sample_negatives(pools, positives, per_class, seed) == want

@@ -154,10 +154,7 @@ class Ontology:
         rows are its terms plus the rows of their parents, which all lie in
         earlier levels: one gather, int64 keys ``position * n + ancestor``,
         one sort and a neighbour mask to drop repeats (rows come out
-        ascending). Consecutive levels of one term below at most one parent
-        form a chain, each term the parent of the next (the root starts one).
-        Their rows are prefixes of one array, the head's row followed by the
-        chain, so a whole chain takes one step instead of one per level.
+        ascending).
         """
         n = len(self.ids)
         dense = self._dense
@@ -166,7 +163,7 @@ class Ontology:
         # Per is_a edge: the child's position in its level times n, the parent.
         owner: list[int] = []
         parent: list[int] = []
-        steps: list[tuple[int, int, bool]] = []  # (order end, edge end, chain)
+        steps: list[tuple[int, int]] = []  # (order end, edge end) per level
         for batch in levels:
             level = [t for t in batch if t in dense]
             if not level:
@@ -174,10 +171,7 @@ class Ontology:
             order += [dense[t] for t in level]
             owner += [k * n for k, t in enumerate(level) for _ in parents[t]]
             parent += [dense[p] for t in level for p in parents[t]]
-            chain = len(level) == 1 and len(parents[level[0]]) <= 1
-            if chain and steps and steps[-1][2]:
-                steps.pop()
-            steps.append((len(order), len(parent), chain))
+            steps.append((len(order), len(parent)))
         order_a = np.array(order, dtype=np.int64)
         owner_a = np.array(owner, dtype=np.int64)
         parent_a = np.array(parent, dtype=np.int64)
@@ -185,28 +179,18 @@ class Ontology:
         start = np.zeros(n, dtype=np.int64)
         size = np.zeros(n, dtype=np.int64)
         filled = t0 = e0 = 0
-        for t1, e1, chain in steps:
+        for t1, e1 in steps:
             terms = order_a[t0:t1]
-            if chain:
-                head = int(parent_a[e0]) if e1 - e0 == t1 - t0 else None
-                first, count = (start[head], size[head]) if head is not None else (0, 0)
-                line = np.concatenate(
-                    (closure[first : first + count], terms), dtype=np.int32
-                )
-                sizes = np.arange(count + 1, count + len(terms) + 1)
-                prefix = np.arange(len(line)) < sizes[:, None]
-                rows = np.broadcast_to(line, prefix.shape)[prefix]
-            else:
-                ancestors, lens = _segments(closure, start, size, parent_a[e0:e1])
-                keys = np.repeat(owner_a[e0:e1], lens)
-                keys += ancestors
-                own = np.arange(len(terms), dtype=np.int64) * n + terms
-                keys = np.concatenate((keys, own))
-                keys.sort()
-                keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-                position = keys // n
-                sizes = np.bincount(position, minlength=len(terms))
-                rows = keys - position * n
+            ancestors, lens = _segments(closure, start, size, parent_a[e0:e1])
+            keys = np.repeat(owner_a[e0:e1], lens)
+            keys += ancestors
+            own = np.arange(len(terms), dtype=np.int64) * n + terms
+            keys = np.concatenate((keys, own))
+            keys.sort()
+            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+            position = keys // n
+            sizes = np.bincount(position, minlength=len(terms))
+            rows = keys - position * n
             closure = _reserve(closure, filled, len(rows))
             closure[filled : filled + len(rows)] = rows
             start[terms] = filled + np.cumsum(sizes) - sizes
@@ -474,7 +458,7 @@ def propagate_counts(
     """Count, per term, the distinct documents annotated to it or a descendant.
 
     ``direct`` maps term id -> documents annotated directly to that term.
-    Returns int64 counts indexed by dense id (``o.non_obsolete_ids()`` order).
+    Returns int64 counts indexed by dense id (``o.ids`` order).
     Each (document, ancestor) pair is one int64 key; a sort and a neighbour
     mask keep each pair once, and one bincount counts the ancestors.
     """
@@ -506,7 +490,7 @@ def compute_stats(o: Ontology, kb) -> OntologyStats:
     total = len(set().union(*pooled.values()))
     if total == 0:
         raise DataError("annotation KB holds no diseases; IC is undefined")
-    count = dict(zip(o.non_obsolete_ids(), propagate_counts(o, pooled).tolist()))
+    count = dict(zip(o.ids, propagate_counts(o, pooled).tolist()))
     floor_p = 1.0 / (total + 1)
     ic = {
         t: -math.log(c / total) if c > 0 else -math.log(floor_p)

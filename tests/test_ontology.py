@@ -409,7 +409,7 @@ def random_documents(
 ) -> dict[str, set[str]]:
     """term -> documents: multi-term documents, one of them annotated to a
     term and to one of its proper ancestors as well."""
-    ids = o.non_obsolete_ids()
+    ids = o.ids
     direct: dict[str, set[str]] = {}
     for k in range(n_docs):
         for t in rng.sample(ids, rng.randint(1, min(4, len(ids)))):
@@ -429,7 +429,7 @@ class TestArrayCoreOracles:
     def test_ancestors_match_brute_force(self, dag):
         seed, obsolete, max_terms = dag
         o = helpers.random_ontology(seed, max_terms=max_terms, obsolete=obsolete)
-        for t in o.non_obsolete_ids():
+        for t in o.ids:
             want = helpers.bf_ancestors(o, t)
             assert o.ancestors(t) == want
             assert o.ancestors(t, include_self=False) == want - {t}
@@ -459,7 +459,7 @@ class TestArrayCoreOracles:
             for d in diseases:
                 by_source[rng.choice(DISEASE_SOURCES)].setdefault(t, set()).add(d)
         # One disease id in both sources, at two different terms.
-        ids = o.non_obsolete_ids()
+        ids = o.ids
         for src in DISEASE_SOURCES:
             by_source[src].setdefault(rng.choice(ids), set()).add("SHARED")
         kb = AnnotationKB(

@@ -154,7 +154,7 @@ class TestAgainstSetwiseOracle:
         self, dag, obsolete, max_terms, pick, per_class
     ):
         o = helpers.random_ontology(dag, max_terms=max_terms, obsolete=obsolete)
-        ids = o.non_obsolete_ids()
+        ids = o.ids
         rng = random.Random(pick)
         positives = rng.sample(ids, rng.randint(1, min(4, len(ids))))
         pools = negative_pools(o, positives)

@@ -22,11 +22,6 @@ from .ontology import Ontology, OntologyStats, propagate_counts
 
 DISEASE_SOURCES = ("omim", "orphanet")
 
-CSV_HEADER = (
-    "term_id,ic,gene_count,gene_fraction,disease_count,disease_fraction,"
-    "idf_omim,idf_orphanet"
-)
-
 
 @dataclass
 class AnnotationKB:
@@ -181,12 +176,3 @@ def feature_table(
         )
     return rows
 
-
-def feature_table_csv(rows: list[TermFeatureRow]) -> str:
-    out = [CSV_HEADER]
-    for r in rows:
-        out.append(
-            f"{r.term_id},{r.ic!r},{r.gene_count},{r.gene_fraction!r},"
-            f"{r.disease_count},{r.disease_fraction!r},{r.idf_omim!r},{r.idf_orphanet!r}"
-        )
-    return "\n".join(out) + "\n"

@@ -17,8 +17,6 @@ from .errors import ConfigError, DataError, GenerationError
 from .extraction import SPAN_CLOSE, SPAN_OPEN, strip_span_markup
 from .ontology import Ontology
 
-DEFAULT_MAX_CHUNK_CHARS = 4026
-
 # Discretized log-normal for curated-term counts: median 15, quartiles ~9/25.
 _COUNT_LOG_MEDIAN = math.log(15.0)
 _COUNT_LOG_SIGMA = 0.7573512030649655
@@ -212,9 +210,7 @@ def _guard_period(text: str, punct_at: int, sent_start: int) -> bool:
 # -- chunking --------------------------------------------------------------------
 
 
-def chunk_note(
-    note: ClinicalNote, max_chars: int = DEFAULT_MAX_CHUNK_CHARS
-) -> list[NoteChunk]:
+def chunk_note(note: ClinicalNote, max_chars: int) -> list[NoteChunk]:
     """Pack whole sentences greedily into chunks of at most ``max_chars``.
 
     A single sentence longer than the limit is hard-split at the limit; every

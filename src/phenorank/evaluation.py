@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import EvaluationConfig
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .ontology import Ontology, OntologyStats, lin_similarity
 
 # Stream tags keep bootstrap and permutation draws on disjoint substreams of
@@ -354,9 +354,9 @@ ABLATION_STAGES = (
 
 
 def ablation_run(
-    mentions_by_patient: dict[str, list] | None,
-    standardized_by_patient: dict[str, list[str]] | None,
-    ranked_by_patient: dict[str, list[str]] | None,
+    mentions_by_patient: dict[str, list],
+    standardized_by_patient: dict[str, list[str]],
+    ranked_by_patient: dict[str, list[str]],
     gold_by_patient: dict[str, set[str]],
     o: Ontology,
     s: OntologyStats,
@@ -372,10 +372,6 @@ def ablation_run(
     comparable.
     """
     cfg.validate()
-    if mentions_by_patient is None or standardized_by_patient is None:
-        raise ConfigError("ablation needs the mention and standardized artifacts")
-    if ranked_by_patient is None:
-        raise ConfigError("ablation needs the prioritized ranking artifact")
     stage_lists = {
         ABLATION_STAGES[0]: exact_name_terms(mentions_by_patient, o),
         ABLATION_STAGES[1]: standardized_by_patient,

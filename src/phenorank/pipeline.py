@@ -14,7 +14,7 @@ import logging
 import os
 import uuid
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 from . import annotations, corpus, evaluation, extraction, ontology, standardization
 from .config import PipelineConfig, config_hash
@@ -34,10 +34,10 @@ from .ranking.models import pair_index
 
 logger = logging.getLogger(__name__)
 
+T = TypeVar("T")
+
 ARTIFACT_VERSION = 1
 
-FEATURES_CSV = "features.csv"
-INGEST_MANIFEST = "ingest.json"
 COHORT_FILE = "cohort.jsonl"
 NOTES_FILE = "notes.jsonl"
 CHUNKS_FILE = "chunks.jsonl"
@@ -109,7 +109,11 @@ def read_jsonl(path: Path) -> tuple[dict, list[dict]]:
         if meta is None:
             if not isinstance(obj, dict) or "__meta__" not in obj:
                 raise StructuralError(f"{path} does not start with a meta line")
-            meta = obj["__meta__"]
+            obj = obj["__meta__"]
+        if not isinstance(obj, dict):
+            raise StructuralError(f"{path} line {lineno}: not a JSON object")
+        if meta is None:
+            meta = obj
         else:
             rows.append(obj)
     if meta is None:
@@ -180,23 +184,29 @@ def load_inputs(
     return o, kb, ontology.compute_stats(o, kb)
 
 
-def _read_artifact(cfg: PipelineConfig, name: str, force: bool | None) -> list[dict]:
-    """Rows of one work-directory artifact.
+def _read_artifact(
+    cfg: PipelineConfig, name: str, decode: Callable[[dict], T], force: bool | None = None
+) -> list[T]:
+    """The decoded rows of one work-directory artifact.
 
     Unless force is None, the artifact's configHash is checked first (see
-    check_artifact); steps that only consume an artifact pass None.
+    check_artifact); steps that only consume an artifact pass None. A row
+    missing a field ``decode`` reads is a DataError naming the artifact.
     """
-    meta, rows = read_jsonl(workdir(cfg) / name)
+    path = workdir(cfg) / name
+    meta, rows = read_jsonl(path)
     if force is not None:
         check_artifact(meta, cfg, name, force)
-    return rows
+    try:
+        return [decode(row) for row in rows]
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"{path}: row with a missing or malformed field ({e!r})") from e
 
 
 def _load_cohort(
     cfg: PipelineConfig, force: bool | None = None
 ) -> list[corpus.Patient]:
-    rows = _read_artifact(cfg, COHORT_FILE, force)
-    return [corpus.Patient.from_dict(r) for r in rows]
+    return _read_artifact(cfg, COHORT_FILE, corpus.Patient.from_dict, force)
 
 
 def _load_gold(cfg: PipelineConfig, force: bool) -> dict[str, set[str]]:
@@ -213,21 +223,15 @@ def _provenance(cfg: PipelineConfig, **extra) -> dict:
 
 
 def step_ingest(cfg: PipelineConfig) -> dict:
-    """Parse ontology and annotations, write the per-term feature table."""
+    """Parse the ontology and annotations; build the feature table."""
     o, kb, s = load_inputs(cfg)
-    rows = annotations.feature_table(o, s, kb)
-    wd = workdir(cfg)
-    _atomic_write(wd / FEATURES_CSV, annotations.feature_table_csv(rows))
-    summary = {
+    return {
         "terms": len(o.non_obsolete_ids()),
         "obsolete": sum(1 for t in o.terms.values() if t.obsolete),
         "diseases": {src: kb.disease_totals.get(src, 0) for src in annotations.DISEASE_SOURCES},
         "genes": kb.total_genes,
-        "featureRows": len(rows),
+        "featureRows": len(annotations.feature_table(o, s, kb)),
     }
-    manifest = {"__meta__": _meta(cfg, "ingest"), "summary": summary}
-    _atomic_write(wd / INGEST_MANIFEST, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    return summary
 
 
 def _distractor_pool(
@@ -240,7 +244,7 @@ def _distractor_pool(
 
 
 def step_synth(cfg: PipelineConfig) -> dict:
-    """Generate the synthetic cohort and one narrative note per patient."""
+    """Generate the synthetic cohort and narrative notes."""
     o, _, s = load_inputs(cfg, genes=False)
     cohort = corpus.synth_cohort(
         o, cfg.cohort.size, cfg.seed, max_terms=cfg.cohort.max_terms
@@ -261,22 +265,24 @@ def step_synth(cfg: PipelineConfig) -> dict:
 
 
 def step_chunk(cfg: PipelineConfig) -> dict:
-    """Split every note into sentence-preserving chunks."""
-    wd = workdir(cfg)
-    _, note_rows = read_jsonl(wd / NOTES_FILE)
+    """Split notes into sentence-preserving chunks."""
+    notes = _read_artifact(cfg, NOTES_FILE, corpus.ClinicalNote.from_dict)
     chunks: list[corpus.NoteChunk] = []
-    for row in note_rows:
-        note = corpus.ClinicalNote.from_dict(row)
+    for note in notes:
         chunks.extend(corpus.chunk_note(note, cfg.chunking.max_chars))
-    write_jsonl(wd / CHUNKS_FILE, _meta(cfg, "chunk"), (c.to_dict() for c in chunks))
-    return {"notes": len(note_rows), "chunks": len(chunks)}
+    write_jsonl(
+        workdir(cfg) / CHUNKS_FILE, _meta(cfg, "chunk"), (c.to_dict() for c in chunks)
+    )
+    return {"notes": len(notes), "chunks": len(chunks)}
 
 
-def step_extract(cfg: PipelineConfig) -> dict:
-    """Run the configured extraction backend over every chunk."""
-    wd = workdir(cfg)
-    _, chunk_rows = read_jsonl(wd / CHUNKS_FILE)
-    chunks = [corpus.NoteChunk.from_dict(r) for r in chunk_rows]
+def step_extract(cfg: PipelineConfig, concurrency: int | None = None) -> dict:
+    """Extract phenotype mentions from every chunk.
+
+    ``concurrency`` overrides ``extraction.concurrency``, which the
+    configuration hash leaves out.
+    """
+    chunks = _read_artifact(cfg, CHUNKS_FILE, corpus.NoteChunk.from_dict)
     if cfg.extraction.backend == "remote":
         extraction.verify_credentials(cfg.extraction)
         template = extraction.DEFAULT_PROMPT_TEMPLATE
@@ -287,9 +293,9 @@ def step_extract(cfg: PipelineConfig) -> dict:
     else:
         backend = extraction.Gazetteer(load_ontology(cfg)).extract
 
-    result = extraction.extract_corpus(
-        chunks, backend, concurrency_limit=cfg.extraction.concurrency
-    )
+    if concurrency is None:
+        concurrency = cfg.extraction.concurrency
+    result = extraction.extract_corpus(chunks, backend, concurrency_limit=concurrency)
     failures = [{"chunkId": f.chunk_id, "error": f.error} for f in result.failures]
     rows = (
         {
@@ -299,7 +305,7 @@ def step_extract(cfg: PipelineConfig) -> dict:
         for pid in sorted(result.mentions_by_patient)
     )
     write_jsonl(
-        wd / MENTIONS_FILE,
+        workdir(cfg) / MENTIONS_FILE,
         _meta(cfg, "extract", backend=cfg.extraction.backend, failures=failures),
         rows,
     )
@@ -312,17 +318,18 @@ def step_extract(cfg: PipelineConfig) -> dict:
     }
 
 
+def _mentions_row(row: dict) -> tuple[str, list[extraction.Mention]]:
+    return row["patientId"], [extraction.Mention.from_dict(m) for m in row["mentions"]]
+
+
 def _load_mentions(
     cfg: PipelineConfig, force: bool | None = None
 ) -> dict[str, list[extraction.Mention]]:
-    return {
-        row["patientId"]: [extraction.Mention.from_dict(m) for m in row["mentions"]]
-        for row in _read_artifact(cfg, MENTIONS_FILE, force)
-    }
+    return dict(_read_artifact(cfg, MENTIONS_FILE, _mentions_row, force))
 
 
 def step_standardize(cfg: PipelineConfig) -> dict:
-    """Resolve extracted mentions to ontology terms."""
+    """Resolve mentions to ontology terms."""
     if cfg.standardization.selector == "remote":
         extraction.verify_credentials(cfg.extraction)
         selector = standardization.RemoteSelector(cfg.extraction)
@@ -356,16 +363,19 @@ def step_standardize(cfg: PipelineConfig) -> dict:
     }
 
 
+def _terms_row(row: dict) -> tuple[str, list[str]]:
+    return row["patientId"], list(row["terms"])
+
+
 def _load_term_lists(
     cfg: PipelineConfig, name: str, force: bool | None = None
 ) -> dict[str, list[str]]:
     """Per-patient term lists of the standardized or the rankings artifact."""
-    rows = _read_artifact(cfg, name, force)
-    return {row["patientId"]: list(row["terms"]) for row in rows}
+    return dict(_read_artifact(cfg, name, _terms_row, force))
 
 
 def step_train(cfg: PipelineConfig) -> dict:
-    """Fit the configured ranking model on the synthetic cohort."""
+    """Fit the ranking model on the synthetic cohort."""
     o, kb, s = load_inputs(cfg)
     cohort = _load_cohort(cfg)
     train_patients, val_patients = split_cohort(
@@ -418,8 +428,11 @@ def load_model(cfg: PipelineConfig) -> RankModel:
     return RankModel.from_json(text)
 
 
-def step_rank(cfg: PipelineConfig) -> dict:
-    """Order each patient's standardized terms by model score."""
+def step_rank(cfg: PipelineConfig, out: str | None = None) -> dict:
+    """Order each patient's standardized terms by model score.
+
+    With ``out`` the rankings are also exported there as plain JSONL.
+    """
     o, kb, s = load_inputs(cfg)
     cohort = {p.patient_id: p for p in _load_cohort(cfg)}
     standardized = _load_term_lists(cfg, STANDARDIZED_FILE)
@@ -441,7 +454,12 @@ def step_rank(cfg: PipelineConfig) -> dict:
     write_jsonl(
         workdir(cfg) / RANKINGS_FILE, _meta(cfg, "rank", model=model.kind), rows
     )
-    return {"patients": len(rows)}
+    summary = {"patients": len(rows)}
+    if out is not None:
+        rankings = {row["patientId"]: row["terms"] for row in rows}
+        _atomic_write(Path(out), evaluation.export_ranking(rankings))
+        summary["exported"] = out
+    return summary
 
 
 def step_evaluate(
@@ -488,7 +506,7 @@ def step_evaluate(
 
 
 def step_ablate(cfg: PipelineConfig, force: bool = False) -> dict:
-    """Evaluate the pipeline cut after extraction, standardization, ranking."""
+    """Evaluate the pipeline cut after each module."""
     o, _, s = load_inputs(cfg, genes=False)
     reports = evaluation.ablation_run(
         _load_mentions(cfg, force),
@@ -512,7 +530,7 @@ def step_ablate(cfg: PipelineConfig, force: bool = False) -> dict:
 
 
 def step_permtest(cfg: PipelineConfig, force: bool = False) -> dict:
-    """Compare prioritized rankings against random permutations of themselves."""
+    """Compare rankings against random permutations of themselves."""
     o, _, s = load_inputs(cfg, genes=False)
     report = evaluation.permutation_delta(
         _load_term_lists(cfg, RANKINGS_FILE, force),
@@ -527,3 +545,19 @@ def step_permtest(cfg: PipelineConfig, force: bool = False) -> dict:
     _atomic_write(wd / PERMTEST_REPORT, report.to_json())
     _atomic_write(wd / PERMTEST_CSV, evaluation.report_csv([report]))
     return {"patients": report.cohort_size, "report": str(wd / PERMTEST_REPORT)}
+
+
+# The pipeline in run order, declared once: the CLI builds one subcommand per
+# entry, named by the entry and described by the step's docstring.
+STEPS = (
+    ("ingest", step_ingest),
+    ("synth", step_synth),
+    ("chunk", step_chunk),
+    ("extract", step_extract),
+    ("standardize", step_standardize),
+    ("train", step_train),
+    ("rank", step_rank),
+    ("evaluate", step_evaluate),
+    ("ablate", step_ablate),
+    ("permtest", step_permtest),
+)

@@ -38,8 +38,6 @@ from .ontology import Ontology
 logger = logging.getLogger(__name__)
 
 DEFAULT_DIMENSION = 4096
-DEFAULT_TAU = 0.35
-DEFAULT_TOP_K = 10
 NGRAM_SIZES = (3, 4, 5)
 
 _NON_ALNUM_RE = re.compile(r"[^a-z0-9]+")
@@ -210,9 +208,7 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return kept[np.argsort(neg[kept], kind="stable")[:k]]
 
 
-def retrieve(
-    index: VectorIndex, query: str, k: int = DEFAULT_TOP_K
-) -> list[tuple[str, float]]:
+def retrieve(index: VectorIndex, query: str, k: int) -> list[tuple[str, float]]:
     """Exhaustive cosine scan: top-k terms, each scored by its best entry.
 
     Ties in score resolve to the smaller term id. Scores are clipped into
@@ -288,7 +284,7 @@ class StandardizedMention:
 class ThresholdSelector:
     """Pick the top-cosine candidate when it clears the threshold, else none."""
 
-    def __init__(self, tau: float = DEFAULT_TAU):
+    def __init__(self, tau: float):
         self.tau = tau
         self.name = f"threshold(tau={tau:g})"
 
@@ -364,7 +360,7 @@ def standardize_corpus(
     o: Ontology,
     index: VectorIndex,
     selector,
-    k: int = DEFAULT_TOP_K,
+    k: int,
 ) -> StandardizationResult:
     """Resolve every mention and collect per-patient term sets plus a trace.
 

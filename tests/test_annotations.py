@@ -15,12 +15,7 @@ from helpers import (
     SMALL_DISEASE_TSV,
     SMALL_GENE_TSV,
 )
-from phenorank.annotations import (
-    CSV_HEADER,
-    feature_table,
-    feature_table_csv,
-    load_annotations,
-)
+from phenorank.annotations import feature_table, load_annotations
 from phenorank.errors import DataError, IngestError, ParseError
 from phenorank.ontology import compute_stats, propagate_counts
 
@@ -157,14 +152,3 @@ class TestFeatures:
         assert ids == sorted(small.non_obsolete_ids())
         assert OBSOLETE not in ids
 
-    def test_csv_round_trips_floats(self, small, small_stats, small_kb):
-        rows = feature_table(small, small_stats, small_kb)
-        text = feature_table_csv(rows)
-        lines = text.strip().split("\n")
-        assert lines[0] == CSV_HEADER
-        for line, row in zip(lines[1:], rows):
-            cells = line.split(",")
-            assert cells[0] == row.term_id
-            assert float(cells[1]) == row.ic
-            assert float(cells[3]) == row.gene_fraction
-            assert float(cells[6]) == row.idf_omim

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -77,21 +78,42 @@ def test_cli_import_loads_neither_scipy_nor_requests():
     assert out.stdout.strip() == "[]"
 
 
+# The options each subcommand takes beyond the group's and its --help.
+STEP_FLAGS = {
+    "extract": ["--concurrency"],
+    "rank": ["--out"],
+    "evaluate": ["--force", "--external"],
+    "ablate": ["--force"],
+    "permtest": ["--force"],
+}
+
+
+def test_subcommands_are_the_pipeline_steps():
+    names = [name for name, _ in pipeline.STEPS]
+    assert list(main.commands) == names
+    for name, step in pipeline.STEPS:
+        result = CliRunner().invoke(main, [name, "--help"])
+        assert result.exit_code == 0, result.output
+        assert step.__doc__.splitlines()[0] in result.output
+        flags = [o for p in main.commands[name].params for o in p.opts]
+        assert flags == STEP_FLAGS.get(name, [])
+        assert all(flag in result.output for flag in [*flags, "--help"])
+    # The benchmark runs its own copy of the step order; a renamed or
+    # reordered step must fail here rather than in the benchmark.
+    run_py = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    bench_steps = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(run_py.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["STEPS"]
+    )
+    assert list(bench_steps) == names
+
+
 class TestWalkthrough:
     def test_all_steps_in_order(self, ws):
         _, cfg_path = ws
-        for step in (
-            "ingest",
-            "synth",
-            "chunk",
-            "extract",
-            "standardize",
-            "train",
-            "rank",
-            "evaluate",
-            "ablate",
-            "permtest",
-        ):
+        for step, _ in pipeline.STEPS:
             result = invoke(cfg_path, step)
             assert result.exit_code == 0, f"{step}: {result.stderr}"
             summary = stdout_json(result)
@@ -192,12 +214,57 @@ class TestErrorReporting:
         assert result.exit_code == 3
 
 
+class TestMalformedArtifacts:
+    """A damaged artifact exits 3 with a JSON error naming it, never a traceback."""
+
+    @pytest.fixture
+    def synthed(self, tmp_path):
+        cfg_path = str(write_cli_workspace(tmp_path))
+        assert invoke(cfg_path, "synth").exit_code == 0
+        return cfg_path, tmp_path / "work"
+
+    def test_meta_value_not_an_object(self, synthed):
+        cfg_path, work = synthed
+        (work / pipeline.RANKINGS_FILE).write_text('{"__meta__": []}\n', encoding="utf-8")
+        result = invoke(cfg_path, "evaluate")
+        assert result.exit_code == 3
+        err = stderr_error(result)
+        assert err["type"] == "StructuralError"
+        assert pipeline.RANKINGS_FILE in err["message"]
+        assert "line 1" in err["message"]
+
+    def test_row_not_an_object(self, synthed):
+        cfg_path, work = synthed
+        meta_line = (work / pipeline.COHORT_FILE).read_text().splitlines()[0]
+        (work / pipeline.RANKINGS_FILE).write_text(
+            meta_line + "\n[1, 2]\n", encoding="utf-8"
+        )
+        result = invoke(cfg_path, "evaluate")
+        assert result.exit_code == 3
+        err = stderr_error(result)
+        assert err["type"] == "StructuralError"
+        assert pipeline.RANKINGS_FILE in err["message"]
+        assert "line 2" in err["message"]
+
+    def test_row_missing_a_field(self, synthed):
+        cfg_path, work = synthed
+        path = work / pipeline.COHORT_FILE
+        meta_line, *rows = path.read_text().splitlines()
+        first = json.loads(rows[0])
+        del first["ageYears"]
+        rows[0] = json.dumps(first)
+        path.write_text("\n".join([meta_line, *rows]) + "\n", encoding="utf-8")
+        result = invoke(cfg_path, "train")
+        assert result.exit_code == 3
+        err = stderr_error(result)
+        assert err["type"] == "DataError"
+        assert pipeline.COHORT_FILE in err["message"]
+        assert "ageYears" in err["message"]
+
+
 def test_gene_file_is_read_only_by_the_feature_steps(tmp_path):
     cfg_path = str(write_cli_workspace(tmp_path))
-    for step in (
-        "ingest", "synth", "chunk", "extract", "standardize",
-        "train", "rank", "evaluate", "ablate", "permtest",
-    ):
+    for step, _ in pipeline.STEPS:
         result = invoke(cfg_path, step)
         assert result.exit_code == 0, f"{step}: {result.stderr}"
     work = tmp_path / "work"

@@ -520,20 +520,6 @@ class TestAblation:
         assert sum(len(ls[p]) * len(gold[p]) for ls in ranked for p in ls) > len(pairs)
         assert len(calls) == len(pairs)
 
-    def test_missing_artifacts_rejected(self, small, small_stats):
-        with pytest.raises(ConfigError):
-            ablation_run(
-                None, {}, {}, self.gold(), small, small_stats, quick_cfg()
-            )
-        with pytest.raises(ConfigError):
-            ablation_run(
-                {}, None, {}, self.gold(), small, small_stats, quick_cfg()
-            )
-        with pytest.raises(ConfigError):
-            ablation_run(
-                {}, {}, None, self.gold(), small, small_stats, quick_cfg()
-            )
-
 
 class TestExternalRankings:
     def test_import_flags_bad_rows_and_loads_good_ones(self, small):

@@ -265,7 +265,7 @@ class TestThresholdSelector:
 
     def test_no_candidates_rejected(self):
         with pytest.raises(DataError):
-            ThresholdSelector().select("x", [])
+            ThresholdSelector(0.35).select("x", [])
 
 
 class _SelectorHandler(BaseHTTPRequestHandler):
@@ -370,7 +370,7 @@ class TestStandardizeCorpus:
             ]
         }
         result = standardize_corpus(
-            mentions, clinical, index, ThresholdSelector(0.35)
+            mentions, clinical, index, ThresholdSelector(0.35), k=10
         )
         assert result.terms_by_patient == {"P0001": ["HP:0001250", MYOPIA]}
         assert len(result.trace) == 3
@@ -380,7 +380,7 @@ class TestStandardizeCorpus:
         index = build_index(clinical)
         mentions = {"P0001": [mention("entirely unrelated wording")]}
         result = standardize_corpus(
-            mentions, clinical, index, ThresholdSelector(0.9)
+            mentions, clinical, index, ThresholdSelector(0.9), k=10
         )
         assert result.terms_by_patient == {"P0001": []}
         row = result.trace[0]
@@ -398,7 +398,7 @@ class TestStandardizeCorpus:
                 raise RuntimeError("selector down")
 
         mentions = {"P0001": [mention("myopia")]}
-        result = standardize_corpus(mentions, clinical, index, Exploding())
+        result = standardize_corpus(mentions, clinical, index, Exploding(), k=10)
         row = result.trace[0]
         assert row.resolved is None
         assert "RuntimeError" in row.error
@@ -412,7 +412,7 @@ class TestStandardizeCorpus:
             "P0002": [mention("seizures")],
         }
         result = standardize_corpus(
-            mentions, clinical, index, ThresholdSelector(0.35)
+            mentions, clinical, index, ThresholdSelector(0.35), k=10
         )
         assert result.terms_by_patient == {
             "P0001": [MYOPIA],
@@ -432,7 +432,9 @@ class TestStandardizeCorpus:
             "P0001": [mention(s, 20 * i) for i, s in enumerate(surfaces)],
             "P0002": [mention("SEIZURES"), mention("myopia", 20)],
         }
-        result = standardize_corpus(mentions, clinical, index, ThresholdSelector(0.35))
+        result = standardize_corpus(
+            mentions, clinical, index, ThresholdSelector(0.35), k=10
+        )
         for row in result.trace:
             if row.mention.surface == "--":
                 assert row.error == "EmbeddingError: text '--' is empty after normalization"
@@ -448,7 +450,7 @@ class TestStandardizeCorpus:
             "P0001": [mention("seizures")],
         }
         result = standardize_corpus(
-            mentions, clinical, index, ThresholdSelector(0.35)
+            mentions, clinical, index, ThresholdSelector(0.35), k=10
         )
         assert list(result.terms_by_patient) == ["P0001", "P0002"]
 
@@ -456,7 +458,7 @@ class TestStandardizeCorpus:
         index = build_index(clinical)
         mentions = {"P0001": [mention("myopia")]}
         result = standardize_corpus(
-            mentions, clinical, index, ThresholdSelector(0.35)
+            mentions, clinical, index, ThresholdSelector(0.35), k=10
         )
         d = result.trace[0].to_dict()
         assert d["resolved"] == MYOPIA

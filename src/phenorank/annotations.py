@@ -1,4 +1,4 @@
-"""Disease and gene annotation knowledge base and per-term feature rows.
+"""Disease and gene annotation knowledge base and the per-term feature matrix.
 
 Disease annotations come from two closed sources (omim, orphanet). The KB holds
 only the direct annotations and their totals; it keeps no derived counts.
@@ -8,14 +8,16 @@ uses for the pooled counts. IDF-style features are per-source; count and
 fraction features pool the sources, matching how information content is
 computed.
 
-Only the steps that build feature rows (ingest, train, rank) read the gene
-file; the others load the KB from the disease file alone, without genes.
+Only the steps that build the feature table (ingest, train, rank) read the
+gene file; the others load the KB from the disease file alone, without genes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DataError, IngestError, ParseError
 from .ontology import Ontology, OntologyStats, propagate_counts
@@ -112,18 +114,16 @@ def load_annotations(
     )
 
 
-@dataclass(frozen=True)
-class TermFeatureRow:
-    """Knowledge-base features for one term, counts descendant-propagated."""
-
-    term_id: str
-    ic: float
-    gene_count: int
-    gene_fraction: float
-    disease_count: int
-    disease_fraction: float
-    idf_omim: float
-    idf_orphanet: float
+# The columns of ``feature_table``, in order: the one place that order is written.
+FEATURE_NAMES = (
+    "ic",
+    "gene_count",
+    "gene_fraction",
+    "disease_count",
+    "disease_fraction",
+    "idf_omim",
+    "idf_orphanet",
+)
 
 
 def _idf(count: int, total: int) -> float:
@@ -138,41 +138,33 @@ def _idf(count: int, total: int) -> float:
     return -math.log(count / total)
 
 
-def feature_table(
-    o: Ontology, s: OntologyStats, kb: AnnotationKB
-) -> list[TermFeatureRow]:
-    """One row per non-obsolete term, ordered by term id.
+def feature_table(o: Ontology, s: OntologyStats, kb: AnnotationKB) -> np.ndarray:
+    """The ``FEATURE_NAMES`` columns of every live term, as float64.
 
-    Disease count and fraction pool the sources (``s``); gene count and the
-    per-source IDFs propagate the KB's direct annotations here, so ``kb`` must
-    have been loaded with its genes.
+    Row ``i`` is term ``o.ids[i]``. Disease count and fraction pool the
+    sources (``s``); gene count and the per-source IDFs propagate the KB's
+    direct annotations here, so ``kb`` must have been loaded with its genes.
+    The logarithms are ``math.log`` one term at a time, whose bits do not
+    depend on the CPU; the counts stay below 2**53, so each whole-column
+    division equals the Python one.
     """
     for source in DISEASE_SOURCES:
         if kb.disease_totals[source] == 0:
             raise DataError(f"disease source {source!r} is empty; idf undefined")
     if kb.gene_annots is None:
         raise DataError(
-            "feature rows need gene annotations; the KB was loaded without them"
+            "the feature table needs gene annotations; the KB was loaded without them"
         )
-    omim, orphanet = (
-        propagate_counts(o, kb.disease_annots[source]).tolist()
-        for source in DISEASE_SOURCES
-    )
-    genes = propagate_counts(o, kb.gene_annots).tolist()
-    rows = []
-    for tid, gene_count, n_omim, n_orphanet in zip(o.ids, genes, omim, orphanet):
-        disease_count = s.annot_count.get(tid, 0)
-        rows.append(
-            TermFeatureRow(
-                term_id=tid,
-                ic=s.ic[tid],
-                gene_count=gene_count,
-                gene_fraction=gene_count / kb.total_genes if kb.total_genes else 0.0,
-                disease_count=disease_count,
-                disease_fraction=disease_count / s.total_diseases,
-                idf_omim=_idf(n_omim, kb.disease_totals["omim"]),
-                idf_orphanet=_idf(n_orphanet, kb.disease_totals["orphanet"]),
-            )
-        )
-    return rows
-
+    genes = propagate_counts(o, kb.gene_annots)
+    diseases = np.array([s.annot_count[t] for t in o.ids], dtype=np.float64)
+    table = np.empty((len(o.ids), len(FEATURE_NAMES)), dtype=np.float64)
+    table[:, 0] = [s.ic[t] for t in o.ids]
+    table[:, 1] = genes
+    table[:, 2] = genes / kb.total_genes if kb.total_genes else 0.0
+    table[:, 3] = diseases
+    table[:, 4] = diseases / s.total_diseases
+    for col, source in enumerate(DISEASE_SOURCES, start=5):
+        total = kb.disease_totals[source]
+        counts = propagate_counts(o, kb.disease_annots[source]).tolist()
+        table[:, col] = [_idf(n, total) for n in counts]
+    return table

@@ -9,6 +9,7 @@ half-written artifact behind.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import os
@@ -29,7 +30,6 @@ from .ranking import (
     train_boosted,
     train_pairwise_linear,
 )
-from .ranking.features import term_feature_map
 from .ranking.models import pair_index
 
 logger = logging.getLogger(__name__)
@@ -177,7 +177,7 @@ def load_inputs(
 ) -> tuple[ontology.Ontology, annotations.AnnotationKB, ontology.OntologyStats]:
     """Parse the ontology and annotations and derive the IC statistics.
 
-    The steps that build no feature rows pass ``genes=False``.
+    The steps that build no feature table pass ``genes=False``.
     """
     o = load_ontology(cfg)
     kb = load_kb(cfg, o, genes)
@@ -282,6 +282,10 @@ def step_extract(cfg: PipelineConfig, concurrency: int | None = None) -> dict:
     ``concurrency`` overrides ``extraction.concurrency``, which the
     configuration hash leaves out.
     """
+    settings = cfg.extraction
+    if concurrency is not None:
+        settings = dataclasses.replace(settings, concurrency=concurrency)
+        settings.validate()
     chunks = _read_artifact(cfg, CHUNKS_FILE, corpus.NoteChunk.from_dict)
     if cfg.extraction.backend == "remote":
         extraction.verify_credentials(cfg.extraction)
@@ -293,9 +297,9 @@ def step_extract(cfg: PipelineConfig, concurrency: int | None = None) -> dict:
     else:
         backend = extraction.Gazetteer(load_ontology(cfg)).extract
 
-    if concurrency is None:
-        concurrency = cfg.extraction.concurrency
-    result = extraction.extract_corpus(chunks, backend, concurrency_limit=concurrency)
+    result = extraction.extract_corpus(
+        chunks, backend, concurrency_limit=settings.concurrency
+    )
     failures = [{"chunkId": f.chunk_id, "error": f.error} for f in result.failures]
     rows = (
         {
@@ -382,15 +386,11 @@ def step_train(cfg: PipelineConfig) -> dict:
         cohort, ratio=cfg.training.split_ratio, seed=cfg.seed
     )
     schema = FeatureSchema.for_cohort(cohort)
-    features = term_feature_map(o, s, kb)
+    table = annotations.feature_table(o, s, kb)
     tr = cfg.training
-    common = dict(
-        schema=schema,
-        per_class_per_positive=tr.per_class_per_positive,
-        term_features=features,
-    )
-    train_inst = build_instances(train_patients, o, s, kb, cfg.seed, **common)
-    val_inst = build_instances(val_patients, o, s, kb, cfg.seed, **common)
+    per_class = tr.per_class_per_positive
+    train_inst = build_instances(train_patients, o, table, schema, cfg.seed, per_class)
+    val_inst = build_instances(val_patients, o, table, schema, cfg.seed, per_class)
     if tr.model == "linear":
         model = train_pairwise_linear(train_inst, tr, schema=schema, seed=cfg.seed)
     elif tr.model == "boosted":
@@ -425,7 +425,10 @@ def load_model(cfg: PipelineConfig) -> RankModel:
         text = path.read_text(encoding="utf-8")
     except OSError as e:
         raise DataError(f"cannot read model {path}: {e}") from e
-    return RankModel.from_json(text)
+    try:
+        return RankModel.from_json(text)
+    except (DataError, AttributeError, KeyError, TypeError, ValueError) as e:
+        raise DataError(f"{path}: not a readable model ({e!r})") from e
 
 
 def step_rank(cfg: PipelineConfig, out: str | None = None) -> dict:
@@ -437,13 +440,13 @@ def step_rank(cfg: PipelineConfig, out: str | None = None) -> dict:
     cohort = {p.patient_id: p for p in _load_cohort(cfg)}
     standardized = _load_term_lists(cfg, STANDARDIZED_FILE)
     model = load_model(cfg)
-    features = term_feature_map(o, s, kb)
+    table = annotations.feature_table(o, s, kb)
     rows = []
     for pid in sorted(standardized):
         patient = cohort.get(pid)
         if patient is None:
             raise DataError(f"standardized terms for unknown patient {pid}")
-        ranked = rank_terms(model, patient, standardized[pid], features)
+        ranked = rank_terms(model, patient, standardized[pid], o, table)
         rows.append(
             {
                 "patientId": pid,
@@ -457,7 +460,10 @@ def step_rank(cfg: PipelineConfig, out: str | None = None) -> dict:
     summary = {"patients": len(rows)}
     if out is not None:
         rankings = {row["patientId"]: row["terms"] for row in rows}
-        _atomic_write(Path(out), evaluation.export_ranking(rankings))
+        try:
+            _atomic_write(Path(out), evaluation.export_ranking(rankings))
+        except OSError as e:
+            raise DataError(f"cannot write rankings export {out}: {e}") from e
         summary["exported"] = out
     return summary
 

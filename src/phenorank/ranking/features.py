@@ -1,8 +1,10 @@
-"""Feature vectors and training instances for the rankers.
+"""Feature matrices and training instances for the rankers.
 
-One instance is a (patient, term) pair. Patient demographics one-hot encode
-against categories fixed at schema-build time from the training cohort; unseen
-categories at inference fall into the reserved unknown slot.
+One instance is a (patient, term) pair. Its feature row is the patient's
+columns followed by the term's row of ``annotations.feature_table``. Patient
+demographics one-hot encode against categories fixed at schema-build time from
+the training cohort; unseen categories at inference fall into the reserved
+unknown slot.
 """
 
 from __future__ import annotations
@@ -13,25 +15,15 @@ from typing import Sequence
 
 import numpy as np
 
-from ..annotations import AnnotationKB, TermFeatureRow, feature_table
+from ..annotations import FEATURE_NAMES
 from ..corpus import Patient
 from ..errors import ConfigError, DataError
-from ..ontology import Ontology, OntologyStats
+from ..ontology import Ontology
 from .sampling import negative_pools, sample_negatives
 
 UNKNOWN_CATEGORY = "unknown"
 
 _SEX_SLOTS = ("female", "male", "other")
-
-_TERM_FEATURE_NAMES = (
-    "ic",
-    "gene_count",
-    "gene_fraction",
-    "disease_count",
-    "disease_fraction",
-    "idf_omim",
-    "idf_orphanet",
-)
 
 
 @dataclass(frozen=True)
@@ -55,7 +47,7 @@ class FeatureSchema:
             "age_years",
             *(f"sex:{s}" for s in _SEX_SLOTS),
             *(f"symptom_category:{c}" for c in symptom_categories),
-            *_TERM_FEATURE_NAMES,
+            *FEATURE_NAMES,
         )
         return cls(symptom_categories=tuple(symptom_categories), names=names)
 
@@ -63,31 +55,24 @@ class FeatureSchema:
     def dimension(self) -> int:
         return len(self.names)
 
-    def vector(self, patient: Patient, row: TermFeatureRow) -> np.ndarray:
-        vec = np.zeros(self.dimension, dtype=np.float64)
-        vec[0] = patient.age_years
+    def matrix(self, patient: Patient, term_rows: np.ndarray) -> np.ndarray:
+        """One feature row per row of ``term_rows`` (rows of ``feature_table``):
+        the patient's columns, then the term's."""
+        cats = self.symptom_categories
+        out = np.zeros((len(term_rows), self.dimension), dtype=np.float64)
+        out[:, 0] = patient.age_years
         sex_idx = (
             _SEX_SLOTS.index(patient.sex) if patient.sex in _SEX_SLOTS[:2] else 2
         )
-        vec[1 + sex_idx] = 1.0
-        cats = self.symptom_categories
+        out[:, 1 + sex_idx] = 1.0
         cat = (
             patient.symptom_category
             if patient.symptom_category in cats
             else UNKNOWN_CATEGORY
         )
-        vec[4 + cats.index(cat)] = 1.0
-        base = 4 + len(cats)
-        vec[base : base + 7] = (
-            row.ic,
-            row.gene_count,
-            row.gene_fraction,
-            row.disease_count,
-            row.disease_fraction,
-            row.idf_omim,
-            row.idf_orphanet,
-        )
-        return vec
+        out[:, 4 + cats.index(cat)] = 1.0
+        out[:, 4 + len(cats) :] = term_rows
+        return out
 
     def to_dict(self) -> dict:
         return {
@@ -112,29 +97,20 @@ class RankingInstance:
     features: np.ndarray
 
 
-def term_feature_map(
-    o: Ontology, s: OntologyStats, kb: AnnotationKB
-) -> dict[str, TermFeatureRow]:
-    return {row.term_id: row for row in feature_table(o, s, kb)}
-
-
 def build_instances(
     cohort: Sequence[Patient],
     o: Ontology,
-    s: OntologyStats,
-    kb: AnnotationKB,
+    table: np.ndarray,
+    schema: FeatureSchema,
     seed: int,
-    schema: FeatureSchema | None = None,
     per_class_per_positive: int = 1,
-    term_features: dict[str, TermFeatureRow] | None = None,
 ) -> list[RankingInstance]:
     """Positives plus per-pool sampled negatives for every patient.
 
-    The negative stream for a patient is named by the patient id, so instances
-    do not depend on cohort order or on which other patients are present.
+    ``table`` is ``annotations.feature_table`` of ``o``. The negative stream
+    for a patient is named by the patient id, so instances do not depend on
+    cohort order or on which other patients are present.
     """
-    schema = schema or FeatureSchema.for_cohort(cohort)
-    rows = term_features if term_features is not None else term_feature_map(o, s, kb)
     instances: list[RankingInstance] = []
     for patient in sorted(cohort, key=lambda p: p.patient_id):
         positives = sorted(patient.curated_terms)
@@ -149,26 +125,13 @@ def build_instances(
             per_class_per_positive=per_class_per_positive,
             seed=f"{seed}:negatives:{patient.patient_id}",
         )
-        for tid in positives:
-            instances.append(
-                RankingInstance(
-                    patient_id=patient.patient_id,
-                    term_id=tid,
-                    label=1,
-                    negative_class="none",
-                    features=schema.vector(patient, rows[tid]),
-                )
-            )
-        for tid, cls in negatives:
-            instances.append(
-                RankingInstance(
-                    patient_id=patient.patient_id,
-                    term_id=tid,
-                    label=0,
-                    negative_class=cls,
-                    features=schema.vector(patient, rows[tid]),
-                )
-            )
+        labelled = [(tid, 1, "none") for tid in positives]
+        labelled += [(tid, 0, cls) for tid, cls in negatives]
+        block = schema.matrix(patient, table[o.dense_ids(t for t, _, _ in labelled)])
+        instances.extend(
+            RankingInstance(patient.patient_id, tid, label, cls, row)
+            for (tid, label, cls), row in zip(labelled, block)
+        )
     return instances
 
 

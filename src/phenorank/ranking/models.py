@@ -46,6 +46,7 @@ import numpy as np
 from ..config import TrainingConfig
 from ..corpus import Patient
 from ..errors import DataError, TrainingError
+from ..ontology import Ontology
 from .features import FeatureSchema, RankingInstance
 from .metrics import map_at_k, map_scorer
 
@@ -448,15 +449,16 @@ def rank_terms(
     model: RankModel,
     patient: Patient,
     candidate_terms: Sequence[str],
-    term_features: dict,
+    o: Ontology,
+    table: np.ndarray,
 ) -> list[tuple[str, float]]:
-    """Score candidate terms for one patient, best first, ties by term id."""
+    """Score candidate terms for one patient, best first, ties by term id.
+
+    ``table`` is ``annotations.feature_table`` of ``o``.
+    """
     cands = sorted(set(candidate_terms))
     if not cands:
         return []
-    feats = np.vstack(
-        [model.schema.vector(patient, term_features[t]) for t in cands]
-    )
-    scores = model.score(feats)
+    scores = model.score(model.schema.matrix(patient, table[o.dense_ids(cands)]))
     order = sorted(range(len(cands)), key=lambda i: (-scores[i], cands[i]))
     return [(cands[i], float(scores[i])) for i in order]

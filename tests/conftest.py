@@ -2,7 +2,7 @@ import pytest
 
 import helpers
 from phenorank import extraction
-from phenorank.annotations import load_annotations
+from phenorank.annotations import feature_table, load_annotations
 from phenorank.ontology import compute_stats
 
 
@@ -58,6 +58,11 @@ def layered_kb(layered):
 @pytest.fixture(scope="session")
 def layered_stats(layered, layered_kb):
     return compute_stats(layered, layered_kb)
+
+
+@pytest.fixture(scope="session")
+def layered_table(layered, layered_stats, layered_kb):
+    return feature_table(layered, layered_stats, layered_kb)
 
 
 @pytest.fixture(scope="session")

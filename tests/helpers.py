@@ -29,7 +29,7 @@ import numpy as np
 from scipy import sparse
 from scipy.special import expit
 
-from phenorank.annotations import DISEASE_SOURCES, AnnotationKB, TermFeatureRow
+from phenorank.annotations import DISEASE_SOURCES, FEATURE_NAMES, AnnotationKB
 from phenorank.config import EvaluationConfig, TrainingConfig
 from phenorank.corpus import ClinicalNote, NoteChunk
 from phenorank.errors import (
@@ -408,8 +408,9 @@ def oracle_idf(kb: AnnotationKB, propagated: dict, source: str, term_id: str) ->
 
 def oracle_feature_table(
     o: Ontology, s: OntologyStats, kb: AnnotationKB
-) -> list[TermFeatureRow]:
-    """Feature rows built one term at a time from eagerly propagated counts."""
+) -> np.ndarray:
+    """The feature table built one term at a time from eagerly propagated
+    counts, in Python floats."""
     propagated = {
         src: bf_propagated_counts(o, kb.disease_annots[src]) for src in DISEASE_SOURCES
     }
@@ -418,19 +419,17 @@ def oracle_feature_table(
     for tid in o.non_obsolete_ids():
         gene_count = genes.get(tid, 0)
         disease_count = s.annot_count.get(tid, 0)
-        rows.append(
-            TermFeatureRow(
-                term_id=tid,
-                ic=s.ic[tid],
-                gene_count=gene_count,
-                gene_fraction=gene_count / kb.total_genes if kb.total_genes else 0.0,
-                disease_count=disease_count,
-                disease_fraction=disease_count / s.total_diseases,
-                idf_omim=oracle_idf(kb, propagated, "omim", tid),
-                idf_orphanet=oracle_idf(kb, propagated, "orphanet", tid),
-            )
-        )
-    return rows
+        row = {
+            "ic": s.ic[tid],
+            "gene_count": float(gene_count),
+            "gene_fraction": gene_count / kb.total_genes if kb.total_genes else 0.0,
+            "disease_count": float(disease_count),
+            "disease_fraction": disease_count / s.total_diseases,
+            "idf_omim": oracle_idf(kb, propagated, "omim", tid),
+            "idf_orphanet": oracle_idf(kb, propagated, "orphanet", tid),
+        }
+        rows.append([row[name] for name in FEATURE_NAMES])
+    return np.array(rows, dtype=np.float64).reshape(-1, len(FEATURE_NAMES))
 
 
 def setwise_negative_pools(

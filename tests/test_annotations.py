@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import helpers
@@ -15,13 +16,15 @@ from helpers import (
     SMALL_DISEASE_TSV,
     SMALL_GENE_TSV,
 )
-from phenorank.annotations import feature_table, load_annotations
+from phenorank.annotations import FEATURE_NAMES, feature_table, load_annotations
 from phenorank.errors import DataError, IngestError, ParseError
 from phenorank.ontology import compute_stats, propagate_counts
 
 
 def feature_row(o, s, kb, term_id):
-    return next(r for r in feature_table(o, s, kb) if r.term_id == term_id)
+    """One term's row of the feature table, by column name."""
+    values = feature_table(o, s, kb)[o.ids.index(term_id)]
+    return dict(zip(FEATURE_NAMES, values.tolist()))
 
 
 class TestLoading:
@@ -84,25 +87,28 @@ class TestPropagation:
         assert genes[ROOT] == 3
         assert genes[BRANCH_A] == 2
         assert genes[A_ONE] == 1
-        rows = {r.term_id: r for r in feature_table(small, small_stats, small_kb)}
-        assert [rows[t].gene_count for t in (ROOT, BRANCH_A, A_ONE)] == [3, 2, 1]
+        got = [
+            feature_row(small, small_stats, small_kb, t)["gene_count"]
+            for t in (ROOT, BRANCH_A, A_ONE)
+        ]
+        assert got == [3, 2, 1]
 
 
 class TestIdf:
     def test_one_of_four(self, small, small_stats, small_kb):
-        got = feature_row(small, small_stats, small_kb, A_LEAF).idf_omim
+        got = feature_row(small, small_stats, small_kb, A_LEAF)["idf_omim"]
         assert got == pytest.approx(1.3862943611198906, abs=1e-12)
 
     def test_zero_count_smoothing(self, orphaned, orphaned_stats, orphaned_kb):
-        got = feature_row(orphaned, orphaned_stats, orphaned_kb, ORPHAN).idf_omim
+        got = feature_row(orphaned, orphaned_stats, orphaned_kb, ORPHAN)["idf_omim"]
         assert got == pytest.approx(1.6094379124341003, abs=1e-12)
 
     def test_full_coverage_gives_zero(self, small, small_stats, small_kb):
-        assert feature_row(small, small_stats, small_kb, A_ONE).idf_orphanet == 0.0
-        assert feature_row(small, small_stats, small_kb, ROOT).idf_omim == 0.0
+        assert feature_row(small, small_stats, small_kb, A_ONE)["idf_orphanet"] == 0.0
+        assert feature_row(small, small_stats, small_kb, ROOT)["idf_omim"] == 0.0
 
     def test_smoothing_scales_with_source_size(self, small, small_stats, small_kb):
-        got = feature_row(small, small_stats, small_kb, B_ONE).idf_orphanet
+        got = feature_row(small, small_stats, small_kb, B_ONE)["idf_orphanet"]
         assert got == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_empty_source_rejected(self, small):
@@ -114,14 +120,15 @@ class TestIdf:
 class TestFeatures:
     def test_row_values(self, small, small_stats, small_kb):
         row = feature_row(small, small_stats, small_kb, A_ONE)
-        assert row.term_id == A_ONE
-        assert row.ic == pytest.approx(0.6931471805599453, abs=1e-12)
-        assert row.gene_count == 1
-        assert row.gene_fraction == pytest.approx(1.0 / 3.0)
-        assert row.disease_count == 2
-        assert row.disease_fraction == pytest.approx(0.5)
-        assert row.idf_omim == pytest.approx(math.log(2.0), abs=1e-12)
-        assert row.idf_orphanet == 0.0
+        # The row read by position is the one the dense-id gather selects.
+        assert small.ids.index(A_ONE) == small.dense_ids([A_ONE])[0]
+        assert row["ic"] == pytest.approx(0.6931471805599453, abs=1e-12)
+        assert row["gene_count"] == 1
+        assert row["gene_fraction"] == pytest.approx(1.0 / 3.0)
+        assert row["disease_count"] == 2
+        assert row["disease_fraction"] == pytest.approx(0.5)
+        assert row["idf_omim"] == pytest.approx(math.log(2.0), abs=1e-12)
+        assert row["idf_orphanet"] == 0.0
 
     def test_kb_loaded_without_genes_has_no_feature_rows(self, small, small_stats):
         kb = load_annotations(SMALL_DISEASE_TSV, None, small)
@@ -135,20 +142,24 @@ class TestFeatures:
     def test_gene_fraction_zero_without_genes(self, small, small_stats):
         kb = load_annotations(SMALL_DISEASE_TSV, "", small)
         row = feature_row(small, small_stats, kb, A_ONE)
-        assert row.gene_count == 0
-        assert row.gene_fraction == 0.0
+        assert row["gene_count"] == 0
+        assert row["gene_fraction"] == 0.0
 
     @pytest.mark.parametrize("name", ["small", "orphaned", "layered", "clinical"])
     def test_table_equals_per_term_oracle(self, request, name):
         o = request.getfixturevalue(name)
         kb = request.getfixturevalue(f"{name}_kb")
         s = request.getfixturevalue(f"{name}_stats")
-        # Dataclass equality: every float bit-equal to the per-term path.
-        assert feature_table(o, s, kb) == helpers.oracle_feature_table(o, s, kb)
+        # Every float bit-equal to the per-term path.
+        got = feature_table(o, s, kb)
+        want = helpers.oracle_feature_table(o, s, kb)
+        assert got.dtype == want.dtype == np.float64
+        assert got.shape == want.shape == (len(o.ids), len(FEATURE_NAMES))
+        assert got.tobytes() == want.tobytes()
 
     def test_table_sorted_and_complete(self, small, small_stats, small_kb):
-        rows = feature_table(small, small_stats, small_kb)
-        ids = [r.term_id for r in rows]
-        assert ids == sorted(small.non_obsolete_ids())
-        assert OBSOLETE not in ids
+        table = feature_table(small, small_stats, small_kb)
+        assert len(table) == len(small.ids)
+        assert list(small.ids) == sorted(small.non_obsolete_ids())
+        assert OBSOLETE not in small.ids
 

@@ -130,6 +130,18 @@ class TestWalkthrough:
         first = json.loads(lines[0])
         assert set(first) == {"patientId", "terms"}
 
+    def test_rank_out_into_missing_directory_exits_3(self, ws, tmp_path):
+        root, cfg_path = ws
+        rankings = root / "work" / pipeline.RANKINGS_FILE
+        rankings.unlink()
+        out = tmp_path / "absent" / "rankings_export.jsonl"
+        result = invoke(cfg_path, "rank", "--out", str(out))
+        assert result.exit_code == 3
+        err = stderr_error(result)
+        assert err["type"] == "DataError"
+        assert str(out) in err["message"]
+        assert rankings.exists()
+
     def test_evaluate_external_rankings(self, ws, tmp_path):
         root, cfg_path = ws
         _, cohort_rows = pipeline.read_jsonl(
@@ -260,6 +272,48 @@ class TestMalformedArtifacts:
         assert err["type"] == "DataError"
         assert pipeline.COHORT_FILE in err["message"]
         assert "ageYears" in err["message"]
+
+
+class TestDamagedModel:
+    """A model file that does not hold a model exits 3 naming the file."""
+
+    @pytest.fixture(scope="class")
+    def standardized(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("model")
+        cfg_path = str(write_cli_workspace(root))
+        for step in ("synth", "chunk", "extract", "standardize"):
+            assert invoke(cfg_path, step).exit_code == 0
+        return cfg_path, root / "work"
+
+    def rank_with_model(self, standardized, text):
+        cfg_path, work = standardized
+        (work / pipeline.MODEL_FILE).write_text(text, encoding="utf-8")
+        result = invoke(cfg_path, "rank")
+        assert result.exit_code == 3
+        err = stderr_error(result)
+        assert err["type"] == "DataError"
+        assert pipeline.MODEL_FILE in err["message"]
+
+    def test_not_an_object(self, standardized):
+        self.rank_with_model(standardized, "[1]\n")
+
+    def test_not_json(self, standardized):
+        self.rank_with_model(standardized, "pairwiseLinear\n")
+
+    def test_missing_kind(self, standardized):
+        self.rank_with_model(standardized, '{"formatVersion": 1}\n')
+
+
+def test_concurrency_flag_is_validated_like_the_config(tmp_path):
+    cfg_path = str(write_cli_workspace(tmp_path))
+    for step in ("synth", "chunk"):
+        assert invoke(cfg_path, step).exit_code == 0
+    result = invoke(cfg_path, "extract", "--concurrency", "0")
+    assert result.exit_code == 2
+    err = stderr_error(result)
+    assert err["type"] == "ConfigError"
+    assert "extraction.concurrency" in err["message"]
+    assert not (tmp_path / "work" / pipeline.MENTIONS_FILE).exists()
 
 
 def test_gene_file_is_read_only_by_the_feature_steps(tmp_path):

@@ -9,6 +9,7 @@ import yaml
 
 import helpers
 from phenorank import ontology, pipeline
+from phenorank.annotations import feature_table
 from phenorank.config import (
     PipelineConfig,
     config_from_dict,
@@ -22,7 +23,6 @@ from phenorank.errors import (
     StructuralError,
 )
 from phenorank.ranking import FeatureSchema, build_instances, split_cohort
-from phenorank.ranking.features import term_feature_map
 
 
 def write_workspace(root, seed=11, **section_overrides):
@@ -367,12 +367,10 @@ class TestPipelineChain:
         instances = build_instances(
             train_patients,
             o,
-            s,
-            kb,
+            feature_table(o, s, kb),
+            FeatureSchema.for_cohort(cohort),
             cfg.seed,
-            schema=FeatureSchema.for_cohort(cohort),
             per_class_per_positive=cfg.training.per_class_per_positive,
-            term_features=term_feature_map(o, s, kb),
         )
         counts: dict[str, list[int]] = {}
         for inst in instances:
@@ -539,7 +537,7 @@ class TestPipelineChain:
 
 def test_propagation_runs_only_where_its_counts_are_read(tmp_path, monkeypatch):
     # One pooled pass for IC in every step that loads the KB, plus the two
-    # per-source and one gene pass in the steps that build feature rows.
+    # per-source and one gene pass in the steps that build the feature table.
     calls = []
     original = ontology.propagate_counts
 

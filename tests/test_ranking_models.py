@@ -6,6 +6,7 @@ import pytest
 
 import helpers
 from helpers import pairwise_linear_gradient, pairwise_loss_at
+from phenorank.annotations import feature_table
 from phenorank.config import TrainingConfig
 from phenorank.corpus import Patient, synth_cohort
 from phenorank.errors import ConfigError, DataError, TrainingError
@@ -21,7 +22,7 @@ from phenorank.ranking import (
     train_boosted,
     train_pairwise_linear,
 )
-from phenorank.ranking.features import UNKNOWN_CATEGORY, term_feature_map
+from phenorank.ranking.features import UNKNOWN_CATEGORY
 from phenorank.ranking.metrics import map_scorer
 from phenorank.ranking.models import (
     KIND_BOOSTED,
@@ -70,11 +71,11 @@ class TestFeatureSchema:
         cats = list(schema.symptom_categories)
         assert cats == ["alpha", "zeta", UNKNOWN_CATEGORY]
 
-    def test_vector_slots(self, small, small_stats, small_kb):
+    def test_matrix_slots(self, small, small_stats, small_kb):
         schema = FeatureSchema.standard(("neurologic", UNKNOWN_CATEGORY))
-        rows = term_feature_map(small, small_stats, small_kb)
+        table = feature_table(small, small_stats, small_kb)
         p = patient(category="neurologic")
-        vec = schema.vector(p, rows[helpers.A_ONE])
+        (vec,) = schema.matrix(p, table[small.dense_ids([helpers.A_ONE])])
         names = list(schema.names)
         assert vec[names.index("age_years")] == 7.0
         assert vec[names.index("sex:female")] == 1.0
@@ -84,8 +85,9 @@ class TestFeatureSchema:
 
     def test_unseen_category_maps_to_unknown_slot(self, small, small_stats, small_kb):
         schema = FeatureSchema.standard(("neurologic", UNKNOWN_CATEGORY))
-        rows = term_feature_map(small, small_stats, small_kb)
-        vec = schema.vector(patient(category="dermatologic"), rows[helpers.A_ONE])
+        table = feature_table(small, small_stats, small_kb)
+        terms = table[small.dense_ids([helpers.A_ONE])]
+        (vec,) = schema.matrix(patient(category="dermatologic"), terms)
         names = list(schema.names)
         assert vec[names.index(f"symptom_category:{UNKNOWN_CATEGORY}")] == 1.0
 
@@ -95,10 +97,11 @@ class TestFeatureSchema:
 
 
 class TestBuildInstances:
-    def test_labels_and_determinism(self, layered, layered_stats, layered_kb):
+    def test_labels_and_determinism(self, layered, layered_table):
         cohort = synth_cohort(layered, 6, seed=2)
-        a = build_instances(cohort, layered, layered_stats, layered_kb, seed=3)
-        b = build_instances(cohort, layered, layered_stats, layered_kb, seed=3)
+        schema = FeatureSchema.for_cohort(cohort)
+        a = build_instances(cohort, layered, layered_table, schema, seed=3)
+        b = build_instances(cohort, layered, layered_table, schema, seed=3)
         assert len(a) == len(b)
         for x, y in zip(a, b):
             assert (x.patient_id, x.term_id, x.label, x.negative_class) == (
@@ -117,10 +120,11 @@ class TestBuildInstances:
         assert all(i.term_id in by_pid[i.patient_id] for i in pos)
         assert all(i.term_id not in by_pid[i.patient_id] for i in neg)
 
-    def test_patient_without_terms_rejected(self, layered, layered_stats, layered_kb):
+    def test_patient_without_terms_rejected(self, layered, layered_table):
         bad = [patient(terms=())]
+        schema = FeatureSchema.for_cohort(bad)
         with pytest.raises(DataError, match="no curated terms"):
-            build_instances(bad, layered, layered_stats, layered_kb, seed=0)
+            build_instances(bad, layered, layered_table, schema, seed=0)
 
 
 class TestSplitCohort:
@@ -504,16 +508,13 @@ class TestSelection:
 
 
 class TestRankTerms:
-    def test_orders_by_score_then_id(self, layered, layered_stats, layered_kb):
+    def test_orders_by_score_then_id(self, layered, layered_table):
         cohort = synth_cohort(layered, 8, seed=30)
-        instances = build_instances(
-            cohort, layered, layered_stats, layered_kb, seed=30
-        )
         schema = FeatureSchema.for_cohort(cohort)
+        instances = build_instances(cohort, layered, layered_table, schema, seed=30)
         model = train_pairwise_linear(instances, schema=schema)
-        rows = term_feature_map(layered, layered_stats, layered_kb)
         candidates = sorted(cohort[0].curated_terms)[:3] + [layered.root]
-        ranked = rank_terms(model, cohort[0], candidates, rows)
+        ranked = rank_terms(model, cohort[0], candidates, layered, layered_table)
         assert len(ranked) == len(set(candidates))
         scores = [s for _, s in ranked]
         assert scores == sorted(scores, reverse=True)
@@ -521,19 +522,15 @@ class TestRankTerms:
             if s1 == s2:
                 assert t1 < t2
 
-    def test_duplicates_collapse_and_empty_ok(
-        self, layered, layered_stats, layered_kb
-    ):
+    def test_duplicates_collapse_and_empty_ok(self, layered, layered_table):
         cohort = synth_cohort(layered, 8, seed=31)
-        instances = build_instances(
-            cohort, layered, layered_stats, layered_kb, seed=31
-        )
         schema = FeatureSchema.for_cohort(cohort)
+        instances = build_instances(cohort, layered, layered_table, schema, seed=31)
         model = train_pairwise_linear(instances, schema=schema)
-        rows = term_feature_map(layered, layered_stats, layered_kb)
         tid = next(iter(cohort[0].curated_terms))
-        assert len(rank_terms(model, cohort[0], [tid, tid], rows)) == 1
-        assert rank_terms(model, cohort[0], [], rows) == []
+        ranked = rank_terms(model, cohort[0], [tid, tid], layered, layered_table)
+        assert len(ranked) == 1
+        assert rank_terms(model, cohort[0], [], layered, layered_table) == []
 
     def test_boosted_kind_used_downstream(self):
         train = helpers.separable_instances(20, seed=32)

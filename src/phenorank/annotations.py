@@ -8,8 +8,8 @@ uses for the pooled counts. IDF-style features are per-source; count and
 fraction features pool the sources, matching how information content is
 computed.
 
-Only the steps that build the feature table (ingest, train, rank) read the
-gene file; the others load the KB from the disease file alone, without genes.
+Only ``ingest`` loads the KB; the later steps restore the statistics and the
+feature table from its snapshot.
 """
 
 from __future__ import annotations

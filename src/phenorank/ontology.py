@@ -61,6 +61,108 @@ class Ontology:
         self._validate_records()
         self._validate_edges()
         levels = self._topological_levels()
+        self._index()
+        self._closure, self._closure_start, self._closure_size = self._close(levels)
+        self._ancestor_sets: dict[str, frozenset[str]] = {}
+        self._depth: dict[str, int] | None = None
+
+    @classmethod
+    def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "Ontology":
+        """The ontology whose ``to_arrays`` these are, rebuilt without
+        validating, sorting or closing it again.
+
+        The constructor enforced its invariants when the arrays were written;
+        since they come back from a file, each is checked here for dtype,
+        length and index bounds: a violation raises ValueError, and a missing
+        or repeated root StructuralError.
+        """
+        text = array_member(arrays, "text", np.uint8)
+        lens = array_member(arrays, "text_len", np.int64)
+        obsolete = array_member(arrays, "obsolete", np.bool_)
+        n = len(obsolete)
+        synonym_count = array_member(arrays, "synonym_count", np.int64, n)
+        parent_count = array_member(arrays, "parent_count", np.int64, n)
+        parents = array_member(arrays, "parents", np.int64)
+        if not (
+            _in_range(lens, 0, len(text))
+            and _in_range(synonym_count, 0, len(lens))
+            and _in_range(parent_count, 0, len(parents))
+            and len(lens) == 3 * n + synonym_count.sum()
+            and len(parents) == parent_count.sum()
+            and _in_range(parents, 0, n - 1)
+        ):
+            raise ValueError("string or parent counts disagree with the records")
+        if (obsolete[parents] & ~np.repeat(obsolete, parent_count)).any():
+            raise ValueError("a live term has an obsolete parent")
+        chars = text.tobytes().decode("utf-8", "surrogatepass")
+        if len(chars) != lens.sum():
+            raise ValueError("text is not as long as its strings")
+        strings = _split(chars, lens)
+        ids = strings[:n]
+        o = cls.__new__(cls)
+        o.terms = {
+            tid: TermRecord(tid, name, synonyms, definition, parent_ids, flag)
+            for tid, name, definition, synonyms, parent_ids, flag in zip(
+                ids,
+                strings[n : 2 * n],
+                strings[2 * n : 3 * n],
+                _split(strings[3 * n :], synonym_count),
+                _split([ids[j] for j in parents.tolist()], parent_count),
+                obsolete.tolist(),
+            )
+        }
+        if len(o.terms) != n:
+            raise ValueError("repeated term id")
+        o._index()
+        live = len(o.ids)
+        closure = array_member(arrays, "closure", np.int32)
+        start = array_member(arrays, "closure_start", np.int64, live)
+        size = array_member(arrays, "closure_size", np.int64, live)
+        if not (
+            _in_range(closure, 0, live - 1)
+            and _in_range(start, 0, len(closure))
+            and _in_range(size, 1, len(closure))
+            and (size <= len(closure) - start).all()
+        ):
+            raise ValueError("closure index out of range")
+        o._closure, o._closure_start, o._closure_size = closure, start, size
+        o._ancestor_sets = {}
+        o._depth = None
+        return o
+
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        """The records and the ancestor closure as plain arrays, for
+        ``from_arrays``.
+
+        The strings (every record's id, then every name, every definition and
+        every synonym, in ``terms`` order) are one UTF-8 blob, encoded with
+        ``surrogatepass`` so that any ``str`` survives, plus the length of
+        each in characters. Parents are record indices.
+        """
+        records = list(self.terms.values())
+        row = {t: i for i, t in enumerate(self.terms)}
+        strings = [r.id for r in records] + [r.name for r in records]
+        strings += [r.definition for r in records]
+        strings += [x for r in records for x in r.synonyms]
+        text = "".join(strings).encode("utf-8", "surrogatepass")
+        return {
+            "text": np.frombuffer(text, dtype=np.uint8),
+            "text_len": np.array([len(x) for x in strings], dtype=np.int64),
+            "synonym_count": np.array([len(r.synonyms) for r in records], dtype=np.int64),
+            "parent_count": np.array([len(r.parents) for r in records], dtype=np.int64),
+            "parents": np.array(
+                [row[p] for r in records for p in r.parents], dtype=np.int64
+            ),
+            "obsolete": np.array([r.obsolete for r in records], dtype=np.bool_),
+            "closure": self._closure,
+            "closure_start": self._closure_start,
+            "closure_size": self._closure_size,
+        }
+
+    # -- construction helpers -------------------------------------------------
+
+    def _index(self) -> None:
+        """Set ``ids``, the dense index, the parent and child lists and the root."""
         # Dense id i names ids[i]; sorted, so dense order is term id order.
         self.ids: tuple[str, ...] = tuple(
             sorted(t for t, rec in self.terms.items() if not rec.obsolete)
@@ -82,11 +184,6 @@ class Ontology:
                 "ontology has multiple root candidates: " + ", ".join(roots)
             )
         self.root: str = roots[0]
-        self._closure, self._closure_start, self._closure_size = self._close(levels)
-        self._ancestor_sets: dict[str, frozenset[str]] = {}
-        self._depth: dict[str, int] | None = None
-
-    # -- construction helpers -------------------------------------------------
 
     def _validate_records(self) -> None:
         for tid, rec in self.terms.items():
@@ -299,6 +396,30 @@ def _segments(
     return data[np.repeat(start[rows] - ends + lens, lens) + np.arange(total)], lens
 
 
+def array_member(
+    arrays: Mapping[str, np.ndarray], name: str, dtype, length: int | None = None
+) -> np.ndarray:
+    """``arrays[name]``, checked to be one-dimensional, of ``dtype`` and, when
+    given, of ``length``; raises ValueError (KeyError when absent) otherwise."""
+    a = arrays[name]
+    if a.dtype != np.dtype(dtype) or a.ndim != 1:
+        raise ValueError(f"{name}: {a.dtype} array of shape {a.shape}, not 1-d {dtype}")
+    if length is not None and len(a) != length:
+        raise ValueError(f"{name}: {len(a)} entries, not {length}")
+    return a
+
+
+def _split(items, counts: np.ndarray) -> list:
+    """``items`` cut into consecutive slices of the given lengths."""
+    ends = np.cumsum(counts).tolist()
+    return [items[a:b] for a, b in zip([0, *ends], ends)]
+
+
+def _in_range(a: np.ndarray, lo: int, hi: int) -> bool:
+    """Every entry of ``a`` lies in ``[lo, hi]``."""
+    return bool(((lo <= a) & (a <= hi)).all())
+
+
 def _reserve(buf: np.ndarray, filled: int, more: int) -> np.ndarray:
     """``buf``, or a larger copy of its first ``filled`` entries, with room for
     ``more`` entries after them; capacity at least doubles on each copy."""
@@ -420,14 +541,21 @@ def parse_ontology_json(text: str) -> Ontology:
             raise ParseError(f"term {i}: missing id")
         if name is None:
             raise ParseError(f"term {i}: missing name")
+        synonyms = obj.get("synonyms") or []
+        definition = obj.get("def") or ""
+        parents = obj.get("is_a") or []
+        if not (isinstance(synonyms, list) and isinstance(parents, list)) or not all(
+            isinstance(x, str) for x in [tid, name, definition, *synonyms, *parents]
+        ):
+            raise ParseError(f"term {i}: id, name, def, synonyms and is_a must be text")
         if tid in terms:
             raise ParseError(f"term {i}: duplicate term id {tid}")
         terms[tid] = TermRecord(
             id=tid,
             name=name,
-            synonyms=list(obj.get("synonyms") or []),
-            definition=obj.get("def") or "",
-            parents=list(obj.get("is_a") or []),
+            synonyms=synonyms,
+            definition=definition,
+            parents=parents,
             obsolete=bool(obj.get("is_obsolete", False)),
         )
     if not terms:

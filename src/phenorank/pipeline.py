@@ -1,21 +1,29 @@
 """End-to-end pipeline steps over a shared work directory.
 
-Every artifact is JSONL whose first line is a meta record embedding the
-configuration hash and seed it was produced under. Report-producing steps
-refuse artifacts from a different configuration unless forced. Writes are
-atomic (temp file then rename) so an interrupted step never leaves a
-half-written artifact behind.
+``ingest`` is the one step that reads the input files. It writes the parsed
+inputs to ``inputs.npz``, and every later step restores them from there,
+after checking that the input files it depends on still have the sha256 that
+ingest recorded. Every other artifact is JSONL whose first line is a meta
+record embedding the configuration hash and seed it was produced under.
+Report-producing steps refuse artifacts from a different configuration
+unless forced. Writes are atomic (temp file then rename) so an interrupted
+step never leaves a half-written artifact behind.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import io
 import json
 import logging
 import os
 import uuid
+import zipfile
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
+
+import numpy as np
 
 from . import annotations, corpus, evaluation, extraction, ontology, standardization
 from .config import PipelineConfig, config_hash
@@ -37,7 +45,14 @@ logger = logging.getLogger(__name__)
 T = TypeVar("T")
 
 ARTIFACT_VERSION = 1
+SNAPSHOT_VERSION = 1
 
+# The input files, named by their ``paths`` field.
+ONTOLOGY = "ontology"
+DISEASES = "disease_annotations"
+GENES = "gene_annotations"
+
+INPUTS_FILE = "inputs.npz"
 COHORT_FILE = "cohort.jsonl"
 NOTES_FILE = "notes.jsonl"
 CHUNKS_FILE = "chunks.jsonl"
@@ -61,13 +76,17 @@ def workdir(cfg: PipelineConfig) -> Path:
 
 
 def _atomic_write(path: Path, text: str) -> None:
+    _atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def _atomic_write_bytes(path: Path, data: bytes) -> None:
     # A unique temp name per call, so concurrent writers never share one;
     # open(..., "x") creates it with the mode a plain write gives.
     tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
-    f = open(tmp, "x", encoding="utf-8")
+    f = open(tmp, "xb")
     try:
         with f:
-            f.write(text)
+            f.write(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink()
@@ -156,32 +175,131 @@ def load_ontology(cfg: PipelineConfig) -> ontology.Ontology:
     return ontology.parse_obo(text)
 
 
-def load_kb(
-    cfg: PipelineConfig, o: ontology.Ontology, genes: bool = True
-) -> annotations.AnnotationKB:
-    """The annotation KB; without ``genes`` the gene file is not required or read."""
-    if not cfg.paths.disease_annotations or (genes and not cfg.paths.gene_annotations):
+def load_kb(cfg: PipelineConfig, o: ontology.Ontology) -> annotations.AnnotationKB:
+    if not cfg.paths.disease_annotations or not cfg.paths.gene_annotations:
         raise ConfigError("paths.disease_annotations and paths.gene_annotations required")
     try:
         disease_text = Path(cfg.paths.disease_annotations).read_text(encoding="utf-8")
-        gene_text = None
-        if genes:
-            gene_text = Path(cfg.paths.gene_annotations).read_text(encoding="utf-8")
+        gene_text = Path(cfg.paths.gene_annotations).read_text(encoding="utf-8")
     except OSError as e:
         raise DataError(f"cannot read annotations: {e}") from e
     return annotations.load_annotations(disease_text, gene_text, o)
 
 
 def load_inputs(
-    cfg: PipelineConfig, genes: bool = True
+    cfg: PipelineConfig,
 ) -> tuple[ontology.Ontology, annotations.AnnotationKB, ontology.OntologyStats]:
-    """Parse the ontology and annotations and derive the IC statistics.
-
-    The steps that build no feature table pass ``genes=False``.
-    """
+    """Parse the ontology and annotations and derive the IC statistics."""
     o = load_ontology(cfg)
-    kb = load_kb(cfg, o, genes)
+    kb = load_kb(cfg, o)
     return o, kb, ontology.compute_stats(o, kb)
+
+
+def _input_digest(cfg: PipelineConfig, field: str) -> str:
+    """The sha256 of the input file that ``cfg.paths.<field>`` names."""
+    name = getattr(cfg.paths, field)
+    if not name:
+        raise ConfigError(f"paths.{field} is not set")
+    try:
+        data = Path(name).read_bytes()
+    except OSError as e:
+        raise DataError(f"cannot read {name}: {e}") from e
+    return hashlib.sha256(data).hexdigest()
+
+
+def _write_snapshot(
+    path: Path,
+    o: ontology.Ontology,
+    s: ontology.OntologyStats,
+    kb: annotations.AnnotationKB,
+    table: np.ndarray,
+    digests: dict[str, str],
+) -> None:
+    meta = {
+        "version": SNAPSHOT_VERSION,
+        "sha256": digests,
+        "totalDiseases": s.total_diseases,
+        "diseaseTotals": kb.disease_totals,
+        "totalGenes": kb.total_genes,
+    }
+    buf = io.BytesIO()
+    # Members are written under ZipInfo's fixed 1980 timestamp, so the same
+    # inputs give the same bytes.
+    np.savez(
+        buf,
+        meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), np.uint8),
+        **o.to_arrays(),
+        ic=np.array([s.ic[t] for t in o.ids], dtype=np.float64),
+        annot_count=np.array([s.annot_count[t] for t in o.ids], dtype=np.int64),
+        features=table,
+    )
+    _atomic_write_bytes(path, buf.getvalue())
+
+
+@dataclasses.dataclass(frozen=True)
+class Snapshot:
+    """The parsed inputs as ``ingest`` wrote them."""
+
+    digests: dict[str, str]  # sha256 per input file, keyed by its ``paths`` field
+    ontology: ontology.Ontology
+    stats: ontology.OntologyStats
+    table: np.ndarray  # annotations.feature_table of the ontology
+
+
+def _restore(path: Path) -> Snapshot:
+    with np.load(path, allow_pickle=False) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    meta = json.loads(ontology.array_member(arrays, "meta", np.uint8).tobytes())
+    if meta["version"] != SNAPSHOT_VERSION:
+        raise ValueError(f"format version {meta['version']!r}, not {SNAPSHOT_VERSION}")
+    digests, total = meta["sha256"], meta["totalDiseases"]
+    if not isinstance(digests, dict) or type(total) is not int:
+        raise ValueError("malformed meta member")
+    o = ontology.Ontology.from_arrays(arrays)
+    n = len(o.ids)
+    ic = ontology.array_member(arrays, "ic", np.float64, n)
+    counts = ontology.array_member(arrays, "annot_count", np.int64, n)
+    table = arrays["features"]
+    if table.dtype != np.float64 or table.shape != (n, len(annotations.FEATURE_NAMES)):
+        raise ValueError(f"features: {table.dtype} array of shape {table.shape}")
+    stats = ontology.OntologyStats(
+        annot_count=dict(zip(o.ids, counts.tolist())),
+        total_diseases=total,
+        ic=dict(zip(o.ids, ic.tolist())),
+    )
+    return Snapshot(digests, o, stats, table)
+
+
+def load_snapshot(cfg: PipelineConfig, *inputs: str) -> Snapshot:
+    """The inputs ``ingest`` parsed, restored from the work directory.
+
+    ``inputs`` are the ``paths`` fields of the input files the calling step
+    depends on; each must still have the sha256 ingest recorded, or the
+    snapshot is stale (ConfigError; force does not apply, since the inputs
+    are not an artifact of this configuration). A missing or damaged snapshot
+    is a DataError.
+    """
+    path = workdir(cfg) / INPUTS_FILE
+    # Every way a missing, truncated or inconsistent file fails; zipfile raises
+    # NotImplementedError, a RuntimeError, for an unknown compression method.
+    try:
+        snap = _restore(path)
+    except (
+        OSError,
+        EOFError,
+        RuntimeError,
+        zipfile.BadZipFile,
+        KeyError,
+        TypeError,
+        ValueError,
+        DataError,
+    ) as e:
+        raise DataError(f"cannot read input snapshot {path} ({e!r}); run ingest") from e
+    for field in inputs:
+        if snap.digests.get(field) != _input_digest(cfg, field):
+            name = getattr(cfg.paths, field)
+            raise ConfigError(f"{name} changed since ingest wrote {path}; rerun ingest")
+    return snap
 
 
 def _read_artifact(
@@ -223,14 +341,19 @@ def _provenance(cfg: PipelineConfig, **extra) -> dict:
 
 
 def step_ingest(cfg: PipelineConfig) -> dict:
-    """Parse the ontology and annotations; build the feature table."""
+    """Parse and validate the inputs; write the snapshot the later steps read."""
+    # Hashed before they are parsed: a file edited in between then reads as
+    # stale to the later steps, never as fresh.
+    digests = {field: _input_digest(cfg, field) for field in (ONTOLOGY, DISEASES, GENES)}
     o, kb, s = load_inputs(cfg)
+    table = annotations.feature_table(o, s, kb)
+    _write_snapshot(workdir(cfg) / INPUTS_FILE, o, s, kb, table, digests)
     return {
         "terms": len(o.non_obsolete_ids()),
         "obsolete": sum(1 for t in o.terms.values() if t.obsolete),
         "diseases": {src: kb.disease_totals.get(src, 0) for src in annotations.DISEASE_SOURCES},
         "genes": kb.total_genes,
-        "featureRows": len(annotations.feature_table(o, s, kb)),
+        "featureRows": len(table),
     }
 
 
@@ -245,7 +368,8 @@ def _distractor_pool(
 
 def step_synth(cfg: PipelineConfig) -> dict:
     """Generate the synthetic cohort and narrative notes."""
-    o, _, s = load_inputs(cfg, genes=False)
+    snap = load_snapshot(cfg, ONTOLOGY, DISEASES)
+    o, s = snap.ontology, snap.stats
     cohort = corpus.synth_cohort(
         o, cfg.cohort.size, cfg.seed, max_terms=cfg.cohort.max_terms
     )
@@ -295,7 +419,7 @@ def step_extract(cfg: PipelineConfig, concurrency: int | None = None) -> dict:
             return extraction.remote_extract(cfg.extraction, template, chunk)
 
     else:
-        backend = extraction.Gazetteer(load_ontology(cfg)).extract
+        backend = extraction.Gazetteer(load_snapshot(cfg, ONTOLOGY).ontology).extract
 
     result = extraction.extract_corpus(
         chunks, backend, concurrency_limit=settings.concurrency
@@ -339,7 +463,7 @@ def step_standardize(cfg: PipelineConfig) -> dict:
         selector = standardization.RemoteSelector(cfg.extraction)
     else:
         selector = standardization.ThresholdSelector(cfg.standardization.tau)
-    o = load_ontology(cfg)
+    o = load_snapshot(cfg, ONTOLOGY).ontology
     mentions = _load_mentions(cfg)
     index = standardization.build_index(o)
     result = standardization.standardize_corpus(
@@ -380,13 +504,13 @@ def _load_term_lists(
 
 def step_train(cfg: PipelineConfig) -> dict:
     """Fit the ranking model on the synthetic cohort."""
-    o, kb, s = load_inputs(cfg)
+    snap = load_snapshot(cfg, ONTOLOGY, DISEASES, GENES)
+    o, table = snap.ontology, snap.table
     cohort = _load_cohort(cfg)
     train_patients, val_patients = split_cohort(
         cohort, ratio=cfg.training.split_ratio, seed=cfg.seed
     )
     schema = FeatureSchema.for_cohort(cohort)
-    table = annotations.feature_table(o, s, kb)
     tr = cfg.training
     per_class = tr.per_class_per_positive
     train_inst = build_instances(train_patients, o, table, schema, cfg.seed, per_class)
@@ -436,11 +560,11 @@ def step_rank(cfg: PipelineConfig, out: str | None = None) -> dict:
 
     With ``out`` the rankings are also exported there as plain JSONL.
     """
-    o, kb, s = load_inputs(cfg)
+    snap = load_snapshot(cfg, ONTOLOGY, DISEASES, GENES)
+    o, table = snap.ontology, snap.table
     cohort = {p.patient_id: p for p in _load_cohort(cfg)}
     standardized = _load_term_lists(cfg, STANDARDIZED_FILE)
     model = load_model(cfg)
-    table = annotations.feature_table(o, s, kb)
     rows = []
     for pid in sorted(standardized):
         patient = cohort.get(pid)
@@ -476,7 +600,8 @@ def step_evaluate(
     The rankings are the pipeline's own artifact, or with ``external`` a
     rankings JSONL from elsewhere, whose invalid rows are skipped and counted.
     """
-    o, _, s = load_inputs(cfg, genes=False)
+    snap = load_snapshot(cfg, ONTOLOGY, DISEASES)
+    o, s = snap.ontology, snap.stats
     if external is None:
         rankings = _load_term_lists(cfg, RANKINGS_FILE, force)
         configuration = "prioritized"
@@ -513,7 +638,8 @@ def step_evaluate(
 
 def step_ablate(cfg: PipelineConfig, force: bool = False) -> dict:
     """Evaluate the pipeline cut after each module."""
-    o, _, s = load_inputs(cfg, genes=False)
+    snap = load_snapshot(cfg, ONTOLOGY, DISEASES)
+    o, s = snap.ontology, snap.stats
     reports = evaluation.ablation_run(
         _load_mentions(cfg, force),
         _load_term_lists(cfg, STANDARDIZED_FILE, force),
@@ -537,7 +663,8 @@ def step_ablate(cfg: PipelineConfig, force: bool = False) -> dict:
 
 def step_permtest(cfg: PipelineConfig, force: bool = False) -> dict:
     """Compare rankings against random permutations of themselves."""
-    o, _, s = load_inputs(cfg, genes=False)
+    snap = load_snapshot(cfg, ONTOLOGY, DISEASES)
+    o, s = snap.ontology, snap.stats
     report = evaluation.permutation_delta(
         _load_term_lists(cfg, RANKINGS_FILE, force),
         _load_gold(cfg, force),

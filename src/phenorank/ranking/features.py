@@ -82,10 +82,15 @@ class FeatureSchema:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureSchema":
-        return cls(
-            symptom_categories=tuple(d["symptomCategories"]),
-            names=tuple(d["names"]),
-        )
+        """The standard schema of the stored categories; DataError when the
+        stored names are not its names."""
+        categories = tuple(d["symptomCategories"])
+        if UNKNOWN_CATEGORY not in categories:
+            raise DataError("stored symptom categories reserve no unknown slot")
+        schema = cls.standard(categories)
+        if tuple(d["names"]) != schema.names:
+            raise DataError("stored feature names do not match the symptom categories")
+        return schema
 
 
 @dataclass

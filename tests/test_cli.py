@@ -1,10 +1,12 @@
 import ast
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
@@ -211,6 +213,7 @@ class TestErrorReporting:
 
     def test_missing_external_rankings_exits_3(self, tmp_path):
         cfg_path = write_cli_workspace(tmp_path)
+        assert invoke(str(cfg_path), "ingest").exit_code == 0
         result = invoke(
             str(cfg_path), "evaluate", "--external", str(tmp_path / "absent.jsonl")
         )
@@ -232,7 +235,8 @@ class TestMalformedArtifacts:
     @pytest.fixture
     def synthed(self, tmp_path):
         cfg_path = str(write_cli_workspace(tmp_path))
-        assert invoke(cfg_path, "synth").exit_code == 0
+        for step in ("ingest", "synth"):
+            assert invoke(cfg_path, step).exit_code == 0
         return cfg_path, tmp_path / "work"
 
     def test_meta_value_not_an_object(self, synthed):
@@ -281,12 +285,13 @@ class TestDamagedModel:
     def standardized(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("model")
         cfg_path = str(write_cli_workspace(root))
-        for step in ("synth", "chunk", "extract", "standardize"):
+        for step in ("ingest", "synth", "chunk", "extract", "standardize", "train"):
             assert invoke(cfg_path, step).exit_code == 0
-        return cfg_path, root / "work"
+        work = root / "work"
+        return cfg_path, work, (work / pipeline.MODEL_FILE).read_text(encoding="utf-8")
 
     def rank_with_model(self, standardized, text):
-        cfg_path, work = standardized
+        cfg_path, work, _ = standardized
         (work / pipeline.MODEL_FILE).write_text(text, encoding="utf-8")
         result = invoke(cfg_path, "rank")
         assert result.exit_code == 3
@@ -303,10 +308,15 @@ class TestDamagedModel:
     def test_missing_kind(self, standardized):
         self.rank_with_model(standardized, '{"formatVersion": 1}\n')
 
+    def test_feature_names_disagree_with_categories(self, standardized):
+        doc = json.loads(standardized[2])
+        doc["schema"]["names"] = doc["schema"]["names"][:3]
+        self.rank_with_model(standardized, json.dumps(doc))
+
 
 def test_concurrency_flag_is_validated_like_the_config(tmp_path):
     cfg_path = str(write_cli_workspace(tmp_path))
-    for step in ("synth", "chunk"):
+    for step in ("ingest", "synth", "chunk"):
         assert invoke(cfg_path, step).exit_code == 0
     result = invoke(cfg_path, "extract", "--concurrency", "0")
     assert result.exit_code == 2
@@ -335,20 +345,126 @@ def test_gene_file_is_read_only_by_the_feature_steps(tmp_path):
     assert {name: (work / name).read_bytes() for name in reports} == before
     root = helpers.layered_ids()[0]
     (tmp_path / "gene.tsv").write_text(f"{root}\tg1\tstray\n", encoding="utf-8")
-    for step in ("ingest", "train", "rank"):
+    result = invoke(cfg_path, "ingest")
+    assert result.exit_code == 3, result.stderr
+    err = stderr_error(result)
+    assert err["type"] == "ParseError"
+    assert "gene annotations line 1" in err["message"]
+    # The snapshot still holds the old gene file's table, so the feature
+    # steps refuse it rather than use it.
+    for step in ("train", "rank"):
         result = invoke(cfg_path, step)
-        assert result.exit_code == 3, f"{step}: {result.stderr}"
+        assert result.exit_code == 2, f"{step}: {result.stderr}"
         err = stderr_error(result)
-        assert err["type"] == "ParseError"
-        assert "gene annotations line 1" in err["message"]
+        assert err["type"] == "ConfigError"
+        assert "gene.tsv" in err["message"] and "rerun ingest" in err["message"]
+
+
+def _resaved(good: bytes, **members) -> bytes:
+    """The snapshot ``good`` with ``members`` replaced, saved again."""
+    with np.load(io.BytesIO(good)) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    arrays.update(members)
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
+def _wrong_version(good: bytes) -> bytes:
+    meta = json.loads(np.load(io.BytesIO(good))["meta"].tobytes())
+    meta["version"] += 1
+    return _resaved(good, meta=np.frombuffer(json.dumps(meta).encode(), np.uint8))
+
+
+def _object_member(good: bytes) -> bytes:
+    return _resaved(good, ic=np.array([None], dtype=object))
+
+
+def _closure_out_of_range(good: bytes) -> bytes:
+    closure = np.load(io.BytesIO(good))["closure"].copy()
+    closure[0] = closure.max() + 1
+    return _resaved(good, closure=closure)
+
+
+SNAPSHOT_DAMAGE = {
+    "missing": None,
+    "truncated": lambda good: good[: len(good) // 2],
+    "wrong-version": _wrong_version,
+    "object-dtype": _object_member,
+    "closure-out-of-range": _closure_out_of_range,
+}
+
+# The steps that depend on each input file; ingest reads all three, chunk none.
+STALE_STEPS = {
+    "ontology.json": {
+        "synth", "extract", "standardize", "train", "rank", "evaluate", "ablate", "permtest",
+    },
+    "disease.tsv": {"synth", "train", "rank", "evaluate", "ablate", "permtest"},
+    "gene.tsv": {"train", "rank"},
+}
+
+
+class TestInputSnapshot:
+    """A damaged snapshot exits 3; an input edited since ingest exits 2."""
+
+    @pytest.fixture(scope="class")
+    def ran(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("snapshot")
+        cfg_path = str(write_cli_workspace(root))
+        for step, _ in pipeline.STEPS:
+            assert invoke(cfg_path, step).exit_code == 0
+        return root, cfg_path
+
+    @pytest.mark.parametrize("damage", sorted(SNAPSHOT_DAMAGE))
+    def test_damaged_snapshot_exits_3(self, ran, damage):
+        root, cfg_path = ran
+        path = root / "work" / pipeline.INPUTS_FILE
+        good = path.read_bytes()
+        try:
+            if SNAPSHOT_DAMAGE[damage] is None:
+                path.unlink()
+            else:
+                path.write_bytes(SNAPSHOT_DAMAGE[damage](good))
+            result = invoke(cfg_path, "evaluate")
+        finally:
+            path.write_bytes(good)
+        assert result.exit_code == 3, result.stderr
+        err = stderr_error(result)
+        assert err["type"] == "DataError"
+        assert "run ingest" in err["message"]
+
+    @pytest.mark.parametrize("name", sorted(STALE_STEPS))
+    def test_stale_input_exits_2_in_exactly_its_steps(self, ran, name):
+        root, cfg_path = ran
+        path = root / name
+        original = path.read_bytes()
+        # Parses the same, hashes differently.
+        path.write_bytes(original + b"\n")
+        codes = {}
+        try:
+            for step, _ in pipeline.STEPS[1:]:
+                result = invoke(cfg_path, step)
+                codes[step] = result.exit_code
+                if result.exit_code == 2:
+                    err = stderr_error(result)
+                    assert err["type"] == "ConfigError"
+                    assert name in err["message"] and "rerun ingest" in err["message"]
+            # Force is for artifacts of another configuration, not for inputs.
+            forced = invoke(cfg_path, "evaluate", "--force").exit_code
+        finally:
+            path.write_bytes(original)
+        assert codes == {
+            step: 2 if step in STALE_STEPS[name] else 0 for step, _ in pipeline.STEPS[1:]
+        }
+        assert forced == codes["evaluate"]
 
 
 @pytest.fixture(scope="module")
 def remote_ws(tmp_path_factory):
     root = tmp_path_factory.mktemp("cliremote")
     base = write_cli_workspace(root)
-    assert invoke(str(base), "synth").exit_code == 0
-    assert invoke(str(base), "chunk").exit_code == 0
+    for step in ("ingest", "synth", "chunk"):
+        assert invoke(str(base), step).exit_code == 0
     remote_cfg = write_cli_workspace(
         root,
         extraction={

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import logging
@@ -8,7 +9,7 @@ import pytest
 import yaml
 
 import helpers
-from phenorank import ontology, pipeline
+from phenorank import annotations, ontology, pipeline
 from phenorank.annotations import feature_table
 from phenorank.config import (
     PipelineConfig,
@@ -535,31 +536,59 @@ class TestPipelineChain:
         assert before == after
 
 
-def test_propagation_runs_only_where_its_counts_are_read(tmp_path, monkeypatch):
-    # One pooled pass for IC in every step that loads the KB, plus the two
-    # per-source and one gene pass in the steps that build the feature table.
-    calls = []
-    original = ontology.propagate_counts
+# The parsers and the passes over the parsed inputs; only ingest may call them.
+INPUT_PASSES = (
+    (ontology, "parse_ontology_json"),
+    (annotations, "load_annotations"),
+    (ontology, "compute_stats"),
+    (annotations, "feature_table"),
+    (ontology, "propagate_counts"),
+)
 
+
+def _counting(calls, attr, fn):
     def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+        calls[attr] += 1
+        return fn(*args, **kwargs)
 
-    # ``from .ontology import propagate_counts`` copies the reference.
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("phenorank"):
-            if getattr(mod, "propagate_counts", None) is original:
-                monkeypatch.setattr(mod, "propagate_counts", counted)
-    cfg = write_workspace(tmp_path)
+    return counted
+
+
+@pytest.fixture(scope="module")
+def step_calls(tmp_path_factory):
+    """Calls per step of each ``INPUT_PASSES`` function over one pipeline run."""
+    calls = collections.Counter()
     per_step = {}
-    for name, step in pipeline.STEPS:
-        calls.clear()
-        step(cfg)
-        per_step[name] = len(calls)
-    assert per_step == {
-        "ingest": 4, "synth": 1, "chunk": 0, "extract": 0, "standardize": 0,
-        "train": 4, "rank": 4, "evaluate": 1, "ablate": 1, "permtest": 1,
+    with pytest.MonkeyPatch.context() as mp:
+        for module, attr in INPUT_PASSES:
+            original = getattr(module, attr)
+            # ``from .ontology import propagate_counts`` copies the reference.
+            for name, mod in list(sys.modules.items()):
+                if name.startswith("phenorank") and getattr(mod, attr, None) is original:
+                    mp.setattr(mod, attr, _counting(calls, attr, original))
+        cfg = write_workspace(tmp_path_factory.mktemp("calls"))
+        for name, step in pipeline.STEPS:
+            calls.clear()
+            step(cfg)
+            per_step[name] = dict(calls)
+    return {
+        attr: {name: got.get(attr, 0) for name, got in per_step.items()}
+        for _, attr in INPUT_PASSES
     }
+
+
+def test_propagation_runs_only_where_its_counts_are_read(step_calls):
+    # The pooled pass for IC, the two per-source passes and the gene pass all
+    # run in ingest; the later steps restore the results from its snapshot.
+    assert step_calls["propagate_counts"] == {
+        "ingest": 4, "synth": 0, "chunk": 0, "extract": 0, "standardize": 0,
+        "train": 0, "rank": 0, "evaluate": 0, "ablate": 0, "permtest": 0,
+    }
+
+
+@pytest.mark.parametrize("attr", [attr for _, attr in INPUT_PASSES[:4]])
+def test_only_ingest_parses_the_inputs(step_calls, attr):
+    assert step_calls[attr] == {name: int(name == "ingest") for name, _ in pipeline.STEPS}
 
 
 class TestPipelineGuards:
@@ -582,6 +611,7 @@ class TestPipelineGuards:
             },
             standardization={"selector": "remote"},
         )
+        pipeline.step_ingest(cfg)
         pipeline.step_synth(cfg)
         pipeline.step_chunk(cfg)
         pipeline.step_extract(cfg)

@@ -141,6 +141,19 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_ontology_json("not json")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("name", 5), ("def", ["x"]), ("synonyms", "Root"), ("synonyms", [None]),
+         ("is_a", [["HP:0000002"]])],
+    )
+    def test_json_text_fields_must_be_strings(self, field, value):
+        import json
+
+        doc = [{"id": "HP:0000001", "name": "Root"}, {"id": "HP:0000002", "name": "Leaf"}]
+        doc[0][field] = value
+        with pytest.raises(ParseError, match="term 1: .*must be text"):
+            parse_ontology_json(json.dumps(doc))
+
 
 class TestStructure:
     def test_malformed_id_rejected(self):

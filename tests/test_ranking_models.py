@@ -95,6 +95,18 @@ class TestFeatureSchema:
         schema = FeatureSchema.standard(("a", "b", UNKNOWN_CATEGORY))
         assert FeatureSchema.from_dict(schema.to_dict()) == schema
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"symptomCategories": ["a", UNKNOWN_CATEGORY], "names": ["age_years"]},
+            {"symptomCategories": ["a"], "names": []},
+        ],
+        ids=["names-cut", "no-unknown-slot"],
+    )
+    def test_dict_must_be_a_standard_schema(self, doc):
+        with pytest.raises(DataError):
+            FeatureSchema.from_dict(doc)
+
 
 class TestBuildInstances:
     def test_labels_and_determinism(self, layered, layered_table):
@@ -455,11 +467,13 @@ class TestTrainersMatchLoopOracles:
 
 class TestModelSerialization:
     def test_json_round_trip_byte_identical(self):
-        train = helpers.separable_instances(15, seed=19)
-        val = helpers.separable_instances(5, seed=20)
+        # A model file holds the standard schema of its categories.
+        schema = FeatureSchema.standard(("a", UNKNOWN_CATEGORY))
+        train = helpers.separable_instances(15, dim=schema.dimension, seed=19)
+        val = helpers.separable_instances(5, dim=schema.dimension, seed=20)
         for model in (
-            train_pairwise_linear(train, schema=_schema_stub(6)),
-            train_boosted(train, validation=val, schema=_schema_stub(6)),
+            train_pairwise_linear(train, schema=schema),
+            train_boosted(train, validation=val, schema=schema),
         ):
             text = model.to_json()
             back = RankModel.from_json(text)

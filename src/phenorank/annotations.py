@@ -35,22 +35,19 @@ class AnnotationKB:
     """
 
     disease_annots: dict[str, dict[str, frozenset[str]]]
-    gene_annots: dict[str, frozenset[str]] | None  # None: loaded without genes
+    gene_annots: dict[str, frozenset[str]]
     disease_totals: dict[str, int]
     total_genes: int
 
 
-def load_annotations(
-    disease_text: str, gene_text: str | None, o: Ontology
-) -> AnnotationKB:
+def load_annotations(disease_text: str, gene_text: str, o: Ontology) -> AnnotationKB:
     """Load tab-separated disease and gene annotation rows.
 
     Disease rows are ``term<TAB>disease<TAB>source``; gene rows are
     ``term<TAB>gene``. Blank lines and ``#`` comments are skipped. Duplicate
     rows collapse. Structurally malformed rows raise ParseError with their line
     number; rows naming unknown/obsolete terms or an unknown source are
-    collected and raised together as IngestError. With ``gene_text`` None no
-    gene rows are read: ``gene_annots`` is None and ``total_genes`` 0.
+    collected and raised together as IngestError.
     """
     disease_direct: dict[str, dict[str, set[str]]] = {s: {} for s in DISEASE_SOURCES}
     gene_direct: dict[str, set[str]] = {}
@@ -75,7 +72,7 @@ def load_annotations(
             continue
         disease_direct[source].setdefault(tid, set()).add(disease)
 
-    for lineno, raw in enumerate((gene_text or "").splitlines(), start=1):
+    for lineno, raw in enumerate(gene_text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -104,11 +101,7 @@ def load_annotations(
             s: {t: frozenset(d) for t, d in per_term.items()}
             for s, per_term in disease_direct.items()
         },
-        gene_annots=(
-            None
-            if gene_text is None
-            else {t: frozenset(g) for t, g in gene_direct.items()}
-        ),
+        gene_annots={t: frozenset(g) for t, g in gene_direct.items()},
         disease_totals=disease_totals,
         total_genes=total_genes,
     )
@@ -143,18 +136,13 @@ def feature_table(o: Ontology, s: OntologyStats, kb: AnnotationKB) -> np.ndarray
 
     Row ``i`` is term ``o.ids[i]``. Disease count and fraction pool the
     sources (``s``); gene count and the per-source IDFs propagate the KB's
-    direct annotations here, so ``kb`` must have been loaded with its genes.
-    The logarithms are ``math.log`` one term at a time, whose bits do not
-    depend on the CPU; the counts stay below 2**53, so each whole-column
-    division equals the Python one.
+    direct annotations here. The logarithms are ``math.log`` one term at a
+    time, whose bits do not depend on the CPU; the counts stay below 2**53, so
+    each whole-column division equals the Python one.
     """
     for source in DISEASE_SOURCES:
         if kb.disease_totals[source] == 0:
             raise DataError(f"disease source {source!r} is empty; idf undefined")
-    if kb.gene_annots is None:
-        raise DataError(
-            "the feature table needs gene annotations; the KB was loaded without them"
-        )
     genes = propagate_counts(o, kb.gene_annots)
     diseases = np.array([s.annot_count[t] for t in o.ids], dtype=np.float64)
     table = np.empty((len(o.ids), len(FEATURE_NAMES)), dtype=np.float64)

@@ -13,6 +13,8 @@ import math
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ConfigError, DataError, GenerationError
 from .extraction import SPAN_CLOSE, SPAN_OPEN, strip_span_markup
 from .ontology import Ontology
@@ -266,11 +268,63 @@ def chunk_note(note: ClinicalNote, max_chars: int) -> list[NoteChunk]:
 
 
 def _weighted_sample(
-    rng: random.Random, items: list[str], weights: dict[str, float], count: int
+    rng: random.Random,
+    mt: np.random.MT19937,
+    items: list[str],
+    inv_w: np.ndarray,
+    count: int,
 ) -> list[str]:
-    # Weighted sampling without replacement via exponential keys.
-    keyed = [(-(rng.random() ** (1.0 / weights[t])), t) for t in items]
-    keyed.sort()
+    """``count`` of ``items`` without replacement, item ``i`` weighted
+    ``1 / inv_w[i]``: the largest exponential keys ``r ** inv_w[i]``
+    (Efraimidis & Spirakis, IPL 2006), one ``rng.random()`` ``r`` per item.
+
+    The draws are replayed in numpy. CPython's ``random()`` is MT19937's
+    ``genrand_res53``: two 32-bit words ``a``, ``b`` give
+    ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``. ``mt`` takes ``rng``'s 624
+    words and position, yields the ``2 * len(items)`` words and hands its state
+    back, ``gauss_next`` kept, so ``rng`` ends as if it had drawn them itself.
+    The integer is below 2**53, so its conversion to float64 and the scaling
+    are exact.
+    """
+    version, internal, gauss_next = rng.getstate()
+    if version != 3 or len(internal) != 625:
+        raise RuntimeError(
+            "random.Random state is not CPython's MT19937 layout; "
+            "synthetic cohorts replay its draws"
+        )
+    # A tuple key: numpy's setter reads it item by item, faster than an array.
+    key, pos = internal[:624], internal[624]
+    mt.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": pos}}
+    words = mt.random_raw(2 * len(items))
+    r = ((words[0::2] >> 5) * (1 << 26) + (words[1::2] >> 6)).astype(np.float64)
+    r *= 2.0**-53
+    state = mt.state["state"]
+    rng.setstate((version, (*state["key"].tolist(), state["pos"]), gauss_next))
+    return _top_by_key(r, inv_w, items, count)
+
+
+def _top_by_key(
+    r: np.ndarray, inv_w: np.ndarray, items: list[str], count: int
+) -> list[str]:
+    """The ``count`` items with the largest keys ``r ** inv_w``, largest first
+    and a tie to the smaller item, as a sort of ``(-key, item)`` tuples gives.
+
+    The keys that decide are Python's ``pow`` (libm), as the tuple sort had
+    them; numpy's ``power`` can differ from it in the last bits, depending on
+    the CPU. So numpy only shortlists: every item whose numpy key reaches the
+    ``count``-th largest numpy key times (1 - 2**-20). Each numpy key lies
+    within a few ulps of its libm key and the keys are in (0, 1] with no
+    subnormals (or exactly 0), far inside that margin, so the shortlist holds
+    the exact top ``count``, ties included.
+    """
+    n = len(items)
+    if count < n:
+        approx = np.power(r, inv_w)
+        kth = np.partition(approx, n - count)[n - count]
+        picked = np.flatnonzero(approx >= kth * (1.0 - 2.0**-20))
+        r, inv_w = r[picked], inv_w[picked]
+        items = [items[i] for i in picked.tolist()]
+    keyed = sorted((-(x**e), t) for x, e, t in zip(r.tolist(), inv_w.tolist(), items))
     return [t for _, t in keyed[:count]]
 
 
@@ -281,15 +335,18 @@ def synth_cohort(
 
     Curated-term counts follow a discretized log-normal centred on a median of
     15 terms with quartiles near 9 and 25, clamped to [1, max_terms]. Term
-    choice is weighted toward deeper (more specific) terms; the root is never
-    curated. Deterministic for a fixed seed.
+    choice is weighted toward deeper (more specific) terms, with weight
+    ``4 ** min(depth, 8)``, and sampled without replacement by exponential
+    keys (``_weighted_sample``); the root is never curated. Deterministic for
+    a fixed seed.
     """
     eligible = [t for t in o.non_obsolete_ids() if t != o.root]
     if len(o.non_obsolete_ids()) < 30:
         raise DataError("synthetic cohorts need an ontology of >= 30 usable terms")
-    weights = {t: 4.0 ** min(o.depth(t), 8) for t in eligible}
+    inv_w = np.array([1.0 / 4.0 ** min(o.depth(t), 8) for t in eligible])
     cap = min(max_terms, len(eligible))
     rng = random.Random(f"{seed}:cohort")
+    mt = np.random.MT19937(0)  # holds rng's state during each replay
     patients = []
     for i in range(1, n + 1):
         count = int(round(math.exp(rng.gauss(_COUNT_LOG_MEDIAN, _COUNT_LOG_SIGMA))))
@@ -298,7 +355,7 @@ def synth_cohort(
         age = round(min(100.0, max(0.0, age)), 1)
         sex = rng.choices(SEXES, weights=_SEX_WEIGHTS, k=1)[0]
         category = rng.choice(SYMPTOM_CATEGORIES)
-        curated = set(_weighted_sample(rng, eligible, weights, count))
+        curated = set(_weighted_sample(rng, mt, eligible, inv_w, count))
         patients.append(
             Patient(
                 patient_id=f"P{i:04d}",

@@ -9,10 +9,12 @@ per-patient pairwise loop and per-cut tree builder. The evaluation oracles
 are the package's cutoff-by-cutoff, draw-by-draw evaluators. The feature-row
 oracle is the package's earlier per-term path: per-source counts propagated
 eagerly, then one IDF lookup per term and source. The negative-pool oracles
-are the package's earlier string-set pools and sorted-string sampler. The reference
-functions (set similarity, undirected distance, top-k precision/recall/F1, the
-pairwise gradient and loss at raw weights, note filtering, span markup) are
-used only by tests, so they live here rather than in the package.
+are the package's earlier string-set pools and sorted-string sampler. The
+cohort-sampler oracle is its tuple sort over one ``rng.random()`` per term. The
+reference functions (set similarity, undirected distance, top-k
+precision/recall/F1, the pairwise gradient and loss at raw weights, note
+filtering, span markup) are used only by tests, so they live here rather than
+in the package.
 """
 
 from __future__ import annotations
@@ -278,14 +280,17 @@ CLINICAL_GENE_TSV = "\n".join(
 # -- random rooted DAGs ---------------------------------------------------------------
 
 
-def random_ontology(seed: int, max_terms: int = 50, obsolete: int = 0) -> Ontology:
-    """Random single-root DAG; term i>0 parents into earlier terms only.
+def random_ontology(
+    seed: int, max_terms: int = 50, obsolete: int = 0, min_terms: int = 8
+) -> Ontology:
+    """Random single-root DAG of ``min_terms``..``max_terms`` live terms; term
+    i>0 parents into earlier terms only.
 
     ``obsolete`` more terms, marked obsolete, hang below one or two earlier
     terms each, live or obsolete, so no live term ever has an obsolete parent.
     """
     rng = random.Random(f"dag:{seed}")
-    n = rng.randint(8, max_terms)
+    n = rng.randint(min_terms, max_terms)
     ids = [f"HP:{5000000 + i:07d}" for i in range(n)]
     terms = {ids[0]: _term(ids[0], "Synthetic root")}
     for i in range(1, n):
@@ -297,6 +302,21 @@ def random_ontology(seed: int, max_terms: int = 50, obsolete: int = 0) -> Ontolo
         parents = rng.sample(list(terms), rng.randint(1, 2))
         terms[tid] = _term(tid, f"Retired term {i}", parents, obsolete=True)
     return Ontology(terms)
+
+
+def random_ontology_3000() -> Ontology:
+    """3,000 live terms and 40 obsolete ones: synth's HPO-like size in tier-1."""
+    return random_ontology(3, max_terms=3000, min_terms=3000, obsolete=40)
+
+
+def annotation_text(o: Ontology) -> tuple[str, str]:
+    """Disease rows in both sources and gene rows over the live non-root terms."""
+    live = [t for t in o.ids if t != o.root]
+    disease = [
+        f"{t}\tD{i % 9}\t{'orphanet' if i % 3 == 0 else 'omim'}" for i, t in enumerate(live)
+    ]
+    gene = [f"{t}\tG{i % 5}" for i, t in enumerate(live)]
+    return "\n".join(disease) + "\n", "\n".join(gene) + "\n"
 
 
 # -- brute-force oracles ---------------------------------------------------------------
@@ -498,6 +518,17 @@ def setwise_sample_negatives(
         if take:
             drawn.extend((t, cls) for t in rng.sample(pool, take))
     return drawn
+
+
+def tuple_sort_weighted_sample(
+    rng, items: list[str], weights: dict[str, float], count: int
+) -> list[str]:
+    """The package's earlier cohort sampler: one ``rng.random()`` per item, in
+    ``items`` order, exponential keys by Python's ``**``, and a sort of
+    ``(-key, item)`` tuples."""
+    keyed = [(-(rng.random() ** (1.0 / weights[t])), t) for t in items]
+    keyed.sort()
+    return [t for _, t in keyed[:count]]
 
 
 def bf_negative_pools(

@@ -130,15 +130,6 @@ class TestFeatures:
         assert row["idf_omim"] == pytest.approx(math.log(2.0), abs=1e-12)
         assert row["idf_orphanet"] == 0.0
 
-    def test_kb_loaded_without_genes_has_no_feature_rows(self, small, small_stats):
-        kb = load_annotations(SMALL_DISEASE_TSV, None, small)
-        assert kb.gene_annots is None and kb.total_genes == 0
-        assert kb.disease_annots == load_annotations(
-            SMALL_DISEASE_TSV, SMALL_GENE_TSV, small
-        ).disease_annots
-        with pytest.raises(DataError, match="gene annotations"):
-            feature_table(small, small_stats, kb)
-
     def test_gene_fraction_zero_without_genes(self, small, small_stats):
         kb = load_annotations(SMALL_DISEASE_TSV, "", small)
         row = feature_row(small, small_stats, kb, A_ONE)

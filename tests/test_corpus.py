@@ -1,11 +1,17 @@
+import hashlib
+import random
 import statistics
+import types
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
 from helpers import A_ONE, A_TWO, ROOT, filter_notes
+from phenorank import corpus, pipeline
+from phenorank.config import config_from_dict
 from phenorank.corpus import (
     ClinicalNote,
     NoteChunk,
@@ -233,6 +239,157 @@ class TestSynthCohort:
     def test_small_ontology_rejected(self, small):
         with pytest.raises(DataError, match=">= 30"):
             synth_cohort(small, 5, seed=0)
+
+
+def depth_weights(o):
+    """The eligible terms of ``synth_cohort`` and their weights 4**min(depth, 8)."""
+    items = [t for t in o.ids if t != o.root]
+    return items, {t: 4.0 ** min(o.depth(t), 8) for t in items}
+
+
+class TestWeightedSample:
+    """The numpy replay against the tuple sort over ``rng.random()``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dag=st.integers(0, 30),
+        seed=st.integers(0, 2**32),
+        advance=st.integers(0, 1500),
+        gauss=st.booleans(),
+        data=st.data(),
+    )
+    def test_sampler_matches_tuple_sort(self, dag, seed, advance, gauss, data):
+        o = helpers.random_ontology(dag, max_terms=400, obsolete=dag % 3)
+        items, weights = depth_weights(o)
+        count = data.draw(st.integers(1, len(items)), label="count")
+        rng = random.Random(seed)
+        for _ in range(advance):  # any position in the 624-word block
+            rng.random()
+        if gauss:
+            rng.gauss(0.0, 1.0)  # leaves a cached gauss_next
+        oracle = random.Random()
+        oracle.setstate(rng.getstate())
+        inv_w = np.array([1.0 / weights[t] for t in items])
+        mt = np.random.MT19937(0)
+        got = corpus._weighted_sample(rng, mt, items, inv_w, count)
+        want = helpers.tuple_sort_weighted_sample(oracle, items, weights, count)
+        assert got == want
+        assert rng.getstate() == oracle.getstate()
+        assert rng.random() == oracle.random()
+
+    def test_consecutive_samples_share_one_generator(self, layered):
+        items, weights = depth_weights(layered)
+        inv_w = np.array([1.0 / weights[t] for t in items])
+        rng, oracle = random.Random("7:cohort"), random.Random("7:cohort")
+        mt = np.random.MT19937(0)
+        for count in (1, 15, 40, len(items)):
+            got = corpus._weighted_sample(rng, mt, items, inv_w, count)
+            assert got == helpers.tuple_sort_weighted_sample(oracle, items, weights, count)
+            assert rng.gauss(0.0, 1.0) == oracle.gauss(0.0, 1.0)
+        assert rng.getstate() == oracle.getstate()
+
+    @pytest.mark.parametrize(
+        "r, inv_w, count",
+        [
+            # duplicate draws at equal weights: ties go to the smaller id
+            ([0.5, 0.5, 0.25], [1.0] * 3, 1),
+            ([0.5, 0.25, 0.5, 0.5, 0.75, 0.25], [1.0] * 6, 3),
+            ([0.5, 0.25, 0.5, 0.5, 0.75, 0.25], [1.0] * 6, 5),
+            # equal keys from different draws: 0.25 ** 0.5 == 0.5 ** 1.0
+            ([0.25, 0.5, 0.0625, 0.1, 0.5], [0.5, 1.0, 0.25, 1.0, 1.0], 2),
+            # r == 0.0 gives key 0.0; zeros fill the tail in id order
+            ([0.0, 0.3, 0.0, 0.0, 0.7], [0.25, 1.0, 0.0625, 1.0, 0.25], 4),
+            ([0.0, 0.0, 0.0, 0.0, 0.0], [1.0, 0.25, 1.0, 0.25, 1.0], 2),
+            # count >= n returns every item, sorted by key
+            ([0.9, 0.1, 0.5, 0.3], [1.0, 0.25, 1.0, 0.0625], 4),
+            ([0.9, 0.1, 0.5, 0.3], [1.0, 0.25, 1.0, 0.0625], 7),
+            # all weights equal
+            ([0.2, 0.8, 0.4, 0.6, 0.1, 0.9], [0.0625] * 6, 3),
+            # keys one ulp apart at the cut
+            (
+                [0.5, float(np.nextafter(0.5, 1.0)), float(np.nextafter(0.5, 0.0)), 0.4],
+                [1.0] * 4,
+                2,
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("skewed", [False, True], ids=["numpy", "skewed-power"])
+    def test_selection_on_crafted_draws(self, monkeypatch, r, inv_w, count, skewed):
+        if skewed:
+            # A power kernel that rounds up to 4 ulps away from libm, down and
+            # up in turn: numpy may only shortlist, never decide.
+            power = np.power
+
+            def skewed_power(x, e):
+                keys = power(x, e)
+                return keys * (1.0 + np.resize([-4.0, 4.0], keys.size) * 2.0**-52)
+
+            monkeypatch.setattr(corpus.np, "power", skewed_power)
+        items = [f"HP:{i:07d}" for i in range(len(r))]
+        weights = {t: 1.0 / e for t, e in zip(items, inv_w)}
+        draws = types.SimpleNamespace(random=iter(r).__next__)
+        want = helpers.tuple_sort_weighted_sample(draws, items, weights, count)
+        got = corpus._top_by_key(np.array(r), np.array(inv_w), items, count)
+        assert got == want
+
+    def test_foreign_state_layout_is_refused(self):
+        class OtherRandom(random.Random):
+            def getstate(self):
+                return (2, (0,) * 625, None)
+
+        with pytest.raises(RuntimeError, match="MT19937"):
+            corpus._weighted_sample(
+                OtherRandom(1), np.random.MT19937(0), ["HP:1"], np.ones(1), 1
+            )
+
+
+def synth_digest(root, o, disease_text, gene_text, size) -> str:
+    """sha256 of ``cohort.jsonl`` then ``notes.jsonl`` after ingest and synth at seed 1.
+
+    The config names its paths relative to ``root``, the working directory, so
+    the config hash in each file's meta line does not depend on where it runs.
+    """
+    (root / "ontology.json").write_text(helpers.ontology_to_json(o), encoding="utf-8")
+    (root / "disease.tsv").write_text(disease_text, encoding="utf-8")
+    (root / "gene.tsv").write_text(gene_text, encoding="utf-8")
+    cfg = config_from_dict(
+        {
+            "seed": 1,
+            "paths": {
+                "ontology": "ontology.json",
+                "disease_annotations": "disease.tsv",
+                "gene_annotations": "gene.tsv",
+                "workdir": "work",
+            },
+            "cohort": {"size": size},
+        }
+    )
+    pipeline.step_ingest(cfg)
+    pipeline.step_synth(cfg)
+    digest = hashlib.sha256()
+    for name in (pipeline.COHORT_FILE, pipeline.NOTES_FILE):
+        digest.update((root / "work" / name).read_bytes())
+    return digest.hexdigest()
+
+
+class TestSynthGolden:
+    """The synth artifacts' bytes, recorded from the tuple-sort sampler.
+
+    ``test_sampler_matches_tuple_sort`` compares the samplers on one machine;
+    these digests hold the bytes across CPUs, numpy builds and Python versions.
+    """
+
+    def test_layered_fixture(self, tmp_path, monkeypatch, layered):
+        monkeypatch.chdir(tmp_path)
+        digest = synth_digest(tmp_path, layered, *helpers.layered_annotation_text(), 200)
+        assert digest == "871df26447efd2e9a21e900b69d2984dcd239ae3fdb1ef7bd579a10e741a12fe"
+
+    def test_random_3000_terms_with_obsolete(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        o = helpers.random_ontology_3000()
+        assert len(o.ids) == 3000 and len(o.terms) == 3040
+        digest = synth_digest(tmp_path, o, *helpers.annotation_text(o), 100)
+        assert digest == "dc6042bbb443b4ef24be695c57d966bd6520d9d2b3ebcd71b1b089740362e9d3"
 
 
 class TestSynthNarrative:

@@ -480,7 +480,7 @@ class TestArrayCoreOracles:
                 src: {t: frozenset(d) for t, d in per_term.items()}
                 for src, per_term in by_source.items()
             },
-            gene_annots=None,
+            gene_annots={},
             disease_totals={
                 src: len(set().union(*per_term.values()))
                 for src, per_term in by_source.items()

@@ -19,16 +19,6 @@ from phenorank.config import config_from_dict
 from phenorank.ontology import Ontology, TermRecord
 
 
-def annotation_text(o: Ontology) -> tuple[str, str]:
-    """Disease rows in both sources and gene rows over the live non-root terms."""
-    live = [t for t in o.ids if t != o.root]
-    disease = [
-        f"{t}\tD{i % 9}\t{'orphanet' if i % 3 == 0 else 'omim'}" for i, t in enumerate(live)
-    ]
-    gene = [f"{t}\tG{i % 5}" for i, t in enumerate(live)]
-    return "\n".join(disease) + "\n", "\n".join(gene) + "\n"
-
-
 def obo_text(o: Ontology) -> str:
     def quoted(text: str) -> str:
         return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
@@ -65,17 +55,17 @@ def fixture_inputs():
 
 def random_inputs():
     o = helpers.random_ontology(5, obsolete=6)
-    return ("ontology.json", helpers.ontology_to_json(o), *annotation_text(o))
+    return ("ontology.json", helpers.ontology_to_json(o), *helpers.annotation_text(o))
 
 
 def obo_inputs():
     o = helpers.random_ontology(7, obsolete=3)
-    return ("ontology.obo", obo_text(o), *annotation_text(o))
+    return ("ontology.obo", obo_text(o), *helpers.annotation_text(o))
 
 
 def unicode_inputs():
     o = unicode_ontology()
-    return ("ontology.json", helpers.ontology_to_json(o), *annotation_text(o))
+    return ("ontology.json", helpers.ontology_to_json(o), *helpers.annotation_text(o))
 
 
 def write_inputs(root, name, ontology_text, disease_text, gene_text):

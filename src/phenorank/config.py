@@ -138,7 +138,6 @@ class TrainingConfig:
 class EvaluationConfig:
     cutoffs: tuple[int, ...] = (10, 20, 30, 40, 50)
     bootstrap_iterations: int = 1000
-    permutations: int = 200
 
     def validate(self):
         if not self.cutoffs or any(k < 1 for k in self.cutoffs):
@@ -147,8 +146,6 @@ class EvaluationConfig:
             raise ConfigError("evaluation.cutoffs must be strictly increasing")
         if self.bootstrap_iterations < 1:
             raise ConfigError("evaluation.bootstrap_iterations must be >= 1")
-        if self.permutations < 1:
-            raise ConfigError("evaluation.permutations must be >= 1")
 
 
 _SECTIONS = {

@@ -8,14 +8,15 @@ orders of the patient's ranked terms and scores every order at every cutoff at
 once. Its results are bitwise equal to scoring each order's top ``k`` on its
 own: hits are exact integer prefix sums, maxima are exact, and every mean runs
 over the same values, in the same order and length, as a mean over the top-k
-submatrix would, so numpy's pairwise summation adds them the same way.
-Permutation totals are added one draw at a time, in draw order.
+submatrix would, so numpy's pairwise summation adds them the same way. The
+permutation baseline is its exact mean over all orders, in closed form.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import comb
 from typing import Sequence
 
 import numpy as np
@@ -24,10 +25,9 @@ from .config import EvaluationConfig
 from .errors import DataError
 from .ontology import Ontology, OntologyStats, lin_similarity
 
-# Stream tags keep bootstrap and permutation draws on disjoint substreams of
-# the master seed, independent of worker count or evaluation order.
+# The stream tag keeps bootstrap draws on their own substreams of the master
+# seed, independent of worker count or evaluation order.
 _BOOTSTRAP_STREAM = 101
-_PERMUTE_STREAM = 202
 
 METRIC_NAMES = ("precision", "recall", "f1", "lin_similarity", "mean_fn", "mean_fp")
 DELTA_METRIC_NAMES = (
@@ -182,6 +182,15 @@ def _scored_patients(
     return pids, len(ranked_by_patient.keys() - set(pids))
 
 
+def _prf(hits: np.ndarray, kk: np.ndarray, gold: int) -> tuple[np.ndarray, ...]:
+    """Precision, recall and F1 of ``hits`` among ``kk`` selected of ``gold``."""
+    p = hits / kk
+    r = hits / gold
+    with np.errstate(invalid="ignore"):
+        f1 = np.where(p + r == 0.0, 0.0, 2.0 * p * r / (p + r))
+    return p, r, f1
+
+
 def _cutoff_metrics(
     orders: np.ndarray, rel: np.ndarray, M: np.ndarray, cutoffs: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -194,16 +203,32 @@ def _cutoff_metrics(
     """
     kk = np.minimum(cutoffs, orders.shape[1])
     hits = np.cumsum(rel[orders], axis=1)[:, kk - 1]
-    p = hits / kk
-    r = hits / M.shape[1]
-    with np.errstate(invalid="ignore"):
-        f1 = np.where(p + r == 0.0, 0.0, 2.0 * p * r / (p + r))
+    p, r, f1 = _prf(hits, kk, M.shape[1])
     # Best row match of each selected term, and best selected match of each
     # gold term; each mean runs over a contiguous run of the top k.
     row_best = M.max(axis=1)[orders]
     rows = np.stack([row_best[:, :k].mean(axis=1) for k in kk], axis=1)
     cols = np.maximum.accumulate(M[orders], axis=1)[:, kk - 1].mean(axis=2)
     return np.stack([p, r, f1, (rows + cols) / 2.0], axis=2), hits
+
+
+def _expected_metrics(
+    rel: np.ndarray, M: np.ndarray, cutoffs: Sequence[int]
+) -> np.ndarray:
+    """The (K, 4) mean of ``_cutoff_metrics`` over all n! orders of the n terms.
+
+    A random order's top m = min(k, n) holds m * R / n of the list's R gold
+    terms on average, and F1 is linear in hits at fixed m. The row half's mean
+    is the mean row maximum. A gold term's best match is its column's j-th
+    smallest value with probability C(j - 1, m - 1) / C(n, m). At m = n every
+    value is the list's own, so the delta is exactly 0.
+    """
+    n, gold = M.shape
+    kk = np.minimum(cutoffs, n)
+    p, r, f1 = _prf(kk * int(rel.sum()) / n, kk, gold)
+    w = np.array([[comb(j, m - 1) / comb(n, m) for j in range(n)] for m in kk.tolist()])
+    cols = (w[:, None, :] * np.sort(M.T, axis=1)).sum(axis=2).mean(axis=1)
+    return np.stack([p, r, f1, (M.max(axis=1).mean() + cols) / 2.0], axis=1)
 
 
 def evaluate_cohort(
@@ -223,14 +248,9 @@ def evaluate_cohort(
     contribute zero precision/recall/similarity and are flagged.
     """
     cfg.validate()
+    cache = LinCache(o, s)
     return _evaluate(
-        ranked_by_patient,
-        gold_by_patient,
-        LinCache(o, s),
-        cfg,
-        seed,
-        configuration,
-        provenance,
+        ranked_by_patient, gold_by_patient, cache, cfg, seed, configuration, provenance
     )
 
 
@@ -268,11 +288,6 @@ def _evaluate(
     )
 
 
-# Permutations are scored this many draws at a time, so memory stays flat in
-# ``evaluation.permutations``.
-_PERMUTATION_BLOCK = 64
-
-
 def permutation_delta(
     ranked_by_patient: dict[str, list[str]],
     gold_by_patient: dict[str, set[str]],
@@ -283,12 +298,13 @@ def permutation_delta(
     configuration: str = "prioritized-vs-permuted",
     provenance: dict | None = None,
 ) -> MetricsReport:
-    """Prioritized metrics minus the mean over uniform random permutations.
+    """Prioritized metrics minus their exact mean over every order of the list.
 
-    Permutations reshuffle each patient's own term list; the same cutoffs and
-    bootstrap machinery yield CIs for the per-patient deltas. A list of 0 or
-    1 terms has only the identity permutation, so its delta is 0 at every
-    cutoff; empty lists are counted as in ``evaluate_cohort``.
+    The baseline is each patient's own term list in uniformly random order,
+    averaged in closed form (``_expected_metrics``) rather than sampled; the
+    same cutoffs and bootstrap machinery yield CIs for the per-patient
+    deltas. A list of 0 or 1 terms has only the identity order, so its delta
+    is 0 at every cutoff; empty lists are counted as in ``evaluate_cohort``.
     """
     cfg.validate()
     cache = LinCache(o, s)
@@ -305,15 +321,7 @@ def permutation_delta(
         rel = np.array([1.0 if t in gold else 0.0 for t in ranked])
         M = cache.matrix(ranked, sorted(gold))
         prior = _cutoff_metrics(np.arange(n)[None], rel, M, cfg.cutoffs)[0][0]
-        rng = np.random.default_rng([seed, _PERMUTE_STREAM, i])
-        total = np.zeros_like(prior)
-        for start in range(0, cfg.permutations, _PERMUTATION_BLOCK):
-            size = min(_PERMUTATION_BLOCK, cfg.permutations - start)
-            perms = np.stack([rng.permutation(n) for _ in range(size)])
-            # A running sum in draw order; a pairwise sum would change bits.
-            for scores in _cutoff_metrics(perms, rel, M, cfg.cutoffs)[0]:
-                total += scores
-        deltas[i] = prior - total / cfg.permutations
+        deltas[i] = prior - _expected_metrics(rel, M, cfg.cutoffs)
     warnings = {"missingGold": missing_gold, "emptyRanked": empty_ranked}
     return _report(
         configuration, DELTA_METRIC_NAMES, deltas, cfg, seed, provenance, warnings
@@ -337,12 +345,8 @@ def exact_name_terms(
         name_map.setdefault(o.terms[tid].name.lower(), tid)
     out: dict[str, list[str]] = {}
     for pid, mentions in mentions_by_patient.items():
-        seen: list[str] = []
-        for m in mentions:
-            tid = name_map.get(m.surface.lower())
-            if tid is not None and tid not in seen:
-                seen.append(tid)
-        out[pid] = seen
+        tids = (name_map.get(m.surface.lower()) for m in mentions)
+        out[pid] = list(dict.fromkeys(t for t in tids if t is not None))
     return out
 
 
@@ -434,11 +438,7 @@ def import_external_ranking(text: str, o: Ontology) -> ImportResult:
         if bad:
             errors.append(f"line {lineno}: unresolvable terms {bad}")
             continue
-        deduped: list[str] = []
-        for t in terms:
-            if t not in deduped:
-                deduped.append(t)
-        rankings[pid] = deduped
+        rankings[pid] = list(dict.fromkeys(terms))
     return ImportResult(rankings=rankings, errors=errors)
 
 

@@ -662,7 +662,7 @@ def step_ablate(cfg: PipelineConfig, force: bool = False) -> dict:
 
 
 def step_permtest(cfg: PipelineConfig, force: bool = False) -> dict:
-    """Compare rankings against random permutations of themselves."""
+    """Compare rankings against the exact mean over all orders of their terms."""
     snap = load_snapshot(cfg, ONTOLOGY, DISEASES)
     o, s = snap.ontology, snap.stats
     report = evaluation.permutation_delta(

@@ -6,9 +6,11 @@ their bugs. The text-layer oracles are the package's earlier implementations:
 the regex gazetteer, the per-byte FNV-1a embedding, the entry-by-entry index
 builder and the dense one-query scan. The trainer oracles are the package's
 per-patient pairwise loop and per-cut tree builder. The evaluation oracles
-are the package's cutoff-by-cutoff, draw-by-draw evaluators. The feature-row
-oracle is the package's earlier per-term path: per-source counts propagated
-eagerly, then one IDF lookup per term and source. The negative-pool oracles
+are the package's cutoff-by-cutoff evaluator and, for the permutation
+baseline, an all-orders mean, an exact-fraction closed form and the earlier
+draw-by-draw estimate. The feature-row oracle is the package's earlier
+per-term path: per-source counts propagated eagerly, then one IDF lookup per
+term and source. The negative-pool oracles
 are the package's earlier string-set pools and sorted-string sampler. The
 cohort-sampler oracle is its tuple sort over one ``rng.random()`` per term. The
 reference functions (set similarity, undirected distance, top-k
@@ -19,12 +21,14 @@ in the package.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import re
 from collections import deque
 from dataclasses import dataclass
 from datetime import date, datetime
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,7 +50,6 @@ from phenorank.evaluation import (
     METRIC_NAMES,
     LinCache,
     MetricsReport,
-    _PERMUTE_STREAM,
     _report,
 )
 from phenorank.extraction import _ESCAPES, SPAN_CLOSE, SPAN_OPEN, Mention
@@ -1133,12 +1136,14 @@ def random_instances(
     return out
 
 
-# -- evaluation oracles: one patient, one cutoff, one permutation at a time ----------
+# -- evaluation oracles: one patient, one cutoff, one order at a time ------------------
 #
-# The package's earlier evaluators: set arithmetic and a best-match average
-# over each top-k submatrix, cutoff by cutoff, and the permutation baseline
-# summed one draw at a time. The package's one-kernel evaluators must produce
-# byte-identical reports.
+# The package's earlier evaluator: set arithmetic and a best-match average over
+# each top-k submatrix, cutoff by cutoff; the package's one-kernel evaluator
+# must produce byte-identical reports. The permutation baseline has three
+# oracles: the mean over every order of a short list, the closed form in exact
+# rational arithmetic, and the package's earlier Monte Carlo estimate as a
+# statistical cross-check.
 
 
 def loop_bma(sub: np.ndarray) -> float:
@@ -1187,54 +1192,158 @@ def loop_evaluate_cohort(
     )
 
 
-def loop_permutation_delta(
+def _order_scores(
+    rel: np.ndarray, M: np.ndarray, order: np.ndarray, cutoffs: Sequence[int]
+) -> np.ndarray:
+    """(K, 4) precision, recall, F1 and best-match average of one order's top k."""
+    n, gold = M.shape
+    cum = np.cumsum(rel[order])
+    out = np.zeros((len(cutoffs), 4))
+    for ki, k in enumerate(cutoffs):
+        kk = min(k, n)
+        hits = cum[kk - 1]
+        p = hits / kk
+        r = hits / gold
+        f1 = 0.0 if p + r == 0.0 else 2.0 * p * r / (p + r)
+        out[ki] = (p, r, f1, loop_bma(M[order[:kk]]))
+    return out
+
+
+def _baseline_report(
+    ranked_by_patient: dict[str, list[str]],
+    gold_by_patient: dict[str, set[str]],
+    o: Ontology,
+    s: OntologyStats,
+    cfg: EvaluationConfig,
+    seed: int,
+    baseline,
+) -> MetricsReport:
+    """Each patient's own-order scores minus ``baseline(i, rel, M)``, reported."""
+    cache = LinCache(o, s)
+    pids, missing_gold = _loop_scored(ranked_by_patient, gold_by_patient)
+    empty_ranked = 0
+    deltas = np.zeros((len(pids), len(cfg.cutoffs), len(DELTA_METRIC_NAMES)))
+    for i, pid in enumerate(pids):
+        ranked = ranked_by_patient[pid]
+        gold = set(gold_by_patient[pid])
+        n = len(ranked)
+        if n < 2:  # the identity is the only order: delta 0
+            empty_ranked += n == 0
+            continue
+        rel = np.array([1.0 if t in gold else 0.0 for t in ranked])
+        M = cache.matrix(ranked, sorted(gold))
+        prior = _order_scores(rel, M, np.arange(n), cfg.cutoffs)
+        deltas[i] = prior - baseline(i, rel, M)
+    warnings = {"missingGold": missing_gold, "emptyRanked": empty_ranked}
+    return _report(
+        "prioritized-vs-permuted", DELTA_METRIC_NAMES, deltas, cfg, seed, None, warnings
+    )
+
+
+def exhaustive_permutation_delta(
     ranked_by_patient: dict[str, list[str]],
     gold_by_patient: dict[str, set[str]],
     o: Ontology,
     s: OntologyStats,
     cfg: EvaluationConfig,
     seed: int = 0,
-    configuration: str = "prioritized-vs-permuted",
-    provenance: dict | None = None,
 ) -> MetricsReport:
-    cache = LinCache(o, s)
-    pids, missing_gold = _loop_scored(ranked_by_patient, gold_by_patient)
-    K = len(cfg.cutoffs)
-    empty_ranked = 0
-    deltas = np.zeros((len(pids), K, len(DELTA_METRIC_NAMES)), dtype=np.float64)
-    for i, pid in enumerate(pids):
-        ranked = ranked_by_patient[pid]
-        gold = set(gold_by_patient[pid])
-        n = len(ranked)
-        if n < 2:  # the identity is the only permutation: delta 0
-            empty_ranked += n == 0
-            continue
-        rel = np.array([1.0 if t in gold else 0.0 for t in ranked])
-        M = cache.matrix(ranked, sorted(gold))
-        R = len(gold)
-        prior = np.zeros((K, 4))
-        cum = np.cumsum(rel)
-        for ki, k in enumerate(cfg.cutoffs):
-            kk = min(k, n)
-            hits = cum[kk - 1]
-            p = hits / kk
-            r = hits / R
-            f1 = 0.0 if p + r == 0.0 else 2.0 * p * r / (p + r)
-            prior[ki] = (p, r, f1, loop_bma(M[:kk]))
-        rng = np.random.default_rng([seed, _PERMUTE_STREAM, i])
-        acc = np.zeros((K, 4))
-        for _ in range(cfg.permutations):
-            perm = rng.permutation(n)
-            cum_p = np.cumsum(rel[perm])
-            for ki, k in enumerate(cfg.cutoffs):
-                kk = min(k, n)
-                hits = cum_p[kk - 1]
-                p = hits / kk
-                r = hits / R
-                f1 = 0.0 if p + r == 0.0 else 2.0 * p * r / (p + r)
-                acc[ki] += (p, r, f1, loop_bma(M[perm[:kk]]))
-        deltas[i] = prior - acc / cfg.permutations
-    warnings = {"missingGold": missing_gold, "emptyRanked": empty_ranked}
-    return _report(
-        configuration, DELTA_METRIC_NAMES, deltas, cfg, seed, provenance, warnings
+    """The baseline by definition: the mean over all n! orders of each list.
+
+    Lists are limited to 7 terms (5,040 orders).
+    """
+
+    def baseline(i, rel, M):
+        n = len(rel)
+        if n > 7:
+            raise ValueError(f"{n} terms: too many orders to enumerate")
+        return np.mean(
+            [
+                _order_scores(rel, M, np.array(order), cfg.cutoffs)
+                for order in itertools.permutations(range(n))
+            ],
+            axis=0,
+        )
+
+    return _baseline_report(
+        ranked_by_patient, gold_by_patient, o, s, cfg, seed, baseline
     )
+
+
+def fraction_permutation_delta(
+    ranked_by_patient: dict[str, list[str]],
+    gold_by_patient: dict[str, set[str]],
+    o: Ontology,
+    s: OntologyStats,
+    cfg: EvaluationConfig,
+    seed: int = 0,
+) -> MetricsReport:
+    """The baseline's closed form in exact rational arithmetic.
+
+    A uniform order's top m = min(k, n) holds m * R / n of the R listed gold
+    terms on average, so F1 averages to 2 * hits / (m + G) over G gold terms.
+    The row half of the best-match average averages to the mean row maximum;
+    each column's best match in the top m is its j-th smallest value with
+    probability C(j - 1, m - 1) / C(n, m). Each mean is rounded once, to float.
+    """
+
+    def baseline(i, rel, M):
+        n, gold = M.shape
+        listed = int(rel.sum())
+        rows = sum(Fraction(v) for v in M.max(axis=1)) / n
+        columns = [sorted(Fraction(v) for v in M[:, g]) for g in range(gold)]
+        out = np.zeros((len(cfg.cutoffs), 4))
+        for ki, k in enumerate(cfg.cutoffs):
+            m = min(k, n)
+            hits = Fraction(m * listed, n)
+            best = sum(
+                v * math.comb(j, m - 1) for col in columns for j, v in enumerate(col)
+            ) / (math.comb(n, m) * gold)
+            out[ki] = (
+                float(hits / m),
+                float(hits / gold),
+                float(2 * hits / (m + gold)),
+                float((rows + best) / 2),
+            )
+        return out
+
+    return _baseline_report(
+        ranked_by_patient, gold_by_patient, o, s, cfg, seed, baseline
+    )
+
+
+# The seed stream of the Monte Carlo baseline's draws.
+PERMUTE_STREAM = 202
+
+
+def loop_permutation_delta(
+    ranked_by_patient: dict[str, list[str]],
+    gold_by_patient: dict[str, set[str]],
+    o: Ontology,
+    s: OntologyStats,
+    cfg: EvaluationConfig,
+    draws: int,
+    seed: int = 0,
+) -> tuple[MetricsReport, np.ndarray]:
+    """The baseline sampled: the mean over ``draws`` uniform random orders.
+
+    Also returns the (K, 4) standard error of each report point, from the
+    per-patient sample variances of the draws.
+    """
+    variances = []
+
+    def baseline(i, rel, M):
+        rng = np.random.default_rng([seed, PERMUTE_STREAM, i])
+        scores = np.array(
+            [
+                _order_scores(rel, M, rng.permutation(len(rel)), cfg.cutoffs)
+                for _ in range(draws)
+            ]
+        )
+        variances.append(scores.var(axis=0, ddof=1) / draws)
+        return scores.mean(axis=0)
+
+    report = _baseline_report(
+        ranked_by_patient, gold_by_patient, o, s, cfg, seed, baseline
+    )
+    return report, np.sqrt(np.sum(variances, axis=0)) / report.cohort_size

@@ -524,7 +524,7 @@ def test_09_determinism(e2e):
 
 def test_10_bootstrap_sanity(layered, layered_stats):
     problems = []
-    cfg = EvaluationConfig(cutoffs=(10,), bootstrap_iterations=1000, permutations=1)
+    cfg = EvaluationConfig(cutoffs=(10,), bootstrap_iterations=1000)
 
     # every curated set fits inside the cutoff, so each patient scores the
     # same perfect value on every metric

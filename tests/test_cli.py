@@ -37,7 +37,6 @@ def write_cli_workspace(root, seed=11, extraction=None):
         "evaluation": {
             "cutoffs": [10, 20],
             "bootstrap_iterations": 40,
-            "permutations": 25,
         },
     }
     if extraction:
@@ -203,6 +202,18 @@ class TestErrorReporting:
         result = invoke(str(path), "synth")
         assert result.exit_code == 2
         assert stderr_error(result)["type"] == "ConfigError"
+
+    def test_removed_permutations_key_exits_2(self, tmp_path):
+        # The permutation baseline is exact, so a sample count is no longer a
+        # setting; a config that still sets one fails naming the key.
+        path = tmp_path / "old.yaml"
+        path.write_text("evaluation:\n  permutations: 200\n", encoding="utf-8")
+        result = invoke(str(path), "permtest")
+        assert result.exit_code == 2
+        err = stderr_error(result)
+        assert err["type"] == "ConfigError"
+        assert "'permutations'" in err["message"]
+        assert "'evaluation'" in err["message"]
 
     def test_missing_artifact_exits_3(self, tmp_path):
         cfg_path = write_cli_workspace(tmp_path)

@@ -47,7 +47,6 @@ def write_workspace(root, seed=11, **section_overrides):
         "evaluation": {
             "cutoffs": [10, 20],
             "bootstrap_iterations": 40,
-            "permutations": 25,
         },
     }
     for section, overrides in section_overrides.items():
@@ -124,7 +123,7 @@ class TestConfigLoading:
             {"evaluation": {"cutoffs": [0, 5]}},
             {"evaluation": {"cutoffs": [5, 5]}},
             {"evaluation": {"bootstrap_iterations": 0}},
-            {"evaluation": {"permutations": 0}},
+            {"cohort": {"size": 0}},
             {"training": {"linear_epochs": -1}},
             {"training": {"boosted_rounds": 0}},
             {"training": {"boosted_max_depth": 0}},

@@ -375,6 +375,9 @@ def synth_digest(root, o, disease_text, gene_text, size) -> str:
 class TestSynthGolden:
     """The synth artifacts' bytes, recorded from the tuple-sort sampler.
 
+    Line 1 of each file carries the config hash, so adding or removing a
+    config field moves both digests; every other line must stay put.
+
     ``test_sampler_matches_tuple_sort`` compares the samplers on one machine;
     these digests hold the bytes across CPUs, numpy builds and Python versions.
     """
@@ -382,14 +385,14 @@ class TestSynthGolden:
     def test_layered_fixture(self, tmp_path, monkeypatch, layered):
         monkeypatch.chdir(tmp_path)
         digest = synth_digest(tmp_path, layered, *helpers.layered_annotation_text(), 200)
-        assert digest == "871df26447efd2e9a21e900b69d2984dcd239ae3fdb1ef7bd579a10e741a12fe"
+        assert digest == "2f0c55f374c89249c272e103f7801b944b5e58d8741de5558e2394741226cf6b"
 
     def test_random_3000_terms_with_obsolete(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         o = helpers.random_ontology_3000()
         assert len(o.ids) == 3000 and len(o.terms) == 3040
         digest = synth_digest(tmp_path, o, *helpers.annotation_text(o), 100)
-        assert digest == "dc6042bbb443b4ef24be695c57d966bd6520d9d2b3ebcd71b1b089740362e9d3"
+        assert digest == "b5b7ea1e427390ee16469446b80f26e5b999d00063c3b604c26e63dc2022b817"
 
 
 class TestSynthNarrative:

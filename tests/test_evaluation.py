@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -37,12 +38,24 @@ def mention(surface, chunk="N1#c000"):
     )
 
 
-def quick_cfg(cutoffs=(1, 2), iterations=50, permutations=20):
-    return EvaluationConfig(
-        cutoffs=cutoffs,
-        bootstrap_iterations=iterations,
-        permutations=permutations,
+def quick_cfg(cutoffs=(1, 2), iterations=50):
+    return EvaluationConfig(cutoffs=cutoffs, bootstrap_iterations=iterations)
+
+
+def report_array(report):
+    """(K, metrics, 3) point, lo and hi of every metric at every cutoff."""
+    return np.array(
+        [
+            [[m["point"], m["lo"], m["hi"]] for m in row["metrics"].values()]
+            for row in report.rows
+        ]
     )
+
+
+def assert_reports_close(got, want, tol):
+    assert got.to_dict() | {"rows": None} == want.to_dict() | {"rows": None}
+    assert [row["k"] for row in got.rows] == [row["k"] for row in want.rows]
+    np.testing.assert_allclose(report_array(got), report_array(want), rtol=0, atol=tol)
 
 
 class TestConfigValidation:
@@ -295,12 +308,12 @@ class TestPermutationDelta:
             {"P1": {A_ONE}},
             small,
             small_stats,
-            quick_cfg(permutations=200),
+            quick_cfg(),
         )
         assert report.configuration == "prioritized-vs-permuted"
         assert report.metric_names() == list(DELTA_METRIC_NAMES)
-        delta = report.value(1, "delta_precision")[0]
-        assert 0.3 < delta < 0.7
+        # A random first term is the gold one half of the time.
+        assert report.value(1, "delta_precision")[0] == 0.5
 
     def test_full_list_cutoff_gives_zero_delta(self, small, small_stats):
         report = permutation_delta(
@@ -308,10 +321,44 @@ class TestPermutationDelta:
             {"P1": {A_ONE}},
             small,
             small_stats,
-            quick_cfg(permutations=50),
+            quick_cfg(),
         )
         for name in DELTA_METRIC_NAMES:
-            assert abs(report.value(2, name)[0]) < 1e-12
+            point = report.value(2, name)[0]
+            assert point == 0.0 and not np.signbit(point)
+
+    @pytest.mark.parametrize(
+        "hits,n,gold_size", [(1, 3, 4), (2, 4, 3), (1, 5, 2), (4, 5, 5), (2, 2, 5)]
+    )
+    def test_cutoffs_past_the_list_give_exact_zeros(
+        self, layered, layered_stats, hits, n, gold_size
+    ):
+        # For these counts 2 * hits / (n + gold) differs from the kernel's
+        # 2pr / (p + r) in the last bit, so F1 must take the kernel's route.
+        ids = sorted(layered.non_obsolete_ids())[5:]
+        ranked = ids[:n]
+        gold = set(ranked[:hits]) | set(ids[n : n + gold_size - hits])
+        report = permutation_delta(
+            {"P1": ranked}, {"P1": gold}, layered, layered_stats, quick_cfg((n, 50))
+        )
+        for row in report.rows:
+            for stats in row["metrics"].values():
+                for value in stats.values():
+                    assert value == 0.0 and not np.signbit(value)
+
+    def test_closed_form_is_the_mean_over_all_orders(self):
+        # Lists of 2 to 7 terms with tied and zero Lin values: the kernel's
+        # scores averaged over every order against the closed form.
+        rng = np.random.default_rng(5)
+        cutoffs = (1, 2, 3, 5, 7)
+        for _ in range(200):
+            n, gold = int(rng.integers(2, 8)), int(rng.integers(1, 5))
+            M = rng.choice([0.0, 0.25, 0.5, rng.random()], size=(n, gold))
+            rel = (rng.random(n) < 0.4).astype(float)
+            orders = np.array(list(itertools.permutations(range(n))))
+            want = evaluation._cutoff_metrics(orders, rel, M, cutoffs)[0].mean(axis=0)
+            got = evaluation._expected_metrics(rel, M, cutoffs)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_deterministic(self, small, small_stats):
         ranked = {"P1": [A_ONE, B_ONE], "P2": [B_ONE, A_TWO, A_ONE]}
@@ -326,7 +373,7 @@ class TestPermutationDelta:
             {"P1": {A_ONE}, "P2": {A_ONE}, "P3": {A_ONE}},
             small,
             small_stats,
-            quick_cfg(permutations=50),
+            quick_cfg(),
         )
         assert report.cohort_size == 3
         assert report.warnings == {"missingGold": 0, "emptyRanked": 1}
@@ -335,7 +382,7 @@ class TestPermutationDelta:
             {"P1": {A_ONE}},
             small,
             small_stats,
-            quick_cfg(permutations=50),
+            quick_cfg(),
         )
         for name in DELTA_METRIC_NAMES:
             # P2 and P3 add zero rows, so the mean is a third of P1's delta.
@@ -355,9 +402,14 @@ class TestPermutationDelta:
         assert report.cohort_size == 1
 
 
-def random_cohort(o, seed, sizes):
-    """One patient per list size; every second patient's gold avoids its list."""
+def random_cohort(o, seed, sizes, gold_size=None):
+    """One patient per list size; every second patient's gold avoids its list.
+
+    Each gold set holds ``gold_size`` terms (4 when None), or the whole pool
+    if that is smaller.
+    """
     rng = np.random.default_rng(seed)
+    gold_size = gold_size or 4
     ids = sorted(o.non_obsolete_ids())
     ranked, gold = {}, {}
     for i, n in enumerate(sizes):
@@ -365,7 +417,7 @@ def random_cohort(o, seed, sizes):
         pool = order[n:] if i % 2 and n < len(ids) else order
         pid = f"P{i:03d}"
         ranked[pid] = order[:n]
-        gold[pid] = set(rng.choice(pool, size=min(4, len(pool)), replace=False))
+        gold[pid] = set(rng.choice(pool, size=min(gold_size, len(pool)), replace=False))
     return ranked, gold
 
 
@@ -379,10 +431,10 @@ class TestOneKernelMatchesLoops:
     CUTOFFS = (1, 2, 5, 10, 30, 140, 160)
     SIZES = {"small": (0, 1, 2, 3, 5, 7), "layered": (0, 2, 9, 40, 130, 169)}
 
-    def inputs(self, request, name, seed):
+    def inputs(self, request, name, seed, gold_size=None):
         o = request.getfixturevalue(name)
         s = request.getfixturevalue(f"{name}_stats")
-        return (*random_cohort(o, seed, self.SIZES[name]), o, s)
+        return (*random_cohort(o, seed, self.SIZES[name], gold_size), o, s)
 
     @pytest.mark.parametrize("name", ["small", "layered"])
     @pytest.mark.parametrize("seed", [1, 2])
@@ -395,17 +447,55 @@ class TestOneKernelMatchesLoops:
         assert got.to_json() == want.to_json()
 
     @pytest.mark.parametrize("name", ["small", "layered"])
-    @pytest.mark.parametrize("permutations", [1, 200])
-    @pytest.mark.parametrize("block", [None, 1, 3])
-    def test_permutation_delta(self, request, monkeypatch, name, permutations, block):
-        if block is not None:
-            monkeypatch.setattr(evaluation, "_PERMUTATION_BLOCK", block)
-        ranked, gold, o, s = self.inputs(request, name, 3)
-        cfg = quick_cfg(cutoffs=self.CUTOFFS, iterations=20, permutations=permutations)
-        got = permutation_delta(ranked, gold, o, s, cfg, 3)
-        want = helpers.loop_permutation_delta(ranked, gold, o, s, cfg, 3)
+    @pytest.mark.parametrize("seed", [1, 200])
+    @pytest.mark.parametrize("gold_size", [None, 1, 3])
+    def test_permutation_delta(self, request, name, seed, gold_size):
+        # The closed form against the mean over every order (lists of up to 7
+        # terms) and against the same closed form in exact fractions. One gold
+        # term makes the column half a single column.
+        ranked, gold, o, s = self.inputs(request, name, seed, gold_size)
+        cfg = quick_cfg(cutoffs=self.CUTOFFS, iterations=20)
+        got = permutation_delta(ranked, gold, o, s, cfg, seed)
         assert got.warnings["emptyRanked"] == 1
-        assert got.to_json() == want.to_json()
+        oracles = [helpers.fraction_permutation_delta]
+        if name == "small":
+            oracles.append(helpers.exhaustive_permutation_delta)
+        for oracle in oracles:
+            assert_reports_close(got, oracle(ranked, gold, o, s, cfg, seed), 1e-12)
+
+    @pytest.mark.parametrize("name", ["small", "layered"])
+    def test_permutation_delta_within_sampling_error(self, request, name):
+        ranked, gold, o, s = self.inputs(request, name, 3)
+        cfg = quick_cfg(cutoffs=self.CUTOFFS, iterations=20)
+        got = report_array(permutation_delta(ranked, gold, o, s, cfg, 3))[:, :, 0]
+        sampled, se = helpers.loop_permutation_delta(ranked, gold, o, s, cfg, 200, 3)
+        want = report_array(sampled)[:, :, 0]
+        assert (se > 0).any()
+        assert np.all(np.abs(got - want) <= 5.0 * se + 1e-12)
+
+
+class TestPermutationBaselineIgnoresOrder:
+    """The baseline half of the delta, prioritized minus delta, is a property
+    of the list's terms, not of their order."""
+
+    def baseline(self, ranked, gold, o, s, cfg):
+        prior = report_array(evaluate_cohort(ranked, gold, o, s, cfg))[:, :4, 0]
+        delta = report_array(permutation_delta(ranked, gold, o, s, cfg))[:, :, 0]
+        return prior, prior - delta
+
+    def test_any_reordering_keeps_the_baseline(self, layered, layered_stats):
+        ranked, gold = random_cohort(layered, 5, (2, 3, 9, 40, 130, 169))
+        cfg = quick_cfg(cutoffs=TestOneKernelMatchesLoops.CUTOFFS, iterations=20)
+        prior, want = self.baseline(ranked, gold, layered, layered_stats, cfg)
+        rng = np.random.default_rng(8)
+        reordered = [{pid: terms[::-1] for pid, terms in ranked.items()}] + [
+            {pid: [t[j] for j in rng.permutation(len(t))] for pid, t in ranked.items()}
+            for _ in range(3)
+        ]
+        for lists in reordered:
+            moved, got = self.baseline(lists, gold, layered, layered_stats, cfg)
+            assert not np.array_equal(moved, prior)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestExactNameTerms:

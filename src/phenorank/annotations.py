@@ -144,9 +144,9 @@ def feature_table(o: Ontology, s: OntologyStats, kb: AnnotationKB) -> np.ndarray
         if kb.disease_totals[source] == 0:
             raise DataError(f"disease source {source!r} is empty; idf undefined")
     genes = propagate_counts(o, kb.gene_annots)
-    diseases = np.array([s.annot_count[t] for t in o.ids], dtype=np.float64)
+    diseases = s.annot_count.astype(np.float64)
     table = np.empty((len(o.ids), len(FEATURE_NAMES)), dtype=np.float64)
-    table[:, 0] = [s.ic[t] for t in o.ids]
+    table[:, 0] = s.ic
     table[:, 1] = genes
     table[:, 2] = genes / kb.total_genes if kb.total_genes else 0.0
     table[:, 3] = diseases

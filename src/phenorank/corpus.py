@@ -340,8 +340,8 @@ def synth_cohort(
     keys (``_weighted_sample``); the root is never curated. Deterministic for
     a fixed seed.
     """
-    eligible = [t for t in o.non_obsolete_ids() if t != o.root]
-    if len(o.non_obsolete_ids()) < 30:
+    eligible = [t for t in o.ids if t != o.root]
+    if len(o.ids) < 30:
         raise DataError("synthetic cohorts need an ontology of >= 30 usable terms")
     inv_w = np.array([1.0 / 4.0 ** min(o.depth(t), 8) for t in eligible])
     cap = min(max_terms, len(eligible))

@@ -38,30 +38,6 @@ DELTA_METRIC_NAMES = (
 )
 
 
-class LinCache:
-    """Memoized pairwise Lin similarity; one instance per (ontology, stats)."""
-
-    def __init__(self, o: Ontology, s: OntologyStats):
-        self._o = o
-        self._s = s
-        self._pairs: dict[tuple[str, str], float] = {}
-
-    def lin(self, a: str, b: str) -> float:
-        key = (a, b) if a <= b else (b, a)
-        val = self._pairs.get(key)
-        if val is None:
-            val = lin_similarity(self._o, self._s, a, b)
-            self._pairs[key] = val
-        return val
-
-    def matrix(self, rows: Sequence[str], cols: Sequence[str]) -> np.ndarray:
-        out = np.empty((len(rows), len(cols)), dtype=np.float64)
-        for i, a in enumerate(rows):
-            for j, b in enumerate(cols):
-                out[i, j] = self.lin(a, b)
-        return out
-
-
 @dataclass
 class MetricsReport:
     """Point estimates with 95% bootstrap CIs, one row per cutoff."""
@@ -248,23 +224,23 @@ def evaluate_cohort(
     contribute zero precision/recall/similarity and are flagged.
     """
     cfg.validate()
-    cache = LinCache(o, s)
     return _evaluate(
-        ranked_by_patient, gold_by_patient, cache, cfg, seed, configuration, provenance
+        ranked_by_patient, gold_by_patient, o, s, cfg, seed, configuration, provenance
     )
 
 
 def _evaluate(
     ranked_by_patient: dict[str, list[str]],
     gold_by_patient: dict[str, set[str]],
-    cache: LinCache,
+    o: Ontology,
+    s: OntologyStats,
     cfg: EvaluationConfig,
     seed: int,
     configuration: str,
     provenance: dict | None,
 ) -> MetricsReport:
-    """``evaluate_cohort`` with the Lin cache supplied, so the ablation
-    stages share one and score each (ranked, gold) pair once."""
+    """``evaluate_cohort`` without the config check, which ``ablation_run``
+    makes once for its three stages."""
     pids, missing_gold = _scored_patients(ranked_by_patient, gold_by_patient)
     empty_ranked = 0
     per_patient = np.zeros((len(pids), len(cfg.cutoffs), len(METRIC_NAMES)))
@@ -277,7 +253,7 @@ def _evaluate(
             per_patient[i, :, 4] = len(gold)
             continue
         rel = np.array([1.0 if t in gold else 0.0 for t in ranked])
-        M = cache.matrix(ranked, sorted(gold))
+        M = lin_similarity(o, s, ranked, sorted(gold))
         scores, hits = _cutoff_metrics(np.arange(n)[None], rel, M, cfg.cutoffs)
         per_patient[i, :, :4] = scores[0]
         per_patient[i, :, 4] = len(gold) - hits[0]
@@ -307,7 +283,6 @@ def permutation_delta(
     is 0 at every cutoff; empty lists are counted as in ``evaluate_cohort``.
     """
     cfg.validate()
-    cache = LinCache(o, s)
     pids, missing_gold = _scored_patients(ranked_by_patient, gold_by_patient)
     empty_ranked = 0
     deltas = np.zeros((len(pids), len(cfg.cutoffs), len(DELTA_METRIC_NAMES)))
@@ -319,7 +294,7 @@ def permutation_delta(
             empty_ranked += n == 0
             continue
         rel = np.array([1.0 if t in gold else 0.0 for t in ranked])
-        M = cache.matrix(ranked, sorted(gold))
+        M = lin_similarity(o, s, ranked, sorted(gold))
         prior = _cutoff_metrics(np.arange(n)[None], rel, M, cfg.cutoffs)[0][0]
         deltas[i] = prior - _expected_metrics(rel, M, cfg.cutoffs)
     warnings = {"missingGold": missing_gold, "emptyRanked": empty_ranked}
@@ -341,7 +316,7 @@ def exact_name_terms(
     Name collisions keep the smallest term id; unmatched surfaces drop.
     """
     name_map: dict[str, str] = {}
-    for tid in o.non_obsolete_ids():
+    for tid in o.ids:
         name_map.setdefault(o.terms[tid].name.lower(), tid)
     out: dict[str, list[str]] = {}
     for pid, mentions in mentions_by_patient.items():
@@ -381,7 +356,6 @@ def ablation_run(
         ABLATION_STAGES[1]: standardized_by_patient,
         ABLATION_STAGES[2]: ranked_by_patient,
     }
-    cache = LinCache(o, s)
     reports = []
     for stage in ABLATION_STAGES:
         lists = stage_lists[stage]
@@ -390,7 +364,7 @@ def ablation_run(
         }
         reports.append(
             _evaluate(
-                normalized, gold_by_patient, cache, cfg, seed, stage, provenance
+                normalized, gold_by_patient, o, s, cfg, seed, stage, provenance
             )
         )
     return reports

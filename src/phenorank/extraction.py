@@ -193,7 +193,7 @@ class Gazetteer:
 
     def __init__(self, o: Ontology):
         entries: set[str] = set()
-        for tid in o.non_obsolete_ids():
+        for tid in o.ids:
             rec = o.terms[tid]
             entries.update(x for x in [rec.name, *rec.synonyms] if x.strip())
         self._keys = ""  # the first lexeme character of each class

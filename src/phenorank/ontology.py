@@ -48,12 +48,10 @@ class Ontology:
     start[i] + size[i]]``, each ancestor once, in no particular order. Rows
     are stored one longest-path level after another, because a level's rows
     are built from those of the levels above it. ``closure_rows`` gathers
-    rows for the count kernels. ``ancestors()`` builds a frozenset view of
-    one row the first time a term is asked about and keeps it, and ``depth()``
-    builds the depth map on its first call. Those two caches are the only
-    state written after construction; each entry is computed from data that
-    never changes and stored with one dict assignment, so instances are safe
-    to share across threads.
+    rows for the count and similarity kernels. ``depth()`` builds the depth
+    map on its first call. That cache is the only state written after
+    construction; it is computed from data that never changes and stored with
+    one assignment, so instances are safe to share across threads.
     """
 
     def __init__(self, terms: Mapping[str, TermRecord]):
@@ -63,7 +61,6 @@ class Ontology:
         levels = self._topological_levels()
         self._index()
         self._closure, self._closure_start, self._closure_size = self._close(levels)
-        self._ancestor_sets: dict[str, frozenset[str]] = {}
         self._depth: dict[str, int] | None = None
 
     @classmethod
@@ -126,7 +123,6 @@ class Ontology:
         ):
             raise ValueError("closure index out of range")
         o._closure, o._closure_start, o._closure_size = closure, start, size
-        o._ancestor_sets = {}
         o._depth = None
         return o
 
@@ -310,6 +306,9 @@ class Ontology:
             raise UnknownTermError(f"term {tid} is obsolete")
         return rec
 
+    # A copy of ``ids``, which the package reads instead. Its last caller is
+    # ``perfbench/launch.py``, until the benchmark reads in-package telemetry
+    # (the ROADMAP telemetry item).
     def non_obsolete_ids(self) -> list[str]:
         return list(self.ids)
 
@@ -335,16 +334,6 @@ class Ontology:
         """Self-inclusive ancestor rows of the ``dense`` ids, concatenated, as
         int32 dense ids, and the length of each row."""
         return _segments(self._closure, self._closure_start, self._closure_size, dense)
-
-    def ancestors(self, tid: str, include_self: bool = True) -> frozenset[str]:
-        """All terms reachable from ``tid`` along is_a edges (self included by default)."""
-        anc = self._ancestor_sets.get(tid)
-        if anc is None:
-            self.require(tid)
-            row, _ = self.closure_rows(self.dense_ids([tid]))
-            anc = frozenset([self.ids[j] for j in row.tolist()])
-            self._ancestor_sets[tid] = anc
-        return anc if include_self else anc - {tid}
 
     def hops(
         self, sources: Iterable[str], direction: str, limit: int | None = None
@@ -570,14 +559,15 @@ def parse_ontology_json(text: str) -> Ontology:
 class OntologyStats:
     """Disease-annotation counts and information content per non-obsolete term.
 
-    annot_count[t] counts distinct diseases annotated to t or any descendant.
-    ic is the negative log fraction of annotated diseases; terms no disease
-    reaches get the add-one ceiling -ln(1/(total+1)).
+    Both arrays are indexed by dense id (``o.ids`` order). annot_count (int64)
+    counts distinct diseases annotated to a term or any descendant. ic
+    (float64) is the negative log fraction of annotated diseases; terms no
+    disease reaches get the add-one ceiling -ln(1/(total+1)).
     """
 
-    annot_count: dict[str, int]
+    annot_count: np.ndarray
     total_diseases: int
-    ic: dict[str, float]
+    ic: np.ndarray
 
 
 def propagate_counts(
@@ -609,7 +599,8 @@ def compute_stats(o: Ontology, kb) -> OntologyStats:
 
     ``kb`` supplies ``disease_annots``: source -> term -> set of disease ids.
     Sources are pooled (a disease id names one document regardless of source).
-    IC is ``-math.log(c / total)`` per term, as in Resnik (1995).
+    IC is ``-math.log(c / total)`` per term, as in Resnik (1995), one term at
+    a time, so its bits do not depend on the CPU.
     """
     pooled: dict[str, set[str]] = {}
     for per_term in kb.disease_annots.values():
@@ -618,37 +609,45 @@ def compute_stats(o: Ontology, kb) -> OntologyStats:
     total = len(set().union(*pooled.values()))
     if total == 0:
         raise DataError("annotation KB holds no diseases; IC is undefined")
-    count = dict(zip(o.ids, propagate_counts(o, pooled).tolist()))
-    floor_p = 1.0 / (total + 1)
-    ic = {
-        t: -math.log(c / total) if c > 0 else -math.log(floor_p)
-        for t, c in count.items()
-    }
+    count = propagate_counts(o, pooled)
+    ceiling = -math.log(1.0 / (total + 1))
+    ic = np.array(
+        [-math.log(c / total) if c > 0 else ceiling for c in count.tolist()],
+        dtype=np.float64,
+    )
     return OntologyStats(annot_count=count, total_diseases=total, ic=ic)
 
 
 # -- similarity ------------------------------------------------------------------
 
 
-def mica(o: Ontology, s: OntologyStats, a: str, b: str) -> str:
-    """Most informative common ancestor of a and b (self counts as ancestor).
+def lin_similarity(
+    o: Ontology, s: OntologyStats, rows: Iterable[str], cols: Iterable[str]
+) -> np.ndarray:
+    """Lin similarity 2*ic(mica) / (ic(a) + ic(b)) of every (row, col) pair,
+    as a (len(rows), len(cols)) float64 matrix with values in [0, 1].
 
-    Ties on IC resolve to the lexicographically smallest term id.
-    """
-    common = o.ancestors(a) & o.ancestors(b)
-    if not common:
-        raise StructuralError(f"{a} and {b} share no ancestor")
-    return min(common, key=lambda t: (-s.ic[t], t))
-
-
-def lin_similarity(o: Ontology, s: OntologyStats, a: str, b: str) -> float:
-    """Lin similarity 2*ic(mica) / (ic(a) + ic(b)), in [0, 1].
-
+    The most informative common ancestor's IC is the largest IC in a row
+    term's ancestor closure among those that the column term's closure also
+    holds: each column's closure is one row of a boolean mask over the
+    ontology, and one ``np.maximum.reduceat`` takes the maxima over the row
+    terms' concatenated closures. Every pair shares the root, and IC is never
+    negative, so a 0 where the mask is unset never exceeds the true maximum.
     When both terms carry zero IC the ratio is undefined; identity maps to 1
-    and distinct terms to 0.
+    and distinct terms to 0. Unknown and obsolete ids raise UnknownTermError.
     """
-    denom = s.ic[o.require(a).id] + s.ic[o.require(b).id]
-    if denom == 0.0:
-        return 1.0 if a == b else 0.0
-    return abs(2.0 * s.ic[mica(o, s, a, b)] / denom)
-
+    a = o.dense_ids(rows)
+    b = o.dense_ids(cols)
+    col_anc, col_lens = o.closure_rows(b)
+    mask = np.zeros((len(b), len(o.ids)), dtype=bool)
+    mask[np.repeat(np.arange(len(b)), col_lens), col_anc] = True
+    row_anc, row_lens = o.closure_rows(a)
+    common = np.where(mask[:, row_anc], s.ic[row_anc], 0.0)
+    starts = np.cumsum(row_lens) - row_lens
+    mica_ic = np.maximum.reduceat(common, starts, axis=1).T
+    denom = s.ic[a][:, None] + s.ic[b]
+    out = (a[:, None] == b).astype(np.float64)
+    np.divide(2.0 * mica_ic, denom, out=out, where=denom != 0.0)
+    # A term that every disease reaches, the root among them, has IC -0.0;
+    # abs keeps a ratio over such a MICA from reading -0.0.
+    return np.abs(out, out=out)

@@ -229,8 +229,8 @@ def _write_snapshot(
         buf,
         meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), np.uint8),
         **o.to_arrays(),
-        ic=np.array([s.ic[t] for t in o.ids], dtype=np.float64),
-        annot_count=np.array([s.annot_count[t] for t in o.ids], dtype=np.int64),
+        ic=s.ic,
+        annot_count=s.annot_count,
         features=table,
     )
     _atomic_write_bytes(path, buf.getvalue())
@@ -262,11 +262,7 @@ def _restore(path: Path) -> Snapshot:
     table = arrays["features"]
     if table.dtype != np.float64 or table.shape != (n, len(annotations.FEATURE_NAMES)):
         raise ValueError(f"features: {table.dtype} array of shape {table.shape}")
-    stats = ontology.OntologyStats(
-        annot_count=dict(zip(o.ids, counts.tolist())),
-        total_diseases=total,
-        ic=dict(zip(o.ids, ic.tolist())),
-    )
+    stats = ontology.OntologyStats(annot_count=counts, total_diseases=total, ic=ic)
     return Snapshot(digests, o, stats, table)
 
 
@@ -349,7 +345,7 @@ def step_ingest(cfg: PipelineConfig) -> dict:
     table = annotations.feature_table(o, s, kb)
     _write_snapshot(workdir(cfg) / INPUTS_FILE, o, s, kb, table, digests)
     return {
-        "terms": len(o.non_obsolete_ids()),
+        "terms": len(o.ids),
         "obsolete": sum(1 for t in o.terms.values() if t.obsolete),
         "diseases": {src: kb.disease_totals.get(src, 0) for src in annotations.DISEASE_SOURCES},
         "genes": kb.total_genes,
@@ -360,10 +356,10 @@ def step_ingest(cfg: PipelineConfig) -> dict:
 def _distractor_pool(
     o: ontology.Ontology, s: ontology.OntologyStats, size: int
 ) -> list[str]:
-    # Common, well-annotated terms make realistic non-gold findings.
-    eligible = [t for t in o.non_obsolete_ids() if t != o.root]
-    eligible.sort(key=lambda t: (-s.annot_count.get(t, 0), t))
-    return eligible[:size]
+    # Common, well-annotated terms make realistic non-gold findings: most
+    # annotated first, ties in id order, since ``o.ids`` is sorted.
+    order = np.argsort(-s.annot_count, kind="stable")[: size + 1].tolist()
+    return [o.ids[i] for i in order if o.ids[i] != o.root][:size]
 
 
 def step_synth(cfg: PipelineConfig) -> dict:
@@ -630,7 +626,11 @@ def step_evaluate(
     wd = workdir(cfg)
     _atomic_write(wd / EVAL_REPORT, report.to_json())
     _atomic_write(wd / EVAL_CSV, evaluation.report_csv([report]))
-    summary = {"patients": report.cohort_size, "report": str(wd / EVAL_REPORT)}
+    summary = {
+        "patients": report.cohort_size,
+        "report": str(wd / EVAL_REPORT),
+        "warnings": report.warnings,
+    }
     if external is not None:
         summary["skippedRows"] = len(imported.errors)
     return summary
@@ -658,6 +658,7 @@ def step_ablate(cfg: PipelineConfig, force: bool = False) -> dict:
     return {
         "stages": [r.configuration for r in reports],
         "report": str(wd / ABLATION_REPORT),
+        "warnings": {r.configuration: r.warnings for r in reports},
     }
 
 
@@ -677,7 +678,11 @@ def step_permtest(cfg: PipelineConfig, force: bool = False) -> dict:
     wd = workdir(cfg)
     _atomic_write(wd / PERMTEST_REPORT, report.to_json())
     _atomic_write(wd / PERMTEST_CSV, evaluation.report_csv([report]))
-    return {"patients": report.cohort_size, "report": str(wd / PERMTEST_REPORT)}
+    return {
+        "patients": report.cohort_size,
+        "report": str(wd / PERMTEST_REPORT),
+        "warnings": report.warnings,
+    }
 
 
 # The pipeline in run order, declared once: the CLI builds one subcommand per

@@ -165,7 +165,7 @@ def build_index(o: Ontology) -> VectorIndex:
     entries: list[IndexEntry] = []
     term_ids: list[str] = []
     term_starts: list[int] = []
-    for tid in o.non_obsolete_ids():
+    for tid in o.ids:
         rec = o.terms[tid]
         term_ids.append(tid)
         term_starts.append(len(entries))

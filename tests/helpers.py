@@ -10,7 +10,9 @@ are the package's cutoff-by-cutoff evaluator and, for the permutation
 baseline, an all-orders mean, an exact-fraction closed form and the earlier
 draw-by-draw estimate. The feature-row oracle is the package's earlier
 per-term path: per-source counts propagated eagerly, then one IDF lookup per
-term and source. The negative-pool oracles
+term and source. The similarity oracles are the package's earlier string path:
+frozenset ancestor views of the closure, the MICA by name, one Lin value per
+call and the pair cache over it. The negative-pool oracles
 are the package's earlier string-set pools and sorted-string sampler. The
 cohort-sampler oracle is its tuple sort over one ``rng.random()`` per term. The
 reference functions (set similarity, undirected distance, top-k
@@ -48,12 +50,11 @@ from phenorank.errors import (
 from phenorank.evaluation import (
     DELTA_METRIC_NAMES,
     METRIC_NAMES,
-    LinCache,
     MetricsReport,
     _report,
 )
 from phenorank.extraction import _ESCAPES, SPAN_CLOSE, SPAN_OPEN, Mention
-from phenorank.ontology import Ontology, OntologyStats, TermRecord, lin_similarity
+from phenorank.ontology import Ontology, OntologyStats, TermRecord
 from phenorank.ranking.metrics import ap_at_k
 from phenorank.ranking.sampling import (
     EASY_MIN_LINEAGE,
@@ -386,6 +387,11 @@ def bf_undirected_distance(o: Ontology, a: str, b: str) -> int | None:
     return None
 
 
+def ic_by_term(o: Ontology, s: OntologyStats) -> dict[str, float]:
+    """``s.ic`` keyed by term id."""
+    return dict(zip(o.ids, s.ic.tolist()))
+
+
 def bf_mica(o: Ontology, ic: dict[str, float], a: str, b: str) -> str:
     common = bf_ancestors(o, a) & bf_ancestors(o, b)
     best = None
@@ -407,6 +413,62 @@ def bf_bma(o: Ontology, ic: dict[str, float], left: set[str], right: set[str]) -
     fwd = sum(max(bf_lin(o, ic, a, b) for b in right) for a in left) / len(left)
     bwd = sum(max(bf_lin(o, ic, a, b) for a in left) for b in right) / len(right)
     return (fwd + bwd) / 2.0
+
+
+# -- similarity oracles: the package's earlier string path ----------------------------
+
+
+def ancestors(o: Ontology, tid: str, include_self: bool = True) -> frozenset[str]:
+    """``tid``'s closure row as a set of term ids (self included by default)."""
+    row, _ = o.closure_rows(o.dense_ids([tid]))
+    anc = frozenset(o.ids[j] for j in row.tolist())
+    return anc if include_self else anc - {tid}
+
+
+def mica(o: Ontology, s: OntologyStats, a: str, b: str) -> str:
+    """Most informative common ancestor of a and b (self counts as ancestor).
+
+    Ties on IC resolve to the lexicographically smallest term id.
+    """
+    common = sorted(ancestors(o, a) & ancestors(o, b))
+    if not common:
+        raise StructuralError(f"{a} and {b} share no ancestor")
+    ic = s.ic[o.dense_ids(common)].tolist()
+    return min(zip(common, ic), key=lambda pair: (-pair[1], pair[0]))[0]
+
+
+def lin_pair(o: Ontology, s: OntologyStats, a: str, b: str) -> float:
+    """Lin similarity of one pair through ``mica``, with the zero-denominator
+    rule: identity maps to 1 and distinct terms to 0."""
+    ic_a, ic_b = s.ic[o.dense_ids([a, b])].tolist()
+    denom = ic_a + ic_b
+    if denom == 0.0:
+        return 1.0 if a == b else 0.0
+    return abs(2.0 * s.ic[o.dense_ids([mica(o, s, a, b)])].item() / denom)
+
+
+class LinCache:
+    """Memoized pairwise ``lin_pair``; one instance per (ontology, stats)."""
+
+    def __init__(self, o: Ontology, s: OntologyStats):
+        self._o = o
+        self._s = s
+        self._pairs: dict[tuple[str, str], float] = {}
+
+    def lin(self, a: str, b: str) -> float:
+        key = (a, b) if a <= b else (b, a)
+        val = self._pairs.get(key)
+        if val is None:
+            val = lin_pair(self._o, self._s, a, b)
+            self._pairs[key] = val
+        return val
+
+    def matrix(self, rows: Sequence[str], cols: Sequence[str]) -> np.ndarray:
+        out = np.empty((len(rows), len(cols)), dtype=np.float64)
+        for i, a in enumerate(rows):
+            for j, b in enumerate(cols):
+                out[i, j] = self.lin(a, b)
+        return out
 
 
 def bf_propagated_counts(o: Ontology, direct) -> dict[str, int]:
@@ -439,11 +501,13 @@ def oracle_feature_table(
     }
     genes = bf_propagated_counts(o, kb.gene_annots)
     rows = []
+    ic = ic_by_term(o, s)
+    disease_counts = dict(zip(o.ids, s.annot_count.tolist()))
     for tid in o.non_obsolete_ids():
         gene_count = genes.get(tid, 0)
-        disease_count = s.annot_count.get(tid, 0)
+        disease_count = disease_counts[tid]
         row = {
-            "ic": s.ic[tid],
+            "ic": ic[tid],
             "gene_count": float(gene_count),
             "gene_fraction": gene_count / kb.total_genes if kb.total_genes else 0.0,
             "disease_count": float(disease_count),
@@ -755,8 +819,8 @@ def set_similarity(
     gd = sorted(set(gold))
     if not pred or not gd:
         raise DataError("set similarity needs two non-empty term sets")
-    row = sum(max(lin_similarity(o, s, p, g) for g in gd) for p in pred) / len(pred)
-    col = sum(max(lin_similarity(o, s, p, g) for p in pred) for g in gd) / len(gd)
+    row = sum(max(lin_pair(o, s, p, g) for g in gd) for p in pred) / len(pred)
+    col = sum(max(lin_pair(o, s, p, g) for p in pred) for g in gd) / len(gd)
     return (row + col) / 2.0
 
 

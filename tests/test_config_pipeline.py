@@ -396,7 +396,7 @@ class TestPipelineChain:
             assert scores == sorted(scores, reverse=True)
 
     def test_evaluate_report(self, chain):
-        cfg, _ = chain
+        cfg, summaries = chain
         wd = pipeline.workdir(cfg)
         doc = json.loads((wd / pipeline.EVAL_REPORT).read_text())
         assert doc["configuration"] == "prioritized"
@@ -406,19 +406,23 @@ class TestPipelineChain:
         csv_lines = (wd / pipeline.EVAL_CSV).read_text().splitlines()
         assert csv_lines[0].startswith("configuration,k,precision")
         assert len(csv_lines) == 3
+        assert summaries["evaluate"]["warnings"] == doc["warnings"]
 
     def test_ablate_report(self, chain):
-        cfg, _ = chain
+        cfg, summaries = chain
         wd = pipeline.workdir(cfg)
         doc = json.loads((wd / pipeline.ABLATION_REPORT).read_text())
         configs = [r["configuration"] for r in doc["reports"]]
         assert configs == list(pipeline.evaluation.ABLATION_STAGES)
         assert (wd / pipeline.ABLATION_CSV).exists()
+        warnings = {r["configuration"]: r["warnings"] for r in doc["reports"]}
+        assert summaries["ablate"]["warnings"] == warnings
 
     def test_permtest_report(self, chain):
-        cfg, _ = chain
+        cfg, summaries = chain
         wd = pipeline.workdir(cfg)
         doc = json.loads((wd / pipeline.PERMTEST_REPORT).read_text())
+        assert summaries["permtest"]["warnings"] == doc["warnings"]
         assert doc["configuration"] == "prioritized-vs-permuted"
         names = set(doc["rows"][0]["metrics"])
         assert names == {
@@ -464,6 +468,21 @@ class TestPipelineChain:
             "configHash": config_hash(cfg),
             "source": str(external),
         }
+
+    def test_summary_shows_dropped_patients(self, chain, tmp_path):
+        cfg, _ = chain
+        _, rows = pipeline.read_jsonl(pipeline.workdir(cfg) / pipeline.RANKINGS_FILE)
+        # The first gold patient has no row; one row names no gold patient.
+        lines = [
+            json.dumps({"patientId": r["patientId"], "terms": r["terms"]})
+            for r in rows[1:]
+        ]
+        lines.append(json.dumps({"patientId": "PX", "terms": rows[0]["terms"]}))
+        external = tmp_path / "external.jsonl"
+        external.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        summary = pipeline.step_evaluate(cfg, external=str(external))
+        pipeline.step_evaluate(cfg)
+        assert summary["warnings"] == {"missingGold": 1, "emptyRanked": 1}
 
     @pytest.mark.parametrize("step", ["ablate", "permtest", "external"])
     def test_report_steps_refuse_stale_cohort(self, chain, tmp_path, step):

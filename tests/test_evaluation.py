@@ -13,7 +13,6 @@ from phenorank.evaluation import (
     ABLATION_STAGES,
     DELTA_METRIC_NAMES,
     METRIC_NAMES,
-    LinCache,
     ablation_run,
     evaluate_cohort,
     exact_name_terms,
@@ -103,32 +102,51 @@ class TestTopkPrf:
 
 
 class TestLinCache:
+    """The pair cache, the package's earlier evaluation path, as the kernel's
+    oracle."""
+
     def test_matches_direct_similarity(self, small, small_stats):
-        cache = LinCache(small, small_stats)
-        want = lin_similarity(small, small_stats, A_LEAF, A_TWO)
-        assert cache.lin(A_LEAF, A_TWO) == pytest.approx(want, abs=1e-12)
-        assert cache.lin(A_TWO, A_LEAF) == pytest.approx(want, abs=1e-12)
-
-    def test_memoizes_unordered_pairs(self, small, small_stats, monkeypatch):
-        calls = []
-
-        def counting(o, s, a, b):
-            calls.append((a, b))
-            return lin_similarity(o, s, a, b)
-
-        monkeypatch.setattr(evaluation, "lin_similarity", counting)
-        cache = LinCache(small, small_stats)
-        cache.lin(A_LEAF, A_TWO)
-        cache.lin(A_TWO, A_LEAF)
-        cache.lin(A_LEAF, A_TWO)
-        assert len(calls) == 1
+        cache = helpers.LinCache(small, small_stats)
+        want = lin_similarity(small, small_stats, [A_LEAF], [A_TWO])[0, 0]
+        assert want == pytest.approx(0.2075187496394219, abs=1e-12)
+        assert cache.lin(A_LEAF, A_TWO) == want
+        assert cache.lin(A_TWO, A_LEAF) == want
 
     def test_matrix_layout(self, small, small_stats):
-        cache = LinCache(small, small_stats)
-        M = cache.matrix([A_ONE, B_ONE], [A_ONE])
+        M = lin_similarity(small, small_stats, [A_ONE, B_ONE], [A_ONE])
         assert M.shape == (2, 1)
         assert M[0, 0] == pytest.approx(1.0)
         assert M[1, 0] == pytest.approx(0.0)
+        cached = helpers.LinCache(small, small_stats).matrix([A_ONE, B_ONE], [A_ONE])
+        assert cached.tobytes() == M.tobytes()
+
+    @pytest.mark.parametrize("name", ["small", "layered"])
+    def test_reports_byte_equal_to_lin_cache_path(self, request, name, monkeypatch):
+        o = request.getfixturevalue(name)
+        s = request.getfixturevalue(f"{name}_stats")
+        sizes = TestOneKernelMatchesLoops.SIZES[name]
+        ranked, gold = random_cohort(o, 7, sizes)
+        standardized = {pid: sorted(terms) for pid, terms in ranked.items()}
+        mentions = {
+            pid: [mention(o.terms[t].name) for t in terms[:6]]
+            for pid, terms in ranked.items()
+        }
+        cfg = quick_cfg(cutoffs=TestOneKernelMatchesLoops.CUTOFFS, iterations=20)
+
+        def reports():
+            stages = ablation_run(mentions, standardized, ranked, gold, o, s, cfg, 3)
+            return [
+                evaluate_cohort(ranked, gold, o, s, cfg, 3).to_json(),
+                permutation_delta(ranked, gold, o, s, cfg, 3).to_json(),
+                *[r.to_json() for r in stages],
+            ]
+
+        got = reports()
+        cache = helpers.LinCache(o, s)
+        monkeypatch.setattr(
+            evaluation, "lin_similarity", lambda o, s, rows, cols: cache.matrix(rows, cols)
+        )
+        assert got == reports()
 
 
 class TestEvaluateCohort:
@@ -582,33 +600,6 @@ class TestAblation:
         for r in reports:
             assert r.cohort_size == 2
             assert r.warnings["emptyRanked"] == 1
-
-    def test_ablation_scores_each_lin_pair_once(self, small, small_stats, monkeypatch):
-        calls = []
-
-        def counting(o, s, a, b):
-            calls.append((a, b))
-            return lin_similarity(o, s, a, b)
-
-        monkeypatch.setattr(evaluation, "lin_similarity", counting)
-        gold = {"P1": {A_ONE, A_LEAF}, "P2": {B_ONE}}
-        stages = (
-            {"P1": [mention("Alpha one")], "P2": [mention("Beta one")]},
-            {"P1": [A_ONE, A_TWO], "P2": [B_ONE, A_ONE]},
-            {"P1": [A_TWO, A_ONE, B_ONE], "P2": [A_ONE, B_ONE]},
-        )
-        ablation_run(*stages, gold, small, small_stats, quick_cfg())
-        ranked = [exact_name_terms(stages[0], small), stages[1], stages[2]]
-        pairs = {
-            frozenset((t, g))
-            for lists in ranked
-            for pid, terms in lists.items()
-            for t in terms
-            for g in gold[pid]
-        }
-        # The later stages repeat most of the earlier stages' pairs.
-        assert sum(len(ls[p]) * len(gold[p]) for ls in ranked for p in ls) > len(pairs)
-        assert len(calls) == len(pairs)
 
 
 class TestExternalRankings:

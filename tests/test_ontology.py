@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,10 +25,10 @@ from phenorank.annotations import DISEASE_SOURCES, AnnotationKB
 from phenorank.errors import ParseError, StructuralError, UnknownTermError
 from phenorank.ontology import (
     Ontology,
+    OntologyStats,
     TermRecord,
     compute_stats,
     lin_similarity,
-    mica,
     parse_obo,
     parse_ontology_json,
     propagate_counts,
@@ -205,7 +206,7 @@ class TestStructure:
         assert peak < 40 * 2**20
         assert o.root == ids[0]
         assert o.depth(ids[-1]) == len(ids) - 1
-        assert o.ancestors(ids[-1]) == set(ids)
+        assert helpers.ancestors(o, ids[-1]) == set(ids)
         assert o.hops([ids[-1]], "up")[ids[0]] == len(ids) - 1
 
     def test_multiple_roots_rejected(self):
@@ -255,8 +256,8 @@ class TestQueries:
         assert small.children(A_LEAF) == []
 
     def test_ancestors_self_inclusive(self, small):
-        assert small.ancestors(A_LEAF) == {A_LEAF, A_ONE, BRANCH_A, ROOT}
-        assert small.ancestors(A_LEAF, include_self=False) == {
+        assert helpers.ancestors(small, A_LEAF) == {A_LEAF, A_ONE, BRANCH_A, ROOT}
+        assert helpers.ancestors(small, A_LEAF, include_self=False) == {
             A_ONE,
             BRANCH_A,
             ROOT,
@@ -336,8 +337,9 @@ class TestQueries:
 
 
 class TestInformationContent:
-    def test_annotation_counts(self, small_stats):
-        got = small_stats.annot_count
+    def test_annotation_counts(self, small, small_stats):
+        assert small_stats.annot_count.dtype == np.int64
+        got = dict(zip(small.ids, small_stats.annot_count.tolist()))
         assert got[ROOT] == 4
         assert got[BRANCH_A] == 3
         assert got[BRANCH_B] == 1
@@ -347,59 +349,61 @@ class TestInformationContent:
         assert got[A_LEAF] == 1
         assert small_stats.total_diseases == 4
 
-    def test_ic_values(self, small_stats):
-        assert small_stats.ic[ROOT] == 0.0
-        assert small_stats.ic[A_ONE] == pytest.approx(0.6931471805599453, abs=1e-12)
-        assert small_stats.ic[A_LEAF] == pytest.approx(
+    def test_ic_values(self, small, small_stats):
+        assert small_stats.ic.dtype == np.float64
+        ic = helpers.ic_by_term(small, small_stats)
+        assert ic[ROOT] == 0.0
+        assert ic[A_ONE] == pytest.approx(0.6931471805599453, abs=1e-12)
+        assert ic[A_LEAF] == pytest.approx(
             math.log(4.0), abs=1e-12
         )
 
-    def test_unannotated_term_gets_add_one_floor(self, orphaned_stats):
-        assert orphaned_stats.annot_count[ORPHAN] == 0
-        assert orphaned_stats.ic[ORPHAN] == pytest.approx(
+    def test_unannotated_term_gets_add_one_floor(self, orphaned, orphaned_stats):
+        (orphan,) = orphaned.dense_ids([ORPHAN])
+        assert orphaned_stats.annot_count[orphan] == 0
+        assert orphaned_stats.ic[orphan] == pytest.approx(
             1.6094379124341003, abs=1e-12
         )
 
-    def test_sources_pool_by_disease_id(self, small_stats):
+    def test_sources_pool_by_disease_id(self, small, small_stats):
         # d1 appears in both sources but counts once.
         assert small_stats.total_diseases == 4
-        assert small_stats.annot_count[A_LEAF] == 1
+        assert small_stats.annot_count[small.dense_ids([A_LEAF])[0]] == 1
 
 
 class TestSimilarity:
     def test_mica_oracle(self, small, small_stats):
-        assert mica(small, small_stats, A_LEAF, A_TWO) == BRANCH_A
-        assert mica(small, small_stats, A_LEAF, A_LEAF) == A_LEAF
-        assert mica(small, small_stats, A_LEAF, B_ONE) == ROOT
+        assert helpers.mica(small, small_stats, A_LEAF, A_TWO) == BRANCH_A
+        assert helpers.mica(small, small_stats, A_LEAF, A_LEAF) == A_LEAF
+        assert helpers.mica(small, small_stats, A_LEAF, B_ONE) == ROOT
 
     def test_mica_tie_breaks_to_smallest_id(self, small, small_stats):
         # A_TWO and B_ONE share only the root; equal-IC tie cannot arise
         # there, so check the rule on equal-IC leaves directly.
-        assert small_stats.ic[A_TWO] == small_stats.ic[B_ONE]
-        assert mica(small, small_stats, A_TWO, B_ONE) == ROOT
+        ic = helpers.ic_by_term(small, small_stats)
+        assert ic[A_TWO] == ic[B_ONE]
+        assert helpers.mica(small, small_stats, A_TWO, B_ONE) == ROOT
 
     def test_lin_oracle(self, small, small_stats):
-        got = lin_similarity(small, small_stats, A_LEAF, A_TWO)
-        assert got == pytest.approx(0.2075187496394219, abs=1e-12)
+        got = lin_similarity(small, small_stats, [A_LEAF], [A_TWO])
+        assert got.shape == (1, 1) and got.dtype == np.float64
+        assert got[0, 0] == pytest.approx(0.2075187496394219, abs=1e-12)
 
     def test_lin_zero_denominator_convention(self, small, small_stats):
-        assert lin_similarity(small, small_stats, ROOT, ROOT) == 1.0
-        assert lin_similarity(small, small_stats, ROOT, A_ONE) == 0.0
+        got = lin_similarity(small, small_stats, [ROOT], [ROOT, A_ONE])
+        assert got.tolist() == [[1.0, 0.0]]
 
     def test_lin_never_returns_negative_zero(self, small, small_stats):
-        got = lin_similarity(small, small_stats, B_ONE, A_ONE)
+        got = lin_similarity(small, small_stats, [B_ONE], [A_ONE])[0, 0]
         assert got == 0.0
         assert math.copysign(1.0, got) == 1.0
 
     def test_lin_properties_on_fixture(self, small, small_stats):
-        ids = [t for t in small.non_obsolete_ids()]
-        for a in ids:
-            assert lin_similarity(small, small_stats, a, a) == pytest.approx(1.0)
-            for b in ids:
-                ab = lin_similarity(small, small_stats, a, b)
-                ba = lin_similarity(small, small_stats, b, a)
-                assert ab == pytest.approx(ba, abs=1e-12)
-                assert 0.0 <= ab <= 1.0 + 1e-12
+        ids = small.ids
+        got = lin_similarity(small, small_stats, ids, ids)
+        assert np.diag(got) == pytest.approx(1.0)
+        assert got == pytest.approx(got.T, abs=1e-12)
+        assert ((0.0 <= got) & (got <= 1.0 + 1e-12)).all()
 
     def test_set_similarity_oracle(self, small, small_stats):
         got = set_similarity(small, small_stats, {A_ONE, B_ONE}, {A_ONE})
@@ -412,9 +416,10 @@ class TestSimilarity:
             set_similarity(small, small_stats, set(), {A_ONE})
 
     def test_ic_monotone_along_ancestry(self, layered, layered_stats):
-        for t in layered.non_obsolete_ids():
+        ic = helpers.ic_by_term(layered, layered_stats)
+        for t in layered.ids:
             for p in layered.parents(t):
-                assert layered_stats.ic[p] <= layered_stats.ic[t] + 1e-12
+                assert ic[p] <= ic[t] + 1e-12
 
 
 def random_documents(
@@ -444,8 +449,8 @@ class TestArrayCoreOracles:
         o = helpers.random_ontology(seed, max_terms=max_terms, obsolete=obsolete)
         for t in o.ids:
             want = helpers.bf_ancestors(o, t)
-            assert o.ancestors(t) == want
-            assert o.ancestors(t, include_self=False) == want - {t}
+            assert helpers.ancestors(o, t) == want
+            assert helpers.ancestors(o, t, include_self=False) == want - {t}
         # Each ancestor stored once: every row is as long as its set.
         _, lens = o.closure_rows(o.dense_ids(o.ids))
         assert lens.tolist() == [len(helpers.bf_ancestors(o, t)) for t in o.ids]
@@ -495,9 +500,10 @@ class TestArrayCoreOracles:
         reached = helpers.bf_propagated_counts(o, pooled)
         s = compute_stats(o, kb)
         assert s.total_diseases == total
-        assert s.annot_count == {t: reached.get(t, 0) for t in ids}
-        want = {t: helpers.log_ic(reached.get(t, 0), total).hex() for t in ids}
-        assert {t: v.hex() for t, v in s.ic.items()} == want
+        assert s.annot_count.dtype == np.int64 and s.ic.dtype == np.float64
+        assert s.annot_count.tolist() == [reached.get(t, 0) for t in ids]
+        want = [helpers.log_ic(reached.get(t, 0), total).hex() for t in ids]
+        assert [v.hex() for v in s.ic.tolist()] == want
 
     @settings(max_examples=20, deadline=None)
     @given(dag=dags)
@@ -505,10 +511,73 @@ class TestArrayCoreOracles:
         seed, obsolete, max_terms = dag
         o = helpers.random_ontology(seed, max_terms=max_terms, obsolete=obsolete)
         gone = [t for t, rec in o.terms.items() if rec.obsolete]
+        n = len(o.ids)
+        s = OntologyStats(np.ones(n, dtype=np.int64), 1, np.zeros(n))
         for bad in [*gone, "HP:0009997"]:
             with pytest.raises(UnknownTermError):
-                o.ancestors(bad)
+                lin_similarity(o, s, [o.root, bad], [o.root])
+            with pytest.raises(UnknownTermError):
+                lin_similarity(o, s, [o.root], [bad])
             with pytest.raises(UnknownTermError):
                 o.dense_ids([o.root, bad])
             with pytest.raises(UnknownTermError):
                 propagate_counts(o, {o.root: {"d1"}, bad: {"d2"}})
+
+
+def random_stats(o: Ontology, docs: int, n_docs: int) -> OntologyStats:
+    """IC statistics of ``random_documents``, all in one source."""
+    direct = random_documents(o, random.Random(docs), n_docs)
+    kb = AnnotationKB(
+        disease_annots={"omim": {t: frozenset(d) for t, d in direct.items()}},
+        gene_annots={},
+        disease_totals={"omim": len(set().union(*direct.values()))},
+        total_genes=0,
+    )
+    return compute_stats(o, kb)
+
+
+def sample_ids(o: Ontology, s: OntologyStats, rng: random.Random) -> list[str]:
+    """The root, a term no disease reaches (when there is one) and up to 12
+    random terms, repeats allowed."""
+    unreached = [t for t, c in zip(o.ids, s.annot_count.tolist()) if c == 0]
+    return [o.root, *unreached[:1], *rng.choices(o.ids, k=rng.randint(0, 12))]
+
+
+class TestLinKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(dag=dags, docs=st.integers(0, 10_000), n_docs=st.integers(0, 8))
+    def test_bit_equal_to_brute_force(self, dag, docs, n_docs):
+        seed, obsolete, max_terms = dag
+        o = helpers.random_ontology(seed, max_terms=max_terms, obsolete=obsolete)
+        s = random_stats(o, docs, n_docs)
+        rng = random.Random(docs)
+        rows, cols = sample_ids(o, s, rng), sample_ids(o, s, rng)
+        ic = helpers.ic_by_term(o, s)
+        want = np.array([[helpers.bf_lin(o, ic, a, b) for b in cols] for a in rows])
+        got = lin_similarity(o, s, rows, cols)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        # The root carries IC 0, so root with root takes the zero-denominator rule.
+        assert ic[o.root] == 0.0 and got[0, 0] == 1.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(dag=dags, docs=st.integers(0, 10_000), n_docs=st.integers(0, 8))
+    def test_transpose_and_permutations(self, dag, docs, n_docs):
+        seed, obsolete, max_terms = dag
+        o = helpers.random_ontology(seed, max_terms=max_terms, obsolete=obsolete)
+        s = random_stats(o, docs, n_docs)
+        rng = random.Random(docs)
+        rows, cols = sample_ids(o, s, rng), sample_ids(o, s, rng)
+        got = lin_similarity(o, s, rows, cols)
+        assert got.tobytes() == lin_similarity(o, s, cols, rows).T.tobytes()
+        p = rng.sample(range(len(rows)), len(rows))
+        q = rng.sample(range(len(cols)), len(cols))
+        permuted = lin_similarity(o, s, [rows[i] for i in p], [cols[j] for j in q])
+        assert permuted.tobytes() == got[np.ix_(p, q)].tobytes()
+
+    def test_obsolete_and_unknown_ids_raise(self, small, small_stats):
+        for bad in (OBSOLETE, "HP:0009997"):
+            with pytest.raises(UnknownTermError):
+                lin_similarity(small, small_stats, [A_ONE, bad], [ROOT])
+            with pytest.raises(UnknownTermError):
+                lin_similarity(small, small_stats, [ROOT], [bad])

@@ -9,6 +9,7 @@ left-to-right recovery scan when the model paraphrased.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import os
 import random
@@ -163,101 +164,152 @@ def parse_span_markup(
 # -- gazetteer ---------------------------------------------------------------------
 
 
-# Positions a lexeme may start at: the start of the text or after a non-word
-# character. ``\w`` is judged by ``re`` itself, so it is the same class the
-# lookarounds of an equivalent regex would use.
-_NOT_AFTER_WORD_RE = re.compile(r"(?<!\w)")
+# Positions a lexeme may start at: not after a word character, and not at the
+# end of the text; the group is the first word from there, up to the next
+# position not followed by a word character. A lexeme may end before a non-word
+# character or at the end of the text. ``\w`` is judged by ``re`` itself, so it
+# is the same class the lookarounds of an equivalent regex would use.
+_NOT_AFTER_WORD_RE = re.compile(r"(?<!\w)(?=(.\w*))", re.DOTALL)
+_NON_WORD_RE = re.compile(r"\W")
 _WORD_RE = re.compile(r"\w")
-_END = ""  # trie key marking a complete lexeme; never a character
 
 
 class Gazetteer:
     """Case-insensitive longest-match lexicon scanner over ontology names.
 
-    A character trie holds every name and synonym as written. A match starts
-    only at a position not preceded by a word character (``\\w``); there the
-    longest lexeme that is followed by a non-word character or the end of the
-    text wins, and the scan resumes after it. That is exactly what
-    ``finditer`` returns for ``(?<!\\w)(?:lexeme|...)(?!\\w)`` under
-    ``re.IGNORECASE`` with longer lexemes listed first.
+    A match starts only at a position not preceded by a word character
+    (``\\w``); there the longest lexeme that is followed by a non-word
+    character or the end of the text wins, and the scan resumes after it.
+    That is exactly what ``finditer`` returns for
+    ``(?<!\\w)(?:lexeme|...)(?!\\w)`` under ``re.IGNORECASE`` with longer
+    lexemes listed first.
 
     Characters compare under the case folding of ``re.IGNORECASE`` itself,
     which is not ``str.lower``: ``ſ`` matches ``s`` and ``İ`` matches ``i``.
     Lexemes are not lowercased first, since ``str.lower`` turns ``İ`` into
     ``i`` plus a combining dot that no note spelling ``İ`` contains.
     Lexeme characters fall into classes of characters that match each other
-    under ``re.IGNORECASE``, and the trie is keyed by the first character of
-    each class. Each distinct character is classified once, on first sight,
-    by searching the class keys with its own case-insensitive pattern.
+    under ``re.IGNORECASE``, keyed by the first character of each class. Each
+    distinct character is classified once, on first sight, by searching the
+    class keys with its own case-insensitive pattern. Every name and synonym
+    is folded to class keys and kept in a set; a text is folded the same way
+    before it is scanned.
+
+    A first word runs from a start up to the next position not followed by a
+    word character, and a dict maps the first word of each lexeme to the
+    length of the longest lexeme that starts with it. One regex over the
+    folded text yields the starts whose character begins some first word,
+    with the first word from there, and one lookup rejects most of them. At a
+    start that passes, the ends up to that length are tried longest first,
+    and the first folded slice in the set is the match.
+
+    A text and its folded form agree on first words because folding keeps a
+    character's word-ness, with one exception: U+0345, which
+    ``re.IGNORECASE`` matches with ``ι``, is not ``\\w``. A text holding a
+    character whose word-ness differs from its class key's tries every start,
+    and every end up to the longest lexeme.
     """
 
     def __init__(self, o: Ontology):
-        entries: set[str] = set()
-        for tid in o.ids:
-            rec = o.terms[tid]
-            entries.update(x for x in [rec.name, *rec.synonyms] if x.strip())
+        entries = list(
+            {
+                x
+                for tid in o.ids
+                for x in (o.terms[tid].name, *o.terms[tid].synonyms)
+                if x.strip()
+            }
+        )
         self._keys = ""  # the first lexeme character of each class
         self._fold: dict[int, str] = {}  # code point -> class key, where it differs
-        self._is_word: dict[str, bool] = {}  # every character classified so far
+        self._seen: frozenset[str] = frozenset()  # every character classified so far
+        self._mixed: frozenset[str] = frozenset()  # folds to a key unlike it in word-ness
         self._lock = threading.Lock()
-        chars = set("".join(entries))
+        joined = "".join(entries)
+        chars = set(joined)
         for c in sorted(chars):
             if self._class_of(c) is None:
                 self._keys += c
         self._learn(chars)
-        self._root: dict = {}
-        for entry in entries:
-            node = self._root
-            for c in entry.translate(self._fold):
-                node = node.setdefault(c, {})
-            node[_END] = True
+        # Folding keeps every length, so one translate folds every lexeme.
+        folded = joined.translate(self._fold)
+        cuts = list(itertools.accumulate(map(len, entries), initial=0))
+        self._lexemes = {folded[a:b] for a, b in zip(cuts, cuts[1:])}
+        self._longest = max(map(len, self._lexemes), default=0)
+        # First word -> length of the longest lexeme starting with it: later
+        # keys overwrite earlier ones, and lexemes come shortest first.
+        self._first = {
+            _NOT_AFTER_WORD_RE.match(lexeme).group(1): len(lexeme)
+            for lexeme in sorted(self._lexemes, key=len)
+        }
+        # _NOT_AFTER_WORD_RE for a folded text, at the starts whose character
+        # begins some first word; with no lexemes, a pattern that never matches.
+        initials = "".join(re.escape(c) for c in sorted({w[0] for w in self._first}))
+        self._first_word_re = re.compile(
+            rf"(?<!\w)(?=([{initials}]\w*))" if initials else "(?!)"
+        )
 
     def _class_of(self, c: str) -> str | None:
         match = re.compile(re.escape(c), re.IGNORECASE).search(self._keys)
         return None if match is None else match.group()
 
     def _learn(self, chars: Iterable[str]) -> None:
-        """Classify characters not seen before: fold class and word-ness.
+        """Classify characters not seen before: their fold class, and whether
+        they differ from its key in word-ness.
 
-        Threads extracting concurrently share the tables; entries are only
-        added, and a character's entries are complete before it counts as seen.
+        Threads extracting concurrently share the tables: the fold table only
+        gains entries, and each set is replaced whole, after the fold entries
+        of its new characters are in place.
         """
-        new = set(chars).difference(self._is_word)
+        new = set(chars).difference(self._seen)
         if not new:
             return
         with self._lock:
+            mixed = set()
             for c in new:
                 key = self._class_of(c)
                 if key is not None and key != c:
                     self._fold[ord(c)] = key
-                self._is_word[c] = _WORD_RE.match(c) is not None
+                    if (_WORD_RE.match(c) is None) != (_WORD_RE.match(key) is None):
+                        mixed.add(c)
+            self._mixed = self._mixed.union(mixed)
+            self._seen = self._seen.union(new)
 
     def extract(self, chunk: "NoteChunk") -> list[Mention]:
-        if not self._root:
+        if not self._lexemes:
             return []
         text = chunk.text
         self._learn(text)
         folded = text.translate(self._fold)
-        is_word = self._is_word
+        mixed = self._mixed
+        if mixed and not mixed.isdisjoint(text):
+            # Word-ness differs between the text and its folded form: try
+            # every start, and every end up to the longest lexeme.
+            starts = _NOT_AFTER_WORD_RE.finditer(text)
+            longest_from = lambda word: self._longest  # noqa: E731
+        else:
+            starts = self._first_word_re.finditer(folded)
+            longest_from = self._first.get
+        lexemes = self._lexemes
         n = len(text)
         out: list[Mention] = []
         resume = 0
-        for start in _NOT_AFTER_WORD_RE.finditer(text):
+        for start in starts:
             i = start.start()
             if i < resume:
                 continue
-            node = self._root
-            end = j = i
-            while j < n:
-                node = node.get(folded[j])
-                if node is None:
+            longest = longest_from(start.group(1))
+            if longest is None:
+                continue
+            # Ends from that of the first word up to the longest lexeme's.
+            stop = i + longest
+            ends = [m.start() for m in _NON_WORD_RE.finditer(text, start.end(1), stop + 1)]
+            if stop >= n:
+                ends.append(n)
+            for end in reversed(ends):
+                if folded[i:end] in lexemes:
+                    out.append(Mention(text[i:end], chunk.chunk_id, i, end, "gazetteer"))
+                    resume = end
                     break
-                j += 1
-                if _END in node and (j == n or not is_word[text[j]]):
-                    end = j
-            if end > i:
-                out.append(Mention(text[i:end], chunk.chunk_id, i, end, "gazetteer"))
-                resume = end
         return out
 
 

@@ -48,10 +48,12 @@ class Ontology:
     start[i] + size[i]]``, each ancestor once, in no particular order. Rows
     are stored one longest-path level after another, because a level's rows
     are built from those of the levels above it. ``closure_rows`` gathers
-    rows for the count and similarity kernels. ``depth()`` builds the depth
-    map on its first call. That cache is the only state written after
-    construction; it is computed from data that never changes and stored with
-    one assignment, so instances are safe to share across threads.
+    rows for the count and similarity kernels. The parent and child lists of
+    the graph walks (``children()``, ``hops()``, ``depth()``) are built on the
+    first walk, and ``depth()`` builds the depth map on its first call. Those
+    caches are the only state written after construction; each is computed
+    from data that never changes and stored with one assignment, so instances
+    are safe to share across threads.
     """
 
     def __init__(self, terms: Mapping[str, TermRecord]):
@@ -60,7 +62,9 @@ class Ontology:
         self._validate_edges()
         levels = self._topological_levels()
         self._index()
+        self.root: str = _only_root(t for t in self.ids if not self.terms[t].parents)
         self._closure, self._closure_start, self._closure_size = self._close(levels)
+        self._links: tuple[dict[str, list[str]], dict[str, list[str]]] | None = None
         self._depth: dict[str, int] | None = None
 
     @classmethod
@@ -111,6 +115,8 @@ class Ontology:
         if len(o.terms) != n:
             raise ValueError("repeated term id")
         o._index()
+        roots = np.flatnonzero((parent_count == 0) & ~obsolete).tolist()
+        o.root = _only_root(sorted(ids[i] for i in roots))
         live = len(o.ids)
         closure = array_member(arrays, "closure", np.int32)
         start = array_member(arrays, "closure_start", np.int64, live)
@@ -123,6 +129,7 @@ class Ontology:
         ):
             raise ValueError("closure index out of range")
         o._closure, o._closure_start, o._closure_size = closure, start, size
+        o._links = None
         o._depth = None
         return o
 
@@ -158,28 +165,24 @@ class Ontology:
     # -- construction helpers -------------------------------------------------
 
     def _index(self) -> None:
-        """Set ``ids``, the dense index, the parent and child lists and the root."""
+        """Set ``ids`` and the dense index."""
         # Dense id i names ids[i]; sorted, so dense order is term id order.
         self.ids: tuple[str, ...] = tuple(
             sorted(t for t, rec in self.terms.items() if not rec.obsolete)
         )
         self._dense: dict[str, int] = {t: i for i, t in enumerate(self.ids)}
-        self._parents: dict[str, list[str]] = {
-            t: self.terms[t].parents for t in self.ids
-        }
-        # Filled in sorted id order, so every child list comes out sorted.
-        self._children: dict[str, list[str]] = {t: [] for t in self.ids}
-        for t, parents in self._parents.items():
-            for p in parents:
-                self._children[p].append(t)
-        roots = [t for t, parents in self._parents.items() if not parents]
-        if not roots:
-            raise StructuralError("ontology has no non-obsolete root term")
-        if len(roots) > 1:
-            raise StructuralError(
-                "ontology has multiple root candidates: " + ", ".join(roots)
-            )
-        self.root: str = roots[0]
+
+    def _graph(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+        """The parent and the child lists of every live term, built on first use."""
+        if self._links is None:
+            parents = {t: self.terms[t].parents for t in self.ids}
+            # Filled in sorted id order, so every child list comes out sorted.
+            children: dict[str, list[str]] = {t: [] for t in self.ids}
+            for t, ps in parents.items():
+                for p in ps:
+                    children[p].append(t)
+            self._links = parents, children
+        return self._links
 
     def _validate_records(self) -> None:
         for tid, rec in self.terms.items():
@@ -251,7 +254,7 @@ class Ontology:
         """
         n = len(self.ids)
         dense = self._dense
-        parents = self._parents
+        terms = self.terms
         order: list[int] = []  # live dense ids, level after level
         # Per is_a edge: the child's position in its level times n, the parent.
         owner: list[int] = []
@@ -262,8 +265,8 @@ class Ontology:
             if not level:
                 continue
             order += [dense[t] for t in level]
-            owner += [k * n for k, t in enumerate(level) for _ in parents[t]]
-            parent += [dense[p] for t in level for p in parents[t]]
+            owner += [k * n for k, t in enumerate(level) for _ in terms[t].parents]
+            parent += [dense[p] for t in level for p in terms[t].parents]
             steps.append((len(order), len(parent)))
         order_a = np.array(order, dtype=np.int64)
         owner_a = np.array(owner, dtype=np.int64)
@@ -317,7 +320,7 @@ class Ontology:
 
     def children(self, tid: str) -> list[str]:
         self.require(tid)
-        return list(self._children[tid])
+        return list(self._graph()[1][tid])
 
     def dense_ids(self, tids: Iterable[str]) -> np.ndarray:
         """Dense ids (positions in ``ids``) of ``tids``, in order, as int64.
@@ -344,10 +347,11 @@ class Ontology:
         ``"both"``. Sources map to 0; ``limit`` caps the hop count (None walks
         the whole reachable subgraph).
         """
+        parents, children = self._graph()
         graphs = {
-            "up": (self._parents,),
-            "down": (self._children,),
-            "both": (self._parents, self._children),
+            "up": (parents,),
+            "down": (children,),
+            "both": (parents, children),
         }.get(direction)
         if graphs is None:
             raise ValueError(f"direction must be up, down or both, not {direction!r}")
@@ -372,6 +376,19 @@ class Ontology:
         if self._depth is None:
             self._depth = self.hops([self.root], "down")
         return self._depth[tid]
+
+
+def _only_root(roots: Iterable[str]) -> str:
+    """The one parentless live term, in sorted order; raises StructuralError
+    when there is none or more than one."""
+    roots = list(roots)
+    if not roots:
+        raise StructuralError("ontology has no non-obsolete root term")
+    if len(roots) > 1:
+        raise StructuralError(
+            "ontology has multiple root candidates: " + ", ".join(roots)
+        )
+    return roots[0]
 
 
 def _segments(

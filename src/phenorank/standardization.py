@@ -1,9 +1,11 @@
 """Mention standardization: map surface strings onto ontology terms.
 
 A deterministic character n-gram embedding indexes every term name and synonym;
-one vectorized hasher embeds the whole index at once and each query alone.
-Retrieval is an exhaustive cosine scan (exact by construction), and a selector
-turns the candidate list into a final term id or none.
+one vectorized FNV-1a hasher embeds the whole index at once, and each query
+alone, straight into a ``np.bincount`` over its buckets. Retrieval is an
+exhaustive cosine scan (exact by construction), and a selector turns the
+candidate list into a final term id or none; surfaces that normalize alike
+share one retrieval and one candidate list.
 
 The index is held as three numpy arrays in compressed sparse column (CSC)
 layout, so this module needs numpy alone; one ``np.unique`` over bucket-major
@@ -73,7 +75,7 @@ def _ngram_counts(texts: Sequence[str], dimension: int) -> tuple[np.ndarray, np.
     + row`` keys and their counts.
 
     Keys are bucket-major, so sorted keys list each bucket's rows in ascending
-    order: column-major order. For a single text the key is the bucket.
+    order: column-major order.
     Each text is padded with one space on each side so word edges contribute;
     no n-gram crosses from one text into the next.
     """
@@ -103,10 +105,10 @@ def default_embed(text: str, dimension: int = DEFAULT_DIMENSION) -> np.ndarray:
     normalized = _normalize(text)
     if not normalized:
         raise EmbeddingError(f"text {text!r} is empty after normalization")
-    buckets, counts = _ngram_counts([normalized], dimension)
-    vec = np.zeros(dimension, dtype=np.float64)
-    vec[buckets] = counts
-    return vec / np.linalg.norm(vec)
+    data = np.frombuffer(f" {normalized} ".encode("ascii"), dtype=np.uint8)
+    hashes = np.concatenate([h for _, h in _fnv1a_ngrams(data)])
+    counts = np.bincount(hashes % dimension, minlength=dimension)
+    return counts / np.linalg.norm(counts)
 
 
 @dataclass
@@ -368,33 +370,33 @@ def standardize_corpus(
     error noted); the trace keeps one row per mention, resolved or not.
     """
     # Candidates depend only on the normalized text, so surfaces that differ
-    # in case or punctuation share one retrieval.
-    cache: dict[str, list[tuple[str, float]]] = {}
+    # in case or punctuation share one retrieval and one CandidateTerm tuple.
+    cache: dict[str, tuple[list[tuple[str, float]], tuple[CandidateTerm, ...]]] = {}
     terms_by_patient: dict[str, list[str]] = {}
     trace: list[StandardizedMention] = []
     for pid in sorted(mentions_by_patient):
         resolved_terms: list[str] = []
         for mention in mentions_by_patient[pid]:
             key = _normalize(mention.surface)
+            candidates: list[tuple[str, float]] = []
             error: str | None = None
             try:
                 if key not in cache:
-                    cache[key] = retrieve(index, mention.surface, k=k)
-                candidates = cache[key]
-                cand_objs = [
-                    CandidateTerm(
-                        term_id=t,
-                        name=o.terms[t].name,
-                        definition=o.terms[t].definition,
-                        score=s,
+                    found = retrieve(index, mention.surface, k=k)
+                    cache[key] = found, tuple(
+                        CandidateTerm(
+                            term_id=t,
+                            name=o.terms[t].name,
+                            definition=o.terms[t].definition,
+                            score=s,
+                        )
+                        for t, s in found
                     )
-                    for t, s in candidates
-                ]
+                candidates, cand_objs = cache[key]
                 resolved, score = selector.select(mention.surface, cand_objs)
             except Exception as e:  # noqa: BLE001 - per-mention isolation
                 # A failed retrieval (e.g. a surface that is empty after
                 # normalization) caches nothing and leaves no candidates.
-                candidates = cache.get(key, [])
                 resolved, score = None, 0.0
                 error = f"{type(e).__name__}: {e}"
                 logger.warning("mention %r unresolved: %s", mention.surface, error)

@@ -1,24 +1,23 @@
 """Shared fixture builders and independent brute-force oracles.
 
-The oracles deliberately reimplement graph and metric logic with naive loops
-so the package implementations are checked against something that cannot share
+The oracles deliberately reimplement graph and metric logic with naive loops so
+the package implementations are checked against something that cannot share
 their bugs. The text-layer oracles are the package's earlier implementations:
-the regex gazetteer, the per-byte FNV-1a embedding, the entry-by-entry index
-builder and the dense one-query scan. The trainer oracles are the package's
-per-patient pairwise loop and per-cut tree builder. The evaluation oracles
-are the package's cutoff-by-cutoff evaluator and, for the permutation
-baseline, an all-orders mean, an exact-fraction closed form and the earlier
-draw-by-draw estimate. The feature-row oracle is the package's earlier
+the regex and the character-trie gazetteers, the per-byte FNV-1a embedding, the
+entry-by-entry index builder and the dense one-query scan. The trainer oracles
+are the package's per-patient pairwise loop and per-cut tree builder. The
+evaluation oracles are the package's cutoff-by-cutoff evaluator and, for the
+permutation baseline, an all-orders mean, an exact-fraction closed form and the
+earlier draw-by-draw estimate. The feature-row oracle is the package's earlier
 per-term path: per-source counts propagated eagerly, then one IDF lookup per
 term and source. The similarity oracles are the package's earlier string path:
 frozenset ancestor views of the closure, the MICA by name, one Lin value per
-call and the pair cache over it. The negative-pool oracles
-are the package's earlier string-set pools and sorted-string sampler. The
-cohort-sampler oracle is its tuple sort over one ``rng.random()`` per term. The
-reference functions (set similarity, undirected distance, top-k
-precision/recall/F1, the pairwise gradient and loss at raw weights, note
-filtering, span markup) are used only by tests, so they live here rather than
-in the package.
+call and the pair cache over it. The negative-pool oracles are the package's
+earlier string-set pools and sorted-string sampler. The cohort-sampler oracle
+is its tuple sort over one ``rng.random()`` per term. The reference functions
+(set similarity, undirected distance, top-k precision/recall/F1, the pairwise
+gradient and loss at raw weights, note filtering, span markup) are used only by
+tests, so they live here rather than in the package.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ import itertools
 import math
 import random
 import re
+import threading
 from collections import deque
 from dataclasses import dataclass
 from datetime import date, datetime
@@ -931,6 +931,75 @@ class RegexGazetteer:
             Mention(m.group(), chunk.chunk_id, m.start(), m.end(), "gazetteer")
             for m in self._pattern.finditer(chunk.text)
         ]
+
+
+class TrieGazetteer:
+    """The package's earlier scanner: a character trie over the lexemes folded
+    to ``re.IGNORECASE`` class keys, walked from every start not after a word
+    character, keeping the last complete lexeme followed by a non-word
+    character."""
+
+    _END = ""  # trie key marking a complete lexeme; never a character
+
+    def __init__(self, o: Ontology):
+        self._keys = ""  # the first lexeme character of each class
+        self._fold: dict[int, str] = {}  # code point -> class key, where it differs
+        self._is_word: dict[str, bool] = {}  # every character classified so far
+        self._lock = threading.Lock()
+        entries = gazetteer_lexemes(o)
+        chars = set("".join(entries))
+        for c in sorted(chars):
+            if self._class_of(c) is None:
+                self._keys += c
+        self._learn(chars)
+        self._root: dict = {}
+        for entry in entries:
+            node = self._root
+            for c in entry.translate(self._fold):
+                node = node.setdefault(c, {})
+            node[self._END] = True
+
+    def _class_of(self, c: str) -> str | None:
+        match = re.compile(re.escape(c), re.IGNORECASE).search(self._keys)
+        return None if match is None else match.group()
+
+    def _learn(self, chars: Iterable[str]) -> None:
+        new = set(chars).difference(self._is_word)
+        if not new:
+            return
+        with self._lock:
+            for c in new:
+                key = self._class_of(c)
+                if key is not None and key != c:
+                    self._fold[ord(c)] = key
+                self._is_word[c] = re.match(r"\w", c) is not None
+
+    def extract(self, chunk: NoteChunk) -> list[Mention]:
+        if not self._root:
+            return []
+        text = chunk.text
+        self._learn(text)
+        folded = text.translate(self._fold)
+        n = len(text)
+        out: list[Mention] = []
+        resume = 0
+        for start in re.finditer(r"(?<!\w)", text):
+            i = start.start()
+            if i < resume:
+                continue
+            node = self._root
+            end = j = i
+            while j < n:
+                node = node.get(folded[j])
+                if node is None:
+                    break
+                j += 1
+                if self._END in node and (j == n or not self._is_word[text[j]]):
+                    end = j
+            if end > i:
+                out.append(Mention(text[i:end], chunk.chunk_id, i, end, "gazetteer"))
+                resume = end
+        return out
 
 
 def fnv1a(data: bytes) -> int:

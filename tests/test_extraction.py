@@ -1,5 +1,6 @@
 import json
 import logging
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -151,10 +152,48 @@ _FRAGMENT = st.one_of(
 NOTES = st.lists(_FRAGMENT, max_size=12).map("".join)
 
 
+def _lexicon_ontology(lexemes: list[str]) -> Ontology:
+    """One root named by the first lexeme, with the rest as its synonyms."""
+    root = "HP:0000001"
+    return Ontology({root: TermRecord(root, lexemes[0], list(lexemes[1:]))})
+
+
+# Lexicon characters: word characters with the folds that differ from
+# str.lower (ſ, İ, ẞ, ς, ϑ, K), the iota that U+0345 folds to although
+# U+0345 is not \w, and the separators that end a first word.
+_WORDS = st.text(alphabet="abſsİiẞßςσϑθKkι1_", min_size=1, max_size=3)
+_SEPARATORS = st.sampled_from([" ", "-", " (", ") ", ".", ", ", "/"])
+
+
+@st.composite
+def lexicons_and_notes(draw) -> tuple[list[str], str]:
+    """A lexicon whose lexemes share first words, are prefixes of one another
+    and start or end with punctuation or a space, and a note built from it."""
+    words = draw(st.lists(_WORDS, min_size=1, max_size=4))  # few, so first words repeat
+    lexemes = []
+    for _ in range(draw(st.integers(1, 6))):
+        parts = draw(st.lists(st.sampled_from(words), min_size=1, max_size=3))
+        lexeme = parts[0] + "".join(draw(_SEPARATORS) + p for p in parts[1:])
+        lexeme = draw(st.sampled_from(["", " ", "-", "("])) + lexeme
+        lexeme += draw(st.sampled_from(["", " ", ")", ".", "-"]))
+        lexemes.append(lexeme)
+        lexemes.append(lexeme[: draw(st.integers(1, len(lexeme)))])
+    variants = st.sampled_from(lexemes).flatmap(
+        lambda x: st.sampled_from([x, x.upper(), x.swapcase(), x.title()])
+    )
+    fragment = st.one_of(
+        variants,
+        variants,  # back to back: adjacent matches
+        st.sampled_from(lexemes).flatmap(lambda x: st.integers(1, len(x)).map(lambda n: x[:n])),
+        st.text(alphabet=" ,.-()_1\nſİẞςϑKιΙ\u0345\u1fbeaA", max_size=3),
+    )
+    return lexemes, "".join(draw(st.lists(fragment, max_size=8)))
+
+
 @pytest.fixture(scope="module")
 def gazetteers():
     o = _folding_ontology()
-    return Gazetteer(o), helpers.RegexGazetteer(o)
+    return Gazetteer(o), helpers.RegexGazetteer(o), helpers.TrieGazetteer(o)
 
 
 class TestGazetteer:
@@ -183,13 +222,13 @@ class TestGazetteer:
         assert Gazetteer(clinical).extract(chunk) == []
 
     def test_case_folding_follows_re(self, gazetteers):
-        trie, regex = gazetteers
+        gazetteer, regex, _ = gazetteers
         chunk = make_chunk(
             "ſHORT ſtature; Μ WAVE and µ wave, İRIS COLOBOMA, KELVIN lesion, "
             "STRAẞE sign, final ς sign, ϑ rhythm, pain (severe)x, pain (severe). "
             "-itis like; İris coloboma."
         )
-        got = trie.extract(chunk)
+        got = gazetteer.extract(chunk)
         assert got == regex.extract(chunk)
         assert [m.surface for m in got] == [
             "ſHORT ſtature",
@@ -208,9 +247,48 @@ class TestGazetteer:
     @settings(derandomize=True, deadline=None, max_examples=400)
     @given(NOTES)
     def test_trie_matches_regex_oracle(self, gazetteers, text):
-        trie, regex = gazetteers
+        gazetteer, regex, trie = gazetteers
         chunk = make_chunk(text)
-        assert trie.extract(chunk) == regex.extract(chunk)
+        want = regex.extract(chunk)
+        assert gazetteer.extract(chunk) == want
+        assert trie.extract(chunk) == want
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(lexicons_and_notes())
+    def test_drawn_lexicons_match_both_oracles(self, drawn):
+        lexemes, text = drawn
+        o = _lexicon_ontology(lexemes)
+        chunk = make_chunk(text)
+        want = helpers.RegexGazetteer(o).extract(chunk)
+        assert Gazetteer(o).extract(chunk) == want
+        assert helpers.TrieGazetteer(o).extract(chunk) == want
+
+    @pytest.mark.parametrize(
+        "lexemes, text, surfaces",
+        [
+            # The longest of lexemes that are prefixes of one another wins,
+            # and a shorter one still matches where the longer one does not.
+            (
+                ["ab", "ab cd", "ab cd ef"],
+                "ab cd ef, ab cd eg, ab",
+                ["ab cd ef", "ab cd", "ab"],
+            ),
+            # Punctuation and spaces at either end; adjacent matches.
+            (["-x", "(y)", " z"], "(y) z. (y)-x", ["(y)", " z", "(y)", "-x"]),
+            # U+0345 matches ι under re.IGNORECASE but is not \w, so in the
+            # text it ends a word that its folded form continues.
+            (["aι", "aιb", "a"], "a\u0345 a\u0345b aι.", ["a\u0345", "a\u0345b", "aι"]),
+            (["a", "ab"], "a\u0345 ab", ["a", "ab"]),
+            # Blank names are no lexemes.
+            (["  ", "\n"], "a  b\n", []),
+        ],
+    )
+    def test_fixed_lexicons(self, lexemes, text, surfaces):
+        o = _lexicon_ontology(lexemes)
+        chunk = make_chunk(text)
+        got = Gazetteer(o).extract(chunk)
+        assert got == helpers.RegexGazetteer(o).extract(chunk)
+        assert [m.surface for m in got] == surfaces
 
 
 class TestPrompt:
@@ -480,6 +558,33 @@ class TestExtractCorpus:
             self._chunks(), Gazetteer(clinical).extract, 4
         )
         assert serial == parallel
+
+    def test_concurrent_first_sight_of_folded_characters(self):
+        """Threads that classify new characters at once find the same mentions.
+
+        A fresh gazetteer per run, so every run learns the notes' characters
+        (ſ, İ, ẞ, U+0345 and more) while extracting; a short switch interval
+        interleaves the threads inside those updates.
+        """
+        o = _folding_ontology()
+        texts = [
+            "ſHORT ſtature and İRIS COLOBOMA; STRAẞE sign, final ς sign.",
+            "ϑ rhythm, µ wave, KELVIN lesion \u0345 short, pain (severe).",
+            "-itis like; type_2 finding, İris coloboma\u1fbe short.",
+        ]
+        chunks = [
+            make_chunk(texts[i % 3] * (1 + i % 4), f"N{i:03d}#c000", f"P{i % 7:04d}")
+            for i in range(60)
+        ]
+        want = extract_corpus(chunks, helpers.RegexGazetteer(o).extract, 1)
+        assert sum(map(len, want.mentions_by_patient.values())) > 100
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for limit in (1, 4, 8):
+                assert extract_corpus(chunks, Gazetteer(o).extract, limit) == want
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_failures_recorded_not_fatal(self, clinical):
         gazetteer = Gazetteer(clinical)

@@ -97,8 +97,10 @@ def test_restore_equals_a_fresh_parse(tmp_path, inputs):
     r = snap.ontology
     assert list(r.terms.items()) == list(o.terms.items())
     assert (r.ids, r.root) == (o.ids, o.root)
-    for name in ("_dense", "_parents", "_children"):
-        assert list(getattr(r, name).items()) == list(getattr(o, name).items())
+    assert list(r._dense.items()) == list(o._dense.items())
+    # The parent and child lists are built on first use; force them.
+    for got, want in zip(r._graph(), o._graph(), strict=True):
+        assert list(got.items()) == list(want.items())
     for name in ("_closure", "_closure_start", "_closure_size"):
         got, want = getattr(r, name), getattr(o, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -343,7 +343,10 @@ def synth_cohort(
     eligible = [t for t in o.ids if t != o.root]
     if len(o.ids) < 30:
         raise DataError("synthetic cohorts need an ontology of >= 30 usable terms")
-    inv_w = np.array([1.0 / 4.0 ** min(o.depth(t), 8) for t in eligible])
+    # Every live term lies below the root, so the walk reaches each once.
+    reached, hops = o.hops(o.dense_ids([o.root]), "down")
+    depth = hops[np.argsort(reached)].tolist()
+    inv_w = np.array([1.0 / 4.0 ** min(d, 8) for t, d in zip(o.ids, depth) if t != o.root])
     cap = min(max_terms, len(eligible))
     rng = random.Random(f"{seed}:cohort")
     mt = np.random.MT19937(0)  # holds rng's state during each replay

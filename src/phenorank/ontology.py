@@ -48,12 +48,12 @@ class Ontology:
     start[i] + size[i]]``, each ancestor once, in no particular order. Rows
     are stored one longest-path level after another, because a level's rows
     are built from those of the levels above it. ``closure_rows`` gathers
-    rows for the count and similarity kernels. The parent and child lists of
-    the graph walks (``children()``, ``hops()``, ``depth()``) are built on the
-    first walk, and ``depth()`` builds the depth map on its first call. Those
-    caches are the only state written after construction; each is computed
-    from data that never changes and stored with one assignment, so instances
-    are safe to share across threads.
+    rows for the count and similarity kernels. The parent rows and the child
+    rows of every live term, in the same form (``parent_rows``,
+    ``child_rows``, ``hops``), are built on the first walk. That cache is the
+    only state written after construction; it is computed from data that
+    never changes and stored with one assignment, so instances are safe to
+    share across threads.
     """
 
     def __init__(self, terms: Mapping[str, TermRecord]):
@@ -64,8 +64,7 @@ class Ontology:
         self._index()
         self.root: str = _only_root(t for t in self.ids if not self.terms[t].parents)
         self._closure, self._closure_start, self._closure_size = self._close(levels)
-        self._links: tuple[dict[str, list[str]], dict[str, list[str]]] | None = None
-        self._depth: dict[str, int] | None = None
+        self._edges: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]] | None = None
 
     @classmethod
     def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "Ontology":
@@ -129,8 +128,7 @@ class Ontology:
         ):
             raise ValueError("closure index out of range")
         o._closure, o._closure_start, o._closure_size = closure, start, size
-        o._links = None
-        o._depth = None
+        o._edges = None
         return o
 
     def to_arrays(self) -> dict[str, np.ndarray]:
@@ -172,17 +170,26 @@ class Ontology:
         )
         self._dense: dict[str, int] = {t: i for i, t in enumerate(self.ids)}
 
-    def _graph(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
-        """The parent and the child lists of every live term, built on first use."""
-        if self._links is None:
-            parents = {t: self.terms[t].parents for t in self.ids}
-            # Filled in sorted id order, so every child list comes out sorted.
-            children: dict[str, list[str]] = {t: [] for t in self.ids}
-            for t, ps in parents.items():
-                for p in ps:
-                    children[p].append(t)
-            self._links = parents, children
-        return self._links
+    def _edge_rows(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """(data, start, size) of the parent rows and of the child rows of
+        every live term, built on first use.
+
+        A parent row lists the term's is_a targets in record order. The child
+        rows are the edges stably sorted by parent, so each lists its
+        children in ascending dense id.
+        """
+        if self._edges is None:
+            parents = [self.terms[t].parents for t in self.ids]
+            size = np.array([len(ps) for ps in parents], dtype=np.int64)
+            up = self.dense_ids([p for ps in parents for p in ps])
+            child = np.repeat(np.arange(len(self.ids), dtype=np.int64), size)
+            down = child[np.argsort(up, kind="stable")]
+            down_size = np.bincount(up, minlength=len(self.ids))
+            self._edges = (
+                (up, np.cumsum(size) - size, size),
+                (down, np.cumsum(down_size) - down_size, down_size),
+            )
+        return self._edges
 
     def _validate_records(self) -> None:
         for tid, rec in self.terms.items():
@@ -281,9 +288,7 @@ class Ontology:
             keys = np.repeat(owner_a[e0:e1], lens)
             keys += ancestors
             own = np.arange(len(terms), dtype=np.int64) * n + terms
-            keys = np.concatenate((keys, own))
-            keys.sort()
-            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+            keys = _distinct(np.concatenate((keys, own)))
             position = keys // n
             sizes = np.bincount(position, minlength=len(terms))
             rows = keys - position * n
@@ -315,13 +320,6 @@ class Ontology:
     def non_obsolete_ids(self) -> list[str]:
         return list(self.ids)
 
-    def parents(self, tid: str) -> list[str]:
-        return list(self.require(tid).parents)
-
-    def children(self, tid: str) -> list[str]:
-        self.require(tid)
-        return list(self._graph()[1][tid])
-
     def dense_ids(self, tids: Iterable[str]) -> np.ndarray:
         """Dense ids (positions in ``ids``) of ``tids``, in order, as int64.
 
@@ -338,44 +336,48 @@ class Ontology:
         int32 dense ids, and the length of each row."""
         return _segments(self._closure, self._closure_start, self._closure_size, dense)
 
+    def parent_rows(self, dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Parents of the ``dense`` ids, concatenated, and the length of each row."""
+        return _segments(*self._edge_rows()[0], dense)
+
+    def child_rows(self, dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Children of the ``dense`` ids, concatenated, and the length of each row."""
+        return _segments(*self._edge_rows()[1], dense)
+
     def hops(
-        self, sources: Iterable[str], direction: str, limit: int | None = None
-    ) -> dict[str, int]:
-        """Fewest is_a hops from any of ``sources`` to each term it reaches.
+        self, start: np.ndarray, direction: str, limit: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Fewest is_a hops of each walk from its start keys to each term it reaches.
 
-        ``direction`` is ``"up"`` (to parents), ``"down"`` (to children) or
-        ``"both"``. Sources map to 0; ``limit`` caps the hop count (None walks
-        the whole reachable subgraph).
+        A key ``walk * len(ids) + dense_id`` names a term within one walk, so
+        plain dense ids start one walk from all of them. ``direction`` is
+        ``"up"`` (to parents), ``"down"`` (to children) or ``"both"``;
+        ``limit`` caps the hop count (None walks the whole reachable
+        subgraph). Returns the reached keys, start keys included, and their
+        hop counts, nearest first and each hop in ascending key order.
         """
-        parents, children = self._graph()
-        graphs = {
-            "up": (parents,),
-            "down": (children,),
-            "both": (parents, children),
-        }.get(direction)
-        if graphs is None:
+        up, down = self._edge_rows()
+        rows = {"up": (up,), "down": (down,), "both": (up, down)}.get(direction)
+        if rows is None:
             raise ValueError(f"direction must be up, down or both, not {direction!r}")
-        dist = {self.require(s).id: 0 for s in sources}
-        frontier = list(dist)
-        d = 0
-        while frontier and (limit is None or d < limit):
-            d += 1
-            reached: list[str] = []
-            for t in frontier:
-                for graph in graphs:
-                    for n in graph[t]:
-                        if n not in dist:
-                            dist[n] = d
-                            reached.append(n)
-            frontier = reached
-        return dist
-
-    def depth(self, tid: str) -> int:
-        """Fewest is_a hops from the root down to ``tid``."""
-        self.require(tid)
-        if self._depth is None:
-            self._depth = self.hops([self.root], "down")
-        return self._depth[tid]
+        n = len(self.ids)
+        frontier = _distinct(np.array(start, dtype=np.int64))
+        walks = int(frontier[-1]) // n + 1 if len(frontier) else 0
+        seen = np.zeros(walks * n, dtype=bool)
+        seen[frontier] = True
+        keys = [frontier]
+        while len(frontier) and (limit is None or len(keys) <= limit):
+            walk = frontier // n * n
+            reached = []
+            for data, first, size in rows:
+                near, lens = _segments(data, first, size, frontier - walk)
+                reached.append(np.repeat(walk, lens) + near)
+            frontier = np.concatenate(reached)
+            frontier = _distinct(frontier[~seen[frontier]])
+            seen[frontier] = True
+            keys.append(frontier)
+        hops = np.repeat(np.arange(len(keys)), [len(k) for k in keys])
+        return np.concatenate(keys), hops
 
 
 def _only_root(roots: Iterable[str]) -> str:
@@ -400,6 +402,15 @@ def _segments(
     ends = np.cumsum(lens)
     total = int(ends[-1]) if len(ends) else 0
     return data[np.repeat(start[rows] - ends + lens, lens) + np.arange(total)], lens
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of ``keys``, ascending: one sort of ``keys`` in
+    place and a neighbour mask."""
+    keys.sort()
+    keep = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
 
 
 def array_member(
@@ -605,10 +616,7 @@ def propagate_counts(
     ancestors, lens = o.closure_rows(terms)
     keys = np.repeat(np.array([doc_index[d] for d in docs], dtype=np.int64) * n, lens)
     keys += ancestors
-    keys.sort()
-    keep = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    return np.bincount(keys[keep] % n, minlength=n)
+    return np.bincount(_distinct(keys) % n, minlength=n)
 
 
 def compute_stats(o: Ontology, kb) -> OntologyStats:

@@ -121,8 +121,6 @@ def build_instances(
         positives = sorted(patient.curated_terms)
         if not positives:
             raise DataError(f"patient {patient.patient_id} has no curated terms")
-        for tid in positives:
-            o.require(tid)
         pools = negative_pools(o, positives)
         negatives = sample_negatives(
             pools,

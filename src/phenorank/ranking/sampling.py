@@ -2,8 +2,8 @@
 
 Four pools, ordered hardest to easiest to tell apart from a true term:
 
-* difficult: siblings (a shared parent) and cousins (a shared grandparent but
-  no shared parent) of some positive;
+* difficult: siblings (a shared parent) and cousins (a shared grandparent)
+  of some positive;
 * medium: terms ``MEDIUM_RANGE`` (three to five) undirected edges from some
   positive, excluding that positive's ancestors and descendants;
 * easy: lineal ancestors or descendants of some positive at
@@ -18,11 +18,11 @@ Four pools, ordered hardest to easiest to tell apart from a true term:
 A term eligible for several pools lands in the strongest one. Pools never
 contain positives or obsolete terms.
 
-Each pool is an ascending array of dense term ids (``Ontology.ids``), so it
-lists its terms in id order without sorting strings. The implausible pool,
-most of the ontology, is a boolean mask over dense ids with the related terms
-and the other pools cleared; ``np.flatnonzero`` reads it off in order.
-``sample_negatives`` draws positions in a pool and names only the drawn terms.
+``Ontology.hops`` walks every positive at once, one walk each. Each pool is
+a boolean mask over dense ids (``Ontology.ids``) with the positives and the
+stronger pools cleared, read off as an ascending array, so it lists its
+terms in id order without sorting strings. ``sample_negatives`` draws
+positions in a pool and names only the drawn terms.
 """
 
 from __future__ import annotations
@@ -62,50 +62,39 @@ class NegativePools:
 
 
 def negative_pools(o: Ontology, positives: Iterable[str]) -> NegativePools:
-    pos = sorted(set(positives))
-    if not pos:
+    pos = o.dense_ids(sorted(set(positives)))
+    if not len(pos):
         raise DataError("negative pools need at least one positive term")
-    for p in pos:
-        o.require(p)
-    pos_set = set(pos)
-
-    difficult: set[str] = set()
-    medium: set[str] = set()
-    easy: set[str] = set()
+    n = len(o.ids)
+    # One walk per positive: key ``k * n + t`` is term t in positive k's walk.
+    walks = np.arange(len(pos)) * n + pos
     lo, hi = MEDIUM_RANGE
-
-    for p in pos:
-        parents = set(o.parents(p))
-        siblings = {c for par in parents for c in o.children(par)} - {p}
-        grandparents = {g for par in parents for g in o.parents(par)}
-        cousin_cands = {
-            c for g in grandparents for mid in o.children(g) for c in o.children(mid)
-        } - {p}
-        cousins = {c for c in cousin_cands if not (set(o.parents(c)) & parents)}
-        difficult |= siblings | cousins
-
-        up = o.hops([p], "up")
-        down = o.hops([p], "down")
-        lineal = up.keys() | down.keys()
-        for t, d in o.hops([p], "both", hi).items():
-            if d >= lo and t not in lineal:
-                medium.add(t)
-        easy |= {t for t, d in up.items() if d >= EASY_MIN_LINEAGE}
-        easy |= {t for t, d in down.items() if d >= EASY_MIN_LINEAGE}
-
-    near_positives = o.hops(pos, "up", IMPLAUSIBLE_RADIUS)
-    related = o.hops(near_positives, "down", IMPLAUSIBLE_RADIUS)
-
-    difficult -= pos_set
-    medium = medium - pos_set - difficult
-    easy = easy - pos_set - difficult - medium
-    implausible = np.ones(len(o.ids), dtype=bool)
+    up, up_hops = o.hops(walks, "up")
+    down, down_hops = o.hops(walks, "down")
+    near, near_hops = o.hops(walks, "both", hi)
+    lineal = np.zeros(len(pos) * n, dtype=bool)
+    lineal[up] = lineal[down] = True
+    parents = o.parent_rows(pos)[0]
+    cousins = o.child_rows(o.child_rows(o.parent_rows(parents)[0])[0])[0]
+    candidates = {
+        "difficult": (o.child_rows(parents)[0], cousins),
+        "medium": (near[(near_hops >= lo) & ~lineal[near]] % n,),
+        "easy": (
+            up[up_hops >= EASY_MIN_LINEAGE] % n,
+            down[down_hops >= EASY_MIN_LINEAGE] % n,
+        ),
+    }
+    taken = np.zeros(n, dtype=bool)
+    taken[pos] = True
     dense = {}
-    for cls, pool in (("difficult", difficult), ("medium", medium), ("easy", easy)):
-        dense[cls] = np.sort(o.dense_ids(pool))
-        implausible[dense[cls]] = False
-    implausible[o.dense_ids(related)] = False
-    dense["implausible"] = np.flatnonzero(implausible)
+    for cls, members in candidates.items():
+        pool = np.zeros(n, dtype=bool)
+        pool[np.concatenate(members)] = True
+        dense[cls] = np.flatnonzero(pool & ~taken)
+        taken |= pool
+    near_positives = o.hops(pos, "up", IMPLAUSIBLE_RADIUS)[0]
+    taken[o.hops(near_positives, "down", IMPLAUSIBLE_RADIUS)[0]] = True
+    dense["implausible"] = np.flatnonzero(~taken)
     return NegativePools(ids=o.ids, dense=dense)
 
 

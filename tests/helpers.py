@@ -530,29 +530,33 @@ def setwise_negative_pools(
     for p in pos:
         o.require(p)
     pos_set = set(pos)
+    children: dict[str, list[str]] = {t: [] for t in o.ids}
+    for t in o.ids:
+        for p in o.terms[t].parents:
+            children[p].append(t)
     difficult: set[str] = set()
     medium: set[str] = set()
     easy: set[str] = set()
     lo, hi = MEDIUM_RANGE
     for p in pos:
-        parents = set(o.parents(p))
-        siblings = {c for par in parents for c in o.children(par)} - {p}
-        grandparents = {g for par in parents for g in o.parents(par)}
+        parents = set(o.terms[p].parents)
+        siblings = {c for par in parents for c in children[par]} - {p}
+        grandparents = {g for par in parents for g in o.terms[par].parents}
         cousin_cands = {
-            c for g in grandparents for mid in o.children(g) for c in o.children(mid)
+            c for g in grandparents for mid in children[g] for c in children[mid]
         } - {p}
-        cousins = {c for c in cousin_cands if not (set(o.parents(c)) & parents)}
+        cousins = {c for c in cousin_cands if not (set(o.terms[c].parents) & parents)}
         difficult |= siblings | cousins
-        up = o.hops([p], "up")
-        down = o.hops([p], "down")
+        up = bf_hops(o, [p], "up")
+        down = bf_hops(o, [p], "down")
         lineal = up.keys() | down.keys()
-        for t, d in o.hops([p], "both", hi).items():
+        for t, d in bf_hops(o, [p], "both", hi).items():
             if d >= lo and t not in lineal:
                 medium.add(t)
         easy |= {t for t, d in up.items() if d >= EASY_MIN_LINEAGE}
         easy |= {t for t, d in down.items() if d >= EASY_MIN_LINEAGE}
-    near_positives = o.hops(pos, "up", IMPLAUSIBLE_RADIUS)
-    related = o.hops(near_positives, "down", IMPLAUSIBLE_RADIUS)
+    near_positives = bf_hops(o, pos, "up", IMPLAUSIBLE_RADIUS)
+    related = bf_hops(o, near_positives, "down", IMPLAUSIBLE_RADIUS)
     implausible = set(o.non_obsolete_ids()).difference(related)
     difficult -= pos_set
     medium = medium - pos_set - difficult
@@ -824,24 +828,16 @@ def set_similarity(
     return (row + col) / 2.0
 
 
-def undirected_distance(o: Ontology, a: str, b: str) -> int:
-    """Shortest path length between two non-obsolete terms, edges undirected."""
-    o.require(a)
-    o.require(b)
-    if a == b:
-        return 0
-    dist = {a: 0}
-    queue = deque([a])
-    while queue:
-        t = queue.popleft()
-        d = dist[t] + 1
-        for nxt in o.terms[t].parents + o.children(t):
-            if nxt == b:
-                return d
-            if nxt not in dist:
-                dist[nxt] = d
-                queue.append(nxt)
-    raise StructuralError(f"no path between {a} and {b}")
+def undirected_distances(o: Ontology, sources: Sequence[str]) -> list[dict[str, int]]:
+    """Per source, the shortest path length to every term, edges undirected:
+    one walk per source, all in one ``Ontology.hops`` call."""
+    start = o.dense_ids(sources)
+    n = len(o.ids)
+    reached, hops = o.hops(np.arange(len(start)) * n + start, "both")
+    out: list[dict[str, int]] = [{} for _ in sources]
+    for key, d in zip(reached.tolist(), hops.tolist()):
+        out[key // n][o.ids[key % n]] = d
+    return out
 
 
 def pairwise_linear_gradient(instances, weights, l2: float = 0.0) -> np.ndarray:

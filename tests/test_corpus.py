@@ -230,7 +230,8 @@ class TestSynthCohort:
         assert 10 <= med <= 20
 
     def test_depth_weighting_prefers_leaves(self, layered):
-        leaves = {t for t in layered.non_obsolete_ids() if not layered.children(t)}
+        parents = {p for t in layered.ids for p in layered.terms[t].parents}
+        leaves = set(layered.ids) - parents
         cohort = synth_cohort(layered, 100, seed=5)
         drawn = [t for p in cohort for t in p.curated_terms]
         frac = sum(1 for t in drawn if t in leaves) / len(drawn)
@@ -244,7 +245,8 @@ class TestSynthCohort:
 def depth_weights(o):
     """The eligible terms of ``synth_cohort`` and their weights 4**min(depth, 8)."""
     items = [t for t in o.ids if t != o.root]
-    return items, {t: 4.0 ** min(o.depth(t), 8) for t in items}
+    depth = helpers.bf_hops(o, [o.root], "down")
+    return items, {t: 4.0 ** min(depth[t], 8) for t in items}
 
 
 class TestWeightedSample:
@@ -409,7 +411,8 @@ class TestSynthNarrative:
 
     def test_distractors_unwrapped(self, layered):
         p = self.patient(layered)
-        pool = [t for t in layered.children(layered.root) if t not in p.curated_terms]
+        hubs = helpers.bf_hops(layered, [layered.root], "down", 1).keys() - {layered.root}
+        pool = [t for t in sorted(hubs) if t not in p.curated_terms]
         distractors = tuple(pool[:2])
         annotated, n = synth_narrative(p, layered, seed=11, distractor_terms=distractors)
         for tid in distractors:

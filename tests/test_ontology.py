@@ -19,7 +19,7 @@ from helpers import (
     ORPHAN,
     ROOT,
     set_similarity,
-    undirected_distance,
+    undirected_distances,
 )
 from phenorank.annotations import DISEASE_SOURCES, AnnotationKB
 from phenorank.errors import ParseError, StructuralError, UnknownTermError
@@ -205,9 +205,9 @@ class TestStructure:
             tracemalloc.stop()
         assert peak < 40 * 2**20
         assert o.root == ids[0]
-        assert o.depth(ids[-1]) == len(ids) - 1
+        assert walk(o, [ids[0]], "down")[ids[-1]] == len(ids) - 1
         assert helpers.ancestors(o, ids[-1]) == set(ids)
-        assert o.hops([ids[-1]], "up")[ids[0]] == len(ids) - 1
+        assert walk(o, [ids[-1]], "up")[ids[0]] == len(ids) - 1
 
     def test_multiple_roots_rejected(self):
         terms = helpers.small_terms()
@@ -238,6 +238,12 @@ class TestStructure:
             Ontology(terms2)
 
 
+def walk(o: Ontology, sources, direction: str, limit: int | None = None) -> dict[str, int]:
+    """``Ontology.hops`` as one walk from the ``sources``, keyed by term id."""
+    keys, hops = o.hops(o.dense_ids(sources), direction, limit)
+    return {o.ids[k]: d for k, d in zip(keys.tolist(), hops.tolist())}
+
+
 class TestQueries:
     def test_root_and_membership(self, small):
         assert small.root == ROOT
@@ -250,10 +256,30 @@ class TestQueries:
         with pytest.raises(UnknownTermError, match="unknown"):
             small.require("HP:0009997")
 
-    def test_parents_children(self, small):
-        assert small.parents(A_LEAF) == [A_ONE]
-        assert small.children(BRANCH_A) == [A_ONE, A_TWO]
-        assert small.children(A_LEAF) == []
+    def test_parent_and_child_rows(self, small):
+        dense = small.dense_ids([A_LEAF, BRANCH_A, ROOT])
+        up, lens = small.parent_rows(dense)
+        assert [small.ids[i] for i in up] == [A_ONE, ROOT]
+        assert lens.tolist() == [1, 1, 0]
+        down, lens = small.child_rows(dense)
+        assert [small.ids[i] for i in down] == [A_ONE, A_TWO, BRANCH_A, BRANCH_B]
+        assert lens.tolist() == [0, 2, 2]
+
+    def test_rows_match_the_records_on_random_dags(self):
+        for seed in range(20):
+            o = helpers.random_ontology(seed, obsolete=seed % 4)
+            children = {t: [] for t in o.ids}
+            for t in o.ids:
+                for p in o.terms[t].parents:
+                    children[p].append(t)
+            every = np.arange(len(o.ids))
+            for rows, want in (
+                (o.parent_rows, [o.terms[t].parents for t in o.ids]),
+                (o.child_rows, [children[t] for t in o.ids]),
+            ):
+                data, lens = rows(every)
+                got = np.split(data, np.cumsum(lens)[:-1])
+                assert [[o.ids[i] for i in row] for row in got] == want, seed
 
     def test_ancestors_self_inclusive(self, small):
         assert helpers.ancestors(small, A_LEAF) == {A_LEAF, A_ONE, BRANCH_A, ROOT}
@@ -264,27 +290,26 @@ class TestQueries:
         }
 
     def test_descendants(self, small):
-        below = small.hops([BRANCH_A], "down")
-        assert below.keys() - {BRANCH_A} == {A_ONE, A_TWO, A_LEAF}
-        assert below.keys() >= {BRANCH_A}
+        below = walk(small, [BRANCH_A], "down")
+        assert below.keys() == {BRANCH_A, A_ONE, A_TWO, A_LEAF}
 
     def test_depths(self, small):
-        assert small.depth(ROOT) == 0
-        assert small.depth(BRANCH_A) == 1
-        assert small.depth(A_LEAF) == 3
+        depth = walk(small, [ROOT], "down")
+        assert (depth[ROOT], depth[BRANCH_A], depth[A_LEAF]) == (0, 1, 3)
+        assert depth.keys() == set(small.ids)
 
     def test_ancestors_within_radius(self, small):
-        assert small.hops([A_LEAF], "up", 0).keys() == {A_LEAF}
-        assert small.hops([A_LEAF], "up", 2).keys() == {A_LEAF, A_ONE, BRANCH_A}
+        assert walk(small, [A_LEAF], "up", 0).keys() == {A_LEAF}
+        assert walk(small, [A_LEAF], "up", 2).keys() == {A_LEAF, A_ONE, BRANCH_A}
 
     def test_lineage_hops(self, small):
-        assert small.hops([A_LEAF], "up") == {
+        assert walk(small, [A_LEAF], "up") == {
             A_LEAF: 0,
             A_ONE: 1,
             BRANCH_A: 2,
             ROOT: 3,
         }
-        assert small.hops([BRANCH_A], "down") == {
+        assert walk(small, [BRANCH_A], "down") == {
             BRANCH_A: 0,
             A_ONE: 1,
             A_TWO: 1,
@@ -292,48 +317,73 @@ class TestQueries:
         }
 
     def test_undirected_distance_oracle(self, small):
-        assert undirected_distance(small, A_LEAF, B_ONE) == 5
-        assert undirected_distance(small, A_LEAF, A_LEAF) == 0
-        assert undirected_distance(small, A_ONE, A_TWO) == 2
+        leaf, one = undirected_distances(small, [A_LEAF, A_ONE])
+        assert (leaf[B_ONE], leaf[A_LEAF], one[A_TWO]) == (5, 0, 2)
+        assert leaf.keys() == set(small.ids)
 
     def test_undirected_distance_rejects_obsolete(self, small):
         with pytest.raises(UnknownTermError):
-            undirected_distance(small, A_LEAF, OBSOLETE)
+            undirected_distances(small, [A_LEAF, OBSOLETE])
 
     def test_terms_within_distance(self, small):
-        near = small.hops([A_ONE], "both", 2)
+        near = walk(small, [A_ONE], "both", 2)
         assert near == {A_ONE: 0, BRANCH_A: 1, A_LEAF: 1, ROOT: 2, A_TWO: 2}
 
     def test_hops_from_several_sources_take_the_nearest(self, small):
-        assert small.hops([A_LEAF, B_ONE], "up", 1) == {
+        assert walk(small, [A_LEAF, B_ONE], "up", 1) == {
             A_LEAF: 0,
             B_ONE: 0,
             A_ONE: 1,
             BRANCH_B: 1,
         }
-        assert small.hops([A_LEAF, BRANCH_B], "both")[ROOT] == 1
+        assert walk(small, [A_LEAF, BRANCH_B], "both")[ROOT] == 1
+
+    def test_walks_are_independent(self, small):
+        n = len(small.ids)
+        start = small.dense_ids([A_LEAF, A_ONE, A_LEAF])
+        keys, hops = small.hops(np.arange(3) * n + start, "up", 1)
+        got = [{}, {}, {}]
+        for key, d in zip(keys.tolist(), hops.tolist()):
+            got[key // n][small.ids[key % n]] = d
+        assert got == [
+            {A_LEAF: 0, A_ONE: 1},
+            {A_ONE: 0, BRANCH_A: 1},
+            {A_LEAF: 0, A_ONE: 1},
+        ]
 
     def test_hops_rejects_bad_sources_and_direction(self, small):
         with pytest.raises(UnknownTermError, match="obsolete"):
-            small.hops([A_ONE, OBSOLETE], "down")
+            walk(small, [A_ONE, OBSOLETE], "down")
         with pytest.raises(UnknownTermError, match="unknown"):
-            small.hops(["HP:0009997"], "up")
+            walk(small, ["HP:0009997"], "up")
         with pytest.raises(ValueError, match="direction"):
-            small.hops([A_ONE], "sideways")
+            walk(small, [A_ONE], "sideways")
 
     def test_hops_match_brute_force_on_random_dags(self):
-        import random
-
         for seed in range(30):
             o = helpers.random_ontology(seed, obsolete=seed % 4)
-            ids = o.non_obsolete_ids()
+            n = len(o.ids)
             rng = random.Random(f"hops:{seed}")
-            sources = rng.sample(ids, rng.randint(1, min(4, len(ids))))
+            sources = rng.sample(o.ids, rng.randint(1, min(4, n)))
+            # k walks at once, one of them from the same term as another.
+            each = [*sources, sources[0]]
+            start = np.arange(len(each)) * n + o.dense_ids(each)
             for direction in ("up", "down", "both"):
                 for limit in (0, 1, 2, 3, None):
-                    got = o.hops(sources, direction, limit)
-                    want = helpers.bf_hops(o, sources, direction, limit)
-                    assert got == want, f"seed {seed} {direction} {limit}"
+                    got = walk(o, sources, direction, limit)
+                    assert got == helpers.bf_hops(o, sources, direction, limit), (
+                        f"seed {seed} {direction} {limit}"
+                    )
+                    keys, hops = o.hops(start, direction, limit)
+                    # Each key once, nearest first, each hop in ascending key order.
+                    assert len(set(keys.tolist())) == len(keys)
+                    assert (np.lexsort((keys, hops)) == np.arange(len(keys))).all()
+                    for k, source in enumerate(each):
+                        mine = keys // n == k
+                        terms = [o.ids[t] for t in (keys[mine] % n).tolist()]
+                        got = dict(zip(terms, hops[mine].tolist()))
+                        assert got == walk(o, [source], direction, limit)
+                        assert got == helpers.bf_hops(o, [source], direction, limit)
 
 
 class TestInformationContent:
@@ -418,7 +468,7 @@ class TestSimilarity:
     def test_ic_monotone_along_ancestry(self, layered, layered_stats):
         ic = helpers.ic_by_term(layered, layered_stats)
         for t in layered.ids:
-            for p in layered.parents(t):
+            for p in layered.terms[t].parents:
                 assert ic[p] <= ic[t] + 1e-12
 
 

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import json
 import random
 
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import A_LEAF, A_ONE, A_TWO, B_ONE, BRANCH_A, BRANCH_B, ROOT
+from phenorank.corpus import synth_cohort
 from phenorank.errors import DataError, SamplingError, UnknownTermError
 from phenorank.ontology import Ontology, TermRecord
 from phenorank.ranking import negative_pools, sample_negatives
@@ -82,9 +86,22 @@ class TestPoolDefinitions:
         # The implausible pool is built by inversion; make sure it was exercised.
         assert with_implausible >= 10
 
+    def test_matches_brute_force_on_3000_terms(self):
+        o = helpers.random_ontology_3000()
+        rng = random.Random("pos:3000")
+        for _ in range(8):
+            positives = set(rng.sample(o.ids, rng.randint(1, 30)))
+            got = negative_pools(o, positives).as_dict()
+            want = helpers.bf_negative_pools(o, positives)
+            for cls in NEGATIVE_CLASSES:
+                assert set(got[cls]) == want[cls], f"{sorted(positives)} pool {cls}"
+
     def test_unknown_positive_rejected(self, small):
         with pytest.raises(UnknownTermError):
             negative_pools(small, {"HP:0009996"})
+        # The first bad id in sorted order names the error.
+        with pytest.raises(UnknownTermError, match="term HP:0000999 is obsolete"):
+            negative_pools(small, {A_ONE, "HP:0009996", helpers.OBSOLETE})
 
     def test_empty_positives_rejected(self, small):
         with pytest.raises(DataError):
@@ -170,3 +187,51 @@ class TestAgainstSetwiseOracle:
                 sample_negatives(pools, positives, per_class, seed)
             return
         assert sample_negatives(pools, positives, per_class, seed) == want
+
+
+def shuffled(o: Ontology, seed: int) -> Ontology:
+    """``o`` with its term order, every is_a order and every synonym order shuffled."""
+    rng = random.Random(f"shuffle:{seed}")
+    records = list(o.terms.values())
+    rng.shuffle(records)
+    terms = {}
+    for rec in records:
+        parents, synonyms = list(rec.parents), list(rec.synonyms)
+        rng.shuffle(parents)
+        rng.shuffle(synonyms)
+        terms[rec.id] = dataclasses.replace(rec, parents=parents, synonyms=synonyms)
+    return Ontology(terms)
+
+
+class TestInputOrder:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pools_and_cohort_ignore_record_order(self, seed):
+        o = helpers.random_ontology(seed, max_terms=150, min_terms=40, obsolete=seed % 4)
+        other = shuffled(o, seed)
+        assert list(other.terms) != list(o.terms)
+        cohort = synth_cohort(o, 20, seed=seed)
+        assert synth_cohort(other, 20, seed=seed) == cohort
+        for p in cohort:
+            want = negative_pools(o, p.curated_terms).as_dict()
+            assert negative_pools(other, p.curated_terms).as_dict() == want
+
+
+def pools_digest(o: Ontology, size: int) -> str:
+    """sha256 of every seed-1 patient's four pools, as sorted term ids."""
+    rows = []
+    for p in synth_cohort(o, size, seed=1):
+        pools = negative_pools(o, p.curated_terms)
+        rows.append([p.patient_id, [sorted(pools.terms(cls)) for cls in NEGATIVE_CLASSES]])
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+class TestPoolDigests:
+    """Every pool of a 30-patient cohort, pinned: a refactor of the walks keeps them."""
+
+    def test_layered_fixture(self, layered):
+        digest = pools_digest(layered, 30)
+        assert digest == "664752e89ac7febe810bebd91ceb9c2af0e2da23fa1ee4e9bbc318b31fc73509"
+
+    def test_random_3000_terms_with_obsolete(self):
+        digest = pools_digest(helpers.random_ontology_3000(), 30)
+        assert digest == "9ee0468ca312bdffa67d2a2fe1bebd61f501000758accf3e960605fd115f27b4"

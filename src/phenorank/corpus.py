@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ConfigError, DataError, GenerationError
 from .extraction import SPAN_CLOSE, SPAN_OPEN, strip_span_markup
 from .ontology import Ontology
+from .rows import Row
 
 # Discretized log-normal for curated-term counts: median 15, quartiles ~9/25.
 _COUNT_LOG_MEDIAN = math.log(15.0)
@@ -43,90 +44,31 @@ NOTE_TYPES = ("Progress", "Consultation", "Discharge", "Imaging")
 
 
 @dataclass
-class Patient:
+class Patient(Row):
     patient_id: str
     age_years: float
     sex: str
     symptom_category: str
     curated_terms: set[str] = field(default_factory=set)
 
-    def to_dict(self) -> dict:
-        return {
-            "patientId": self.patient_id,
-            "ageYears": self.age_years,
-            "sex": self.sex,
-            "symptomCategory": self.symptom_category,
-            "curatedTerms": sorted(self.curated_terms),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Patient":
-        return cls(
-            patient_id=d["patientId"],
-            age_years=float(d["ageYears"]),
-            sex=d["sex"],
-            symptom_category=d["symptomCategory"],
-            curated_terms=set(d.get("curatedTerms") or ()),
-        )
-
 
 @dataclass
-class ClinicalNote:
+class ClinicalNote(Row):
     note_id: str
     patient_id: str
     note_type: str
     timestamp: str
     text: str
 
-    def to_dict(self) -> dict:
-        return {
-            "noteId": self.note_id,
-            "patientId": self.patient_id,
-            "noteType": self.note_type,
-            "timestamp": self.timestamp,
-            "text": self.text,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ClinicalNote":
-        return cls(
-            note_id=d["noteId"],
-            patient_id=d["patientId"],
-            note_type=d["noteType"],
-            timestamp=d["timestamp"],
-            text=d["text"],
-        )
-
 
 @dataclass
-class NoteChunk:
+class NoteChunk(Row):
     chunk_id: str
     note_id: str
     patient_id: str
     text: str
     start_offset: int
     end_offset: int
-
-    def to_dict(self) -> dict:
-        return {
-            "chunkId": self.chunk_id,
-            "noteId": self.note_id,
-            "patientId": self.patient_id,
-            "text": self.text,
-            "startOffset": self.start_offset,
-            "endOffset": self.end_offset,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NoteChunk":
-        return cls(
-            chunk_id=d["chunkId"],
-            note_id=d["noteId"],
-            patient_id=d["patientId"],
-            text=d["text"],
-            start_offset=int(d["startOffset"]),
-            end_offset=int(d["endOffset"]),
-        )
 
 
 # -- sentence splitting ------------------------------------------------------------

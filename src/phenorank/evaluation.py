@@ -24,6 +24,7 @@ import numpy as np
 from .config import EvaluationConfig
 from .errors import DataError
 from .ontology import Ontology, OntologyStats, lin_similarity
+from .rows import PatientTerms, Row
 
 # The stream tag keeps bootstrap draws on their own substreams of the master
 # seed, independent of worker count or evaluation order.
@@ -39,7 +40,7 @@ DELTA_METRIC_NAMES = (
 
 
 @dataclass
-class MetricsReport:
+class MetricsReport(Row):
     """Point estimates with 95% bootstrap CIs, one row per cutoff."""
 
     configuration: str
@@ -47,15 +48,6 @@ class MetricsReport:
     cohort_size: int
     provenance: dict
     warnings: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "configuration": self.configuration,
-            "cohortSize": self.cohort_size,
-            "provenance": self.provenance,
-            "warnings": self.warnings,
-            "rows": self.rows,
-        }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -382,9 +374,9 @@ class ImportResult:
 def import_external_ranking(text: str, o: Ontology) -> ImportResult:
     """Read JSONL rows {"patientId": ..., "terms": [...]}.
 
-    Rows that fail validation (bad JSON, a non-object row, missing fields,
-    unknown or obsolete term ids, duplicate patient) are flagged and skipped;
-    valid rows load.
+    Rows that fail validation (bad JSON, a row that is not a PatientTerms
+    object, unknown or obsolete term ids, duplicate patient) are flagged and
+    skipped; valid rows load.
     """
     rankings: dict[str, list[str]] = {}
     errors: list[str] = []
@@ -393,38 +385,28 @@ def import_external_ranking(text: str, o: Ontology) -> ImportResult:
         if not line:
             continue
         try:
-            row = json.loads(line)
+            row = PatientTerms.from_dict(json.loads(line))
         except json.JSONDecodeError as e:
             errors.append(f"line {lineno}: invalid JSON ({e.msg})")
             continue
-        if not isinstance(row, dict):
-            errors.append(f"line {lineno}: not an object")
+        except DataError as e:
+            errors.append(f"line {lineno}: {e}")
             continue
-        pid = row.get("patientId")
-        terms = row.get("terms")
-        if not isinstance(pid, str) or not isinstance(terms, list):
-            errors.append(f"line {lineno}: needs patientId and terms")
+        if row.patient_id in rankings:
+            errors.append(f"line {lineno}: duplicate patientId {row.patient_id}")
             continue
-        if pid in rankings:
-            errors.append(f"line {lineno}: duplicate patientId {pid}")
-            continue
-        bad = [t for t in terms if not isinstance(t, str) or _unusable(o, t)]
+        bad = [t for t in row.terms if t not in o.terms or o.terms[t].obsolete]
         if bad:
             errors.append(f"line {lineno}: unresolvable terms {bad}")
             continue
-        rankings[pid] = list(dict.fromkeys(terms))
+        rankings[row.patient_id] = list(dict.fromkeys(row.terms))
     return ImportResult(rankings=rankings, errors=errors)
-
-
-def _unusable(o: Ontology, tid: str) -> bool:
-    rec = o.terms.get(tid)
-    return rec is None or rec.obsolete
 
 
 def export_ranking(rankings: dict[str, list[str]]) -> str:
     """Inverse of import_external_ranking for valid data."""
     lines = [
-        json.dumps({"patientId": pid, "terms": list(rankings[pid])}, sort_keys=True)
+        json.dumps(PatientTerms(pid, rankings[pid]).to_dict(), sort_keys=True)
         for pid in sorted(rankings)
     ]
     return "\n".join(lines) + ("\n" if lines else "")

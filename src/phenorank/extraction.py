@@ -28,6 +28,7 @@ from .errors import (
     TemplateError,
 )
 from .ontology import Ontology
+from .rows import Row
 
 if TYPE_CHECKING:
     from .corpus import NoteChunk
@@ -42,7 +43,7 @@ _TAG_RE = re.compile(r"</?span>")
 _ESCAPES = ((SPAN_OPEN, "&lt;span&gt;"), (SPAN_CLOSE, "&lt;/span&gt;"))
 
 @dataclass(frozen=True)
-class Mention:
+class Mention(Row):
     """One extracted surface string located inside a chunk."""
 
     surface: str
@@ -51,24 +52,13 @@ class Mention:
     end: int
     extractor: str
 
-    def to_dict(self) -> dict:
-        return {
-            "surface": self.surface,
-            "chunkId": self.chunk_id,
-            "start": self.start,
-            "end": self.end,
-            "extractor": self.extractor,
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Mention":
-        return cls(
-            surface=d["surface"],
-            chunk_id=d["chunkId"],
-            start=int(d["start"]),
-            end=int(d["end"]),
-            extractor=d["extractor"],
-        )
+@dataclass
+class PatientMentions(Row):
+    """One patient's mentions: a row of the mentions artifact."""
+
+    patient_id: str
+    mentions: list[Mention]
 
 
 def strip_span_markup(text: str) -> str:
@@ -493,7 +483,7 @@ def remote_extract(
 
 
 @dataclass
-class ChunkFailure:
+class ChunkFailure(Row):
     chunk_id: str
     error: str
 

@@ -4,7 +4,9 @@
 inputs to ``inputs.npz``, and every later step restores them from there,
 after checking that the input files it depends on still have the sha256 that
 ingest recorded. Every other artifact is JSONL whose first line is a meta
-record embedding the configuration hash and seed it was produced under.
+record embedding the configuration hash and seed it was produced under; each
+later line is a row of the artifact's type in ``rows``, and a missing or
+wrong-typed field is a DataError naming the file, the line and the field.
 Report-producing steps refuse artifacts from a different configuration
 unless forced. Writes are atomic (temp file then rename) so an interrupted
 step never leaves a half-written artifact behind.
@@ -21,7 +23,7 @@ import os
 import uuid
 import zipfile
 from pathlib import Path
-from typing import Callable, Iterable, TypeVar
+from typing import Iterable, TypeVar
 
 import numpy as np
 
@@ -39,10 +41,11 @@ from .ranking import (
     train_pairwise_linear,
 )
 from .ranking.models import pair_index
+from .rows import PatientTerms, Row
 
 logger = logging.getLogger(__name__)
 
-T = TypeVar("T")
+R = TypeVar("R", bound=Row)
 
 ARTIFACT_VERSION = 1
 SNAPSHOT_VERSION = 1
@@ -110,7 +113,8 @@ def write_jsonl(path: Path, meta: dict, rows: Iterable[dict]) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def read_jsonl(path: Path) -> tuple[dict, list[dict]]:
+def read_jsonl(path: Path, row_type: type[R] | None = None) -> tuple[dict, list]:
+    """The meta record and rows of a JSONL artifact, decoded as ``row_type`` if given."""
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as e:
@@ -134,7 +138,10 @@ def read_jsonl(path: Path) -> tuple[dict, list[dict]]:
         if meta is None:
             meta = obj
         else:
-            rows.append(obj)
+            try:
+                rows.append(obj if row_type is None else row_type.from_dict(obj))
+            except DataError as e:
+                raise DataError(f"{path} line {lineno}: {e}") from e
     if meta is None:
         raise StructuralError(f"{path} is empty")
     return meta, rows
@@ -299,32 +306,29 @@ def load_snapshot(cfg: PipelineConfig, *inputs: str) -> Snapshot:
 
 
 def _read_artifact(
-    cfg: PipelineConfig, name: str, decode: Callable[[dict], T], force: bool | None = None
-) -> list[T]:
-    """The decoded rows of one work-directory artifact.
+    cfg: PipelineConfig, name: str, row_type: type[R], force: bool | None = None
+) -> list[R]:
+    """The rows of one work-directory artifact, decoded as ``row_type``.
 
-    Unless force is None, the artifact's configHash is checked first (see
-    check_artifact); steps that only consume an artifact pass None. A row
-    missing a field ``decode`` reads is a DataError naming the artifact.
+    A row with a missing or wrong-typed field is a DataError naming the
+    artifact, the line and the field. Unless force is None, the artifact's
+    configHash is then checked (see check_artifact); steps that only consume
+    an artifact pass None.
     """
-    path = workdir(cfg) / name
-    meta, rows = read_jsonl(path)
+    meta, rows = read_jsonl(workdir(cfg) / name, row_type)
     if force is not None:
         check_artifact(meta, cfg, name, force)
-    try:
-        return [decode(row) for row in rows]
-    except (KeyError, TypeError, ValueError) as e:
-        raise DataError(f"{path}: row with a missing or malformed field ({e!r})") from e
+    return rows
 
 
 def _load_cohort(
     cfg: PipelineConfig, force: bool | None = None
 ) -> list[corpus.Patient]:
-    return _read_artifact(cfg, COHORT_FILE, corpus.Patient.from_dict, force)
+    return _read_artifact(cfg, COHORT_FILE, corpus.Patient, force)
 
 
 def _load_gold(cfg: PipelineConfig, force: bool) -> dict[str, set[str]]:
-    return {p.patient_id: set(p.curated_terms) for p in _load_cohort(cfg, force)}
+    return {p.patient_id: p.curated_terms for p in _load_cohort(cfg, force)}
 
 
 def _provenance(cfg: PipelineConfig, **extra) -> dict:
@@ -386,7 +390,7 @@ def step_synth(cfg: PipelineConfig) -> dict:
 
 def step_chunk(cfg: PipelineConfig) -> dict:
     """Split notes into sentence-preserving chunks."""
-    notes = _read_artifact(cfg, NOTES_FILE, corpus.ClinicalNote.from_dict)
+    notes = _read_artifact(cfg, NOTES_FILE, corpus.ClinicalNote)
     chunks: list[corpus.NoteChunk] = []
     for note in notes:
         chunks.extend(corpus.chunk_note(note, cfg.chunking.max_chars))
@@ -406,7 +410,7 @@ def step_extract(cfg: PipelineConfig, concurrency: int | None = None) -> dict:
     if concurrency is not None:
         settings = dataclasses.replace(settings, concurrency=concurrency)
         settings.validate()
-    chunks = _read_artifact(cfg, CHUNKS_FILE, corpus.NoteChunk.from_dict)
+    chunks = _read_artifact(cfg, CHUNKS_FILE, corpus.NoteChunk)
     if cfg.extraction.backend == "remote":
         extraction.verify_credentials(cfg.extraction)
         template = extraction.DEFAULT_PROMPT_TEMPLATE
@@ -420,13 +424,10 @@ def step_extract(cfg: PipelineConfig, concurrency: int | None = None) -> dict:
     result = extraction.extract_corpus(
         chunks, backend, concurrency_limit=settings.concurrency
     )
-    failures = [{"chunkId": f.chunk_id, "error": f.error} for f in result.failures]
+    failures = [f.to_dict() for f in result.failures]
     rows = (
-        {
-            "patientId": pid,
-            "mentions": [m.to_dict() for m in result.mentions_by_patient[pid]],
-        }
-        for pid in sorted(result.mentions_by_patient)
+        extraction.PatientMentions(pid, mentions).to_dict()
+        for pid, mentions in sorted(result.mentions_by_patient.items())
     )
     write_jsonl(
         workdir(cfg) / MENTIONS_FILE,
@@ -442,14 +443,11 @@ def step_extract(cfg: PipelineConfig, concurrency: int | None = None) -> dict:
     }
 
 
-def _mentions_row(row: dict) -> tuple[str, list[extraction.Mention]]:
-    return row["patientId"], [extraction.Mention.from_dict(m) for m in row["mentions"]]
-
-
 def _load_mentions(
     cfg: PipelineConfig, force: bool | None = None
 ) -> dict[str, list[extraction.Mention]]:
-    return dict(_read_artifact(cfg, MENTIONS_FILE, _mentions_row, force))
+    rows = _read_artifact(cfg, MENTIONS_FILE, extraction.PatientMentions, force)
+    return {row.patient_id: row.mentions for row in rows}
 
 
 def step_standardize(cfg: PipelineConfig) -> dict:
@@ -470,8 +468,8 @@ def step_standardize(cfg: PipelineConfig) -> dict:
         wd / STANDARDIZED_FILE,
         _meta(cfg, "standardize", selector=selector.name),
         (
-            {"patientId": pid, "terms": result.terms_by_patient[pid]}
-            for pid in sorted(result.terms_by_patient)
+            PatientTerms(pid, terms).to_dict()
+            for pid, terms in sorted(result.terms_by_patient.items())
         ),
     )
     write_jsonl(
@@ -487,15 +485,12 @@ def step_standardize(cfg: PipelineConfig) -> dict:
     }
 
 
-def _terms_row(row: dict) -> tuple[str, list[str]]:
-    return row["patientId"], list(row["terms"])
-
-
 def _load_term_lists(
     cfg: PipelineConfig, name: str, force: bool | None = None
 ) -> dict[str, list[str]]:
     """Per-patient term lists of the standardized or the rankings artifact."""
-    return dict(_read_artifact(cfg, name, _terms_row, force))
+    rows = _read_artifact(cfg, name, PatientTerms, force)
+    return {row.patient_id: row.terms for row in rows}
 
 
 def step_train(cfg: PipelineConfig) -> dict:
@@ -561,25 +556,21 @@ def step_rank(cfg: PipelineConfig, out: str | None = None) -> dict:
     cohort = {p.patient_id: p for p in _load_cohort(cfg)}
     standardized = _load_term_lists(cfg, STANDARDIZED_FILE)
     model = load_model(cfg)
+    rankings: dict[str, list[str]] = {}
     rows = []
     for pid in sorted(standardized):
         patient = cohort.get(pid)
         if patient is None:
             raise DataError(f"standardized terms for unknown patient {pid}")
         ranked = rank_terms(model, patient, standardized[pid], o, table)
-        rows.append(
-            {
-                "patientId": pid,
-                "terms": [t for t, _ in ranked],
-                "scores": [score for _, score in ranked],
-            }
-        )
+        rankings[pid] = [t for t, _ in ranked]
+        scores = [score for _, score in ranked]
+        rows.append({**PatientTerms(pid, rankings[pid]).to_dict(), "scores": scores})
     write_jsonl(
         workdir(cfg) / RANKINGS_FILE, _meta(cfg, "rank", model=model.kind), rows
     )
     summary = {"patients": len(rows)}
     if out is not None:
-        rankings = {row["patientId"]: row["terms"] for row in rows}
         try:
             _atomic_write(Path(out), evaluation.export_ranking(rankings))
         except OSError as e:

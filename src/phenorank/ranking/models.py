@@ -47,6 +47,7 @@ from ..config import TrainingConfig
 from ..corpus import Patient
 from ..errors import DataError, TrainingError
 from ..ontology import Ontology
+from ..rows import Row
 from .features import FeatureSchema, RankingInstance
 from .metrics import map_at_k, map_scorer
 
@@ -57,34 +58,13 @@ KIND_BOOSTED = "boostedTrees"
 
 
 @dataclass
-class TrainingMeta:
-    seed: int | str | None = None
+class TrainingMeta(Row):
+    seed: int | None = None
     rounds: int = 0
     best_round: int | None = None
     validation_map30: float | None = None
     map_history: list[float] = field(default_factory=list)
     train_loss_history: list[float] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "rounds": self.rounds,
-            "bestRound": self.best_round,
-            "validationMap30": self.validation_map30,
-            "mapHistory": self.map_history,
-            "trainLossHistory": self.train_loss_history,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainingMeta":
-        return cls(
-            seed=d.get("seed"),
-            rounds=d.get("rounds", 0),
-            best_round=d.get("bestRound"),
-            validation_map30=d.get("validationMap30"),
-            map_history=list(d.get("mapHistory") or []),
-            train_loss_history=list(d.get("trainLossHistory") or []),
-        )
 
 
 @dataclass
@@ -229,7 +209,7 @@ def train_pairwise_linear(
     instances: Sequence[RankingInstance],
     cfg: TrainingConfig = TrainingConfig(),
     schema: FeatureSchema | None = None,
-    seed: int | str | None = None,
+    seed: int | None = None,
 ) -> RankModel:
     """Full-batch gradient descent on the L2-regularized pairwise loss.
 
@@ -352,7 +332,7 @@ def train_boosted(
     cfg: TrainingConfig = TrainingConfig(),
     validation: Sequence[RankingInstance] = (),
     schema: FeatureSchema | None = None,
-    seed: int | str | None = None,
+    seed: int | None = None,
 ) -> RankModel:
     """Gradient boosting on pairwise gradients with MAP@30 early stopping.
 

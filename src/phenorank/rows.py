@@ -1,0 +1,114 @@
+"""JSON rows of the work-directory artifacts, decoded from their dataclass fields.
+
+A row type is a dataclass deriving from ``Row``. Attribute ``patient_id`` is
+the JSON key ``patientId``, and its annotation (``str``, ``int``, ``float``,
+``dict``, ``list[T]``, ``set[str]``, ``T | None`` or a row type) is the JSON
+type ``from_dict`` requires: a JSON integer reads as a float, a boolean as
+neither, a ``dict`` is any object, and a set is written as a sorted array.
+Keys a row type does not declare are ignored.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import typing
+
+from .errors import DataError
+
+_JSON_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "a boolean"}
+_JSON_NAMES.update({list: "an array", dict: "an object", type(None): "null"})
+
+
+def _fail(where: tuple, problem: str) -> DataError:
+    """The error for the field that the keys and indexes ``where`` lead to."""
+    if not where:
+        return DataError("not an object")
+    path = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in where)
+    return DataError(f"field {path[1:]!r} {problem}")
+
+
+def _wrong(value: object, expected: type, where: tuple) -> DataError:
+    got = _JSON_NAMES.get(type(value), type(value).__name__)
+    return _fail(where, f"is {got}, not {_JSON_NAMES[expected]}")
+
+
+class Row:
+    """Base of the artifact row types."""
+
+    def to_dict(self) -> dict:
+        return {key: enc(getattr(self, a)) for key, a, _, enc in _fields(type(self))}
+
+    @classmethod
+    def from_dict(cls, d: object):
+        """The row ``d`` holds. A DataError names the field, as in
+        ``field 'mentions[0].start' is a string, not an integer``."""
+        return _decode_row(cls, d, ())
+
+
+def _decode_row(cls: type, value: object, where: tuple) -> Row:
+    if type(value) is not dict:
+        raise _wrong(value, dict, where)
+    args = []
+    for key, _, decode, _ in _fields(cls):
+        if key not in value:
+            raise _fail((*where, key), "is missing")
+        args.append(decode(value[key], (*where, key)))
+    return cls(*args)
+
+
+@functools.cache
+def _fields(cls: type) -> tuple[tuple, ...]:
+    """The (JSON key, attribute, decode, encode) of each field, built once per class."""
+    hints = typing.get_type_hints(cls)
+    fields = []
+    for f in dataclasses.fields(cls):
+        head, *rest = f.name.split("_")
+        key = head + "".join(word.capitalize() for word in rest)
+        fields.append((key, f.name, *_codec(hints[f.name])))
+    return tuple(fields)
+
+
+def _codec(tp: typing.Any) -> tuple[typing.Callable, typing.Callable]:
+    """The decode and encode functions of one annotated type."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if type(None) in args:
+        (inner,) = (arg for arg in args if arg is not type(None))
+        decode_inner, encode_inner = _codec(inner)
+        return (lambda v, where: None if v is None else decode_inner(v, where)), (
+            lambda v: None if v is None else encode_inner(v)
+        )
+    if origin in (list, set):
+        decode_item, encode_item = _codec(*args)
+
+        def decode_list(value, where):
+            if type(value) is not list:
+                raise _wrong(value, list, where)
+            out = [decode_item(item, (*where, i)) for i, item in enumerate(value)]
+            return set(out) if origin is set else out
+
+        if origin is set:
+            return decode_list, sorted
+        return decode_list, lambda v: [encode_item(x) for x in v]
+    if dataclasses.is_dataclass(tp):
+        return functools.partial(_decode_row, tp), tp.to_dict
+    if tp not in (str, int, float, dict):
+        raise TypeError(f"no JSON row codec for {tp!r}")
+
+    def decode(value, where):
+        if type(value) is tp:
+            return value
+        if tp is float and type(value) is int:
+            return float(value)
+        raise _wrong(value, tp, where)
+
+    return decode, lambda value: value
+
+
+@dataclasses.dataclass
+class PatientTerms(Row):
+    """One patient's term list, a row of the standardized, rankings and external
+    rankings files. Rankings rows add per-term ``scores``, which nothing reads."""
+
+    patient_id: str
+    terms: list[str]

@@ -2,6 +2,7 @@ import ast
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -240,18 +241,70 @@ class TestErrorReporting:
         assert result.exit_code == 3
 
 
+def _mutated_row(path, keys, value):
+    """Set ``row[keys...]`` to ``value`` in the first row (line 2) of an artifact."""
+    meta_line, first, *rest = path.read_text(encoding="utf-8").splitlines()
+    row = target = json.loads(first)
+    *parents, last = keys
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    text = "\n".join([meta_line, json.dumps(row), *rest]) + "\n"
+    path.write_text(text, encoding="utf-8")
+
+
+# (artifact, field, wrong JSON value, consuming step). Each of these once ended
+# its step with a traceback (TypeError, AttributeError or KeyError), or was
+# misread: curatedTerms null as an empty gold set, terms as an object's keys or
+# a string's characters, ageYears "7" or true as a number.
+WRONG_TYPES = [
+    (pipeline.NOTES_FILE, ("text",), {"k": 7}, "chunk"),
+    (pipeline.NOTES_FILE, ("text",), 7, "chunk"),
+    (pipeline.CHUNKS_FILE, ("chunkId",), 7, "extract"),
+    (pipeline.CHUNKS_FILE, ("patientId",), [7], "extract"),
+    (pipeline.MENTIONS_FILE, ("patientId",), None, "standardize"),
+    (pipeline.MENTIONS_FILE, ("mentions", 0, "surface"), 7, "ablate"),
+    (pipeline.COHORT_FILE, ("patientId",), 7, "evaluate"),
+    (pipeline.COHORT_FILE, ("patientId",), {"k": 7}, "rank"),
+    (pipeline.COHORT_FILE, ("symptomCategory",), None, "train"),
+    (pipeline.COHORT_FILE, ("curatedTerms",), None, "evaluate"),
+    (pipeline.COHORT_FILE, ("ageYears",), "7", "train"),
+    (pipeline.COHORT_FILE, ("ageYears",), True, "train"),
+    (pipeline.STANDARDIZED_FILE, ("patientId",), 7, "rank"),
+    (pipeline.STANDARDIZED_FILE, ("terms",), "HP:0000001", "rank"),
+    (pipeline.RANKINGS_FILE, ("patientId",), [7], "permtest"),
+    (pipeline.RANKINGS_FILE, ("terms",), {"k": 7}, "permtest"),
+    (pipeline.RANKINGS_FILE, ("terms",), "HP:0000001", "evaluate"),
+]
+
+
 class TestMalformedArtifacts:
     """A damaged artifact exits 3 with a JSON error naming it, never a traceback."""
 
-    @pytest.fixture
-    def synthed(self, tmp_path):
-        cfg_path = str(write_cli_workspace(tmp_path))
-        for step in ("ingest", "synth"):
-            assert invoke(cfg_path, step).exit_code == 0
-        return cfg_path, tmp_path / "work"
+    @pytest.fixture(scope="class")
+    def ranked(self, tmp_path_factory):
+        """A workspace run through rank, its files named relative to it, so a
+        copy has the same configuration hash."""
+        root = tmp_path_factory.mktemp("ranked")
+        cfg_path = write_cli_workspace(root)
+        data = yaml.safe_load(cfg_path.read_text(encoding="utf-8"))
+        data["paths"] = {k: Path(v).name for k, v in data["paths"].items()}
+        cfg_path.write_text(yaml.safe_dump(data), encoding="utf-8")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.chdir(root)
+            for step, _ in pipeline.STEPS[:7]:  # ingest ... rank
+                assert invoke(cfg_path.name, step).exit_code == 0
+        return root
 
-    def test_meta_value_not_an_object(self, synthed):
-        cfg_path, work = synthed
+    @pytest.fixture
+    def copied(self, ranked, tmp_path, monkeypatch):
+        """A copy of the ranked workspace, free to damage, as the working directory."""
+        shutil.copytree(ranked, tmp_path / "ws")
+        monkeypatch.chdir(tmp_path / "ws")
+        return "phenorank.yaml", tmp_path / "ws" / "work"
+
+    def test_meta_value_not_an_object(self, copied):
+        cfg_path, work = copied
         (work / pipeline.RANKINGS_FILE).write_text('{"__meta__": []}\n', encoding="utf-8")
         result = invoke(cfg_path, "evaluate")
         assert result.exit_code == 3
@@ -260,8 +313,8 @@ class TestMalformedArtifacts:
         assert pipeline.RANKINGS_FILE in err["message"]
         assert "line 1" in err["message"]
 
-    def test_row_not_an_object(self, synthed):
-        cfg_path, work = synthed
+    def test_row_not_an_object(self, copied):
+        cfg_path, work = copied
         meta_line = (work / pipeline.COHORT_FILE).read_text().splitlines()[0]
         (work / pipeline.RANKINGS_FILE).write_text(
             meta_line + "\n[1, 2]\n", encoding="utf-8"
@@ -273,8 +326,8 @@ class TestMalformedArtifacts:
         assert pipeline.RANKINGS_FILE in err["message"]
         assert "line 2" in err["message"]
 
-    def test_row_missing_a_field(self, synthed):
-        cfg_path, work = synthed
+    def test_row_missing_a_field(self, copied):
+        cfg_path, work = copied
         path = work / pipeline.COHORT_FILE
         meta_line, *rows = path.read_text().splitlines()
         first = json.loads(rows[0])
@@ -286,7 +339,22 @@ class TestMalformedArtifacts:
         err = stderr_error(result)
         assert err["type"] == "DataError"
         assert pipeline.COHORT_FILE in err["message"]
-        assert "ageYears" in err["message"]
+        assert "'ageYears' is missing" in err["message"]
+
+    @pytest.mark.parametrize(
+        "artifact, keys, value, step",
+        WRONG_TYPES,
+        ids=[f"{a}-{k[-1]}-{type(v).__name__}-{s}" for a, k, v, s in WRONG_TYPES],
+    )
+    def test_wrong_json_type(self, copied, artifact, keys, value, step):
+        cfg_path, work = copied
+        _mutated_row(work / artifact, keys, value)
+        result = invoke(cfg_path, step)
+        assert result.exit_code == 3, result.output
+        err = stderr_error(result)
+        assert err["type"] == "DataError"
+        field = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)[1:]
+        assert f"{artifact} line 2: field {field!r} is " in err["message"]
 
 
 class TestDamagedModel:

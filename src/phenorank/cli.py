@@ -57,12 +57,6 @@ def main(ctx: click.Context, config_path: str, seed: int | None, verbose: bool) 
     ctx.obj["seed"] = seed
 
 
-_force = click.option(
-    "--force",
-    is_flag=True,
-    help="Use artifacts even if their configuration hash mismatches.",
-)
-
 # Options beyond the group's, by step; each reaches its step function as the
 # keyword argument of the same name.
 STEP_OPTIONS = {
@@ -71,7 +65,7 @@ STEP_OPTIONS = {
             "--concurrency",
             type=int,
             default=None,
-            help="Parallel chunk requests (not part of the configuration hash).",
+            help="Parallel chunk requests (recorded in no artifact).",
         )
     ],
     "rank": [
@@ -83,16 +77,13 @@ STEP_OPTIONS = {
         )
     ],
     "evaluate": [
-        _force,
         click.option(
             "--external",
             type=click.Path(exists=False, dir_okay=False),
             default=None,
             help="Evaluate an external rankings JSONL instead of the pipeline artifact.",
-        ),
+        )
     ],
-    "ablate": [_force],
-    "permtest": [_force],
 }
 
 
@@ -115,8 +106,8 @@ def _add_command(name: str, step) -> None:
     main.command(name, help=step.__doc__)(command)
 
 
-for _name, _step in pipeline.STEPS:
-    _add_command(_name, _step)
+for _step in pipeline.STEPS:
+    _add_command(_step.name, _step.run)
 
 
 if __name__ == "__main__":

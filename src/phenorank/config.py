@@ -1,6 +1,6 @@
 """Pipeline configuration: a small YAML file resolved into typed sections
-with defaults, plus a stable hash that reports embed so downstream commands
-can refuse artifacts produced under a different configuration.
+with defaults, plus a stable digest of the seed and of each settings section,
+from which every artifact's lineage records the parts it depends on.
 """
 
 from __future__ import annotations
@@ -254,13 +254,11 @@ def load_config(path: str | Path) -> PipelineConfig:
     return config_from_dict(data)
 
 
-def config_hash(cfg: PipelineConfig) -> str:
-    """Stable digest of the fully resolved configuration.
-
-    Execution knobs that cannot change any artifact byte (worker counts) are
-    excluded, so runs differing only in parallelism share one hash.
-    """
-    canon_dict = cfg.to_dict()
-    del canon_dict["extraction"]["concurrency"]
-    canon = json.dumps(canon_dict, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+def config_digests(cfg: PipelineConfig) -> dict[str, str]:
+    """The sha256 of the seed and of each settings section, keyed by name;
+    not ``paths``, which says where files are, not what they hold, nor the
+    worker count ``extraction.concurrency``, which cannot change a byte."""
+    doc = cfg.to_dict()
+    del doc["paths"], doc["extraction"]["concurrency"]
+    canon = {k: json.dumps(v, sort_keys=True, separators=(",", ":")) for k, v in doc.items()}
+    return {k: hashlib.sha256(v.encode("utf-8")).hexdigest() for k, v in canon.items()}

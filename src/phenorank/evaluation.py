@@ -55,13 +55,6 @@ class MetricsReport(Row):
     def metric_names(self) -> list[str]:
         return list(self.rows[0]["metrics"]) if self.rows else []
 
-    def value(self, k: int, metric: str) -> tuple[float, float, float]:
-        for row in self.rows:
-            if row["k"] == k:
-                m = row["metrics"][metric]
-                return m["point"], m["lo"], m["hi"]
-        raise KeyError(f"no row for k={k}")
-
 
 def report_csv(reports: Sequence[MetricsReport]) -> str:
     """Wide CSV: one row per configuration and cutoff."""

@@ -3,13 +3,14 @@
 ``ingest`` is the one step that reads the input files. It writes the parsed
 inputs to ``inputs.npz``, and every later step restores them from there,
 after checking that the input files it depends on still have the sha256 that
-ingest recorded. Every other artifact is JSONL whose first line is a meta
-record embedding the configuration hash and seed it was produced under; each
-later line is a row of the artifact's type in ``rows``, and a missing or
-wrong-typed field is a DataError naming the file, the line and the field.
-Report-producing steps refuse artifacts from a different configuration
-unless forced. Writes are atomic (temp file then rename) so an interrupted
-step never leaves a half-written artifact behind.
+ingest recorded. Every other artifact carries a lineage record (``Lineage``):
+the config sections and input files it depends on and the work-directory
+files its step read. A step checks the record of every artifact it reads and
+refuses a stale one. In a JSONL artifact the record sits in the first, meta
+line; each later line is a row of the artifact's type in ``rows``, and a
+missing or wrong-typed field is a DataError naming the file, the line and the
+field. Writes are atomic (temp file then rename) so an interrupted step never
+leaves a half-written artifact behind.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ import os
 import uuid
 import zipfile
 from pathlib import Path
-from typing import Iterable, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 
 from . import annotations, corpus, evaluation, extraction, ontology, standardization
-from .config import PipelineConfig, config_hash
+from .config import PipelineConfig, config_digests
 from .errors import ConfigError, DataError, StructuralError
 from .ranking import (
     FeatureSchema,
@@ -96,17 +97,6 @@ def _atomic_write_bytes(path: Path, data: bytes) -> None:
         raise
 
 
-def _meta(cfg: PipelineConfig, step: str, **extra) -> dict:
-    meta = {
-        "step": step,
-        "configHash": config_hash(cfg),
-        "seed": cfg.seed,
-        "version": ARTIFACT_VERSION,
-    }
-    meta.update(extra)
-    return meta
-
-
 def write_jsonl(path: Path, meta: dict, rows: Iterable[dict]) -> None:
     lines = [json.dumps({"__meta__": meta}, sort_keys=True)]
     lines.extend(json.dumps(row, sort_keys=True) for row in rows)
@@ -145,25 +135,6 @@ def read_jsonl(path: Path, row_type: type[R] | None = None) -> tuple[dict, list]
     if meta is None:
         raise StructuralError(f"{path} is empty")
     return meta, rows
-
-
-def check_artifact(meta: dict, cfg: PipelineConfig, label: str, force: bool) -> None:
-    """Refuse artifacts produced under a different configuration.
-
-    With force the mismatch is logged and the artifact used as-is.
-    """
-    expected = config_hash(cfg)
-    found = meta.get("configHash")
-    if found == expected:
-        return
-    message = (
-        f"{label} was produced under configuration {str(found)[:12]}, "
-        f"active configuration is {expected[:12]}"
-    )
-    if force:
-        logger.warning("%s (forced, continuing)", message)
-        return
-    raise ConfigError(message + "; rerun the producing step or pass force")
 
 
 # -- shared loading ----------------------------------------------------------------
@@ -253,15 +224,7 @@ class Snapshot:
     table: np.ndarray  # annotations.feature_table of the ontology
 
 
-def _restore(path: Path) -> Snapshot:
-    with np.load(path, allow_pickle=False) as npz:
-        arrays = {name: npz[name] for name in npz.files}
-    meta = json.loads(ontology.array_member(arrays, "meta", np.uint8).tobytes())
-    if meta["version"] != SNAPSHOT_VERSION:
-        raise ValueError(f"format version {meta['version']!r}, not {SNAPSHOT_VERSION}")
-    digests, total = meta["sha256"], meta["totalDiseases"]
-    if not isinstance(digests, dict) or type(total) is not int:
-        raise ValueError("malformed meta member")
+def _restore(meta: dict, arrays: dict[str, np.ndarray]) -> Snapshot:
     o = ontology.Ontology.from_arrays(arrays)
     n = len(o.ids)
     ic = ontology.array_member(arrays, "ic", np.float64, n)
@@ -269,24 +232,27 @@ def _restore(path: Path) -> Snapshot:
     table = arrays["features"]
     if table.dtype != np.float64 or table.shape != (n, len(annotations.FEATURE_NAMES)):
         raise ValueError(f"features: {table.dtype} array of shape {table.shape}")
-    stats = ontology.OntologyStats(annot_count=counts, total_diseases=total, ic=ic)
-    return Snapshot(digests, o, stats, table)
+    stats = ontology.OntologyStats(counts, meta["totalDiseases"], ic)
+    return Snapshot(meta["sha256"], o, stats, table)
 
 
-def load_snapshot(cfg: PipelineConfig, *inputs: str) -> Snapshot:
-    """The inputs ``ingest`` parsed, restored from the work directory.
-
-    ``inputs`` are the ``paths`` fields of the input files the calling step
-    depends on; each must still have the sha256 ingest recorded, or the
-    snapshot is stale (ConfigError; force does not apply, since the inputs
-    are not an artifact of this configuration). A missing or damaged snapshot
-    is a DataError.
-    """
+def _read_snapshot(cfg: PipelineConfig, full: bool) -> Snapshot | dict[str, str]:
+    """The snapshot, or with ``full`` false only the input digests it records,
+    read without the other members. A missing or damaged one is a DataError."""
     path = workdir(cfg) / INPUTS_FILE
     # Every way a missing, truncated or inconsistent file fails; zipfile raises
     # NotImplementedError, a RuntimeError, for an unknown compression method.
     try:
-        snap = _restore(path)
+        with np.load(path, allow_pickle=False) as npz:
+            meta = json.loads(ontology.array_member(npz, "meta", np.uint8).tobytes())
+            if meta["version"] != SNAPSHOT_VERSION:
+                raise ValueError(f"format version {meta['version']!r}, not {SNAPSHOT_VERSION}")
+            if not isinstance(meta["sha256"], dict) or type(meta["totalDiseases"]) is not int:
+                raise ValueError("malformed meta member")
+            if not full:
+                return meta["sha256"]
+            arrays = {name: npz[name] for name in npz.files}
+        return _restore(meta, arrays)
     except (
         OSError,
         EOFError,
@@ -298,43 +264,100 @@ def load_snapshot(cfg: PipelineConfig, *inputs: str) -> Snapshot:
         DataError,
     ) as e:
         raise DataError(f"cannot read input snapshot {path} ({e!r}); run ingest") from e
+
+
+def load_snapshot(cfg: PipelineConfig, *inputs: str) -> Snapshot:
+    """The inputs ``ingest`` parsed, restored from the work directory. Each of
+    ``inputs`` (``paths`` fields) must still have the sha256 ingest recorded,
+    or the snapshot is stale (ConfigError); a damaged one is a DataError."""
+    snap = _read_snapshot(cfg, full=True)
     for field in inputs:
         if snap.digests.get(field) != _input_digest(cfg, field):
             name = getattr(cfg.paths, field)
+            path = workdir(cfg) / INPUTS_FILE
             raise ConfigError(f"{name} changed since ingest wrote {path}; rerun ingest")
     return snap
 
 
-def _read_artifact(
-    cfg: PipelineConfig, name: str, row_type: type[R], force: bool | None = None
-) -> list[R]:
-    """The rows of one work-directory artifact, decoded as ``row_type``.
+class Lineage:
+    """One run of a step: the artifacts it read, each checked, and the lineage
+    record of the artifacts it writes.
 
-    A row with a missing or wrong-typed field is a DataError naming the
-    artifact, the line and the field. Unless force is None, the artifact's
-    configHash is then checked (see check_artifact); steps that only consume
-    an artifact pass None.
+    The record names the step and holds three maps of sha256 digests:
+    ``config``, of each config part the artifact depends on (the seed, the
+    step's own sections and those recorded by all it read; see
+    ``config.config_digests``); ``inputs``, of each input file it depends on,
+    as ingest recorded them, likewise; ``reads``, of each work-directory file
+    the step read (never ``inputs.npz``: ``inputs`` stands for it). An
+    artifact is refused (ConfigError naming it, what changed and the step to
+    rerun) unless every digest it records is current, each file it read
+    passing the same check first.
     """
-    meta, rows = read_jsonl(workdir(cfg) / name, row_type)
-    if force is not None:
-        check_artifact(meta, cfg, name, force)
-    return rows
+
+    def __init__(self, cfg: PipelineConfig, step: str):
+        declared = next(s for s in STEPS if s.name == step)
+        self.step, self.wd = step, workdir(cfg)
+        if declared.inputs:
+            self.snapshot = load_snapshot(cfg, *declared.inputs)
+            ingested = self.snapshot.digests
+        else:
+            ingested = _read_snapshot(cfg, full=False)
+        self.current = {**ingested, **config_digests(cfg)}
+        self.config = {part: self.current[part] for part in ("seed", *declared.sections)}
+        self.inputs = {field: ingested[field] for field in declared.inputs}
+        self.reads: dict[str, str] = {}
+        self._digests: dict[str, str | None] = {}
+
+    def read(self, *artifacts: tuple[str, type[Row]]) -> list[list]:
+        """The rows of each ``(name, row type)`` JSONL artifact, all decoded
+        before any is checked: a damaged one is a DataError, not a stale
+        record of the artifacts built from it."""
+        rows = [read_jsonl(self.wd / name, row_type)[1] for name, row_type in artifacts]
+        for name, _ in artifacts:
+            self.reads[name] = self.digest(name)
+        return rows
+
+    def digest(self, name: str) -> str | None:
+        """The sha256 of the work-directory file ``name``, once its lineage holds."""
+        if name not in self._digests:
+            self._digests[name] = None  # a record that cycles back here never holds
+            path = self.wd / Path(name).name  # a record names work-directory files only
+            try:
+                data = path.read_bytes()
+            except OSError as e:
+                raise DataError(f"cannot read artifact {path}: {e}") from e
+            try:
+                jsonl = name.endswith(".jsonl")
+                doc = json.loads(data.partition(b"\n")[0] if jsonl else data)
+                lineage = (doc["__meta__"] if jsonl else doc)["lineage"]
+                step = lineage["step"]
+                parts = [lineage[part].items() for part in ("reads", "config", "inputs")]
+            except (ValueError, LookupError, TypeError, AttributeError):
+                raise ConfigError(
+                    f"{name} has no lineage record; rerun the step that writes it"
+                ) from None
+            # The files it read first, so an error names the earliest stale one.
+            now = {**self.current, **{k: self.digest(k) for k, _ in parts[0]}}
+            if stale := sorted(k for items in parts for k, v in items if now.get(k) != v):
+                raise ConfigError(
+                    f"{name} is stale: {', '.join(stale)} changed since {step} wrote it;"
+                    f" rerun {step}"
+                )
+            self.config.update(lineage["config"])
+            self.inputs.update(lineage["inputs"])
+            self._digests[name] = hashlib.sha256(data).hexdigest()
+        return self._digests[name]
+
+    def record(self) -> dict:
+        return dict(step=self.step, config=self.config, inputs=self.inputs, reads=self.reads)
+
+    def meta(self, **extra) -> dict:
+        """The meta line of a JSONL artifact the step writes."""
+        return {"lineage": self.record(), "version": ARTIFACT_VERSION, **extra}
 
 
-def _load_cohort(
-    cfg: PipelineConfig, force: bool | None = None
-) -> list[corpus.Patient]:
-    return _read_artifact(cfg, COHORT_FILE, corpus.Patient, force)
-
-
-def _load_gold(cfg: PipelineConfig, force: bool) -> dict[str, set[str]]:
-    return {p.patient_id: p.curated_terms for p in _load_cohort(cfg, force)}
-
-
-def _provenance(cfg: PipelineConfig, **extra) -> dict:
-    prov = {"configHash": config_hash(cfg), "seed": cfg.seed}
-    prov.update(extra)
-    return prov
+def _by_patient(rows: list, attr: str) -> dict:
+    return {row.patient_id: getattr(row, attr) for row in rows}
 
 
 # -- steps -------------------------------------------------------------------------
@@ -368,8 +391,8 @@ def _distractor_pool(
 
 def step_synth(cfg: PipelineConfig) -> dict:
     """Generate the synthetic cohort and narrative notes."""
-    snap = load_snapshot(cfg, ONTOLOGY, DISEASES)
-    o, s = snap.ontology, snap.stats
+    run = Lineage(cfg, "synth")
+    o, s = run.snapshot.ontology, run.snapshot.stats
     cohort = corpus.synth_cohort(
         o, cfg.cohort.size, cfg.seed, max_terms=cfg.cohort.max_terms
     )
@@ -382,35 +405,34 @@ def step_synth(cfg: PipelineConfig) -> dict:
         )[:per_patient]
         _, note = corpus.synth_narrative(patient, o, cfg.seed, distractors)
         notes.append(note)
-    wd = workdir(cfg)
-    write_jsonl(wd / COHORT_FILE, _meta(cfg, "synth"), (p.to_dict() for p in cohort))
-    write_jsonl(wd / NOTES_FILE, _meta(cfg, "synth"), (n.to_dict() for n in notes))
+    write_jsonl(run.wd / COHORT_FILE, run.meta(), (p.to_dict() for p in cohort))
+    write_jsonl(run.wd / NOTES_FILE, run.meta(), (n.to_dict() for n in notes))
     return {"patients": len(cohort), "notes": len(notes)}
 
 
 def step_chunk(cfg: PipelineConfig) -> dict:
     """Split notes into sentence-preserving chunks."""
-    notes = _read_artifact(cfg, NOTES_FILE, corpus.ClinicalNote)
+    run = Lineage(cfg, "chunk")
+    (notes,) = run.read((NOTES_FILE, corpus.ClinicalNote))
     chunks: list[corpus.NoteChunk] = []
     for note in notes:
         chunks.extend(corpus.chunk_note(note, cfg.chunking.max_chars))
-    write_jsonl(
-        workdir(cfg) / CHUNKS_FILE, _meta(cfg, "chunk"), (c.to_dict() for c in chunks)
-    )
+    write_jsonl(run.wd / CHUNKS_FILE, run.meta(), (c.to_dict() for c in chunks))
     return {"notes": len(notes), "chunks": len(chunks)}
 
 
 def step_extract(cfg: PipelineConfig, concurrency: int | None = None) -> dict:
     """Extract phenotype mentions from every chunk.
 
-    ``concurrency`` overrides ``extraction.concurrency``, which the
-    configuration hash leaves out.
+    ``concurrency`` overrides ``extraction.concurrency``, which no lineage
+    record holds.
     """
     settings = cfg.extraction
     if concurrency is not None:
         settings = dataclasses.replace(settings, concurrency=concurrency)
         settings.validate()
-    chunks = _read_artifact(cfg, CHUNKS_FILE, corpus.NoteChunk)
+    run = Lineage(cfg, "extract")
+    (chunks,) = run.read((CHUNKS_FILE, corpus.NoteChunk))
     if cfg.extraction.backend == "remote":
         extraction.verify_credentials(cfg.extraction)
         template = extraction.DEFAULT_PROMPT_TEMPLATE
@@ -419,7 +441,7 @@ def step_extract(cfg: PipelineConfig, concurrency: int | None = None) -> dict:
             return extraction.remote_extract(cfg.extraction, template, chunk)
 
     else:
-        backend = extraction.Gazetteer(load_snapshot(cfg, ONTOLOGY).ontology).extract
+        backend = extraction.Gazetteer(run.snapshot.ontology).extract
 
     result = extraction.extract_corpus(
         chunks, backend, concurrency_limit=settings.concurrency
@@ -430,8 +452,8 @@ def step_extract(cfg: PipelineConfig, concurrency: int | None = None) -> dict:
         for pid, mentions in sorted(result.mentions_by_patient.items())
     )
     write_jsonl(
-        workdir(cfg) / MENTIONS_FILE,
-        _meta(cfg, "extract", backend=cfg.extraction.backend, failures=failures),
+        run.wd / MENTIONS_FILE,
+        run.meta(backend=cfg.extraction.backend, failures=failures),
         rows,
     )
     total = sum(len(v) for v in result.mentions_by_patient.values())
@@ -443,13 +465,6 @@ def step_extract(cfg: PipelineConfig, concurrency: int | None = None) -> dict:
     }
 
 
-def _load_mentions(
-    cfg: PipelineConfig, force: bool | None = None
-) -> dict[str, list[extraction.Mention]]:
-    rows = _read_artifact(cfg, MENTIONS_FILE, extraction.PatientMentions, force)
-    return {row.patient_id: row.mentions for row in rows}
-
-
 def step_standardize(cfg: PipelineConfig) -> dict:
     """Resolve mentions to ontology terms."""
     if cfg.standardization.selector == "remote":
@@ -457,24 +472,24 @@ def step_standardize(cfg: PipelineConfig) -> dict:
         selector = standardization.RemoteSelector(cfg.extraction)
     else:
         selector = standardization.ThresholdSelector(cfg.standardization.tau)
-    o = load_snapshot(cfg, ONTOLOGY).ontology
-    mentions = _load_mentions(cfg)
+    run = Lineage(cfg, "standardize")
+    o = run.snapshot.ontology
+    (mentions,) = run.read((MENTIONS_FILE, extraction.PatientMentions))
     index = standardization.build_index(o)
     result = standardization.standardize_corpus(
-        mentions, o, index, selector, k=cfg.standardization.top_k
+        _by_patient(mentions, "mentions"), o, index, selector, k=cfg.standardization.top_k
     )
-    wd = workdir(cfg)
     write_jsonl(
-        wd / STANDARDIZED_FILE,
-        _meta(cfg, "standardize", selector=selector.name),
+        run.wd / STANDARDIZED_FILE,
+        run.meta(selector=selector.name),
         (
             PatientTerms(pid, terms).to_dict()
             for pid, terms in sorted(result.terms_by_patient.items())
         ),
     )
     write_jsonl(
-        wd / TRACE_FILE,
-        _meta(cfg, "standardize", selector=selector.name),
+        run.wd / TRACE_FILE,
+        run.meta(selector=selector.name),
         (t.to_dict() for t in result.trace),
     )
     resolved = sum(1 for t in result.trace if t.resolved is not None)
@@ -485,19 +500,11 @@ def step_standardize(cfg: PipelineConfig) -> dict:
     }
 
 
-def _load_term_lists(
-    cfg: PipelineConfig, name: str, force: bool | None = None
-) -> dict[str, list[str]]:
-    """Per-patient term lists of the standardized or the rankings artifact."""
-    rows = _read_artifact(cfg, name, PatientTerms, force)
-    return {row.patient_id: row.terms for row in rows}
-
-
 def step_train(cfg: PipelineConfig) -> dict:
     """Fit the ranking model on the synthetic cohort."""
-    snap = load_snapshot(cfg, ONTOLOGY, DISEASES, GENES)
-    o, table = snap.ontology, snap.table
-    cohort = _load_cohort(cfg)
+    run = Lineage(cfg, "train")
+    o, table = run.snapshot.ontology, run.snapshot.table
+    (cohort,) = run.read((COHORT_FILE, corpus.Patient))
     train_patients, val_patients = split_cohort(
         cohort, ratio=cfg.training.split_ratio, seed=cfg.seed
     )
@@ -519,10 +526,8 @@ def step_train(cfg: PipelineConfig) -> dict:
         )
         model = select_model([linear, boosted], val_inst)
     doc = json.loads(model.to_json())
-    doc["configHash"] = config_hash(cfg)
-    _atomic_write(
-        workdir(cfg) / MODEL_FILE, json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    )
+    doc["lineage"] = run.record()
+    _atomic_write(run.wd / MODEL_FILE, json.dumps(doc, sort_keys=True, indent=2) + "\n")
     pairs = pair_index(train_inst)
     return {
         "kind": model.kind,
@@ -534,16 +539,19 @@ def step_train(cfg: PipelineConfig) -> dict:
     }
 
 
-def load_model(cfg: PipelineConfig) -> RankModel:
-    path = workdir(cfg) / MODEL_FILE
+def load_model(run: Lineage) -> RankModel:
+    """The trained model, decoded and then checked as ``Lineage.read`` checks."""
+    path = run.wd / MODEL_FILE
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as e:
         raise DataError(f"cannot read model {path}: {e}") from e
     try:
-        return RankModel.from_json(text)
+        model = RankModel.from_json(text)
     except (DataError, AttributeError, KeyError, TypeError, ValueError) as e:
         raise DataError(f"{path}: not a readable model ({e!r})") from e
+    run.reads[MODEL_FILE] = run.digest(MODEL_FILE)
+    return model
 
 
 def step_rank(cfg: PipelineConfig, out: str | None = None) -> dict:
@@ -551,24 +559,27 @@ def step_rank(cfg: PipelineConfig, out: str | None = None) -> dict:
 
     With ``out`` the rankings are also exported there as plain JSONL.
     """
-    snap = load_snapshot(cfg, ONTOLOGY, DISEASES, GENES)
-    o, table = snap.ontology, snap.table
-    cohort = {p.patient_id: p for p in _load_cohort(cfg)}
-    standardized = _load_term_lists(cfg, STANDARDIZED_FILE)
-    model = load_model(cfg)
+    run = Lineage(cfg, "rank")
+    o, table = run.snapshot.ontology, run.snapshot.table
+    patients, standardized = run.read(
+        (COHORT_FILE, corpus.Patient), (STANDARDIZED_FILE, PatientTerms)
+    )
+    cohort = {p.patient_id: p for p in patients}
+    model = load_model(run)
     rankings: dict[str, list[str]] = {}
     rows = []
-    for pid in sorted(standardized):
+    for pid, terms in sorted(_by_patient(standardized, "terms").items()):
         patient = cohort.get(pid)
         if patient is None:
-            raise DataError(f"standardized terms for unknown patient {pid}")
-        ranked = rank_terms(model, patient, standardized[pid], o, table)
+            raise DataError(
+                f"{STANDARDIZED_FILE} has terms for patient {pid!r}, "
+                f"who has no row in {COHORT_FILE}"
+            )
+        ranked = rank_terms(model, patient, terms, o, table)
         rankings[pid] = [t for t, _ in ranked]
         scores = [score for _, score in ranked]
         rows.append({**PatientTerms(pid, rankings[pid]).to_dict(), "scores": scores})
-    write_jsonl(
-        workdir(cfg) / RANKINGS_FILE, _meta(cfg, "rank", model=model.kind), rows
-    )
+    write_jsonl(run.wd / RANKINGS_FILE, run.meta(model=model.kind), rows)
     summary = {"patients": len(rows)}
     if out is not None:
         try:
@@ -579,20 +590,18 @@ def step_rank(cfg: PipelineConfig, out: str | None = None) -> dict:
     return summary
 
 
-def step_evaluate(
-    cfg: PipelineConfig, force: bool = False, external: str | None = None
-) -> dict:
+def step_evaluate(cfg: PipelineConfig, external: str | None = None) -> dict:
     """Score rankings against the cohort gold standard.
 
     The rankings are the pipeline's own artifact, or with ``external`` a
     rankings JSONL from elsewhere, whose invalid rows are skipped and counted.
     """
-    snap = load_snapshot(cfg, ONTOLOGY, DISEASES)
-    o, s = snap.ontology, snap.stats
+    run = Lineage(cfg, "evaluate")
+    o, s = run.snapshot.ontology, run.snapshot.stats
     if external is None:
-        rankings = _load_term_lists(cfg, RANKINGS_FILE, force)
-        configuration = "prioritized"
-        provenance = _provenance(cfg, artifact=RANKINGS_FILE)
+        ranked, cohort = run.read((RANKINGS_FILE, PatientTerms), (COHORT_FILE, corpus.Patient))
+        rankings = _by_patient(ranked, "terms")
+        configuration, provenance = "prioritized", run.record()
     else:
         try:
             text = Path(external).read_text(encoding="utf-8")
@@ -602,11 +611,11 @@ def step_evaluate(
         for problem in imported.errors:
             logger.warning("external rankings: %s", problem)
         rankings = imported.rankings
-        configuration = "external"
-        provenance = {"configHash": config_hash(cfg), "source": external}
+        (cohort,) = run.read((COHORT_FILE, corpus.Patient))
+        configuration, provenance = "external", {**run.record(), "source": external}
     report = evaluation.evaluate_cohort(
         rankings,
-        _load_gold(cfg, force),
+        _by_patient(cohort, "curated_terms"),
         o,
         s,
         cfg.evaluation,
@@ -614,12 +623,11 @@ def step_evaluate(
         configuration=configuration,
         provenance=provenance,
     )
-    wd = workdir(cfg)
-    _atomic_write(wd / EVAL_REPORT, report.to_json())
-    _atomic_write(wd / EVAL_CSV, evaluation.report_csv([report]))
+    _atomic_write(run.wd / EVAL_REPORT, report.to_json())
+    _atomic_write(run.wd / EVAL_CSV, evaluation.report_csv([report]))
     summary = {
         "patients": report.cohort_size,
-        "report": str(wd / EVAL_REPORT),
+        "report": str(run.wd / EVAL_REPORT),
         "warnings": report.warnings,
     }
     if external is not None:
@@ -627,66 +635,84 @@ def step_evaluate(
     return summary
 
 
-def step_ablate(cfg: PipelineConfig, force: bool = False) -> dict:
+def step_ablate(cfg: PipelineConfig) -> dict:
     """Evaluate the pipeline cut after each module."""
-    snap = load_snapshot(cfg, ONTOLOGY, DISEASES)
-    o, s = snap.ontology, snap.stats
+    run = Lineage(cfg, "ablate")
+    mentions, standardized, ranked, cohort = run.read(
+        (MENTIONS_FILE, extraction.PatientMentions),
+        (STANDARDIZED_FILE, PatientTerms),
+        (RANKINGS_FILE, PatientTerms),
+        (COHORT_FILE, corpus.Patient),
+    )
     reports = evaluation.ablation_run(
-        _load_mentions(cfg, force),
-        _load_term_lists(cfg, STANDARDIZED_FILE, force),
-        _load_term_lists(cfg, RANKINGS_FILE, force),
-        _load_gold(cfg, force),
-        o,
-        s,
+        _by_patient(mentions, "mentions"),
+        _by_patient(standardized, "terms"),
+        _by_patient(ranked, "terms"),
+        _by_patient(cohort, "curated_terms"),
+        run.snapshot.ontology,
+        run.snapshot.stats,
         cfg.evaluation,
         cfg.seed,
-        provenance=_provenance(cfg),
+        provenance=run.record(),
     )
-    wd = workdir(cfg)
     doc = {"reports": [r.to_dict() for r in reports]}
-    _atomic_write(wd / ABLATION_REPORT, json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    _atomic_write(wd / ABLATION_CSV, evaluation.report_csv(reports))
+    path = run.wd / ABLATION_REPORT
+    _atomic_write(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _atomic_write(run.wd / ABLATION_CSV, evaluation.report_csv(reports))
     return {
         "stages": [r.configuration for r in reports],
-        "report": str(wd / ABLATION_REPORT),
+        "report": str(path),
         "warnings": {r.configuration: r.warnings for r in reports},
     }
 
 
-def step_permtest(cfg: PipelineConfig, force: bool = False) -> dict:
+def step_permtest(cfg: PipelineConfig) -> dict:
     """Compare rankings against the exact mean over all orders of their terms."""
-    snap = load_snapshot(cfg, ONTOLOGY, DISEASES)
-    o, s = snap.ontology, snap.stats
+    run = Lineage(cfg, "permtest")
+    ranked, cohort = run.read((RANKINGS_FILE, PatientTerms), (COHORT_FILE, corpus.Patient))
     report = evaluation.permutation_delta(
-        _load_term_lists(cfg, RANKINGS_FILE, force),
-        _load_gold(cfg, force),
-        o,
-        s,
+        _by_patient(ranked, "terms"),
+        _by_patient(cohort, "curated_terms"),
+        run.snapshot.ontology,
+        run.snapshot.stats,
         cfg.evaluation,
         cfg.seed,
-        provenance=_provenance(cfg, artifact=RANKINGS_FILE),
+        provenance=run.record(),
     )
-    wd = workdir(cfg)
-    _atomic_write(wd / PERMTEST_REPORT, report.to_json())
-    _atomic_write(wd / PERMTEST_CSV, evaluation.report_csv([report]))
+    _atomic_write(run.wd / PERMTEST_REPORT, report.to_json())
+    _atomic_write(run.wd / PERMTEST_CSV, evaluation.report_csv([report]))
     return {
         "patients": report.cohort_size,
-        "report": str(wd / PERMTEST_REPORT),
+        "report": str(run.wd / PERMTEST_REPORT),
         "warnings": report.warnings,
     }
 
 
+@dataclasses.dataclass(frozen=True)
+class Step:
+    """A row of ``STEPS``: the step's name and function, the ``paths`` fields
+    of the input files it depends on (checked against the snapshot when it
+    starts) and the config sections it reads besides the seed. Both enter
+    the lineage record of every artifact it writes."""
+
+    name: str
+    run: Callable[..., dict]
+    inputs: tuple[str, ...] = ()
+    sections: tuple[str, ...] = ()
+
+
 # The pipeline in run order, declared once: the CLI builds one subcommand per
-# entry, named by the entry and described by the step's docstring.
+# row, named by the row and described by the step's docstring. ``paths`` and
+# ``extraction.concurrency`` are in no step's sections (config_digests).
 STEPS = (
-    ("ingest", step_ingest),
-    ("synth", step_synth),
-    ("chunk", step_chunk),
-    ("extract", step_extract),
-    ("standardize", step_standardize),
-    ("train", step_train),
-    ("rank", step_rank),
-    ("evaluate", step_evaluate),
-    ("ablate", step_ablate),
-    ("permtest", step_permtest),
+    Step("ingest", step_ingest),
+    Step("synth", step_synth, (ONTOLOGY, DISEASES), ("cohort",)),
+    Step("chunk", step_chunk, (), ("chunking",)),
+    Step("extract", step_extract, (ONTOLOGY,), ("extraction",)),
+    Step("standardize", step_standardize, (ONTOLOGY,), ("standardization", "extraction")),
+    Step("train", step_train, (ONTOLOGY, DISEASES, GENES), ("training",)),
+    Step("rank", step_rank, (ONTOLOGY, DISEASES, GENES)),
+    Step("evaluate", step_evaluate, (ONTOLOGY, DISEASES), ("evaluation",)),
+    Step("ablate", step_ablate, (ONTOLOGY, DISEASES), ("evaluation",)),
+    Step("permtest", step_permtest, (ONTOLOGY, DISEASES), ("evaluation",)),
 )

@@ -45,20 +45,11 @@ IMPLAUSIBLE_RADIUS = 2
 
 @dataclass(frozen=True, eq=False)
 class NegativePools:
-    """One patient's pools: class -> ascending dense ids, named by ``ids``.
-
-    ``ids`` is the ontology's ``Ontology.ids``. ``terms`` and ``as_dict``
-    build frozensets of term ids on request.
-    """
+    """One patient's pools: class -> ascending dense ids into ``ids``, the
+    ontology's ``Ontology.ids``."""
 
     ids: tuple[str, ...]
     dense: dict[str, np.ndarray]
-
-    def terms(self, cls: str) -> frozenset[str]:
-        return frozenset(self.ids[i] for i in self.dense[cls].tolist())
-
-    def as_dict(self) -> dict[str, frozenset[str]]:
-        return {cls: self.terms(cls) for cls in NEGATIVE_CLASSES}
 
 
 def negative_pools(o: Ontology, positives: Iterable[str]) -> NegativePools:

@@ -61,6 +61,7 @@ from phenorank.ranking.sampling import (
     IMPLAUSIBLE_RADIUS,
     MEDIUM_RANGE,
     NEGATIVE_CLASSES,
+    NegativePools,
 )
 from phenorank.ranking.models import (
     KIND_BOOSTED,
@@ -768,6 +769,24 @@ def ontology_to_json(o: Ontology) -> str:
 
 
 # -- reference functions that no pipeline step calls ----------------------------------
+
+
+def pool_terms(pools: NegativePools, cls: str) -> frozenset[str]:
+    """The term ids of one class of a patient's negative pools."""
+    return frozenset(pools.ids[i] for i in pools.dense[cls].tolist())
+
+
+def pools_as_dict(pools: NegativePools) -> dict[str, frozenset[str]]:
+    return {cls: pool_terms(pools, cls) for cls in NEGATIVE_CLASSES}
+
+
+def report_value(report: MetricsReport, k: int, metric: str) -> tuple[float, float, float]:
+    """The point estimate and interval of ``metric`` at cutoff ``k``."""
+    for row in report.rows:
+        if row["k"] == k:
+            m = row["metrics"][metric]
+            return m["point"], m["lo"], m["hi"]
+    raise KeyError(f"no row for k={k}")
 
 
 def topk_prf(

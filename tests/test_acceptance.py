@@ -291,7 +291,7 @@ def test_06_negative_sampling_oracles():
         positives = rng.sample(ids, rng.randint(1, min(3, len(ids))))
         pools = negative_pools(o, positives)
         want = helpers.bf_negative_pools(o, set(positives))
-        got = {cls: set(p) for cls, p in pools.as_dict().items()}
+        got = {cls: set(p) for cls, p in helpers.pools_as_dict(pools).items()}
         if got != want:
             problems.append(f"seed {seed}: pool mismatch")
             continue
@@ -551,7 +551,7 @@ def test_10_bootstrap_sanity(layered, layered_stats):
                 sorted(p.curated_terms) if i % 2 == 0 else [layered.root]
             )
         report = evaluate_cohort(ranked, gold, layered, layered_stats, cfg)
-        _, lo, hi = report.value(10, "precision")
+        _, lo, hi = helpers.report_value(report, 10, "precision")
         return hi - lo
 
     w10, w100 = width(10), width(100)

@@ -58,7 +58,7 @@ def test_every_wrapped_layer_fires(tmp_path):
     (tmp_path / "phenorank.yaml").write_text(json.dumps(config), encoding="utf-8")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OMP_NUM_THREADS": "1"}
     seen = set()
-    for i, (step, _) in enumerate(pipeline.STEPS):
+    for i, step in enumerate(s.name for s in pipeline.STEPS):
         trace_path = tmp_path / f"trace_{i}.json"
         proc = subprocess.run(
             [sys.executable, str(LAUNCH), str(trace_path), step],

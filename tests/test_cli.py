@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import io
 import json
 import os
@@ -16,6 +17,8 @@ import helpers
 import phenorank
 from phenorank import pipeline
 from phenorank.cli import main
+
+STEP_NAMES = [step.name for step in pipeline.STEPS]
 
 
 def write_cli_workspace(root, seed=11, extraction=None):
@@ -84,19 +87,18 @@ def test_cli_import_loads_neither_scipy_nor_requests():
 STEP_FLAGS = {
     "extract": ["--concurrency"],
     "rank": ["--out"],
-    "evaluate": ["--force", "--external"],
-    "ablate": ["--force"],
-    "permtest": ["--force"],
+    "evaluate": ["--external"],
 }
 
 
 def test_subcommands_are_the_pipeline_steps():
-    names = [name for name, _ in pipeline.STEPS]
+    names = STEP_NAMES
     assert list(main.commands) == names
-    for name, step in pipeline.STEPS:
+    for step in pipeline.STEPS:
+        name = step.name
         result = CliRunner().invoke(main, [name, "--help"])
         assert result.exit_code == 0, result.output
-        assert step.__doc__.splitlines()[0] in result.output
+        assert step.run.__doc__.splitlines()[0] in result.output
         flags = [o for p in main.commands[name].params for o in p.opts]
         assert flags == STEP_FLAGS.get(name, [])
         assert all(flag in result.output for flag in [*flags, "--help"])
@@ -115,7 +117,7 @@ def test_subcommands_are_the_pipeline_steps():
 class TestWalkthrough:
     def test_all_steps_in_order(self, ws):
         _, cfg_path = ws
-        for step, _ in pipeline.STEPS:
+        for step in STEP_NAMES:
             result = invoke(cfg_path, step)
             assert result.exit_code == 0, f"{step}: {result.stderr}"
             summary = stdout_json(result)
@@ -170,16 +172,16 @@ class TestWalkthrough:
         assert report["configuration"] == "external"
         invoke(cfg_path, "evaluate")
 
-    def test_seed_override_changes_hash_and_force_bypasses(self, ws):
+    def test_seed_override_makes_every_artifact_stale(self, ws):
+        # The seed is in every lineage record, and no flag accepts a stale artifact.
         _, cfg_path = ws
-        stale = invoke(cfg_path, "--seed", "99", "evaluate")
-        assert stale.exit_code == 2
-        err = stderr_error(stale)
-        assert err["type"] == "ConfigError"
-        assert "force" in err["message"]
-        forced = invoke(cfg_path, "--seed", "99", "evaluate", "--force")
-        assert forced.exit_code == 0
-        invoke(cfg_path, "evaluate")
+        for step in STEP_NAMES[2:]:
+            stale = invoke(cfg_path, "--seed", "99", step)
+            assert stale.exit_code == 2, step
+            err = stderr_error(stale)
+            assert err["type"] == "ConfigError"
+            assert "seed" in err["message"] and "rerun synth" in err["message"]
+        assert "No such option" in invoke(cfg_path, "evaluate", "--force").stderr
 
     def test_verbose_logs_to_stderr_only(self, ws):
         _, cfg_path = ws
@@ -284,7 +286,7 @@ class TestMalformedArtifacts:
     @pytest.fixture(scope="class")
     def ranked(self, tmp_path_factory):
         """A workspace run through rank, its files named relative to it, so a
-        copy has the same configuration hash."""
+        copy is a workspace of its own."""
         root = tmp_path_factory.mktemp("ranked")
         cfg_path = write_cli_workspace(root)
         data = yaml.safe_load(cfg_path.read_text(encoding="utf-8"))
@@ -292,7 +294,7 @@ class TestMalformedArtifacts:
         cfg_path.write_text(yaml.safe_dump(data), encoding="utf-8")
         with pytest.MonkeyPatch.context() as mp:
             mp.chdir(root)
-            for step, _ in pipeline.STEPS[:7]:  # ingest ... rank
+            for step in STEP_NAMES[:7]:  # ingest ... rank
                 assert invoke(cfg_path.name, step).exit_code == 0
         return root
 
@@ -407,7 +409,7 @@ def test_concurrency_flag_is_validated_like_the_config(tmp_path):
 
 def test_gene_file_is_read_only_by_the_feature_steps(tmp_path):
     cfg_path = str(write_cli_workspace(tmp_path))
-    for step, _ in pipeline.STEPS:
+    for step in STEP_NAMES:
         result = invoke(cfg_path, step)
         assert result.exit_code == 0, f"{step}: {result.stderr}"
     work = tmp_path / "work"
@@ -490,7 +492,7 @@ class TestInputSnapshot:
     def ran(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("snapshot")
         cfg_path = str(write_cli_workspace(root))
-        for step, _ in pipeline.STEPS:
+        for step in STEP_NAMES:
             assert invoke(cfg_path, step).exit_code == 0
         return root, cfg_path
 
@@ -521,21 +523,156 @@ class TestInputSnapshot:
         path.write_bytes(original + b"\n")
         codes = {}
         try:
-            for step, _ in pipeline.STEPS[1:]:
+            for step in STEP_NAMES[1:]:
                 result = invoke(cfg_path, step)
                 codes[step] = result.exit_code
                 if result.exit_code == 2:
                     err = stderr_error(result)
                     assert err["type"] == "ConfigError"
                     assert name in err["message"] and "rerun ingest" in err["message"]
-            # Force is for artifacts of another configuration, not for inputs.
-            forced = invoke(cfg_path, "evaluate", "--force").exit_code
         finally:
             path.write_bytes(original)
         assert codes == {
-            step: 2 if step in STALE_STEPS[name] else 0 for step, _ in pipeline.STEPS[1:]
+            step: 2 if step in STALE_STEPS[name] else 0 for step in STEP_NAMES[1:]
         }
-        assert forced == codes["evaluate"]
+
+
+def _fixture_config(**sections) -> dict:
+    """The 30-patient config of a generated fixture workspace, with ``sections``
+    merged into its own."""
+    data = {
+        "seed": 1,
+        "paths": {
+            "ontology": "ontology.json",
+            "disease_annotations": "disease.tsv",
+            "gene_annotations": "gene.tsv",
+            "workdir": "work",
+        },
+        "cohort": {"size": 30},
+        "training": {"boosted_rounds": 5, "boosted_patience": 5},
+    }
+    for name, values in sections.items():
+        data[name] = {**data.get(name, {}), **values}
+    return data
+
+
+class TestLineage:
+    """Each step refuses an artifact that is stale for the slice of config,
+    inputs and upstream files it was built from, and only such an artifact."""
+
+    @pytest.fixture(scope="class")
+    def done(self, tmp_path_factory):
+        """A generated 30-patient fixture workspace run through all ten steps."""
+        root = tmp_path_factory.mktemp("lineage")
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "generate.py"
+        spec = importlib.util.spec_from_file_location("perfbench_generate", path)
+        generate = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(generate)
+        generate.write_inputs("fixture", 1, root)
+        (root / "phenorank.yaml").write_text(yaml.safe_dump(_fixture_config()))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.chdir(root)
+            for step in STEP_NAMES:
+                assert invoke("phenorank.yaml", step).exit_code == 0, step
+        return root
+
+    @pytest.fixture
+    def copied(self, done, tmp_path, monkeypatch):
+        """A copy of the finished workspace, free to change, as the working directory."""
+        shutil.copytree(done, tmp_path / "ws")
+        monkeypatch.chdir(tmp_path / "ws")
+        return tmp_path / "ws"
+
+    def run(self, *args, **sections):
+        if sections:
+            Path("changed.yaml").write_text(yaml.safe_dump(_fixture_config(**sections)))
+        return invoke("changed.yaml" if sections else "phenorank.yaml", *args)
+
+    def refused(self, step, artifact, rerun, **sections):
+        result = self.run(step, **sections)
+        assert result.exit_code == 2, f"{step}: {result.output}"
+        err = stderr_error(result)
+        assert err["type"] == "ConfigError"
+        assert artifact in err["message"] and f"rerun {rerun}" in err["message"]
+
+    def test_cut_disease_file_then_ingest(self, copied):
+        path = copied / "disease.tsv"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:63]))
+        assert self.run("ingest").exit_code == 0
+        for step in ("train", "rank", "evaluate", "ablate", "permtest"):
+            result = self.run(step)
+            assert result.exit_code == 2, f"{step}: {result.output}"
+            message = stderr_error(result)["message"]
+            names = {pipeline.COHORT_FILE, pipeline.NOTES_FILE}
+            assert any(name in message for name in names), message
+            assert "disease_annotations" in message and "rerun synth" in message
+
+    def test_other_training_settings(self, copied):
+        self.refused("rank", pipeline.MODEL_FILE, "train", training={"boosted_rounds": 4})
+
+    def test_other_chunk_size(self, copied):
+        self.refused("rank", pipeline.CHUNKS_FILE, "chunk", chunking={"max_chars": 300})
+        assert self.run("train", chunking={"max_chars": 300}).exit_code == 0
+
+    def test_mentions_edited_after_standardize(self, copied):
+        path = copied / "work" / pipeline.MENTIONS_FILE
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+        self.refused("rank", pipeline.STANDARDIZED_FILE, "standardize")
+
+    def test_report_settings_leave_the_artifacts_current(self, copied):
+        before = (copied / "work" / pipeline.EVAL_REPORT).read_bytes()
+        result = self.run("evaluate", evaluation={"bootstrap_iterations": 200})
+        assert result.exit_code == 0, result.output
+        assert (copied / "work" / pipeline.EVAL_REPORT).read_bytes() != before
+
+    def test_moved_workdir(self, copied):
+        (copied / "work").rename(copied / "moved")
+        result = self.run("permtest", paths={"workdir": "moved"})
+        assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize(
+        "artifact, step, lineage",
+        [
+            (pipeline.COHORT_FILE, "train", None),
+            (pipeline.RANKINGS_FILE, "evaluate", None),
+            (pipeline.MODEL_FILE, "rank", None),
+            (pipeline.STANDARDIZED_FILE, "rank", 7),
+            (pipeline.MODEL_FILE, "rank", {"step": "train", "config": []}),
+        ],
+    )
+    def test_artifact_without_lineage(self, copied, artifact, step, lineage):
+        path = copied / "work" / artifact
+        if artifact == pipeline.MODEL_FILE:
+            doc = json.loads(path.read_text())
+            doc.pop("lineage", None)
+            if lineage is not None:
+                doc["lineage"] = lineage
+            path.write_text(json.dumps(doc))
+        else:
+            meta, rows = pipeline.read_jsonl(path)
+            meta.pop("lineage", None)
+            if lineage is not None:
+                meta["lineage"] = lineage
+            pipeline.write_jsonl(path, meta, rows)
+        self.refused(step, artifact, "the step that writes it")
+
+    def test_record_that_names_itself(self, copied):
+        path = copied / "work" / pipeline.COHORT_FILE
+        meta, rows = pipeline.read_jsonl(path)
+        meta["lineage"]["reads"] = {pipeline.COHORT_FILE: "0" * 64}
+        pipeline.write_jsonl(path, meta, rows)
+        self.refused("train", f"{pipeline.COHORT_FILE} is stale", "synth")
+
+    def test_unmatched_patient_names_both_artifacts(self, copied):
+        _mutated_row(copied / "work" / pipeline.COHORT_FILE, ("patientId",), "7")
+        self.refused("rank", pipeline.MODEL_FILE, "train")
+        assert self.run("train").exit_code == 0
+        result = self.run("rank")
+        assert result.exit_code == 3, result.output
+        err = stderr_error(result)
+        assert err["type"] == "DataError"
+        for name in (pipeline.STANDARDIZED_FILE, pipeline.COHORT_FILE, "P0001"):
+            assert name in err["message"]
 
 
 @pytest.fixture(scope="module")
@@ -583,8 +720,8 @@ class TestRemoteBackendErrors:
         "args", [("extract", "--backend", "gazetteer"), ("standardize", "--k", "5")]
     )
     def test_config_only_settings_have_no_flag(self, remote_ws, args):
-        # Backend and top_k enter the configuration hash, so only the config
-        # file sets them; a flag would write artifacts the hash disowns.
+        # Backend and top_k enter the lineage records, so only the config file
+        # sets them; a flag would write artifacts whose records disown them.
         result = invoke(remote_ws, *args, env={"PHENORANK_TEST_KEY": "sk-cli-test"})
         assert result.exit_code == 2
         assert "No such option" in result.stderr

@@ -1,7 +1,7 @@
 import collections
 import dataclasses
+import hashlib
 import json
-import logging
 import sys
 import threading
 
@@ -9,12 +9,12 @@ import pytest
 import yaml
 
 import helpers
-from phenorank import annotations, ontology, pipeline
+from phenorank import annotations, corpus, ontology, pipeline
 from phenorank.annotations import feature_table
 from phenorank.config import (
     PipelineConfig,
+    config_digests,
     config_from_dict,
-    config_hash,
     load_config,
 )
 from phenorank.errors import (
@@ -160,40 +160,47 @@ class TestConfigLoading:
 
 
 class TestConfigHash:
+    """``config_digests``: one sha256 for the seed and for each settings section."""
+
     def test_stable_and_hex(self):
-        a = config_from_dict({"seed": 3})
-        b = config_from_dict({"seed": 3})
-        assert config_hash(a) == config_hash(b)
-        assert len(config_hash(a)) == 64
-        int(config_hash(a), 16)
+        a = config_digests(config_from_dict({"seed": 3}))
+        assert a == config_digests(config_from_dict({"seed": 3}))
+        assert set(a) == {
+            "seed", "cohort", "chunking", "extraction", "standardization", "training",
+            "evaluation",
+        }
+        for digest in a.values():
+            assert len(digest) == 64
+            int(digest, 16)
 
     def test_sensitive_to_values(self):
-        base = config_from_dict({})
-        assert config_hash(base) != config_hash(config_from_dict({"seed": 1}))
-        assert config_hash(base) != config_hash(
-            config_from_dict({"cohort": {"size": 21}})
-        )
+        base = config_digests(config_from_dict({}))
+        for data, part in [
+            ({"seed": 1}, "seed"),
+            ({"cohort": {"size": 21}}, "cohort"),
+            ({"evaluation": {"bootstrap_iterations": 200}}, "evaluation"),
+        ]:
+            other = config_digests(config_from_dict(data))
+            assert {k for k in base if base[k] != other[k]} == {part}
+        moved = config_digests(config_from_dict({"paths": {"workdir": "elsewhere"}}))
+        assert moved == base
 
     def test_concurrency_does_not_change_hash(self):
         one = config_from_dict({"extraction": {"concurrency": 1}})
         eight = config_from_dict({"extraction": {"concurrency": 8}})
-        assert config_hash(one) == config_hash(eight)
+        assert config_digests(one) == config_digests(eight)
 
 
 class TestArtifactIO:
     def test_write_read_round_trip(self, tmp_path):
-        cfg = PipelineConfig()
         path = tmp_path / "rows.jsonl"
-        meta_in = pipeline._meta(cfg, "demo", note="x")
+        meta_in = {"lineage": {"step": "demo"}, "note": "x", "version": 1}
         pipeline.write_jsonl(path, meta_in, [{"b": 2}, {"a": 1}])
         meta, rows = pipeline.read_jsonl(path)
         assert meta == meta_in
-        assert meta["step"] == "demo"
-        assert meta["configHash"] == config_hash(cfg)
-        assert meta["version"] == pipeline.ARTIFACT_VERSION
         assert rows == [{"b": 2}, {"a": 1}]
         first = path.read_text(encoding="utf-8").splitlines()[0]
-        assert json.loads(first)["__meta__"]["step"] == "demo"
+        assert json.loads(first)["__meta__"]["lineage"]["step"] == "demo"
         assert not list(tmp_path.glob("*.tmp"))
 
     def test_atomic_write_concurrent_writers(self, tmp_path):
@@ -252,34 +259,13 @@ class TestArtifactIO:
         with pytest.raises(DataError, match="cannot read"):
             pipeline.read_jsonl(tmp_path / "absent.jsonl")
 
-    def test_check_artifact_accepts_matching(self):
-        cfg = PipelineConfig()
-        pipeline.check_artifact(
-            {"configHash": config_hash(cfg)}, cfg, "demo", force=False
-        )
-
-    def test_check_artifact_rejects_mismatch(self):
-        cfg = PipelineConfig()
-        with pytest.raises(ConfigError, match="pass force"):
-            pipeline.check_artifact(
-                {"configHash": "0" * 64}, cfg, "demo", force=False
-            )
-
-    def test_check_artifact_force_warns_and_continues(self, caplog):
-        cfg = PipelineConfig()
-        with caplog.at_level(logging.WARNING, logger="phenorank.pipeline"):
-            pipeline.check_artifact(
-                {"configHash": "0" * 64}, cfg, "demo", force=True
-            )
-        assert any("forced" in rec.message for rec in caplog.records)
-
 
 @pytest.fixture(scope="module")
 def chain(tmp_path_factory):
     """One full pipeline run on a small deterministic workspace."""
     root = tmp_path_factory.mktemp("chain")
     cfg = write_workspace(root)
-    summaries = {name: step(cfg) for name, step in pipeline.STEPS}
+    summaries = {step.name: step.run(cfg) for step in pipeline.STEPS}
     return cfg, summaries
 
 
@@ -297,8 +283,16 @@ class TestPipelineChain:
         wd = pipeline.workdir(cfg)
         assert summaries["synth"]["patients"] == 12
         meta, cohort_rows = pipeline.read_jsonl(wd / pipeline.COHORT_FILE)
-        assert meta["configHash"] == config_hash(cfg)
-        assert meta["seed"] == cfg.seed
+        digests = config_digests(cfg)
+        assert meta["lineage"] == {
+            "step": "synth",
+            "config": {part: digests[part] for part in ("seed", "cohort")},
+            "inputs": {
+                field: pipeline._input_digest(cfg, field)
+                for field in (pipeline.ONTOLOGY, pipeline.DISEASES)
+            },
+            "reads": {},
+        }
         assert len(cohort_rows) == 12
         assert [r["patientId"] for r in cohort_rows] == [
             f"P{i:04d}" for i in range(1, 13)
@@ -353,14 +347,18 @@ class TestPipelineChain:
         assert summaries["train"]["kind"] == "pairwiseLinear"
         assert summaries["train"]["trainInstances"] > 0
         doc = json.loads((wd / pipeline.MODEL_FILE).read_text())
-        assert doc["configHash"] == config_hash(cfg)
-        model = pipeline.load_model(cfg)
+        assert doc["lineage"]["step"] == "train"
+        assert sorted(doc["lineage"]["config"]) == ["cohort", "seed", "training"]
+        assert list(doc["lineage"]["reads"]) == [pipeline.COHORT_FILE]
+        model = pipeline.load_model(pipeline.Lineage(cfg, "rank"))
         assert model.kind == "pairwiseLinear"
 
     def test_train_counts_pairs_and_dropped_patients(self, chain):
         cfg, summaries = chain
         o, kb, s = pipeline.load_inputs(cfg)
-        cohort = pipeline._load_cohort(cfg)
+        _, cohort = pipeline.read_jsonl(
+            pipeline.workdir(cfg) / pipeline.COHORT_FILE, corpus.Patient
+        )
         train_patients, _ = split_cohort(
             cohort, ratio=cfg.training.split_ratio, seed=cfg.seed
         )
@@ -401,7 +399,10 @@ class TestPipelineChain:
         doc = json.loads((wd / pipeline.EVAL_REPORT).read_text())
         assert doc["configuration"] == "prioritized"
         assert doc["cohortSize"] == 12
-        assert doc["provenance"]["configHash"] == config_hash(cfg)
+        lineage = doc["provenance"]
+        assert lineage["step"] == "evaluate"
+        assert lineage["config"] == config_digests(cfg)
+        assert sorted(lineage["reads"]) == [pipeline.COHORT_FILE, pipeline.RANKINGS_FILE]
         assert [row["k"] for row in doc["rows"]] == [10, 20]
         csv_lines = (wd / pipeline.EVAL_CSV).read_text().splitlines()
         assert csv_lines[0].startswith("configuration,k,precision")
@@ -435,18 +436,8 @@ class TestPipelineChain:
     def test_evaluate_refuses_stale_artifacts(self, chain):
         cfg, _ = chain
         stale = dataclasses.replace(cfg, seed=cfg.seed + 1)
-        with pytest.raises(ConfigError, match="pass force"):
+        with pytest.raises(ConfigError, match="cohort.jsonl .*seed.*; rerun synth"):
             pipeline.step_evaluate(stale)
-
-    def test_force_overrides_stale_check(self, chain, tmp_path):
-        cfg, _ = chain
-        wd = pipeline.workdir(cfg)
-        before = (wd / pipeline.EVAL_REPORT).read_bytes()
-        stale = dataclasses.replace(cfg, seed=cfg.seed + 1)
-        summary = pipeline.step_evaluate(stale, force=True)
-        assert summary["patients"] == 12
-        (wd / pipeline.EVAL_REPORT).write_bytes(before)
-        pipeline.step_evaluate(cfg)
 
     def test_evaluate_external_rankings(self, chain, tmp_path):
         cfg, _ = chain
@@ -465,7 +456,20 @@ class TestPipelineChain:
         assert summary["skippedRows"] == 1
         assert doc["configuration"] == "external"
         assert doc["provenance"] == {
-            "configHash": config_hash(cfg),
+            "step": "evaluate",
+            "config": {
+                part: config_digests(cfg)[part]
+                for part in ("seed", "cohort", "evaluation")
+            },
+            "inputs": {
+                field: pipeline._input_digest(cfg, field)
+                for field in (pipeline.ONTOLOGY, pipeline.DISEASES)
+            },
+            "reads": {
+                pipeline.COHORT_FILE: hashlib.sha256(
+                    (wd / pipeline.COHORT_FILE).read_bytes()
+                ).hexdigest()
+            },
             "source": str(external),
         }
 
@@ -505,12 +509,22 @@ class TestPipelineChain:
         cohort = wd / pipeline.COHORT_FILE
         original = cohort.read_bytes()
         meta, cohort_rows = pipeline.read_jsonl(cohort)
-        pipeline.write_jsonl(cohort, {**meta, "configHash": "0" * 64}, cohort_rows)
+        meta["lineage"]["config"]["cohort"] = "0" * 64
+        pipeline.write_jsonl(cohort, meta, cohort_rows)
         try:
             with pytest.raises(ConfigError, match="cohort.jsonl"):
                 run()
         finally:
             cohort.write_bytes(original)
+
+    def test_no_artifact_names_a_path(self, chain):
+        # The config names every file by an absolute path under the workspace.
+        cfg, _ = chain
+        wd = pipeline.workdir(cfg)
+        root = str(wd.parent).encode("utf-8")
+        assert root in cfg.paths.ontology.encode("utf-8")
+        for path in wd.iterdir():
+            assert root not in path.read_bytes(), path.name
 
     def test_evaluate_external_missing_file(self, chain, tmp_path):
         cfg, _ = chain
@@ -585,10 +599,10 @@ def step_calls(tmp_path_factory):
                 if name.startswith("phenorank") and getattr(mod, attr, None) is original:
                     mp.setattr(mod, attr, _counting(calls, attr, original))
         cfg = write_workspace(tmp_path_factory.mktemp("calls"))
-        for name, step in pipeline.STEPS:
+        for step in pipeline.STEPS:
             calls.clear()
-            step(cfg)
-            per_step[name] = dict(calls)
+            step.run(cfg)
+            per_step[step.name] = dict(calls)
     return {
         attr: {name: got.get(attr, 0) for name, got in per_step.items()}
         for _, attr in INPUT_PASSES
@@ -606,7 +620,7 @@ def test_propagation_runs_only_where_its_counts_are_read(step_calls):
 
 @pytest.mark.parametrize("attr", [attr for _, attr in INPUT_PASSES[:4]])
 def test_only_ingest_parses_the_inputs(step_calls, attr):
-    assert step_calls[attr] == {name: int(name == "ingest") for name, _ in pipeline.STEPS}
+    assert step_calls[attr] == {s.name: int(s.name == "ingest") for s in pipeline.STEPS}
 
 
 class TestPipelineGuards:

@@ -348,8 +348,8 @@ class TestWeightedSample:
 def synth_digest(root, o, disease_text, gene_text, size) -> str:
     """sha256 of ``cohort.jsonl`` then ``notes.jsonl`` after ingest and synth at seed 1.
 
-    The config names its paths relative to ``root``, the working directory, so
-    the config hash in each file's meta line does not depend on where it runs.
+    The config names its paths relative to ``root``, the working directory;
+    no meta line names a path, so the digest does not depend on where it runs.
     """
     (root / "ontology.json").write_text(helpers.ontology_to_json(o), encoding="utf-8")
     (root / "disease.tsv").write_text(disease_text, encoding="utf-8")
@@ -377,8 +377,9 @@ def synth_digest(root, o, disease_text, gene_text, size) -> str:
 class TestSynthGolden:
     """The synth artifacts' bytes, recorded from the tuple-sort sampler.
 
-    Line 1 of each file carries the config hash, so adding or removing a
-    config field moves both digests; every other line must stay put.
+    Line 1 of each file carries the lineage record (the seed, the cohort
+    section and the two input files' digests), so adding or removing a cohort
+    field moves both digests; every other line must stay put.
 
     ``test_sampler_matches_tuple_sort`` compares the samplers on one machine;
     these digests hold the bytes across CPUs, numpy builds and Python versions.
@@ -387,14 +388,14 @@ class TestSynthGolden:
     def test_layered_fixture(self, tmp_path, monkeypatch, layered):
         monkeypatch.chdir(tmp_path)
         digest = synth_digest(tmp_path, layered, *helpers.layered_annotation_text(), 200)
-        assert digest == "2f0c55f374c89249c272e103f7801b944b5e58d8741de5558e2394741226cf6b"
+        assert digest == "7a72661bb8316e182cc122976f3810a3584394fb6a38d298d963ffd2c7ca6539"
 
     def test_random_3000_terms_with_obsolete(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         o = helpers.random_ontology_3000()
         assert len(o.ids) == 3000 and len(o.terms) == 3040
         digest = synth_digest(tmp_path, o, *helpers.annotation_text(o), 100)
-        assert digest == "b5b7ea1e427390ee16469446b80f26e5b999d00063c3b604c26e63dc2022b817"
+        assert digest == "d519e515241f82c5347c083a1a1233992f16dbb36e48f0948cc0913e39201f7c"
 
 
 class TestSynthNarrative:

@@ -54,7 +54,7 @@ def child(out: Path) -> dict:
     )
     generate = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(generate)
-    os.chdir(out)  # relative paths: the config hash does not name the directory
+    os.chdir(out)  # relative paths: no artifact names the directory
     generate.write_inputs("fixture", 1, Path("inputs"))
     cfg = config_from_dict(
         {
@@ -70,8 +70,8 @@ def child(out: Path) -> dict:
             "training": {"boosted_rounds": 5, "boosted_patience": 5},
         }
     )
-    for _, step in pipeline.STEPS:
-        step(cfg)
+    for step in pipeline.STEPS:
+        step.run(cfg)
     for path in sorted(Path("work").iterdir()):
         digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
     return {"features": avx512_features(), "digests": digests}

@@ -160,17 +160,17 @@ class TestEvaluateCohort:
         )
         assert report.configuration == "prioritized"
         assert report.cohort_size == 1
-        p, _, _ = report.value(1, "precision")
+        p, _, _ = helpers.report_value(report, 1, "precision")
         assert p == pytest.approx(1.0)
-        assert report.value(1, "recall")[0] == pytest.approx(1.0)
-        assert report.value(1, "f1")[0] == pytest.approx(1.0)
-        assert report.value(1, "lin_similarity")[0] == pytest.approx(1.0)
-        assert report.value(1, "mean_fn")[0] == 0.0
-        assert report.value(1, "mean_fp")[0] == 0.0
-        assert report.value(2, "precision")[0] == pytest.approx(0.5)
-        assert report.value(2, "recall")[0] == pytest.approx(1.0)
-        assert report.value(2, "f1")[0] == pytest.approx(2 / 3)
-        assert report.value(2, "mean_fp")[0] == 1.0
+        assert helpers.report_value(report, 1, "recall")[0] == pytest.approx(1.0)
+        assert helpers.report_value(report, 1, "f1")[0] == pytest.approx(1.0)
+        assert helpers.report_value(report, 1, "lin_similarity")[0] == pytest.approx(1.0)
+        assert helpers.report_value(report, 1, "mean_fn")[0] == 0.0
+        assert helpers.report_value(report, 1, "mean_fp")[0] == 0.0
+        assert helpers.report_value(report, 2, "precision")[0] == pytest.approx(0.5)
+        assert helpers.report_value(report, 2, "recall")[0] == pytest.approx(1.0)
+        assert helpers.report_value(report, 2, "f1")[0] == pytest.approx(2 / 3)
+        assert helpers.report_value(report, 2, "mean_fp")[0] == 1.0
 
     def test_similarity_uses_best_match_average(self, small, small_stats):
         report = evaluate_cohort(
@@ -182,7 +182,7 @@ class TestEvaluateCohort:
         )
         want = set_similarity(small, small_stats, {A_ONE, B_ONE}, {A_ONE})
         assert want == pytest.approx(0.75, abs=1e-12)
-        assert report.value(2, "lin_similarity")[0] == pytest.approx(want, abs=1e-12)
+        assert helpers.report_value(report, 2, "lin_similarity")[0] == pytest.approx(want, abs=1e-12)
 
     def test_single_patient_ci_degenerates(self, small, small_stats):
         report = evaluate_cohort(
@@ -206,7 +206,7 @@ class TestEvaluateCohort:
         )
         assert report.cohort_size == 1
         assert report.warnings["missingGold"] == 2
-        assert report.value(1, "precision")[0] == pytest.approx(1.0)
+        assert helpers.report_value(report, 1, "precision")[0] == pytest.approx(1.0)
 
     def test_empty_ranked_flagged_and_scores_zero(self, small, small_stats):
         report = evaluate_cohort(
@@ -218,9 +218,9 @@ class TestEvaluateCohort:
         )
         assert report.warnings["emptyRanked"] == 1
         assert report.cohort_size == 2
-        assert report.value(1, "precision")[0] == pytest.approx(0.5)
-        assert report.value(1, "recall")[0] == pytest.approx(0.5)
-        assert report.value(1, "mean_fn")[0] == pytest.approx(0.5)
+        assert helpers.report_value(report, 1, "precision")[0] == pytest.approx(0.5)
+        assert helpers.report_value(report, 1, "recall")[0] == pytest.approx(0.5)
+        assert helpers.report_value(report, 1, "mean_fn")[0] == pytest.approx(0.5)
 
     def test_no_usable_patients_rejected(self, small, small_stats):
         with pytest.raises(DataError):
@@ -245,7 +245,7 @@ class TestEvaluateCohort:
         assert doc["provenance"] == {"configHash": "abc"}
         assert [row["k"] for row in doc["rows"]] == [1, 2]
         with pytest.raises(KeyError):
-            report.value(99, "precision")
+            helpers.report_value(report, 99, "precision")
 
 
 @pytest.mark.parametrize("evaluator", [evaluate_cohort, permutation_delta])
@@ -271,7 +271,7 @@ def test_gold_patient_without_ranking_row_scores_as_empty(
     )
     assert report.to_json() == filled.to_json()
     if evaluator is evaluate_cohort:
-        assert report.value(1, "precision")[0] == pytest.approx(0.5)
+        assert helpers.report_value(report, 1, "precision")[0] == pytest.approx(0.5)
 
 
 @pytest.mark.parametrize("evaluator", [evaluate_cohort, permutation_delta])
@@ -306,7 +306,7 @@ class TestBootstrap:
                 small_stats,
                 quick_cfg(cutoffs=(1,), iterations=300),
             )
-            _, lo, hi = report.value(1, "precision")
+            _, lo, hi = helpers.report_value(report, 1, "precision")
             return hi - lo
 
         assert width(100) < width(10)
@@ -331,7 +331,7 @@ class TestPermutationDelta:
         assert report.configuration == "prioritized-vs-permuted"
         assert report.metric_names() == list(DELTA_METRIC_NAMES)
         # A random first term is the gold one half of the time.
-        assert report.value(1, "delta_precision")[0] == 0.5
+        assert helpers.report_value(report, 1, "delta_precision")[0] == 0.5
 
     def test_full_list_cutoff_gives_zero_delta(self, small, small_stats):
         report = permutation_delta(
@@ -342,7 +342,7 @@ class TestPermutationDelta:
             quick_cfg(),
         )
         for name in DELTA_METRIC_NAMES:
-            point = report.value(2, name)[0]
+            point = helpers.report_value(report, 2, name)[0]
             assert point == 0.0 and not np.signbit(point)
 
     @pytest.mark.parametrize(
@@ -404,9 +404,9 @@ class TestPermutationDelta:
         )
         for name in DELTA_METRIC_NAMES:
             # P2 and P3 add zero rows, so the mean is a third of P1's delta.
-            point = report.value(1, name)[0]
-            assert alone.value(1, name)[0] != 0.0
-            assert point == pytest.approx(alone.value(1, name)[0] / 3, abs=1e-15)
+            point = helpers.report_value(report, 1, name)[0]
+            assert helpers.report_value(alone, 1, name)[0] != 0.0
+            assert point == pytest.approx(helpers.report_value(alone, 1, name)[0] / 3, abs=1e-15)
 
     def test_missing_gold_counted(self, small, small_stats):
         report = permutation_delta(
@@ -566,7 +566,7 @@ class TestAblation:
         assert [r.configuration for r in reports] == list(ABLATION_STAGES)
         for r in reports:
             assert r.cohort_size == 2
-            assert r.value(1, "precision")[0] == pytest.approx(1.0)
+            assert helpers.report_value(r, 1, "precision")[0] == pytest.approx(1.0)
 
     def test_stage_lists_differ_in_coverage(self, small, small_stats):
         # The surface form resolves only through standardization, so the
@@ -581,11 +581,11 @@ class TestAblation:
             quick_cfg(cutoffs=(1,)),
         )
         by_stage = {r.configuration: r for r in reports}
-        assert by_stage["extraction_only"].value(1, "recall")[0] == pytest.approx(0.5)
-        assert by_stage["extraction_standardization"].value(1, "recall")[
+        assert helpers.report_value(by_stage["extraction_only"], 1, "recall")[0] == pytest.approx(0.5)
+        assert helpers.report_value(by_stage["extraction_standardization"], 1, "recall")[
             0
         ] == pytest.approx(1.0)
-        assert by_stage["full_pipeline"].value(1, "recall")[0] == pytest.approx(1.0)
+        assert helpers.report_value(by_stage["full_pipeline"], 1, "recall")[0] == pytest.approx(1.0)
 
     def test_gold_patients_missing_from_stage_become_empty(self, small, small_stats):
         reports = ablation_run(
@@ -666,7 +666,7 @@ class TestReportCsv:
         assert len(lines) == 1 + len(report.rows)
         first = lines[1].split(",")
         assert first[0] == "prioritized"
-        assert float(first[2]) == report.value(1, "precision")[0]
+        assert float(first[2]) == helpers.report_value(report, 1, "precision")[0]
 
     def test_multiple_reports_stack(self, small, small_stats):
         ranked = {"P1": [A_ONE, B_ONE]}

@@ -19,37 +19,38 @@ from phenorank.ranking.sampling import NEGATIVE_CLASSES
 class TestPoolDefinitions:
     def test_small_fixture_pools(self, small):
         pools = negative_pools(small, {A_ONE})
-        assert pools.terms("difficult") == {A_TWO, B_ONE}
-        assert pools.terms("medium") == {BRANCH_B}
-        assert pools.terms("easy") == frozenset()
-        assert pools.terms("implausible") == frozenset()
+        assert helpers.pool_terms(pools, "difficult") == {A_TWO, B_ONE}
+        assert helpers.pool_terms(pools, "medium") == {BRANCH_B}
+        assert helpers.pool_terms(pools, "easy") == frozenset()
+        assert helpers.pool_terms(pools, "implausible") == frozenset()
 
     def test_sibling_and_cousin_are_difficult(self, small):
         pools = negative_pools(small, {A_ONE})
-        assert A_TWO in pools.terms("difficult")  # sibling: shares parent BRANCH_A
-        assert B_ONE in pools.terms("difficult")  # cousin: shares grandparent ROOT only
+        assert A_TWO in helpers.pool_terms(pools, "difficult")  # sibling: shares parent BRANCH_A
+        # cousin: shares grandparent ROOT only
+        assert B_ONE in helpers.pool_terms(pools, "difficult")
 
     def test_close_relative_never_implausible(self, small):
         pools = negative_pools(small, {A_ONE})
-        assert B_ONE not in pools.terms("implausible")
+        assert B_ONE not in helpers.pool_terms(pools, "implausible")
 
     def test_easy_needs_three_lineal_hops(self, layered):
         leaf = helpers.layered_ids()[3][0]
         pools = negative_pools(layered, {leaf})
-        assert layered.root in pools.terms("easy")
+        assert layered.root in helpers.pool_terms(pools, "easy")
 
     def test_implausible_requires_no_shared_near_ancestry(self, layered):
         root, hubs, mids, leaves = helpers.layered_ids()
         pools = negative_pools(layered, {leaves[0]})
         # A leaf in a different hub subtree shares nothing within two hops.
-        assert leaves[-1] in pools.terms("implausible")
+        assert leaves[-1] in helpers.pool_terms(pools, "implausible")
         # Its own mid and hub stay out of the implausible pool.
-        assert mids[0] not in pools.terms("implausible")
-        assert hubs[0] not in pools.terms("implausible")
+        assert mids[0] not in helpers.pool_terms(pools, "implausible")
+        assert hubs[0] not in helpers.pool_terms(pools, "implausible")
 
     def test_pools_disjoint_and_exclude_positives(self, layered):
         positives = set(helpers.layered_ids()[3][:5])
-        pools = negative_pools(layered, positives).as_dict()
+        pools = helpers.pools_as_dict(negative_pools(layered, positives))
         names = list(pools)
         for i, a in enumerate(names):
             assert not (pools[a] & positives)
@@ -66,7 +67,7 @@ class TestPoolDefinitions:
         )
         o = Ontology(terms)
         pools = negative_pools(o, {A_ONE})
-        everything = set().union(*pools.as_dict().values())
+        everything = set().union(*helpers.pools_as_dict(pools).values())
         assert "HP:0000013" not in everything
 
     def test_matches_brute_force_on_random_dags(self):
@@ -78,7 +79,7 @@ class TestPoolDefinitions:
             ids = o.non_obsolete_ids()
             rng = random.Random(f"pos:{seed}")
             positives = set(rng.sample(ids, rng.randint(1, min(10, len(ids)))))
-            got = negative_pools(o, positives).as_dict()
+            got = helpers.pools_as_dict(negative_pools(o, positives))
             want = helpers.bf_negative_pools(o, positives)
             for cls in NEGATIVE_CLASSES:
                 assert set(got[cls]) == want[cls], f"seed {seed} pool {cls}"
@@ -91,7 +92,7 @@ class TestPoolDefinitions:
         rng = random.Random("pos:3000")
         for _ in range(8):
             positives = set(rng.sample(o.ids, rng.randint(1, 30)))
-            got = negative_pools(o, positives).as_dict()
+            got = helpers.pools_as_dict(negative_pools(o, positives))
             want = helpers.bf_negative_pools(o, positives)
             for cls in NEGATIVE_CLASSES:
                 assert set(got[cls]) == want[cls], f"{sorted(positives)} pool {cls}"
@@ -117,7 +118,7 @@ class TestSampling:
         assert a == b
         c = sample_negatives(pools, positives, per_class_per_positive=2, seed=10)
         assert a != c
-        by_class = pools.as_dict()
+        by_class = helpers.pools_as_dict(pools)
         for term, cls in a:
             assert cls in NEGATIVE_CLASSES
             assert term in by_class[cls]
@@ -154,7 +155,7 @@ class TestSampling:
         drawn = sample_negatives(pools, {leaf}, per_class_per_positive=1, seed=1)
         classes = {cls for _, cls in drawn}
         assert classes == {
-            cls for cls in NEGATIVE_CLASSES if pools.as_dict()[cls]
+            cls for cls in NEGATIVE_CLASSES if helpers.pools_as_dict(pools)[cls]
         }
 
 
@@ -176,7 +177,7 @@ class TestAgainstSetwiseOracle:
         positives = rng.sample(ids, rng.randint(1, min(4, len(ids))))
         pools = negative_pools(o, positives)
         oracle = helpers.setwise_negative_pools(o, positives)
-        assert pools.as_dict() == oracle
+        assert helpers.pools_as_dict(pools) == oracle
         for cls in NEGATIVE_CLASSES:
             assert [o.ids[i] for i in pools.dense[cls]] == sorted(oracle[cls])
         seed = f"{pick}:negatives:P{dag}"
@@ -212,8 +213,8 @@ class TestInputOrder:
         cohort = synth_cohort(o, 20, seed=seed)
         assert synth_cohort(other, 20, seed=seed) == cohort
         for p in cohort:
-            want = negative_pools(o, p.curated_terms).as_dict()
-            assert negative_pools(other, p.curated_terms).as_dict() == want
+            want = helpers.pools_as_dict(negative_pools(o, p.curated_terms))
+            assert helpers.pools_as_dict(negative_pools(other, p.curated_terms)) == want
 
 
 def pools_digest(o: Ontology, size: int) -> str:
@@ -221,7 +222,8 @@ def pools_digest(o: Ontology, size: int) -> str:
     rows = []
     for p in synth_cohort(o, size, seed=1):
         pools = negative_pools(o, p.curated_terms)
-        rows.append([p.patient_id, [sorted(pools.terms(cls)) for cls in NEGATIVE_CLASSES]])
+        by_class = [sorted(helpers.pool_terms(pools, cls)) for cls in NEGATIVE_CLASSES]
+        rows.append([p.patient_id, by_class])
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 

@@ -477,7 +477,7 @@ class TestStandardizeCorpus:
 def text_layer_digest(root: Path, paths: dict[str, Path]) -> str:
     """sha256 of the ``mentions.jsonl`` rows, then the ``standardize_trace.jsonl``
     rows, after ingest, synth, chunk, extract and standardize at seed 1 with 30
-    patients. The meta lines, which carry the config hash, are left out."""
+    patients. The meta lines, which carry the lineage records, are left out."""
     cfg = config_from_dict(
         {
             "seed": 1,

@@ -209,23 +209,6 @@ def evaluate_cohort(
     contribute zero precision/recall/similarity and are flagged.
     """
     cfg.validate()
-    return _evaluate(
-        ranked_by_patient, gold_by_patient, o, s, cfg, seed, configuration, provenance
-    )
-
-
-def _evaluate(
-    ranked_by_patient: dict[str, list[str]],
-    gold_by_patient: dict[str, set[str]],
-    o: Ontology,
-    s: OntologyStats,
-    cfg: EvaluationConfig,
-    seed: int,
-    configuration: str,
-    provenance: dict | None,
-) -> MetricsReport:
-    """``evaluate_cohort`` without the config check, which ``ablation_run``
-    makes once for its three stages."""
     pids, missing_gold = _scored_patients(ranked_by_patient, gold_by_patient)
     empty_ranked = 0
     per_patient = np.zeros((len(pids), len(cfg.cutoffs), len(METRIC_NAMES)))
@@ -335,7 +318,6 @@ def ablation_run(
     every stage (absent entries evaluate as empty lists) so the stages stay
     comparable.
     """
-    cfg.validate()
     stage_lists = {
         ABLATION_STAGES[0]: exact_name_terms(mentions_by_patient, o),
         ABLATION_STAGES[1]: standardized_by_patient,
@@ -348,7 +330,7 @@ def ablation_run(
             pid: list(lists.get(pid, [])) for pid in sorted(gold_by_patient)
         }
         reports.append(
-            _evaluate(
+            evaluate_cohort(
                 normalized, gold_by_patient, o, s, cfg, seed, stage, provenance
             )
         )

@@ -1,27 +1,30 @@
 """End-to-end pipeline steps over a shared work directory.
 
 ``ingest`` is the one step that reads the input files. It writes the parsed
-inputs to ``inputs.npz``, and every later step restores them from there,
-after checking that the input files it depends on still have the sha256 that
-ingest recorded. Every other artifact carries a lineage record (``Lineage``):
-the config sections and input files it depends on and the work-directory
-files its step read. A step checks the record of every artifact it reads and
-refuses a stale one. In a JSONL artifact the record sits in the first, meta
-line; each later line is a row of the artifact's type in ``rows``, and a
-missing or wrong-typed field is a DataError naming the file, the line and the
-field. Writes are atomic (temp file then rename) so an interrupted step never
-leaves a half-written artifact behind.
+inputs to ``inputs.npz``; a later step restores each part it uses from there
+once the input files that part comes from still have the sha256 that ingest
+recorded. Every other artifact carries a lineage record (``Lineage``): the
+config sections and input files it depends on and the sha256 of the bytes its
+step decoded of each work-directory file. A step checks the record of every
+artifact it reads and refuses a stale one. In a JSONL artifact the record
+sits in the first, meta line; each later line is a row of the artifact's type
+in ``rows``, and a missing or wrong-typed field is a DataError naming the
+file, the line and the field. Writes are atomic (temp file then rename) so an
+interrupted step never leaves a half-written artifact behind.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import hashlib
 import io
 import json
 import logging
 import os
 import uuid
+import weakref
 import zipfile
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
@@ -103,12 +106,19 @@ def write_jsonl(path: Path, meta: dict, rows: Iterable[dict]) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def read_jsonl(path: Path, row_type: type[R] | None = None) -> tuple[dict, list]:
-    """The meta record and rows of a JSONL artifact, decoded as ``row_type`` if given."""
+def _read_bytes(path: Path, what: str) -> bytes:
     try:
-        text = path.read_text(encoding="utf-8")
+        return path.read_bytes()
     except OSError as e:
-        raise DataError(f"cannot read artifact {path}: {e}") from e
+        raise DataError(f"cannot read {what} {path}: {e}") from e
+
+
+def read_jsonl(
+    path: Path, row_type: type[R] | None = None, data: bytes | None = None
+) -> tuple[dict, list]:
+    """The meta record and rows of a JSONL artifact, decoded as ``row_type`` if
+    given; from ``data``, the file's bytes, when the caller has read them."""
+    text = (_read_bytes(path, "artifact") if data is None else data).decode("utf-8")
     meta: dict | None = None
     rows: list[dict] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -144,10 +154,7 @@ def load_ontology(cfg: PipelineConfig) -> ontology.Ontology:
     path = Path(cfg.paths.ontology)
     if not cfg.paths.ontology:
         raise ConfigError("paths.ontology is not set")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as e:
-        raise DataError(f"cannot read ontology {path}: {e}") from e
+    text = _read_bytes(path, "ontology").decode("utf-8")
     if path.suffix.lower() == ".json":
         return ontology.parse_ontology_json(text)
     return ontology.parse_obo(text)
@@ -156,12 +163,9 @@ def load_ontology(cfg: PipelineConfig) -> ontology.Ontology:
 def load_kb(cfg: PipelineConfig, o: ontology.Ontology) -> annotations.AnnotationKB:
     if not cfg.paths.disease_annotations or not cfg.paths.gene_annotations:
         raise ConfigError("paths.disease_annotations and paths.gene_annotations required")
-    try:
-        disease_text = Path(cfg.paths.disease_annotations).read_text(encoding="utf-8")
-        gene_text = Path(cfg.paths.gene_annotations).read_text(encoding="utf-8")
-    except OSError as e:
-        raise DataError(f"cannot read annotations: {e}") from e
-    return annotations.load_annotations(disease_text, gene_text, o)
+    disease = _read_bytes(Path(cfg.paths.disease_annotations), "disease annotations")
+    genes = _read_bytes(Path(cfg.paths.gene_annotations), "gene annotations")
+    return annotations.load_annotations(disease.decode("utf-8"), genes.decode("utf-8"), o)
 
 
 def load_inputs(
@@ -178,28 +182,17 @@ def _input_digest(cfg: PipelineConfig, field: str) -> str:
     name = getattr(cfg.paths, field)
     if not name:
         raise ConfigError(f"paths.{field} is not set")
-    try:
-        data = Path(name).read_bytes()
-    except OSError as e:
-        raise DataError(f"cannot read {name}: {e}") from e
-    return hashlib.sha256(data).hexdigest()
+    return hashlib.sha256(_read_bytes(Path(name), "input file")).hexdigest()
 
 
 def _write_snapshot(
     path: Path,
     o: ontology.Ontology,
     s: ontology.OntologyStats,
-    kb: annotations.AnnotationKB,
     table: np.ndarray,
     digests: dict[str, str],
 ) -> None:
-    meta = {
-        "version": SNAPSHOT_VERSION,
-        "sha256": digests,
-        "totalDiseases": s.total_diseases,
-        "diseaseTotals": kb.disease_totals,
-        "totalGenes": kb.total_genes,
-    }
+    meta = {"version": SNAPSHOT_VERSION, "sha256": digests, "totalDiseases": s.total_diseases}
     buf = io.BytesIO()
     # Members are written under ZipInfo's fixed 1980 timestamp, so the same
     # inputs give the same bytes.
@@ -214,45 +207,20 @@ def _write_snapshot(
     _atomic_write_bytes(path, buf.getvalue())
 
 
-@dataclasses.dataclass(frozen=True)
-class Snapshot:
-    """The parsed inputs as ``ingest`` wrote them."""
-
-    digests: dict[str, str]  # sha256 per input file, keyed by its ``paths`` field
-    ontology: ontology.Ontology
-    stats: ontology.OntologyStats
-    table: np.ndarray  # annotations.feature_table of the ontology
+# The input files, by ``paths`` field, that each snapshot part comes from.
+PART_INPUTS = {
+    "ontology": (ONTOLOGY,),
+    "stats": (ONTOLOGY, DISEASES),
+    "table": (ONTOLOGY, DISEASES, GENES),
+}
 
 
-def _restore(meta: dict, arrays: dict[str, np.ndarray]) -> Snapshot:
-    o = ontology.Ontology.from_arrays(arrays)
-    n = len(o.ids)
-    ic = ontology.array_member(arrays, "ic", np.float64, n)
-    counts = ontology.array_member(arrays, "annot_count", np.int64, n)
-    table = arrays["features"]
-    if table.dtype != np.float64 or table.shape != (n, len(annotations.FEATURE_NAMES)):
-        raise ValueError(f"features: {table.dtype} array of shape {table.shape}")
-    stats = ontology.OntologyStats(counts, meta["totalDiseases"], ic)
-    return Snapshot(meta["sha256"], o, stats, table)
-
-
-def _read_snapshot(cfg: PipelineConfig, full: bool) -> Snapshot | dict[str, str]:
-    """The snapshot, or with ``full`` false only the input digests it records,
-    read without the other members. A missing or damaged one is a DataError."""
-    path = workdir(cfg) / INPUTS_FILE
-    # Every way a missing, truncated or inconsistent file fails; zipfile raises
-    # NotImplementedError, a RuntimeError, for an unknown compression method.
+@contextlib.contextmanager
+def _reading_snapshot(path: Path):
+    # Every way a missing, truncated or inconsistent snapshot fails; zipfile
+    # raises NotImplementedError, a RuntimeError, for an unknown compression.
     try:
-        with np.load(path, allow_pickle=False) as npz:
-            meta = json.loads(ontology.array_member(npz, "meta", np.uint8).tobytes())
-            if meta["version"] != SNAPSHOT_VERSION:
-                raise ValueError(f"format version {meta['version']!r}, not {SNAPSHOT_VERSION}")
-            if not isinstance(meta["sha256"], dict) or type(meta["totalDiseases"]) is not int:
-                raise ValueError("malformed meta member")
-            if not full:
-                return meta["sha256"]
-            arrays = {name: npz[name] for name in npz.files}
-        return _restore(meta, arrays)
+        yield
     except (
         OSError,
         EOFError,
@@ -266,17 +234,67 @@ def _read_snapshot(cfg: PipelineConfig, full: bool) -> Snapshot | dict[str, str]
         raise DataError(f"cannot read input snapshot {path} ({e!r}); run ingest") from e
 
 
-def load_snapshot(cfg: PipelineConfig, *inputs: str) -> Snapshot:
-    """The inputs ``ingest`` parsed, restored from the work directory. Each of
-    ``inputs`` (``paths`` fields) must still have the sha256 ingest recorded,
-    or the snapshot is stale (ConfigError); a damaged one is a DataError."""
-    snap = _read_snapshot(cfg, full=True)
-    for field in inputs:
-        if snap.digests.get(field) != _input_digest(cfg, field):
-            name = getattr(cfg.paths, field)
-            path = workdir(cfg) / INPUTS_FILE
-            raise ConfigError(f"{name} changed since ingest wrote {path}; rerun ingest")
-    return snap
+class Snapshot:
+    """The parsed inputs as ``ingest`` wrote them, read through one open file.
+
+    ``digests`` holds the sha256 ingest recorded for each input file, by
+    ``paths`` field. A part is restored when first used, once the input files
+    it comes from (``PART_INPUTS``) still have those digests (a ConfigError if
+    not); ``used`` holds the digests so checked."""
+
+    def __init__(self, cfg: PipelineConfig, path: Path, npz):
+        # Closed with the snapshot, even one an exception's traceback holds.
+        weakref.finalize(self, npz.close)
+        meta = json.loads(ontology.array_member(npz, "meta", np.uint8).tobytes())
+        if meta["version"] != SNAPSHOT_VERSION:
+            raise ValueError(f"format version {meta['version']!r}, not {SNAPSHOT_VERSION}")
+        if not isinstance(meta["sha256"], dict) or type(meta["totalDiseases"]) is not int:
+            raise ValueError("malformed meta member")
+        self.digests, self._total_diseases = meta["sha256"], meta["totalDiseases"]
+        self.used: dict[str, str] = {}
+        self._cfg, self._path, self._npz = cfg, path, npz
+
+    def _check(self, part: str) -> None:
+        for field in PART_INPUTS[part]:
+            if field not in self.used:
+                if self.digests.get(field) != _input_digest(self._cfg, field):
+                    name = getattr(self._cfg.paths, field)
+                    raise ConfigError(
+                        f"{name} changed since ingest wrote {self._path}; rerun ingest"
+                    )
+                self.used[field] = self.digests[field]
+
+    @functools.cached_property
+    def ontology(self) -> ontology.Ontology:
+        self._check("ontology")
+        with _reading_snapshot(self._path):
+            return ontology.Ontology.from_arrays(self._npz)
+
+    @functools.cached_property
+    def stats(self) -> ontology.OntologyStats:
+        self._check("stats")
+        n = len(self.ontology.ids)
+        with _reading_snapshot(self._path):
+            ic = ontology.array_member(self._npz, "ic", np.float64, n)
+            counts = ontology.array_member(self._npz, "annot_count", np.int64, n)
+        return ontology.OntologyStats(counts, self._total_diseases, ic)
+
+    @functools.cached_property
+    def table(self) -> np.ndarray:  # annotations.feature_table of the ontology
+        self._check("table")
+        shape = (len(self.ontology.ids), len(annotations.FEATURE_NAMES))
+        with _reading_snapshot(self._path):
+            table = self._npz["features"]
+            if table.dtype != np.float64 or table.shape != shape:
+                raise ValueError(f"features: {table.dtype} array of shape {table.shape}")
+        return table
+
+
+def load_snapshot(cfg: PipelineConfig) -> Snapshot:
+    """The inputs ``ingest`` parsed; a missing or damaged snapshot is a DataError."""
+    path = workdir(cfg) / INPUTS_FILE
+    with _reading_snapshot(path):
+        return Snapshot(cfg, path, np.load(path, allow_pickle=False))
 
 
 class Lineage:
@@ -286,33 +304,36 @@ class Lineage:
     The record names the step and holds three maps of sha256 digests:
     ``config``, of each config part the artifact depends on (the seed, the
     step's own sections and those recorded by all it read; see
-    ``config.config_digests``); ``inputs``, of each input file it depends on,
-    as ingest recorded them, likewise; ``reads``, of each work-directory file
-    the step read (never ``inputs.npz``: ``inputs`` stands for it). An
-    artifact is refused (ConfigError naming it, what changed and the step to
-    rerun) unless every digest it records is current, each file it read
-    passing the same check first.
+    ``config.config_digests``); ``inputs``, of each input file it depends on
+    (those of the snapshot parts the step used and those recorded by all it
+    read), as ingest recorded them; ``reads``, of the bytes the step decoded
+    of each work-directory file it read (never ``inputs.npz``: ``inputs``
+    stands for it). An artifact is refused (ConfigError naming it, what
+    changed and the step to rerun) unless every digest it records is current,
+    each file it read passing the same check first.
     """
 
     def __init__(self, cfg: PipelineConfig, step: str):
         declared = next(s for s in STEPS if s.name == step)
         self.step, self.wd = step, workdir(cfg)
-        if declared.inputs:
-            self.snapshot = load_snapshot(cfg, *declared.inputs)
-            ingested = self.snapshot.digests
-        else:
-            ingested = _read_snapshot(cfg, full=False)
-        self.current = {**ingested, **config_digests(cfg)}
+        self.snapshot = load_snapshot(cfg)
+        self.current = {**self.snapshot.digests, **config_digests(cfg)}
         self.config = {part: self.current[part] for part in ("seed", *declared.sections)}
-        self.inputs = {field: ingested[field] for field in declared.inputs}
+        self.inputs: dict[str, str] = {}
         self.reads: dict[str, str] = {}
         self._digests: dict[str, str | None] = {}
+        self._decoded: dict[str, bytes] = {}
+
+    def load(self, name: str) -> bytes:
+        """The bytes of work-directory file ``name``; ``digest`` hashes them."""
+        data = self._decoded[name] = _read_bytes(self.wd / name, "artifact")
+        return data
 
     def read(self, *artifacts: tuple[str, type[Row]]) -> list[list]:
         """The rows of each ``(name, row type)`` JSONL artifact, all decoded
         before any is checked: a damaged one is a DataError, not a stale
         record of the artifacts built from it."""
-        rows = [read_jsonl(self.wd / name, row_type)[1] for name, row_type in artifacts]
+        rows = [read_jsonl(self.wd / n, t, self.load(n))[1] for n, t in artifacts]
         for name, _ in artifacts:
             self.reads[name] = self.digest(name)
         return rows
@@ -322,10 +343,7 @@ class Lineage:
         if name not in self._digests:
             self._digests[name] = None  # a record that cycles back here never holds
             path = self.wd / Path(name).name  # a record names work-directory files only
-            try:
-                data = path.read_bytes()
-            except OSError as e:
-                raise DataError(f"cannot read artifact {path}: {e}") from e
+            data = self._decoded.pop(name, None) or _read_bytes(path, "artifact")
             try:
                 jsonl = name.endswith(".jsonl")
                 doc = json.loads(data.partition(b"\n")[0] if jsonl else data)
@@ -349,7 +367,8 @@ class Lineage:
         return self._digests[name]
 
     def record(self) -> dict:
-        return dict(step=self.step, config=self.config, inputs=self.inputs, reads=self.reads)
+        inputs = {**self.inputs, **self.snapshot.used}
+        return dict(step=self.step, config=self.config, inputs=inputs, reads=self.reads)
 
     def meta(self, **extra) -> dict:
         """The meta line of a JSONL artifact the step writes."""
@@ -366,11 +385,11 @@ def _by_patient(rows: list, attr: str) -> dict:
 def step_ingest(cfg: PipelineConfig) -> dict:
     """Parse and validate the inputs; write the snapshot the later steps read."""
     # Hashed before they are parsed: a file edited in between then reads as
-    # stale to the later steps, never as fresh.
-    digests = {field: _input_digest(cfg, field) for field in (ONTOLOGY, DISEASES, GENES)}
+    # stale to the later steps, never as fresh. The table comes from all three.
+    digests = {field: _input_digest(cfg, field) for field in PART_INPUTS["table"]}
     o, kb, s = load_inputs(cfg)
     table = annotations.feature_table(o, s, kb)
-    _write_snapshot(workdir(cfg) / INPUTS_FILE, o, s, kb, table, digests)
+    _write_snapshot(workdir(cfg) / INPUTS_FILE, o, s, table, digests)
     return {
         "terms": len(o.ids),
         "obsolete": sum(1 for t in o.terms.values() if t.obsolete),
@@ -541,15 +560,11 @@ def step_train(cfg: PipelineConfig) -> dict:
 
 def load_model(run: Lineage) -> RankModel:
     """The trained model, decoded and then checked as ``Lineage.read`` checks."""
-    path = run.wd / MODEL_FILE
+    data = run.load(MODEL_FILE)
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as e:
-        raise DataError(f"cannot read model {path}: {e}") from e
-    try:
-        model = RankModel.from_json(text)
+        model = RankModel.from_json(data.decode("utf-8"))
     except (DataError, AttributeError, KeyError, TypeError, ValueError) as e:
-        raise DataError(f"{path}: not a readable model ({e!r})") from e
+        raise DataError(f"{run.wd / MODEL_FILE}: not a readable model ({e!r})") from e
     run.reads[MODEL_FILE] = run.digest(MODEL_FILE)
     return model
 
@@ -603,16 +618,14 @@ def step_evaluate(cfg: PipelineConfig, external: str | None = None) -> dict:
         rankings = _by_patient(ranked, "terms")
         configuration, provenance = "prioritized", run.record()
     else:
-        try:
-            text = Path(external).read_text(encoding="utf-8")
-        except OSError as e:
-            raise DataError(f"cannot read external rankings {external}: {e}") from e
-        imported = evaluation.import_external_ranking(text, o)
+        data = _read_bytes(Path(external), "external rankings")
+        imported = evaluation.import_external_ranking(data.decode("utf-8"), o)
         for problem in imported.errors:
             logger.warning("external rankings: %s", problem)
         rankings = imported.rankings
         (cohort,) = run.read((COHORT_FILE, corpus.Patient))
-        configuration, provenance = "external", {**run.record(), "source": external}
+        source = hashlib.sha256(data).hexdigest()
+        configuration, provenance = "external", {**run.record(), "source": source}
     report = evaluation.evaluate_cohort(
         rankings,
         _by_patient(cohort, "curated_terms"),
@@ -638,6 +651,7 @@ def step_evaluate(cfg: PipelineConfig, external: str | None = None) -> dict:
 def step_ablate(cfg: PipelineConfig) -> dict:
     """Evaluate the pipeline cut after each module."""
     run = Lineage(cfg, "ablate")
+    o, s = run.snapshot.ontology, run.snapshot.stats
     mentions, standardized, ranked, cohort = run.read(
         (MENTIONS_FILE, extraction.PatientMentions),
         (STANDARDIZED_FILE, PatientTerms),
@@ -649,8 +663,8 @@ def step_ablate(cfg: PipelineConfig) -> dict:
         _by_patient(standardized, "terms"),
         _by_patient(ranked, "terms"),
         _by_patient(cohort, "curated_terms"),
-        run.snapshot.ontology,
-        run.snapshot.stats,
+        o,
+        s,
         cfg.evaluation,
         cfg.seed,
         provenance=run.record(),
@@ -669,12 +683,13 @@ def step_ablate(cfg: PipelineConfig) -> dict:
 def step_permtest(cfg: PipelineConfig) -> dict:
     """Compare rankings against the exact mean over all orders of their terms."""
     run = Lineage(cfg, "permtest")
+    o, s = run.snapshot.ontology, run.snapshot.stats
     ranked, cohort = run.read((RANKINGS_FILE, PatientTerms), (COHORT_FILE, corpus.Patient))
     report = evaluation.permutation_delta(
         _by_patient(ranked, "terms"),
         _by_patient(cohort, "curated_terms"),
-        run.snapshot.ontology,
-        run.snapshot.stats,
+        o,
+        s,
         cfg.evaluation,
         cfg.seed,
         provenance=run.record(),
@@ -690,14 +705,12 @@ def step_permtest(cfg: PipelineConfig) -> dict:
 
 @dataclasses.dataclass(frozen=True)
 class Step:
-    """A row of ``STEPS``: the step's name and function, the ``paths`` fields
-    of the input files it depends on (checked against the snapshot when it
-    starts) and the config sections it reads besides the seed. Both enter
-    the lineage record of every artifact it writes."""
+    """A row of ``STEPS``: the step's name and function and the config
+    sections it reads besides the seed, which enter the lineage record of
+    every artifact it writes."""
 
     name: str
     run: Callable[..., dict]
-    inputs: tuple[str, ...] = ()
     sections: tuple[str, ...] = ()
 
 
@@ -706,13 +719,13 @@ class Step:
 # ``extraction.concurrency`` are in no step's sections (config_digests).
 STEPS = (
     Step("ingest", step_ingest),
-    Step("synth", step_synth, (ONTOLOGY, DISEASES), ("cohort",)),
-    Step("chunk", step_chunk, (), ("chunking",)),
-    Step("extract", step_extract, (ONTOLOGY,), ("extraction",)),
-    Step("standardize", step_standardize, (ONTOLOGY,), ("standardization", "extraction")),
-    Step("train", step_train, (ONTOLOGY, DISEASES, GENES), ("training",)),
-    Step("rank", step_rank, (ONTOLOGY, DISEASES, GENES)),
-    Step("evaluate", step_evaluate, (ONTOLOGY, DISEASES), ("evaluation",)),
-    Step("ablate", step_ablate, (ONTOLOGY, DISEASES), ("evaluation",)),
-    Step("permtest", step_permtest, (ONTOLOGY, DISEASES), ("evaluation",)),
+    Step("synth", step_synth, ("cohort",)),
+    Step("chunk", step_chunk, ("chunking",)),
+    Step("extract", step_extract, ("extraction",)),
+    Step("standardize", step_standardize, ("standardization", "extraction")),
+    Step("train", step_train, ("training",)),
+    Step("rank", step_rank),
+    Step("evaluate", step_evaluate, ("evaluation",)),
+    Step("ablate", step_ablate, ("evaluation",)),
+    Step("permtest", step_permtest, ("evaluation",)),
 )

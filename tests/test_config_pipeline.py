@@ -470,7 +470,7 @@ class TestPipelineChain:
                     (wd / pipeline.COHORT_FILE).read_bytes()
                 ).hexdigest()
             },
-            "source": str(external),
+            "source": hashlib.sha256(external.read_bytes()).hexdigest(),
         }
 
     def test_summary_shows_dropped_patients(self, chain, tmp_path):
@@ -525,6 +525,76 @@ class TestPipelineChain:
         assert root in cfg.paths.ontology.encode("utf-8")
         for path in wd.iterdir():
             assert root not in path.read_bytes(), path.name
+
+    def test_external_report_names_the_file_by_its_bytes(self, chain, tmp_path):
+        # The same rankings from two directories: the report records their
+        # sha256, so neither the bytes nor any work file depend on the path.
+        cfg, _ = chain
+        wd = pipeline.workdir(cfg)
+        _, rows = pipeline.read_jsonl(wd / pipeline.RANKINGS_FILE)
+        text = "".join(
+            json.dumps({"patientId": r["patientId"], "terms": r["terms"]}) + "\n"
+            for r in rows
+        )
+        roots = [str(root).encode("utf-8") for root in (wd.parent, tmp_path)]
+        names = (pipeline.EVAL_REPORT, pipeline.EVAL_CSV)
+        reports = []
+        for where in ("a", "b/c"):
+            external = tmp_path / where / "rankings.jsonl"
+            external.parent.mkdir(parents=True)
+            external.write_text(text, encoding="utf-8")
+            pipeline.step_evaluate(cfg, external=str(external))
+            reports.append([(wd / name).read_bytes() for name in names])
+            for path in wd.iterdir():
+                assert not any(root in path.read_bytes() for root in roots), path.name
+        pipeline.step_evaluate(cfg)
+        assert reports[0] == reports[1]
+        source = json.loads(reports[0][0])["provenance"]["source"]
+        assert source == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    def test_records_hash_the_bytes_the_step_decoded(self, chain, monkeypatch):
+        # Each artifact is replaced by other bytes of the same lineage right
+        # after the step decodes it: the records still name the decoded bytes.
+        cfg, _ = chain
+        wd = pipeline.workdir(cfg)
+        names = (pipeline.MODEL_FILE, pipeline.RANKINGS_FILE)
+        original = {name: (wd / name).read_bytes() for name in names}
+        decoded = {name: hashlib.sha256(data).hexdigest() for name, data in original.items()}
+
+        def replace(name):
+            pipeline._atomic_write_bytes(wd / name, original[name] + b"\n")
+
+        read_jsonl, from_json = pipeline.read_jsonl, pipeline.RankModel.from_json
+
+        def read_then_replace(path, *args, **kwargs):
+            got = read_jsonl(path, *args, **kwargs)
+            if path.name == pipeline.RANKINGS_FILE:
+                replace(path.name)
+            return got
+
+        def decode_then_replace(text):
+            model = from_json(text)
+            replace(pipeline.MODEL_FILE)
+            return model
+
+        try:
+            with monkeypatch.context() as mp:
+                mp.setattr(pipeline.RankModel, "from_json", staticmethod(decode_then_replace))
+                pipeline.step_rank(cfg)
+            meta, _ = pipeline.read_jsonl(wd / pipeline.RANKINGS_FILE)
+            assert meta["lineage"]["reads"][pipeline.MODEL_FILE] == decoded[pipeline.MODEL_FILE]
+            ranked = (wd / pipeline.RANKINGS_FILE).read_bytes()
+            assert ranked == original[pipeline.RANKINGS_FILE]
+            (wd / pipeline.MODEL_FILE).write_bytes(original[pipeline.MODEL_FILE])
+            with monkeypatch.context() as mp:
+                mp.setattr(pipeline, "read_jsonl", read_then_replace)
+                pipeline.step_evaluate(cfg)
+            reads = json.loads((wd / pipeline.EVAL_REPORT).read_text())["provenance"]["reads"]
+            assert reads[pipeline.RANKINGS_FILE] == decoded[pipeline.RANKINGS_FILE]
+        finally:
+            for name in names:
+                (wd / name).write_bytes(original[name])
+            pipeline.step_evaluate(cfg)
 
     def test_evaluate_external_missing_file(self, chain, tmp_path):
         cfg, _ = chain

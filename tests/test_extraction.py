@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import sys
@@ -5,12 +6,15 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+import yaml
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
 from helpers import annotate_mentions, make_chunk, unescape_span_literals
-from phenorank import extraction
+from phenorank import extraction, pipeline
+from phenorank.cli import main
 from phenorank.config import ExtractionConfig
 from phenorank.errors import (
     BackendUnavailableError,
@@ -529,6 +533,50 @@ class TestRemoteExtract:
         got = remote_extract(_cfg(backend_server), DEFAULT_PROMPT_TEMPLATE, chunk)
         assert [(m.surface, m.start, m.end) for m in got] == [("fever", 12, 17)]
         assert got[0].chunk_id == chunk.chunk_id
+
+
+def test_remote_extract_uses_no_snapshot_part(backend_server, tmp_path, monkeypatch):
+    # The remote backend reads no ontology, so extract neither restores the
+    # snapshot nor refuses an ontology file edited since ingest.
+    onto = tmp_path / "ontology.json"
+    onto.write_text(helpers.ontology_to_json(helpers.layered_ontology()), encoding="utf-8")
+    disease, gene = helpers.layered_annotation_text()
+    (tmp_path / "disease.tsv").write_text(disease, encoding="utf-8")
+    (tmp_path / "gene.tsv").write_text(gene, encoding="utf-8")
+    paths = {
+        "ontology": str(onto),
+        "disease_annotations": str(tmp_path / "disease.tsv"),
+        "gene_annotations": str(tmp_path / "gene.tsv"),
+        "workdir": str(tmp_path / "work"),
+    }
+    remote = {
+        "backend": "remote",
+        "endpoint_url": _cfg(backend_server).endpoint_url,
+        "model_name": "test-model",
+        "api_key_env_var": "PHENORANK_TEST_KEY",
+    }
+    local, remote_cfg = tmp_path / "local.yaml", tmp_path / "remote.yaml"
+    local.write_text(yaml.safe_dump({"seed": 3, "paths": paths, "cohort": {"size": 4}}))
+    remote_cfg.write_text(
+        yaml.safe_dump({"seed": 3, "paths": paths, "cohort": {"size": 4}, "extraction": remote})
+    )
+    for step in ("ingest", "synth", "chunk"):
+        assert CliRunner().invoke(main, ["-c", str(local), step]).exit_code == 0
+    onto.write_bytes(onto.read_bytes() + b"\n")
+    restores = []
+    monkeypatch.setattr(Ontology, "from_arrays", classmethod(lambda cls, a: restores.append(a)))
+    result = CliRunner().invoke(
+        main, ["-c", str(remote_cfg), "extract"], env={"PHENORANK_TEST_KEY": "sk-test"}
+    )
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["failures"] == 0
+    assert restores == []
+    meta, _ = pipeline.read_jsonl(tmp_path / "work" / pipeline.MENTIONS_FILE)
+    assert meta["lineage"]["reads"] == {
+        pipeline.CHUNKS_FILE: hashlib.sha256(
+            (tmp_path / "work" / pipeline.CHUNKS_FILE).read_bytes()
+        ).hexdigest()
+    }
 
 
 class TestExtractCorpus:

@@ -99,7 +99,7 @@ def write_inputs(root, name, ontology_text, disease_text, gene_text):
 def test_restore_equals_a_fresh_parse(tmp_path, inputs):
     cfg = write_inputs(tmp_path, *inputs())
     pipeline.step_ingest(cfg)
-    snap = pipeline.load_snapshot(cfg, pipeline.ONTOLOGY, pipeline.DISEASES, pipeline.GENES)
+    snap = pipeline.load_snapshot(cfg)
     o, kb, s = pipeline.load_inputs(cfg)
     r = snap.ontology
     assert list(r.terms.items()) == list(o.terms.items())

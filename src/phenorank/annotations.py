@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -40,6 +41,22 @@ class AnnotationKB:
     total_genes: int
 
 
+def _tsv_rows(text: str, kind: str, columns: int) -> Iterator[tuple[int, list[str]]]:
+    """The line number and stripped columns of each row of a ``kind``
+    annotation file, skipping blank lines and ``#`` comments; a row with the
+    wrong column count or an empty column is a ParseError naming its line."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [part.strip() for part in line.split("\t")]
+        if len(parts) != columns:
+            raise ParseError(f"{kind} annotations line {lineno}: expected {columns} columns")
+        if not all(parts):
+            raise ParseError(f"{kind} annotations line {lineno}: empty column")
+        yield lineno, parts
+
+
 def load_annotations(disease_text: str, gene_text: str, o: Ontology) -> AnnotationKB:
     """Load tab-separated disease and gene annotation rows.
 
@@ -53,16 +70,7 @@ def load_annotations(disease_text: str, gene_text: str, o: Ontology) -> Annotati
     gene_direct: dict[str, set[str]] = {}
     bad_rows: list[str] = []
 
-    for lineno, raw in enumerate(disease_text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ParseError(f"disease annotations line {lineno}: expected 3 columns")
-        tid, disease, source = parts[0].strip(), parts[1].strip(), parts[2].strip()
-        if not tid or not disease or not source:
-            raise ParseError(f"disease annotations line {lineno}: empty column")
+    for lineno, (tid, disease, source) in _tsv_rows(disease_text, "disease", 3):
         if source not in DISEASE_SOURCES:
             bad_rows.append(f"line {lineno}: unknown source {source!r}")
             continue
@@ -72,16 +80,7 @@ def load_annotations(disease_text: str, gene_text: str, o: Ontology) -> Annotati
             continue
         disease_direct[source].setdefault(tid, set()).add(disease)
 
-    for lineno, raw in enumerate(gene_text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ParseError(f"gene annotations line {lineno}: expected 2 columns")
-        tid, gene = parts[0].strip(), parts[1].strip()
-        if not tid or not gene:
-            raise ParseError(f"gene annotations line {lineno}: empty column")
+    for lineno, (tid, gene) in _tsv_rows(gene_text, "gene", 2):
         rec = o.terms.get(tid)
         if rec is None or rec.obsolete:
             bad_rows.append(f"gene line {lineno}: unresolvable term {tid}")

@@ -1,6 +1,7 @@
 """Pipeline configuration: a small YAML file resolved into typed sections
 with defaults, plus a stable digest of the seed and of each settings section,
-from which every artifact's lineage records the parts it depends on.
+from which every artifact's lineage records the parts it depends on. Each
+value is decoded by its field's annotation through ``rows.decode``.
 """
 
 from __future__ import annotations
@@ -8,12 +9,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
 
-from .errors import ConfigError
+from . import rows
+from .errors import ConfigError, DataError
 
 EXTRACTION_BACKENDS = ("gazetteer", "remote")
 SELECTOR_KINDS = ("threshold", "remote")
@@ -181,45 +184,15 @@ class PipelineConfig:
                 "extraction.endpoint_url required for a remote backend or selector"
             )
 
-    def to_dict(self) -> dict:
-        out: dict = {"seed": self.seed}
-        for name in _SECTIONS:
-            section = dataclasses.asdict(getattr(self, name))
-            for key, val in section.items():
-                if isinstance(val, tuple):
-                    section[key] = list(val)
-            out[name] = section
-        return out
-
 
 def _build_section(name: str, cls, data) -> object:
     if not isinstance(data, dict):
         raise ConfigError(f"section {name!r} must be a mapping")
-    known = {f.name: f for f in fields(cls)}
-    unknown = sorted(set(data) - set(known))
+    types = typing.get_type_hints(cls)
+    unknown = sorted(set(data) - set(types))
     if unknown:
         raise ConfigError(f"unknown keys in section {name!r}: {unknown}")
-    kwargs = {}
-    for key, val in data.items():
-        want = known[key].type
-        if want in ("int",) and isinstance(val, bool):
-            raise ConfigError(f"{name}.{key} must be an integer")
-        if want == "int" and not isinstance(val, int):
-            raise ConfigError(f"{name}.{key} must be an integer")
-        if want == "float":
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
-                raise ConfigError(f"{name}.{key} must be a number")
-            val = float(val)
-        if want == "str" and not isinstance(val, str):
-            raise ConfigError(f"{name}.{key} must be a string")
-        if want == "tuple[int, ...]":
-            if not isinstance(val, list) or not all(
-                isinstance(v, int) and not isinstance(v, bool) for v in val
-            ):
-                raise ConfigError(f"{name}.{key} must be a list of integers")
-            val = tuple(val)
-        kwargs[key] = val
-    return cls(**kwargs)
+    return cls(**{key: rows.decode(types[key], v, (name, key)) for key, v in data.items()})
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
@@ -228,23 +201,28 @@ def config_from_dict(data: dict) -> PipelineConfig:
     unknown = sorted(set(data) - set(_SECTIONS) - {"seed"})
     if unknown:
         raise ConfigError(f"unknown configuration sections: {unknown}")
-    seed = data.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
-    kwargs = {"seed": seed}
-    for name, cls in _SECTIONS.items():
-        if name in data:
-            kwargs[name] = _build_section(name, cls, data[name])
+    # Each value is decoded by the row codec; a wrong JSON type names the setting.
+    try:
+        kwargs = {"seed": rows.decode(int, data.get("seed", 0), ("seed",))}
+        for name, cls in _SECTIONS.items():
+            if name in data:
+                kwargs[name] = _build_section(name, cls, data[name])
+    except DataError as e:
+        raise ConfigError(str(e)) from e
     cfg = PipelineConfig(**kwargs)
     cfg.validate()
     return cfg
 
 
 def load_config(path: str | Path) -> PipelineConfig:
+    from .pipeline import decode_text  # pipeline imports this module
+
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = decode_text(Path(path).read_bytes(), path)
     except OSError as e:
         raise ConfigError(f"cannot read configuration {path}: {e}") from e
+    except DataError as e:
+        raise ConfigError(str(e)) from e
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as e:
@@ -258,7 +236,7 @@ def config_digests(cfg: PipelineConfig) -> dict[str, str]:
     """The sha256 of the seed and of each settings section, keyed by name;
     not ``paths``, which says where files are, not what they hold, nor the
     worker count ``extraction.concurrency``, which cannot change a byte."""
-    doc = cfg.to_dict()
+    doc = dataclasses.asdict(cfg)
     del doc["paths"], doc["extraction"]["concurrency"]
     canon = {k: json.dumps(v, sort_keys=True, separators=(",", ":")) for k, v in doc.items()}
     return {k: hashlib.sha256(v.encode("utf-8")).hexdigest() for k, v in canon.items()}

@@ -537,8 +537,8 @@ def parse_obo(text: str) -> Ontology:
 def parse_ontology_json(text: str) -> Ontology:
     """Parse the JSON ontology form: a list of term objects, or {"terms": [...]}.
 
-    Each object carries id, name, and optionally synonyms, def, is_a,
-    is_obsolete. Validation is identical to the OBO path.
+    Each object carries id, name, and optionally synonyms, def, is_a and
+    is_obsolete (a JSON boolean). Validation is identical to the OBO path.
     """
     try:
         doc = json.loads(text)
@@ -567,13 +567,16 @@ def parse_ontology_json(text: str) -> Ontology:
             raise ParseError(f"term {i}: id, name, def, synonyms and is_a must be text")
         if tid in terms:
             raise ParseError(f"term {i}: duplicate term id {tid}")
+        obsolete = obj.get("is_obsolete", False)
+        if type(obsolete) is not bool:
+            raise ParseError(f"term {tid}: is_obsolete must be true or false")
         terms[tid] = TermRecord(
             id=tid,
             name=name,
             synonyms=synonyms,
             definition=definition,
             parents=parents,
-            obsolete=bool(obj.get("is_obsolete", False)),
+            obsolete=obsolete,
         )
     if not terms:
         raise ParseError("ontology JSON contains no terms")

@@ -1,16 +1,20 @@
 """End-to-end pipeline steps over a shared work directory.
 
-``ingest`` is the one step that reads the input files. It writes the parsed
-inputs to ``inputs.npz``; a later step restores each part it uses from there
-once the input files that part comes from still have the sha256 that ingest
-recorded. Every other artifact carries a lineage record (``Lineage``): the
-config sections and input files it depends on and the sha256 of the bytes its
-step decoded of each work-directory file. A step checks the record of every
-artifact it reads and refuses a stale one. In a JSONL artifact the record
-sits in the first, meta line; each later line is a row of the artifact's type
-in ``rows``, and a missing or wrong-typed field is a DataError naming the
-file, the line and the field. Writes are atomic (temp file then rename) so an
-interrupted step never leaves a half-written artifact behind.
+``ingest`` is the one step that parses the input files (``read_input``): it
+reads each once, parses those bytes, and writes the parsed inputs and the
+sha256 of the bytes to ``inputs.npz``; a later step restores each part it uses
+from there once the input files that part comes from still have that sha256.
+``decode_text`` is the one place a file's bytes become text (inputs, JSONL
+artifacts, the model, external rankings and the config file), so a byte that
+is not UTF-8 is an error naming the file. Every other artifact carries a
+lineage record (``Lineage``): the config sections and input files it depends
+on and the sha256 of the bytes its step decoded of each work-directory file.
+A step checks the record of every artifact it reads and refuses a stale one.
+In a JSONL artifact the record sits in the first, meta line; each later line
+is a row of the artifact's type in ``rows``, and a missing or wrong-typed
+field is a DataError naming the file, the line and the field. Writes are
+atomic (temp file then rename) so an interrupted step never leaves a
+half-written artifact behind.
 """
 
 from __future__ import annotations
@@ -113,12 +117,30 @@ def _read_bytes(path: Path, what: str) -> bytes:
         raise DataError(f"cannot read {what} {path}: {e}") from e
 
 
+def decode_text(data: bytes, path: str | Path) -> str:
+    """The text of ``data``, the bytes of file ``path``: the one place a file's
+    bytes become text. A byte that is not UTF-8 is a DataError naming the file
+    and the byte's offset."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: byte {e.start} is not UTF-8 ({e.reason})") from e
+
+
+def read_input(cfg: PipelineConfig, field: str) -> bytes:
+    """The bytes of the input file that ``cfg.paths.<field>`` names."""
+    name = getattr(cfg.paths, field)
+    if not name:
+        raise ConfigError(f"paths.{field} is not set")
+    return _read_bytes(Path(name), "input file")
+
+
 def read_jsonl(
     path: Path, row_type: type[R] | None = None, data: bytes | None = None
 ) -> tuple[dict, list]:
     """The meta record and rows of a JSONL artifact, decoded as ``row_type`` if
     given; from ``data``, the file's bytes, when the caller has read them."""
-    text = (_read_bytes(path, "artifact") if data is None else data).decode("utf-8")
+    text = decode_text(_read_bytes(path, "artifact") if data is None else data, path)
     meta: dict | None = None
     rows: list[dict] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -147,42 +169,7 @@ def read_jsonl(
     return meta, rows
 
 
-# -- shared loading ----------------------------------------------------------------
-
-
-def load_ontology(cfg: PipelineConfig) -> ontology.Ontology:
-    path = Path(cfg.paths.ontology)
-    if not cfg.paths.ontology:
-        raise ConfigError("paths.ontology is not set")
-    text = _read_bytes(path, "ontology").decode("utf-8")
-    if path.suffix.lower() == ".json":
-        return ontology.parse_ontology_json(text)
-    return ontology.parse_obo(text)
-
-
-def load_kb(cfg: PipelineConfig, o: ontology.Ontology) -> annotations.AnnotationKB:
-    if not cfg.paths.disease_annotations or not cfg.paths.gene_annotations:
-        raise ConfigError("paths.disease_annotations and paths.gene_annotations required")
-    disease = _read_bytes(Path(cfg.paths.disease_annotations), "disease annotations")
-    genes = _read_bytes(Path(cfg.paths.gene_annotations), "gene annotations")
-    return annotations.load_annotations(disease.decode("utf-8"), genes.decode("utf-8"), o)
-
-
-def load_inputs(
-    cfg: PipelineConfig,
-) -> tuple[ontology.Ontology, annotations.AnnotationKB, ontology.OntologyStats]:
-    """Parse the ontology and annotations and derive the IC statistics."""
-    o = load_ontology(cfg)
-    kb = load_kb(cfg, o)
-    return o, kb, ontology.compute_stats(o, kb)
-
-
-def _input_digest(cfg: PipelineConfig, field: str) -> str:
-    """The sha256 of the input file that ``cfg.paths.<field>`` names."""
-    name = getattr(cfg.paths, field)
-    if not name:
-        raise ConfigError(f"paths.{field} is not set")
-    return hashlib.sha256(_read_bytes(Path(name), "input file")).hexdigest()
+# -- the input snapshot ------------------------------------------------------------
 
 
 def _write_snapshot(
@@ -257,7 +244,8 @@ class Snapshot:
     def _check(self, part: str) -> None:
         for field in PART_INPUTS[part]:
             if field not in self.used:
-                if self.digests.get(field) != _input_digest(self._cfg, field):
+                digest = hashlib.sha256(read_input(self._cfg, field)).hexdigest()
+                if self.digests.get(field) != digest:
                     name = getattr(self._cfg.paths, field)
                     raise ConfigError(
                         f"{name} changed since ingest wrote {self._path}; rerun ingest"
@@ -344,9 +332,10 @@ class Lineage:
             self._digests[name] = None  # a record that cycles back here never holds
             path = self.wd / Path(name).name  # a record names work-directory files only
             data = self._decoded.pop(name, None) or _read_bytes(path, "artifact")
+            jsonl = name.endswith(".jsonl")
+            text = decode_text(data.partition(b"\n")[0] if jsonl else data, path)
             try:
-                jsonl = name.endswith(".jsonl")
-                doc = json.loads(data.partition(b"\n")[0] if jsonl else data)
+                doc = json.loads(text)
                 lineage = (doc["__meta__"] if jsonl else doc)["lineage"]
                 step = lineage["step"]
                 parts = [lineage[part].items() for part in ("reads", "config", "inputs")]
@@ -384,11 +373,18 @@ def _by_patient(rows: list, attr: str) -> dict:
 
 def step_ingest(cfg: PipelineConfig) -> dict:
     """Parse and validate the inputs; write the snapshot the later steps read."""
-    # Hashed before they are parsed: a file edited in between then reads as
-    # stale to the later steps, never as fresh. The table comes from all three.
-    digests = {field: _input_digest(cfg, field) for field in PART_INPUTS["table"]}
-    o, kb, s = load_inputs(cfg)
+    # Each file is read once; the snapshot records the sha256 of the bytes
+    # parsed. The table comes from all three.
+    data = {field: read_input(cfg, field) for field in PART_INPUTS["table"]}
+    text = {field: decode_text(b, getattr(cfg.paths, field)) for field, b in data.items()}
+    if Path(cfg.paths.ontology).suffix.lower() == ".json":
+        o = ontology.parse_ontology_json(text[ONTOLOGY])
+    else:
+        o = ontology.parse_obo(text[ONTOLOGY])
+    kb = annotations.load_annotations(text[DISEASES], text[GENES], o)
+    s = ontology.compute_stats(o, kb)
     table = annotations.feature_table(o, s, kb)
+    digests = {field: hashlib.sha256(b).hexdigest() for field, b in data.items()}
     _write_snapshot(workdir(cfg) / INPUTS_FILE, o, s, table, digests)
     return {
         "terms": len(o.ids),
@@ -560,9 +556,9 @@ def step_train(cfg: PipelineConfig) -> dict:
 
 def load_model(run: Lineage) -> RankModel:
     """The trained model, decoded and then checked as ``Lineage.read`` checks."""
-    data = run.load(MODEL_FILE)
+    text = decode_text(run.load(MODEL_FILE), run.wd / MODEL_FILE)
     try:
-        model = RankModel.from_json(data.decode("utf-8"))
+        model = RankModel.from_json(text)
     except (DataError, AttributeError, KeyError, TypeError, ValueError) as e:
         raise DataError(f"{run.wd / MODEL_FILE}: not a readable model ({e!r})") from e
     run.reads[MODEL_FILE] = run.digest(MODEL_FILE)
@@ -619,7 +615,7 @@ def step_evaluate(cfg: PipelineConfig, external: str | None = None) -> dict:
         configuration, provenance = "prioritized", run.record()
     else:
         data = _read_bytes(Path(external), "external rankings")
-        imported = evaluation.import_external_ranking(data.decode("utf-8"), o)
+        imported = evaluation.import_external_ranking(decode_text(data, external), o)
         for problem in imported.errors:
             logger.warning("external rankings: %s", problem)
         rankings = imported.rankings

@@ -1,11 +1,14 @@
-"""JSON rows of the work-directory artifacts, decoded from their dataclass fields.
+"""The one decoder of typed JSON values: the rows of the work-directory
+artifacts and the values of the configuration file.
 
 A row type is a dataclass deriving from ``Row``. Attribute ``patient_id`` is
 the JSON key ``patientId``, and its annotation (``str``, ``int``, ``float``,
-``dict``, ``list[T]``, ``set[str]``, ``T | None`` or a row type) is the JSON
-type ``from_dict`` requires: a JSON integer reads as a float, a boolean as
-neither, a ``dict`` is any object, and a set is written as a sorted array.
-Keys a row type does not declare are ignored.
+``bool``, ``dict``, ``list[T]``, ``tuple[T, ...]``, ``set[str]``, ``T | None``
+or a row type) is the JSON type ``from_dict`` requires: a JSON integer reads
+as a float, a boolean as neither, a ``dict`` is any object, a tuple is read
+from an array, and a set is written as a sorted array. Keys a row type does
+not declare are ignored. ``decode`` reads one value of such a type; the
+configuration decodes each setting through it.
 """
 
 from __future__ import annotations
@@ -46,6 +49,12 @@ class Row:
         return _decode_row(cls, d, ())
 
 
+def decode(tp: typing.Any, value: object, where: tuple) -> typing.Any:
+    """``value`` as the annotated type ``tp``; a DataError names the field that
+    the keys and indexes ``where`` lead to."""
+    return _codec(tp)[0](value, where)
+
+
 def _decode_row(cls: type, value: object, where: tuple) -> Row:
     if type(value) is not dict:
         raise _wrong(value, dict, where)
@@ -78,21 +87,21 @@ def _codec(tp: typing.Any) -> tuple[typing.Callable, typing.Callable]:
         return (lambda v, where: None if v is None else decode_inner(v, where)), (
             lambda v: None if v is None else encode_inner(v)
         )
-    if origin in (list, set):
-        decode_item, encode_item = _codec(*args)
+    if origin in (list, set) or (origin is tuple and args[1:] == (...,)):
+        decode_item, encode_item = _codec(args[0])
 
         def decode_list(value, where):
             if type(value) is not list:
                 raise _wrong(value, list, where)
             out = [decode_item(item, (*where, i)) for i, item in enumerate(value)]
-            return set(out) if origin is set else out
+            return out if origin is list else origin(out)
 
         if origin is set:
             return decode_list, sorted
         return decode_list, lambda v: [encode_item(x) for x in v]
     if dataclasses.is_dataclass(tp):
         return functools.partial(_decode_row, tp), tp.to_dict
-    if tp not in (str, int, float, dict):
+    if tp not in (str, int, float, bool, dict):
         raise TypeError(f"no JSON row codec for {tp!r}")
 
     def decode(value, where):

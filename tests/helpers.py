@@ -22,6 +22,7 @@ tests, so they live here rather than in the package.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
@@ -31,14 +32,20 @@ from collections import deque
 from dataclasses import dataclass
 from datetime import date, datetime
 from fractions import Fraction
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
 from scipy.special import expit
 
-from phenorank.annotations import DISEASE_SOURCES, FEATURE_NAMES, AnnotationKB
-from phenorank.config import EvaluationConfig, TrainingConfig
+from phenorank.annotations import (
+    DISEASE_SOURCES,
+    FEATURE_NAMES,
+    AnnotationKB,
+    load_annotations,
+)
+from phenorank.config import EvaluationConfig, PathsConfig, TrainingConfig
 from phenorank.corpus import ClinicalNote, NoteChunk
 from phenorank.errors import (
     ConfigError,
@@ -54,7 +61,14 @@ from phenorank.evaluation import (
     _report,
 )
 from phenorank.extraction import _ESCAPES, SPAN_CLOSE, SPAN_OPEN, Mention
-from phenorank.ontology import Ontology, OntologyStats, TermRecord
+from phenorank.ontology import (
+    Ontology,
+    OntologyStats,
+    TermRecord,
+    compute_stats,
+    parse_obo,
+    parse_ontology_json,
+)
 from phenorank.ranking.metrics import ap_at_k
 from phenorank.ranking.sampling import (
     EASY_MIN_LINEAGE,
@@ -766,6 +780,26 @@ def ontology_to_json(o: Ontology) -> str:
             }
         )
     return json.dumps(rows, indent=1)
+
+
+def parse_inputs(paths: PathsConfig) -> tuple[Ontology, AnnotationKB, OntologyStats]:
+    """A fresh parse of the input files ``paths`` names, as ingest parses them."""
+    ontology_text = Path(paths.ontology).read_text(encoding="utf-8")
+    if paths.ontology.endswith(".json"):
+        o = parse_ontology_json(ontology_text)
+    else:
+        o = parse_obo(ontology_text)
+    kb = load_annotations(
+        Path(paths.disease_annotations).read_text(encoding="utf-8"),
+        Path(paths.gene_annotations).read_text(encoding="utf-8"),
+        o,
+    )
+    return o, kb, compute_stats(o, kb)
+
+
+def file_digest(path: str) -> str:
+    """The sha256 of the bytes of file ``path``."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 # -- reference functions that no pipeline step calls ----------------------------------

@@ -243,6 +243,48 @@ class TestErrorReporting:
         assert result.exit_code == 3
 
 
+class TestNonUtf8Bytes:
+    """A byte that is not UTF-8 in any file read from outside the program, or in
+    an artifact, is a JSON error naming the file, never a traceback."""
+
+    @staticmethod
+    def assert_names(result, code, path):
+        assert result.exit_code == code, result.output
+        assert "Traceback" not in result.stderr
+        err = stderr_error(result)
+        assert err["type"] == ("ConfigError" if code == 2 else "DataError")
+        assert str(path) in err["message"] and "not UTF-8" in err["message"]
+
+    def test_config_file_exits_2(self, tmp_path):
+        cfg_path = write_cli_workspace(tmp_path)
+        with open(cfg_path, "ab") as f:
+            f.write(b"# \xff\n")
+        self.assert_names(invoke(str(cfg_path), "ingest"), 2, cfg_path)
+
+    @pytest.mark.parametrize("name", ["ontology.json", "disease.tsv", "gene.tsv"])
+    def test_input_file_exits_3_at_ingest(self, tmp_path, name):
+        cfg_path = write_cli_workspace(tmp_path)
+        with open(tmp_path / name, "ab") as f:
+            f.write(b"\xff")
+        self.assert_names(invoke(str(cfg_path), "ingest"), 3, tmp_path / name)
+
+    def test_artifact_exits_3(self, tmp_path):
+        cfg_path = str(write_cli_workspace(tmp_path))
+        for step in ("ingest", "synth"):
+            assert invoke(cfg_path, step).exit_code == 0
+        notes = tmp_path / "work" / pipeline.NOTES_FILE
+        with open(notes, "ab") as f:
+            f.write(b"\xff\n")
+        self.assert_names(invoke(cfg_path, "chunk"), 3, notes)
+
+    def test_external_rankings_exit_3(self, tmp_path):
+        cfg_path = str(write_cli_workspace(tmp_path))
+        assert invoke(cfg_path, "ingest").exit_code == 0
+        external = tmp_path / "external.jsonl"
+        external.write_bytes(b"\xff")
+        self.assert_names(invoke(cfg_path, "evaluate", "--external", str(external)), 3, external)
+
+
 def _mutated_row(path, keys, value):
     """Set ``row[keys...]`` to ``value`` in the first row (line 2) of an artifact."""
     meta_line, first, *rest = path.read_text(encoding="utf-8").splitlines()

@@ -2,8 +2,10 @@ import collections
 import dataclasses
 import hashlib
 import json
+import re
 import sys
 import threading
+import typing
 
 import pytest
 import yaml
@@ -152,15 +154,88 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="invalid YAML"):
             load_config(path)
 
-    def test_to_dict_is_json_serializable(self):
-        cfg = config_from_dict({"evaluation": {"cutoffs": [1, 2]}})
-        doc = cfg.to_dict()
-        json.dumps(doc)
-        assert doc["evaluation"]["cutoffs"] == [1, 2]
+
+
+# One value of each JSON type, by the name an error gives the type.
+JSON_VALUES = {
+    "a string": "x",
+    "an integer": 7,
+    "a number": 7.5,
+    "a boolean": True,
+    "null": None,
+    "an array": ["x"],
+    "an object": {"k": 7},
+}
+# The JSON types each setting type accepts; an array of integers takes none of
+# the values above.
+ACCEPTED = {str: {"a string"}, int: {"an integer"}, float: {"an integer", "a number"}}
+
+
+def every_setting():
+    """(section or None, key, type) of the seed and of every section field."""
+    for name, tp in typing.get_type_hints(PipelineConfig).items():
+        if dataclasses.is_dataclass(tp):
+            for key, field_type in typing.get_type_hints(tp).items():
+                yield name, key, field_type
+        else:
+            yield None, name, tp
+
+
+SETTINGS = list(every_setting())
+
+
+@pytest.mark.parametrize(
+    "section, key, tp",
+    SETTINGS,
+    ids=[key if section is None else f"{section}.{key}" for section, key, _ in SETTINGS],
+)
+def test_every_setting_names_itself_for_each_wrong_json_type(section, key, tp):
+    where = key if section is None else f"{section}.{key}"
+    for kind, value in JSON_VALUES.items():
+        if kind in ACCEPTED.get(tp, ()):
+            continue
+        data = {key: value} if section is None else {section: {key: value}}
+        with pytest.raises(ConfigError, match=f"^field '{re.escape(where)}[\\['].* is "):
+            config_from_dict(data)
 
 
 class TestConfigHash:
     """``config_digests``: one sha256 for the seed and for each settings section."""
+
+    def test_pinned_digests(self):
+        assert config_digests(PipelineConfig()) == {
+            "seed": "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+            "cohort": "444c99bf8240f19831fa7f4849cf7381df9f44f782b05498875bad05be386c0c",
+            "chunking": "1894e647ff55adf26078271519830c1d258f71b794a6a2e05472c27e1b8bdfe8",
+            "extraction": "db9dc7b238760b9217c3b4e0a2392cff3ada74bb150d643e9d809d24b30acc4c",
+            "standardization": "134b4af85d9bae9cefff2062b3af8c483b5966c44fad79b59e13a093840dd648",
+            "training": "51a19b97401a8929e247bf2a4e72b5fc6cac51155206d79f0d1200e55e719d05",
+            "evaluation": "b467260dd31ddcb201bda2b91a218f79d781bc0ccb2c098c99053c2464957253",
+        }
+        other = config_from_dict(
+            {
+                "seed": 7,
+                "cohort": {"size": 30},
+                "extraction": {
+                    "backend": "remote",
+                    "endpoint_url": "http://localhost:9/x",
+                    "concurrency": 4,
+                    "timeout": 5,
+                },
+                "standardization": {"tau": 1},
+                "training": {"model": "boosted", "boosted_rounds": 30},
+                "evaluation": {"cutoffs": [5, 15]},
+            }
+        )
+        assert config_digests(other) == {
+            "seed": "7902699be42c8a8e46fbbb4501726517e86b22c56a189f7625a6da49081b2451",
+            "cohort": "4eea41d0409d5cb6dff085c929e7ec858f29d108543f796dccff909552a9910d",
+            "chunking": "1894e647ff55adf26078271519830c1d258f71b794a6a2e05472c27e1b8bdfe8",
+            "extraction": "7f0de04cba5f75865524664cb8ddc0edf9017be3f14db5ae769cff619884a1ee",
+            "standardization": "6cf991f5c2668a170a9a079e8ce168b2e4d8a8d3f3d895be925dfe2664b2e1c7",
+            "training": "62489c56030fa2934be42b5afd222bb5480473208cfa457aeec172fd3bd2afb6",
+            "evaluation": "ece7b35047e750c46bf93f3cd9dbbdcb76eaa810dd0fdc19d53bf8ce950c4f99",
+        }
 
     def test_stable_and_hex(self):
         a = config_digests(config_from_dict({"seed": 3}))
@@ -288,7 +363,7 @@ class TestPipelineChain:
             "step": "synth",
             "config": {part: digests[part] for part in ("seed", "cohort")},
             "inputs": {
-                field: pipeline._input_digest(cfg, field)
+                field: helpers.file_digest(getattr(cfg.paths, field))
                 for field in (pipeline.ONTOLOGY, pipeline.DISEASES)
             },
             "reads": {},
@@ -319,7 +394,7 @@ class TestPipelineChain:
         wd = pipeline.workdir(cfg)
         assert summaries["extract"]["failures"] == 0
         assert summaries["extract"]["patients"] == 12
-        o = pipeline.load_ontology(cfg)
+        o, _, _ = helpers.parse_inputs(cfg.paths)
         _, cohort_rows = pipeline.read_jsonl(wd / pipeline.COHORT_FILE)
         _, mention_rows = pipeline.read_jsonl(wd / pipeline.MENTIONS_FILE)
         surfaces = {
@@ -355,7 +430,7 @@ class TestPipelineChain:
 
     def test_train_counts_pairs_and_dropped_patients(self, chain):
         cfg, summaries = chain
-        o, kb, s = pipeline.load_inputs(cfg)
+        o, kb, s = helpers.parse_inputs(cfg.paths)
         _, cohort = pipeline.read_jsonl(
             pipeline.workdir(cfg) / pipeline.COHORT_FILE, corpus.Patient
         )
@@ -462,7 +537,7 @@ class TestPipelineChain:
                 for part in ("seed", "cohort", "evaluation")
             },
             "inputs": {
-                field: pipeline._input_digest(cfg, field)
+                field: helpers.file_digest(getattr(cfg.paths, field))
                 for field in (pipeline.ONTOLOGY, pipeline.DISEASES)
             },
             "reads": {
@@ -721,19 +796,14 @@ class TestPipelineGuards:
             pipeline.step_standardize(cfg)
         assert not (pipeline.workdir(cfg) / pipeline.STANDARDIZED_FILE).exists()
 
-    def test_load_ontology_requires_path(self):
-        cfg = PipelineConfig()
-        with pytest.raises(ConfigError):
-            pipeline.load_ontology(cfg)
-
-    def test_load_kb_requires_paths(self, tmp_path):
+    @pytest.mark.parametrize(
+        "field", [pipeline.ONTOLOGY, pipeline.DISEASES, pipeline.GENES]
+    )
+    def test_ingest_requires_each_input_path(self, tmp_path, field):
         cfg = write_workspace(tmp_path)
-        o = pipeline.load_ontology(cfg)
-        bare = dataclasses.replace(
-            cfg, paths=dataclasses.replace(cfg.paths, gene_annotations="")
-        )
-        with pytest.raises(ConfigError):
-            pipeline.load_kb(bare, o)
+        bare = dataclasses.replace(cfg, paths=dataclasses.replace(cfg.paths, **{field: ""}))
+        with pytest.raises(ConfigError, match=f"paths.{field} is not set"):
+            pipeline.step_ingest(bare)
 
     def test_obo_suffix_routes_to_obo_parser(self, tmp_path):
         obo = tmp_path / "mini.obo"
@@ -742,6 +812,20 @@ class TestPipelineGuards:
             "[Term]\nid: HP:0000002\nname: Child\nis_a: HP:0000001\n",
             encoding="utf-8",
         )
-        cfg = config_from_dict({"paths": {"ontology": str(obo)}})
-        o = pipeline.load_ontology(cfg)
+        (tmp_path / "disease.tsv").write_text(
+            "HP:0000002\tOMIM:1\tomim\nHP:0000002\tORPHA:1\torphanet\n", encoding="utf-8"
+        )
+        (tmp_path / "gene.tsv").write_text("HP:0000002\tG1\n", encoding="utf-8")
+        cfg = config_from_dict(
+            {
+                "paths": {
+                    "ontology": str(obo),
+                    "disease_annotations": str(tmp_path / "disease.tsv"),
+                    "gene_annotations": str(tmp_path / "gene.tsv"),
+                    "workdir": str(tmp_path / "work"),
+                }
+            }
+        )
+        pipeline.step_ingest(cfg)
+        o = pipeline.load_snapshot(cfg).ontology
         assert o.root == "HP:0000001"

@@ -142,6 +142,27 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_ontology_json("not json")
 
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, [], None, {}])
+    def test_json_is_obsolete_must_be_a_boolean(self, value):
+        import json
+
+        doc = [{"id": "HP:0000001", "name": "Root"}, {"id": "HP:0000002", "name": "Leaf"}]
+        doc[1]["is_obsolete"] = value
+        with pytest.raises(ParseError, match="term HP:0000002: is_obsolete"):
+            parse_ontology_json(json.dumps(doc))
+
+    def test_json_is_obsolete_boolean_or_absent(self):
+        import json
+
+        doc = [
+            {"id": "HP:0000001", "name": "Root", "is_obsolete": False},
+            {"id": "HP:0000002", "name": "Leaf", "is_a": ["HP:0000001"]},
+            {"id": "HP:0000003", "name": "Gone", "is_obsolete": True},
+        ]
+        o = parse_ontology_json(json.dumps(doc))
+        assert [o.terms[t].obsolete for t in sorted(o.terms)] == [False, False, True]
+        assert o.ids == ("HP:0000001", "HP:0000002")
+
     @pytest.mark.parametrize(
         "field, value",
         [("name", 5), ("def", ["x"]), ("synonyms", "Root"), ("synonyms", [None]),

@@ -11,7 +11,7 @@ from phenorank.errors import DataError
 from phenorank.evaluation import MetricsReport
 from phenorank.extraction import ChunkFailure, Mention, PatientMentions
 from phenorank.ranking import TrainingMeta
-from phenorank.rows import PatientTerms
+from phenorank.rows import PatientTerms, decode
 
 ROW_TYPES = (
     Patient,
@@ -132,3 +132,12 @@ def test_an_integer_reads_as_a_float_and_a_set_writes_sorted():
     assert p.to_dict()["curatedTerms"] == ["HP:1", "HP:2"]
     with pytest.raises(DataError, match="field 'curatedTerms' is null, not an array"):
         Patient.from_dict({**doc, "curatedTerms": None})
+
+
+def test_decode_reads_a_boolean_and_an_array_as_a_tuple():
+    assert decode(bool, False, ("flag",)) is False
+    assert decode(tuple[int, ...], [10, 20], ("cutoffs",)) == (10, 20)
+    with pytest.raises(DataError, match="^field 'flag' is an integer, not a boolean$"):
+        decode(bool, 1, ("flag",))
+    with pytest.raises(DataError, match=r"^field 'cutoffs\[1\]' is a boolean, not an integer$"):
+        decode(tuple[int, ...], [10, True], ("cutoffs",))

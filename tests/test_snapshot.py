@@ -4,6 +4,7 @@ The oracle is a fresh parse of the same files: the restored ontology,
 statistics and feature table must equal it record for record and bit for bit.
 """
 
+import collections
 import hashlib
 import json
 import zipfile
@@ -100,7 +101,7 @@ def test_restore_equals_a_fresh_parse(tmp_path, inputs):
     cfg = write_inputs(tmp_path, *inputs())
     pipeline.step_ingest(cfg)
     snap = pipeline.load_snapshot(cfg)
-    o, kb, s = pipeline.load_inputs(cfg)
+    o, kb, s = helpers.parse_inputs(cfg.paths)
     r = snap.ontology
     assert list(r.terms.items()) == list(o.terms.items())
     assert (r.ids, r.root) == (o.ids, o.root)
@@ -116,6 +117,21 @@ def test_restore_equals_a_fresh_parse(tmp_path, inputs):
     assert snap.table.dtype == table.dtype and snap.table.shape == table.shape
     assert snap.table.tobytes() == table.tobytes()
     assert all(helpers.ancestors(r, t) == helpers.ancestors(o, t) for t in o.ids)
+
+
+def test_ingest_reads_each_input_once(tmp_path, monkeypatch):
+    cfg = write_inputs(tmp_path, *fixture_inputs())
+    reads = collections.Counter()
+    read_bytes = Path.read_bytes
+
+    def counted(path):
+        reads[path] += 1
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", counted)
+    pipeline.step_ingest(cfg)
+    fields = (pipeline.ONTOLOGY, pipeline.DISEASES, pipeline.GENES)
+    assert reads == {Path(getattr(cfg.paths, field)): 1 for field in fields}
 
 
 def test_snapshot_bytes_repeat(tmp_path):

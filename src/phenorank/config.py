@@ -185,11 +185,16 @@ class PipelineConfig:
             )
 
 
+def _names(keys: set) -> list:
+    """Unknown keys in a stable order; YAML keys may mix types (``{1: 2, x: 3}``)."""
+    return sorted(keys, key=lambda k: (str(k), repr(k)))
+
+
 def _build_section(name: str, cls, data) -> object:
     if not isinstance(data, dict):
         raise ConfigError(f"section {name!r} must be a mapping")
     types = typing.get_type_hints(cls)
-    unknown = sorted(set(data) - set(types))
+    unknown = _names(set(data) - set(types))
     if unknown:
         raise ConfigError(f"unknown keys in section {name!r}: {unknown}")
     return cls(**{key: rows.decode(types[key], v, (name, key)) for key, v in data.items()})
@@ -198,7 +203,7 @@ def _build_section(name: str, cls, data) -> object:
 def config_from_dict(data: dict) -> PipelineConfig:
     if not isinstance(data, dict):
         raise ConfigError("configuration root must be a mapping")
-    unknown = sorted(set(data) - set(_SECTIONS) - {"seed"})
+    unknown = _names(set(data) - set(_SECTIONS) - {"seed"})
     if unknown:
         raise ConfigError(f"unknown configuration sections: {unknown}")
     # Each value is decoded by the row codec; a wrong JSON type names the setting.

@@ -535,7 +535,10 @@ def step_train(cfg: PipelineConfig) -> dict:
             train_inst, tr, validation=val_inst, schema=schema, seed=cfg.seed
         )
     else:
-        linear = train_pairwise_linear(train_inst, tr, schema=schema, seed=cfg.seed)
+        # The linear loss history is computed only if that model is written.
+        linear = train_pairwise_linear(
+            train_inst, tr, schema=schema, seed=cfg.seed, defer_history=True
+        )
         boosted = train_boosted(
             train_inst, tr, validation=val_inst, schema=schema, seed=cfg.seed
         )

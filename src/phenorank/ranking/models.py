@@ -13,11 +13,20 @@ Training runs in whole-array passes:
 
 - ``pair_index`` groups the training patients once per run by their
   (positives, negatives) shape and stacks each group's index arrays.
-- ``pairwise_pass`` then computes the loss, gradient and hessian of every
-  patient of a shape with one expression over a ``(G, P, N)`` margin block.
-  The linear ranker skips the hessian.
+- ``pairwise_pass`` then computes the gradient and hessian of every patient
+  of a shape with one expression over a ``(G, P, N)`` margin block, and
+  ``pairwise_loss`` the loss the same way. The linear ranker skips the
+  hessian.
+- A loss history is computed only for a model that is written. Boosting
+  rounds compute their loss as they go. Linear epochs take gradient-only
+  passes and keep their weights; the history is computed from those weights
+  afterwards, and under ``training.model: select`` only if the linear model
+  wins.
 - ``_build_tree`` scores every cut of a feature at once from the cumulative
-  gradient and hessian sums of the node's stable sort.
+  gradient and hessian sums of the node's stable sort. The sort key is the
+  feature's dense rank, built once per boosting run in ``uint8`` or
+  ``uint16`` where it fits; the cut values, the equal-value mask and the
+  gains read the float64 features.
 - Validation patients are grouped once per boosting run.
 
 The models are byte-identical to the earlier per-patient, per-cut loops
@@ -25,11 +34,14 @@ The models are byte-identical to the earlier per-patient, per-cut loops
 
 - Each patient's loss is still the pairwise sum of its own contiguous
   ``P*N`` block.
-- The per-patient losses are added one by one in patient id order.
+- The per-patient losses are added one by one in patient id order, and a
+  linear epoch's loss is computed from that epoch's own weight vector.
 - Row sums run along the fast axis and column sums along the slow one, as
   they did per patient.
 - No instance index repeats within a scatter.
-- The split gains are the same IEEE operations, in the same order.
+- The split gains are the same IEEE operations, in the same order. A stable
+  sort of a strictly increasing function of the feature, its dense rank,
+  gives the same order as a stable sort of the feature, ties included.
 - Cuts between equal values and NaN gains are masked before ``argmax``, which
   takes the first maximum. A feature replaces the best split only when its
   gain is strictly greater.
@@ -39,7 +51,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -73,6 +85,10 @@ class RankModel:
     schema: FeatureSchema
     params: dict
     meta: TrainingMeta
+    # Computes ``meta.train_loss_history`` when the model is first written.
+    pending_history: Callable[[], list[float]] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def score(self, features: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(features, dtype=np.float64))
@@ -90,6 +106,9 @@ class RankModel:
         raise DataError(f"unknown model kind {self.kind!r}")
 
     def to_json(self) -> str:
+        if self.pending_history is not None:
+            self.meta.train_loss_history = self.pending_history()
+            self.pending_history = None
         doc = {
             "formatVersion": MODEL_FORMAT_VERSION,
             "kind": self.kind,
@@ -162,29 +181,51 @@ def pair_index(instances: Sequence[RankingInstance]) -> PairIndex:
     )
 
 
-def pairwise_pass(
-    scores: np.ndarray, pairs: PairIndex, hessian: bool = True
-) -> tuple[float, np.ndarray, np.ndarray | None]:
-    """Pairwise loss, gradient and (optionally) hessian at ``scores``.
+def _neg_margins(scores: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
+    """``s_neg - s_pos`` of every pair of a bucket, shape ``(G, P, N)``.
+
+    Rounding is symmetric, so this is ``-(s_pos - s_neg)`` bit for bit except
+    for the sign of a zero, which neither ``logaddexp(0, x)`` nor ``expit``
+    reads.
+    """
+    return scores[neg][:, None, :] - scores[pos][:, :, None]
+
+
+def pairwise_loss(scores: np.ndarray, pairs: PairIndex) -> float:
+    """Pairwise loss at ``scores``.
 
     Bitwise equal to one patient at a time: each patient's loss is the
     pairwise sum of its contiguous ``(P, N)`` block, summed over patients in
-    id order; each instance gets exactly one row or column sum, and no index
-    repeats, so the scatter adds nothing twice.
+    id order.
+    """
+    per_patient = np.empty(pairs.patients, dtype=np.float64)
+    for slots, pos, neg in pairs.buckets:
+        neg_margins = _neg_margins(scores, pos, neg)
+        np.logaddexp(0.0, neg_margins, out=neg_margins)
+        per_patient[slots] = neg_margins.reshape(len(slots), -1).sum(axis=1)
+    loss = 0.0
+    for value in per_patient.tolist():  # in order; np.sum would pair them up
+        loss += value
+    return loss
+
+
+def pairwise_pass(
+    scores: np.ndarray, pairs: PairIndex, hessian: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Pairwise gradient and (optionally) hessian at ``scores``.
+
+    Each instance gets exactly one row or column sum per bucket, and no index
+    repeats, so the scatter adds nothing twice and matches one patient at a
+    time bitwise.
     """
     # Imported here so only ``train`` pays for scipy; ``1 / (1 + exp(-x))``
     # differs from ``expit`` in the last bit and would change model bytes.
     from scipy.special import expit
 
-    per_patient = np.empty(pairs.patients, dtype=np.float64)
     g = np.zeros_like(scores)
     h = np.zeros_like(scores) if hessian else None
-    for slots, pos, neg in pairs.buckets:
-        neg_margins = scores[pos][:, :, None] - scores[neg][:, None, :]
-        np.negative(neg_margins, out=neg_margins)
-        per_patient[slots] = (
-            np.logaddexp(0.0, neg_margins).reshape(len(slots), -1).sum(axis=1)
-        )
+    for _, pos, neg in pairs.buckets:
+        neg_margins = _neg_margins(scores, pos, neg)
         sig = expit(neg_margins, out=neg_margins)  # d loss / d margin, negated
         g[pos] -= sig.sum(axis=2)
         g[neg] += sig.sum(axis=1)
@@ -192,10 +233,7 @@ def pairwise_pass(
             curv = sig * (1.0 - sig)
             h[pos] += curv.sum(axis=2)
             h[neg] += curv.sum(axis=1)
-    loss = 0.0
-    for value in per_patient.tolist():  # in order; np.sum would pair them up
-        loss += value
-    return loss, g, h
+    return g, h
 
 
 def _training_pairs(instances: Sequence[RankingInstance]) -> PairIndex:
@@ -210,12 +248,18 @@ def train_pairwise_linear(
     cfg: TrainingConfig = TrainingConfig(),
     schema: FeatureSchema | None = None,
     seed: int | None = None,
+    *,
+    defer_history: bool = False,
 ) -> RankModel:
     """Full-batch gradient descent on the L2-regularized pairwise loss.
 
     Features are standardized to zero mean and unit variance on the training
     set; the transform is stored in the model so scoring stays consistent.
     Zero epochs return the zero-weight model.
+
+    With ``defer_history`` the loss history waits until the model is first
+    serialized, so a model that ``select_model`` discards never pays for it;
+    it then reads ``instances`` again.
     """
     cfg.validate()
     if not instances:
@@ -227,15 +271,21 @@ def train_pairwise_linear(
     scale[scale == 0.0] = 1.0
     Xs = (X - mean) / scale
     w = np.zeros(X.shape[1], dtype=np.float64)
-    loss_history: list[float] = []
+    epoch_weights: list[np.ndarray] = []
     for _ in range(cfg.linear_epochs):
-        loss, g_s, _ = pairwise_pass(Xs @ w, pairs, hessian=False)
-        loss_history.append(loss + cfg.linear_l2 * float(w @ w))
+        epoch_weights.append(w.copy())
+        g_s, _ = pairwise_pass(Xs @ w, pairs, hessian=False)
         grad = Xs.T @ g_s + 2.0 * cfg.linear_l2 * w
         w -= cfg.linear_learning_rate * grad
-    meta = TrainingMeta(
-        seed=seed, rounds=cfg.linear_epochs, train_loss_history=loss_history
-    )
+
+    def loss_history() -> list[float]:
+        # Rebuilt, not kept: a deferred history holds no feature matrix.
+        Xs = (np.vstack([inst.features for inst in instances]) - mean) / scale
+        return [
+            pairwise_loss(Xs @ v, pairs) + cfg.linear_l2 * float(v @ v)
+            for v in epoch_weights
+        ]
+
     return RankModel(
         kind=KIND_LINEAR,
         schema=schema if schema is not None else _schema_stub(X.shape[1]),
@@ -246,7 +296,12 @@ def train_pairwise_linear(
             "learning_rate": cfg.linear_learning_rate,
             "l2": cfg.linear_l2,
         },
-        meta=meta,
+        meta=TrainingMeta(
+            seed=seed,
+            rounds=cfg.linear_epochs,
+            train_loss_history=[] if defer_history else loss_history(),
+        ),
+        pending_history=loss_history if defer_history else None,
     )
 
 
@@ -272,8 +327,23 @@ def _leaf_value(g_sum: float, h_sum: float, l1: float, l2: float) -> float:
     return -_soft_threshold(g_sum, l1) / (h_sum + l2)
 
 
+def _dense_ranks(X: np.ndarray) -> list[np.ndarray]:
+    """Each column of ``X`` as its dense rank, in the smallest unsigned dtype.
+
+    Equal values (``0.0`` and ``-0.0`` too) share a rank, so a stable sort of
+    a rank column gives the float column's stable order, ties included. numpy
+    sorts ``uint8`` and ``uint16`` keys stably by radix sort.
+    """
+    ranks = []
+    for column in X.T:
+        distinct, inverse = np.unique(column, return_inverse=True)
+        ranks.append(inverse.astype(np.min_scalar_type(len(distinct) - 1)))
+    return ranks
+
+
 def _build_tree(
     X: np.ndarray,
+    ranks: list[np.ndarray],
     g: np.ndarray,
     h: np.ndarray,
     idx: np.ndarray,
@@ -290,8 +360,8 @@ def _build_tree(
     lo, hi = min_leaf - 1, len(idx) - min_leaf
     X_node, g_node, h_node = X[idx], g[idx], h[idx]
     best = None  # (gain, feature, cut, order, sorted values)
-    for f in range(X.shape[1]):
-        order = np.argsort(X_node[:, f], kind="stable")
+    for f, rank in enumerate(ranks):
+        order = np.argsort(rank[idx], kind="stable")
         sv = X_node[order, f]
         gl = np.cumsum(g_node[order])[lo:hi]
         hl = np.cumsum(h_node[order])[lo:hi]
@@ -308,8 +378,8 @@ def _build_tree(
     return {
         "feature": f,
         "threshold": float((sv[cut] + sv[cut + 1]) / 2.0),
-        "left": _build_tree(X, g, h, idx[order[: cut + 1]], depth + 1, cfg),
-        "right": _build_tree(X, g, h, idx[order[cut + 1 :]], depth + 1, cfg),
+        "left": _build_tree(X, ranks, g, h, idx[order[: cut + 1]], depth + 1, cfg),
+        "right": _build_tree(X, ranks, g, h, idx[order[cut + 1 :]], depth + 1, cfg),
     }
 
 
@@ -347,6 +417,7 @@ def train_boosted(
     if not validation:
         raise TrainingError("boosted training needs a validation cohort")
     X = np.vstack([inst.features for inst in instances])
+    ranks = _dense_ranks(X)
     pairs = _training_pairs(instances)
     Xv = np.vstack([inst.features for inst in validation])
     val_map30 = map_scorer(validation, k=30)
@@ -361,9 +432,9 @@ def train_boosted(
     all_idx = np.arange(X.shape[0])
     lr = cfg.boosted_learning_rate
     for _ in range(cfg.boosted_rounds):
-        loss, g, h = pairwise_pass(scores, pairs)
-        loss_history.append(loss)
-        tree = _build_tree(X, g, h, all_idx, 0, cfg)
+        loss_history.append(pairwise_loss(scores, pairs))
+        g, h = pairwise_pass(scores, pairs)
+        tree = _build_tree(X, ranks, g, h, all_idx, 0, cfg)
         trees.append(tree)
         scores += lr * _tree_predict(tree, X)
         val_scores += lr * _tree_predict(tree, Xv)

@@ -86,6 +86,7 @@ from phenorank.ranking.models import (
     _schema_stub,
     _tree_predict,
     pair_index,
+    pairwise_loss,
     pairwise_pass,
 )
 from phenorank.standardization import DEFAULT_DIMENSION, IndexEntry
@@ -901,15 +902,14 @@ def pairwise_linear_gradient(instances, weights, l2: float = 0.0) -> np.ndarray:
     """
     X = np.vstack([inst.features for inst in instances])
     scores = X @ np.asarray(weights, dtype=np.float64)
-    _, g_s, _ = pairwise_pass(scores, pair_index(instances), hessian=False)
+    g_s, _ = pairwise_pass(scores, pair_index(instances), hessian=False)
     return X.T @ g_s + 2.0 * l2 * np.asarray(weights, dtype=np.float64)
 
 
 def pairwise_loss_at(instances, weights, l2: float = 0.0) -> float:
     X = np.vstack([inst.features for inst in instances])
     w = np.asarray(weights, dtype=np.float64)
-    loss, _, _ = pairwise_pass(X @ w, pair_index(instances), hessian=False)
-    return loss + l2 * float(w @ w)
+    return pairwise_loss(X @ w, pair_index(instances)) + l2 * float(w @ w)
 
 
 def _parse_note_date(value: str) -> date:

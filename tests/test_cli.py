@@ -218,6 +218,20 @@ class TestErrorReporting:
         assert "'permutations'" in err["message"]
         assert "'evaluation'" in err["message"]
 
+    @pytest.mark.parametrize(
+        "text", ["cohort:\n  1: 2\n  x: 3\n", "1: 2\nx: 3\n"], ids=["section", "root"]
+    )
+    def test_unknown_keys_of_mixed_types_exit_2(self, tmp_path, text):
+        # YAML keys need not be strings; naming them must not compare an int
+        # with a str.
+        path = tmp_path / "mixed.yaml"
+        path.write_text(text, encoding="utf-8")
+        result = invoke(str(path), "ingest")
+        assert result.exit_code == 2
+        err = stderr_error(result)
+        assert err["type"] == "ConfigError"
+        assert "[1, 'x']" in err["message"]
+
     def test_missing_artifact_exits_3(self, tmp_path):
         cfg_path = write_cli_workspace(tmp_path)
         result = invoke(str(cfg_path), "chunk")
@@ -598,6 +612,62 @@ def _fixture_config(**sections) -> dict:
     return data
 
 
+def _generated_workspace(root, steps):
+    """The generated seed-1 fixture inputs in ``root``, run through ``steps``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "generate.py"
+    spec = importlib.util.spec_from_file_location("perfbench_generate", path)
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    generate.write_inputs("fixture", 1, root)
+    (root / "phenorank.yaml").write_text(yaml.safe_dump(_fixture_config()))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        for step in steps:
+            assert invoke("phenorank.yaml", step).exit_code == 0, step
+    return root
+
+
+class TestTrainingBytes:
+    """``model.json`` pinned for each ``training.model`` on the 30-patient
+    generated fixture (seed 1, 5 rounds). Any change to what training computes
+    or writes shows here as a new digest."""
+
+    @pytest.fixture(scope="class")
+    def standardized(self, tmp_path_factory):
+        return _generated_workspace(tmp_path_factory.mktemp("bytes"), STEP_NAMES[:5])
+
+    @pytest.mark.parametrize(
+        "model, kind, digest",
+        [
+            (
+                "select",
+                "boostedTrees",
+                "8c57c047fecd70ac68c3ddd9d53decb7f292bcd6e3a9b3f8a5532b2a41a157bf",
+            ),
+            (
+                "linear",
+                "pairwiseLinear",
+                "228e16ad7dd7e27ee4fd97a23670a8edbe61fe815c3f06ee9f13ae8100f09a5c",
+            ),
+            (
+                "boosted",
+                "boostedTrees",
+                "52483327ba71f36e3b79e115a758b6faa1bbed482c6421bc590da036520e0f4e",
+            ),
+        ],
+    )
+    def test_model_bytes(self, standardized, tmp_path, monkeypatch, model, kind, digest):
+        shutil.copytree(standardized, tmp_path / "ws")
+        monkeypatch.chdir(tmp_path / "ws")
+        Path("model.yaml").write_text(
+            yaml.safe_dump(_fixture_config(training={"model": model}))
+        )
+        result = invoke("model.yaml", "train")
+        assert result.exit_code == 0, result.output
+        assert stdout_json(result)["kind"] == kind
+        assert helpers.file_digest(Path("work") / pipeline.MODEL_FILE) == digest
+
+
 class TestLineage:
     """Each step refuses an artifact that is stale for the slice of config,
     inputs and upstream files it was built from, and only such an artifact."""
@@ -605,18 +675,7 @@ class TestLineage:
     @pytest.fixture(scope="class")
     def done(self, tmp_path_factory):
         """A generated 30-patient fixture workspace run through all ten steps."""
-        root = tmp_path_factory.mktemp("lineage")
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "generate.py"
-        spec = importlib.util.spec_from_file_location("perfbench_generate", path)
-        generate = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(generate)
-        generate.write_inputs("fixture", 1, root)
-        (root / "phenorank.yaml").write_text(yaml.safe_dump(_fixture_config()))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.chdir(root)
-            for step in STEP_NAMES:
-                assert invoke("phenorank.yaml", step).exit_code == 0, step
-        return root
+        return _generated_workspace(tmp_path_factory.mktemp("lineage"), STEP_NAMES)
 
     @pytest.fixture
     def copied(self, done, tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ import sys
 import threading
 import typing
 
+import numpy as np
 import pytest
 import yaml
 
@@ -26,6 +27,7 @@ from phenorank.errors import (
     StructuralError,
 )
 from phenorank.ranking import FeatureSchema, build_instances, split_cohort
+from phenorank.ranking.models import pair_index
 
 
 def write_workspace(root, seed=11, **section_overrides):
@@ -93,6 +95,12 @@ class TestConfigLoading:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown keys"):
             config_from_dict({"cohort": {"sizes": 10}})
+
+    def test_unknown_keys_of_mixed_types_named_in_order(self):
+        with pytest.raises(ConfigError, match=r"\['1', 1, 'x'\]"):
+            config_from_dict({"cohort": {"x": 3, "1": 4, 1: 2}})
+        with pytest.raises(ConfigError, match=r"\[2.5, None, 'x'\]"):
+            config_from_dict({None: 1, "x": 2, 2.5: 3})
 
     @pytest.mark.parametrize(
         "data,hint",
@@ -766,6 +774,61 @@ def test_propagation_runs_only_where_its_counts_are_read(step_calls):
 @pytest.mark.parametrize("attr", [attr for _, attr in INPUT_PASSES[:4]])
 def test_only_ingest_parses_the_inputs(step_calls, attr):
     assert step_calls[attr] == {s.name: int(s.name == "ingest") for s in pipeline.STEPS}
+
+
+class TestTrainComputesWhatItWrites:
+    """Under ``training.model: select`` a linear loss history is computed only
+    when the linear model is the one written."""
+
+    def select_run(self, tmp_path, monkeypatch, seed):
+        cfg = write_workspace(tmp_path, seed=seed, training={"model": "select"})
+        for step in pipeline.STEPS[:5]:
+            step.run(cfg)
+        phase = ["write"]
+        logaddexp_calls = collections.Counter()
+        logaddexp = np.logaddexp
+        trained = {}
+
+        def counted(*args, **kwargs):
+            logaddexp_calls[phase[0]] += 1
+            return logaddexp(*args, **kwargs)
+
+        def in_phase(name, fn):
+            def run(instances, *args, **kwargs):
+                trained[name] = instances
+                phase[0] = name
+                try:
+                    return fn(instances, *args, **kwargs)
+                finally:
+                    phase[0] = "write"
+
+            return run
+
+        monkeypatch.setattr(np, "logaddexp", counted)
+        for name in ("train_pairwise_linear", "train_boosted"):
+            monkeypatch.setattr(pipeline, name, in_phase(name, getattr(pipeline, name)))
+        kind = pipeline.step_train(cfg)["kind"]
+        doc = json.loads((pipeline.workdir(cfg) / pipeline.MODEL_FILE).read_text())
+        buckets = len(pair_index(trained["train_pairwise_linear"]).buckets)
+        return cfg, kind, doc, logaddexp_calls, buckets, trained
+
+    def test_boosted_winner_pays_no_linear_loss(self, tmp_path, monkeypatch):
+        _, kind, doc, calls, buckets, _ = self.select_run(tmp_path, monkeypatch, 11)
+        assert kind == "boostedTrees"
+        # One loss pass per boosting round, one logaddexp per (P, N) bucket.
+        assert dict(calls) == {"train_boosted": doc["meta"]["rounds"] * buckets}
+
+    def test_linear_winner_writes_the_loop_history(self, tmp_path, monkeypatch):
+        cfg, kind, doc, calls, buckets, trained = self.select_run(
+            tmp_path, monkeypatch, 13
+        )
+        assert kind == "pairwiseLinear"
+        assert calls["train_pairwise_linear"] == 0
+        assert calls["write"] == cfg.training.linear_epochs * buckets
+        want = helpers.loop_train_linear(trained["train_pairwise_linear"], cfg.training)
+        history = doc["meta"]["trainLossHistory"]
+        assert len(history) == cfg.training.linear_epochs
+        assert history == want.meta.train_loss_history
 
 
 class TestPipelineGuards:

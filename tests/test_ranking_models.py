@@ -27,8 +27,11 @@ from phenorank.ranking.metrics import map_scorer
 from phenorank.ranking.models import (
     KIND_BOOSTED,
     KIND_LINEAR,
+    _build_tree,
+    _dense_ranks,
     _schema_stub,
     pair_index,
+    pairwise_loss,
     pairwise_pass,
 )
 
@@ -362,14 +365,14 @@ class TestWholeArrayPass:
         for spread in (0.1, 3.0, 40.0):
             scores = rng.normal(0.0, spread, len(instances))
             scores[rng.integers(0, len(scores), 20)] = 0.0
-            loss, g, h = pairwise_pass(scores, pairs)
+            loss = pairwise_loss(scores, pairs)
+            g, h = pairwise_pass(scores, pairs)
             want_g, want_h = helpers.loop_pairwise_grad_hess(scores, groups)
             assert _bytes(loss) == _bytes(helpers.loop_pairwise_loss(scores, groups))
             assert _bytes(g) == _bytes(want_g)
             assert _bytes(h) == _bytes(want_h)
-            loss_only, g_only, none = pairwise_pass(scores, pairs, hessian=False)
+            g_only, none = pairwise_pass(scores, pairs, hessian=False)
             assert none is None
-            assert _bytes(loss_only) == _bytes(loss)
             assert _bytes(g_only) == _bytes(g)
 
     def test_pair_index_counts(self):
@@ -434,6 +437,52 @@ class TestTrainersMatchLoopOracles:
         )
         got = train_boosted(train, cfg, validation=val).to_json()
         assert got == helpers.loop_train_boosted(train, cfg, validation=val).to_json()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_boosted_rank_sort_edge_columns(self, seed):
+        # Splits sort dense-rank columns; these columns stress the ranks:
+        # 0.0 beside -0.0 (one rank), a constant column (no cut) and a column
+        # of two values (one cut).
+        train, val = _random_training_set(seed, tied=False)
+        rng = np.random.default_rng([seed, 808])
+        for inst in (*train, *val):
+            high = rng.random() < 0.2 + 0.6 * inst.label
+            inst.features[0] = 1.5 if high else rng.choice([-0.0, 0.0, -1.5])
+            inst.features[1] = 3.0
+            inst.features[2] = 0.25 if rng.random() < 0.5 + 0.3 * inst.label else 4.0
+            inst.features[3:] = rng.normal(0.0, 1.0, 2)
+        X = np.vstack([inst.features for inst in train])
+        ranks = _dense_ranks(X)
+        assert [int(r.max()) for r in ranks[:3]] == [2, 0, 1]
+        assert {r.dtype for r in ranks} == {np.dtype(np.uint8)}
+        cfg = TrainingConfig(boosted_rounds=6, boosted_min_leaf=2, boosted_max_depth=3)
+        got = train_boosted(train, cfg, validation=val).to_json()
+        assert got == helpers.loop_train_boosted(train, cfg, validation=val).to_json()
+        g = rng.normal(0.0, 1.0, len(X))
+        h = rng.uniform(0.1, 1.0, len(X))
+        idx = rng.permutation(len(X))[: len(X) * 2 // 3]
+        tree = _build_tree(X, ranks, g, h, idx, 0, cfg)
+        assert tree == helpers.scalar_cut_tree(X, g, h, idx, 0, cfg)
+        assert '"feature": 0' in got and '"feature": 1' not in got
+
+    def test_boosted_rank_sort_wide_column(self):
+        # More than 65,536 distinct values: ranks no longer fit uint16.
+        rng = np.random.default_rng(909)
+        train = helpers.random_instances(rng, [(10, 90)] * 700, dim=2)
+        val = helpers.random_instances(rng, [(3, 20)] * 4, dim=2)
+        X = np.vstack([inst.features for inst in train])
+        ranks = _dense_ranks(X)
+        assert len(np.unique(X[:, 0])) == len(X) > 65_536
+        assert [r.dtype for r in ranks] == [np.dtype(np.uint32)] * 2
+        cfg = TrainingConfig(boosted_rounds=2, boosted_max_depth=1, boosted_min_leaf=5)
+        got = train_boosted(train, cfg, validation=val).to_json()
+        assert got == helpers.loop_train_boosted(train, cfg, validation=val).to_json()
+        g = rng.normal(0.0, 1.0, len(X))
+        h = rng.uniform(0.1, 1.0, len(X))
+        idx = np.arange(len(X))
+        tree = _build_tree(X, ranks, g, h, idx, 0, cfg)
+        assert tree == helpers.scalar_cut_tree(X, g, h, idx, 0, cfg)
+        assert "feature" in tree
 
     @pytest.mark.parametrize("seed", range(3))
     def test_boosted_nan_gains_are_skipped(self, seed):

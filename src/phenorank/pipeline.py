@@ -298,15 +298,17 @@ class Lineage:
     of each work-directory file it read (never ``inputs.npz``: ``inputs``
     stands for it). An artifact is refused (ConfigError naming it, what
     changed and the step to rerun) unless every digest it records is current,
-    each file it read passing the same check first.
+    each file it read passing the same check first; a file it read that is
+    gone has changed. A record that names no step of ``STEPS``, or lacks the
+    digest of the seed or of a section its step declares, is refused as if
+    it were missing.
     """
 
     def __init__(self, cfg: PipelineConfig, step: str):
-        declared = next(s for s in STEPS if s.name == step)
         self.step, self.wd = step, workdir(cfg)
         self.snapshot = load_snapshot(cfg)
         self.current = {**self.snapshot.digests, **config_digests(cfg)}
-        self.config = {part: self.current[part] for part in ("seed", *declared.sections)}
+        self.config = {part: self.current[part] for part in DECLARED[step]}
         self.inputs: dict[str, str] = {}
         self.reads: dict[str, str] = {}
         self._digests: dict[str, str | None] = {}
@@ -331,7 +333,11 @@ class Lineage:
         if name not in self._digests:
             self._digests[name] = None  # a record that cycles back here never holds
             path = self.wd / Path(name).name  # a record names work-directory files only
-            data = self._decoded.pop(name, None) or _read_bytes(path, "artifact")
+            data = self._decoded.pop(name, None)
+            if data is None:
+                if not path.is_file():
+                    return None  # gone since a record named it: that record is stale
+                data = _read_bytes(path, "artifact")
             jsonl = name.endswith(".jsonl")
             text = decode_text(data.partition(b"\n")[0] if jsonl else data, path)
             try:
@@ -339,10 +345,15 @@ class Lineage:
                 lineage = (doc["__meta__"] if jsonl else doc)["lineage"]
                 step = lineage["step"]
                 parts = [lineage[part].items() for part in ("reads", "config", "inputs")]
+                # A record must name its step and hold each config part that
+                # step depends on, or a deleted part would hide a change.
+                valid = set(DECLARED[step]) <= lineage["config"].keys()
             except (ValueError, LookupError, TypeError, AttributeError):
+                valid = False
+            if not valid:
                 raise ConfigError(
-                    f"{name} has no lineage record; rerun the step that writes it"
-                ) from None
+                    f"{name} has no valid lineage record; rerun the step that writes it"
+                )
             # The files it read first, so an error names the earliest stale one.
             now = {**self.current, **{k: self.digest(k) for k, _ in parts[0]}}
             if stale := sorted(k for items in parts for k, v in items if now.get(k) != v):
@@ -535,16 +546,12 @@ def step_train(cfg: PipelineConfig) -> dict:
             train_inst, tr, validation=val_inst, schema=schema, seed=cfg.seed
         )
     else:
-        # The linear loss history is computed only if that model is written.
-        linear = train_pairwise_linear(
-            train_inst, tr, schema=schema, seed=cfg.seed, defer_history=True
-        )
+        linear = train_pairwise_linear(train_inst, tr, schema=schema, seed=cfg.seed)
         boosted = train_boosted(
             train_inst, tr, validation=val_inst, schema=schema, seed=cfg.seed
         )
         model = select_model([linear, boosted], val_inst)
-    doc = json.loads(model.to_json())
-    doc["lineage"] = run.record()
+    doc = {**model.to_dict(), "lineage": run.record()}
     _atomic_write(run.wd / MODEL_FILE, json.dumps(doc, sort_keys=True, indent=2) + "\n")
     pairs = pair_index(train_inst)
     return {
@@ -558,12 +565,14 @@ def step_train(cfg: PipelineConfig) -> dict:
 
 
 def load_model(run: Lineage) -> RankModel:
-    """The trained model, decoded and then checked as ``Lineage.read`` checks."""
-    text = decode_text(run.load(MODEL_FILE), run.wd / MODEL_FILE)
+    """The trained model, decoded and then checked as ``Lineage.read`` checks;
+    a wrong type or value is a DataError naming the file and the field."""
+    path = run.wd / MODEL_FILE
+    text = decode_text(run.load(MODEL_FILE), path)
     try:
         model = RankModel.from_json(text)
-    except (DataError, AttributeError, KeyError, TypeError, ValueError) as e:
-        raise DataError(f"{run.wd / MODEL_FILE}: not a readable model ({e!r})") from e
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from e
     run.reads[MODEL_FILE] = run.digest(MODEL_FILE)
     return model
 
@@ -728,3 +737,6 @@ STEPS = (
     Step("ablate", step_ablate, ("evaluation",)),
     Step("permtest", step_permtest, ("evaluation",)),
 )
+
+# The config parts each step itself records: the seed and its sections.
+DECLARED = {step.name: ("seed", *step.sections) for step in STEPS}

@@ -19,6 +19,7 @@ from ..annotations import FEATURE_NAMES
 from ..corpus import Patient
 from ..errors import ConfigError, DataError
 from ..ontology import Ontology
+from ..rows import Row
 from .sampling import negative_pools, sample_negatives
 
 UNKNOWN_CATEGORY = "unknown"
@@ -27,7 +28,7 @@ _SEX_SLOTS = ("female", "male", "other")
 
 
 @dataclass(frozen=True)
-class FeatureSchema:
+class FeatureSchema(Row):
     """Ordered feature layout shared by training, scoring, and serialization."""
 
     symptom_categories: tuple[str, ...]
@@ -73,24 +74,6 @@ class FeatureSchema:
         out[:, 4 + cats.index(cat)] = 1.0
         out[:, 4 + len(cats) :] = term_rows
         return out
-
-    def to_dict(self) -> dict:
-        return {
-            "symptomCategories": list(self.symptom_categories),
-            "names": list(self.names),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FeatureSchema":
-        """The standard schema of the stored categories; DataError when the
-        stored names are not its names."""
-        categories = tuple(d["symptomCategories"])
-        if UNKNOWN_CATEGORY not in categories:
-            raise DataError("stored symptom categories reserve no unknown slot")
-        schema = cls.standard(categories)
-        if tuple(d["names"]) != schema.names:
-            raise DataError("stored feature names do not match the symptom categories")
-        return schema
 
 
 @dataclass

@@ -7,7 +7,13 @@ Both optimize the within-patient pairwise logistic loss
 the linear ranker by full-batch gradient descent on standardized features with
 an L2 penalty, the boosted ranker by gradient boosting with depth-limited
 regression trees on the pairwise gradients, early-stopped on validation MAP@30.
-Models serialize to versioned JSON and round-trip exactly.
+
+A model is a ``rows.Row``: ``model.json`` is its encoding plus a lineage
+record. ``RankModel.from_json`` decodes it through the row codec (``params``
+as ``LinearParams`` or ``BoostedParams``, each tree node as a ``Leaf`` or a
+``Split``, told apart by their keys), then checks each value scoring reads
+that the types cannot constrain, so a DataError naming the field, never a
+traceback or a NaN score, answers a damaged file.
 
 Training runs in whole-array passes:
 
@@ -20,8 +26,8 @@ Training runs in whole-array passes:
 - A loss history is computed only for a model that is written. Boosting
   rounds compute their loss as they go. Linear epochs take gradient-only
   passes and keep their weights; the history is computed from those weights
-  afterwards, and under ``training.model: select`` only if the linear model
-  wins.
+  when the model is first encoded, so under ``training.model: select`` only
+  if the linear model wins.
 - ``_build_tree`` scores every cut of a feature at once from the cumulative
   gradient and hessian sums of the node's stable sort. The sort key is the
   feature's dense rank, built once per boosting run in ``uint8`` or
@@ -49,9 +55,11 @@ The models are byte-identical to the earlier per-patient, per-cut loops
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -59,8 +67,8 @@ from ..config import TrainingConfig
 from ..corpus import Patient
 from ..errors import DataError, TrainingError
 from ..ontology import Ontology
-from ..rows import Row
-from .features import FeatureSchema, RankingInstance
+from ..rows import Row, json_key
+from .features import UNKNOWN_CATEGORY, FeatureSchema, RankingInstance
 from .metrics import map_at_k, map_scorer
 
 MODEL_FORMAT_VERSION = 1
@@ -79,58 +87,145 @@ class TrainingMeta(Row):
     train_loss_history: list[float] = field(default_factory=list)
 
 
+def _finite(where: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise DataError(f"field {where!r} is {value}, not a finite number")
+
+
+@dataclass(frozen=True)
+class LinearParams(Row):
+    """Weights over the standardized features ``(x - mean) / scale``."""
+
+    weights: list[float]
+    mean: list[float]
+    scale: list[float]
+    learning_rate: float = json_key("learning_rate")
+    l2: float
+
+    @functools.cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        fields = (self.mean, self.scale, self.weights)
+        return tuple(np.asarray(v, dtype=np.float64) for v in fields)
+
+    def score(self, X: np.ndarray) -> np.ndarray:
+        mean, scale, weights = self._arrays
+        return (X - mean) / scale @ weights
+
+    def check(self, dimension: int) -> None:
+        _finite("params.learning_rate", self.learning_rate)
+        for name in ("weights", "mean", "scale"):
+            values = getattr(self, name)
+            if len(values) != dimension:
+                raise DataError(
+                    f"field 'params.{name}' holds {len(values)} numbers, not {dimension}"
+                )
+            for i, value in enumerate(values):
+                _finite(f"params.{name}[{i}]", value)
+                if name == "scale" and value <= 0.0:
+                    raise DataError(f"field 'params.scale[{i}]' is {value}, not positive")
+
+
+@dataclass(frozen=True)
+class Leaf(Row):
+    leaf: float
+
+
+@dataclass(frozen=True)
+class Split(Row):
+    """Rows whose ``feature`` is at most ``threshold`` go left."""
+
+    feature: int
+    threshold: float
+    left: Node
+    right: Node
+
+
+Node = Leaf | Split
+
+
+@dataclass(frozen=True)
+class BoostedParams(Row):
+    """An ensemble of regression trees, each scaled by ``learning_rate``."""
+
+    trees: list[Node]
+    learning_rate: float = json_key("learning_rate")
+    max_depth: int = json_key("max_depth")
+    l1: float
+    l2: float
+
+    def score(self, X: np.ndarray) -> np.ndarray:
+        out = np.zeros(X.shape[0], dtype=np.float64)
+        for tree in self.trees:
+            out += self.learning_rate * _tree_predict(tree, X)
+        return out
+
+    def check(self, dimension: int) -> None:
+        _finite("params.learning_rate", self.learning_rate)
+        nodes = [(tree, f"params.trees[{i}]") for i, tree in enumerate(self.trees)]
+        while nodes:
+            node, where = nodes.pop()
+            if isinstance(node, Leaf):
+                _finite(f"{where}.leaf", node.leaf)
+                continue
+            if not 0 <= node.feature < dimension:
+                raise DataError(
+                    f"field '{where}.feature' is {node.feature}, not in [0, {dimension})"
+                )
+            _finite(f"{where}.threshold", node.threshold)
+            nodes += [(node.left, f"{where}.left"), (node.right, f"{where}.right")]
+
+
 @dataclass
-class RankModel:
+class RankModel(Row):
+    """A trained ranker: the JSON document of ``model.json``, lineage aside."""
+
     kind: str
     schema: FeatureSchema
-    params: dict
+    params: LinearParams | BoostedParams
     meta: TrainingMeta
-    # Computes ``meta.train_loss_history`` when the model is first written.
-    pending_history: Callable[[], list[float]] | None = field(
-        default=None, repr=False, compare=False
-    )
+    format_version: int = MODEL_FORMAT_VERSION
+
+    # Set by ``train_pairwise_linear``: computes ``meta.train_loss_history``
+    # when the model is first written. Not a field, so never written or compared.
+    pending_history = None
 
     def score(self, features: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        if self.kind == KIND_LINEAR:
-            mean = np.asarray(self.params["mean"], dtype=np.float64)
-            scale = np.asarray(self.params["scale"], dtype=np.float64)
-            w = np.asarray(self.params["weights"], dtype=np.float64)
-            return (X - mean) / scale @ w
-        if self.kind == KIND_BOOSTED:
-            lr = self.params["learning_rate"]
-            out = np.zeros(X.shape[0], dtype=np.float64)
-            for tree in self.params["trees"]:
-                out += lr * _tree_predict(tree, X)
-            return out
-        raise DataError(f"unknown model kind {self.kind!r}")
+        return self.params.score(np.atleast_2d(np.asarray(features, dtype=np.float64)))
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
         if self.pending_history is not None:
             self.meta.train_loss_history = self.pending_history()
             self.pending_history = None
-        doc = {
-            "formatVersion": MODEL_FORMAT_VERSION,
-            "kind": self.kind,
-            "schema": self.schema.to_dict(),
-            "params": self.params,
-            "meta": self.meta.to_dict(),
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return super().to_dict()
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "RankModel":
-        doc = json.loads(text)
-        if doc.get("formatVersion") != MODEL_FORMAT_VERSION:
+        """The model ``text`` holds, decoded by the row codec and then checked
+        for what its types cannot say; a DataError names the field."""
+        try:
+            model = cls.from_dict(json.loads(text))
+        except json.JSONDecodeError as e:
+            raise DataError(f"invalid JSON ({e})") from e
+        except RecursionError:  # from either decoder, on a deeply nested tree
+            raise DataError("nested too deeply to decode") from None
+        if model.format_version != MODEL_FORMAT_VERSION:
             raise DataError(
-                f"unsupported model format version {doc.get('formatVersion')!r}"
+                f"field 'formatVersion' is {model.format_version}, not"
+                f" {MODEL_FORMAT_VERSION} (unsupported model format version)"
             )
-        return cls(
-            kind=doc["kind"],
-            schema=FeatureSchema.from_dict(doc["schema"]),
-            params=doc["params"],
-            meta=TrainingMeta.from_dict(doc["meta"]),
-        )
+        kind = KIND_LINEAR if isinstance(model.params, LinearParams) else KIND_BOOSTED
+        if model.kind != kind:
+            raise DataError(f"field 'kind' is {model.kind!r}, not {kind!r} (its params)")
+        categories = model.schema.symptom_categories
+        if UNKNOWN_CATEGORY not in categories:
+            raise DataError("field 'schema.symptomCategories' reserves no unknown slot")
+        if model.schema != FeatureSchema.standard(categories):
+            raise DataError("field 'schema.names' does not match the symptom categories")
+        model.params.check(model.schema.dimension)
+        return model
 
 
 @dataclass(frozen=True)
@@ -248,8 +343,6 @@ def train_pairwise_linear(
     cfg: TrainingConfig = TrainingConfig(),
     schema: FeatureSchema | None = None,
     seed: int | None = None,
-    *,
-    defer_history: bool = False,
 ) -> RankModel:
     """Full-batch gradient descent on the L2-regularized pairwise loss.
 
@@ -257,9 +350,9 @@ def train_pairwise_linear(
     set; the transform is stored in the model so scoring stays consistent.
     Zero epochs return the zero-weight model.
 
-    With ``defer_history`` the loss history waits until the model is first
-    serialized, so a model that ``select_model`` discards never pays for it;
-    it then reads ``instances`` again.
+    The loss history waits until the model is first written, so a model that
+    ``select_model`` discards never pays for it; it then reads ``instances``
+    again.
     """
     cfg.validate()
     if not instances:
@@ -279,30 +372,23 @@ def train_pairwise_linear(
         w -= cfg.linear_learning_rate * grad
 
     def loss_history() -> list[float]:
-        # Rebuilt, not kept: a deferred history holds no feature matrix.
+        # Rebuilt, not kept: a pending history holds no feature matrix.
         Xs = (np.vstack([inst.features for inst in instances]) - mean) / scale
         return [
             pairwise_loss(Xs @ v, pairs) + cfg.linear_l2 * float(v @ v)
             for v in epoch_weights
         ]
 
-    return RankModel(
+    model = RankModel(
         kind=KIND_LINEAR,
         schema=schema if schema is not None else _schema_stub(X.shape[1]),
-        params={
-            "weights": w.tolist(),
-            "mean": mean.tolist(),
-            "scale": scale.tolist(),
-            "learning_rate": cfg.linear_learning_rate,
-            "l2": cfg.linear_l2,
-        },
-        meta=TrainingMeta(
-            seed=seed,
-            rounds=cfg.linear_epochs,
-            train_loss_history=[] if defer_history else loss_history(),
+        params=LinearParams(
+            w.tolist(), mean.tolist(), scale.tolist(), cfg.linear_learning_rate, cfg.linear_l2
         ),
-        pending_history=loss_history if defer_history else None,
+        meta=TrainingMeta(seed=seed, rounds=cfg.linear_epochs),
     )
+    model.pending_history = loss_history
+    return model
 
 
 def _schema_stub(dim: int) -> FeatureSchema:
@@ -349,12 +435,12 @@ def _build_tree(
     idx: np.ndarray,
     depth: int,
     cfg: TrainingConfig,
-) -> dict:
+) -> Node:
     g_sum = float(g[idx].sum())
     h_sum = float(h[idx].sum())
     min_leaf, l2 = cfg.boosted_min_leaf, cfg.boosted_l2
     if depth >= cfg.boosted_max_depth or len(idx) < 2 * min_leaf:
-        return {"leaf": _leaf_value(g_sum, h_sum, cfg.boosted_l1, l2)}
+        return Leaf(_leaf_value(g_sum, h_sum, cfg.boosted_l1, l2))
     parent_gain = g_sum * g_sum / (h_sum + l2)
     # Cut c puts sorted rows 0..c on the left; min_leaf rows stay on each side.
     lo, hi = min_leaf - 1, len(idx) - min_leaf
@@ -373,27 +459,27 @@ def _build_tree(
         if ok[cut] and (best is None or gain[cut] > best[0]):
             best = (gain[cut], f, lo + cut, order, sv)
     if best is None:
-        return {"leaf": _leaf_value(g_sum, h_sum, cfg.boosted_l1, l2)}
+        return Leaf(_leaf_value(g_sum, h_sum, cfg.boosted_l1, l2))
     _, f, cut, order, sv = best
-    return {
-        "feature": f,
-        "threshold": float((sv[cut] + sv[cut + 1]) / 2.0),
-        "left": _build_tree(X, ranks, g, h, idx[order[: cut + 1]], depth + 1, cfg),
-        "right": _build_tree(X, ranks, g, h, idx[order[cut + 1 :]], depth + 1, cfg),
-    }
+    return Split(
+        feature=f,
+        threshold=float((sv[cut] + sv[cut + 1]) / 2.0),
+        left=_build_tree(X, ranks, g, h, idx[order[: cut + 1]], depth + 1, cfg),
+        right=_build_tree(X, ranks, g, h, idx[order[cut + 1 :]], depth + 1, cfg),
+    )
 
 
-def _tree_predict(tree: dict, X: np.ndarray) -> np.ndarray:
+def _tree_predict(tree: Node, X: np.ndarray) -> np.ndarray:
     out = np.empty(X.shape[0], dtype=np.float64)
     stack = [(tree, np.arange(X.shape[0]))]
     while stack:
         node, idx = stack.pop()
-        if "leaf" in node:
-            out[idx] = node["leaf"]
+        if isinstance(node, Leaf):
+            out[idx] = node.leaf
             continue
-        mask = X[idx, node["feature"]] <= node["threshold"]
-        stack.append((node["left"], idx[mask]))
-        stack.append((node["right"], idx[~mask]))
+        mask = X[idx, node.feature] <= node.threshold
+        stack.append((node.left, idx[mask]))
+        stack.append((node.right, idx[~mask]))
     return out
 
 
@@ -423,7 +509,7 @@ def train_boosted(
     val_map30 = map_scorer(validation, k=30)
     scores = np.zeros(X.shape[0], dtype=np.float64)
     val_scores = np.zeros(Xv.shape[0], dtype=np.float64)
-    trees: list[dict] = []
+    trees: list[Node] = []
     map_history: list[float] = []
     loss_history: list[float] = []
     best_map = -np.inf
@@ -460,13 +546,7 @@ def train_boosted(
     return RankModel(
         kind=KIND_BOOSTED,
         schema=schema if schema is not None else _schema_stub(X.shape[1]),
-        params={
-            "trees": kept,
-            "learning_rate": lr,
-            "max_depth": cfg.boosted_max_depth,
-            "l1": cfg.boosted_l1,
-            "l2": cfg.boosted_l2,
-        },
+        params=BoostedParams(kept, lr, cfg.boosted_max_depth, cfg.boosted_l1, cfg.boosted_l2),
         meta=meta,
     )
 

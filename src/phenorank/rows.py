@@ -2,19 +2,23 @@
 artifacts and the values of the configuration file.
 
 A row type is a dataclass deriving from ``Row``. Attribute ``patient_id`` is
-the JSON key ``patientId``, and its annotation (``str``, ``int``, ``float``,
-``bool``, ``dict``, ``list[T]``, ``tuple[T, ...]``, ``set[str]``, ``T | None``
-or a row type) is the JSON type ``from_dict`` requires: a JSON integer reads
-as a float, a boolean as neither, a ``dict`` is any object, a tuple is read
-from an array, and a set is written as a sorted array. Keys a row type does
-not declare are ignored. ``decode`` reads one value of such a type; the
-configuration decodes each setting through it.
+the JSON key ``patientId``; a field declared ``= json_key(name)`` has the key
+``name`` instead. Its annotation (``str``, ``int``, ``float``, ``bool``,
+``dict``, ``list[T]``, ``tuple[T, ...]``, ``set[str]``, ``T | None``, a row
+type or a union of row types) is the JSON type ``from_dict`` requires: a JSON
+integer reads as a float, a boolean as neither, a ``dict`` is any object, a
+tuple is read from an array, and a set is written as a sorted array. A union
+of row types reads an object as the one member whose own keys (those no other
+member declares) it holds. Keys a row type does not declare are ignored.
+``decode`` reads one value of such a type; the configuration decodes each
+setting through it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import types
 import typing
 
 from .errors import DataError
@@ -34,6 +38,11 @@ def _fail(where: tuple, problem: str) -> DataError:
 def _wrong(value: object, expected: type, where: tuple) -> DataError:
     got = _JSON_NAMES.get(type(value), type(value).__name__)
     return _fail(where, f"is {got}, not {_JSON_NAMES[expected]}")
+
+
+def json_key(name: str) -> typing.Any:
+    """A row field whose JSON key is ``name`` as written, not its camelCase."""
+    return dataclasses.field(metadata={"key": name})
 
 
 class Row:
@@ -73,9 +82,21 @@ def _fields(cls: type) -> tuple[tuple, ...]:
     fields = []
     for f in dataclasses.fields(cls):
         head, *rest = f.name.split("_")
-        key = head + "".join(word.capitalize() for word in rest)
-        fields.append((key, f.name, *_codec(hints[f.name])))
+        name = f.metadata.get("key", head + "".join(word.capitalize() for word in rest))
+        fields.append((name, f.name, *_codec(hints[f.name])))
     return tuple(fields)
+
+
+def _decode_union(members: tuple[type, ...], value: object, where: tuple) -> Row:
+    if type(value) is not dict:
+        raise _wrong(value, dict, where)
+    keys = [{k for k, *_ in _fields(m)} for m in members]
+    own = [k.difference(*keys[:i], *keys[i + 1 :]) for i, k in enumerate(keys)]
+    held = [m for m, k in zip(members, own) if k & value.keys()]
+    if len(held) != 1:
+        shapes = " or ".join("{" + ", ".join(sorted(k)) + "}" for k in own)
+        raise _fail(where, f"does not hold the keys of exactly one of {shapes}")
+    return _decode_row(held[0], value, where)
 
 
 def _codec(tp: typing.Any) -> tuple[typing.Callable, typing.Callable]:
@@ -101,6 +122,9 @@ def _codec(tp: typing.Any) -> tuple[typing.Callable, typing.Callable]:
         return decode_list, lambda v: [encode_item(x) for x in v]
     if dataclasses.is_dataclass(tp):
         return functools.partial(_decode_row, tp), tp.to_dict
+    all_rows = all(map(dataclasses.is_dataclass, args))
+    if origin in (typing.Union, types.UnionType) and all_rows:
+        return functools.partial(_decode_union, args), lambda row: row.to_dict()
     if tp not in (str, int, float, bool, dict):
         raise TypeError(f"no JSON row codec for {tp!r}")
 

@@ -75,25 +75,38 @@ def _ngram_counts(texts: Sequence[str], dimension: int) -> tuple[np.ndarray, np.
     + row`` keys and their counts.
 
     Keys are bucket-major, so sorted keys list each bucket's rows in ascending
-    order: column-major order.
+    order: column-major order. They are built in ``uint32`` where they fit,
+    sorted in place, and counted from the runs of equal neighbours.
     Each text is padded with one space on each side so word edges contribute;
     no n-gram crosses from one text into the next.
     """
+    # bincount reads keys as intp, which holds every uint32 but not a uint64.
+    key_type = np.uint32 if dimension * len(texts) <= 2**32 else np.int64
     padded = [f" {t} ".encode("ascii") for t in texts]
     lengths = np.fromiter(map(len, padded), dtype=np.int64, count=len(padded))
     data = np.frombuffer(b"".join(padded), dtype=np.uint8)
-    row_of = np.repeat(np.arange(len(texts), dtype=np.int64), lengths)
+    row_of = np.repeat(np.arange(len(texts), dtype=key_type), lengths)
     # Bytes from each position to the end of its text: an n-gram starting
     # there stays inside its text when n <= room.
     room = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(data))
-    keys = [np.zeros(0, dtype=np.int64)]
+    keys = []
     for n, h in _fnv1a_ngrams(data):
         inside = room[: len(h)] >= n
-        buckets = (h[inside] % dimension).astype(np.int64)
-        keys.append(buckets * len(texts) + row_of[: len(h)][inside])
-    # Drop the per-n parts before np.unique sorts its own copy.
+        part = (h[inside] % dimension).astype(key_type)
+        part *= len(texts)
+        part += row_of[: len(h)][inside]
+        keys.append(part)
     keys = np.concatenate(keys)
-    return np.unique(keys, return_counts=True)
+    keys.sort()
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    total, distinct = len(keys), keys[first]
+    del first, keys
+    counts = np.empty(len(starts), dtype=np.min_scalar_type(total))  # each <= total
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1], casting="unsafe")
+    counts[-1:] = total - starts[-1:]
+    return distinct, counts
 
 
 def default_embed(text: str, dimension: int = DEFAULT_DIMENSION) -> np.ndarray:
@@ -181,13 +194,16 @@ def build_index(o: Ontology) -> VectorIndex:
             )
     keys, counts = _ngram_counts(texts, DEFAULT_DIMENSION)
     buckets, rows = np.divmod(keys, len(texts))
-    values = counts.astype(np.float64)
-    norms = np.sqrt(np.bincount(rows, weights=values * values, minlength=len(texts)))
+    del keys  # each temporary goes before the next is built
     colptr = np.zeros(DEFAULT_DIMENSION + 1, dtype=np.int64)
     np.cumsum(np.bincount(buckets, minlength=DEFAULT_DIMENSION), out=colptr[1:])
+    values = counts.astype(np.float64)
+    del buckets, counts
+    norms = np.sqrt(np.bincount(rows, weights=values * values, minlength=len(texts)))
+    values /= norms[rows]
     return VectorIndex(
         entries=entries,
-        data=values / norms[rows],
+        data=values,
         rows=rows.astype(np.int32),
         colptr=colptr,
         term_ids=term_ids,

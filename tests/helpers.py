@@ -80,15 +80,18 @@ from phenorank.ranking.sampling import (
 from phenorank.ranking.models import (
     KIND_BOOSTED,
     KIND_LINEAR,
+    BoostedParams,
+    LinearParams,
+    Node,
     RankModel,
     TrainingMeta,
     _leaf_value,
     _schema_stub,
-    _tree_predict,
     pair_index,
     pairwise_loss,
     pairwise_pass,
 )
+from phenorank.rows import decode
 from phenorank.standardization import DEFAULT_DIMENSION, IndexEntry
 
 # -- small seven-term ontology -------------------------------------------------------
@@ -1187,6 +1190,21 @@ def scalar_cut_tree(X, g, h, idx, depth: int, cfg: TrainingConfig) -> dict:
     }
 
 
+def dict_tree_predict(tree: dict, X: np.ndarray) -> np.ndarray:
+    """The predictions of a tree of ``scalar_cut_tree``'s JSON-shaped nodes."""
+    out = np.empty(X.shape[0], dtype=np.float64)
+    stack = [(tree, np.arange(X.shape[0]))]
+    while stack:
+        node, idx = stack.pop()
+        if "leaf" in node:
+            out[idx] = node["leaf"]
+            continue
+        mask = X[idx, node["feature"]] <= node["threshold"]
+        stack.append((node["left"], idx[mask]))
+        stack.append((node["right"], idx[~mask]))
+    return out
+
+
 def loop_map_at_k(scores: np.ndarray, instances, k: int = 30) -> float:
     groups: dict[str, list[int]] = {}
     for i, inst in enumerate(instances):
@@ -1221,13 +1239,13 @@ def loop_train_linear(instances, cfg: TrainingConfig = TrainingConfig()) -> Rank
     return RankModel(
         kind=KIND_LINEAR,
         schema=_schema_stub(X.shape[1]),
-        params={
-            "weights": w.tolist(),
-            "mean": mean.tolist(),
-            "scale": scale.tolist(),
-            "learning_rate": cfg.linear_learning_rate,
-            "l2": cfg.linear_l2,
-        },
+        params=LinearParams(
+            weights=w.tolist(),
+            mean=mean.tolist(),
+            scale=scale.tolist(),
+            learning_rate=cfg.linear_learning_rate,
+            l2=cfg.linear_l2,
+        ),
         meta=TrainingMeta(rounds=cfg.linear_epochs, train_loss_history=loss_history),
     )
 
@@ -1250,8 +1268,8 @@ def loop_train_boosted(
         g, h = loop_pairwise_grad_hess(scores, groups)
         tree = scalar_cut_tree(X, g, h, np.arange(X.shape[0]), 0, cfg)
         trees.append(tree)
-        scores += lr * _tree_predict(tree, X)
-        val_scores += lr * _tree_predict(tree, Xv)
+        scores += lr * dict_tree_predict(tree, X)
+        val_scores += lr * dict_tree_predict(tree, Xv)
         val_map = loop_map_at_k(val_scores, validation, k=30)
         map_history.append(val_map)
         if val_map > best_map:
@@ -1263,13 +1281,13 @@ def loop_train_boosted(
     return RankModel(
         kind=KIND_BOOSTED,
         schema=_schema_stub(X.shape[1]),
-        params={
-            "trees": trees[: best_round + 1],
-            "learning_rate": lr,
-            "max_depth": cfg.boosted_max_depth,
-            "l1": cfg.boosted_l1,
-            "l2": cfg.boosted_l2,
-        },
+        params=BoostedParams(
+            trees=[decode(Node, tree, ()) for tree in trees[: best_round + 1]],
+            learning_rate=lr,
+            max_depth=cfg.boosted_max_depth,
+            l1=cfg.boosted_l1,
+            l2=cfg.boosted_l2,
+        ),
         meta=TrainingMeta(
             rounds=len(trees),
             best_round=best_round,

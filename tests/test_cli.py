@@ -1,8 +1,13 @@
 import ast
+import collections
+import copy
+import functools
 import importlib.util
 import io
 import json
+import operator
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -450,6 +455,24 @@ class TestDamagedModel:
         doc["schema"]["names"] = doc["schema"]["names"][:3]
         self.rank_with_model(standardized, json.dumps(doc))
 
+    @pytest.mark.parametrize("decoder", ["json", "codec"])
+    def test_nested_too_deeply(self, standardized, decoder):
+        # A JSON document deeper than the interpreter's recursion limit, or a
+        # tree the codec would decode past it: an error, not a RecursionError.
+        doc = json.loads(standardized[2])
+        if decoder == "json":
+            deep = "[" * 10**5 + "]" * 10**5
+            text = json.dumps(doc).replace('"kind"', f'"deep": {deep}, "kind"')
+        else:
+            tree = '{"leaf": 0.0}'
+            for _ in range(600):
+                split = '{"feature": 0, "threshold": 0.0, "right": {"leaf": 0.0}, "left": '
+                tree = split + tree + "}"
+            params = {"trees": ["@"], "learning_rate": 0.1, "max_depth": 3, "l1": 0.0, "l2": 1.0}
+            doc.update(kind="boostedTrees", params=params)
+            text = json.dumps(doc).replace('"@"', tree)
+        self.rank_with_model(standardized, text)
+
 
 def test_concurrency_flag_is_validated_like_the_config(tmp_path):
     cfg_path = str(write_cli_workspace(tmp_path))
@@ -668,6 +691,79 @@ class TestTrainingBytes:
         assert helpers.file_digest(Path("work") / pipeline.MODEL_FILE) == digest
 
 
+# Each field of model.json (at any depth; array items are descended into)
+# set to each of these, or deleted.
+MUTANT_VALUES = (7, "7", True, None, [7], {"k": 7}, float("nan"))
+DELETED = object()
+
+
+def _mutants(doc, path=()):
+    """``(path, value)`` of every one-field mutant of the JSON value ``doc``."""
+    if isinstance(doc, list):
+        for i, item in enumerate(doc):
+            yield from _mutants(item, (*path, i))
+    elif isinstance(doc, dict):
+        for key, item in doc.items():
+            for value in (*MUTANT_VALUES, DELETED):
+                yield (*path, key), value
+            yield from _mutants(item, (*path, key))
+
+
+def _field(path) -> str:
+    """``path`` as the codec names a field: ``params.trees[0].left``."""
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)[1:]
+
+
+class TestModelMutants:
+    """``rank`` on every one-field mutant of a boosted and a linear
+    ``model.json`` exits 0, 2 or 3, never 1, and never writes a non-finite
+    score; an exit 3 names the file and the field (for a deleted key, the field
+    or the object that held it)."""
+
+    @pytest.fixture(scope="class")
+    def standardized(self, tmp_path_factory):
+        return _generated_workspace(tmp_path_factory.mktemp("mutants"), STEP_NAMES[:5])
+
+    @pytest.mark.parametrize("model", ["boosted", "linear"])
+    def test_every_mutant_exits_0_2_or_3(self, standardized, tmp_path, monkeypatch, model):
+        shutil.copytree(standardized, tmp_path / "ws")
+        monkeypatch.chdir(tmp_path / "ws")
+        Path("model.yaml").write_text(
+            yaml.safe_dump(_fixture_config(training={"model": model}))
+        )
+        assert invoke("model.yaml", "train").exit_code == 0
+        path = Path("work") / pipeline.MODEL_FILE
+        good = json.loads(path.read_text())
+        codes = collections.Counter()
+        for keys, value in _mutants(good):
+            doc = copy.deepcopy(good)
+            *parents, last = keys
+            target = functools.reduce(operator.getitem, parents, doc)
+            if value is DELETED:
+                del target[last]
+            else:
+                target[last] = value
+            path.write_text(json.dumps(doc, sort_keys=True, indent=2))
+            result = invoke("model.yaml", "rank")
+            mutant = f"{_field(keys)} = {'deleted' if value is DELETED else value!r}"
+            assert result.exit_code in (0, 2, 3), f"{mutant}: {result.output}"
+            codes[result.exit_code] += 1
+            if result.exit_code == 0:
+                _, rows = pipeline.read_jsonl(Path("work") / pipeline.RANKINGS_FILE)
+                assert all(np.isfinite(row["scores"]).all() for row in rows), mutant
+            elif result.exit_code == 3:
+                message = stderr_error(result)["message"]
+                assert pipeline.MODEL_FILE in message, f"{mutant}: {message}"
+                named = re.search(r"field '([^']*)'", message)
+                assert named, f"{mutant}: {message}"
+                fields = {_field(keys)} | ({_field(parents)} if value is DELETED else set())
+                assert any(
+                    named[1] == f or named[1].startswith((f"{f}.", f"{f}[")) for f in fields
+                ), f"{mutant}: {message}"
+        assert sum(codes.values()) == {"boosted": 528, "linear": 240}[model]
+        assert set(codes) == {0, 2, 3}
+
+
 class TestLineage:
     """Each step refuses an artifact that is stale for the slice of config,
     inputs and upstream files it was built from, and only such an artifact."""
@@ -756,6 +852,25 @@ class TestLineage:
                 meta["lineage"] = lineage
             pipeline.write_jsonl(path, meta, rows)
         self.refused(step, artifact, "the step that writes it")
+
+    def test_record_without_a_section_of_its_step(self, copied):
+        # With the training digest deleted from its record, a model trained
+        # under other settings would pass as current.
+        path = copied / "work" / pipeline.MODEL_FILE
+        doc = json.loads(path.read_text())
+        del doc["lineage"]["config"]["training"]
+        path.write_text(json.dumps(doc))
+        rerun = "the step that writes it"
+        self.refused("rank", pipeline.MODEL_FILE, rerun)
+        self.refused("rank", pipeline.MODEL_FILE, rerun, training={"boosted_rounds": 4})
+
+    @pytest.mark.parametrize("step", [7, None, [7], "report"], ids=repr)
+    def test_record_that_names_no_step(self, copied, step):
+        path = copied / "work" / pipeline.MODEL_FILE
+        doc = json.loads(path.read_text())
+        doc["lineage"]["step"] = step
+        path.write_text(json.dumps(doc))
+        self.refused("rank", pipeline.MODEL_FILE, "the step that writes it")
 
     def test_record_that_names_itself(self, copied):
         path = copied / "work" / pipeline.COHORT_FILE

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 
 import numpy as np
@@ -27,6 +28,7 @@ from phenorank.ranking.metrics import map_scorer
 from phenorank.ranking.models import (
     KIND_BOOSTED,
     KIND_LINEAR,
+    Split,
     _build_tree,
     _dense_ranks,
     _schema_stub,
@@ -99,16 +101,25 @@ class TestFeatureSchema:
         assert FeatureSchema.from_dict(schema.to_dict()) == schema
 
     @pytest.mark.parametrize(
-        "doc",
+        "doc, field",
         [
-            {"symptomCategories": ["a", UNKNOWN_CATEGORY], "names": ["age_years"]},
-            {"symptomCategories": ["a"], "names": []},
+            (
+                {"symptomCategories": ["a", UNKNOWN_CATEGORY], "names": ["age_years"]},
+                "schema.names",
+            ),
+            ({"symptomCategories": ["a"], "names": []}, "schema.symptomCategories"),
         ],
         ids=["names-cut", "no-unknown-slot"],
     )
-    def test_dict_must_be_a_standard_schema(self, doc):
-        with pytest.raises(DataError):
-            FeatureSchema.from_dict(doc)
+    def test_dict_must_be_a_standard_schema(self, doc, field):
+        # A schema decodes as any two string arrays; a model holding one that
+        # is not the standard schema of its categories is refused.
+        schema = FeatureSchema.standard(("a", UNKNOWN_CATEGORY))
+        train = helpers.separable_instances(5, dim=schema.dimension, seed=18)
+        good = train_pairwise_linear(train, schema=schema).to_dict()
+        assert FeatureSchema.from_dict(doc).to_dict() == doc
+        with pytest.raises(DataError, match=f"field '{field}'"):
+            RankModel.from_json(json.dumps({**good, "schema": doc}))
 
 
 class TestBuildInstances:
@@ -266,6 +277,8 @@ class TestLinearRanker:
         model = train_pairwise_linear(
             instances, TrainingConfig(linear_epochs=80), schema=_schema_stub(6)
         )
+        assert model.meta.train_loss_history == []  # computed when written
+        model.to_json()
         hist = model.meta.train_loss_history
         assert hist[-1] < hist[0]
 
@@ -274,7 +287,7 @@ class TestLinearRanker:
         model = train_pairwise_linear(
             instances, TrainingConfig(linear_epochs=0), schema=_schema_stub(6)
         )
-        assert np.allclose(model.params["weights"], 0.0)
+        assert np.allclose(model.params.weights, 0.0)
 
     def test_reaches_perfect_map_on_separable_data(self):
         train = helpers.separable_instances(40, seed=7)
@@ -293,7 +306,7 @@ class TestLinearRanker:
         model = train_pairwise_linear(
             instances, TrainingConfig(linear_epochs=20), schema=_schema_stub(6)
         )
-        assert np.isfinite(model.params["weights"]).all()
+        assert np.isfinite(model.params.weights).all()
         assert np.isfinite(model.score(np.vstack([i.features for i in instances]))).all()
 
 
@@ -310,8 +323,8 @@ class TestBoostedRanker:
         val = helpers.separable_instances(8, seed=13)
         hyper = TrainingConfig(boosted_rounds=60, boosted_patience=5)
         model = train_boosted(train, hyper, validation=val, schema=_schema_stub(6))
-        assert len(model.params["trees"]) == model.meta.best_round + 1
-        assert len(model.params["trees"]) < 60
+        assert len(model.params.trees) == model.meta.best_round + 1
+        assert len(model.params.trees) < 60
         assert model.meta.map_history
         best = max(model.meta.map_history)
         assert model.meta.map_history[model.meta.best_round] == best
@@ -462,7 +475,7 @@ class TestTrainersMatchLoopOracles:
         h = rng.uniform(0.1, 1.0, len(X))
         idx = rng.permutation(len(X))[: len(X) * 2 // 3]
         tree = _build_tree(X, ranks, g, h, idx, 0, cfg)
-        assert tree == helpers.scalar_cut_tree(X, g, h, idx, 0, cfg)
+        assert tree.to_dict() == helpers.scalar_cut_tree(X, g, h, idx, 0, cfg)
         assert '"feature": 0' in got and '"feature": 1' not in got
 
     def test_boosted_rank_sort_wide_column(self):
@@ -481,8 +494,8 @@ class TestTrainersMatchLoopOracles:
         h = rng.uniform(0.1, 1.0, len(X))
         idx = np.arange(len(X))
         tree = _build_tree(X, ranks, g, h, idx, 0, cfg)
-        assert tree == helpers.scalar_cut_tree(X, g, h, idx, 0, cfg)
-        assert "feature" in tree
+        assert tree.to_dict() == helpers.scalar_cut_tree(X, g, h, idx, 0, cfg)
+        assert isinstance(tree, Split)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_boosted_nan_gains_are_skipped(self, seed):
@@ -511,7 +524,7 @@ class TestTrainersMatchLoopOracles:
         # Guard that the tied-feature sets really produce split trees.
         train, val = _random_training_set(0, tied=True)
         model = train_boosted(train, TrainingConfig(boosted_rounds=3), validation=val)
-        assert any("feature" in tree for tree in model.params["trees"])
+        assert any(isinstance(tree, Split) for tree in model.params.trees)
 
 
 class TestModelSerialization:
@@ -545,10 +558,9 @@ class TestSelection:
         good = train_pairwise_linear(train, schema=_schema_stub(6))
         inverted = dataclasses.replace(
             good,
-            params={
-                **good.params,
-                "weights": [-w for w in good.params["weights"]],
-            },
+            params=dataclasses.replace(
+                good.params, weights=[-w for w in good.params.weights]
+            ),
             meta=dataclasses.replace(good.meta),
         )
         chosen = select_model([inverted, good], val)

@@ -364,6 +364,9 @@ def import_external_ranking(text: str, o: Ontology) -> ImportResult:
         except json.JSONDecodeError as e:
             errors.append(f"line {lineno}: invalid JSON ({e.msg})")
             continue
+        except RecursionError:
+            errors.append(f"line {lineno}: JSON nested too deeply to decode")
+            continue
         except DataError as e:
             errors.append(f"line {lineno}: {e}")
             continue

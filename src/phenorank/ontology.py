@@ -7,6 +7,7 @@ so downstream retrieval, sampling, and similarity never see them.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -48,12 +49,15 @@ class Ontology:
     start[i] + size[i]]``, each ancestor once, in no particular order. Rows
     are stored one longest-path level after another, because a level's rows
     are built from those of the levels above it. ``closure_rows`` gathers
-    rows for the count and similarity kernels. The parent rows and the child
-    rows of every live term, in the same form (``parent_rows``,
-    ``child_rows``, ``hops``), are built on the first walk. That cache is the
-    only state written after construction; it is computed from data that
-    never changes and stored with one assignment, so instances are safe to
-    share across threads.
+    rows for the count and similarity kernels.
+
+    Two parts are built on first use, each from data that never changes and
+    stored with one assignment, so instances are safe to share across
+    threads: the parent rows and the child rows of every live term, in the
+    same form (``parent_rows``, ``child_rows``, ``hops``), built from each
+    record's parent indices; and, on an ontology that ``from_arrays``
+    restored, the records in ``terms``, which steps that read no name,
+    synonym or definition never build.
     """
 
     def __init__(self, terms: Mapping[str, TermRecord]):
@@ -61,15 +65,25 @@ class Ontology:
         self._validate_records()
         self._validate_edges()
         levels = self._topological_levels()
-        self._index()
-        self.root: str = _only_root(t for t in self.ids if not self.terms[t].parents)
+        records = list(self.terms.values())
+        row = {t: i for i, t in enumerate(self.terms)}
+        self._parent_count = np.array([len(r.parents) for r in records], dtype=np.int64)
+        self._parents = np.array([row[p] for r in records for p in r.parents], dtype=np.int64)
+        self._index(list(self.terms), np.array([r.obsolete for r in records], dtype=np.bool_))
         self._closure, self._closure_start, self._closure_size = self._close(levels)
         self._edges: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]] | None = None
+
+    @functools.cached_property
+    def terms(self) -> dict[str, TermRecord]:
+        """Every record, obsolete ones too, by id in file order; the
+        constructor sets them, and a restored ontology builds them here."""
+        return self._records()
 
     @classmethod
     def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "Ontology":
         """The ontology whose ``to_arrays`` these are, rebuilt without
-        validating, sorting or closing it again.
+        validating, sorting or closing it again; the records wait until
+        ``terms`` is first read.
 
         The constructor enforced its invariants when the arrays were written;
         since they come back from a file, each is checked here for dtype,
@@ -97,25 +111,12 @@ class Ontology:
         chars = text.tobytes().decode("utf-8", "surrogatepass")
         if len(chars) != lens.sum():
             raise ValueError("text is not as long as its strings")
-        strings = _split(chars, lens)
-        ids = strings[:n]
-        o = cls.__new__(cls)
-        o.terms = {
-            tid: TermRecord(tid, name, synonyms, definition, parent_ids, flag)
-            for tid, name, definition, synonyms, parent_ids, flag in zip(
-                ids,
-                strings[n : 2 * n],
-                strings[2 * n : 3 * n],
-                _split(strings[3 * n :], synonym_count),
-                _split([ids[j] for j in parents.tolist()], parent_count),
-                obsolete.tolist(),
-            )
-        }
-        if len(o.terms) != n:
+        ids = _split(chars, lens[:n])
+        if len(set(ids)) != n:
             raise ValueError("repeated term id")
-        o._index()
-        roots = np.flatnonzero((parent_count == 0) & ~obsolete).tolist()
-        o.root = _only_root(sorted(ids[i] for i in roots))
+        o = cls.__new__(cls)
+        o._parent_count, o._parents = parent_count, parents
+        o._index(ids, obsolete)
         live = len(o.ids)
         closure = array_member(arrays, "closure", np.int32)
         start = array_member(arrays, "closure_start", np.int64, live)
@@ -129,6 +130,22 @@ class Ontology:
             raise ValueError("closure index out of range")
         o._closure, o._closure_start, o._closure_size = closure, start, size
         o._edges = None
+
+        def records() -> dict[str, TermRecord]:
+            strings = _split(chars, lens)
+            return {
+                tid: TermRecord(tid, name, synonyms, definition, parent_ids, flag)
+                for tid, name, definition, synonyms, parent_ids, flag in zip(
+                    ids,
+                    strings[n : 2 * n],
+                    strings[2 * n : 3 * n],
+                    _split(strings[3 * n :], synonym_count),
+                    _split([ids[j] for j in parents.tolist()], parent_count),
+                    obsolete.tolist(),
+                )
+            }
+
+        o._records = records
         return o
 
     def to_arrays(self) -> dict[str, np.ndarray]:
@@ -141,7 +158,6 @@ class Ontology:
         each in characters. Parents are record indices.
         """
         records = list(self.terms.values())
-        row = {t: i for i, t in enumerate(self.terms)}
         strings = [r.id for r in records] + [r.name for r in records]
         strings += [r.definition for r in records]
         strings += [x for r in records for x in r.synonyms]
@@ -150,10 +166,8 @@ class Ontology:
             "text": np.frombuffer(text, dtype=np.uint8),
             "text_len": np.array([len(x) for x in strings], dtype=np.int64),
             "synonym_count": np.array([len(r.synonyms) for r in records], dtype=np.int64),
-            "parent_count": np.array([len(r.parents) for r in records], dtype=np.int64),
-            "parents": np.array(
-                [row[p] for r in records for p in r.parents], dtype=np.int64
-            ),
+            "parent_count": self._parent_count,
+            "parents": self._parents,
             "obsolete": np.array([r.obsolete for r in records], dtype=np.bool_),
             "closure": self._closure,
             "closure_start": self._closure_start,
@@ -162,13 +176,16 @@ class Ontology:
 
     # -- construction helpers -------------------------------------------------
 
-    def _index(self) -> None:
-        """Set ``ids`` and the dense index."""
+    def _index(self, record_ids: list[str], obsolete: np.ndarray) -> None:
+        """Set ``ids``, the dense index and ``root`` from every record's id and
+        obsolete flag, and ``_rows``, the record index of each dense id."""
         # Dense id i names ids[i]; sorted, so dense order is term id order.
-        self.ids: tuple[str, ...] = tuple(
-            sorted(t for t, rec in self.terms.items() if not rec.obsolete)
-        )
+        rows = sorted(np.flatnonzero(~obsolete).tolist(), key=record_ids.__getitem__)
+        self._rows = np.array(rows, dtype=np.int64)
+        self.ids: tuple[str, ...] = tuple(record_ids[r] for r in rows)
         self._dense: dict[str, int] = {t: i for i, t in enumerate(self.ids)}
+        roots = np.flatnonzero((self._parent_count == 0) & ~obsolete).tolist()
+        self.root: str = _only_root(sorted(record_ids[r] for r in roots))
 
     def _edge_rows(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
         """(data, start, size) of the parent rows and of the child rows of
@@ -179,12 +196,15 @@ class Ontology:
         children in ascending dense id.
         """
         if self._edges is None:
-            parents = [self.terms[t].parents for t in self.ids]
-            size = np.array([len(ps) for ps in parents], dtype=np.int64)
-            up = self.dense_ids([p for ps in parents for p in ps])
-            child = np.repeat(np.arange(len(self.ids), dtype=np.int64), size)
+            n = len(self.ids)
+            dense = np.full(len(self._parent_count), -1, dtype=np.int64)
+            dense[self._rows] = np.arange(n)  # live parents only, so no -1 is read
+            first = np.cumsum(self._parent_count) - self._parent_count
+            parents, size = _segments(self._parents, first, self._parent_count, self._rows)
+            up = dense[parents]
+            child = np.repeat(np.arange(n, dtype=np.int64), size)
             down = child[np.argsort(up, kind="stable")]
-            down_size = np.bincount(up, minlength=len(self.ids))
+            down_size = np.bincount(up, minlength=n)
             self._edges = (
                 (up, np.cumsum(size) - size, size),
                 (down, np.cumsum(down_size) - down_size, down_size),
@@ -544,6 +564,8 @@ def parse_ontology_json(text: str) -> Ontology:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid ontology JSON: {e}") from e
+    except RecursionError:
+        raise ParseError("invalid ontology JSON: nested too deeply to decode") from None
     if isinstance(doc, dict):
         doc = doc.get("terms")
     if not isinstance(doc, list):

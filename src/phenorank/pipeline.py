@@ -151,6 +151,8 @@ def read_jsonl(
             obj = json.loads(line)
         except json.JSONDecodeError as e:
             raise DataError(f"{path} line {lineno}: invalid JSON ({e.msg})") from e
+        except RecursionError:
+            raise DataError(f"{path} line {lineno}: JSON nested too deeply to decode") from None
         if meta is None:
             if not isinstance(obj, dict) or "__meta__" not in obj:
                 raise StructuralError(f"{path} does not start with a meta line")
@@ -348,7 +350,8 @@ class Lineage:
                 # A record must name its step and hold each config part that
                 # step depends on, or a deleted part would hide a change.
                 valid = set(DECLARED[step]) <= lineage["config"].keys()
-            except (ValueError, LookupError, TypeError, AttributeError):
+            # RecursionError: a meta line nested too deeply to decode.
+            except (ValueError, LookupError, TypeError, AttributeError, RecursionError):
                 valid = False
             if not valid:
                 raise ConfigError(

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from ..errors import DataError
 
 
@@ -32,8 +34,6 @@ def map_at_k(model_or_scores, instances, k: int = 30) -> float:
     ``model_or_scores`` is either a RankModel or a score array aligned with
     ``instances``. Every patient must contribute at least one positive.
     """
-    import numpy as np
-
     if hasattr(model_or_scores, "score"):
         feats = np.vstack([inst.features for inst in instances])
         scores = model_or_scores.score(feats)
@@ -62,15 +62,16 @@ def map_scorer(instances, k: int = 30):
         r = sum(labels)
         if r == 0:
             raise DataError(f"patient {pid} has no positive instance")
-        term_ids = [instances[i].term_id for i in idxs]
-        patients.append((idxs, term_ids, labels, r))
+        # The tie-break key: each term id's rank among the patient's.
+        _, term_rank = np.unique([instances[i].term_id for i in idxs], return_inverse=True)
+        patients.append((np.asarray(idxs), term_rank, np.asarray(labels), r))
 
     def score(scores) -> float:
         total = 0.0
-        for idxs, term_ids, labels, r in patients:
-            neg = (-scores[idxs]).tolist()
-            order = sorted(range(len(idxs)), key=lambda j: (neg[j], term_ids[j]))
-            total += ap_at_k([labels[j] for j in order], r, k)
+        for idxs, term_rank, labels, r in patients:
+            # By score, best first, then by term id; lexsort is stable.
+            order = np.lexsort((term_rank, -scores[idxs]))
+            total += ap_at_k(labels[order[:k]].tolist(), r, k)
         return total / len(patients)
 
     return score

@@ -15,31 +15,45 @@ as ``LinearParams`` or ``BoostedParams``, each tree node as a ``Leaf`` or a
 that the types cannot constrain, so a DataError naming the field, never a
 traceback or a NaN score, answers a damaged file.
 
-Training runs in whole-array passes:
+Training runs in whole-array passes and computes only what the model bytes
+depend on:
 
 - ``pair_index`` groups the training patients once per run by their
   (positives, negatives) shape and stacks each group's index arrays.
 - ``pairwise_pass`` then computes the gradient and hessian of every patient
-  of a shape with one expression over a ``(G, P, N)`` margin block, and
-  ``pairwise_loss`` the loss the same way. The linear ranker skips the
-  hessian.
+  with one expression per shape over a ``(G, P, N)`` margin block, and
+  ``pairwise_loss`` the loss the same way. The blocks of a run of buckets
+  (about 32k pairs) lie back to back in one flat array, so the sigmoid or
+  softplus is one call per run, on arrays that stay in cache. The linear
+  ranker skips the hessian.
+- Saturated margins are written, not computed. ``expit`` and
+  ``logaddexp(0, m)`` run only on the margins in the open interval
+  (-746, 40), gathered by flat integer index (NaN counts as inside). At or
+  above 40 they return exactly 1.0 and ``m``, and at or below -746 exactly
+  0.0, so those values are written instead (checked bit for bit against
+  scipy 1.17.1 and numpy 2.4.6). A run with no saturated margin calls them
+  on the whole array.
 - A loss history is computed only for a model that is written. Boosting
   rounds compute their loss as they go. Linear epochs take gradient-only
   passes and keep their weights; the history is computed from those weights
   when the model is first encoded, so under ``training.model: select`` only
   if the linear model wins.
-- ``_build_tree`` scores every cut of a feature at once from the cumulative
-  gradient and hessian sums of the node's stable sort. The sort key is the
-  feature's dense rank, built once per boosting run in ``uint8`` or
-  ``uint16`` where it fits; the cut values, the equal-value mask and the
-  gains read the float64 features.
-- Validation patients are grouped once per boosting run.
+- ``_build_tree`` searches splits over distinct rank columns. Each feature's
+  dense rank is built once per boosting run, in ``uint8`` or ``uint16``
+  where it fits. Constant columns are dropped, and of the columns with the
+  same ranks only the first feature is kept. At each node a column is
+  sorted stably by rank, and gains are scored from the cumulative gradient
+  and hessian sums only at cuts where the sorted rank changes, or between
+  two NaNs. ``X`` is read only at the chosen cut, for its threshold.
+- Validation patients are grouped once per boosting run, and each is
+  ordered by score and term id with one ``np.lexsort``.
 
 The models are byte-identical to the earlier per-patient, per-cut loops
 (``tests/helpers.py`` keeps those as oracles). The reasons:
 
 - Each patient's loss is still the pairwise sum of its own contiguous
-  ``P*N`` block.
+  ``P*N`` block, and each margin's sigmoid and softplus are the values
+  ``expit`` and ``logaddexp`` return for it.
 - The per-patient losses are added one by one in patient id order, and a
   linear epoch's loss is computed from that epoch's own weight vector.
 - Row sums run along the fast axis and column sums along the slow one, as
@@ -47,10 +61,12 @@ The models are byte-identical to the earlier per-patient, per-cut loops
 - No instance index repeats within a scatter.
 - The split gains are the same IEEE operations, in the same order. A stable
   sort of a strictly increasing function of the feature, its dense rank,
-  gives the same order as a stable sort of the feature, ties included.
-- Cuts between equal values and NaN gains are masked before ``argmax``, which
-  takes the first maximum. A feature replaces the best split only when its
-  gain is strictly greater.
+  gives the same order as a stable sort of the feature, ties included; all
+  NaNs share the last rank, so they keep their order in the node.
+- The cuts scored are those the loops did not skip as lying between equal
+  values; NaN gains fail the gain floor before ``argmax``, which takes the
+  first maximum. A feature replaces the best split only when its gain is
+  strictly greater, so a dropped duplicate column could never have won.
 """
 
 from __future__ import annotations
@@ -228,6 +244,15 @@ class RankModel(Row):
         return model
 
 
+Bucket = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+# Pairs per chunk of buckets that a pass computes at once. A chunk's arrays
+# (at most 256 KiB of margins, unless one bucket is larger) stay in cache and
+# come from malloc's heap: a larger array is mapped afresh on each pass, and
+# its page faults cost more than the sigmoid.
+_CHUNK_PAIRS = 32_768
+
+
 @dataclass(frozen=True)
 class PairIndex:
     """The (positive, negative) pairs of one training set, built once per run.
@@ -236,11 +261,12 @@ class PairIndex:
     (positives, negatives) shape. Each bucket holds the patient numbers
     (``slots``, shape ``(G,)``) and their stacked instance indices (``pos``,
     ``(G, P)``; ``neg``, ``(G, N)``), so one numpy expression covers every
-    patient of that shape. ``dropped`` counts patients without both labels;
+    patient of that shape. ``chunks`` holds the buckets in runs of about
+    ``_CHUNK_PAIRS`` pairs. ``dropped`` counts patients without both labels;
     they contribute no pair.
     """
 
-    buckets: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    chunks: tuple[tuple[Bucket, ...], ...]
     patients: int
     pairs: int
     dropped: int
@@ -260,30 +286,92 @@ def pair_index(instances: Sequence[RankingInstance]) -> PairIndex:
     shapes: dict[tuple[int, int], list[int]] = {}
     for slot, (pos, neg) in enumerate(kept):
         shapes.setdefault((len(pos), len(neg)), []).append(slot)
-    buckets = tuple(
-        (
-            np.asarray(slots, dtype=np.int64),
-            np.asarray([kept[s][0] for s in slots], dtype=np.int64),
-            np.asarray([kept[s][1] for s in slots], dtype=np.int64),
-        )
-        for slots in shapes.values()
-    )
+    chunks: list[tuple[Bucket, ...]] = []
+    chunk: list[Bucket] = []
+    size = 0
+    for slots in shapes.values():
+        pos = np.asarray([kept[s][0] for s in slots], dtype=np.int64)
+        neg = np.asarray([kept[s][1] for s in slots], dtype=np.int64)
+        chunk.append((np.asarray(slots, dtype=np.int64), pos, neg))
+        size += pos.size * neg.shape[1]
+        if size >= _CHUNK_PAIRS:
+            chunks.append(tuple(chunk))
+            chunk, size = [], 0
+    if chunk:
+        chunks.append(tuple(chunk))
     return PairIndex(
-        buckets=buckets,
+        chunks=tuple(chunks),
         patients=len(kept),
         pairs=sum(len(pos) * len(neg) for pos, neg in kept),
         dropped=len(by_patient) - len(kept),
     )
 
 
-def _neg_margins(scores: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
-    """``s_neg - s_pos`` of every pair of a bucket, shape ``(G, P, N)``.
+def _neg_margins(
+    scores: np.ndarray, chunk: Sequence[Bucket]
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``s_neg - s_pos`` of every pair of a chunk, as one flat array, and the
+    view of each bucket's block in it, shape ``(G, P, N)``.
 
-    Rounding is symmetric, so this is ``-(s_pos - s_neg)`` bit for bit except
-    for the sign of a zero, which neither ``logaddexp(0, x)`` nor ``expit``
-    reads.
+    One flat array per chunk lets the sigmoid and softplus run once per chunk,
+    not once per bucket. Rounding is symmetric, so a margin is ``-(s_pos -
+    s_neg)`` bit for bit except for the sign of a zero, which neither
+    ``logaddexp(0, x)`` nor ``expit`` reads.
     """
-    return scores[neg][:, None, :] - scores[pos][:, :, None]
+    flat = np.empty(sum(pos.size * neg.shape[1] for _, pos, neg in chunk))
+    blocks = []
+    start = 0
+    for _, pos, neg in chunk:
+        shape = (len(pos), pos.shape[1], neg.shape[1])
+        block = flat[start : start + math.prod(shape)].reshape(shape)
+        np.subtract(scores[neg][:, None, :], scores[pos][:, :, None], out=block)
+        blocks.append(block)
+        start += block.size
+    return flat, blocks
+
+
+# Outside (_LOW, _HIGH) a margin m's sigmoid and softplus are known exactly:
+# at or above _HIGH, exp(-m) is lost in the rounding, so ``expit(m)`` is 1.0
+# and ``logaddexp(0, m)`` is m; at or below _LOW, exp(m) underflows to 0.0,
+# and so do both.
+_LOW, _HIGH = -746.0, 40.0
+
+
+def _at_live(flat: np.ndarray, fn, saturated: np.ufunc, arg: float) -> None:
+    """``fn`` of each margin of ``flat``, in place.
+
+    ``fn`` runs only on the margins inside (_LOW, _HIGH), or NaN; the others
+    get ``saturated(m, arg)``, which is what ``fn`` returns there. The live
+    margins are gathered by flat integer index, since boolean-mask indexing
+    costs about as much per element as ``expit`` itself; an array with no
+    saturated margin skips the gather and the scatter.
+    """
+    inside = ~((flat >= _HIGH) | (flat <= _LOW))
+    if inside.all():
+        fn(flat, out=flat)
+        return
+    live = np.flatnonzero(inside)
+    values = fn(flat[live])
+    saturated(flat, arg, out=flat, casting="unsafe")
+    flat[live] = values
+
+
+def _softplus(flat: np.ndarray) -> None:
+    """``logaddexp(0, m)`` of each margin of ``flat``, in place."""
+    # Saturated: max(m, 0.0) is m at or above _HIGH, 0.0 at or below _LOW.
+    _at_live(flat, functools.partial(np.logaddexp, 0.0), np.maximum, 0.0)
+
+
+def _sigmoid(flat: np.ndarray) -> None:
+    """``expit(m)`` of each margin of ``flat``, in place."""
+    # Imported here so only ``train`` pays for scipy; ``1 / (1 + exp(-x))``
+    # differs from ``expit`` in the last bit and would change model bytes.
+    from scipy.special import expit
+
+    # A gather and a scatter, not `where=`: scipy 1.17.1's expit with `where=`
+    # wrote wrong values and then crashed (double free). Saturated: m >= _HIGH
+    # as a float is 1.0 or 0.0.
+    _at_live(flat, expit, np.greater_equal, _HIGH)
 
 
 def pairwise_loss(scores: np.ndarray, pairs: PairIndex) -> float:
@@ -294,10 +382,11 @@ def pairwise_loss(scores: np.ndarray, pairs: PairIndex) -> float:
     id order.
     """
     per_patient = np.empty(pairs.patients, dtype=np.float64)
-    for slots, pos, neg in pairs.buckets:
-        neg_margins = _neg_margins(scores, pos, neg)
-        np.logaddexp(0.0, neg_margins, out=neg_margins)
-        per_patient[slots] = neg_margins.reshape(len(slots), -1).sum(axis=1)
+    for chunk in pairs.chunks:
+        flat, blocks = _neg_margins(scores, chunk)
+        _softplus(flat)
+        for (slots, _, _), block in zip(chunk, blocks):
+            per_patient[slots] = block.reshape(len(slots), -1).sum(axis=1)
     loss = 0.0
     for value in per_patient.tolist():  # in order; np.sum would pair them up
         loss += value
@@ -313,21 +402,18 @@ def pairwise_pass(
     repeats, so the scatter adds nothing twice and matches one patient at a
     time bitwise.
     """
-    # Imported here so only ``train`` pays for scipy; ``1 / (1 + exp(-x))``
-    # differs from ``expit`` in the last bit and would change model bytes.
-    from scipy.special import expit
-
     g = np.zeros_like(scores)
     h = np.zeros_like(scores) if hessian else None
-    for _, pos, neg in pairs.buckets:
-        neg_margins = _neg_margins(scores, pos, neg)
-        sig = expit(neg_margins, out=neg_margins)  # d loss / d margin, negated
-        g[pos] -= sig.sum(axis=2)
-        g[neg] += sig.sum(axis=1)
-        if h is not None:
-            curv = sig * (1.0 - sig)
-            h[pos] += curv.sum(axis=2)
-            h[neg] += curv.sum(axis=1)
+    for chunk in pairs.chunks:
+        flat, blocks = _neg_margins(scores, chunk)
+        _sigmoid(flat)  # d loss / d margin, negated
+        for (_, pos, neg), sig in zip(chunk, blocks):
+            g[pos] -= sig.sum(axis=2)
+            g[neg] += sig.sum(axis=1)
+            if h is not None:
+                curv = sig * (1.0 - sig)
+                h[pos] += curv.sum(axis=2)
+                h[neg] += curv.sum(axis=1)
     return g, h
 
 
@@ -413,59 +499,83 @@ def _leaf_value(g_sum: float, h_sum: float, l1: float, l2: float) -> float:
     return -_soft_threshold(g_sum, l1) / (h_sum + l2)
 
 
-def _dense_ranks(X: np.ndarray) -> list[np.ndarray]:
-    """Each column of ``X`` as its dense rank, in the smallest unsigned dtype.
+def _dense_ranks(X: np.ndarray) -> list[tuple[int, np.ndarray, int | None]]:
+    """``(feature, dense rank, NaN rank)`` of each column of ``X`` that a
+    split can use, ranks in the smallest unsigned dtype.
 
-    Equal values (``0.0`` and ``-0.0`` too) share a rank, so a stable sort of
-    a rank column gives the float column's stable order, ties included. numpy
-    sorts ``uint8`` and ``uint16`` keys stably by radix sort.
+    Equal values (``0.0`` and ``-0.0`` too) share a rank, and so do all NaNs,
+    which sort last: a stable sort of a rank column gives the float column's
+    stable order, ties included, in any node. The NaN rank (None when the
+    column holds no NaN) marks the rows where neighbours of equal rank still
+    differ in value, since NaN differs from itself. numpy sorts ``uint8`` and
+    ``uint16`` keys stably by radix sort.
+
+    A column of one value that is not NaN has no cut and is left out.
+    Columns with the same ranks and NaN rank give the same gains at the same
+    cuts, so only the first of them is kept: ``_build_tree`` would never pick
+    a later one over it.
     """
-    ranks = []
-    for column in X.T:
-        distinct, inverse = np.unique(column, return_inverse=True)
-        ranks.append(inverse.astype(np.min_scalar_type(len(distinct) - 1)))
-    return ranks
+    ranks: dict[tuple[bytes, int | None], tuple[int, np.ndarray, int | None]] = {}
+    for f, column in enumerate(X.T):
+        distinct, inverse = np.unique(column, return_inverse=True, equal_nan=True)
+        nan_rank = len(distinct) - 1 if np.isnan(distinct[-1]) else None
+        if len(distinct) > 1 or nan_rank is not None:
+            rank = inverse.astype(np.min_scalar_type(len(distinct) - 1))
+            ranks.setdefault((rank.tobytes(), nan_rank), (f, rank, nan_rank))
+    return list(ranks.values())
 
 
 def _build_tree(
     X: np.ndarray,
-    ranks: list[np.ndarray],
+    ranks: list[tuple[int, np.ndarray, int | None]],
     g: np.ndarray,
     h: np.ndarray,
     idx: np.ndarray,
     depth: int,
     cfg: TrainingConfig,
 ) -> Node:
-    g_sum = float(g[idx].sum())
-    h_sum = float(h[idx].sum())
+    """The tree fitted to ``g`` and ``h`` over the rows ``idx``, splitting on
+    the ``_dense_ranks`` columns of ``X``."""
+    g_node, h_node = g[idx], h[idx]
+    g_sum = float(g_node.sum())
+    h_sum = float(h_node.sum())
     min_leaf, l2 = cfg.boosted_min_leaf, cfg.boosted_l2
     if depth >= cfg.boosted_max_depth or len(idx) < 2 * min_leaf:
         return Leaf(_leaf_value(g_sum, h_sum, cfg.boosted_l1, l2))
     parent_gain = g_sum * g_sum / (h_sum + l2)
     # Cut c puts sorted rows 0..c on the left; min_leaf rows stay on each side.
     lo, hi = min_leaf - 1, len(idx) - min_leaf
-    X_node, g_node, h_node = X[idx], g[idx], h[idx]
-    best = None  # (gain, feature, cut, order, sorted values)
-    for f, rank in enumerate(ranks):
-        order = np.argsort(rank[idx], kind="stable")
-        sv = X_node[order, f]
-        gl = np.cumsum(g_node[order])[lo:hi]
-        hl = np.cumsum(h_node[order])[lo:hi]
+    best = None  # (gain, feature, cut, order)
+    for f, rank, nan_rank in ranks:
+        rank_node = rank[idx]
+        order = np.argsort(rank_node, kind="stable")
+        sorted_rank = rank_node[order]
+        # Only cuts between different values: where the sorted rank changes,
+        # or between two NaNs.
+        differ = sorted_rank[lo:hi] != sorted_rank[lo + 1 : hi + 1]
+        if nan_rank is not None:
+            differ |= sorted_rank[lo:hi] == nan_rank
+        cuts = lo + np.flatnonzero(differ)
+        if not len(cuts):
+            continue
+        gl = np.cumsum(g_node[order])[cuts]
+        hl = np.cumsum(h_node[order])[cuts]
         gr, hr = g_sum - gl, h_sum - hl
         gain = gl * gl / (hl + l2) + gr * gr / (hr + l2) - parent_gain
         # A NaN gain fails `> 1e-12`, so argmax never sees it.
-        ok = (sv[lo:hi] != sv[lo + 1 : hi + 1]) & (gain > 1e-12)
-        cut = int(np.argmax(np.where(ok, gain, -np.inf)))
-        if ok[cut] and (best is None or gain[cut] > best[0]):
-            best = (gain[cut], f, lo + cut, order, sv)
+        ok = gain > 1e-12
+        j = int(np.argmax(np.where(ok, gain, -np.inf)))
+        if ok[j] and (best is None or gain[j] > best[0]):
+            best = (gain[j], f, int(cuts[j]), order)
     if best is None:
         return Leaf(_leaf_value(g_sum, h_sum, cfg.boosted_l1, l2))
-    _, f, cut, order, sv = best
+    _, f, cut, order = best
+    rows = idx[order]
     return Split(
         feature=f,
-        threshold=float((sv[cut] + sv[cut + 1]) / 2.0),
-        left=_build_tree(X, ranks, g, h, idx[order[: cut + 1]], depth + 1, cfg),
-        right=_build_tree(X, ranks, g, h, idx[order[cut + 1 :]], depth + 1, cfg),
+        threshold=float((X[rows[cut], f] + X[rows[cut + 1], f]) / 2.0),
+        left=_build_tree(X, ranks, g, h, rows[: cut + 1], depth + 1, cfg),
+        right=_build_tree(X, ranks, g, h, rows[cut + 1 :], depth + 1, cfg),
     )
 
 

@@ -22,6 +22,7 @@ import helpers
 import phenorank
 from phenorank import pipeline
 from phenorank.cli import main
+from phenorank.ranking import models
 
 STEP_NAMES = [step.name for step in pipeline.STEPS]
 
@@ -404,6 +405,22 @@ class TestMalformedArtifacts:
         assert pipeline.COHORT_FILE in err["message"]
         assert "'ageYears' is missing" in err["message"]
 
+    @pytest.mark.parametrize("line", [1, 2], ids=["meta", "row"])
+    def test_line_nested_too_deeply(self, copied, line):
+        # Deeper than the interpreter's recursion limit: a data error naming
+        # the file and line, not a RecursionError.
+        cfg_path, work = copied
+        path = work / pipeline.COHORT_FILE
+        lines = path.read_text().splitlines()
+        deep = "[" * 10**5 + "]" * 10**5
+        lines[line - 1] = lines[line - 1].replace('{"', f'{{"deep": {deep}, "', 1)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        result = invoke(cfg_path, "rank")
+        assert result.exit_code == 3, result.output
+        err = stderr_error(result)
+        assert err["type"] == "DataError"
+        assert f"{pipeline.COHORT_FILE} line {line}" in err["message"]
+
     @pytest.mark.parametrize(
         "artifact, keys, value, step",
         WRONG_TYPES,
@@ -690,6 +707,29 @@ class TestTrainingBytes:
         assert stdout_json(result)["kind"] == kind
         assert helpers.file_digest(Path("work") / pipeline.MODEL_FILE) == digest
 
+    def test_linear_margins_reach_both_saturated_sides(
+        self, standardized, tmp_path, monkeypatch
+    ):
+        # The linear pin covers the written sigmoid and softplus of saturated
+        # margins only if this fixture's margins pass both bounds.
+        shutil.copytree(standardized, tmp_path / "ws")
+        monkeypatch.chdir(tmp_path / "ws")
+        Path("model.yaml").write_text(
+            yaml.safe_dump(_fixture_config(training={"model": "linear"}))
+        )
+        seen = []
+        neg_margins = models._neg_margins
+
+        def spy(scores, chunk):
+            flat, blocks = neg_margins(scores, chunk)
+            seen.append((flat.min(), flat.max()))
+            return flat, blocks
+
+        monkeypatch.setattr(models, "_neg_margins", spy)
+        assert invoke("model.yaml", "train").exit_code == 0
+        assert min(low for low, _ in seen) <= models._LOW
+        assert max(high for _, high in seen) >= models._HIGH
+
 
 # Each field of model.json (at any depth; array items are descended into)
 # set to each of these, or deleted.
@@ -852,6 +892,16 @@ class TestLineage:
                 meta["lineage"] = lineage
             pipeline.write_jsonl(path, meta, rows)
         self.refused(step, artifact, "the step that writes it")
+
+    def test_meta_line_nested_too_deeply(self, copied):
+        # rank reads mentions.jsonl only as the record of standardized.jsonl
+        # names it: its meta line alone is decoded.
+        path = copied / "work" / pipeline.MENTIONS_FILE
+        _, *rows = path.read_text().splitlines()
+        deep = "[" * 10**5 + "]" * 10**5
+        meta_line = f'{{"__meta__": {{"lineage": {deep}}}}}'
+        path.write_text("\n".join([meta_line, *rows]) + "\n", encoding="utf-8")
+        self.refused("rank", pipeline.MENTIONS_FILE, "the step that writes it")
 
     def test_record_without_a_section_of_its_step(self, copied):
         # With the training digest deleted from its record, a model trained

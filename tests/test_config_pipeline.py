@@ -338,6 +338,13 @@ class TestArtifactIO:
         with pytest.raises(DataError, match="line 2"):
             pipeline.read_jsonl(path)
 
+    def test_nested_too_deeply_names_line(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        deep = "[" * 10**5 + "]" * 10**5
+        path.write_text(f'{{"__meta__": {{}}}}\n{{"k": {deep}}}\n', encoding="utf-8")
+        with pytest.raises(DataError, match="line 2: JSON nested too deeply"):
+            pipeline.read_jsonl(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
             pipeline.read_jsonl(tmp_path / "absent.jsonl")
@@ -809,26 +816,47 @@ class TestTrainComputesWhatItWrites:
             monkeypatch.setattr(pipeline, name, in_phase(name, getattr(pipeline, name)))
         kind = pipeline.step_train(cfg)["kind"]
         doc = json.loads((pipeline.workdir(cfg) / pipeline.MODEL_FILE).read_text())
-        buckets = len(pair_index(trained["train_pairwise_linear"]).buckets)
-        return cfg, kind, doc, logaddexp_calls, buckets, trained
+        chunks = len(pair_index(trained["train_pairwise_linear"]).chunks)
+        return cfg, kind, doc, logaddexp_calls, chunks, trained
 
     def test_boosted_winner_pays_no_linear_loss(self, tmp_path, monkeypatch):
-        _, kind, doc, calls, buckets, _ = self.select_run(tmp_path, monkeypatch, 11)
+        _, kind, doc, calls, chunks, _ = self.select_run(tmp_path, monkeypatch, 11)
         assert kind == "boostedTrees"
-        # One loss pass per boosting round, one logaddexp per (P, N) bucket.
-        assert dict(calls) == {"train_boosted": doc["meta"]["rounds"] * buckets}
+        # One loss pass per boosting round, one logaddexp per chunk of buckets.
+        assert dict(calls) == {"train_boosted": doc["meta"]["rounds"] * chunks}
 
     def test_linear_winner_writes_the_loop_history(self, tmp_path, monkeypatch):
-        cfg, kind, doc, calls, buckets, trained = self.select_run(
+        cfg, kind, doc, calls, chunks, trained = self.select_run(
             tmp_path, monkeypatch, 13
         )
         assert kind == "pairwiseLinear"
         assert calls["train_pairwise_linear"] == 0
-        assert calls["write"] == cfg.training.linear_epochs * buckets
+        assert calls["write"] == cfg.training.linear_epochs * chunks
         want = helpers.loop_train_linear(trained["train_pairwise_linear"], cfg.training)
         history = doc["meta"]["trainLossHistory"]
         assert len(history) == cfg.training.linear_epochs
         assert history == want.meta.train_loss_history
+
+
+def test_steps_that_read_no_name_build_no_term_record(tmp_path, monkeypatch):
+    # A restored ontology builds its records only when ``terms`` is read.
+    cfg = write_workspace(tmp_path)
+    for step in pipeline.STEPS[:5]:
+        step.run(cfg)
+    built = collections.Counter()
+    record = ontology.TermRecord
+
+    def counted(*args, **kwargs):
+        built[step.name] += 1
+        return record(*args, **kwargs)
+
+    monkeypatch.setattr(ontology, "TermRecord", counted)
+    steps = {step.name: step for step in pipeline.STEPS}
+    for name in ("train", "rank", "evaluate", "permtest", "ablate"):
+        step = steps[name]
+        step.run(cfg)
+    # ablate matches mention surfaces to term names.
+    assert built == {"ablate": len(helpers.layered_ontology().terms)}
 
 
 class TestPipelineGuards:

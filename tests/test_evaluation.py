@@ -630,6 +630,16 @@ class TestExternalRankings:
             f"line {n}: not an object" for n in (9, 10, 11, 12)
         ]
 
+    def test_row_nested_too_deeply_is_invalid(self, small):
+        deep = "[" * 10**5 + "]" * 10**5
+        lines = [
+            f'{{"patientId": "P1", "terms": {deep}}}',
+            json.dumps({"patientId": "P2", "terms": [A_ONE]}),
+        ]
+        result = import_external_ranking("\n".join(lines), small)
+        assert result.rankings == {"P2": [A_ONE]}
+        assert result.errors == ["line 1: JSON nested too deeply to decode"]
+
     def test_terms_must_be_strings(self, small):
         row = json.dumps({"patientId": "P1", "terms": [17]})
         result = import_external_ranking(row, small)

@@ -142,6 +142,10 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_ontology_json("not json")
 
+    def test_json_nested_too_deeply(self):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_ontology_json("[" * 10**5 + "]" * 10**5)
+
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, [], None, {}])
     def test_json_is_obsolete_must_be_a_boolean(self, value):
         import json

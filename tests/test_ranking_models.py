@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import math
 import random
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 import helpers
 from helpers import pairwise_linear_gradient, pairwise_loss_at
@@ -23,7 +25,7 @@ from phenorank.ranking import (
     train_boosted,
     train_pairwise_linear,
 )
-from phenorank.ranking.features import UNKNOWN_CATEGORY
+from phenorank.ranking.features import UNKNOWN_CATEGORY, RankingInstance
 from phenorank.ranking.metrics import map_scorer
 from phenorank.ranking.models import (
     KIND_BOOSTED,
@@ -32,6 +34,8 @@ from phenorank.ranking.models import (
     _build_tree,
     _dense_ranks,
     _schema_stub,
+    _sigmoid,
+    _softplus,
     pair_index,
     pairwise_loss,
     pairwise_pass,
@@ -375,7 +379,7 @@ class TestWholeArrayPass:
         instances = helpers.random_instances(rng, shapes)
         groups = helpers.loop_group_pairs(instances)
         pairs = pair_index(instances)
-        for spread in (0.1, 3.0, 40.0):
+        for spread in (0.1, 3.0, 40.0, 600.0):
             scores = rng.normal(0.0, spread, len(instances))
             scores[rng.integers(0, len(scores), 20)] = 0.0
             loss = pairwise_loss(scores, pairs)
@@ -395,8 +399,9 @@ class TestWholeArrayPass:
         assert pairs.pairs == 6 + 6 + 6
         assert pairs.patients == 3
         assert pairs.dropped == 2
-        assert sorted(len(slots) for slots, _, _ in pairs.buckets) == [1, 2]
-        slots = np.concatenate([slots for slots, _, _ in pairs.buckets])
+        buckets = [bucket for chunk in pairs.chunks for bucket in chunk]
+        assert sorted(len(slots) for slots, _, _ in buckets) == [1, 2]
+        slots = np.concatenate([slots for slots, _, _ in buckets])
         assert sorted(slots.tolist()) == [0, 1, 2]
 
     def test_patients_without_both_labels_rejected(self):
@@ -404,6 +409,71 @@ class TestWholeArrayPass:
         instances = helpers.random_instances(rng, [(3, 0), (0, 4)])
         with pytest.raises(TrainingError, match="both a positive and a negative"):
             train_pairwise_linear(instances, schema=_schema_stub(5))
+
+
+def _boundary_grid() -> np.ndarray:
+    """Margins at and around the bounds of the saturated ranges, special
+    values, and random values on both sides of each bound."""
+    rng = np.random.default_rng(1717)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 1e-310, -1e-310]
+    for bound in (40.0, -40.0, 709.78, -709.78, -745.13, -746.0):
+        below = above = bound
+        for _ in range(4):
+            below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+            edges += [below, above]
+        edges.append(bound)
+    grid = np.concatenate(
+        [
+            edges,
+            rng.uniform(30.0, 45.0, 400),
+            rng.uniform(-760.0, -700.0, 400),
+            rng.normal(0.0, 300.0, 400),
+            np.where(rng.random(100) < 0.5, np.nan, rng.normal(0.0, 10.0, 100)),
+        ]
+    )
+    return grid[rng.permutation(len(grid))]
+
+
+class TestSaturatedMargins:
+    """Outside (-746, 40) the sigmoid and softplus are written, not computed;
+    what is written must be what ``expit`` and ``logaddexp`` return there."""
+
+    @pytest.mark.parametrize("live_only", [False, True])
+    def test_bitwise_equal_to_scipy_and_numpy(self, live_only):
+        grid = _boundary_grid()
+        if live_only:  # no saturated margin: the whole-array path
+            grid = grid[np.isnan(grid) | ((grid > -746.0) & (grid < 40.0))]
+        sig, soft = grid.copy(), grid.copy()
+        with np.errstate(invalid="ignore"):  # logaddexp of NaN
+            _sigmoid(sig)
+            _softplus(soft)
+            assert sig.tobytes() == expit(grid).tobytes()
+            assert soft.tobytes() == np.logaddexp(0.0, grid).tobytes()
+
+    def test_grid_covers_both_saturated_sides(self):
+        grid = _boundary_grid()
+        assert (grid >= 40.0).sum() > 100 and (grid <= -746.0).sum() > 100
+        live = grid[(grid > -746.0) & (grid < 40.0)]
+        # Values whose sigmoid or softplus is not yet saturated lie just
+        # inside each bound, so a bound moved inward shows.
+        assert (expit(live[live > 36.0]) < 1.0).any()
+        assert (np.logaddexp(0.0, live[live < -709.0]) > 0.0).any()
+
+    def test_pass_gradient_is_the_sigmoid(self):
+        # One patient, one positive scored 0.0: each negative's gradient is
+        # the sigmoid of its own score, bit for bit.
+        grid = _boundary_grid()
+        grid = grid[~np.isnan(grid)]
+        instances = [
+            RankingInstance("P1", f"HP:{i:07d}", int(i == 0), "x", np.zeros(1))
+            for i in range(len(grid) + 1)
+        ]
+        scores = np.concatenate([[0.0], grid])
+        g, h = pairwise_pass(scores, pair_index(instances))
+        assert g[1:].tobytes() == expit(grid).tobytes()
+        want = expit(grid) * (1.0 - expit(grid))
+        assert h[1:].tobytes() == want.tobytes()
 
 
 def _random_training_set(seed: int, tied: bool):
@@ -466,8 +536,10 @@ class TestTrainersMatchLoopOracles:
             inst.features[3:] = rng.normal(0.0, 1.0, 2)
         X = np.vstack([inst.features for inst in train])
         ranks = _dense_ranks(X)
-        assert [int(r.max()) for r in ranks[:3]] == [2, 0, 1]
-        assert {r.dtype for r in ranks} == {np.dtype(np.uint8)}
+        # The constant column 1 is left out.
+        assert [f for f, _, _ in ranks] == [0, 2, 3, 4]
+        assert [int(r.max()) for _, r, _ in ranks[:2]] == [2, 1]
+        assert {r.dtype for _, r, _ in ranks} == {np.dtype(np.uint8)}
         cfg = TrainingConfig(boosted_rounds=6, boosted_min_leaf=2, boosted_max_depth=3)
         got = train_boosted(train, cfg, validation=val).to_json()
         assert got == helpers.loop_train_boosted(train, cfg, validation=val).to_json()
@@ -486,7 +558,7 @@ class TestTrainersMatchLoopOracles:
         X = np.vstack([inst.features for inst in train])
         ranks = _dense_ranks(X)
         assert len(np.unique(X[:, 0])) == len(X) > 65_536
-        assert [r.dtype for r in ranks] == [np.dtype(np.uint32)] * 2
+        assert [r.dtype for _, r, _ in ranks] == [np.dtype(np.uint32)] * 2
         cfg = TrainingConfig(boosted_rounds=2, boosted_max_depth=1, boosted_min_leaf=5)
         got = train_boosted(train, cfg, validation=val).to_json()
         assert got == helpers.loop_train_boosted(train, cfg, validation=val).to_json()
@@ -519,6 +591,72 @@ class TestTrainersMatchLoopOracles:
             want = helpers.loop_train_boosted(train, cfg, validation=val).to_json()
         assert got == want
         assert '"feature"' in got
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_boosted_repeated_constant_and_nan_columns(self, seed):
+        # Columns 2 and 3 repeat the orders of columns 0 and 1 (a copy and a
+        # monotone map), column 4 is constant, and column 5 holds NaN in a
+        # third of its rows: splits search columns 0, 1, 5, 6 and 7 only.
+        train, val = _random_training_set(seed, tied=seed % 2 == 1)
+        rng = np.random.default_rng([seed, 1001])
+        for inst in (*train, *val):
+            x = inst.features
+            nan = np.nan if rng.random() < 0.35 else x[2]
+            inst.features = np.array([x[0], x[1], x[0], np.exp(x[1]), 7.0, nan, x[3], x[4]])
+        X = np.vstack([inst.features for inst in train])
+        ranks = _dense_ranks(X)
+        assert [(f, nan_rank is None) for f, _, nan_rank in ranks] == [
+            (0, True), (1, True), (5, False), (6, True), (7, True)
+        ]
+        cfg = TrainingConfig(boosted_rounds=6, boosted_min_leaf=2, boosted_max_depth=3)
+        got = train_boosted(train, cfg, validation=val).to_json()
+        assert got == helpers.loop_train_boosted(train, cfg, validation=val).to_json()
+        assert '"feature": 0' in got or '"feature": 1' in got
+        g = rng.normal(0.0, 1.0, len(X))
+        h = rng.uniform(0.1, 1.0, len(X))
+        idx = rng.permutation(len(X))[: len(X) * 2 // 3]
+        tree = _build_tree(X, ranks, g, h, idx, 0, cfg)
+        want = helpers.scalar_cut_tree(X, g, h, idx, 0, cfg)
+        assert json.dumps(tree.to_dict()) == json.dumps(want)
+
+    def test_cuts_between_nan_rows(self):
+        # NaN differs from every value, itself included, so the oracle may cut
+        # between two NaN rows, which its stable sort leaves in node order.
+        # Here the best cut on column 0 falls inside its NaN rows, in a node
+        # whose rows are in row order and in one whose rows are not; columns 2
+        # and 3 copy columns 0 and 1.
+        rng = np.random.default_rng(1103)
+        n = 300
+        X = np.column_stack([np.full(n, np.nan), rng.normal(0.0, 1.0, n)])
+        X[rng.permutation(n)[:20], 0] = rng.normal(0.0, 1.0, 20)
+        X = np.column_stack([X, X])
+        h = rng.uniform(0.5, 1.0, n)
+        cfg = TrainingConfig(boosted_min_leaf=3, boosted_max_depth=2)
+        ranks = _dense_ranks(X)
+        assert [f for f, _, _ in ranks] == [0, 1]
+        for idx in (np.arange(n), rng.permutation(n)[: n // 2]):
+            g = rng.normal(0.0, 0.1, n)
+            g[idx] += np.where(np.arange(len(idx)) < len(idx) // 2, -1.0, 1.0)
+            tree = _build_tree(X, ranks, g, h, idx, 0, cfg)
+            want = helpers.scalar_cut_tree(X, g, h, idx, 0, cfg)
+            assert json.dumps(tree.to_dict()) == json.dumps(want)
+            assert tree.feature == 0 and math.isnan(tree.threshold)
+
+    def test_all_nan_column_is_not_constant(self):
+        # Every row of column 1 differs from every other, as NaN, so the
+        # oracle cuts it between any two rows; column 0 is constant.
+        rng = np.random.default_rng(1109)
+        n = 60
+        X = np.column_stack([np.full(n, 2.0), np.full(n, np.nan)])
+        ranks = _dense_ranks(X)
+        assert [(f, nan_rank) for f, _, nan_rank in ranks] == [(1, 0)]
+        g = np.where(np.arange(n) < n // 3, -1.0, 1.0) + rng.normal(0.0, 0.1, n)
+        h = rng.uniform(0.5, 1.0, n)
+        cfg = TrainingConfig(boosted_min_leaf=2, boosted_max_depth=2)
+        tree = _build_tree(X, ranks, g, h, np.arange(n), 0, cfg)
+        want = helpers.scalar_cut_tree(X, g, h, np.arange(n), 0, cfg)
+        assert json.dumps(tree.to_dict()) == json.dumps(want)
+        assert tree.feature == 1
 
     def test_boosted_tied_splits_are_exercised(self):
         # Guard that the tied-feature sets really produce split trees.

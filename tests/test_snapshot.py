@@ -119,6 +119,34 @@ def test_restore_equals_a_fresh_parse(tmp_path, inputs):
     assert all(helpers.ancestors(r, t) == helpers.ancestors(o, t) for t in o.ids)
 
 
+@pytest.mark.parametrize(
+    "inputs",
+    [fixture_inputs, random_inputs, obo_inputs, unicode_inputs],
+    ids=["fixture", "random-obsolete", "obo", "unicode-surrogates"],
+)
+def test_restored_walks_equal_a_fresh_parse(tmp_path, inputs):
+    cfg = write_inputs(tmp_path, *inputs())
+    pipeline.step_ingest(cfg)
+    r = pipeline.load_snapshot(cfg).ontology
+    o, _, _ = helpers.parse_inputs(cfg.paths)
+    n = len(o.ids)
+    dense = np.arange(n)
+    walks = dense * n + dense  # one walk from each term
+    answers = [(r.parent_rows(dense), o.parent_rows(dense))]
+    answers += [(r.child_rows(dense), o.child_rows(dense))]
+    answers += [
+        (r.hops(walks, direction, limit), o.hops(walks, direction, limit))
+        for direction in ("up", "down", "both")
+        for limit in (None, 1)
+    ]
+    for got, want in answers:
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    # The walks read no record; the records, once read, are the parsed ones.
+    assert "terms" not in vars(r)
+    assert list(r.terms.items()) == list(o.terms.items())
+
+
 def test_ingest_reads_each_input_once(tmp_path, monkeypatch):
     cfg = write_inputs(tmp_path, *fixture_inputs())
     reads = collections.Counter()

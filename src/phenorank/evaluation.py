@@ -373,7 +373,7 @@ def import_external_ranking(text: str, o: Ontology) -> ImportResult:
         if row.patient_id in rankings:
             errors.append(f"line {lineno}: duplicate patientId {row.patient_id}")
             continue
-        bad = [t for t in row.terms if t not in o.terms or o.terms[t].obsolete]
+        bad = [t for t in row.terms if t not in o.dense]  # unknown or obsolete
         if bad:
             errors.append(f"line {lineno}: unresolvable terms {bad}")
             continue

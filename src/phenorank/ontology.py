@@ -183,7 +183,8 @@ class Ontology:
         rows = sorted(np.flatnonzero(~obsolete).tolist(), key=record_ids.__getitem__)
         self._rows = np.array(rows, dtype=np.int64)
         self.ids: tuple[str, ...] = tuple(record_ids[r] for r in rows)
-        self._dense: dict[str, int] = {t: i for i, t in enumerate(self.ids)}
+        # The dense id of each live term: a term is live exactly when it is here.
+        self.dense: dict[str, int] = {t: i for i, t in enumerate(self.ids)}
         roots = np.flatnonzero((self._parent_count == 0) & ~obsolete).tolist()
         self.root: str = _only_root(sorted(record_ids[r] for r in roots))
 
@@ -280,7 +281,7 @@ class Ontology:
         ascending).
         """
         n = len(self.ids)
-        dense = self._dense
+        dense = self.dense
         terms = self.terms
         order: list[int] = []  # live dense ids, level after level
         # Per is_a edge: the child's position in its level times n, the parent.
@@ -346,7 +347,7 @@ class Ontology:
         Raises UnknownTermError for an unknown or obsolete id.
         """
         try:
-            return np.array([self._dense[t] for t in tids], dtype=np.int64)
+            return np.array([self.dense[t] for t in tids], dtype=np.int64)
         except KeyError as e:
             self.require(e.args[0])
             raise
@@ -554,6 +555,9 @@ def parse_obo(text: str) -> Ontology:
     return Ontology(terms)
 
 
+_TEXT = {str}
+
+
 def parse_ontology_json(text: str) -> Ontology:
     """Parse the JSON ontology form: a list of term objects, or {"terms": [...]}.
 
@@ -583,8 +587,15 @@ def parse_ontology_json(text: str) -> Ontology:
         synonyms = obj.get("synonyms") or []
         definition = obj.get("def") or ""
         parents = obj.get("is_a") or []
-        if not (isinstance(synonyms, list) and isinstance(parents, list)) or not all(
-            isinstance(x, str) for x in [tid, name, definition, *synonyms, *parents]
+        # json.loads makes exact str and list objects, so exact type checks
+        # accept what isinstance would.
+        if not (
+            type(tid) is str
+            and type(name) is str
+            and type(definition) is str
+            and type(synonyms) is list
+            and type(parents) is list
+            and {*map(type, synonyms), *map(type, parents)} <= _TEXT
         ):
             raise ParseError(f"term {i}: id, name, def, synonyms and is_a must be text")
         if tid in terms:
@@ -592,14 +603,7 @@ def parse_ontology_json(text: str) -> Ontology:
         obsolete = obj.get("is_obsolete", False)
         if type(obsolete) is not bool:
             raise ParseError(f"term {tid}: is_obsolete must be true or false")
-        terms[tid] = TermRecord(
-            id=tid,
-            name=name,
-            synonyms=synonyms,
-            definition=definition,
-            parents=parents,
-            obsolete=obsolete,
-        )
+        terms[tid] = TermRecord(tid, name, synonyms, definition, parents, obsolete)
     if not terms:
         raise ParseError("ontology JSON contains no terms")
     return Ontology(terms)
@@ -624,42 +628,58 @@ class OntologyStats:
 
 
 def propagate_counts(
-    o: Ontology, direct: Mapping[str, Iterable[str]]
+    o: Ontology,
+    terms: np.ndarray,
+    docs: np.ndarray,
+    groups: np.ndarray | None = None,
+    group_count: int = 0,
 ) -> np.ndarray:
     """Count, per term, the distinct documents annotated to it or a descendant.
 
-    ``direct`` maps term id -> documents annotated directly to that term.
-    Returns int64 counts indexed by dense id (``o.ids`` order).
-    Each (document, ancestor) pair is one int64 key; a sort and a neighbour
-    mask keep each pair once, and one bincount counts the ancestors.
+    Row ``i`` annotates document ``docs[i]`` (a non-negative int) to dense id
+    ``terms[i]``; with ``groups``, row ``i`` also belongs to group
+    ``groups[i]`` in ``[0, group_count)``. Returns int64 counts of shape
+    ``(1 + group_count, len(o.ids))``: row 0 over every row, row ``1 + g``
+    over the rows of group g alone.
+
+    One walk: the closure rows of all rows are gathered once into int64
+    keys ``(document * n + ancestor) * group_count + group``; one sort and a
+    neighbour mask keep each key once, a second mask each (document,
+    ancestor) pair once, and one bincount per row of the result counts the
+    ancestors.
     """
-    docs = [d for annotated in direct.values() for d in annotated]
-    doc_index = {d: i for i, d in enumerate(dict.fromkeys(docs))}
-    per_term = [len(annotated) for annotated in direct.values()]
-    terms = np.repeat(o.dense_ids(direct), per_term)
     n = len(o.ids)
     ancestors, lens = o.closure_rows(terms)
-    keys = np.repeat(np.array([doc_index[d] for d in docs], dtype=np.int64) * n, lens)
+    keys = np.repeat(np.asarray(docs, dtype=np.int64) * n, lens)
     keys += ancestors
-    return np.bincount(_distinct(keys) % n, minlength=n)
+    counts = np.empty((1 + group_count, n), dtype=np.int64)
+    if groups is None:
+        counts[0] = np.bincount(_distinct(keys) % n, minlength=n)
+        return counts
+    keys *= group_count
+    keys += np.repeat(np.asarray(groups, dtype=np.int64), lens)
+    keys = _distinct(keys)
+    pairs, group = np.divmod(keys, group_count)
+    first = np.ones(len(pairs), dtype=bool)
+    np.not_equal(pairs[1:], pairs[:-1], out=first[1:])
+    ancestor = pairs % n
+    counts[0] = np.bincount(ancestor[first], minlength=n)
+    counts[1:] = np.bincount(group * n + ancestor, minlength=group_count * n).reshape(-1, n)
+    return counts
 
 
 def compute_stats(o: Ontology, kb) -> OntologyStats:
-    """Propagate the KB's disease annotations to ancestors and derive IC.
+    """Derive IC from the KB's disease annotations propagated to ancestors.
 
-    ``kb`` supplies ``disease_annots``: source -> term -> set of disease ids.
-    Sources are pooled (a disease id names one document regardless of source).
-    IC is ``-math.log(c / total)`` per term, as in Resnik (1995), one term at
-    a time, so its bits do not depend on the CPU.
+    ``kb`` is an ``annotations.AnnotationKB`` loaded against ``o``; its
+    ``disease_counts`` pool the sources (a disease id names one document
+    regardless of source). IC is ``-math.log(c / total)`` per term, as in
+    Resnik (1995), one term at a time, so its bits do not depend on the CPU.
     """
-    pooled: dict[str, set[str]] = {}
-    for per_term in kb.disease_annots.values():
-        for tid, diseases in per_term.items():
-            pooled.setdefault(tid, set()).update(diseases)
-    total = len(set().union(*pooled.values()))
+    total = kb.total_diseases
     if total == 0:
         raise DataError("annotation KB holds no diseases; IC is undefined")
-    count = propagate_counts(o, pooled)
+    count = kb.disease_counts(o)[0]
     ceiling = -math.log(1.0 / (total + 1))
     ic = np.array(
         [-math.log(c / total) if c > 0 else ceiling for c in count.tolist()],

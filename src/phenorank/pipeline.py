@@ -301,9 +301,9 @@ class Lineage:
     stands for it). An artifact is refused (ConfigError naming it, what
     changed and the step to rerun) unless every digest it records is current,
     each file it read passing the same check first; a file it read that is
-    gone has changed. A record that names no step of ``STEPS``, or lacks the
-    digest of the seed or of a section its step declares, is refused as if
-    it were missing.
+    gone has changed. A record that names a step other than the one that
+    writes its file (``Step.writes``), or lacks the digest of the seed or of a
+    section that step declares, is refused as if it were missing.
     """
 
     def __init__(self, cfg: PipelineConfig, step: str):
@@ -347,9 +347,12 @@ class Lineage:
                 lineage = (doc["__meta__"] if jsonl else doc)["lineage"]
                 step = lineage["step"]
                 parts = [lineage[part].items() for part in ("reads", "config", "inputs")]
-                # A record must name its step and hold each config part that
-                # step depends on, or a deleted part would hide a change.
-                valid = set(DECLARED[step]) <= lineage["config"].keys()
+                # A record must name the step that writes its file and hold
+                # each config part that step depends on, or a deleted part
+                # would hide a change.
+                valid = WRITER.get(path.name) == step and (
+                    set(DECLARED[step]) <= lineage["config"].keys()
+                )
             # RecursionError: a meta line nested too deeply to decode.
             except (ValueError, LookupError, TypeError, AttributeError, RecursionError):
                 valid = False
@@ -716,12 +719,13 @@ def step_permtest(cfg: PipelineConfig) -> dict:
 
 @dataclasses.dataclass(frozen=True)
 class Step:
-    """A row of ``STEPS``: the step's name and function and the config
-    sections it reads besides the seed, which enter the lineage record of
-    every artifact it writes."""
+    """A row of ``STEPS``: the step's name and function, the work-directory
+    files it writes, and the config sections it reads besides the seed, which
+    enter the lineage record of every artifact it writes."""
 
     name: str
     run: Callable[..., dict]
+    writes: tuple[str, ...]
     sections: tuple[str, ...] = ()
 
 
@@ -729,17 +733,24 @@ class Step:
 # row, named by the row and described by the step's docstring. ``paths`` and
 # ``extraction.concurrency`` are in no step's sections (config_digests).
 STEPS = (
-    Step("ingest", step_ingest),
-    Step("synth", step_synth, ("cohort",)),
-    Step("chunk", step_chunk, ("chunking",)),
-    Step("extract", step_extract, ("extraction",)),
-    Step("standardize", step_standardize, ("standardization", "extraction")),
-    Step("train", step_train, ("training",)),
-    Step("rank", step_rank),
-    Step("evaluate", step_evaluate, ("evaluation",)),
-    Step("ablate", step_ablate, ("evaluation",)),
-    Step("permtest", step_permtest, ("evaluation",)),
+    Step("ingest", step_ingest, (INPUTS_FILE,)),
+    Step("synth", step_synth, (COHORT_FILE, NOTES_FILE), ("cohort",)),
+    Step("chunk", step_chunk, (CHUNKS_FILE,), ("chunking",)),
+    Step("extract", step_extract, (MENTIONS_FILE,), ("extraction",)),
+    Step(
+        "standardize",
+        step_standardize,
+        (STANDARDIZED_FILE, TRACE_FILE),
+        ("standardization", "extraction"),
+    ),
+    Step("train", step_train, (MODEL_FILE,), ("training",)),
+    Step("rank", step_rank, (RANKINGS_FILE,)),
+    Step("evaluate", step_evaluate, (EVAL_REPORT, EVAL_CSV), ("evaluation",)),
+    Step("ablate", step_ablate, (ABLATION_REPORT, ABLATION_CSV), ("evaluation",)),
+    Step("permtest", step_permtest, (PERMTEST_REPORT, PERMTEST_CSV), ("evaluation",)),
 )
 
 # The config parts each step itself records: the seed and its sections.
 DECLARED = {step.name: ("seed", *step.sections) for step in STEPS}
+# The step that writes each work-directory file.
+WRITER = {name: step.name for step in STEPS for name in step.writes}

@@ -10,9 +10,11 @@ evaluation oracles are the package's cutoff-by-cutoff evaluator and, for the
 permutation baseline, an all-orders mean, an exact-fraction closed form and the
 earlier draw-by-draw estimate. The feature-row oracle is the package's earlier
 per-term path: per-source counts propagated eagerly, then one IDF lookup per
-term and source. The similarity oracles are the package's earlier string path:
-frozenset ancestor views of the closure, the MICA by name, one Lin value per
-call and the pair cache over it. The negative-pool oracles are the package's
+term and source. The annotation oracles are the package's earlier per-row
+TSV reader, its KB of frozensets and its one propagation per count. The
+similarity oracles are the package's earlier string path: frozenset ancestor
+views of the closure, the MICA by name, one Lin value per call and the pair
+cache over it. The negative-pool oracles are the package's
 earlier string-set pools and sorted-string sampler. The cohort-sampler oracle
 is its tuple sort over one ``rng.random()`` per term. The reference functions
 (set similarity, undirected distance, top-k precision/recall/F1, the pairwise
@@ -51,6 +53,8 @@ from phenorank.errors import (
     ConfigError,
     DataError,
     EmbeddingError,
+    IngestError,
+    ParseError,
     SamplingError,
     StructuralError,
 )
@@ -490,6 +494,151 @@ class LinCache:
         return out
 
 
+# -- annotation oracles: the package's earlier per-row reader and dict KB -------------
+
+
+@dataclass
+class OracleKB:
+    """The package's earlier KB: direct annotations per source and term, and
+    per term for genes, as frozensets of document names."""
+
+    disease_annots: dict[str, dict[str, frozenset]]
+    gene_annots: dict[str, frozenset]
+    disease_totals: dict[str, int]
+    total_genes: int
+
+
+def oracle_tsv_rows(text: str, kind: str, columns: int):
+    """The line number and stripped columns of each row of a ``kind``
+    annotation file, one row at a time, skipping blank lines and ``#``
+    comments; a row with the wrong column count or an empty column is a
+    ParseError naming its line."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [part.strip() for part in line.split("\t")]
+        if len(parts) != columns:
+            raise ParseError(f"{kind} annotations line {lineno}: expected {columns} columns")
+        if not all(parts):
+            raise ParseError(f"{kind} annotations line {lineno}: empty column")
+        yield lineno, parts
+
+
+def oracle_load_annotations(disease_text: str, gene_text: str, o: Ontology) -> OracleKB:
+    """The package's earlier row-by-row ``load_annotations``: the same errors,
+    and the direct annotations as dicts of sets."""
+    disease_direct: dict[str, dict[str, set[str]]] = {s: {} for s in DISEASE_SOURCES}
+    gene_direct: dict[str, set[str]] = {}
+    bad_rows: list[str] = []
+    for lineno, (tid, disease, source) in oracle_tsv_rows(disease_text, "disease", 3):
+        if source not in DISEASE_SOURCES:
+            bad_rows.append(f"line {lineno}: unknown source {source!r}")
+            continue
+        rec = o.terms.get(tid)
+        if rec is None or rec.obsolete:
+            bad_rows.append(f"line {lineno}: unresolvable term {tid}")
+            continue
+        disease_direct[source].setdefault(tid, set()).add(disease)
+    for lineno, (tid, gene) in oracle_tsv_rows(gene_text, "gene", 2):
+        rec = o.terms.get(tid)
+        if rec is None or rec.obsolete:
+            bad_rows.append(f"gene line {lineno}: unresolvable term {tid}")
+            continue
+        gene_direct.setdefault(tid, set()).add(gene)
+    if bad_rows:
+        raise IngestError("rejected annotation rows: " + "; ".join(bad_rows))
+    return OracleKB(
+        disease_annots={
+            s: {t: frozenset(d) for t, d in per_term.items()}
+            for s, per_term in disease_direct.items()
+        },
+        gene_annots={t: frozenset(g) for t, g in gene_direct.items()},
+        disease_totals={
+            s: len({d for docs in per_term.values() for d in docs})
+            for s, per_term in disease_direct.items()
+        },
+        total_genes=len({g for gs in gene_direct.values() for g in gs}),
+    )
+
+
+def dict_propagate_counts(o: Ontology, direct) -> np.ndarray:
+    """The package's earlier ``propagate_counts``, over a dict of term id ->
+    documents: one sorted pass of (document, ancestor) keys per call."""
+    docs = [d for annotated in direct.values() for d in annotated]
+    doc_index = {d: i for i, d in enumerate(dict.fromkeys(docs))}
+    per_term = [len(annotated) for annotated in direct.values()]
+    terms = np.repeat(o.dense_ids(direct), per_term)
+    n = len(o.ids)
+    ancestors, lens = o.closure_rows(terms)
+    keys = np.repeat(np.array([doc_index[d] for d in docs], dtype=np.int64) * n, lens)
+    keys += ancestors
+    return np.bincount(np.unique(keys) % n, minlength=n)
+
+
+def oracle_compute_stats(o: Ontology, kb: OracleKB) -> OntologyStats:
+    """The package's earlier ``compute_stats``: the sources pooled into one
+    dict, then one propagation."""
+    pooled: dict[str, set[str]] = {}
+    for per_term in kb.disease_annots.values():
+        for tid, diseases in per_term.items():
+            pooled.setdefault(tid, set()).update(diseases)
+    total = len(set().union(*pooled.values()))
+    if total == 0:
+        raise DataError("annotation KB holds no diseases; IC is undefined")
+    count = dict_propagate_counts(o, pooled)
+    ceiling = -math.log(1.0 / (total + 1))
+    ic = np.array(
+        [-math.log(c / total) if c > 0 else ceiling for c in count.tolist()],
+        dtype=np.float64,
+    )
+    return OntologyStats(annot_count=count, total_diseases=total, ic=ic)
+
+
+def kb_dicts(o: Ontology, kb: AnnotationKB) -> OracleKB:
+    """The rows of an array KB in the dict shape; each document is named by
+    its index."""
+    disease: dict[str, dict[str, set[int]]] = {s: {} for s in DISEASE_SOURCES}
+    rows = zip(kb.disease_terms.tolist(), kb.disease_docs.tolist(), kb.disease_sources.tolist())
+    for t, d, k in rows:
+        disease[DISEASE_SOURCES[k]].setdefault(o.ids[t], set()).add(d)
+    genes: dict[str, set[int]] = {}
+    for t, g in zip(kb.gene_terms.tolist(), kb.gene_docs.tolist()):
+        genes.setdefault(o.ids[t], set()).add(g)
+    return OracleKB(
+        disease_annots={
+            s: {t: frozenset(d) for t, d in per_term.items()} for s, per_term in disease.items()
+        },
+        gene_annots={t: frozenset(g) for t, g in genes.items()},
+        disease_totals=dict(kb.disease_totals),
+        total_genes=kb.total_genes,
+    )
+
+
+def kb_from_dicts(
+    o: Ontology, disease_annots: dict, gene_annots: dict | None = None
+) -> AnnotationKB:
+    """The array KB of direct annotations given as source -> term -> documents
+    (and term -> genes), written as TSV rows and read by ``load_annotations``."""
+    disease = [
+        f"{t}\t{d}\t{source}"
+        for source, per_term in disease_annots.items()
+        for t, docs in per_term.items()
+        for d in sorted(docs)
+    ]
+    genes = [f"{t}\t{g}" for t, gs in (gene_annots or {}).items() for g in sorted(gs)]
+    return load_annotations("\n".join(disease), "\n".join(genes), o)
+
+
+def annotation_rows(o: Ontology, direct: dict) -> tuple[np.ndarray, np.ndarray]:
+    """``propagate_counts``'s (terms, docs) arrays of term id -> documents:
+    one row per (term, document), each document numbered once."""
+    index: dict = {}
+    pairs = [(o.dense[t], index.setdefault(d, len(index))) for t, ds in direct.items() for d in ds]
+    terms, docs = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return terms, docs
+
+
 def bf_propagated_counts(o: Ontology, direct) -> dict[str, int]:
     """Distinct documents annotated to each term or a descendant (reached only)."""
     reached: dict[str, set[str]] = {}
@@ -499,7 +648,7 @@ def bf_propagated_counts(o: Ontology, direct) -> dict[str, int]:
     return {t: len(docs) for t, docs in reached.items()}
 
 
-def oracle_idf(kb: AnnotationKB, propagated: dict, source: str, term_id: str) -> float:
+def oracle_idf(kb: OracleKB, propagated: dict, source: str, term_id: str) -> float:
     """Per-source IDF of one term, with add-one smoothing for unreached terms."""
     total = kb.disease_totals[source]
     if total == 0:
@@ -510,11 +659,9 @@ def oracle_idf(kb: AnnotationKB, propagated: dict, source: str, term_id: str) ->
     return -math.log(d / total)
 
 
-def oracle_feature_table(
-    o: Ontology, s: OntologyStats, kb: AnnotationKB
-) -> np.ndarray:
+def oracle_feature_table(o: Ontology, s: OntologyStats, kb: OracleKB) -> np.ndarray:
     """The feature table built one term at a time from eagerly propagated
-    counts, in Python floats."""
+    counts, in Python floats; ``kb_dicts`` reads an array KB into ``kb``."""
     propagated = {
         src: bf_propagated_counts(o, kb.disease_annots[src]) for src in DISEASE_SOURCES
     }

@@ -914,6 +914,18 @@ class TestLineage:
         self.refused("rank", pipeline.MODEL_FILE, rerun)
         self.refused("rank", pipeline.MODEL_FILE, rerun, training={"boosted_rounds": 4})
 
+    def test_record_that_names_another_step(self, copied):
+        # rank declares no config section, so a model record naming rank
+        # needs no training digest; it must name train, which writes it.
+        path = copied / "work" / pipeline.MODEL_FILE
+        doc = json.loads(path.read_text())
+        doc["lineage"]["step"] = "rank"
+        del doc["lineage"]["config"]["training"]
+        path.write_text(json.dumps(doc))
+        rerun = "the step that writes it"
+        self.refused("rank", pipeline.MODEL_FILE, rerun)
+        self.refused("rank", pipeline.MODEL_FILE, rerun, training={"boosted_rounds": 4})
+
     @pytest.mark.parametrize("step", [7, None, [7], "report"], ids=repr)
     def test_record_that_names_no_step(self, copied, step):
         path = copied / "work" / pipeline.MODEL_FILE

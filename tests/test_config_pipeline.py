@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import hashlib
 import json
+import os
 import re
 import sys
 import threading
@@ -747,10 +748,11 @@ def _counting(calls, attr, fn):
 
 
 @pytest.fixture(scope="module")
-def step_calls(tmp_path_factory):
-    """Calls per step of each ``INPUT_PASSES`` function over one pipeline run."""
+def step_run(tmp_path_factory):
+    """Calls per step of each ``INPUT_PASSES`` function over one pipeline run,
+    and the names of the work-directory files each step created."""
     calls = collections.Counter()
-    per_step = {}
+    per_step, written = {}, {}
     with pytest.MonkeyPatch.context() as mp:
         for module, attr in INPUT_PASSES:
             original = getattr(module, attr)
@@ -759,21 +761,36 @@ def step_calls(tmp_path_factory):
                 if name.startswith("phenorank") and getattr(mod, attr, None) is original:
                     mp.setattr(mod, attr, _counting(calls, attr, original))
         cfg = write_workspace(tmp_path_factory.mktemp("calls"))
+        wd = pipeline.workdir(cfg)
         for step in pipeline.STEPS:
             calls.clear()
+            before = set(os.listdir(wd))
             step.run(cfg)
             per_step[step.name] = dict(calls)
-    return {
+            written[step.name] = set(os.listdir(wd)) - before
+    counts = {
         attr: {name: got.get(attr, 0) for name, got in per_step.items()}
         for _, attr in INPUT_PASSES
     }
+    return counts, written
+
+
+@pytest.fixture(scope="module")
+def step_calls(step_run):
+    return step_run[0]
+
+
+def test_each_step_writes_the_files_its_row_names(step_run):
+    # ``Lineage.digest`` refuses a record whose step is not its file's writer.
+    assert step_run[1] == {step.name: set(step.writes) for step in pipeline.STEPS}
 
 
 def test_propagation_runs_only_where_its_counts_are_read(step_calls):
-    # The pooled pass for IC, the two per-source passes and the gene pass all
-    # run in ingest; the later steps restore the results from its snapshot.
+    # Two walks, both in ingest: the disease rows once for the pooled and the
+    # per-source counts, the gene rows once; the later steps restore the
+    # results from its snapshot.
     assert step_calls["propagate_counts"] == {
-        "ingest": 4, "synth": 0, "chunk": 0, "extract": 0, "standardize": 0,
+        "ingest": 2, "synth": 0, "chunk": 0, "extract": 0, "standardize": 0,
         "train": 0, "rank": 0, "evaluate": 0, "ablate": 0, "permtest": 0,
     }
 
@@ -857,6 +874,26 @@ def test_steps_that_read_no_name_build_no_term_record(tmp_path, monkeypatch):
         step.run(cfg)
     # ablate matches mention surfaces to term names.
     assert built == {"ablate": len(helpers.layered_ontology().terms)}
+
+
+def test_external_evaluation_builds_no_term_record(tmp_path, monkeypatch):
+    # ``import_external_ranking`` checks term ids against the dense index.
+    cfg = write_workspace(tmp_path)
+    for step in pipeline.STEPS[:6]:
+        step.run(cfg)
+    exported = tmp_path / "exported.jsonl"
+    pipeline.step_rank(cfg, out=str(exported))
+    lines = exported.read_text(encoding="utf-8").splitlines()
+    lines.append(json.dumps({"patientId": "X1", "terms": ["HP:0009997"]}))
+    external = tmp_path / "external.jsonl"
+    external.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    built = []
+    record = ontology.TermRecord
+    monkeypatch.setattr(ontology, "TermRecord", lambda *a, **k: built.append(1) or record(*a, **k))
+    summary = pipeline.step_evaluate(cfg, external=str(external))
+    assert summary["skippedRows"] == 1
+    assert summary["patients"] == len(lines) - 1
+    assert built == []
 
 
 class TestPipelineGuards:

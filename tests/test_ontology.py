@@ -21,8 +21,8 @@ from helpers import (
     set_similarity,
     undirected_distances,
 )
-from phenorank.annotations import DISEASE_SOURCES, AnnotationKB
-from phenorank.errors import ParseError, StructuralError, UnknownTermError
+from phenorank.annotations import DISEASE_SOURCES, load_annotations
+from phenorank.errors import IngestError, ParseError, StructuralError, UnknownTermError
 from phenorank.ontology import (
     Ontology,
     OntologyStats,
@@ -535,11 +535,25 @@ class TestArrayCoreOracles:
     def test_propagated_counts_match_brute_force(self, dag, docs, n_docs):
         seed, obsolete, max_terms = dag
         o = helpers.random_ontology(seed, max_terms=max_terms, obsolete=obsolete)
-        direct = random_documents(o, random.Random(docs), n_docs)
-        counts = propagate_counts(o, direct)
+        rng = random.Random(docs)
+        direct = random_documents(o, rng, n_docs)
+        terms, doc_ids = helpers.annotation_rows(o, direct)
+        (counts,) = propagate_counts(o, terms, doc_ids)
         assert counts.dtype == "int64" and counts.shape == (len(o.ids),)
         got = {t: c for t, c in zip(o.ids, counts.tolist()) if c}
         assert got == helpers.bf_propagated_counts(o, direct)
+        # Split into three groups, each row once: one walk counts every
+        # group, and the rows of all groups together.
+        groups = np.array([rng.randrange(3) for _ in terms], dtype=np.int64)
+        by_group = propagate_counts(o, terms, doc_ids, groups, 3)
+        assert by_group.dtype == "int64" and by_group.shape == (4, len(o.ids))
+        assert by_group[0].tolist() == counts.tolist()
+        for g in range(3):
+            part = {}
+            for t, d in zip(terms[groups == g].tolist(), doc_ids[groups == g].tolist()):
+                part.setdefault(o.ids[t], set()).add(d)
+            want = helpers.bf_propagated_counts(o, part)
+            assert by_group[1 + g].tolist() == [want.get(t, 0) for t in o.ids]
 
     @settings(max_examples=40, deadline=None)
     @given(dag=dags, docs=st.integers(0, 10_000), n_docs=st.integers(1, 25))
@@ -555,18 +569,7 @@ class TestArrayCoreOracles:
         ids = o.ids
         for src in DISEASE_SOURCES:
             by_source[src].setdefault(rng.choice(ids), set()).add("SHARED")
-        kb = AnnotationKB(
-            disease_annots={
-                src: {t: frozenset(d) for t, d in per_term.items()}
-                for src, per_term in by_source.items()
-            },
-            gene_annots={},
-            disease_totals={
-                src: len(set().union(*per_term.values()))
-                for src, per_term in by_source.items()
-            },
-            total_genes=0,
-        )
+        kb = helpers.kb_from_dicts(o, by_source)
         pooled: dict[str, set[str]] = {}
         for per_term in by_source.values():
             for t, diseases in per_term.items():
@@ -595,20 +598,14 @@ class TestArrayCoreOracles:
                 lin_similarity(o, s, [o.root], [bad])
             with pytest.raises(UnknownTermError):
                 o.dense_ids([o.root, bad])
-            with pytest.raises(UnknownTermError):
-                propagate_counts(o, {o.root: {"d1"}, bad: {"d2"}})
+            with pytest.raises(IngestError, match=f"line 2: unresolvable term {bad}"):
+                load_annotations(f"{o.root}\td1\tomim\n{bad}\td2\tomim\n", "", o)
 
 
 def random_stats(o: Ontology, docs: int, n_docs: int) -> OntologyStats:
     """IC statistics of ``random_documents``, all in one source."""
     direct = random_documents(o, random.Random(docs), n_docs)
-    kb = AnnotationKB(
-        disease_annots={"omim": {t: frozenset(d) for t, d in direct.items()}},
-        gene_annots={},
-        disease_totals={"omim": len(set().union(*direct.values()))},
-        total_genes=0,
-    )
-    return compute_stats(o, kb)
+    return compute_stats(o, helpers.kb_from_dicts(o, {"omim": direct}))
 
 
 def sample_ids(o: Ontology, s: OntologyStats, rng: random.Random) -> list[str]:

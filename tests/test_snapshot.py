@@ -105,7 +105,7 @@ def test_restore_equals_a_fresh_parse(tmp_path, inputs):
     r = snap.ontology
     assert list(r.terms.items()) == list(o.terms.items())
     assert (r.ids, r.root) == (o.ids, o.root)
-    assert list(r._dense.items()) == list(o._dense.items())
+    assert list(r.dense.items()) == list(o.dense.items())
     assert r._edges is None  # a restore builds no walk rows
     for got, want in zip(csr_arrays(r), csr_arrays(o), strict=True):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -7,7 +7,6 @@ or 4 (remote backend).
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
 import sys
@@ -91,9 +90,7 @@ def _add_command(name: str, step) -> None:
     @click.pass_context
     def command(ctx: click.Context, **options) -> None:
         try:
-            cfg = load_config(ctx.obj["config_path"])
-            if ctx.obj["seed"] is not None:
-                cfg = dataclasses.replace(cfg, seed=ctx.obj["seed"])
+            cfg = load_config(ctx.obj["config_path"], ctx.obj["seed"])
             summary = step(cfg, **options)
         except PhenorankError as e:
             error = {"type": type(e).__name__, "message": str(e)}

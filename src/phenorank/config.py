@@ -174,6 +174,9 @@ class PipelineConfig:
     evaluation: EvaluationConfig = EvaluationConfig()
 
     def validate(self):
+        # Seeds feed numpy's SeedSequence, which takes no negative int.
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         for name in _SECTIONS:
             section = getattr(self, name)
             if hasattr(section, "validate"):
@@ -200,7 +203,9 @@ def _build_section(name: str, cls, data) -> object:
     return cls(**{key: rows.decode(types[key], v, (name, key)) for key, v in data.items()})
 
 
-def config_from_dict(data: dict) -> PipelineConfig:
+def config_from_dict(data: dict, seed: int | None = None) -> PipelineConfig:
+    """The validated config ``data`` describes, with ``seed``, when given, in
+    place of its own."""
     if not isinstance(data, dict):
         raise ConfigError("configuration root must be a mapping")
     unknown = _names(set(data) - set(_SECTIONS) - {"seed"})
@@ -209,6 +214,8 @@ def config_from_dict(data: dict) -> PipelineConfig:
     # Each value is decoded by the row codec; a wrong JSON type names the setting.
     try:
         kwargs = {"seed": rows.decode(int, data.get("seed", 0), ("seed",))}
+        if seed is not None:
+            kwargs["seed"] = seed
         for name, cls in _SECTIONS.items():
             if name in data:
                 kwargs[name] = _build_section(name, cls, data[name])
@@ -219,7 +226,7 @@ def config_from_dict(data: dict) -> PipelineConfig:
     return cfg
 
 
-def load_config(path: str | Path) -> PipelineConfig:
+def load_config(path: str | Path, seed: int | None = None) -> PipelineConfig:
     from .pipeline import decode_text  # pipeline imports this module
 
     try:
@@ -234,7 +241,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError(f"invalid YAML in {path}: {e}") from e
     if data is None:
         data = {}
-    return config_from_dict(data)
+    return config_from_dict(data, seed)
 
 
 def config_digests(cfg: PipelineConfig) -> dict[str, str]:

@@ -10,13 +10,20 @@ own: hits are exact integer prefix sums, maxima are exact, and every mean runs
 over the same values, in the same order and length, as a mean over the top-k
 submatrix would, so numpy's pairwise summation adds them the same way. The
 permutation baseline is its exact mean over all orders, in closed form.
+
+Every report's confidence intervals come from ``_bootstrap_ci``. Replicate
+``i`` resamples the patients with the draws of
+``np.random.default_rng([seed, 101, i]).integers(0, n, n)``, bit for bit, but
+the replicates are drawn and summed in whole arrays: the seed words of every
+replicate are hashed at once, one reused PCG64 yields each replicate's raw
+words, and Lemire's multiply-shift turns them into indices.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, floor
 from typing import Sequence
 
 import numpy as np
@@ -27,8 +34,22 @@ from .ontology import Ontology, OntologyStats, lin_similarity
 from .rows import PatientTerms, Row
 
 # The stream tag keeps bootstrap draws on their own substreams of the master
-# seed, independent of worker count or evaluation order.
+# seed: replicate i draws from SeedSequence([seed, _BOOTSTRAP_STREAM, i]).
 _BOOTSTRAP_STREAM = 101
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx), and
+# PCG64's 128-bit LCG multiplier (O'Neill, "PCG", HMC-CS-2014-0905).
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+# Resampled indices held at once: replicates are drawn and summed in blocks of
+# about this many, so memory stays bounded at large cohorts.
+_BLOCK_DRAWS = 1 << 20
 
 METRIC_NAMES = ("precision", "recall", "f1", "lin_similarity", "mean_fn", "mean_fp")
 DELTA_METRIC_NAMES = (
@@ -77,23 +98,159 @@ def report_csv(reports: Sequence[MetricsReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _words32(value: int) -> list[int]:
+    """The little-endian 32-bit words numpy's SeedSequence reads from a
+    non-negative int (one zero word for 0)."""
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _seed_words(seed: int, first: int, stop: int) -> np.ndarray:
+    """``SeedSequence([seed, _BOOTSTRAP_STREAM, i]).generate_state(4, np.uint64)``
+    for each ``i`` in ``[first, stop)``, as a (stop - first, 4) uint64 array.
+
+    The hash runs in uint32 array arithmetic, one lane per replicate; only the
+    last entropy word differs between lanes. Its multipliers advance with each
+    use whatever the data, so they are Python ints.
+    """
+    lanes = stop - first
+    entropy = [
+        np.full(lanes, w, dtype=np.uint32)
+        for w in _words32(seed) + _words32(_BOOTSTRAP_STREAM)
+    ]
+    entropy.append(np.arange(first, stop, dtype=np.uint32))
+    const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    zero = np.zeros(lanes, dtype=np.uint32)
+    pool = [hashmix(entropy[j] if j < len(entropy) else zero) for j in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const = _INIT_B
+    state = np.empty((lanes, 2 * _POOL_SIZE), dtype=np.uint32)
+    for j in range(2 * _POOL_SIZE):
+        value = pool[j % _POOL_SIZE] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * np.uint32(const)
+        state[:, j] = value ^ (value >> np.uint32(16))
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _pcg64_state(words: list[int]) -> dict:
+    """The state of ``np.random.PCG64`` seeded with these four seed words: the
+    increment from the last two, then two LCG steps with the first two added
+    between them."""
+    s_hi, s_lo, i_hi, i_lo = words
+    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+    state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+    lcg = {"state": state, "inc": inc}
+    return {"bit_generator": "PCG64", "state": lcg, "has_uint32": 0, "uinteger": 0}
+
+
+def _draws(seed: int, first: int, stop: int, n: int, count: int) -> np.ndarray:
+    """Row ``i - first`` is ``np.random.default_rng([seed, _BOOTSTRAP_STREAM,
+    i]).integers(0, n, count)``, for each ``i`` in ``[first, stop)``; ``0 < n <
+    2**32``.
+
+    numpy draws such an index from the next 32 bits of the stream (each raw
+    word's low half, then its high half) by Lemire's multiply-shift: ``x * n``
+    has the index in its high half, and a low half below ``2**32 % n`` rejects
+    the draw ("Fast Random Integer Generation in an Interval", ACM TOMACS
+    2019). Each replicate's first ``count`` halves are mapped at once; the rare
+    replicate with a rejection among them is drawn again by numpy itself.
+    """
+    states = [_pcg64_state(w) for w in _seed_words(seed, first, stop).tolist()]
+    bits = np.random.PCG64(0)
+    raw = np.empty((len(states), (count + 1) // 2), dtype=np.uint64)
+    for row, state in zip(raw, states):
+        bits.state = state
+        row[:] = bits.random_raw(len(row))
+    halves = raw.astype("<u8", copy=False).view("<u4")[:, :count]
+    scaled = halves.astype(np.uint64) * np.uint64(n)
+    out = (scaled >> np.uint64(32)).astype(np.int64)
+    rejected = (scaled & np.uint64(_MASK32)) < np.uint64((1 << 32) % n)
+    for row in np.flatnonzero(rejected.any(axis=1)).tolist():
+        bits.state = states[row]
+        out[row] = np.random.Generator(bits).integers(0, n, count)
+    return out
+
+
+def _linear_quantile(ordered: np.ndarray, q: float) -> np.ndarray:
+    """``np.quantile(values, q, axis=0)`` by numpy's default ``linear`` rule,
+    from ``values`` sorted along axis 0.
+
+    The virtual index, the neighbours (the last value twice at the top), the
+    weight and the branch of numpy's ``_lerp`` are numpy's own, so the bits
+    agree; a column holding NaN, which sorts last, yields NaN. Unlike
+    ``np.quantile``, this calls no ``np.unique``, which imports ``numpy.ma``.
+    """
+    count = len(ordered)
+    virtual = (count - 1) * q
+    below = floor(virtual)
+    above = below + 1
+    if virtual >= count - 1:
+        below = above = -1
+    t = virtual - below
+    a, b = ordered[below], ordered[above]
+    diff = b - a
+    out = b - diff * (1 - t) if t >= 0.5 else a + diff * t
+    np.copyto(out, ordered[-1], where=np.isnan(ordered[-1]))
+    return out
+
+
 def _bootstrap_ci(
     per_patient: np.ndarray, iterations: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Percentile bootstrap of the mean over axis 0 (patients).
+    """Percentile bootstrap of the mean over axis 0 (patients): the 2.5th and
+    97.5th percentiles of ``iterations`` replicate means.
 
-    Each replicate resamples patients with replacement from its own seeded
-    substream, so results do not depend on scheduling or worker count.
+    Replicate ``i`` resamples the n patients with the indices
+    ``np.random.default_rng([seed, _BOOTSTRAP_STREAM, i]).integers(0, n, n)``
+    (``_draws``), so each replicate has its own substream of the seed. Its
+    mean adds the drawn rows one at a time in draw order and divides by n, a
+    block of replicates at once. That is what ``per_patient[idx].mean(axis=0)``
+    does for rows of two or more values, as a report's rows are (cutoffs x 4
+    or 6 metrics); numpy would sum rows of one value pairwise instead. The
+    percentiles are read from one sort.
     """
     n = per_patient.shape[0]
-    means = np.empty((iterations,) + per_patient.shape[1:], dtype=np.float64)
-    for i in range(iterations):
-        rng = np.random.default_rng([seed, _BOOTSTRAP_STREAM, i])
-        idx = rng.integers(0, n, n)
-        means[i] = per_patient[idx].mean(axis=0)
-    lo = np.quantile(means, 0.025, axis=0)
-    hi = np.quantile(means, 0.975, axis=0)
-    return lo, hi
+    rows = per_patient.reshape(n, -1)
+    means = np.empty((iterations, rows.shape[1]), dtype=np.float64)
+    block = max(1, _BLOCK_DRAWS // n)
+    for first in range(0, iterations, block):
+        stop = min(first + block, iterations)
+        picks = np.ascontiguousarray(_draws(seed, first, stop, n, n).T)
+        total = means[first:stop]
+        # Every index is in range; "clip" lets take write to ``out`` unbuffered.
+        np.take(rows, picks[0], axis=0, out=total, mode="clip")
+        drawn = np.empty_like(total)
+        for pick in picks[1:]:
+            np.take(rows, pick, axis=0, out=drawn, mode="clip")
+            total += drawn
+        total /= n
+    ordered = np.sort(means, axis=0)
+    lo, hi = (_linear_quantile(ordered, q) for q in (0.025, 0.975))
+    return lo.reshape(per_patient.shape[1:]), hi.reshape(per_patient.shape[1:])
 
 
 def _report(
@@ -284,8 +441,8 @@ def exact_name_terms(
     Name collisions keep the smallest term id; unmatched surfaces drop.
     """
     name_map: dict[str, str] = {}
-    for tid in o.ids:
-        name_map.setdefault(o.terms[tid].name.lower(), tid)
+    for tid, name in zip(o.ids, o.names):
+        name_map.setdefault(name.lower(), tid)
     out: dict[str, list[str]] = {}
     for pid, mentions in mentions_by_patient.items():
         tids = (name_map.get(m.surface.lower()) for m in mentions)

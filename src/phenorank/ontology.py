@@ -51,13 +51,14 @@ class Ontology:
     are built from those of the levels above it. ``closure_rows`` gathers
     rows for the count and similarity kernels.
 
-    Two parts are built on first use, each from data that never changes and
+    Three parts are built on first use, each from data that never changes and
     stored with one assignment, so instances are safe to share across
     threads: the parent rows and the child rows of every live term, in the
     same form (``parent_rows``, ``child_rows``, ``hops``), built from each
-    record's parent indices; and, on an ontology that ``from_arrays``
-    restored, the records in ``terms``, which steps that read no name,
-    synonym or definition never build.
+    record's parent indices; the live terms' names (``names``); and, on an
+    ontology that ``from_arrays`` restored, the records in ``terms``, which
+    steps that read no synonym or definition never build: such an ontology
+    cuts ``names`` straight from its strings.
     """
 
     def __init__(self, terms: Mapping[str, TermRecord]):
@@ -78,6 +79,15 @@ class Ontology:
         """Every record, obsolete ones too, by id in file order; the
         constructor sets them, and a restored ontology builds them here."""
         return self._records()
+
+    @functools.cached_property
+    def names(self) -> list[str]:
+        """The name of each live term, by dense id; a restored ontology cuts
+        them from its strings without building ``terms``."""
+        return self._names()
+
+    def _names(self) -> list[str]:
+        return [self.terms[t].name for t in self.ids]
 
     @classmethod
     def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "Ontology":
@@ -145,7 +155,11 @@ class Ontology:
                 )
             }
 
-        o._records = records
+        def names() -> list[str]:
+            own = _split(chars, lens[: 2 * n])[n:]
+            return [own[r] for r in o._rows.tolist()]
+
+        o._records, o._names = records, names
         return o
 
     def to_arrays(self) -> dict[str, np.ndarray]:

@@ -1490,7 +1490,29 @@ def random_instances(
 # must produce byte-identical reports. The permutation baseline has three
 # oracles: the mean over every order of a short list, the closed form in exact
 # rational arithmetic, and the package's earlier Monte Carlo estimate as a
-# statistical cross-check.
+# statistical cross-check. The bootstrap's oracle draws each replicate from a
+# generator of its own, as the package once did; the package's whole-array
+# bootstrap must match it bit for bit.
+
+
+# The seed stream of the bootstrap's resampling draws.
+BOOTSTRAP_STREAM = 101
+
+
+def loop_bootstrap_ci(
+    per_patient: np.ndarray, iterations: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The percentile bootstrap replicate by replicate: a fresh generator per
+    replicate, numpy's own ``integers``, ``mean`` and ``quantile``."""
+    n = per_patient.shape[0]
+    means = np.empty((iterations,) + per_patient.shape[1:], dtype=np.float64)
+    for i in range(iterations):
+        rng = np.random.default_rng([seed, BOOTSTRAP_STREAM, i])
+        idx = rng.integers(0, n, n)
+        means[i] = per_patient[idx].mean(axis=0)
+    lo = np.quantile(means, 0.025, axis=0)
+    hi = np.quantile(means, 0.975, axis=0)
+    return lo, hi
 
 
 def loop_bma(sub: np.ndarray) -> float:

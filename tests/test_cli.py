@@ -74,19 +74,28 @@ def stderr_error(result):
     return json.loads(result.stderr.strip().splitlines()[-1])["error"]
 
 
-def test_cli_import_loads_neither_scipy_nor_requests():
-    # A fresh interpreter: this one already holds scipy through the test oracles.
+def run_fresh(probe, *args, **kwargs):
+    """``probe`` run by a fresh interpreter that imports this phenorank: this
+    one already holds scipy and numpy.ma through the test oracles."""
     src = str(Path(phenorank.__file__).resolve().parents[1])
     path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run(
+        [sys.executable, "-c", probe, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        **kwargs,
+    )
+
+
+def test_cli_import_loads_neither_scipy_nor_requests():
     probe = (
         "import sys, phenorank.cli; "
         "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'requests'}))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "[]"
+    assert run_fresh(probe).stdout.strip() == "[]"
 
 
 # The options each subcommand takes beyond the group's and its --help.
@@ -188,6 +197,19 @@ class TestWalkthrough:
             assert err["type"] == "ConfigError"
             assert "seed" in err["message"] and "rerun synth" in err["message"]
         assert "No such option" in invoke(cfg_path, "evaluate", "--force").stderr
+
+    def test_negative_seed_exits_2(self, ws, tmp_path):
+        # numpy's SeedSequence takes no negative seed, so no step may start
+        # with one, whether the flag or the file sets it.
+        _, cfg_path = ws
+        for step in ("ingest", "evaluate"):
+            result = invoke(cfg_path, "--seed", "-1", step)
+            assert result.exit_code == 2, step
+            err = stderr_error(result)
+            assert err == {"type": "ConfigError", "message": "seed must be >= 0"}
+        own = str(write_cli_workspace(tmp_path, seed=-1))
+        assert stderr_error(invoke(own, "ingest"))["message"] == "seed must be >= 0"
+        assert invoke(own, "--seed", "0", "ingest").exit_code == 0
 
     def test_verbose_logs_to_stderr_only(self, ws):
         _, cfg_path = ws
@@ -843,6 +865,21 @@ class TestLineage:
             names = {pipeline.COHORT_FILE, pipeline.NOTES_FILE}
             assert any(name in message for name in names), message
             assert "disease_annotations" in message and "rerun synth" in message
+
+    def test_report_steps_import_neither_numpy_ma_nor_scipy(self, copied):
+        # ``np.quantile`` and ``np.unique`` import numpy.ma; train alone needs scipy.
+        probe = (
+            "import sys\n"
+            "from phenorank.cli import main\n"
+            "try:\n"
+            "    main(sys.argv[1:])\n"
+            "except SystemExit as e:\n"
+            "    assert not e.code, e.code\n"
+            "print(sorted(m for m in ('numpy.ma', 'scipy') if m in sys.modules))\n"
+        )
+        for step in ("ingest", "evaluate", "ablate", "permtest"):
+            out = run_fresh(probe, step, cwd=copied)
+            assert out.stdout.splitlines()[-1] == "[]", step
 
     def test_other_training_settings(self, copied):
         self.refused("rank", pipeline.MODEL_FILE, "train", training={"boosted_rounds": 4})

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from helpers import set_similarity, topk_prf
@@ -319,6 +321,91 @@ class TestBootstrap:
         assert a.to_json() == b.to_json()
 
 
+def bootstrap_rows(data_seed, n, cutoffs, metrics):
+    """(n, K, M) per-patient values like the reports': exact fractions, small
+    counts and arbitrary floats, with repeats, so sums round and sorts tie."""
+    rng = np.random.default_rng(data_seed)
+    shape = (n, cutoffs, metrics)
+    kind = rng.integers(0, 3, shape)
+    values = np.select(
+        [kind == 0, kind == 1],
+        [rng.integers(0, 4, shape) / rng.integers(1, 8, shape), rng.integers(0, 9, shape)],
+        rng.random(shape) * 10.0 ** rng.integers(-3, 3, shape),
+    )
+    return values[rng.integers(0, n, n)] if data_seed % 2 else values
+
+
+_SEEDS = st.one_of(
+    st.sampled_from([0, 1]),
+    st.integers(2, 2**32 - 1),
+    st.integers(2**32, 2**64 - 1),
+    st.integers(2**64, 2**80),
+)
+_SMALL_OR_UP_TO_300 = st.one_of(st.integers(1, 3), st.integers(1, 300))
+
+
+class TestBootstrapMatchesLoop:
+    """The whole-array bootstrap against one generator, one ``integers``, one
+    ``mean`` per replicate and ``np.quantile``, bit for bit."""
+
+    @settings(derandomize=True, deadline=None, max_examples=120)
+    @given(
+        seed=_SEEDS,
+        n=_SMALL_OR_UP_TO_300,
+        iterations=_SMALL_OR_UP_TO_300,
+        cutoffs=st.integers(1, 5),
+        metrics=st.sampled_from([len(METRIC_NAMES), len(DELTA_METRIC_NAMES)]),
+        data_seed=st.integers(0, 2**16),
+    )
+    def test_bitwise(self, seed, n, iterations, cutoffs, metrics, data_seed):
+        per_patient = bootstrap_rows(data_seed, n, cutoffs, metrics)
+        got = evaluation._bootstrap_ci(per_patient, iterations, seed)
+        want = helpers.loop_bootstrap_ci(per_patient, iterations, seed)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == (cutoffs, metrics)
+            assert g.tobytes() == w.tobytes()
+
+    def test_blocks_of_replicates(self, monkeypatch):
+        # Three blocks, the last one short, draw what one block would.
+        per_patient = bootstrap_rows(7, 40, 2, len(METRIC_NAMES))
+        monkeypatch.setattr(evaluation, "_BLOCK_DRAWS", 40 * 7)
+        got = evaluation._bootstrap_ci(per_patient, 20, 5)
+        want = helpers.loop_bootstrap_ci(per_patient, 20, 5)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+    def test_nan_column_reads_nan(self):
+        per_patient = bootstrap_rows(4, 6, 1, len(DELTA_METRIC_NAMES))
+        per_patient[2, 0, 1] = np.nan
+        got = evaluation._bootstrap_ci(per_patient, 30, 3)
+        want = helpers.loop_bootstrap_ci(per_patient, 30, 3)
+        for g, w in zip(got, want):
+            assert np.isnan(g[0, 1])
+            np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("seed", [0, 9, 2**40])
+    def test_rejected_draws_are_drawn_again(self, seed):
+        # Near 2**31 almost half of all 32-bit draws fall in Lemire's rejection
+        # zone, so most replicates' plain multiply-shift indices are wrong.
+        n, count = 2**31 + 1, 3
+        got = evaluation._draws(seed, 4, 24, n, count)
+        plain = []
+        for i in range(4, 24):
+            rng = np.random.default_rng([seed, helpers.BOOTSTRAP_STREAM, i])
+            want = rng.integers(0, n, count)
+            assert got[i - 4].tolist() == want.tolist()
+            rng = np.random.default_rng([seed, helpers.BOOTSTRAP_STREAM, i])
+            halves = rng.bit_generator.random_raw(2).astype("<u8").view("<u4")
+            plain.append(((halves[:count].astype(np.uint64) * n) >> 32).tolist())
+        assert plain != got.tolist()
+
+    def test_negative_seed_refused_like_numpy(self):
+        per_patient = bootstrap_rows(1, 3, 1, len(METRIC_NAMES))
+        with pytest.raises(ValueError, match="non-negative"):
+            helpers.loop_bootstrap_ci(per_patient, 2, -1)
+        with pytest.raises(ValueError, match="non-negative"):
+            evaluation._bootstrap_ci(per_patient, 2, -1)
+
+
 class TestPermutationDelta:
     def test_perfect_ranking_beats_permuted_baseline(self, small, small_stats):
         report = permutation_delta(
@@ -547,6 +634,16 @@ class TestExactNameTerms:
     def test_obsolete_names_never_match(self, small):
         out = exact_name_terms({"P1": [mention("obsolete finding")]}, small)
         assert out == {"P1": []}
+
+    def test_restored_ontology_reads_names_without_records(self, layered):
+        restored = Ontology.from_arrays(layered.to_arrays())
+        surfaces = [mention(layered.terms[t].name.upper()) for t in layered.ids[::3]]
+        surfaces.append(mention("not a term name"))
+        mentions = {"P1": surfaces, "P2": surfaces[::-1]}
+        want = exact_name_terms(mentions, layered)
+        assert exact_name_terms(mentions, restored) == want
+        assert want["P1"] == list(layered.ids[::3])
+        assert "terms" not in vars(restored)
 
 
 class TestAblation:

@@ -202,7 +202,8 @@ def _linear_quantile(ordered: np.ndarray, q: float) -> np.ndarray:
     The virtual index, the neighbours (the last value twice at the top), the
     weight and the branch of numpy's ``_lerp`` are numpy's own, so the bits
     agree; a column holding NaN, which sorts last, yields NaN. Unlike
-    ``np.quantile``, this calls no ``np.unique``, which imports ``numpy.ma``.
+    ``np.quantile``, this calls no ``np.unique``, which on numpy 2 imports
+    ``numpy.ma`` (numpy 1.x imports it with numpy itself).
     """
     count = len(ordered)
     virtual = (count - 1) * q

@@ -302,8 +302,9 @@ class Lineage:
     changed and the step to rerun) unless every digest it records is current,
     each file it read passing the same check first; a file it read that is
     gone has changed. A record that names a step other than the one that
-    writes its file (``Step.writes``), or lacks the digest of the seed or of a
-    section that step declares, is refused as if it were missing.
+    writes its file (``Step.writes``), or lacks the digest of the seed, of a
+    section that step declares or of a file it always reads (``Step.reads``),
+    is refused as if it were missing.
     """
 
     def __init__(self, cfg: PipelineConfig, step: str):
@@ -348,10 +349,12 @@ class Lineage:
                 step = lineage["step"]
                 parts = [lineage[part].items() for part in ("reads", "config", "inputs")]
                 # A record must name the step that writes its file and hold
-                # each config part that step depends on, or a deleted part
-                # would hide a change.
-                valid = WRITER.get(path.name) == step and (
-                    set(DECLARED[step]) <= lineage["config"].keys()
+                # each config part and file that step depends on, or a
+                # deleted part would hide a change.
+                valid = (
+                    WRITER.get(path.name) == step
+                    and set(DECLARED[step]) <= lineage["config"].keys()
+                    and set(READS[step]) <= lineage["reads"].keys()
                 )
             # RecursionError: a meta line nested too deeply to decode.
             except (ValueError, LookupError, TypeError, AttributeError, RecursionError):
@@ -720,13 +723,15 @@ def step_permtest(cfg: PipelineConfig) -> dict:
 @dataclasses.dataclass(frozen=True)
 class Step:
     """A row of ``STEPS``: the step's name and function, the work-directory
-    files it writes, and the config sections it reads besides the seed, which
+    files it writes, the config sections it reads besides the seed, and the
+    work-directory files it reads on every run; the sections and the files
     enter the lineage record of every artifact it writes."""
 
     name: str
     run: Callable[..., dict]
     writes: tuple[str, ...]
     sections: tuple[str, ...] = ()
+    reads: tuple[str, ...] = ()
 
 
 # The pipeline in run order, declared once: the CLI builds one subcommand per
@@ -735,22 +740,43 @@ class Step:
 STEPS = (
     Step("ingest", step_ingest, (INPUTS_FILE,)),
     Step("synth", step_synth, (COHORT_FILE, NOTES_FILE), ("cohort",)),
-    Step("chunk", step_chunk, (CHUNKS_FILE,), ("chunking",)),
-    Step("extract", step_extract, (MENTIONS_FILE,), ("extraction",)),
+    Step("chunk", step_chunk, (CHUNKS_FILE,), ("chunking",), (NOTES_FILE,)),
+    Step("extract", step_extract, (MENTIONS_FILE,), ("extraction",), (CHUNKS_FILE,)),
     Step(
         "standardize",
         step_standardize,
         (STANDARDIZED_FILE, TRACE_FILE),
         ("standardization", "extraction"),
+        (MENTIONS_FILE,),
     ),
-    Step("train", step_train, (MODEL_FILE,), ("training",)),
-    Step("rank", step_rank, (RANKINGS_FILE,)),
-    Step("evaluate", step_evaluate, (EVAL_REPORT, EVAL_CSV), ("evaluation",)),
-    Step("ablate", step_ablate, (ABLATION_REPORT, ABLATION_CSV), ("evaluation",)),
-    Step("permtest", step_permtest, (PERMTEST_REPORT, PERMTEST_CSV), ("evaluation",)),
+    Step("train", step_train, (MODEL_FILE,), ("training",), (COHORT_FILE,)),
+    Step(
+        "rank",
+        step_rank,
+        (RANKINGS_FILE,),
+        reads=(COHORT_FILE, STANDARDIZED_FILE, MODEL_FILE),
+    ),
+    # With --external, evaluate reads no rankings.jsonl.
+    Step("evaluate", step_evaluate, (EVAL_REPORT, EVAL_CSV), ("evaluation",), (COHORT_FILE,)),
+    Step(
+        "ablate",
+        step_ablate,
+        (ABLATION_REPORT, ABLATION_CSV),
+        ("evaluation",),
+        (MENTIONS_FILE, STANDARDIZED_FILE, RANKINGS_FILE, COHORT_FILE),
+    ),
+    Step(
+        "permtest",
+        step_permtest,
+        (PERMTEST_REPORT, PERMTEST_CSV),
+        ("evaluation",),
+        (RANKINGS_FILE, COHORT_FILE),
+    ),
 )
 
 # The config parts each step itself records: the seed and its sections.
 DECLARED = {step.name: ("seed", *step.sections) for step in STEPS}
+# The work-directory files each step reads on every run.
+READS = {step.name: step.reads for step in STEPS}
 # The step that writes each work-directory file.
 WRITER = {name: step.name for step in STEPS for name in step.writes}

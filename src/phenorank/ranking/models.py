@@ -21,23 +21,16 @@ depend on:
 - ``pair_index`` groups the training patients once per run by their
   (positives, negatives) shape and stacks each group's index arrays.
 - ``pairwise_pass`` then computes the gradient and hessian of every patient
-  with one expression per shape over a ``(G, P, N)`` margin block, and
-  ``pairwise_loss`` the loss the same way. The blocks of a run of buckets
-  (about 32k pairs) lie back to back in one flat array, so the sigmoid or
-  softplus is one call per run, on arrays that stay in cache. The linear
-  ranker skips the hessian.
-- Saturated margins are written, not computed. ``expit`` and
-  ``logaddexp(0, m)`` run only on the margins in the open interval
-  (-746, 40), gathered by flat integer index (NaN counts as inside). At or
-  above 40 they return exactly 1.0 and ``m``, and at or below -746 exactly
-  0.0, so those values are written instead (checked bit for bit against
-  scipy 1.17.1 and numpy 2.4.6). A run with no saturated margin calls them
-  on the whole array.
-- A loss history is computed only for a model that is written. Boosting
-  rounds compute their loss as they go. Linear epochs take gradient-only
-  passes and keep their weights; the history is computed from those weights
-  when the model is first encoded, so under ``training.model: select`` only
-  if the linear model wins.
+  with one expression per shape over a ``(G, P, N)`` margin block. The
+  blocks of a run of buckets (about 32k pairs) lie back to back in one flat
+  array, so the sigmoid is one call per run, on arrays that stay in cache.
+  The linear ranker skips the hessian.
+- Saturated margins are written, not computed. ``expit`` runs only on the
+  margins in the open interval (-746, 40), gathered by flat integer index
+  (NaN counts as inside). At or above 40 it returns exactly 1.0, and at or
+  below -746 exactly 0.0, so those values are written instead (checked bit
+  for bit against scipy 1.17.1). A run with no saturated margin calls it on
+  the whole array.
 - ``_build_tree`` searches splits over distinct rank columns. Each feature's
   dense rank is built once per boosting run, in ``uint8`` or ``uint16``
   where it fits. Constant columns are dropped, and of the columns with the
@@ -51,11 +44,7 @@ depend on:
 The models are byte-identical to the earlier per-patient, per-cut loops
 (``tests/helpers.py`` keeps those as oracles). The reasons:
 
-- Each patient's loss is still the pairwise sum of its own contiguous
-  ``P*N`` block, and each margin's sigmoid and softplus are the values
-  ``expit`` and ``logaddexp`` return for it.
-- The per-patient losses are added one by one in patient id order, and a
-  linear epoch's loss is computed from that epoch's own weight vector.
+- Each margin's sigmoid is the value ``expit`` returns for it.
 - Row sums run along the fast axis and column sums along the slow one, as
   they did per patient.
 - No instance index repeats within a scatter.
@@ -100,7 +89,6 @@ class TrainingMeta(Row):
     best_round: int | None = None
     validation_map30: float | None = None
     map_history: list[float] = field(default_factory=list)
-    train_loss_history: list[float] = field(default_factory=list)
 
 
 def _finite(where: str, value: float) -> None:
@@ -201,18 +189,8 @@ class RankModel(Row):
     meta: TrainingMeta
     format_version: int = MODEL_FORMAT_VERSION
 
-    # Set by ``train_pairwise_linear``: computes ``meta.train_loss_history``
-    # when the model is first written. Not a field, so never written or compared.
-    pending_history = None
-
     def score(self, features: np.ndarray) -> np.ndarray:
         return self.params.score(np.atleast_2d(np.asarray(features, dtype=np.float64)))
-
-    def to_dict(self) -> dict:
-        if self.pending_history is not None:
-            self.meta.train_loss_history = self.pending_history()
-            self.pending_history = None
-        return super().to_dict()
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -313,10 +291,9 @@ def _neg_margins(
     """``s_neg - s_pos`` of every pair of a chunk, as one flat array, and the
     view of each bucket's block in it, shape ``(G, P, N)``.
 
-    One flat array per chunk lets the sigmoid and softplus run once per chunk,
-    not once per bucket. Rounding is symmetric, so a margin is ``-(s_pos -
-    s_neg)`` bit for bit except for the sign of a zero, which neither
-    ``logaddexp(0, x)`` nor ``expit`` reads.
+    One flat array per chunk lets the sigmoid run once per chunk, not once per
+    bucket. Rounding is symmetric, so a margin is ``-(s_pos - s_neg)`` bit for
+    bit except for the sign of a zero, which ``expit`` does not read.
     """
     flat = np.empty(sum(pos.size * neg.shape[1] for _, pos, neg in chunk))
     blocks = []
@@ -330,67 +307,35 @@ def _neg_margins(
     return flat, blocks
 
 
-# Outside (_LOW, _HIGH) a margin m's sigmoid and softplus are known exactly:
-# at or above _HIGH, exp(-m) is lost in the rounding, so ``expit(m)`` is 1.0
-# and ``logaddexp(0, m)`` is m; at or below _LOW, exp(m) underflows to 0.0,
-# and so do both.
+# Outside (_LOW, _HIGH) a margin m's sigmoid is known exactly: at or above
+# _HIGH, exp(-m) is lost in the rounding, so ``expit(m)`` is 1.0; at or below
+# _LOW, exp(m) underflows to 0.0, and so does ``expit(m)``.
 _LOW, _HIGH = -746.0, 40.0
 
 
-def _at_live(flat: np.ndarray, fn, saturated: np.ufunc, arg: float) -> None:
-    """``fn`` of each margin of ``flat``, in place.
-
-    ``fn`` runs only on the margins inside (_LOW, _HIGH), or NaN; the others
-    get ``saturated(m, arg)``, which is what ``fn`` returns there. The live
-    margins are gathered by flat integer index, since boolean-mask indexing
-    costs about as much per element as ``expit`` itself; an array with no
-    saturated margin skips the gather and the scatter.
-    """
-    inside = ~((flat >= _HIGH) | (flat <= _LOW))
-    if inside.all():
-        fn(flat, out=flat)
-        return
-    live = np.flatnonzero(inside)
-    values = fn(flat[live])
-    saturated(flat, arg, out=flat, casting="unsafe")
-    flat[live] = values
-
-
-def _softplus(flat: np.ndarray) -> None:
-    """``logaddexp(0, m)`` of each margin of ``flat``, in place."""
-    # Saturated: max(m, 0.0) is m at or above _HIGH, 0.0 at or below _LOW.
-    _at_live(flat, functools.partial(np.logaddexp, 0.0), np.maximum, 0.0)
-
-
 def _sigmoid(flat: np.ndarray) -> None:
-    """``expit(m)`` of each margin of ``flat``, in place."""
+    """``expit(m)`` of each margin of ``flat``, in place.
+
+    ``expit`` runs only on the margins inside (_LOW, _HIGH), or NaN; the
+    others get ``m >= _HIGH`` as a float, 1.0 or 0.0, which is what ``expit``
+    returns there. The live margins are gathered by flat integer index, since
+    boolean-mask indexing costs about as much per element as ``expit`` itself;
+    an array with no saturated margin skips the gather and the scatter.
+    """
     # Imported here so only ``train`` pays for scipy; ``1 / (1 + exp(-x))``
     # differs from ``expit`` in the last bit and would change model bytes.
     from scipy.special import expit
 
+    inside = ~((flat >= _HIGH) | (flat <= _LOW))
+    if inside.all():
+        expit(flat, out=flat)
+        return
     # A gather and a scatter, not `where=`: scipy 1.17.1's expit with `where=`
-    # wrote wrong values and then crashed (double free). Saturated: m >= _HIGH
-    # as a float is 1.0 or 0.0.
-    _at_live(flat, expit, np.greater_equal, _HIGH)
-
-
-def pairwise_loss(scores: np.ndarray, pairs: PairIndex) -> float:
-    """Pairwise loss at ``scores``.
-
-    Bitwise equal to one patient at a time: each patient's loss is the
-    pairwise sum of its contiguous ``(P, N)`` block, summed over patients in
-    id order.
-    """
-    per_patient = np.empty(pairs.patients, dtype=np.float64)
-    for chunk in pairs.chunks:
-        flat, blocks = _neg_margins(scores, chunk)
-        _softplus(flat)
-        for (slots, _, _), block in zip(chunk, blocks):
-            per_patient[slots] = block.reshape(len(slots), -1).sum(axis=1)
-    loss = 0.0
-    for value in per_patient.tolist():  # in order; np.sum would pair them up
-        loss += value
-    return loss
+    # wrote wrong values and then crashed (double free).
+    live = np.flatnonzero(inside)
+    values = expit(flat[live])
+    np.greater_equal(flat, _HIGH, out=flat, casting="unsafe")
+    flat[live] = values
 
 
 def pairwise_pass(
@@ -435,10 +380,6 @@ def train_pairwise_linear(
     Features are standardized to zero mean and unit variance on the training
     set; the transform is stored in the model so scoring stays consistent.
     Zero epochs return the zero-weight model.
-
-    The loss history waits until the model is first written, so a model that
-    ``select_model`` discards never pays for it; it then reads ``instances``
-    again.
     """
     cfg.validate()
     if not instances:
@@ -450,22 +391,11 @@ def train_pairwise_linear(
     scale[scale == 0.0] = 1.0
     Xs = (X - mean) / scale
     w = np.zeros(X.shape[1], dtype=np.float64)
-    epoch_weights: list[np.ndarray] = []
     for _ in range(cfg.linear_epochs):
-        epoch_weights.append(w.copy())
         g_s, _ = pairwise_pass(Xs @ w, pairs, hessian=False)
         grad = Xs.T @ g_s + 2.0 * cfg.linear_l2 * w
         w -= cfg.linear_learning_rate * grad
-
-    def loss_history() -> list[float]:
-        # Rebuilt, not kept: a pending history holds no feature matrix.
-        Xs = (np.vstack([inst.features for inst in instances]) - mean) / scale
-        return [
-            pairwise_loss(Xs @ v, pairs) + cfg.linear_l2 * float(v @ v)
-            for v in epoch_weights
-        ]
-
-    model = RankModel(
+    return RankModel(
         kind=KIND_LINEAR,
         schema=schema if schema is not None else _schema_stub(X.shape[1]),
         params=LinearParams(
@@ -473,8 +403,6 @@ def train_pairwise_linear(
         ),
         meta=TrainingMeta(seed=seed, rounds=cfg.linear_epochs),
     )
-    model.pending_history = loss_history
-    return model
 
 
 def _schema_stub(dim: int) -> FeatureSchema:
@@ -621,14 +549,12 @@ def train_boosted(
     val_scores = np.zeros(Xv.shape[0], dtype=np.float64)
     trees: list[Node] = []
     map_history: list[float] = []
-    loss_history: list[float] = []
     best_map = -np.inf
     best_round = -1
     stale = 0
     all_idx = np.arange(X.shape[0])
     lr = cfg.boosted_learning_rate
     for _ in range(cfg.boosted_rounds):
-        loss_history.append(pairwise_loss(scores, pairs))
         g, h = pairwise_pass(scores, pairs)
         tree = _build_tree(X, ranks, g, h, all_idx, 0, cfg)
         trees.append(tree)
@@ -651,7 +577,6 @@ def train_boosted(
         best_round=best_round,
         validation_map30=float(best_map),
         map_history=map_history,
-        train_loss_history=loss_history,
     )
     return RankModel(
         kind=KIND_BOOSTED,

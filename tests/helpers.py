@@ -92,7 +92,6 @@ from phenorank.ranking.models import (
     _leaf_value,
     _schema_stub,
     pair_index,
-    pairwise_loss,
     pairwise_pass,
 )
 from phenorank.rows import decode
@@ -1057,9 +1056,12 @@ def pairwise_linear_gradient(instances, weights, l2: float = 0.0) -> np.ndarray:
 
 
 def pairwise_loss_at(instances, weights, l2: float = 0.0) -> float:
+    """The L2-regularized pairwise loss at ``weights`` (raw features), from
+    the per-patient oracle, so the finite-difference checks compare the
+    trainer's gradient with a loss it does not compute."""
     X = np.vstack([inst.features for inst in instances])
     w = np.asarray(weights, dtype=np.float64)
-    return pairwise_loss(X @ w, pair_index(instances)) + l2 * float(w @ w)
+    return loop_pairwise_loss(X @ w, loop_group_pairs(instances)) + l2 * float(w @ w)
 
 
 def _parse_note_date(value: str) -> date:
@@ -1374,13 +1376,8 @@ def loop_train_linear(instances, cfg: TrainingConfig = TrainingConfig()) -> Rank
     scale[scale == 0.0] = 1.0
     Xs = (X - mean) / scale
     w = np.zeros(X.shape[1], dtype=np.float64)
-    loss_history: list[float] = []
     for _ in range(cfg.linear_epochs):
-        scores = Xs @ w
-        loss_history.append(
-            loop_pairwise_loss(scores, groups) + cfg.linear_l2 * float(w @ w)
-        )
-        g_s, _ = loop_pairwise_grad_hess(scores, groups)
+        g_s, _ = loop_pairwise_grad_hess(Xs @ w, groups)
         grad = Xs.T @ g_s + 2.0 * cfg.linear_l2 * w
         w -= cfg.linear_learning_rate * grad
     return RankModel(
@@ -1393,7 +1390,7 @@ def loop_train_linear(instances, cfg: TrainingConfig = TrainingConfig()) -> Rank
             learning_rate=cfg.linear_learning_rate,
             l2=cfg.linear_l2,
         ),
-        meta=TrainingMeta(rounds=cfg.linear_epochs, train_loss_history=loss_history),
+        meta=TrainingMeta(rounds=cfg.linear_epochs),
     )
 
 
@@ -1407,11 +1404,9 @@ def loop_train_boosted(
     val_scores = np.zeros(Xv.shape[0], dtype=np.float64)
     trees: list[dict] = []
     map_history: list[float] = []
-    loss_history: list[float] = []
     best_map, best_round, stale = -np.inf, -1, 0
     lr = cfg.boosted_learning_rate
     for _ in range(cfg.boosted_rounds):
-        loss_history.append(loop_pairwise_loss(scores, groups))
         g, h = loop_pairwise_grad_hess(scores, groups)
         tree = scalar_cut_tree(X, g, h, np.arange(X.shape[0]), 0, cfg)
         trees.append(tree)
@@ -1440,7 +1435,6 @@ def loop_train_boosted(
             best_round=best_round,
             validation_map30=float(best_map),
             map_history=map_history,
-            train_loss_history=loss_history,
         ),
     )
 

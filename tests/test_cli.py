@@ -704,17 +704,17 @@ class TestTrainingBytes:
             (
                 "select",
                 "boostedTrees",
-                "8c57c047fecd70ac68c3ddd9d53decb7f292bcd6e3a9b3f8a5532b2a41a157bf",
+                "fdfcbc9a466fc33f91c5c99ddbea90ccab25ab62576c08436318969cbba25f84",
             ),
             (
                 "linear",
                 "pairwiseLinear",
-                "228e16ad7dd7e27ee4fd97a23670a8edbe61fe815c3f06ee9f13ae8100f09a5c",
+                "1f73c1d5ee14a63302dfeb417fe14dbe5122ac1893c24355b20e33c0ae9a092e",
             ),
             (
                 "boosted",
                 "boostedTrees",
-                "52483327ba71f36e3b79e115a758b6faa1bbed482c6421bc590da036520e0f4e",
+                "36ecb1403de7b61ed7e5efee57446a75fb1e17726ebf90261ef02cfa639b314d",
             ),
         ],
     )
@@ -732,8 +732,8 @@ class TestTrainingBytes:
     def test_linear_margins_reach_both_saturated_sides(
         self, standardized, tmp_path, monkeypatch
     ):
-        # The linear pin covers the written sigmoid and softplus of saturated
-        # margins only if this fixture's margins pass both bounds.
+        # The linear pin covers the written sigmoid of saturated margins only
+        # if this fixture's margins pass both bounds.
         shutil.copytree(standardized, tmp_path / "ws")
         monkeypatch.chdir(tmp_path / "ws")
         Path("model.yaml").write_text(
@@ -822,7 +822,7 @@ class TestModelMutants:
                 assert any(
                     named[1] == f or named[1].startswith((f"{f}.", f"{f}[")) for f in fields
                 ), f"{mutant}: {message}"
-        assert sum(codes.values()) == {"boosted": 528, "linear": 240}[model]
+        assert sum(codes.values()) == {"boosted": 520, "linear": 232}[model]
         assert set(codes) == {0, 2, 3}
 
 
@@ -967,6 +967,29 @@ class TestLineage:
         rerun = "the step that writes it"
         self.refused("rank", pipeline.MODEL_FILE, rerun)
         self.refused("rank", pipeline.MODEL_FILE, rerun, training={"boosted_rounds": 4})
+
+    @pytest.mark.parametrize(
+        "artifact, read, step",
+        [
+            (pipeline.MODEL_FILE, pipeline.COHORT_FILE, "rank"),
+            (pipeline.STANDARDIZED_FILE, pipeline.MENTIONS_FILE, "rank"),
+            (pipeline.RANKINGS_FILE, pipeline.MODEL_FILE, "evaluate"),
+        ],
+    )
+    def test_record_without_a_file_its_step_reads(self, copied, artifact, read, step):
+        # With a file deleted from its record's reads, an artifact built from
+        # another version of that file would pass as current.
+        path = copied / "work" / artifact
+        if artifact == pipeline.MODEL_FILE:
+            doc = json.loads(path.read_text())
+            del doc["lineage"]["reads"][read]
+            path.write_text(json.dumps(doc))
+        else:
+            meta, rows = pipeline.read_jsonl(path)
+            del meta["lineage"]["reads"][read]
+            pipeline.write_jsonl(path, meta, rows)
+        rerun = "the step that writes it"
+        self.refused(step, f"{artifact} has no valid lineage record", rerun)
 
     @pytest.mark.parametrize("step", [7, None, [7], "report"], ids=repr)
     def test_record_that_names_no_step(self, copied, step):

@@ -28,7 +28,6 @@ from phenorank.errors import (
     StructuralError,
 )
 from phenorank.ranking import FeatureSchema, build_instances, split_cohort
-from phenorank.ranking.models import pair_index
 
 
 def write_workspace(root, seed=11, **section_overrides):
@@ -750,9 +749,16 @@ def _counting(calls, attr, fn):
 @pytest.fixture(scope="module")
 def step_run(tmp_path_factory):
     """Calls per step of each ``INPUT_PASSES`` function over one pipeline run,
-    and the names of the work-directory files each step created."""
+    the names of the work-directory files each step created, and those each
+    step's lineage records read."""
     calls = collections.Counter()
-    per_step, written = {}, {}
+    per_step, written, read = {}, {}, {}
+    record = pipeline.Lineage.record
+
+    def recording(run):
+        read[run.step] = set(run.reads)
+        return record(run)
+
     with pytest.MonkeyPatch.context() as mp:
         for module, attr in INPUT_PASSES:
             original = getattr(module, attr)
@@ -760,6 +766,7 @@ def step_run(tmp_path_factory):
             for name, mod in list(sys.modules.items()):
                 if name.startswith("phenorank") and getattr(mod, attr, None) is original:
                     mp.setattr(mod, attr, _counting(calls, attr, original))
+        mp.setattr(pipeline.Lineage, "record", recording)
         cfg = write_workspace(tmp_path_factory.mktemp("calls"))
         wd = pipeline.workdir(cfg)
         for step in pipeline.STEPS:
@@ -772,7 +779,7 @@ def step_run(tmp_path_factory):
         attr: {name: got.get(attr, 0) for name, got in per_step.items()}
         for _, attr in INPUT_PASSES
     }
-    return counts, written
+    return counts, written, read
 
 
 @pytest.fixture(scope="module")
@@ -783,6 +790,14 @@ def step_calls(step_run):
 def test_each_step_writes_the_files_its_row_names(step_run):
     # ``Lineage.digest`` refuses a record whose step is not its file's writer.
     assert step_run[1] == {step.name: set(step.writes) for step in pipeline.STEPS}
+
+
+def test_each_step_declares_the_files_it_reads(step_run):
+    # ``Lineage.digest`` refuses a record without a file its step declares,
+    # so a read left undeclared could be deleted from a record unnoticed.
+    declared = {s.name: set(s.reads) for s in pipeline.STEPS if s.name != "ingest"}
+    declared["evaluate"].add(pipeline.RANKINGS_FILE)  # not read with --external
+    assert step_run[2] == declared
 
 
 def test_propagation_runs_only_where_its_counts_are_read(step_calls):
@@ -801,58 +816,26 @@ def test_only_ingest_parses_the_inputs(step_calls, attr):
 
 
 class TestTrainComputesWhatItWrites:
-    """Under ``training.model: select`` a linear loss history is computed only
-    when the linear model is the one written."""
+    """Training reads gradients and validation MAP@30, never the loss, and
+    ``model.json`` holds no loss history."""
 
-    def select_run(self, tmp_path, monkeypatch, seed):
-        cfg = write_workspace(tmp_path, seed=seed, training={"model": "select"})
+    @pytest.mark.parametrize("model", ["select", "linear", "boosted"])
+    def test_no_loss_computed_or_written(self, tmp_path, monkeypatch, model):
+        cfg = write_workspace(tmp_path, training={"model": model})
         for step in pipeline.STEPS[:5]:
             step.run(cfg)
-        phase = ["write"]
-        logaddexp_calls = collections.Counter()
+        calls = []
         logaddexp = np.logaddexp
-        trained = {}
 
         def counted(*args, **kwargs):
-            logaddexp_calls[phase[0]] += 1
+            calls.append(args)
             return logaddexp(*args, **kwargs)
 
-        def in_phase(name, fn):
-            def run(instances, *args, **kwargs):
-                trained[name] = instances
-                phase[0] = name
-                try:
-                    return fn(instances, *args, **kwargs)
-                finally:
-                    phase[0] = "write"
-
-            return run
-
         monkeypatch.setattr(np, "logaddexp", counted)
-        for name in ("train_pairwise_linear", "train_boosted"):
-            monkeypatch.setattr(pipeline, name, in_phase(name, getattr(pipeline, name)))
-        kind = pipeline.step_train(cfg)["kind"]
-        doc = json.loads((pipeline.workdir(cfg) / pipeline.MODEL_FILE).read_text())
-        chunks = len(pair_index(trained["train_pairwise_linear"]).chunks)
-        return cfg, kind, doc, logaddexp_calls, chunks, trained
-
-    def test_boosted_winner_pays_no_linear_loss(self, tmp_path, monkeypatch):
-        _, kind, doc, calls, chunks, _ = self.select_run(tmp_path, monkeypatch, 11)
-        assert kind == "boostedTrees"
-        # One loss pass per boosting round, one logaddexp per chunk of buckets.
-        assert dict(calls) == {"train_boosted": doc["meta"]["rounds"] * chunks}
-
-    def test_linear_winner_writes_the_loop_history(self, tmp_path, monkeypatch):
-        cfg, kind, doc, calls, chunks, trained = self.select_run(
-            tmp_path, monkeypatch, 13
-        )
-        assert kind == "pairwiseLinear"
-        assert calls["train_pairwise_linear"] == 0
-        assert calls["write"] == cfg.training.linear_epochs * chunks
-        want = helpers.loop_train_linear(trained["train_pairwise_linear"], cfg.training)
-        history = doc["meta"]["trainLossHistory"]
-        assert len(history) == cfg.training.linear_epochs
-        assert history == want.meta.train_loss_history
+        pipeline.step_train(cfg)
+        text = (pipeline.workdir(cfg) / pipeline.MODEL_FILE).read_text()
+        assert calls == []
+        assert "trainLossHistory" not in text
 
 
 def test_steps_that_read_no_name_build_no_term_record(tmp_path, monkeypatch):

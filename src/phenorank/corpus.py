@@ -347,10 +347,15 @@ def synth_narrative(
     rng = random.Random(f"{seed}:narrative:{patient.patient_id}")
 
     def name_of(tid: str) -> str:
-        rec = o.require(tid)
-        if not rec.name.strip():
+        # Names come from the ontology's strings, so no record is built.
+        try:
+            name = o.names[o.dense[tid]]
+        except KeyError:
+            o.require(tid)  # raises UnknownTermError: unknown or obsolete
+            raise
+        if not name.strip():
             raise GenerationError(f"term {tid} has no usable name")
-        return rec.name
+        return name
 
     curated_names = [name_of(t) for t in sorted(patient.curated_terms)]
     distractor_names = [name_of(t) for t in sorted(distractor_terms)]

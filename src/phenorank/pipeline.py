@@ -303,8 +303,9 @@ class Lineage:
     each file it read passing the same check first; a file it read that is
     gone has changed. A record that names a step other than the one that
     writes its file (``Step.writes``), or lacks the digest of the seed, of a
-    section that step declares or of a file it always reads (``Step.reads``),
-    is refused as if it were missing.
+    section that step declares, of a file it always reads (``Step.reads``) or
+    of an input file of a part it always restores (``Step.parts``), is
+    refused as if it were missing.
     """
 
     def __init__(self, cfg: PipelineConfig, step: str):
@@ -355,6 +356,7 @@ class Lineage:
                     WRITER.get(path.name) == step
                     and set(DECLARED[step]) <= lineage["config"].keys()
                     and set(READS[step]) <= lineage["reads"].keys()
+                    and INPUTS[step] <= lineage["inputs"].keys()
                 )
             # RecursionError: a meta line nested too deeply to decode.
             except (ValueError, LookupError, TypeError, AttributeError, RecursionError):
@@ -723,15 +725,17 @@ def step_permtest(cfg: PipelineConfig) -> dict:
 @dataclasses.dataclass(frozen=True)
 class Step:
     """A row of ``STEPS``: the step's name and function, the work-directory
-    files it writes, the config sections it reads besides the seed, and the
-    work-directory files it reads on every run; the sections and the files
-    enter the lineage record of every artifact it writes."""
+    files it writes, the config sections it reads besides the seed, the
+    work-directory files it reads on every run, and the snapshot parts it
+    restores on every run; the sections, the files and the parts' input
+    files enter the lineage record of every artifact it writes."""
 
     name: str
     run: Callable[..., dict]
     writes: tuple[str, ...]
     sections: tuple[str, ...] = ()
     reads: tuple[str, ...] = ()
+    parts: tuple[str, ...] = ()
 
 
 # The pipeline in run order, declared once: the CLI builds one subcommand per
@@ -739,8 +743,15 @@ class Step:
 # ``extraction.concurrency`` are in no step's sections (config_digests).
 STEPS = (
     Step("ingest", step_ingest, (INPUTS_FILE,)),
-    Step("synth", step_synth, (COHORT_FILE, NOTES_FILE), ("cohort",)),
+    Step(
+        "synth",
+        step_synth,
+        (COHORT_FILE, NOTES_FILE),
+        ("cohort",),
+        parts=("ontology", "stats"),
+    ),
     Step("chunk", step_chunk, (CHUNKS_FILE,), ("chunking",), (NOTES_FILE,)),
+    # A remote extract restores no part.
     Step("extract", step_extract, (MENTIONS_FILE,), ("extraction",), (CHUNKS_FILE,)),
     Step(
         "standardize",
@@ -748,22 +759,39 @@ STEPS = (
         (STANDARDIZED_FILE, TRACE_FILE),
         ("standardization", "extraction"),
         (MENTIONS_FILE,),
+        ("ontology",),
     ),
-    Step("train", step_train, (MODEL_FILE,), ("training",), (COHORT_FILE,)),
+    Step(
+        "train",
+        step_train,
+        (MODEL_FILE,),
+        ("training",),
+        (COHORT_FILE,),
+        ("ontology", "table"),
+    ),
     Step(
         "rank",
         step_rank,
         (RANKINGS_FILE,),
         reads=(COHORT_FILE, STANDARDIZED_FILE, MODEL_FILE),
+        parts=("ontology", "table"),
     ),
     # With --external, evaluate reads no rankings.jsonl.
-    Step("evaluate", step_evaluate, (EVAL_REPORT, EVAL_CSV), ("evaluation",), (COHORT_FILE,)),
+    Step(
+        "evaluate",
+        step_evaluate,
+        (EVAL_REPORT, EVAL_CSV),
+        ("evaluation",),
+        (COHORT_FILE,),
+        ("ontology", "stats"),
+    ),
     Step(
         "ablate",
         step_ablate,
         (ABLATION_REPORT, ABLATION_CSV),
         ("evaluation",),
         (MENTIONS_FILE, STANDARDIZED_FILE, RANKINGS_FILE, COHORT_FILE),
+        ("ontology", "stats"),
     ),
     Step(
         "permtest",
@@ -771,6 +799,7 @@ STEPS = (
         (PERMTEST_REPORT, PERMTEST_CSV),
         ("evaluation",),
         (RANKINGS_FILE, COHORT_FILE),
+        ("ontology", "stats"),
     ),
 )
 
@@ -778,5 +807,7 @@ STEPS = (
 DECLARED = {step.name: ("seed", *step.sections) for step in STEPS}
 # The work-directory files each step reads on every run.
 READS = {step.name: step.reads for step in STEPS}
+# The input files, by ``paths`` field, of the parts each step restores on every run.
+INPUTS = {step.name: {f for part in step.parts for f in PART_INPUTS[part]} for step in STEPS}
 # The step that writes each work-directory file.
 WRITER = {name: step.name for step in STEPS for name in step.writes}

@@ -1,7 +1,10 @@
 """Feature matrices and training instances for the rankers.
 
 One instance is a (patient, term) pair. Its feature row is the patient's
-columns followed by the term's row of ``annotations.feature_table``. Patient
+columns followed by the term's row of ``annotations.feature_table``. Each
+patient's negatives are drawn from its pools (``sampling.negative_pools``),
+read off the walks of its block of patients (``sampling.pool_blocks``), so
+a term shared by the patients of a block is walked once. Patient
 demographics one-hot encode against categories fixed at schema-build time from
 the training cohort; unseen categories at inference fall into the reserved
 unknown slot.
@@ -20,7 +23,7 @@ from ..corpus import Patient
 from ..errors import ConfigError, DataError
 from ..ontology import Ontology
 from ..rows import Row
-from .sampling import negative_pools, sample_negatives
+from .sampling import negative_pools, pool_blocks, sample_negatives
 
 UNKNOWN_CATEGORY = "unknown"
 
@@ -100,11 +103,13 @@ def build_instances(
     cohort order or on which other patients are present.
     """
     instances: list[RankingInstance] = []
-    for patient in sorted(cohort, key=lambda p: p.patient_id):
+    patients = sorted(cohort, key=lambda p: p.patient_id)
+    walks = pool_blocks(o, [p.curated_terms for p in patients])
+    for patient in patients:
         positives = sorted(patient.curated_terms)
         if not positives:
             raise DataError(f"patient {patient.patient_id} has no curated terms")
-        pools = negative_pools(o, positives)
+        pools = negative_pools(o, positives, next(walks))
         negatives = sample_negatives(
             pools,
             positives,

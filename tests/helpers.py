@@ -15,7 +15,8 @@ TSV reader, its KB of frozensets and its one propagation per count. The
 similarity oracles are the package's earlier string path: frozenset ancestor
 views of the closure, the MICA by name, one Lin value per call and the pair
 cache over it. The negative-pool oracles are the package's
-earlier string-set pools and sorted-string sampler. The cohort-sampler oracle
+earlier string-set pools and sorted-string sampler, and the instance oracle
+its per-patient loop, which walks each patient's positives on their own. The cohort-sampler oracle
 is its tuple sort over one ``rng.random()`` per term. The reference functions
 (set similarity, undirected distance, top-k precision/recall/F1, the pairwise
 gradient and loss at raw weights, note filtering, span markup) are used only by
@@ -48,7 +49,7 @@ from phenorank.annotations import (
     load_annotations,
 )
 from phenorank.config import EvaluationConfig, PathsConfig, TrainingConfig
-from phenorank.corpus import ClinicalNote, NoteChunk
+from phenorank.corpus import ClinicalNote, NoteChunk, Patient
 from phenorank.errors import (
     ConfigError,
     DataError,
@@ -73,6 +74,7 @@ from phenorank.ontology import (
     parse_obo,
     parse_ontology_json,
 )
+from phenorank.ranking.features import FeatureSchema, RankingInstance
 from phenorank.ranking.metrics import ap_at_k
 from phenorank.ranking.sampling import (
     EASY_MIN_LINEAGE,
@@ -80,6 +82,8 @@ from phenorank.ranking.sampling import (
     MEDIUM_RANGE,
     NEGATIVE_CLASSES,
     NegativePools,
+    negative_pools,
+    sample_negatives,
 )
 from phenorank.ranking.models import (
     KIND_BOOSTED,
@@ -765,6 +769,38 @@ def tuple_sort_weighted_sample(
     keyed = [(-(rng.random() ** (1.0 / weights[t])), t) for t in items]
     keyed.sort()
     return [t for _, t in keyed[:count]]
+
+
+def loop_build_instances(
+    cohort: Sequence[Patient],
+    o: Ontology,
+    table: np.ndarray,
+    schema: FeatureSchema,
+    seed: int,
+    per_class_per_positive: int = 1,
+) -> list[RankingInstance]:
+    """The package's earlier ``build_instances``: one ``negative_pools`` call
+    per patient, walking that patient's positives alone."""
+    instances: list[RankingInstance] = []
+    for patient in sorted(cohort, key=lambda p: p.patient_id):
+        positives = sorted(patient.curated_terms)
+        if not positives:
+            raise DataError(f"patient {patient.patient_id} has no curated terms")
+        pools = negative_pools(o, positives)
+        negatives = sample_negatives(
+            pools,
+            positives,
+            per_class_per_positive=per_class_per_positive,
+            seed=f"{seed}:negatives:{patient.patient_id}",
+        )
+        labelled = [(tid, 1, "none") for tid in positives]
+        labelled += [(tid, 0, cls) for tid, cls in negatives]
+        block = schema.matrix(patient, table[o.dense_ids(t for t, _, _ in labelled)])
+        instances.extend(
+            RankingInstance(patient.patient_id, tid, label, cls, row)
+            for (tid, label, cls), row in zip(labelled, block)
+        )
+    return instances
 
 
 def bf_negative_pools(

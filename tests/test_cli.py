@@ -991,6 +991,28 @@ class TestLineage:
         rerun = "the step that writes it"
         self.refused(step, f"{artifact} has no valid lineage record", rerun)
 
+    @pytest.mark.parametrize(
+        "artifact, field, step",
+        [
+            (pipeline.MODEL_FILE, "gene_annotations", "rank"),
+            (pipeline.COHORT_FILE, "disease_annotations", "train"),
+        ],
+    )
+    def test_record_without_an_input_of_its_step(self, copied, artifact, field, step):
+        # With an input file deleted from its record's inputs, an artifact
+        # built from another version of that file would pass as current.
+        path = copied / "work" / artifact
+        if artifact == pipeline.MODEL_FILE:
+            doc = json.loads(path.read_text())
+            del doc["lineage"]["inputs"][field]
+            path.write_text(json.dumps(doc))
+        else:
+            meta, rows = pipeline.read_jsonl(path)
+            del meta["lineage"]["inputs"][field]
+            pipeline.write_jsonl(path, meta, rows)
+        rerun = "the step that writes it"
+        self.refused(step, f"{artifact} has no valid lineage record", rerun)
+
     @pytest.mark.parametrize("step", [7, None, [7], "report"], ids=repr)
     def test_record_that_names_no_step(self, copied, step):
         path = copied / "work" / pipeline.MODEL_FILE

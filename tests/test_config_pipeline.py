@@ -749,14 +749,16 @@ def _counting(calls, attr, fn):
 @pytest.fixture(scope="module")
 def step_run(tmp_path_factory):
     """Calls per step of each ``INPUT_PASSES`` function over one pipeline run,
-    the names of the work-directory files each step created, and those each
-    step's lineage records read."""
+    the names of the work-directory files each step created, those each
+    step's lineage records read, and the input files of the snapshot parts
+    each step restored."""
     calls = collections.Counter()
-    per_step, written, read = {}, {}, {}
+    per_step, written, read, used = {}, {}, {}, {}
     record = pipeline.Lineage.record
 
     def recording(run):
         read[run.step] = set(run.reads)
+        used[run.step] = set(run.snapshot.used)
         return record(run)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -779,7 +781,7 @@ def step_run(tmp_path_factory):
         attr: {name: got.get(attr, 0) for name, got in per_step.items()}
         for _, attr in INPUT_PASSES
     }
-    return counts, written, read
+    return counts, written, read, used
 
 
 @pytest.fixture(scope="module")
@@ -798,6 +800,14 @@ def test_each_step_declares_the_files_it_reads(step_run):
     declared = {s.name: set(s.reads) for s in pipeline.STEPS if s.name != "ingest"}
     declared["evaluate"].add(pipeline.RANKINGS_FILE)  # not read with --external
     assert step_run[2] == declared
+
+
+def test_each_step_declares_the_parts_it_restores(step_run):
+    # ``Lineage.digest`` refuses a record without an input file of a part its
+    # step declares, so an undeclared part's files could be deleted unnoticed.
+    declared = {s.name: pipeline.INPUTS[s.name] for s in pipeline.STEPS if s.name != "ingest"}
+    declared["extract"] |= set(pipeline.PART_INPUTS["ontology"])  # not with a remote backend
+    assert step_run[3] == declared
 
 
 def test_propagation_runs_only_where_its_counts_are_read(step_calls):
@@ -842,8 +852,6 @@ def test_steps_that_read_no_name_build_no_term_record(tmp_path, monkeypatch):
     # A restored ontology builds its records only when ``terms`` is read, and
     # reads term names from its strings.
     cfg = write_workspace(tmp_path)
-    for step in pipeline.STEPS[:5]:
-        step.run(cfg)
     built = collections.Counter()
     record = ontology.TermRecord
 
@@ -852,12 +860,12 @@ def test_steps_that_read_no_name_build_no_term_record(tmp_path, monkeypatch):
         return record(*args, **kwargs)
 
     monkeypatch.setattr(ontology, "TermRecord", counted)
-    steps = {step.name: step for step in pipeline.STEPS}
-    for name in ("train", "rank", "evaluate", "permtest", "ablate"):
-        step = steps[name]
+    for step in pipeline.STEPS:
         step.run(cfg)
-    # ablate matches mention surfaces to term names without a record.
-    assert built == {}
+    # Parsing builds records, and so do the gazetteer and the index, which
+    # read synonyms; synth's notes and ablate's exact-name stage read names.
+    nameless = {"synth", "train", "rank", "evaluate", "permtest", "ablate"}
+    assert {name: built[name] for name in nameless if built[name]} == {}
 
 
 def test_external_evaluation_builds_no_term_record(tmp_path, monkeypatch):

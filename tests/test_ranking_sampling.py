@@ -3,16 +3,19 @@ import hashlib
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
 from helpers import A_LEAF, A_ONE, A_TWO, B_ONE, BRANCH_A, BRANCH_B, ROOT
-from phenorank.corpus import synth_cohort
+from phenorank.annotations import FEATURE_NAMES
+from phenorank.corpus import Patient, synth_cohort
 from phenorank.errors import DataError, SamplingError, UnknownTermError
 from phenorank.ontology import Ontology, TermRecord
-from phenorank.ranking import negative_pools, sample_negatives
+from phenorank.ranking import FeatureSchema, build_instances, negative_pools, sample_negatives
+from phenorank.ranking import sampling
 from phenorank.ranking.sampling import NEGATIVE_CLASSES
 
 
@@ -237,3 +240,106 @@ class TestPoolDigests:
     def test_random_3000_terms_with_obsolete(self):
         digest = pools_digest(helpers.random_ontology_3000(), 30)
         assert digest == "9ee0468ca312bdffa67d2a2fe1bebd61f501000758accf3e960605fd115f27b4"
+
+
+def shared_cohort(o: Ontology, size: int, seed: int) -> list[Patient]:
+    """``size`` patients, most of whose positives come from a dozen common terms."""
+    rng = random.Random(f"shared:{seed}")
+    common = rng.sample(o.ids, 12)
+    cohort = []
+    for i in range(size):
+        terms = set(rng.sample(common, rng.randint(1, 6)))
+        terms |= set(rng.sample(o.ids, rng.randint(0, 3)))
+        sex = rng.choice(["female", "male", "other"])
+        category = rng.choice(["cardiac", "neurologic"])
+        cohort.append(Patient(f"P{i:04d}", rng.uniform(0, 80), sex, category, terms))
+    return cohort
+
+
+def instance_bits(instances) -> list:
+    return [
+        (i.patient_id, i.term_id, i.label, i.negative_class, i.features.tobytes())
+        for i in instances
+    ]
+
+
+class TestBlockWalks:
+    """A cohort's pools, walked a block of patients at a time, equal each
+    patient's own, however the blocks are cut."""
+
+    def blocks(self, monkeypatch, o, cohort, terms_per_block):
+        monkeypatch.setattr(sampling, "POOL_BLOCK_CELLS", terms_per_block * len(o.ids))
+        walks = list(sampling.pool_blocks(o, [p.curated_terms for p in cohort]))
+        distinct = list({id(w): w for w in walks}.values())
+        for w in distinct:
+            # Only a patient whose positives alone exceed the bound exceeds it.
+            assert len(w.terms) <= terms_per_block or sum(x is w for x in walks) == 1
+        return walks, len(distinct)
+
+    def check_pools(self, monkeypatch, o, cohort, terms_per_block):
+        walks, count = self.blocks(monkeypatch, o, cohort, terms_per_block)
+        assert count >= 3
+        for p, w in zip(cohort, walks):
+            got = negative_pools(o, p.curated_terms, w)
+            want = helpers.bf_negative_pools(o, p.curated_terms)
+            alone = negative_pools(o, p.curated_terms)
+            for cls in NEGATIVE_CLASSES:
+                assert helpers.pool_terms(got, cls) == want[cls], f"{p.patient_id} {cls}"
+                assert np.array_equal(got.dense[cls], alone.dense[cls])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_dags_with_obsolete_terms(self, monkeypatch, seed):
+        o = helpers.random_ontology(seed, max_terms=120, min_terms=40, obsolete=1 + seed % 3)
+        self.check_pools(monkeypatch, o, shared_cohort(o, 25, seed), 5)
+
+    def test_3000_terms(self, monkeypatch):
+        o = helpers.random_ontology_3000()
+        self.check_pools(monkeypatch, o, shared_cohort(o, 12, 3000), 8)
+
+    def test_one_block_walks_each_shared_term_once(self):
+        o = helpers.random_ontology(4, max_terms=120, min_terms=40)
+        cohort = shared_cohort(o, 25, 4)
+        walks = list(sampling.pool_blocks(o, [p.curated_terms for p in cohort]))
+        terms = sorted(set().union(*(p.curated_terms for p in cohort)))
+        assert all(w is walks[0] for w in walks)
+        assert walks[0].terms.tolist() == o.dense_ids(terms).tolist()
+
+    def test_walks_without_a_positive_rejected(self, small):
+        walks = sampling.pool_walks(small, small.dense_ids([A_ONE]))
+        with pytest.raises(ValueError, match="no row"):
+            negative_pools(small, {A_ONE, A_TWO}, walks)
+
+    @pytest.mark.parametrize("terms_per_block", [None, 4])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_instances_match_the_patient_loop(self, monkeypatch, seed, terms_per_block):
+        o = helpers.random_ontology_3000() if seed == 2 else helpers.random_ontology(
+            seed, max_terms=150, min_terms=60, obsolete=2
+        )
+        cohort = shared_cohort(o, 20, seed)
+        if terms_per_block is not None:
+            assert self.blocks(monkeypatch, o, cohort, terms_per_block)[1] >= 3
+        table = np.random.default_rng(seed).random((len(o.ids), len(FEATURE_NAMES)))
+        schema = FeatureSchema.for_cohort(cohort)
+        got = build_instances(cohort, o, table, schema, seed, per_class_per_positive=2)
+        want = helpers.loop_build_instances(cohort, o, table, schema, seed, 2)
+        assert instance_bits(got) == instance_bits(want)
+
+    @pytest.mark.parametrize("first", ["unknown", "obsolete", "empty"])
+    def test_first_bad_patient_raises_as_in_the_patient_loop(self, monkeypatch, first):
+        # Later patients of the same block hold the other faults.
+        o = helpers.random_ontology(5, max_terms=120, min_terms=40, obsolete=2)
+        obsolete = next(t for t, r in o.terms.items() if r.obsolete)
+        bad = {"unknown": {"HP:0009996"}, "obsolete": {obsolete}, "empty": set()}
+        cohort = shared_cohort(o, 12, 5)
+        for i, kind in zip((7, 9, 10), [first, *sorted(set(bad) - {first})]):
+            terms = bad[kind] | (cohort[i].curated_terms if bad[kind] else set())
+            cohort[i] = dataclasses.replace(cohort[i], curated_terms=terms)
+        table = np.zeros((len(o.ids), len(FEATURE_NAMES)))
+        schema = FeatureSchema.for_cohort(cohort)
+        for terms_per_block in (3, 1000):
+            monkeypatch.setattr(sampling, "POOL_BLOCK_CELLS", terms_per_block * len(o.ids))
+            with pytest.raises(DataError) as got:
+                build_instances(cohort, o, table, schema, 1)
+            with pytest.raises(DataError) as want:
+                helpers.loop_build_instances(cohort, o, table, schema, 1)
+            assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))

@@ -174,7 +174,7 @@ class PipelineConfig:
     evaluation: EvaluationConfig = EvaluationConfig()
 
     def validate(self):
-        # Seeds feed numpy's SeedSequence, which takes no negative int.
+        # Seeds are non-negative: ``streams.stream_key`` refuses a negative one.
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         for name in _SECTIONS:

@@ -1520,25 +1520,46 @@ def random_instances(
 # must produce byte-identical reports. The permutation baseline has three
 # oracles: the mean over every order of a short list, the closed form in exact
 # rational arithmetic, and the package's earlier Monte Carlo estimate as a
-# statistical cross-check. The bootstrap's oracle draws each replicate from a
-# generator of its own, as the package once did; the package's whole-array
-# bootstrap must match it bit for bit.
+# statistical cross-check. The bootstrap's oracle draws each index on its own,
+# with Python ints, from the same SplitMix64 words and Lemire rejections that
+# ``phenorank.streams`` computes in arrays; the package's whole-array bootstrap
+# must match it bit for bit.
 
 
-# The seed stream of the bootstrap's resampling draws.
-BOOTSTRAP_STREAM = 101
+def loop_splitmix64(key: int, counter: int) -> int:
+    """SplitMix64's output ``counter + 1`` when seeded with ``key``."""
+    mask = (1 << 64) - 1
+    z = (key + (counter + 1) * 0x9E3779B97F4A7C15) & mask
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & mask
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & mask
+    return z ^ z >> 31
+
+
+def loop_bounded(key: int, counter: int, n: int) -> int:
+    """An index in ``[0, n)``: multiply-shift on a word's high 32 bits, a
+    draw whose product's low half is below ``2**32 % n`` redrawn from word
+    ``attempt << 56 | counter``."""
+    attempt = 0
+    while True:
+        scaled = (loop_splitmix64(key, attempt << 56 | counter) >> 32) * n
+        if scaled & 0xFFFFFFFF >= (1 << 32) % n:
+            return scaled >> 32
+        attempt += 1
 
 
 def loop_bootstrap_ci(
     per_patient: np.ndarray, iterations: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The percentile bootstrap replicate by replicate: a fresh generator per
-    replicate, numpy's own ``integers``, ``mean`` and ``quantile``."""
+    """The percentile bootstrap replicate by replicate and index by index,
+    numpy's own ``mean`` and ``quantile``."""
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    digest = hashlib.sha256(f"{seed}:bootstrap".encode()).digest()
+    key = int.from_bytes(digest, "big") % 2**64
     n = per_patient.shape[0]
     means = np.empty((iterations,) + per_patient.shape[1:], dtype=np.float64)
     for i in range(iterations):
-        rng = np.random.default_rng([seed, BOOTSTRAP_STREAM, i])
-        idx = rng.integers(0, n, n)
+        idx = [loop_bounded(key, i * n + j, n) for j in range(n)]
         means[i] = per_patient[idx].mean(axis=0)
     lo = np.quantile(means, 0.025, axis=0)
     hi = np.quantile(means, 0.975, axis=0)

@@ -199,8 +199,9 @@ class TestWalkthrough:
         assert "No such option" in invoke(cfg_path, "evaluate", "--force").stderr
 
     def test_negative_seed_exits_2(self, ws, tmp_path):
-        # numpy's SeedSequence takes no negative seed, so no step may start
-        # with one, whether the flag or the file sets it.
+        # Seeds are non-negative (``streams.stream_key`` refuses a negative
+        # one), so no step may start with one, whether the flag or the file
+        # sets it.
         _, cfg_path = ws
         for step in ("ingest", "evaluate"):
             result = invoke(cfg_path, "--seed", "-1", step)
@@ -866,10 +867,11 @@ class TestLineage:
             assert any(name in message for name in names), message
             assert "disease_annotations" in message and "rerun synth" in message
 
-    def test_report_steps_import_neither_numpy_ma_nor_scipy(self, copied):
-        # ``np.quantile`` and ``np.unique`` import numpy.ma; train alone needs scipy.
-        # numpy < 2 imports numpy.ma with numpy itself, so only modules that
-        # a bare ``import numpy`` leaves out count.
+    def test_report_steps_import_neither_numpy_ma_numpy_random_nor_scipy(self, copied):
+        # ``np.quantile`` and ``np.unique`` import numpy.ma, the bootstrap
+        # draws from its own stream, and train alone needs scipy. numpy < 2
+        # imports numpy.ma and numpy.random with numpy itself, so only
+        # modules that a bare ``import numpy`` leaves out count.
         probe = (
             "import sys\n"
             "import numpy\n"
@@ -880,7 +882,7 @@ class TestLineage:
             "except SystemExit as e:\n"
             "    assert not e.code, e.code\n"
             "added = set(sys.modules) - before\n"
-            "print(sorted(m for m in ('numpy.ma', 'scipy') if m in added))\n"
+            "print(sorted(m for m in ('numpy.ma', 'numpy.random', 'scipy') if m in added))\n"
         )
         for step in ("ingest", "evaluate", "ablate", "permtest"):
             out = run_fresh(probe, step, cwd=copied)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import set_similarity, topk_prf
-from phenorank import evaluation
+from phenorank import evaluation, streams
 from phenorank.config import EvaluationConfig
 from phenorank.errors import ConfigError, DataError
 from phenorank.evaluation import (
@@ -320,6 +320,14 @@ class TestBootstrap:
         b = evaluate_cohort(ranked, gold, small, small_stats, quick_cfg(cutoffs=(1,)))
         assert a.to_json() == b.to_json()
 
+    def test_interval_bytes_are_pinned(self):
+        # The stream's key, words, rejections, sums and percentiles together,
+        # so a Python or numpy release that moved any of them fails here.
+        per_patient = (np.arange(14.0).reshape(7, 1, 2) % 5) / 3
+        lo, hi = evaluation._bootstrap_ci(per_patient, 40, 1)
+        assert lo.astype("<f8").tobytes().hex() == "eaa00eeaa00ed23fa3355aa3355adb3f"
+        assert hi.astype("<f8").tobytes().hex() == "48b9944bb994eb3fd88ffdd88ffdec3f"
+
 
 def bootstrap_rows(data_seed, n, cutoffs, metrics):
     """(n, K, M) per-patient values like the reports': exact fractions, small
@@ -345,8 +353,8 @@ _SMALL_OR_UP_TO_300 = st.one_of(st.integers(1, 3), st.integers(1, 300))
 
 
 class TestBootstrapMatchesLoop:
-    """The whole-array bootstrap against one generator, one ``integers``, one
-    ``mean`` per replicate and ``np.quantile``, bit for bit."""
+    """The whole-array bootstrap against Python-int draws one index at a time,
+    one ``mean`` per replicate and ``np.quantile``, bit for bit."""
 
     @settings(derandomize=True, deadline=None, max_examples=120)
     @given(
@@ -387,18 +395,19 @@ class TestBootstrapMatchesLoop:
         # Near 2**31 almost half of all 32-bit draws fall in Lemire's rejection
         # zone, so most replicates' plain multiply-shift indices are wrong.
         n, count = 2**31 + 1, 3
-        got = evaluation._draws(seed, 4, 24, n, count)
-        plain = []
-        for i in range(4, 24):
-            rng = np.random.default_rng([seed, helpers.BOOTSTRAP_STREAM, i])
-            want = rng.integers(0, n, count)
-            assert got[i - 4].tolist() == want.tolist()
-            rng = np.random.default_rng([seed, helpers.BOOTSTRAP_STREAM, i])
-            halves = rng.bit_generator.random_raw(2).astype("<u8").view("<u4")
-            plain.append(((halves[:count].astype(np.uint64) * n) >> 32).tolist())
-        assert plain != got.tolist()
+        key = streams.stream_key(seed, "bootstrap")
+        counters = [[i * n + j for j in range(count)] for i in range(4, 24)]
+        got = streams.bounded(key, np.array(counters, dtype=np.uint64), n)
+        want = [[helpers.loop_bounded(key, c, n) for c in row] for row in counters]
+        plain = [
+            [(helpers.loop_splitmix64(key, c) >> 32) * n >> 32 for c in row]
+            for row in counters
+        ]
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+        assert plain != want
 
-    def test_negative_seed_refused_like_numpy(self):
+    def test_negative_seed_refused(self):
         per_patient = bootstrap_rows(1, 3, 1, len(METRIC_NAMES))
         with pytest.raises(ValueError, match="non-negative"):
             helpers.loop_bootstrap_ci(per_patient, 2, -1)

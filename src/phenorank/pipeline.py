@@ -48,7 +48,6 @@ from .ranking import (
     train_boosted,
     train_pairwise_linear,
 )
-from .ranking.models import pair_index
 from .rows import PatientTerms, Row
 
 logger = logging.getLogger(__name__)
@@ -564,13 +563,12 @@ def step_train(cfg: PipelineConfig) -> dict:
         model = select_model([linear, boosted], val_inst)
     doc = {**model.to_dict(), "lineage": run.record()}
     _atomic_write(run.wd / MODEL_FILE, json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    pairs = pair_index(train_inst)
     return {
         "kind": model.kind,
         "trainInstances": len(train_inst),
         "valInstances": len(val_inst),
-        "trainPairs": pairs.pairs,
-        "droppedPatients": pairs.dropped,
+        "trainPairs": train_inst.pairs.pairs,
+        "droppedPatients": train_inst.pairs.dropped,
         "validationMap30": model.meta.validation_map30,
     }
 

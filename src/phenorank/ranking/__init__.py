@@ -2,11 +2,11 @@
 
 from .features import (
     FeatureSchema,
-    RankingInstance,
+    Instances,
     build_instances,
     split_cohort,
 )
-from .metrics import ap_at_k, map_at_k
+from .metrics import ap_at_k, map_at_k, map_scorer
 from .models import (
     RankModel,
     TrainingMeta,
@@ -19,13 +19,14 @@ from .sampling import NegativePools, negative_pools, sample_negatives
 
 __all__ = [
     "FeatureSchema",
+    "Instances",
     "NegativePools",
     "RankModel",
-    "RankingInstance",
     "TrainingMeta",
     "ap_at_k",
     "build_instances",
     "map_at_k",
+    "map_scorer",
     "negative_pools",
     "rank_terms",
     "sample_negatives",

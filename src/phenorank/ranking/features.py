@@ -1,7 +1,9 @@
 """Feature matrices and training instances for the rankers.
 
 One instance is a (patient, term) pair. Its feature row is the patient's
-columns followed by the term's row of ``annotations.feature_table``. Each
+columns followed by the term's row of ``annotations.feature_table``. A set of
+instances is held as columns (``Instances``): one feature matrix, joined once
+from the patients' blocks, beside patient, term, label and class arrays. Each
 patient's negatives are drawn from its pools (``sampling.negative_pools``),
 read off the walks of its block of patients (``sampling.pool_blocks``), so
 a term shared by the patients of a block is walked once. Patient
@@ -12,6 +14,7 @@ unknown slot.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -79,13 +82,93 @@ class FeatureSchema(Row):
         return out
 
 
-@dataclass
-class RankingInstance:
-    patient_id: str
-    term_id: str
-    label: int
-    negative_class: str  # "none" for positives
-    features: np.ndarray
+Bucket = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+# Pairs per chunk of buckets that ``models.pairwise_pass`` computes at once.
+# A chunk's arrays (at most 256 KiB of margins, unless one bucket is larger)
+# stay in cache and come from malloc's heap: a larger array is mapped afresh
+# on each pass, and its page faults cost more than the sigmoid.
+_CHUNK_PAIRS = 32_768
+
+
+@dataclass(frozen=True)
+class PairIndex:
+    """The (positive, negative) pairs of one training set.
+
+    Patients are numbered in sorted id order and grouped by their
+    (positives, negatives) shape. Each bucket holds the patient numbers
+    (``slots``, shape ``(G,)``) and their stacked instance indices (``pos``,
+    ``(G, P)``; ``neg``, ``(G, N)``), so one numpy expression covers every
+    patient of that shape. ``chunks`` holds the buckets in runs of about
+    ``_CHUNK_PAIRS`` pairs. ``dropped`` counts patients without both labels;
+    they contribute no pair.
+    """
+
+    chunks: tuple[tuple[Bucket, ...], ...]
+    patients: int
+    pairs: int
+    dropped: int
+
+
+@dataclass(frozen=True, eq=False)
+class Instances:
+    """Row ``i`` of ``X`` is the features of patient ``patient_ids[i]`` and
+    term ``term_ids[i]``; ``classes`` holds each negative's pool class,
+    ``"none"`` for positives. The grouping and pairs are built once per set."""
+
+    X: np.ndarray
+    patient_ids: np.ndarray
+    term_ids: np.ndarray
+    labels: np.ndarray
+    classes: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    @functools.cached_property
+    def by_patient(self) -> tuple[tuple[str, np.ndarray], ...]:
+        """``(patient id, row indices)`` of each patient, patients in sorted id
+        order, rows in their order."""
+        ids, inverse = np.unique(self.patient_ids, return_inverse=True)
+        rows = np.argsort(inverse, kind="stable")
+        bounds = np.cumsum(np.bincount(inverse, minlength=len(ids)))[:-1]
+        return tuple(zip(ids.tolist(), np.split(rows, bounds)))
+
+    @functools.cached_property
+    def pairs(self) -> PairIndex:
+        return pair_index(self)
+
+
+def pair_index(instances: Instances) -> PairIndex:
+    """Group the training pairs of ``instances`` by patient shape."""
+    kept = []
+    for _, rows in instances.by_patient:
+        positive = instances.labels[rows] != 0
+        pos, neg = rows[positive], rows[~positive]
+        if len(pos) and len(neg):
+            kept.append((pos, neg))
+    shapes: dict[tuple[int, int], list[int]] = {}
+    for slot, (pos, neg) in enumerate(kept):
+        shapes.setdefault((len(pos), len(neg)), []).append(slot)
+    chunks: list[tuple[Bucket, ...]] = []
+    chunk: list[Bucket] = []
+    size = 0
+    for slots in shapes.values():
+        pos = np.asarray([kept[s][0] for s in slots], dtype=np.int64)
+        neg = np.asarray([kept[s][1] for s in slots], dtype=np.int64)
+        chunk.append((np.asarray(slots, dtype=np.int64), pos, neg))
+        size += pos.size * neg.shape[1]
+        if size >= _CHUNK_PAIRS:
+            chunks.append(tuple(chunk))
+            chunk, size = [], 0
+    if chunk:
+        chunks.append(tuple(chunk))
+    return PairIndex(
+        chunks=tuple(chunks),
+        patients=len(kept),
+        pairs=sum(len(pos) * len(neg) for pos, neg in kept),
+        dropped=len(instances.by_patient) - len(kept),
+    )
 
 
 def build_instances(
@@ -95,14 +178,16 @@ def build_instances(
     schema: FeatureSchema,
     seed: int,
     per_class_per_positive: int = 1,
-) -> list[RankingInstance]:
-    """Positives plus per-pool sampled negatives for every patient.
+) -> Instances:
+    """Positives plus per-pool sampled negatives for every patient, patients
+    in sorted id order.
 
     ``table`` is ``annotations.feature_table`` of ``o``. The negative stream
     for a patient is named by the patient id, so instances do not depend on
     cohort order or on which other patients are present.
     """
-    instances: list[RankingInstance] = []
+    blocks = [np.empty((0, schema.dimension))]  # an empty cohort's matrix
+    rows: list[tuple[str, str, int, str]] = []
     patients = sorted(cohort, key=lambda p: p.patient_id)
     walks = pool_blocks(o, [p.curated_terms for p in patients])
     for patient in patients:
@@ -116,14 +201,13 @@ def build_instances(
             per_class_per_positive=per_class_per_positive,
             seed=f"{seed}:negatives:{patient.patient_id}",
         )
-        labelled = [(tid, 1, "none") for tid in positives]
-        labelled += [(tid, 0, cls) for tid, cls in negatives]
-        block = schema.matrix(patient, table[o.dense_ids(t for t, _, _ in labelled)])
-        instances.extend(
-            RankingInstance(patient.patient_id, tid, label, cls, row)
-            for (tid, label, cls), row in zip(labelled, block)
-        )
-    return instances
+        pid = patient.patient_id
+        labelled = [(pid, tid, 1, "none") for tid in positives]
+        labelled += [(pid, tid, 0, cls) for tid, cls in negatives]
+        blocks.append(schema.matrix(patient, table[o.dense_ids(r[1] for r in labelled)]))
+        rows += labelled
+    columns = zip(*rows) if rows else [()] * 4
+    return Instances(np.concatenate(blocks), *(np.array(c) for c in columns))
 
 
 def split_cohort(

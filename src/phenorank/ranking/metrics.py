@@ -7,6 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import DataError
+from .features import Instances
 
 
 def ap_at_k(ranked_relevance: Sequence[int], total_relevant: int, k: int) -> float:
@@ -28,49 +29,35 @@ def ap_at_k(ranked_relevance: Sequence[int], total_relevant: int, k: int) -> flo
     return acc / min(total_relevant, k)
 
 
-def map_at_k(model_or_scores, instances, k: int = 30) -> float:
-    """Mean AP@k over patients, candidates sorted by score then term id.
-
-    ``model_or_scores`` is either a RankModel or a score array aligned with
-    ``instances``. Every patient must contribute at least one positive.
-    """
-    if hasattr(model_or_scores, "score"):
-        feats = np.vstack([inst.features for inst in instances])
-        scores = model_or_scores.score(feats)
-    else:
-        scores = np.asarray(model_or_scores, dtype=np.float64)
-        if scores.shape[0] != len(instances):
-            raise DataError("score array does not align with instances")
-    return map_scorer(instances, k)(scores)
+def map_at_k(model, instances: Instances, k: int = 30) -> float:
+    """``map_scorer(instances, k)`` of ``model``'s scores of ``instances``."""
+    return map_scorer(instances, k)(model.score(instances.X))
 
 
-def map_scorer(instances, k: int = 30):
-    """``scores -> map_at_k(scores, instances, k)``, with patients grouped once.
-
-    For callers that score the same instances many times, such as a boosting
-    run scoring its validation cohort every round.
-    """
-    groups: dict[str, list[int]] = {}
-    for i, inst in enumerate(instances):
-        groups.setdefault(inst.patient_id, []).append(i)
-    if not groups:
+def map_scorer(instances: Instances, k: int = 30):
+    """``scores -> MAP@k`` over the patients of ``instances``, candidates
+    sorted by score, best first, then by term id. Every patient must have a
+    positive. The patients are prepared once, for callers that score the same
+    instances many times, such as a boosting run scoring its validation set."""
+    if not instances.by_patient:
         raise DataError("map_at_k needs at least one patient")
+    # The tie-break key: each term id's rank among all of the set's.
+    _, term_rank = np.unique(instances.term_ids, return_inverse=True)
     patients = []
-    for pid in sorted(groups):
-        idxs = groups[pid]
-        labels = [instances[i].label for i in idxs]
-        r = sum(labels)
+    for pid, rows in instances.by_patient:
+        labels = instances.labels[rows]
+        r = int(labels.sum())
         if r == 0:
             raise DataError(f"patient {pid} has no positive instance")
-        # The tie-break key: each term id's rank among the patient's.
-        _, term_rank = np.unique([instances[i].term_id for i in idxs], return_inverse=True)
-        patients.append((np.asarray(idxs), term_rank, np.asarray(labels), r))
+        patients.append((rows, term_rank[rows], labels, r))
 
-    def score(scores) -> float:
+    def score(scores: np.ndarray) -> float:
+        if scores.shape != (len(instances),):
+            raise DataError("score array does not align with instances")
         total = 0.0
-        for idxs, term_rank, labels, r in patients:
+        for rows, ranks, labels, r in patients:
             # By score, best first, then by term id; lexsort is stable.
-            order = np.lexsort((term_rank, -scores[idxs]))
+            order = np.lexsort((ranks, -scores[rows]))
             total += ap_at_k(labels[order[:k]].tolist(), r, k)
         return total / len(patients)
 

@@ -15,11 +15,11 @@ as ``LinearParams`` or ``BoostedParams``, each tree node as a ``Leaf`` or a
 that the types cannot constrain, so a DataError naming the field, never a
 traceback or a NaN score, answers a damaged file.
 
-Training runs in whole-array passes and computes only what the model bytes
-depend on:
+Training reads the instances' feature matrix ``X`` as it is and runs in
+whole-array passes, computing only what the model bytes depend on:
 
-- ``pair_index`` groups the training patients once per run by their
-  (positives, negatives) shape and stacks each group's index arrays.
+- ``Instances.pairs`` groups the training patients once per instance set by
+  their (positives, negatives) shape and stacks each group's index arrays.
 - ``pairwise_pass`` then computes the gradient and hessian of every patient
   with one expression per shape over a ``(G, P, N)`` margin block. The
   blocks of a run of buckets (about 32k pairs) lie back to back in one flat
@@ -38,7 +38,7 @@ depend on:
   sorted stably by rank, and gains are scored from the cumulative gradient
   and hessian sums only at cuts where the sorted rank changes, or between
   two NaNs. ``X`` is read only at the chosen cut, for its threshold.
-- Validation patients are grouped once per boosting run, and each is
+- Validation patients are grouped once per instance set, and each is
   ordered by score and term id with one ``np.lexsort``.
 
 The models are byte-identical to the earlier per-patient, per-cut loops
@@ -73,7 +73,7 @@ from ..corpus import Patient
 from ..errors import DataError, TrainingError
 from ..ontology import Ontology
 from ..rows import Row, json_key
-from .features import UNKNOWN_CATEGORY, FeatureSchema, RankingInstance
+from .features import UNKNOWN_CATEGORY, Bucket, FeatureSchema, Instances, PairIndex
 from .metrics import map_at_k, map_scorer
 
 MODEL_FORMAT_VERSION = 1
@@ -222,69 +222,6 @@ class RankModel(Row):
         return model
 
 
-Bucket = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-# Pairs per chunk of buckets that a pass computes at once. A chunk's arrays
-# (at most 256 KiB of margins, unless one bucket is larger) stay in cache and
-# come from malloc's heap: a larger array is mapped afresh on each pass, and
-# its page faults cost more than the sigmoid.
-_CHUNK_PAIRS = 32_768
-
-
-@dataclass(frozen=True)
-class PairIndex:
-    """The (positive, negative) pairs of one training set, built once per run.
-
-    Patients are numbered in sorted id order and grouped by their
-    (positives, negatives) shape. Each bucket holds the patient numbers
-    (``slots``, shape ``(G,)``) and their stacked instance indices (``pos``,
-    ``(G, P)``; ``neg``, ``(G, N)``), so one numpy expression covers every
-    patient of that shape. ``chunks`` holds the buckets in runs of about
-    ``_CHUNK_PAIRS`` pairs. ``dropped`` counts patients without both labels;
-    they contribute no pair.
-    """
-
-    chunks: tuple[tuple[Bucket, ...], ...]
-    patients: int
-    pairs: int
-    dropped: int
-
-
-def pair_index(instances: Sequence[RankingInstance]) -> PairIndex:
-    """Group the training pairs of ``instances`` by patient, once per run."""
-    by_patient: dict[str, tuple[list[int], list[int]]] = {}
-    for i, inst in enumerate(instances):
-        pos, neg = by_patient.setdefault(inst.patient_id, ([], []))
-        (pos if inst.label else neg).append(i)
-    kept = [
-        (pos, neg)
-        for pos, neg in (by_patient[p] for p in sorted(by_patient))
-        if pos and neg
-    ]
-    shapes: dict[tuple[int, int], list[int]] = {}
-    for slot, (pos, neg) in enumerate(kept):
-        shapes.setdefault((len(pos), len(neg)), []).append(slot)
-    chunks: list[tuple[Bucket, ...]] = []
-    chunk: list[Bucket] = []
-    size = 0
-    for slots in shapes.values():
-        pos = np.asarray([kept[s][0] for s in slots], dtype=np.int64)
-        neg = np.asarray([kept[s][1] for s in slots], dtype=np.int64)
-        chunk.append((np.asarray(slots, dtype=np.int64), pos, neg))
-        size += pos.size * neg.shape[1]
-        if size >= _CHUNK_PAIRS:
-            chunks.append(tuple(chunk))
-            chunk, size = [], 0
-    if chunk:
-        chunks.append(tuple(chunk))
-    return PairIndex(
-        chunks=tuple(chunks),
-        patients=len(kept),
-        pairs=sum(len(pos) * len(neg) for pos, neg in kept),
-        dropped=len(by_patient) - len(kept),
-    )
-
-
 def _neg_margins(
     scores: np.ndarray, chunk: Sequence[Bucket]
 ) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -362,17 +299,20 @@ def pairwise_pass(
     return g, h
 
 
-def _training_pairs(instances: Sequence[RankingInstance]) -> PairIndex:
-    pairs = pair_index(instances)
+def _training_pairs(instances: Instances) -> PairIndex:
+    if not instances:
+        raise TrainingError("no training instances")
+    pairs = instances.pairs
     if not pairs.patients:
         raise TrainingError("no patient contributes both a positive and a negative")
     return pairs
 
 
 def train_pairwise_linear(
-    instances: Sequence[RankingInstance],
+    instances: Instances,
     cfg: TrainingConfig = TrainingConfig(),
-    schema: FeatureSchema | None = None,
+    *,
+    schema: FeatureSchema,
     seed: int | None = None,
 ) -> RankModel:
     """Full-batch gradient descent on the L2-regularized pairwise loss.
@@ -382,10 +322,8 @@ def train_pairwise_linear(
     Zero epochs return the zero-weight model.
     """
     cfg.validate()
-    if not instances:
-        raise TrainingError("no training instances")
-    X = np.vstack([inst.features for inst in instances])
     pairs = _training_pairs(instances)
+    X = instances.X
     mean = X.mean(axis=0)
     scale = X.std(axis=0)
     scale[scale == 0.0] = 1.0
@@ -397,18 +335,11 @@ def train_pairwise_linear(
         w -= cfg.linear_learning_rate * grad
     return RankModel(
         kind=KIND_LINEAR,
-        schema=schema if schema is not None else _schema_stub(X.shape[1]),
+        schema=schema,
         params=LinearParams(
             w.tolist(), mean.tolist(), scale.tolist(), cfg.linear_learning_rate, cfg.linear_l2
         ),
         meta=TrainingMeta(seed=seed, rounds=cfg.linear_epochs),
-    )
-
-
-def _schema_stub(dim: int) -> FeatureSchema:
-    return FeatureSchema(
-        symptom_categories=(),
-        names=tuple(f"f{i}" for i in range(dim)),
     )
 
 
@@ -522,10 +453,11 @@ def _tree_predict(tree: Node, X: np.ndarray) -> np.ndarray:
 
 
 def train_boosted(
-    instances: Sequence[RankingInstance],
+    instances: Instances,
     cfg: TrainingConfig = TrainingConfig(),
-    validation: Sequence[RankingInstance] = (),
-    schema: FeatureSchema | None = None,
+    validation: Instances | None = None,
+    *,
+    schema: FeatureSchema,
     seed: int | None = None,
 ) -> RankModel:
     """Gradient boosting on pairwise gradients with MAP@30 early stopping.
@@ -536,14 +468,11 @@ def train_boosted(
     trimmed to the best round seen.
     """
     cfg.validate()
-    if not instances:
-        raise TrainingError("no training instances")
+    pairs = _training_pairs(instances)
     if not validation:
         raise TrainingError("boosted training needs a validation cohort")
-    X = np.vstack([inst.features for inst in instances])
+    X, Xv = instances.X, validation.X
     ranks = _dense_ranks(X)
-    pairs = _training_pairs(instances)
-    Xv = np.vstack([inst.features for inst in validation])
     val_map30 = map_scorer(validation, k=30)
     scores = np.zeros(X.shape[0], dtype=np.float64)
     val_scores = np.zeros(Xv.shape[0], dtype=np.float64)
@@ -580,7 +509,7 @@ def train_boosted(
     )
     return RankModel(
         kind=KIND_BOOSTED,
-        schema=schema if schema is not None else _schema_stub(X.shape[1]),
+        schema=schema,
         params=BoostedParams(kept, lr, cfg.boosted_max_depth, cfg.boosted_l1, cfg.boosted_l2),
         meta=meta,
     )
@@ -588,7 +517,7 @@ def train_boosted(
 
 def select_model(
     candidates: Sequence[RankModel],
-    validation: Sequence[RankingInstance],
+    validation: Instances,
     k: int = 30,
 ) -> RankModel:
     """Pick the candidate with the best validation MAP@k.
@@ -598,17 +527,11 @@ def select_model(
     """
     if not candidates:
         raise DataError("select_model needs at least one candidate model")
-    scored: list[tuple[float, int, RankModel]] = []
-    for i, model in enumerate(candidates):
-        score = map_at_k(model, validation, k=k)
-        model.meta.validation_map30 = float(score)
-        scored.append((score, i, model))
-    best_score = max(s for s, _, _ in scored)
-    tied = [(i, m) for s, i, m in scored if s == best_score]
-    for i, m in tied:
-        if m.kind == KIND_LINEAR:
-            return m
-    return tied[0][1]
+    for model in candidates:
+        model.meta.validation_map30 = map_at_k(model, validation, k=k)
+    best = max(m.meta.validation_map30 for m in candidates)
+    tied = [m for m in candidates if m.meta.validation_map30 == best]
+    return next((m for m in tied if m.kind == KIND_LINEAR), tied[0])
 
 
 def rank_terms(
@@ -626,5 +549,6 @@ def rank_terms(
     if not cands:
         return []
     scores = model.score(model.schema.matrix(patient, table[o.dense_ids(cands)]))
-    order = sorted(range(len(cands)), key=lambda i: (-scores[i], cands[i]))
+    # A stable sort of the sorted candidates leaves ties in term id order.
+    order = np.argsort(-scores, kind="stable")
     return [(cands[i], float(scores[i])) for i in order]

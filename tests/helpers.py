@@ -16,7 +16,8 @@ similarity oracles are the package's earlier string path: frozenset ancestor
 views of the closure, the MICA by name, one Lin value per call and the pair
 cache over it. The negative-pool oracles are the package's
 earlier string-set pools and sorted-string sampler, and the instance oracle
-its per-patient loop, which walks each patient's positives on their own. The cohort-sampler oracle
+its per-patient loop, which walks each patient's positives on their own and
+builds one ``InstanceRow`` per instance. The cohort-sampler oracle
 is its tuple sort over one ``rng.random()`` per term. The reference functions
 (set similarity, undirected distance, top-k precision/recall/F1, the pairwise
 gradient and loss at raw weights, note filtering, span markup) are used only by
@@ -74,7 +75,7 @@ from phenorank.ontology import (
     parse_obo,
     parse_ontology_json,
 )
-from phenorank.ranking.features import FeatureSchema, RankingInstance
+from phenorank.ranking.features import FeatureSchema, Instances, pair_index
 from phenorank.ranking.metrics import ap_at_k
 from phenorank.ranking.sampling import (
     EASY_MIN_LINEAGE,
@@ -94,8 +95,6 @@ from phenorank.ranking.models import (
     RankModel,
     TrainingMeta,
     _leaf_value,
-    _schema_stub,
-    pair_index,
     pairwise_pass,
 )
 from phenorank.rows import decode
@@ -771,6 +770,62 @@ def tuple_sort_weighted_sample(
     return [t for _, t in keyed[:count]]
 
 
+@dataclass
+class InstanceRow:
+    """One (patient, term) instance as a row: the package's earlier layout,
+    which the row-wise oracles read."""
+
+    patient_id: str
+    term_id: str
+    label: int
+    negative_class: str  # "none" for positives
+    features: np.ndarray
+
+
+def instance_rows(instances: Instances) -> list[InstanceRow]:
+    """The rows of ``instances``, each feature row a view of ``instances.X``."""
+    columns = (
+        instances.patient_ids.tolist(),
+        instances.term_ids.tolist(),
+        instances.labels.tolist(),
+        instances.classes.tolist(),
+        instances.X,
+    )
+    return [InstanceRow(*row) for row in zip(*columns)]
+
+
+def instances_of(rows: Sequence[InstanceRow]) -> Instances:
+    """The columns of ``rows``, features stacked row by row."""
+    return Instances(
+        X=np.vstack([r.features for r in rows]),
+        patient_ids=np.array([r.patient_id for r in rows], dtype=str),
+        term_ids=np.array([r.term_id for r in rows], dtype=str),
+        labels=np.array([r.label for r in rows], dtype=np.int64),
+        classes=np.array([r.negative_class for r in rows], dtype=str),
+    )
+
+
+def instance_columns(instances: Instances) -> tuple:
+    """Every column of ``instances``, features as their bytes."""
+    return (
+        instances.X.shape,
+        instances.X.tobytes(),
+        instances.patient_ids.tolist(),
+        instances.term_ids.tolist(),
+        instances.labels.tolist(),
+        instances.classes.tolist(),
+    )
+
+
+def _schema_stub(dim: int) -> FeatureSchema:
+    """A schema of ``dim`` placeholder feature names, for instances that come
+    from no cohort."""
+    return FeatureSchema(
+        symptom_categories=(),
+        names=tuple(f"f{i}" for i in range(dim)),
+    )
+
+
 def loop_build_instances(
     cohort: Sequence[Patient],
     o: Ontology,
@@ -778,10 +833,11 @@ def loop_build_instances(
     schema: FeatureSchema,
     seed: int,
     per_class_per_positive: int = 1,
-) -> list[RankingInstance]:
+) -> list[InstanceRow]:
     """The package's earlier ``build_instances``: one ``negative_pools`` call
-    per patient, walking that patient's positives alone."""
-    instances: list[RankingInstance] = []
+    per patient, walking that patient's positives alone, and one row object
+    per instance."""
+    instances: list[InstanceRow] = []
     for patient in sorted(cohort, key=lambda p: p.patient_id):
         positives = sorted(patient.curated_terms)
         if not positives:
@@ -797,7 +853,7 @@ def loop_build_instances(
         labelled += [(tid, 0, cls) for tid, cls in negatives]
         block = schema.matrix(patient, table[o.dense_ids(t for t, _, _ in labelled)])
         instances.extend(
-            RankingInstance(patient.patient_id, tid, label, cls, row)
+            InstanceRow(patient.patient_id, tid, label, cls, row)
             for (tid, label, cls), row in zip(labelled, block)
         )
     return instances
@@ -919,10 +975,6 @@ def separable_instances(
     seed: int = 0,
 ):
     """Instances whose first feature alone separates positives from negatives."""
-    import numpy as np
-
-    from phenorank.ranking import RankingInstance
-
     rng = np.random.default_rng([seed, 4242])
     out = []
     counter = 0
@@ -936,16 +988,8 @@ def separable_instances(
                 counter += 1
                 x = rng.normal(0.0, 0.1, dim)
                 x[0] = rng.uniform(lo, hi)
-                out.append(
-                    RankingInstance(
-                        patient_id=pid,
-                        term_id=f"HP:{9000000 + counter:07d}",
-                        label=label,
-                        negative_class=cls,
-                        features=x,
-                    )
-                )
-    return out
+                out.append(InstanceRow(pid, f"HP:{9000000 + counter:07d}", label, cls, x))
+    return instances_of(out)
 
 
 def ontology_to_json(o: Ontology) -> str:
@@ -1085,7 +1129,7 @@ def pairwise_linear_gradient(instances, weights, l2: float = 0.0) -> np.ndarray:
     Built from the trainer's own pair index and pass, so the finite-difference
     checks exercise exactly what the trainer uses.
     """
-    X = np.vstack([inst.features for inst in instances])
+    X = instances.X
     scores = X @ np.asarray(weights, dtype=np.float64)
     g_s, _ = pairwise_pass(scores, pair_index(instances), hessian=False)
     return X.T @ g_s + 2.0 * l2 * np.asarray(weights, dtype=np.float64)
@@ -1095,9 +1139,8 @@ def pairwise_loss_at(instances, weights, l2: float = 0.0) -> float:
     """The L2-regularized pairwise loss at ``weights`` (raw features), from
     the per-patient oracle, so the finite-difference checks compare the
     trainer's gradient with a loss it does not compute."""
-    X = np.vstack([inst.features for inst in instances])
     w = np.asarray(weights, dtype=np.float64)
-    return loop_pairwise_loss(X @ w, loop_group_pairs(instances)) + l2 * float(w @ w)
+    return loop_pairwise_loss(instances.X @ w, loop_group_pairs(instances)) + l2 * float(w @ w)
 
 
 def _parse_note_date(value: str) -> date:
@@ -1307,9 +1350,9 @@ def dense_retrieve(oracle: EntrywiseIndex, query: str, k: int) -> list[tuple[str
 # whole-array trainers must produce byte-identical models.
 
 
-def loop_group_pairs(instances) -> list[tuple[np.ndarray, np.ndarray]]:
+def loop_group_pairs(instances: Instances) -> list[tuple[np.ndarray, np.ndarray]]:
     by_patient: dict[str, tuple[list[int], list[int]]] = {}
-    for i, inst in enumerate(instances):
+    for i, inst in enumerate(instance_rows(instances)):
         pos, neg = by_patient.setdefault(inst.patient_id, ([], []))
         (pos if inst.label else neg).append(i)
     return [
@@ -1390,7 +1433,8 @@ def dict_tree_predict(tree: dict, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def loop_map_at_k(scores: np.ndarray, instances, k: int = 30) -> float:
+def loop_map_at_k(scores: np.ndarray, instances: Instances, k: int = 30) -> float:
+    instances = instance_rows(instances)
     groups: dict[str, list[int]] = {}
     for i, inst in enumerate(instances):
         groups.setdefault(inst.patient_id, []).append(i)
@@ -1404,8 +1448,10 @@ def loop_map_at_k(scores: np.ndarray, instances, k: int = 30) -> float:
     return total / len(groups)
 
 
-def loop_train_linear(instances, cfg: TrainingConfig = TrainingConfig()) -> RankModel:
-    X = np.vstack([inst.features for inst in instances])
+def loop_train_linear(
+    instances: Instances, cfg: TrainingConfig = TrainingConfig()
+) -> RankModel:
+    X = np.vstack([inst.features for inst in instance_rows(instances)])
     groups = loop_group_pairs(instances)
     mean = X.mean(axis=0)
     scale = X.std(axis=0)
@@ -1431,11 +1477,11 @@ def loop_train_linear(instances, cfg: TrainingConfig = TrainingConfig()) -> Rank
 
 
 def loop_train_boosted(
-    instances, cfg: TrainingConfig = TrainingConfig(), validation=()
+    instances: Instances, cfg: TrainingConfig = TrainingConfig(), validation=None
 ) -> RankModel:
-    X = np.vstack([inst.features for inst in instances])
+    X = np.vstack([inst.features for inst in instance_rows(instances)])
     groups = loop_group_pairs(instances)
-    Xv = np.vstack([inst.features for inst in validation])
+    Xv = np.vstack([inst.features for inst in instance_rows(validation)])
     scores = np.zeros(X.shape[0], dtype=np.float64)
     val_scores = np.zeros(Xv.shape[0], dtype=np.float64)
     trees: list[dict] = []
@@ -1486,8 +1532,6 @@ def random_instances(
     With ``levels`` every feature takes one of that many values, so most
     cuts fall between tied values.
     """
-    from phenorank.ranking import RankingInstance
-
     rows = []
     for p, (n_pos, n_neg) in enumerate(shapes):
         pid = f"P{p + 1:04d}"
@@ -1501,16 +1545,9 @@ def random_instances(
     out = []
     for k in rng.permutation(len(rows)):
         pid, label, x = rows[k]
-        out.append(
-            RankingInstance(
-                patient_id=pid,
-                term_id=f"HP:{int(rng.integers(0, 10**7)):07d}",
-                label=label,
-                negative_class="none" if label else "difficult",
-                features=x,
-            )
-        )
-    return out
+        tid = f"HP:{int(rng.integers(0, 10**7)):07d}"
+        out.append(InstanceRow(pid, tid, label, "none" if label else "difficult", x))
+    return instances_of(out)
 
 
 # -- evaluation oracles: one patient, one cutoff, one order at a time ------------------

@@ -14,6 +14,7 @@ import pytest
 
 import helpers
 from helpers import (
+    _schema_stub,
     annotate_mentions,
     pairwise_linear_gradient,
     pairwise_loss_at,
@@ -39,7 +40,6 @@ from phenorank.ranking import (
     train_boosted,
     train_pairwise_linear,
 )
-from phenorank.ranking.models import _schema_stub
 from phenorank.standardization import build_index, retrieve
 
 

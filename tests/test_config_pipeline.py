@@ -28,6 +28,7 @@ from phenorank.errors import (
     StructuralError,
 )
 from phenorank.ranking import FeatureSchema, build_instances, split_cohort
+from phenorank.ranking import features as ranking_features
 
 
 def write_workspace(root, seed=11, **section_overrides):
@@ -461,8 +462,8 @@ class TestPipelineChain:
             per_class_per_positive=cfg.training.per_class_per_positive,
         )
         counts: dict[str, list[int]] = {}
-        for inst in instances:
-            counts.setdefault(inst.patient_id, [0, 0])[inst.label] += 1
+        for pid, label in zip(instances.patient_ids.tolist(), instances.labels.tolist()):
+            counts.setdefault(pid, [0, 0])[label] += 1
         pairs = sum(neg * pos for neg, pos in counts.values())
         dropped = sum(1 for neg, pos in counts.values() if not (neg and pos))
         assert summaries["train"]["trainPairs"] == pairs > 0
@@ -827,7 +828,8 @@ def test_only_ingest_parses_the_inputs(step_calls, attr):
 
 class TestTrainComputesWhatItWrites:
     """Training reads gradients and validation MAP@30, never the loss, and
-    ``model.json`` holds no loss history."""
+    ``model.json`` holds no loss history. Each instance set is grouped once
+    and its feature matrix never restacked."""
 
     @pytest.mark.parametrize("model", ["select", "linear", "boosted"])
     def test_no_loss_computed_or_written(self, tmp_path, monkeypatch, model):
@@ -847,6 +849,35 @@ class TestTrainComputesWhatItWrites:
         assert calls == []
         assert "trainLossHistory" not in text
 
+
+    def test_each_instance_set_grouped_once_and_stacked_never(self, tmp_path, monkeypatch):
+        # Under `select` both trainers, the selection and the summary read one
+        # pair index of the training set and one patient grouping per set, and
+        # the feature matrices are used as built, never restacked.
+        cfg = write_workspace(tmp_path, training={"model": "select"})
+        for step in pipeline.STEPS[:5]:
+            step.run(cfg)
+        paired, grouped, stacked = [], [], []
+
+        def spy(original, calls):
+            def counted(*args, **kwargs):
+                calls.append(args)
+                return original(*args, **kwargs)
+
+            return counted
+
+        # Every module that binds ``pair_index`` counts, however it imports it.
+        for name, module in list(sys.modules.items()):
+            if name.startswith("phenorank") and hasattr(module, "pair_index"):
+                monkeypatch.setattr(module, "pair_index", spy(module.pair_index, paired))
+        monkeypatch.setattr(np, "vstack", spy(np.vstack, stacked))
+        by_patient = vars(ranking_features.Instances)["by_patient"]
+        monkeypatch.setattr(by_patient, "func", spy(by_patient.func, grouped))
+        summary = pipeline.step_train(cfg)
+        sizes = [summary["trainInstances"], summary["valInstances"]]
+        assert [len(args[0]) for args in paired] == sizes[:1]
+        assert sorted(len(args[0]) for args in grouped) == sorted(sizes)
+        assert stacked == []
 
 def test_steps_that_read_no_name_build_no_term_record(tmp_path, monkeypatch):
     # A restored ontology builds its records only when ``terms`` is read, and

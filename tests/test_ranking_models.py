@@ -8,8 +8,8 @@ import pytest
 from scipy.special import expit
 
 import helpers
-from helpers import pairwise_linear_gradient, pairwise_loss_at
-from phenorank.annotations import feature_table
+from helpers import _schema_stub, pairwise_linear_gradient, pairwise_loss_at
+from phenorank.annotations import FEATURE_NAMES, feature_table
 from phenorank.config import TrainingConfig
 from phenorank.corpus import Patient, synth_cohort
 from phenorank.errors import ConfigError, DataError, TrainingError
@@ -25,17 +25,18 @@ from phenorank.ranking import (
     train_boosted,
     train_pairwise_linear,
 )
-from phenorank.ranking.features import UNKNOWN_CATEGORY, RankingInstance
+from phenorank.ranking.features import UNKNOWN_CATEGORY, pair_index
 from phenorank.ranking.metrics import map_scorer
 from phenorank.ranking.models import (
     KIND_BOOSTED,
     KIND_LINEAR,
+    BoostedParams,
+    Leaf,
     Split,
+    TrainingMeta,
     _build_tree,
     _dense_ranks,
-    _schema_stub,
     _sigmoid,
-    pair_index,
     pairwise_pass,
 )
 
@@ -130,17 +131,13 @@ class TestBuildInstances:
         schema = FeatureSchema.for_cohort(cohort)
         a = build_instances(cohort, layered, layered_table, schema, seed=3)
         b = build_instances(cohort, layered, layered_table, schema, seed=3)
-        assert len(a) == len(b)
-        for x, y in zip(a, b):
-            assert (x.patient_id, x.term_id, x.label, x.negative_class) == (
-                y.patient_id,
-                y.term_id,
-                y.label,
-                y.negative_class,
-            )
-            assert np.array_equal(x.features, y.features)
-        pos = [i for i in a if i.label == 1]
-        neg = [i for i in a if i.label == 0]
+        assert helpers.instance_columns(a) == helpers.instance_columns(b)
+        assert a.X.shape == (len(a), schema.dimension)
+        # Patients in sorted id order, each one's rows together.
+        assert a.patient_ids.tolist() == sorted(a.patient_ids.tolist())
+        rows = helpers.instance_rows(a)
+        pos = [i for i in rows if i.label == 1]
+        neg = [i for i in rows if i.label == 0]
         assert pos and neg
         assert all(i.negative_class == "none" for i in pos)
         assert all(i.negative_class != "none" for i in neg)
@@ -220,20 +217,18 @@ class TestApAtK:
 class TestMapAtK:
     def test_perfect_and_inverted_scores(self):
         instances = helpers.separable_instances(4, seed=1)
-        scores = np.array([inst.features[0] for inst in instances])
-        assert map_at_k(scores, instances, k=30) == pytest.approx(1.0)
-        worst = map_at_k(-scores, instances, k=30)
-        assert worst < 0.7
+        scorer = map_scorer(instances, k=30)
+        scores = instances.X[:, 0]
+        assert scorer(scores) == pytest.approx(1.0)
+        assert scorer(-scores) < 0.7
 
     def test_model_path_matches_score_path(self):
         instances = helpers.separable_instances(4, seed=2)
         model = train_pairwise_linear(
             instances, TrainingConfig(linear_epochs=50), schema=_schema_stub(6)
         )
-        X = np.vstack([inst.features for inst in instances])
-        direct = map_at_k(model.score(X), instances, k=30)
-        keyed = map_at_k(model, instances, k=30)
-        assert direct == pytest.approx(keyed)
+        scored = map_scorer(instances, k=30)(model.score(instances.X))
+        assert _bytes(map_at_k(model, instances, k=30)) == _bytes(scored)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_loop_oracle_bitwise(self, seed):
@@ -246,13 +241,20 @@ class TestMapAtK:
             rng.integers(0, 3, len(instances)).astype(np.float64),  # ties by term id
         ):
             want = helpers.loop_map_at_k(scores, instances, k=10)
-            assert _bytes(map_at_k(scores, instances, k=10)) == _bytes(want)
             assert _bytes(scorer(scores)) == _bytes(want)
 
     def test_patient_without_positive_rejected(self):
-        instances = [h for h in helpers.separable_instances(2, seed=3) if h.label == 0]
-        with pytest.raises(DataError):
-            map_at_k(np.zeros(len(instances)), instances, k=30)
+        rows = helpers.instance_rows(helpers.separable_instances(2, seed=3))
+        instances = helpers.instances_of([r for r in rows if r.label == 0])
+        with pytest.raises(DataError, match="no positive instance"):
+            map_scorer(instances, k=30)
+
+    def test_misaligned_scores_rejected(self):
+        instances = helpers.separable_instances(2, seed=3)
+        scorer = map_scorer(instances, k=30)
+        for n in (len(instances) - 1, len(instances) + 1):
+            with pytest.raises(DataError, match="does not align"):
+                scorer(np.zeros(n))
 
 
 class TestLinearRanker:
@@ -280,7 +282,7 @@ class TestLinearRanker:
         instances = helpers.separable_instances(10, seed=5)
         cfg = TrainingConfig(linear_epochs=80)
         model = train_pairwise_linear(instances, cfg, schema=_schema_stub(6))
-        X = np.vstack([inst.features for inst in instances])
+        X = instances.X
         groups = helpers.loop_group_pairs(instances)
         w = np.asarray(model.params.weights)
         trained = helpers.loop_pairwise_loss(model.score(X), groups) + cfg.linear_l2 * (w @ w)
@@ -305,13 +307,12 @@ class TestLinearRanker:
 
     def test_constant_feature_survives_standardization(self):
         instances = helpers.separable_instances(5, seed=9)
-        for inst in instances:
-            inst.features[3] = 1.0
+        instances.X[:, 3] = 1.0
         model = train_pairwise_linear(
             instances, TrainingConfig(linear_epochs=20), schema=_schema_stub(6)
         )
         assert np.isfinite(model.params.weights).all()
-        assert np.isfinite(model.score(np.vstack([i.features for i in instances]))).all()
+        assert np.isfinite(model.score(instances.X)).all()
 
 
 class TestBoostedRanker:
@@ -461,15 +462,19 @@ class TestSaturatedMargins:
         # the sigmoid of its own score, bit for bit.
         grid = _boundary_grid()
         grid = grid[~np.isnan(grid)]
-        instances = [
-            RankingInstance("P1", f"HP:{i:07d}", int(i == 0), "x", np.zeros(1))
+        instances = helpers.instances_of([
+            helpers.InstanceRow("P1", f"HP:{i:07d}", int(i == 0), "x", np.zeros(1))
             for i in range(len(grid) + 1)
-        ]
+        ])
         scores = np.concatenate([[0.0], grid])
         g, h = pairwise_pass(scores, pair_index(instances))
         assert g[1:].tobytes() == expit(grid).tobytes()
         want = expit(grid) * (1.0 - expit(grid))
         assert h[1:].tobytes() == want.tobytes()
+
+
+def _stub(instances):
+    return _schema_stub(instances.X.shape[1])
 
 
 def _random_training_set(seed: int, tied: bool):
@@ -489,7 +494,7 @@ class TestTrainersMatchLoopOracles:
     def test_linear_model_bytes(self, seed):
         train, _ = _random_training_set(seed, tied=seed % 2 == 1)
         cfg = TrainingConfig(linear_epochs=40, linear_l2=0.01 * seed)
-        got = train_pairwise_linear(train, cfg).to_json()
+        got = train_pairwise_linear(train, cfg, schema=_stub(train)).to_json()
         assert got == helpers.loop_train_linear(train, cfg).to_json()
 
     @pytest.mark.parametrize(
@@ -514,7 +519,7 @@ class TestTrainersMatchLoopOracles:
             boosted_max_depth=depth,
             boosted_l1=l1,
         )
-        got = train_boosted(train, cfg, validation=val).to_json()
+        got = train_boosted(train, cfg, validation=val, schema=_stub(train)).to_json()
         assert got == helpers.loop_train_boosted(train, cfg, validation=val).to_json()
 
     @pytest.mark.parametrize("seed", range(4))
@@ -524,20 +529,20 @@ class TestTrainersMatchLoopOracles:
         # of two values (one cut).
         train, val = _random_training_set(seed, tied=False)
         rng = np.random.default_rng([seed, 808])
-        for inst in (*train, *val):
+        for inst in (*helpers.instance_rows(train), *helpers.instance_rows(val)):
             high = rng.random() < 0.2 + 0.6 * inst.label
             inst.features[0] = 1.5 if high else rng.choice([-0.0, 0.0, -1.5])
             inst.features[1] = 3.0
             inst.features[2] = 0.25 if rng.random() < 0.5 + 0.3 * inst.label else 4.0
             inst.features[3:] = rng.normal(0.0, 1.0, 2)
-        X = np.vstack([inst.features for inst in train])
+        X = train.X
         ranks = _dense_ranks(X)
         # The constant column 1 is left out.
         assert [f for f, _, _ in ranks] == [0, 2, 3, 4]
         assert [int(r.max()) for _, r, _ in ranks[:2]] == [2, 1]
         assert {r.dtype for _, r, _ in ranks} == {np.dtype(np.uint8)}
         cfg = TrainingConfig(boosted_rounds=6, boosted_min_leaf=2, boosted_max_depth=3)
-        got = train_boosted(train, cfg, validation=val).to_json()
+        got = train_boosted(train, cfg, validation=val, schema=_stub(train)).to_json()
         assert got == helpers.loop_train_boosted(train, cfg, validation=val).to_json()
         g = rng.normal(0.0, 1.0, len(X))
         h = rng.uniform(0.1, 1.0, len(X))
@@ -551,12 +556,12 @@ class TestTrainersMatchLoopOracles:
         rng = np.random.default_rng(909)
         train = helpers.random_instances(rng, [(10, 90)] * 700, dim=2)
         val = helpers.random_instances(rng, [(3, 20)] * 4, dim=2)
-        X = np.vstack([inst.features for inst in train])
+        X = train.X
         ranks = _dense_ranks(X)
         assert len(np.unique(X[:, 0])) == len(X) > 65_536
         assert [r.dtype for _, r, _ in ranks] == [np.dtype(np.uint32)] * 2
         cfg = TrainingConfig(boosted_rounds=2, boosted_max_depth=1, boosted_min_leaf=5)
-        got = train_boosted(train, cfg, validation=val).to_json()
+        got = train_boosted(train, cfg, validation=val, schema=_stub(train)).to_json()
         assert got == helpers.loop_train_boosted(train, cfg, validation=val).to_json()
         g = rng.normal(0.0, 1.0, len(X))
         h = rng.uniform(0.1, 1.0, len(X))
@@ -572,18 +577,18 @@ class TestTrainersMatchLoopOracles:
         # 0/0 = NaN. Those rows sort first on every feature here.
         train, val = _random_training_set(seed, tied=False)
         labels: dict[str, set[int]] = {}
-        for inst in train:
+        for inst in helpers.instance_rows(train):
             labels.setdefault(inst.patient_id, set()).add(inst.label)
         dropped = {pid for pid, seen in labels.items() if len(seen) == 1}
         assert len(dropped) == 2
         low = -10.0
-        for inst in train:
+        for inst in helpers.instance_rows(train):
             if inst.patient_id in dropped:
                 inst.features[:] = low
                 low -= 1.0
         cfg = TrainingConfig(boosted_rounds=4, boosted_l2=0.0, boosted_max_depth=2)
         with np.errstate(invalid="ignore"):
-            got = train_boosted(train, cfg, validation=val).to_json()
+            got = train_boosted(train, cfg, validation=val, schema=_stub(train)).to_json()
             want = helpers.loop_train_boosted(train, cfg, validation=val).to_json()
         assert got == want
         assert '"feature"' in got
@@ -595,17 +600,21 @@ class TestTrainersMatchLoopOracles:
         # third of its rows: splits search columns 0, 1, 5, 6 and 7 only.
         train, val = _random_training_set(seed, tied=seed % 2 == 1)
         rng = np.random.default_rng([seed, 1001])
-        for inst in (*train, *val):
-            x = inst.features
+
+        def widened(x):
             nan = np.nan if rng.random() < 0.35 else x[2]
-            inst.features = np.array([x[0], x[1], x[0], np.exp(x[1]), 7.0, nan, x[3], x[4]])
-        X = np.vstack([inst.features for inst in train])
+            return [x[0], x[1], x[0], np.exp(x[1]), 7.0, nan, x[3], x[4]]
+
+        train, val = (
+            dataclasses.replace(s, X=np.array([widened(x) for x in s.X])) for s in (train, val)
+        )
+        X = train.X
         ranks = _dense_ranks(X)
         assert [(f, nan_rank is None) for f, _, nan_rank in ranks] == [
             (0, True), (1, True), (5, False), (6, True), (7, True)
         ]
         cfg = TrainingConfig(boosted_rounds=6, boosted_min_leaf=2, boosted_max_depth=3)
-        got = train_boosted(train, cfg, validation=val).to_json()
+        got = train_boosted(train, cfg, validation=val, schema=_stub(train)).to_json()
         assert got == helpers.loop_train_boosted(train, cfg, validation=val).to_json()
         assert '"feature": 0' in got or '"feature": 1' in got
         g = rng.normal(0.0, 1.0, len(X))
@@ -657,7 +666,8 @@ class TestTrainersMatchLoopOracles:
     def test_boosted_tied_splits_are_exercised(self):
         # Guard that the tied-feature sets really produce split trees.
         train, val = _random_training_set(0, tied=True)
-        model = train_boosted(train, TrainingConfig(boosted_rounds=3), validation=val)
+        cfg = TrainingConfig(boosted_rounds=3)
+        model = train_boosted(train, cfg, validation=val, schema=_stub(train))
         assert any(isinstance(tree, Split) for tree in model.params.trees)
 
 
@@ -674,8 +684,7 @@ class TestModelSerialization:
             text = model.to_json()
             back = RankModel.from_json(text)
             assert back.to_json() == text
-            X = np.vstack([i.features for i in val])
-            assert np.array_equal(back.score(X), model.score(X))
+            assert np.array_equal(back.score(val.X), model.score(val.X))
 
     def test_format_version_checked(self):
         train = helpers.separable_instances(5, seed=21)
@@ -730,6 +739,36 @@ class TestRankTerms:
         for (t1, s1), (t2, s2) in zip(ranked, ranked[1:]):
             if s1 == s2:
                 assert t1 < t2
+
+    @pytest.mark.parametrize("kind", ["zero-weights", "two-values"])
+    def test_ties_match_a_sorted_key_oracle(self, layered, layered_table, kind):
+        cohort = synth_cohort(layered, 8, seed=34)
+        schema = FeatureSchema.for_cohort(cohort)
+        if kind == "zero-weights":  # every score ties
+            instances = build_instances(cohort, layered, layered_table, schema, seed=34)
+            cfg = TrainingConfig(linear_epochs=0)
+            model = train_pairwise_linear(instances, cfg, schema=schema)
+        else:  # one split on the gene count, whose two sides interleave in id order
+            column = FEATURE_NAMES.index("gene_count")
+            cut = float(layered_table[:, column].mean())
+            tree = Split(schema.names.index("gene_count"), cut, Leaf(0.5), Leaf(-0.25))
+            model = RankModel(
+                kind=KIND_BOOSTED,
+                schema=schema,
+                params=BoostedParams([tree], 1.0, 1, 0.0, 1.0),
+                meta=TrainingMeta(),
+            )
+        candidates = [t for t in reversed(layered.ids) if not layered.terms[t].obsolete]
+        ranked = rank_terms(model, cohort[0], candidates, layered, layered_table)
+        cands = sorted(candidates)
+        X = schema.matrix(cohort[0], layered_table[layered.dense_ids(cands)])
+        scores = model.score(X)
+        order = sorted(range(len(cands)), key=lambda i: (-scores[i], cands[i]))
+        assert ranked == [(cands[i], float(scores[i])) for i in order]
+        distinct = {s for _, s in ranked}
+        assert len(distinct) == (1 if kind == "zero-weights" else 2)
+        if kind == "zero-weights":
+            assert [t for t, _ in ranked] == cands
 
     def test_duplicates_collapse_and_empty_ok(self, layered, layered_table):
         cohort = synth_cohort(layered, 8, seed=31)
